@@ -10,6 +10,7 @@ fit is reproducible bit for bit regardless of how per-subject work inside an
 iteration is scheduled.
 """
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -34,6 +35,20 @@ _RECOVERABLE = (OverflowGuardError, NotPositiveDefiniteError, ModeSearchFailedEr
 def stream(seed, lane, t):
     """Deterministic generator for iteration t of a given lane."""
     return np.random.Generator(np.random.Philox(key=int(seed), counter=[0, 0, int(lane), int(t)]))
+
+
+class LaneStream:
+    """stream(seed, lane, t) for every t from one Philox generator: at(t)
+    resets its counter to iteration t's instead of building a new one."""
+
+    def __init__(self, seed, lane):
+        self._bits = np.random.Philox(key=int(seed), counter=[0, 0, int(lane), 0])
+        self._state, self._gen = self._bits.state, np.random.Generator(self._bits)
+
+    def at(self, t):
+        self._state["state"]["counter"][3] = int(t)
+        self._bits.state = self._state
+        return self._gen
 
 
 def child_seed(seed, index):
@@ -97,16 +112,18 @@ class VariationalState:
     # -- C blocks ----------------------------------------------------------
     @staticmethod
     def _materialize(cstar, r):
-        C = matcalc.unpack_lower(cstar, r)
-        idx = np.arange(r)
-        C[..., idx, idx] = np.exp(C[..., idx, idx])
-        return C
+        return matcalc.unpack_log_diag(cstar, r)
 
     def c_local(self):
         return self._materialize(self.cstar_local, self.r)
 
     def c_global(self):
         return self._materialize(self.cstar_global, self.g)
+
+    def blocks(self):
+        """(local C blocks, global C block) at the current parameters; the
+        methods below take them to save rebuilding within one step."""
+        return self.c_local(), self.c_global()
 
     def log_det_c(self):
         return (self.cstar_local[..., matcalc.diag_positions(self.r)].sum()
@@ -123,26 +140,29 @@ class VariationalState:
         flat = loc.reshape(loc.shape[:-2] + (-1,))
         return np.concatenate([flat, glob], axis=-1)
 
-    def affine(self, s):
+    def affine(self, s, blocks=None):
         """theta~ = C s + mu, blockwise; broadcasts over leading dims of s."""
+        c_loc, c_glob = blocks or self.blocks()
         s_loc, s_glob = self.split(s)
         mu_loc, mu_glob = self.split(self.mu)
-        loc = np.einsum("nrs,...ns->...nr", self.c_local(), s_loc) + mu_loc
-        glob = np.einsum("rs,...s->...r", self.c_global(), s_glob) + mu_glob
+        loc = np.einsum("nrs,...ns->...nr", c_loc, s_loc) + mu_loc
+        glob = np.einsum("rs,...s->...r", c_glob, s_glob) + mu_glob
         return self._join(loc, glob)
 
-    def cinv_t(self, s):
-        """C^{-T} s, blockwise triangular solves."""
+    def cinv_t(self, s, blocks=None):
+        """C^{-T} s, blockwise triangular solves (LAPACK for the global block,
+        where substitution would take g Python-level sweeps)."""
+        c_loc, c_glob = blocks or self.blocks()
         s_loc, s_glob = self.split(s)
-        loc = np.linalg.solve(np.swapaxes(self.c_local(), -1, -2), s_loc[..., None])[..., 0]
-        glob = np.linalg.solve(self.c_global().T, s_glob[..., None])[..., 0]
-        return self._join(loc, glob)
+        glob = np.linalg.solve(c_glob.T, s_glob[..., None])[..., 0]
+        return self._join(matcalc.solve_lower(c_loc, s_loc, trans=True), glob)
 
     def log_q(self, theta):
         """Gaussian log density at theta~ (d/2 log 2pi dropped)."""
+        c_loc, c_glob = self.blocks()
         z_loc, z_glob = self.split(theta - self.mu)
-        u_loc = np.linalg.solve(self.c_local(), z_loc[..., None])[..., 0]
-        u_glob = np.linalg.solve(self.c_global(), z_glob[..., None])[..., 0]
+        u_loc = matcalc.solve_lower(c_loc, z_loc)
+        u_glob = matcalc.solve_lower(c_glob, z_glob)
         quad = (u_loc * u_loc).sum(axis=(-1, -2)) + (u_glob * u_glob).sum(axis=-1)
         return -self.log_det_c() - 0.5 * quad
 
@@ -191,13 +211,7 @@ class FitResult:
     config: FitConfig = field(repr=False, default=None)
 
 
-def draw_sample(state, rng):
-    """One reparametrization-trick draw: s ~ N(0, I_d), theta~ = C s + mu."""
-    s = rng.standard_normal(state.d)
-    return s, state.affine(s)
-
-
-def estimator(state, s, grad_vec, which):
+def estimator(state, s, grad_vec, which, blocks=None):
     """Gradient estimators for (mu, v(C)) from a single draw.
 
     L1 evaluates the entropy term analytically; L2 uses the same draw for
@@ -208,7 +222,8 @@ def estimator(state, s, grad_vec, which):
     Returns (g_mu (..., d), g_vC local (..., n, K_r), g_vC global (..., K_g)),
     with only the block-diagonal support of v(.) formed.
     """
-    cts = state.cinv_t(s)
+    c_loc, c_glob = blocks or state.blocks()
+    cts = state.cinv_t(s, (c_loc, c_glob))
     if which == "L1":
         g_mu = grad_vec
         outer_of = grad_vec
@@ -223,14 +238,12 @@ def estimator(state, s, grad_vec, which):
 
     s_loc, s_glob = state.split(s)
     o_loc, o_glob = state.split(outer_of)
-    gv_loc = matcalc.pack_lower(o_loc[..., :, None] * s_loc[..., None, :])
-    gv_glob = matcalc.pack_lower(o_glob[..., :, None] * s_glob[..., None, :])
+    gv_loc = matcalc.halfvec(o_loc[..., :, None] * s_loc[..., None, :])
+    gv_glob = matcalc.halfvec(o_glob[..., :, None] * s_glob[..., None, :])
     if which == "L1":
         # + v(C^{-T}): only the diagonal of C^{-T} lies on the lower support
-        gv_loc = gv_loc.copy()
-        gv_loc[..., matcalc.diag_positions(state.r)] += 1.0 / _diag(state.c_local())
-        gv_glob = gv_glob.copy()
-        gv_glob[..., matcalc.diag_positions(state.g)] += 1.0 / _diag(state.c_global())
+        gv_loc[..., matcalc.diag_positions(state.r)] += 1.0 / _diag(c_loc)
+        gv_glob[..., matcalc.diag_positions(state.g)] += 1.0 / _diag(c_glob)
     return g_mu, gv_loc, gv_glob
 
 
@@ -265,20 +278,23 @@ def _global_params(data, prior, glob):
     return model.GlobalParams(beta, omega, data.r)
 
 
-def step(data, prior, config, state, adam, t):
+def step(data, prior, config, state, adam, t, draws=None):
     """One stochastic gradient step; returns the pre-update ELBO sample.
 
-    A recoverable numeric failure (overflow guard, failed factorization,
-    failed mode search) retries once with a fresh draw from the same
-    iteration stream; a second failure raises DivergedError.
+    The draws are those of stream(config.seed, LANE_FIT, t), taken from
+    `draws`, the fit's LaneStream of that stream, when given. A recoverable
+    numeric failure (overflow guard, failed factorization, failed mode
+    search) retries once with a fresh draw from the same iteration stream;
+    a second failure, a non-finite ELBO sample or a non-finite update
+    raises DivergedError.
     """
-    rng = stream(config.seed, LANE_FIT, t)
+    rng = (draws or LaneStream(config.seed, LANE_FIT)).at(t)
+    blocks = state.blocks()
     last_err = None
     for _ in range(2):
         s = rng.standard_normal(state.d)
         try:
-            theta = state.affine(s)
-            b_tilde, glob = state.split(theta)
+            b_tilde, glob = state.split(state.affine(s, blocks))
             gp = _global_params(data, prior, glob)
             value, grad = gradients.value_and_grad(data, gp, b_tilde, config.method, prior)
             break
@@ -286,17 +302,21 @@ def step(data, prior, config, state, adam, t):
             last_err = err
     else:
         raise DivergedError(f"iteration {t}: {last_err}") from last_err
+    elbo = float(value + state.log_det_c() + 0.5 * (s * s).sum())
+    if not math.isfinite(elbo):
+        raise DivergedError(f"iteration {t}: non-finite ELBO sample {elbo}")
 
     grad_vec = grad.concat(include_omega=prior.learns_omega)
-    g_mu, gv_loc, gv_glob = estimator(state, s, grad_vec, config.estimator)
+    g_mu, gv_loc, gv_glob = estimator(state, s, grad_vec, config.estimator, blocks)
     # chain rule into C*: scale diagonal positions by the current diagonals
-    gv_loc = gv_loc * matcalc.dweight(state.c_local())
-    gv_glob = gv_glob * matcalc.dweight(state.c_global())
-
-    elbo = float(value + state.log_det_c() + 0.5 * (s * s).sum())
-
+    c_loc, c_glob = blocks
+    gv_loc[..., matcalc.diag_positions(state.r)] *= _diag(c_loc)
+    gv_glob[matcalc.diag_positions(state.g)] *= np.diag(c_glob)
     g_all = np.concatenate([g_mu, gv_loc.ravel(), gv_glob])
-    state.set_params(state.get_params() + adam.ascent_step(g_all, config))
+    update = adam.ascent_step(g_all, config)
+    if not np.all(np.isfinite(update)):
+        raise DivergedError(f"iteration {t}: non-finite parameter update")
+    state.set_params(state.get_params() + update)
     return elbo
 
 
@@ -334,6 +354,7 @@ def fit(data, prior, config=None, **overrides):
     state = VariationalState.initial(data.n, data.r, g)
     adam = AdamState.zeros(state.get_params().size)
 
+    draws = LaneStream(config.seed, LANE_FIT)
     t_start = time.perf_counter()
     means = []
     acc = 0.0
@@ -341,7 +362,7 @@ def fit(data, prior, config=None, **overrides):
     converged = False
     it = 0
     for it in range(1, config.max_iter + 1):
-        acc += step(data, prior, config, state, adam, it)
+        acc += step(data, prior, config, state, adam, it, draws)
         cnt += 1
         if cnt == config.window:
             means.append(acc / cnt)

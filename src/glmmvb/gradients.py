@@ -6,9 +6,11 @@ terms from differentiating the transforms; the omega block additionally
 carries the log-diagonal chain rule (dweight scaling applied last, so the
 raw half-vec gradient in v(W) coordinates is available for checks).
 
-The two "a2" extras relative to "a1" are the implicit dependence of the
-conditional mode on theta_G and the third-derivative correction alpha_i.
-All functions broadcast over leading batch dimensions of theta_G and b~.
+Both transform methods share one routine: a1 is a2 with the expansion point
+fixed at the regularized estimates instead of the conditional mode, which
+does not move with theta_G, so a1 has no third-derivative correction
+alpha_i. All functions broadcast over leading batch dimensions of theta_G
+and b~.
 """
 
 from dataclasses import dataclass
@@ -29,17 +31,23 @@ class JointGradient:
     def concat(self, include_omega=True):
         flat_local = self.local.reshape(self.local.shape[:-2] + (-1,))
         parts = [flat_local, self.beta] + ([self.omega] if include_omega else [])
-        lead = np.broadcast_shapes(*[a.shape[:-1] for a in parts])
-        return np.concatenate([np.broadcast_to(a, lead + a.shape[-1:]) for a in parts],
-                              axis=-1)
+        leads = {a.shape[:-1] for a in parts}
+        if len(leads) > 1:
+            lead = np.broadcast_shapes(*leads)
+            parts = [np.broadcast_to(a, lead + a.shape[-1:]) for a in parts]
+        return np.concatenate(parts, axis=-1)
+
+
+def _score(data, gp, b, eta):
+    """Masked residuals y - g(eta) and a_i = Z_i'(y_i - g(eta_i)) - Omega b_i."""
+    resid = data.mask * (data.y - data.family.h1(eta, data.trials))
+    return resid, (np.einsum("njr,...nj->...nr", data.Z, resid)
+                   - np.einsum("...rs,...ns->...nr", gp.Omega, b))
 
 
 def a_vec(data, gp, b):
     """a_i = Z_i'(y_i - g(eta_i)) - Omega b_i at eta_i = X_i beta + Z_i b_i."""
-    eta = data.eta(gp.beta, b)
-    resid = data.mask * (data.y - data.family.h1(eta, data.trials))
-    return (np.einsum("njr,...nj->...nr", data.Z, resid)
-            - np.einsum("...rs,...ns->...nr", gp.omega_matrix(), b))
+    return _score(data, gp, b, data.eta(gp.beta, b))[1]
 
 
 def grad_local(transforms, a):
@@ -47,86 +55,20 @@ def grad_local(transforms, a):
     return np.einsum("...nsr,...ns->...nr", transforms.L, a)
 
 
+def _sym_lower(B):
+    """bar(B) + bar(B)' - dg(B): the symmetric matrix with B's lower triangle."""
+    return np.where(np.tri(B.shape[-1], dtype=bool), B, np.swapaxes(B, -1, -2))
+
+
 def btilde_mat(transforms, a, b_tilde):
     """B~_i = bar(B_i) + bar(B_i)' - dg(B_i), with B_i = (L_i'a_i) b~_i'."""
-    lta = grad_local(transforms, a)
-    B = lta[..., :, None] * b_tilde[..., None, :]
-    low = np.tril(B)
-    return low + np.swapaxes(low, -1, -2) - matcalc.dg(B)
+    return _sym_lower(grad_local(transforms, a)[..., :, None] * b_tilde[..., None, :])
 
 
-def _omega_block(data, gp, prior, M):
-    """D^W v(n W^{-T} - M W) plus the prior gradient (all omega-side terms
-    other than the transform/likelihood sum M are shared by both methods)."""
-    W = gp.w_matrix()
-    W_invT = np.swapaxes(np.linalg.inv(W), -1, -2)
-    raw = data.n * W_invT - M @ W
-    return matcalc.dweight(W) * matcalc.halfvec(raw) + prior.grad_omega(gp)
-
-
-def grad_global_a1(data, gp, transforms, b_tilde, prior, b=None, a=None):
-    """(beta, omega) gradient blocks when transforms were built with "a1"."""
-    if b is None:
-        b = transforms.invert(b_tilde)
-    if a is None:
-        a = a_vec(data, gp, b)
-    fam = data.family
-    eta = data.eta(gp.beta, b)
-    resid = data.mask * (data.y - fam.h1(eta, data.trials))
-    w_hat = data.mask * fam.h2(data.eta_hat_reg(), data.trials)
-
-    Bt = btilde_mat(transforms, a, b_tilde)
-    LBL = transforms.L @ Bt @ np.swapaxes(transforms.L, -1, -2)
-    t1 = np.einsum("...nrs,...ns->...nr", transforms.Lambda, a)
-
-    zt1 = np.einsum("njr,...nr->...nj", data.Z, t1)
-    beta_grad = (np.einsum("njp,...nj->...p", data.X, resid - w_hat * zt1)
-                 - gp.beta / prior.sigma_beta2)
-
-    M = (b[..., :, None] * b[..., None, :]
-         + t1[..., :, None] * transforms.lam[..., None, :]
-         + transforms.lam[..., :, None] * t1[..., None, :]
-         + transforms.Lambda + LBL).sum(axis=-3)
-    return beta_grad, _omega_block(data, gp, prior, M)
-
-
-def grad_global_a2(data, gp, transforms, b_tilde, prior, b=None, a=None):
-    """(beta, omega) gradient blocks when transforms were built with "a2"."""
-    if b is None:
-        b = transforms.invert(b_tilde)
-    if a is None:
-        a = a_vec(data, gp, b)
-    fam = data.family
-    eta = data.eta(gp.beta, b)
-    resid = data.mask * (data.y - fam.h1(eta, data.trials))
-    base = transforms.base_eta
-    w_base = data.mask * fam.h2(base, data.trials)
-
-    Bt = btilde_mat(transforms, a, b_tilde)
-    LBL = transforms.L @ Bt @ np.swapaxes(transforms.L, -1, -2)
-    S = transforms.Lambda + LBL
-    alpha = 0.5 * data.mask * fam.h3(base, data.trials) * np.einsum(
-        "njr,...nrs,njs->...nj", data.Z, S, data.Z)
-    a_eff = a - np.einsum("njr,...nj->...nr", data.Z, alpha)
-    t1 = np.einsum("...nrs,...ns->...nr", transforms.Lambda, a_eff)
-
-    zt1 = np.einsum("njr,...nr->...nj", data.Z, t1)
-    beta_grad = (np.einsum("njp,...nj->...p", data.X, resid - w_base * zt1 - alpha)
-                 - gp.beta / prior.sigma_beta2)
-
-    b_hat = transforms.lam
-    M = (b[..., :, None] * b[..., None, :]
-         + t1[..., :, None] * b_hat[..., None, :]
-         + b_hat[..., :, None] * t1[..., None, :]
-         + transforms.Lambda + LBL).sum(axis=-3)
-    return beta_grad, _omega_block(data, gp, prior, M)
-
-
-_GLOBAL = {"a1": grad_global_a1, "a2": grad_global_a2}
-
-
-def grad_full(data, gp, b_tilde, method, prior, transforms=None):
-    """Full gradient of the reparametrized log joint at (b~, theta_G).
+def value_and_grad(data, gp, b_tilde, method, prior, transforms=None):
+    """Reparametrized log joint (equal to model.log_joint_reparam) and its
+    full gradient at (b~, theta_G), from one pass: b, eta and the residuals
+    are computed once and shared.
 
     Transforms are rebuilt from theta_G unless a set built from the same
     theta_G is supplied (they are functions of theta_G, so reuse across
@@ -134,17 +76,35 @@ def grad_full(data, gp, b_tilde, method, prior, transforms=None):
     """
     if transforms is None:
         transforms = reparam.build_transforms(data, gp, method)
+    L, lam, Lam = transforms.L, transforms.lam, transforms.Lambda
     b = transforms.invert(b_tilde)
-    a = a_vec(data, gp, b)
-    beta_grad, omega_grad = _GLOBAL[transforms.method](
-        data, gp, transforms, b_tilde, prior, b=b, a=a)
-    return JointGradient(grad_local(transforms, a), beta_grad, omega_grad)
+    eta = data.eta(gp.beta, b)
+    resid, a = _score(data, gp, b, eta)
+    value = model.log_joint(data, gp, b, prior, eta=eta) + transforms.log_det_l()
+
+    local = grad_local(transforms, a)
+    LBL = L @ _sym_lower(local[..., :, None] * b_tilde[..., None, :]) @ np.swapaxes(L, -1, -2)
+    alpha = 0.0  # a2 only: the mode moves with theta_G, so a = a - Z'alpha
+    if transforms.method == "a2":
+        alpha = 0.5 * data.mask * data.family.h3(transforms.base_eta, data.trials) * np.einsum(
+            "njr,...nrs,njs->...nj", data.Z, Lam + LBL, data.Z)
+        a = a - np.einsum("njr,...nj->...nr", data.Z, alpha)
+    t1 = np.einsum("...nrs,...ns->...nr", Lam, a)
+
+    zt1 = np.einsum("njr,...nr->...nj", data.Z, t1)
+    weight = data.mask * data.family.h2(transforms.base_eta, data.trials)
+    beta_grad = (np.einsum("njp,...nj->...p", data.X, resid - weight * zt1 - alpha)
+                 - gp.beta / prior.sigma_beta2)
+
+    M = (b[..., :, None] * b[..., None, :]
+         + t1[..., :, None] * lam[..., None, :]
+         + lam[..., :, None] * t1[..., None, :]
+         + Lam + LBL).sum(axis=-3)
+    raw = data.n * gp.W_inv_t - M @ gp.W
+    omega_grad = matcalc.dweight(gp.W) * matcalc.halfvec(raw) + prior.grad_omega(gp)
+    return value, JointGradient(local, beta_grad, omega_grad)
 
 
-def value_and_grad(data, gp, b_tilde, method, prior, transforms=None):
-    """Reparametrized log joint value together with its full gradient."""
-    if transforms is None:
-        transforms = reparam.build_transforms(data, gp, method)
-    grad = grad_full(data, gp, b_tilde, method, prior, transforms=transforms)
-    value = model.log_joint_reparam(data, gp, b_tilde, transforms, prior)
-    return value, grad
+def grad_full(data, gp, b_tilde, method, prior, transforms=None):
+    """Full gradient of the reparametrized log joint at (b~, theta_G)."""
+    return value_and_grad(data, gp, b_tilde, method, prior, transforms)[1]

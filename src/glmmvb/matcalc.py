@@ -170,6 +170,26 @@ def cholesky_flags(s):
     return out.reshape(s.shape), ok.reshape(s.shape[:-2])
 
 
+def solve_lower(L, b, trans=False):
+    """x with L x = b, or L' x = b when trans, for lower-triangular L.
+
+    Substitution, one column per sweep: with D the diagonal of L and
+    N = D^{-1} T - I for T = L (or L'), which is strictly triangular, r - 1
+    sweeps of x <- D^{-1} b - N x are exact. b (..., r) broadcasts against
+    L (..., r, r).
+    """
+    d = np.diagonal(L, axis1=-2, axis2=-1)
+    c = b / d
+    r = L.shape[-1]
+    if r == 1:  # nothing below the diagonal
+        return c
+    N = (np.swapaxes(L, -1, -2) if trans else L) / d[..., :, None] - np.eye(r)
+    x = c
+    for _ in range(r - 1):
+        x = c - (N @ x[..., None])[..., 0]
+    return x
+
+
 def chol_diff(L, dS):
     """Directional derivative of the Cholesky factor.
 
@@ -195,20 +215,23 @@ def dweight(m):
     m = np.asarray(m, dtype=float)
     r = m.shape[-1]
     out = np.ones(m.shape[:-2] + (half_len(r),), dtype=float)
-    idx = np.arange(r)
-    out[..., diag_positions(r)] = m[..., idx, idx]
+    out[..., diag_positions(r)] = np.diagonal(m, axis1=-2, axis2=-1)
     return out
 
 
-def pack_lower(a):
-    """Half-vec of the lower triangle of a (already lower-triangular) matrix."""
-    return halfvec(a)
-
-
 def unpack_lower(h, r):
-    """Inverse of pack_lower: build the lower-triangular matrix from its half-vec."""
+    """Inverse of halfvec on lower-triangular matrices."""
     h = np.asarray(h, dtype=float)
     rows, cols = tri_indices(r)
     out = np.zeros(h.shape[:-1] + (r, r), dtype=float)
     out[..., rows, cols] = h
+    return out
+
+
+def unpack_log_diag(h, r):
+    """Lower-triangular matrix from a half-vec that holds the log of each
+    diagonal entry (the C* and omega parameterizations)."""
+    out = unpack_lower(h, r)
+    diag = np.einsum("...ii->...i", out)  # a writable view
+    np.exp(diag, out=diag)
     return out

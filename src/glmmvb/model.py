@@ -15,6 +15,7 @@ lower-bound differences are meaningful).
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -170,14 +171,24 @@ class GlobalParams:
 
     def w_matrix(self):
         """Lower Cholesky factor W of Omega (diagonal exponentiated)."""
-        W = matcalc.unpack_lower(self.omega, self.r)
-        idx = np.arange(self.r)
-        W[..., idx, idx] = np.exp(W[..., idx, idx])
-        return W
+        return matcalc.unpack_log_diag(self.omega, self.r)
 
     def omega_matrix(self):
-        W = self.w_matrix()
-        return W @ np.swapaxes(W, -1, -2)
+        return self.W @ np.swapaxes(self.W, -1, -2)
+
+    # computed once per parameter value, shared by transforms, joint and prior
+    @cached_property
+    def W(self):
+        return self.w_matrix()
+
+    @cached_property
+    def Omega(self):
+        return self.omega_matrix()
+
+    @cached_property
+    def W_inv_t(self):
+        """W^{-T}: row k solves W x = e_k."""
+        return matcalc.solve_lower(self.W[..., None, :, :], np.eye(self.r))
 
     def log_diag_sum(self):
         """sum_i log W_ii = half of log|Omega|."""
@@ -208,20 +219,17 @@ class WishartPrior:
         self.u = np.arange(r + 1, 1, -1, dtype=float)  # u_i = r - i + 2
 
     def log_omega(self, gp):
-        Omega = gp.omega_matrix()
         r = gp.r
         diag = gp.omega[..., matcalc.diag_positions(r)]
         logdet = 2.0 * diag.sum(axis=-1)
-        trace = np.einsum("ij,...ij->...", self.S_inv, Omega)
+        trace = np.einsum("ij,...ij->...", self.S_inv, gp.Omega)
         return (0.5 * (self.nu - r - 1) * logdet - 0.5 * trace
                 + r * math.log(2.0) + (self.u * diag).sum(axis=-1))
 
     def grad_omega(self, gp):
-        W = gp.w_matrix()
         r = gp.r
-        W_invT = np.swapaxes(np.linalg.inv(W), -1, -2)
-        raw = (self.nu - r - 1) * W_invT - self.S_inv @ W
-        out = matcalc.dweight(W) * matcalc.halfvec(raw)
+        raw = (self.nu - r - 1) * gp.W_inv_t - self.S_inv @ gp.W
+        out = matcalc.dweight(gp.W) * matcalc.halfvec(raw)
         out[..., matcalc.diag_positions(r)] += self.u
         return out
 
@@ -291,28 +299,26 @@ def prior_grad_omega(gp, prior):
 
 def subject_grad_omega(gp, b):
     """Per-subject d/d omega of log p(y_i, b_i | theta_G): D^W v(W^{-T} - b b^T W)."""
-    W = gp.w_matrix()
-    W_invT = np.swapaxes(np.linalg.inv(W), -1, -2)
     bb = b[..., :, None] * b[..., None, :]  # (..., n, r, r)
-    raw = W_invT[..., None, :, :] - bb @ W[..., None, :, :]
-    return matcalc.dweight(W)[..., None, :] * matcalc.halfvec(raw)
+    raw = gp.W_inv_t[..., None, :, :] - bb @ gp.W[..., None, :, :]
+    return matcalc.dweight(gp.W)[..., None, :] * matcalc.halfvec(raw)
 
 
 # ---------------------------------------------------------------------------
 # log joints
 
 
-def log_joint(data, gp, b, prior):
+def log_joint(data, gp, b, prior, eta=None):
     """Log joint density of data, random effects and global parameters.
 
     sum_i [ sum_j {y eta - h(eta)} - b_i' Omega b_i / 2 ] + (n/2) log|Omega|
     - beta'beta/(2 sigma_beta^2) + log p(omega); broadcasts over leading
-    dims of gp.beta / gp.omega / b.
+    dims of gp.beta / gp.omega / b. eta = X beta + Z b, if already known.
     """
-    eta = data.eta(gp.beta, b)
+    if eta is None:
+        eta = data.eta(gp.beta, b)
     ll = (data.mask * data.family.loglik(data.y, eta, data.trials)).sum(axis=(-1, -2))
-    Omega = gp.omega_matrix()
-    quad = np.einsum("...nr,...rs,...ns->...", b, Omega, b)
+    quad = np.einsum("...nr,...rs,...ns->...", b, gp.Omega, b)
     pen = (gp.beta * gp.beta).sum(axis=-1) / (2.0 * prior.sigma_beta2)
     return (ll - 0.5 * quad + data.n * gp.log_diag_sum() - pen
             + prior.log_omega(gp))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcalc
-from .exceptions import ModeSearchFailedError
+from .exceptions import ModeSearchFailedError, NotPositiveDefiniteError
 
 NR_MAX_ITER = 100
 NR_TOL = 1e-11
@@ -38,7 +38,7 @@ class Transforms:
     lam: np.ndarray      # (..., n, r)
     L: np.ndarray        # (..., n, r, r) lower, positive diagonal
     Lambda: np.ndarray   # (..., n, r, r) SPD
-    base_eta: np.ndarray | None = None  # (..., n, J) Taylor base, method a2
+    base_eta: np.ndarray | None = None  # (..., n, J) Taylor expansion point
 
     def invert(self, b_tilde):
         """b = L b~ + lambda."""
@@ -46,8 +46,7 @@ class Transforms:
 
     def apply(self, b):
         """b~ = L^{-1}(b - lambda), by triangular solve."""
-        d = b - self.lam
-        return np.linalg.solve(self.L, d[..., None])[..., 0]
+        return matcalc.solve_lower(self.L, b - self.lam)
 
     def log_det_l(self):
         """sum_i log|L_i| = sum of log diagonal entries."""
@@ -85,17 +84,16 @@ def nr_init(data, beta):
 # method a1
 
 
-def _a1_cache(data):
-    if "a1" not in data.cache:
-        fam = data.family
-        eta_hat = data.eta_hat_reg()
-        w = data.mask * fam.h2(eta_hat, data.trials)
-        K = np.einsum("njr,nj,njs->nrs", data.Z, w, data.Z)
-        resid = data.mask * (data.y - fam.h1(eta_hat, data.trials)) + w * eta_hat
-        c = np.einsum("njr,nj->nr", data.Z, resid)
-        ZWX = np.einsum("njr,nj,njp->nrp", data.Z, w, data.X)
-        data.cache["a1"] = (K, c, ZWX)
-    return data.cache["a1"]
+def _a1_expansion(data, eta_hat):
+    """The parts of the a1 expansion about eta_hat that do not depend on
+    theta_G: Z'HZ, Z'{y - g + H eta_hat} and Z'HX, H = mask * h''(eta_hat)."""
+    fam = data.family
+    w = data.mask * fam.h2(eta_hat, data.trials)
+    K = np.einsum("njr,...nj,njs->...nrs", data.Z, w, data.Z)
+    resid = data.mask * (data.y - fam.h1(eta_hat, data.trials)) + w * eta_hat
+    c = np.einsum("njr,...nj->...nr", data.Z, resid)
+    ZWX = np.einsum("njr,...nj,njp->...nrp", data.Z, w, data.X)
+    return K, c, ZWX
 
 
 def _assemble(precision):
@@ -105,35 +103,24 @@ def _assemble(precision):
     return Lam, matcalc.cholesky(Lam)
 
 
-def transform_a1(data, gp):
-    """Transforms from the Taylor expansion about the regularized estimates.
+def transform_a1(data, gp, eta_hat=None):
+    """Transforms from the Taylor expansion about eta_hat, by default the
+    regularized estimates (whose expansion is cached on the dataset).
 
     Lambda_i = (Omega + Z'H(eta_hat)Z)^{-1},
     lambda_i = Lambda_i Z'{y - g(eta_hat) + H(eta_hat)(eta_hat - X beta)}.
     """
-    K, c, ZWX = _a1_cache(data)
-    Omega = gp.omega_matrix()
-    P = Omega[..., None, :, :] + K
-    Lam, L = _assemble(P)
-    rhs = c - np.einsum("nrp,...p->...nr", ZWX, gp.beta)
+    if eta_hat is not None:
+        K, c, ZWX = _a1_expansion(data, eta_hat)
+    else:
+        eta_hat = data.eta_hat_reg()
+        if "a1" not in data.cache:
+            data.cache["a1"] = _a1_expansion(data, eta_hat)
+        K, c, ZWX = data.cache["a1"]
+    Lam, L = _assemble(gp.Omega[..., None, :, :] + K)
+    rhs = c - np.einsum("...nrp,...p->...nr", ZWX, gp.beta)
     lam = np.einsum("...nrs,...ns->...nr", Lam, rhs)
-    return Transforms("a1", lam, L, Lam)
-
-
-def transform_a1_at(data, gp, eta_hat):
-    """transform_a1 with an explicit expansion point (slow path, for analysis
-    of boundary limits; the fitting path always uses the cached regularized
-    estimates)."""
-    fam = data.family
-    w = data.mask * fam.h2(eta_hat, data.trials)
-    resid = data.mask * (data.y - fam.h1(eta_hat, data.trials)) + w * eta_hat
-    Omega = gp.omega_matrix()
-    P = Omega[..., None, :, :] + np.einsum("njr,...nj,njs->...nrs", data.Z, w, data.Z)
-    Lam, L = _assemble(P)
-    rhs = (np.einsum("njr,...nj->...nr", data.Z, resid)
-           - np.einsum("njr,...nj,njp,...p->...nr", data.Z, w, data.X, gp.beta))
-    lam = np.einsum("...nrs,...ns->...nr", Lam, rhs)
-    return Transforms("a1", lam, L, Lam)
+    return Transforms("a1", lam, L, Lam, base_eta=eta_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -156,25 +143,25 @@ def transform_a2(data, gp):
     which requires the stationarity equation to hold tightly).
     """
     fam = data.family
-    Omega = gp.omega_matrix()
+    Omega = gp.Omega
     Xbeta = np.einsum("njp,...p->...nj", data.X, gp.beta)
     b = np.broadcast_to(nr_init(data, gp.beta),
                         np.broadcast_shapes(Xbeta.shape[:-1] + (data.r,),
                                             Omega.shape[:-2] + (data.n, data.r))).copy()
     f = _conditional_objective(data, Xbeta, Omega, b)
-    gnorm = np.inf
-    for _ in range(NR_MAX_ITER):
+    for it in range(NR_MAX_ITER + 1):
+        # eta, the gradient and the precision P always belong to the current b
         eta = Xbeta + np.einsum("njr,...nr->...nj", data.Z, b)
         Om_b = np.einsum("...rs,...ns->...nr", Omega, b)
         grad = np.einsum("njr,...nj->...nr", data.Z,
                          data.mask * (data.y - fam.h1(eta, data.trials))) - Om_b
-        gnorm = np.abs(grad).max(axis=-1)
-        scale = 1.0 + np.abs(Om_b).max(axis=-1)
-        active = gnorm > NR_TOL * scale
-        if not active.any():
-            break
         P = Omega[..., None, :, :] + np.einsum(
             "njr,...nj,njs->...nrs", data.Z, data.mask * fam.h2(eta, data.trials), data.Z)
+        scale = 1.0 + np.abs(Om_b).max(axis=-1)
+        gnorm = np.abs(grad).max(axis=-1)
+        active = gnorm > NR_TOL * scale
+        if it == NR_MAX_ITER or not active.any():
+            break
         step = np.linalg.solve(P, grad[..., None])[..., 0]
         t = active.astype(float)
         for _ in range(NR_MAX_HALVINGS + 1):
@@ -189,17 +176,11 @@ def transform_a2(data, gp):
         moved = active & (t > 0)
         if not moved.any():
             break
+        # f_new was evaluated at exactly the new b of every moved subject
         b = b + t[..., None] * step
-        f = np.where(moved, _conditional_objective(data, Xbeta, Omega, b), f)
-    Om_b = np.einsum("...rs,...ns->...nr", Omega, b)
-    eta = Xbeta + np.einsum("njr,...nr->...nj", data.Z, b)
-    grad = np.einsum("njr,...nj->...nr", data.Z,
-                     data.mask * (data.y - fam.h1(eta, data.trials))) - Om_b
-    gnorm = np.abs(grad).max(axis=-1)
-    if np.any(gnorm > NR_TOL_ACCEPT * (1.0 + np.abs(Om_b).max(axis=-1))):
+        f = np.where(moved, f_new, f)
+    if np.any(gnorm > NR_TOL_ACCEPT * scale):
         raise ModeSearchFailedError("Newton-Raphson mode search did not reach stationarity")
-    P = Omega[..., None, :, :] + np.einsum(
-        "njr,...nj,njs->...nrs", data.Z, data.mask * fam.h2(eta, data.trials), data.Z)
     Lam, L = _assemble(P)
     return Transforms("a2", b, L, Lam, base_eta=eta)
 

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from glmmvb import engine, families, gradients, model
+from glmmvb.exceptions import DivergedError
 
 from conftest import (
     exact_elbo_known_omega_micro,
@@ -237,3 +239,60 @@ class TestStepAndFit:
         m2, se2 = engine.elbo_estimate(data, prior, res.state, "a1", 3200, seed=9)
         assert se2 < se1
         assert abs(m1 - m2) < 5 * np.sqrt(se1 ** 2 + se2 ** 2) + 1e-9
+
+
+class TestLaneStream:
+    def test_reproduces_stream(self):
+        lane = engine.LaneStream(17, engine.LANE_FIT)
+        for t in (5, 1, 2, 1000, 2):
+            rng = lane.at(t)
+            first, retry = rng.standard_normal(7), rng.standard_normal(7)
+            ref = engine.stream(17, engine.LANE_FIT, t)
+            np.testing.assert_array_equal(first, ref.standard_normal(7))
+            np.testing.assert_array_equal(retry, ref.standard_normal(7))
+
+    def test_lanes_differ(self):
+        a = engine.LaneStream(3, engine.LANE_FIT).at(4).standard_normal(3)
+        b = engine.LaneStream(3, engine.LANE_SIM).at(4).standard_normal(3)
+        assert not np.array_equal(a, b)
+
+    def test_step_draws_match_stream(self, rng):
+        data = random_dataset(rng, families.POISSON, r=2, n=3)
+        prior = model.default_prior(data)
+        cfg = engine.FitConfig(method="a2", seed=8)
+        states = []
+        for draws in (None, engine.LaneStream(cfg.seed, engine.LANE_FIT)):
+            state = engine.VariationalState.initial(data.n, data.r, data.g)
+            adam = engine.AdamState.zeros(state.get_params().size)
+            elbos = [engine.step(data, prior, cfg, state, adam, t, draws) for t in range(1, 30)]
+            states.append((elbos, state.get_params()))
+        assert states[0][0] == states[1][0]
+        np.testing.assert_array_equal(states[0][1], states[1][1])
+
+
+class TestFailFast:
+    def test_singular_transform_diverges(self):
+        # every draw of the known omega makes the a1 precision singular
+        data = model.Dataset.from_lists(families.POISSON, [[1.0, 2.0]],
+                                        [[[1.0], [0.5]]], [[[0.0], [0.0]]])
+        prior = model.KnownOmega(100.0, np.array([-800.0]))
+        cfg = engine.FitConfig(method="a1", seed=1)
+        state = engine.VariationalState.initial(data.n, data.r, data.p)
+        adam = engine.AdamState.zeros(state.get_params().size)
+        with pytest.raises(DivergedError, match="iteration 1"):
+            engine.step(data, prior, cfg, state, adam, 1)
+
+    def test_nan_state_stops_at_first_step(self, monkeypatch):
+        data, prior = micro_model()
+        make = engine.VariationalState.initial
+
+        def nan_beta(n, r, g, **kw):
+            state = make(n, r, g, **kw)
+            state.mu[n * r] = np.nan
+            return state
+
+        monkeypatch.setattr(engine.VariationalState, "initial", staticmethod(nan_beta))
+        cfg = engine.FitConfig(method="a1", seed=1, max_iter=60, window=5,
+                               final_elbo_draws=0)
+        with pytest.raises(DivergedError, match="iteration 1:"):
+            engine.fit(data, prior, cfg)

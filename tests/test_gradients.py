@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glmmvb import families, gradients, matcalc, model, reparam
 
 from conftest import (
+    ALL_FAMILIES,
     fd_gradient,
     max_rel_err,
     random_dataset,
@@ -202,3 +205,44 @@ class TestFiniteDifferenceAgreement:
                    + pr.grad_omega(gp))
         fd_omega = fd[-data.g2:]
         assert max_rel_err(flipped, fd_omega) > 1e-2
+
+
+PRIOR_KINDS = ("wishart", "normal-omega", "known-omega")
+
+
+def make_prior(rng, kind, r):
+    if kind == "wishart":
+        return random_wishart_prior(rng, r)
+    if kind == "normal-omega":
+        return model.normal_omega_prior(r, sd=2.0)
+    return model.KnownOmega(100.0, 0.3 * rng.standard_normal(matcalc.half_len(r)))
+
+
+def random_case(famname, r, prior_kind, seed):
+    rng = np.random.default_rng(seed)
+    data = random_dataset(rng, families.by_name(famname), r=r, n=2, p=2, ni_max=4)
+    gp = random_gp(rng, 2, r)
+    pr = make_prior(rng, prior_kind, r)
+    return data, gp, pr, 0.8 * rng.standard_normal((data.n, r))
+
+
+CASES = dict(famname=st.sampled_from([f.name for f in ALL_FAMILIES]),
+             method=st.sampled_from(reparam.METHODS), r=st.integers(1, 3),
+             prior_kind=st.sampled_from(PRIOR_KINDS), seed=st.integers(0, 2 ** 32 - 1))
+
+
+class TestValueAndGradProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(**CASES)
+    def test_gradient_matches_finite_differences(self, famname, method, r, prior_kind, seed):
+        data, gp, pr, bt = random_case(famname, r, prior_kind, seed)
+        assert max_rel_err(analytic(data, gp, bt, method, pr),
+                           full_fd(data, gp, bt, method, pr)) < 1e-5
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(**CASES)
+    def test_value_is_log_joint_reparam(self, famname, method, r, prior_kind, seed):
+        data, gp, pr, bt = random_case(famname, r, prior_kind, seed)
+        t = reparam.build_transforms(data, gp, method)
+        value, _ = gradients.value_and_grad(data, gp, bt, method, pr, transforms=t)
+        assert value == model.log_joint_reparam(data, gp, bt, t, pr)

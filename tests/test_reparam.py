@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from glmmvb import families, model, reparam
+from glmmvb.exceptions import NotPositiveDefiniteError
 
 from conftest import ALL_FAMILIES, random_dataset, random_gp
 
@@ -212,7 +213,7 @@ class TestStructuralProperties:
         data = model.Dataset.from_lists(families.POISSON, [[0.0, 0.0]],
                                         [[[0.3], [0.4]]], [[[1.0], [0.7]]])
         gp = model.GlobalParams([0.25], [0.2], 1)
-        t = reparam.transform_a1_at(data, gp, np.full((1, 2), -30.0))
+        t = reparam.transform_a1(data, gp, np.full((1, 2), -30.0))
         Om_inv = np.linalg.inv(gp.omega_matrix())
         assert np.abs(t.lam).max() < 1e-10
         assert np.abs(t.Lambda[0] - Om_inv).max() < 1e-10
@@ -229,3 +230,14 @@ class TestStructuralProperties:
                     data, model.GlobalParams(betas[k], omegas[k], 2), method)
                 np.testing.assert_allclose(batch.lam[k], single.lam, atol=1e-11)
                 np.testing.assert_allclose(batch.L[k], single.L, atol=1e-11)
+
+
+class TestBuildFailures:
+    def test_singular_precision_is_not_positive_definite(self):
+        # Z rows all zero and W = exp(-800) = 0: the a1 precision is the zero
+        # matrix, whose inversion fails
+        data = model.Dataset.from_lists(families.POISSON, [[1.0, 2.0]],
+                                        [[[1.0], [0.5]]], [[[0.0], [0.0]]])
+        gp = model.GlobalParams([0.1], [-800.0], 1)
+        with pytest.raises(NotPositiveDefiniteError):
+            reparam.build_transforms(data, gp, "a1")
