@@ -6,27 +6,11 @@ files, or generates one of the named synthetic datasets. Exit codes:
 """
 
 import argparse
-import csv
+import os
 import sys
 
-import numpy as np
-
 from . import engine, fileio, model, posterior, recombine, simulate
-from .exceptions import (
-    ConfigError,
-    DataError,
-    DivergedError,
-    GlmmVbError,
-    InvalidVError,
-    IrlsDivergedError,
-    ModeSearchFailedError,
-    NotPositiveDefiniteError,
-    OverflowGuardError,
-    RankDeficientError,
-)
-
-_NUMERIC_ERRORS = (DivergedError, NotPositiveDefiniteError, OverflowGuardError,
-                   ModeSearchFailedError, IrlsDivergedError, RankDeficientError)
+from .exceptions import ConfigError, DataError, GlmmVbError, InvalidVError
 
 
 def build_parser():
@@ -73,72 +57,15 @@ def _make_prior(args, data):
                                         sd=args.omega_prior_sd)
     if args.prior_file is None:
         raise ConfigError("--prior file requires --prior-file")
-    return read_prior_file(args.prior_file, data.r)
-
-
-def read_prior_file(path, r):
-    """Prior specification file: key,value CSV with a type line."""
-    rows = {}
-    s_rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            parts = [t.strip() for t in line.strip().split(",")]
-            if not parts or not parts[0]:
-                continue
-            if parts[0] == "S":
-                s_rows.append([float(v) for v in parts[1:]])
-            else:
-                rows[parts[0]] = parts[1:]
-    kind = rows.get("type", ["wishart"])[0]
-    sb2 = float(rows.get("sigma_beta2", [model.DEFAULT_SIGMA_BETA2])[0])
-    if kind == "wishart":
-        return model.WishartPrior(sb2, float(rows["nu"][0]), np.array(s_rows))
-    if kind == "normal-omega":
-        mean = np.array([float(v) for v in rows["mean"]])
-        sd = np.array([float(v) for v in rows["sd"]])
-        return model.NormalOmegaPrior(sb2, mean, sd)
-    raise ConfigError(f"unknown prior type {kind!r}")
-
-
-def _write_sim(args):
-    data, truth = simulate.simulate_dataset(args.simulate, args.seed, n=args.simulate_n)
-    import os
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "dataset.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        cols = ["group", "y", "x"] + (["m"] if truth["trials"] else [])
-        w.writerow(cols)
-        for i in range(data.n):
-            for j in range(int(data.n_obs[i])):
-                row = [i + 1, fileio.SUMMARY_FMT % data.y[i, j],
-                       fileio.SUMMARY_FMT % data.X[i, j, 1]]
-                if truth["trials"]:
-                    row.append(fileio.SUMMARY_FMT % data.trials[i, j])
-                w.writerow(row)
-    with open(os.path.join(args.out, "truth.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("key,value\n")
-        fh.write(f"scenario,{args.simulate}\nseed,{args.seed}\n")
-        fh.write(f"beta0,{truth['beta'][0]}\nbeta1,{truth['beta'][1]}\n")
-        fh.write(f"sigma,{truth['sigma']}\nfamily,{truth['family']}\n")
-    print(f"wrote {path} ({data.total_obs} rows, {data.n} groups)")
-    return 0
-
-
-def _scales_from_factor(factor, data, n_draws, seed):
-    """Derived scale summaries from a Gaussian global factor (sharded path)."""
-    rng = engine.stream(seed, engine.LANE_SIM, 1)
-    L = np.linalg.cholesky(factor.cov)
-    draws = factor.mean + rng.standard_normal((n_draws, factor.mean.size)) @ L.T
-    omega = draws[:, data.p:]
-    names, scales = posterior._scales_from_omega(omega, data.r)
-    return names, scales.mean(axis=0), scales.std(axis=0, ddof=1)
+    return fileio.read_prior_file(args.prior_file, data.r)
 
 
 def run(args):
-    import os
     if args.simulate:
-        return _write_sim(args)
+        data, truth = simulate.simulate_dataset(args.simulate, args.seed, n=args.simulate_n)
+        path = fileio.write_simulation(args.out, args.simulate, args.seed, data, truth)
+        print(f"wrote {path} ({data.total_obs} rows, {data.n} groups)")
+        return 0
     if not args.data or not args.family:
         raise ConfigError("--data and --family are required unless --simulate is given")
     if args.family == "gaussian-unit" and not args.enable_test_family:
@@ -175,18 +102,10 @@ def run(args):
               f"elbo={result.elbo:.4f}")
     else:
         sharded = recombine.fit_sharded(data, prior, config, args.shards)
-        names, sm, ss = _scales_from_factor(sharded.combined, data,
-                                            max(args.draws, 1000), args.seed)
-        lines = ["key,value", f"method,{args.method}", f"shards,{args.shards}",
-                 "parameter,mean,sd"]
-        sds = np.sqrt(np.diag(sharded.combined.cov))
-        for nm, mu, sd in zip(sharded.global_names, sharded.combined.mean, sds):
-            lines.append(f"{nm},{fileio.SUMMARY_FMT % mu},{fileio.SUMMARY_FMT % sd}")
-        for nm, mu, sd in zip(names, sm, ss):
-            lines.append(f"{nm},{fileio.SUMMARY_FMT % mu},{fileio.SUMMARY_FMT % sd}")
-        with open(os.path.join(args.out, "summary.csv"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        scales = posterior.factor_scales(sharded.combined, data.p, data.r,
+                                         max(args.draws, 1000), args.seed)
+        fileio.write_sharded_summary(os.path.join(args.out, "summary.csv"), sharded,
+                                     args.method, scales)
         for v, res in enumerate(sharded.shard_results):
             fileio.write_state(os.path.join(args.out, f"state_shard{v}.txt"),
                                res.state, args.method, data.family.name, args.seed)
@@ -208,11 +127,8 @@ def main(argv=None):
     except DataError as err:
         print(f"data error: {err}", file=sys.stderr)
         return 3
-    except _NUMERIC_ERRORS as err:
+    except GlmmVbError as err:  # every other package error is numerical
         print(f"numerical failure: {err}", file=sys.stderr)
-        return 4
-    except GlmmVbError as err:
-        print(f"error: {err}", file=sys.stderr)
         return 4
 
 

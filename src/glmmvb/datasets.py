@@ -9,75 +9,37 @@ visit slope.
 
 seeds: 21 plates from a 2x2 factorial germination experiment; binomial
 counts with a random plate intercept and seed-type / extract-type effects.
+
+Each design is one fileio.load_csv call on the bundled CSV, which carries
+the derived columns.
 """
 
-import csv
 from importlib import resources
 
-from . import families
-from .model import Dataset
+from . import families, fileio
 
-
-def _read_csv(name):
-    with resources.files("glmmvb.data").joinpath(name).open("r") as fh:
-        rows = list(csv.DictReader(fh))
-    return rows
+# epilepsy model -> (fixed-effect columns, random-effect columns)
+_EPILEPSY = {"I": (["lbase", "trt", "lbase_trt", "lage", "v4"], []),
+             "II": (["lbase", "trt", "lbase_trt", "lage", "visit_code"], ["visit_code"])}
 
 
 def epilepsy_dataset(model="I"):
     """The epilepsy trial as a Dataset; model "I" (r=1) or "II" (r=2)."""
-    rows = _read_csv("epilepsy.csv")
-    by_subject = {}
-    order = []
-    for row in rows:
-        sid = row["subject"]
-        if sid not in order:
-            order.append(sid)
-            by_subject[sid] = []
-        by_subject[sid].append(row)
-    y_list, X_list, Z_list = [], [], []
-    for sid in order:
-        sub = by_subject[sid]
-        y_list.append([float(r["y"]) for r in sub])
-        X, Z = [], []
-        for r in sub:
-            lbase, trt = float(r["lbase"]), float(r["trt"])
-            lage, v4 = float(r["lage"]), float(r["v4"])
-            vc = float(r["visit_code"])
-            if model == "I":
-                X.append([1.0, lbase, trt, lbase * trt, lage, v4])
-                Z.append([1.0])
-            elif model == "II":
-                X.append([1.0, lbase, trt, lbase * trt, lage, vc])
-                Z.append([1.0, vc])
-            else:
-                raise ValueError(f"unknown epilepsy model {model!r}")
-        X_list.append(X)
-        Z_list.append(Z)
-    if model == "I":
-        x_names = ["intercept", "lbase", "trt", "lbase_trt", "lage", "v4"]
-        z_names = ["intercept"]
-    else:
-        x_names = ["intercept", "lbase", "trt", "lbase_trt", "lage", "visit"]
-        z_names = ["intercept", "visit"]
-    return Dataset.from_lists(families.POISSON, y_list, X_list, Z_list,
-                              x_names=x_names, z_names=z_names, group_labels=order)
+    if model not in _EPILEPSY:
+        raise ValueError(f"unknown epilepsy model {model!r}")
+    data = fileio.load_csv(fixture_path("epilepsy.csv"), families.POISSON, "subject",
+                           *_EPILEPSY[model])
+    # the coded visit is reported as "visit"
+    data.x_names = [nm.replace("visit_code", "visit") for nm in data.x_names]
+    data.z_names = [nm.replace("visit_code", "visit") for nm in data.z_names]
+    return data
 
 
 def seeds_dataset():
     """The seed germination experiment as a Dataset (one row per plate)."""
-    rows = _read_csv("seeds.csv")
-    y_list, X_list, Z_list, m_list, labels = [], [], [], [], []
-    for row in rows:
-        labels.append(row["plate"])
-        y_list.append([float(row["germinated"])])
-        m_list.append([float(row["total"])])
-        X_list.append([[1.0, float(row["seed"]), float(row["extract"])]])
-        Z_list.append([[1.0]])
-    return Dataset.from_lists(families.BINOMIAL, y_list, X_list, Z_list,
-                              trials_list=m_list,
-                              x_names=["intercept", "seed", "extract"],
-                              z_names=["intercept"], group_labels=labels)
+    return fileio.load_csv(fixture_path("seeds.csv"), families.BINOMIAL, "plate",
+                           ["seed", "extract"], [], response_col="germinated",
+                           trials_col="total")
 
 
 def fixture_path(name):

@@ -157,15 +157,6 @@ class VariationalState:
         glob = np.linalg.solve(c_glob.T, s_glob[..., None])[..., 0]
         return self._join(matcalc.solve_lower(c_loc, s_loc, trans=True), glob)
 
-    def log_q(self, theta):
-        """Gaussian log density at theta~ (d/2 log 2pi dropped)."""
-        c_loc, c_glob = self.blocks()
-        z_loc, z_glob = self.split(theta - self.mu)
-        u_loc = matcalc.solve_lower(c_loc, z_loc)
-        u_glob = matcalc.solve_lower(c_glob, z_glob)
-        quad = (u_loc * u_loc).sum(axis=(-1, -2)) + (u_glob * u_glob).sum(axis=-1)
-        return -self.log_det_c() - 0.5 * quad
-
     # -- optimizer parameter vector -----------------------------------------
     def get_params(self):
         return np.concatenate([self.mu, self.cstar_local.ravel(), self.cstar_global])

@@ -3,10 +3,9 @@
 Each family exposes the log-partition function h and its first three
 derivatives, the log-likelihood y*eta - h(eta) (additive constants that do
 not depend on eta are dropped throughout the package so that lower bounds
-are comparable), and two natural-parameter estimates per observation: the
-maximum-likelihood estimate (undefined on the support boundary, returned as
-NaN) and a regularized estimate, the posterior mean of eta under the
-Jeffreys prior, which is finite everywhere.
+are comparable), and a regularized natural-parameter estimate per
+observation: the posterior mean of eta under the Jeffreys prior, which,
+unlike the maximum-likelihood estimate, is finite on the support boundary.
 
 All functions are vectorized over numpy arrays of eta / y / trials.
 """
@@ -21,19 +20,10 @@ from .exceptions import DomainError, InvalidResponseError, OverflowGuardError
 POISSON_ETA_MAX = 500.0
 
 
-def digamma(x):
-    """Digamma function, restricted to positive arguments."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise DomainError("digamma requires x > 0")
-    return sc.digamma(x)
-
-
 class Family:
     """Base class; subclasses are stateless and shared freely across threads."""
 
     name = "family"
-    is_count = False
 
     def h(self, eta, trials=None):
         raise NotImplementedError
@@ -50,9 +40,6 @@ class Family:
     def loglik(self, y, eta, trials=None):
         """y*eta - h(eta), constants independent of eta excluded."""
         return np.asarray(y, dtype=float) * eta - self.h(eta, trials)
-
-    def eta_hat_ml(self, y, trials=None):
-        raise NotImplementedError
 
     def eta_hat_reg(self, y, trials=None):
         raise NotImplementedError
@@ -71,7 +58,6 @@ class Family:
 
 class Poisson(Family):
     name = "poisson"
-    is_count = True
 
     def _guard(self, eta):
         eta = np.asarray(eta, dtype=float)
@@ -85,11 +71,6 @@ class Poisson(Family):
     h1 = h
     h2 = h
     h3 = h
-
-    def eta_hat_ml(self, y, trials=None):
-        y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.where(y > 0, np.log(np.where(y > 0, y, 1.0)), np.nan)
 
     def eta_hat_reg(self, y, trials=None):
         return sc.digamma(np.asarray(y, dtype=float) + 0.5)
@@ -105,7 +86,6 @@ class Binomial(Family):
     """Binomial with per-observation trial counts; Bernoulli is trials == 1."""
 
     name = "binomial"
-    is_count = True
 
     @staticmethod
     def _trials(eta_like, trials):
@@ -130,13 +110,6 @@ class Binomial(Family):
         eta = np.asarray(eta, dtype=float)
         p = sc.expit(eta)
         return self._trials(eta, trials) * p * (1.0 - p) * (1.0 - 2.0 * p)
-
-    def eta_hat_ml(self, y, trials=None):
-        y = np.asarray(y, dtype=float)
-        m = self._trials(y, trials)
-        interior = (y > 0) & (y < m)
-        frac = np.where(interior, y / m, 0.5)
-        return np.where(interior, sc.logit(frac), np.nan)
 
     def eta_hat_reg(self, y, trials=None):
         y = np.asarray(y, dtype=float)
@@ -191,10 +164,8 @@ class GaussianUnit(Family):
     def h3(self, eta, trials=None):
         return np.zeros_like(np.asarray(eta, dtype=float))
 
-    def eta_hat_ml(self, y, trials=None):
+    def eta_hat_reg(self, y, trials=None):
         return np.asarray(y, dtype=float)
-
-    eta_hat_reg = eta_hat_ml
 
     def validate(self, y, trials=None, lines=None):
         y = np.asarray(y, dtype=float)

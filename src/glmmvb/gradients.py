@@ -45,11 +45,6 @@ def _score(data, gp, b, eta):
                    - np.einsum("...rs,...ns->...nr", gp.Omega, b))
 
 
-def a_vec(data, gp, b):
-    """a_i = Z_i'(y_i - g(eta_i)) - Omega b_i at eta_i = X_i beta + Z_i b_i."""
-    return _score(data, gp, b, data.eta(gp.beta, b))[1]
-
-
 def grad_local(transforms, a):
     """Gradient with respect to each b~_i: L_i' a_i."""
     return np.einsum("...nsr,...ns->...nr", transforms.L, a)
@@ -58,11 +53,6 @@ def grad_local(transforms, a):
 def _sym_lower(B):
     """bar(B) + bar(B)' - dg(B): the symmetric matrix with B's lower triangle."""
     return np.where(np.tri(B.shape[-1], dtype=bool), B, np.swapaxes(B, -1, -2))
-
-
-def btilde_mat(transforms, a, b_tilde):
-    """B~_i = bar(B_i) + bar(B_i)' - dg(B_i), with B_i = (L_i'a_i) b~_i'."""
-    return _sym_lower(grad_local(transforms, a)[..., :, None] * b_tilde[..., None, :])
 
 
 def value_and_grad(data, gp, b_tilde, method, prior, transforms=None):

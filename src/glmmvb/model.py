@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import families, matcalc
+from . import matcalc
 from .exceptions import (
     DataError,
     IrlsDivergedError,
@@ -285,23 +285,6 @@ class KnownOmega:
 def normal_omega_prior(r, sigma_beta2=DEFAULT_SIGMA_BETA2, mean=0.0, sd=10.0):
     g2 = matcalc.half_len(r)
     return NormalOmegaPrior(sigma_beta2, np.full(g2, float(mean)), np.full(g2, float(sd)))
-
-
-def log_p_omega(gp, prior):
-    """Log prior density of omega (constants independent of omega dropped)."""
-    return prior.log_omega(gp)
-
-
-def prior_grad_omega(gp, prior):
-    """Gradient of log_p_omega with respect to omega."""
-    return prior.grad_omega(gp)
-
-
-def subject_grad_omega(gp, b):
-    """Per-subject d/d omega of log p(y_i, b_i | theta_G): D^W v(W^{-T} - b b^T W)."""
-    bb = b[..., :, None] * b[..., None, :]  # (..., n, r, r)
-    raw = gp.W_inv_t[..., None, :, :] - bb @ gp.W[..., None, :, :]
-    return matcalc.dweight(gp.W)[..., None, :] * matcalc.halfvec(raw)
 
 
 # ---------------------------------------------------------------------------

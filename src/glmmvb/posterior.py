@@ -66,6 +66,16 @@ def _scales_from_omega(omega, r):
     return names, np.stack(cols, axis=-1)
 
 
+def factor_scales(factor, p, r, n_draws, seed):
+    """Simulated (names, means, sds) of the derived scales under a Gaussian
+    factor on theta_G = (beta (p), omega), such as a recombined sharded fit."""
+    rng = engine.stream(seed, engine.LANE_SIM, 1)
+    L = np.linalg.cholesky(factor.cov)
+    draws = factor.mean + rng.standard_normal((n_draws, factor.mean.size)) @ L.T
+    names, scales = _scales_from_omega(draws[:, p:], r)
+    return names, scales.mean(axis=0), scales.std(axis=0, ddof=1)
+
+
 def _draw_transforms(data, prior, state, method, s):
     """Transforms for a batch of draws, with per-draw validity flags.
 

@@ -15,6 +15,7 @@ shard.
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -102,24 +103,26 @@ def fit_sharded(data, prior, config, V, partition_seed=None, workers=1):
     Shard seeds are derived from (config.seed, shard index), so results do
     not depend on scheduling. Any shard failure propagates with its index.
     """
-    if not isinstance(prior, model.NormalOmegaPrior):
-        raise InvalidVError("sharded fits require the normal-omega prior")
+    prior_f = prior_factor(prior, data.p)  # rejects a non-Gaussian prior before any fit
     parts = partition(data.n, V, config.seed if partition_seed is None else partition_seed)
     jobs = [(data, idx, prior, replace(config, seed=engine.child_seed(config.seed, v)))
             for v, idx in enumerate(parts)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_fit_shard, jobs))
-    else:
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        # one zero-argument call per shard, collected in shard order
+        fits = ([pool.submit(_fit_shard, job).result for job in jobs] if pool
+                else [partial(_fit_shard, job) for job in jobs])
         results = []
-        for v, job in enumerate(jobs):
+        for v, fit_shard in enumerate(fits):
             try:
-                results.append(_fit_shard(job))
+                results.append(fit_shard())
             except Exception as err:
                 raise type(err)(f"shard {v}: {err}") from err
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
     try:
-        combined = combine([global_factor(r.state) for r in results],
-                           prior_factor(prior, data.p))
+        combined = combine([global_factor(r.state) for r in results], prior_f)
     except NotPositiveDefiniteError:
         raise NotPositiveDefiniteError(
             "combined precision is not positive definite "

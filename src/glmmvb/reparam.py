@@ -44,10 +44,6 @@ class Transforms:
         """b = L b~ + lambda."""
         return np.einsum("...nrs,...ns->...nr", self.L, b_tilde) + self.lam
 
-    def apply(self, b):
-        """b~ = L^{-1}(b - lambda), by triangular solve."""
-        return matcalc.solve_lower(self.L, b - self.lam)
-
     def log_det_l(self):
         """sum_i log|L_i| = sum of log diagonal entries."""
         diag = np.diagonal(self.L, axis1=-2, axis2=-1)

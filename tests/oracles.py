@@ -1,0 +1,159 @@
+"""Reference implementations that only the tests use.
+
+Matrix-calculus operators (applied through index maps, not materialized
+matrices), the Cholesky directional derivative, a domain-checked digamma,
+per-subject and per-observation quantities the fitted path never forms
+separately, the variational log density and the forward transform
+b~ = L^{-1}(b - lambda).
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import scipy.special as sc
+
+from glmmvb import gradients, matcalc
+from glmmvb.exceptions import DomainError
+
+
+@lru_cache(maxsize=None)
+def _comm_perm(r):
+    # vec(A^T)[i + j*r] = vec(A)[j + i*r]
+    i, j = np.meshgrid(np.arange(r), np.arange(r), indexing="ij")
+    perm = (j + i * r).ravel(order="F")
+    perm.setflags(write=False)
+    return perm
+
+
+def vec(a):
+    """Stack the columns of the trailing square matrix into a vector."""
+    a = np.asarray(a, dtype=float)
+    r = a.shape[-1]
+    return np.swapaxes(a, -1, -2).reshape(a.shape[:-2] + (r * r,))
+
+
+def elim_apply(x, r):
+    """Apply the elimination map: elim_apply(vec(A), r) == halfvec(A)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != r * r:
+        raise ValueError(f"expected trailing length {r * r}, got {x.shape[-1]}")
+    rows, cols = matcalc.tri_indices(r)
+    return x[..., rows + cols * r]
+
+
+def dup_apply(h, r=None):
+    """Apply the duplication map: dup_apply(halfvec(A)) == vec(A) for symmetric A."""
+    h = np.asarray(h, dtype=float)
+    if r is None:
+        r = int(round((np.sqrt(8 * h.shape[-1] + 1) - 1) / 2))
+    if h.shape[-1] != matcalc.half_len(r):
+        raise ValueError(f"expected trailing length {matcalc.half_len(r)}, got {h.shape[-1]}")
+    rows, cols = matcalc.tri_indices(r)
+    out = np.zeros(h.shape[:-1] + (r * r,), dtype=float)
+    out[..., rows + cols * r] = h
+    out[..., cols + rows * r] = h
+    return out
+
+
+def comm_apply(x, r):
+    """Apply the commutation map: comm_apply(vec(A), r) == vec(A^T)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != r * r:
+        raise ValueError(f"expected trailing length {r * r}, got {x.shape[-1]}")
+    return x[..., _comm_perm(r)]
+
+
+def sym_apply(x, r):
+    """Apply the symmetrizer map: sym_apply(vec(A), r) == vec((A + A^T)/2)."""
+    x = np.asarray(x, dtype=float)
+    return 0.5 * (x + comm_apply(x, r))
+
+
+def dg(a):
+    """Diagonal matrix obtained by zeroing the off-diagonal entries of A."""
+    a = np.asarray(a, dtype=float)
+    r = a.shape[-1]
+    out = np.zeros_like(a)
+    idx = np.arange(r)
+    out[..., idx, idx] = a[..., idx, idx]
+    return out
+
+
+def tri_lower(a):
+    """Lower-triangular matrix obtained by zeroing the superdiagonal of A."""
+    return np.tril(np.asarray(a, dtype=float))
+
+
+def k_op(a):
+    """k(A) = lower-triangle(A) - diag(A)/2."""
+    return tri_lower(a) - 0.5 * dg(a)
+
+
+def chol_diff(L, dS):
+    """Directional derivative of the Cholesky factor.
+
+    Given L with L L^T = S and a symmetric perturbation dS, returns dL such
+    that dL L^T + L dL^T = dS, via dL = L k(L^{-1} dS L^{-T}).
+    """
+    L = np.asarray(L, dtype=float)
+    dS = np.asarray(dS, dtype=float)
+    t = np.linalg.solve(L, dS)
+    a = np.linalg.solve(L, np.swapaxes(t, -1, -2))
+    a = np.swapaxes(a, -1, -2)
+    return L @ k_op(a)
+
+
+def digamma(x):
+    """Digamma function, restricted to positive arguments."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0):
+        raise DomainError("digamma requires x > 0")
+    return sc.digamma(x)
+
+
+def eta_hat_ml(family, y, trials=None):
+    """Per-observation maximum-likelihood natural parameter; NaN where it is
+    undefined (on the support boundary)."""
+    y = np.asarray(y, dtype=float)
+    if family.name == "gaussian-unit":
+        return y
+    if family.name == "poisson":
+        with np.errstate(divide="ignore"):
+            return np.where(y > 0, np.log(np.where(y > 0, y, 1.0)), np.nan)
+    m = family._trials(y, trials)  # binomial and bernoulli
+    interior = (y > 0) & (y < m)
+    frac = np.where(interior, y / m, 0.5)
+    return np.where(interior, sc.logit(frac), np.nan)
+
+
+def subject_grad_omega(gp, b):
+    """Per-subject d/d omega of log p(y_i, b_i | theta_G): D^W v(W^{-T} - b b^T W)."""
+    bb = b[..., :, None] * b[..., None, :]  # (..., n, r, r)
+    raw = gp.W_inv_t[..., None, :, :] - bb @ gp.W[..., None, :, :]
+    return matcalc.dweight(gp.W)[..., None, :] * matcalc.halfvec(raw)
+
+
+def a_vec(data, gp, b):
+    """a_i = Z_i'(y_i - g(eta_i)) - Omega b_i at eta_i = X_i beta + Z_i b_i."""
+    return gradients._score(data, gp, b, data.eta(gp.beta, b))[1]
+
+
+def btilde_mat(transforms, a, b_tilde):
+    """B~_i = bar(B_i) + bar(B_i)' - dg(B_i), with B_i = (L_i'a_i) b~_i'."""
+    return gradients._sym_lower(gradients.grad_local(transforms, a)[..., :, None]
+                                * b_tilde[..., None, :])
+
+
+def log_q(state, theta):
+    """Gaussian log density of the variational state at theta~ (d/2 log 2pi dropped)."""
+    c_loc, c_glob = state.blocks()
+    z_loc, z_glob = state.split(theta - state.mu)
+    u_loc = matcalc.solve_lower(c_loc, z_loc)
+    u_glob = matcalc.solve_lower(c_glob, z_glob)
+    quad = (u_loc * u_loc).sum(axis=(-1, -2)) + (u_glob * u_glob).sum(axis=-1)
+    return -state.log_det_c() - 0.5 * quad
+
+
+def apply_transform(transforms, b):
+    """b~ = L^{-1}(b - lambda), by triangular solve."""
+    return matcalc.solve_lower(transforms.L, b - transforms.lam)

@@ -4,6 +4,7 @@ import pytest
 from glmmvb import engine, families, gradients, model
 from glmmvb.exceptions import DivergedError
 
+import oracles
 from conftest import (
     exact_elbo_known_omega_micro,
     random_dataset,
@@ -63,7 +64,7 @@ class TestDrawSample:
 class TestLogQ:
     def test_standard_normal_at_mean(self):
         state = engine.VariationalState.initial(1, 1, 1, global_scale=1.0)
-        assert abs(float(state.log_q(np.zeros(2)))) < 1e-15
+        assert abs(float(oracles.log_q(state, np.zeros(2)))) < 1e-15
 
     def test_scalar_case(self):
         state = engine.VariationalState.initial(1, 1, 1, global_scale=1.0)
@@ -71,7 +72,7 @@ class TestLogQ:
         state.cstar_local[0, 0] = np.log(2.0)
         theta = np.array([2.0, 0.0])
         expect = -np.log(2.0) - 0.5
-        assert abs(float(state.log_q(theta)) - expect) < 1e-14
+        assert abs(float(oracles.log_q(state, theta)) - expect) < 1e-14
 
     def test_matches_dense_gaussian(self, rng):
         state = small_state(rng)
@@ -87,7 +88,7 @@ class TestLogQ:
             z = theta - state.mu
             dense = (-0.5 * np.linalg.slogdet(cov)[1]
                      - 0.5 * z @ np.linalg.solve(cov, z))
-            assert abs(float(state.log_q(theta)) - dense) < 1e-12
+            assert abs(float(oracles.log_q(state, theta)) - dense) < 1e-12
 
 
 class TestEstimators:

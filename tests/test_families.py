@@ -6,6 +6,7 @@ import pytest
 from glmmvb import families
 from glmmvb.exceptions import DomainError, InvalidResponseError, OverflowGuardError
 
+import oracles
 from conftest import ALL_FAMILIES
 
 EULER_GAMMA = 0.57721566490153286061
@@ -99,48 +100,48 @@ class TestRegularizedEstimateTable:
 class TestMaximumLikelihoodEstimates:
     def test_poisson(self):
         fam = families.POISSON
-        assert abs(float(fam.eta_hat_ml(3.0)) - math.log(3)) < 1e-15
-        assert np.isnan(fam.eta_hat_ml(0.0))
+        assert abs(float(oracles.eta_hat_ml(fam, 3.0)) - math.log(3)) < 1e-15
+        assert np.isnan(oracles.eta_hat_ml(fam, 0.0))
 
     def test_binomial(self):
         fam = families.BINOMIAL
         m = np.array(10.0)
-        assert abs(float(fam.eta_hat_ml(4.0, m)) - math.log(0.4 / 0.6)) < 1e-12
-        assert np.isnan(fam.eta_hat_ml(0.0, m))
-        assert np.isnan(fam.eta_hat_ml(10.0, m))
+        assert abs(float(oracles.eta_hat_ml(fam, 4.0, m)) - math.log(0.4 / 0.6)) < 1e-12
+        assert np.isnan(oracles.eta_hat_ml(fam, 0.0, m))
+        assert np.isnan(oracles.eta_hat_ml(fam, 10.0, m))
 
     def test_bernoulli_always_undefined(self):
-        assert np.isnan(families.BERNOULLI.eta_hat_ml(0.0))
-        assert np.isnan(families.BERNOULLI.eta_hat_ml(1.0))
+        assert np.isnan(oracles.eta_hat_ml(families.BERNOULLI, 0.0))
+        assert np.isnan(oracles.eta_hat_ml(families.BERNOULLI, 1.0))
 
     def test_gaussian_defined_everywhere(self):
-        assert float(families.GAUSSIAN_UNIT.eta_hat_ml(-4.2)) == -4.2
+        assert float(oracles.eta_hat_ml(families.GAUSSIAN_UNIT, -4.2)) == -4.2
 
     def test_regularized_close_to_ml_off_boundary(self):
         fam = families.POISSON
         y = np.arange(5.0, 51.0)
-        assert np.abs(fam.eta_hat_reg(y) - fam.eta_hat_ml(y)).max() < 0.15
+        assert np.abs(fam.eta_hat_reg(y) - oracles.eta_hat_ml(fam, y)).max() < 0.15
         fam = families.BINOMIAL
         y = np.arange(2.0, 9.0)
         m = np.full_like(y, 10.0)
-        assert np.abs(fam.eta_hat_reg(y, m) - fam.eta_hat_ml(y, m)).max() < 0.15
+        assert np.abs(fam.eta_hat_reg(y, m) - oracles.eta_hat_ml(fam, y, m)).max() < 0.15
 
 
 class TestDigamma:
     def test_known_values(self):
-        assert abs(families.digamma(1.0) + EULER_GAMMA) < 1e-12
-        assert abs(families.digamma(0.5) + EULER_GAMMA + 2 * math.log(2)) < 1e-12
+        assert abs(oracles.digamma(1.0) + EULER_GAMMA) < 1e-12
+        assert abs(oracles.digamma(0.5) + EULER_GAMMA + 2 * math.log(2)) < 1e-12
 
     def test_recurrence(self, rng):
         x = rng.uniform(0.05, 40.0, size=200)
-        lhs = families.digamma(x + 1.0) - families.digamma(x)
+        lhs = oracles.digamma(x + 1.0) - oracles.digamma(x)
         assert np.abs(lhs - 1.0 / x).max() < 1e-12
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            families.digamma(0.0)
+            oracles.digamma(0.0)
         with pytest.raises(DomainError):
-            families.digamma(-1.5)
+            oracles.digamma(-1.5)
 
 
 class TestLogLikelihood:

@@ -3,8 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from glmmvb import cli, datasets, engine, fileio, model
+from glmmvb import cli, datasets, engine, fileio, model, simulate
 from glmmvb.exceptions import (
+    ConfigError,
     InvalidResponseError,
     MissingColumnError,
     ParseError,
@@ -47,6 +48,35 @@ class TestLoadCsv:
             fileio.load_csv(str(p), "poisson", "group", [], [])
         assert err.value.line == 3
 
+    def test_blank_line_keeps_physical_line_numbers(self, tmp_path):
+        p = tmp_path / "blank.csv"
+        p.write_text("group,y\n1,2\n\n1,-1\n")
+        with pytest.raises(InvalidResponseError) as err:
+            fileio.load_csv(str(p), "poisson", "group", [], [])
+        assert err.value.line == 4
+
+    def test_reports_first_bad_row_of_the_file(self, tmp_path):
+        # the bad rows are in two groups; the group seen first has the later one
+        p = tmp_path / "two.csv"
+        p.write_text("group,y\nb,1\na,-2\nb,-3\n")
+        with pytest.raises(InvalidResponseError) as err:
+            fileio.load_csv(str(p), "poisson", "group", [], [])
+        assert err.value.line == 3
+
+    def test_blank_rows_skipped(self, tmp_path):
+        p = tmp_path / "gaps.csv"
+        p.write_text("group,y\n\n1,2\n\n2,3\n1,4\n\n")
+        data = fileio.load_csv(str(p), "poisson", "group", [], [])
+        np.testing.assert_array_equal(data.y, [[2.0, 4.0], [3.0, 0.0]])
+        np.testing.assert_array_equal(data.n_obs, [2, 1])
+
+    def test_short_row_reports_line(self, tmp_path):
+        p = tmp_path / "short.csv"
+        p.write_text("group,y,x\n1,2,0.5\n\n1,3\n")
+        with pytest.raises(ParseError) as err:
+            fileio.load_csv(str(p), "poisson", "group", ["x"], [])
+        assert err.value.line == 4
+
     def test_noncontiguous_groups_stably_collected(self, tmp_path):
         p = tmp_path / "nc.csv"
         p.write_text("group,y\nb,1\na,2\nb,3\na,4\n")
@@ -54,6 +84,84 @@ class TestLoadCsv:
         assert data.group_labels == ["b", "a"]
         np.testing.assert_array_equal(data.y[0, :2], [1.0, 3.0])
         np.testing.assert_array_equal(data.y[1, :2], [2.0, 4.0])
+
+
+class TestBundledDatasets:
+    # subjects in file order: the placebo arm, then the treated arm
+    EPILEPSY_LABELS = (
+        "104 106 107 114 116 118 123 126 130 135 141 145 201 202 205 206 210 213 215 "
+        "217 219 220 222 226 227 230 234 238 101 102 103 108 110 111 112 113 117 121 "
+        "122 124 128 129 137 139 143 147 203 204 207 208 209 211 214 218 221 225 228 "
+        "232 236").split()
+    # name -> (x_names, z_names, (n, J, p, r), group labels)
+    DESIGNS = {
+        "epilepsy I": (["intercept", "lbase", "trt", "lbase_trt", "lage", "v4"],
+                       ["intercept"], (59, 4, 6, 1), EPILEPSY_LABELS),
+        "epilepsy II": (["intercept", "lbase", "trt", "lbase_trt", "lage", "visit"],
+                        ["intercept", "visit"], (59, 4, 6, 2), EPILEPSY_LABELS),
+        "seeds": (["intercept", "seed", "extract"], ["intercept"], (21, 1, 3, 1),
+                  [str(k) for k in range(1, 22)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DESIGNS))
+    def test_design(self, name):
+        data = (datasets.seeds_dataset() if name == "seeds"
+                else datasets.epilepsy_dataset(name.split()[1]))
+        x_names, z_names, shape, labels = self.DESIGNS[name]
+        assert data.x_names == x_names and data.z_names == z_names
+        assert (data.n, data.J, data.p, data.r) == shape
+        assert data.group_labels == labels
+
+    def test_epilepsy_columns_are_the_derived_covariates(self):
+        one, two = datasets.epilepsy_dataset("I"), datasets.epilepsy_dataset("II")
+        np.testing.assert_array_equal(one.X[..., 3], one.X[..., 1] * one.X[..., 2])
+        np.testing.assert_array_equal(two.X[..., :5], one.X[..., :5])
+        np.testing.assert_array_equal(two.Z[..., 1], two.X[..., 5])
+        np.testing.assert_array_equal(two.X[0, :, 5], [-0.3, -0.1, 0.1, 0.3])
+
+    def test_unknown_epilepsy_model(self):
+        with pytest.raises(ValueError):
+            datasets.epilepsy_dataset("III")
+
+
+class TestPriorFile:
+    def test_wishart(self, tmp_path):
+        p = tmp_path / "w.csv"
+        p.write_text("type,wishart\nsigma_beta2,50\nnu,3\nS,2,0.5\nS,0.5,1\n")
+        prior = fileio.read_prior_file(str(p), 2)
+        assert isinstance(prior, model.WishartPrior)
+        assert prior.sigma_beta2 == 50.0 and prior.nu == 3.0
+        np.testing.assert_array_equal(prior.S, [[2.0, 0.5], [0.5, 1.0]])
+
+    def test_normal_omega(self, tmp_path):
+        p = tmp_path / "n.csv"
+        p.write_text("type,normal-omega\nmean,0,0.5,1\nsd,5\n")
+        prior = fileio.read_prior_file(str(p), 2)
+        assert isinstance(prior, model.NormalOmegaPrior)
+        assert prior.sigma_beta2 == model.DEFAULT_SIGMA_BETA2
+        np.testing.assert_array_equal(prior.mean, [0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(prior.sd, [5.0, 5.0, 5.0])
+
+    @pytest.mark.parametrize("text", ["nu,3\nS,1,0\n",
+                                      "type,normal-omega\nmean,0,0\nsd,1\n",
+                                      "type,normal-omega\nmean,0\nsd,1,1,1\n"])
+    def test_wrong_size_is_a_configuration_error(self, tmp_path, text):
+        p = tmp_path / "prior.csv"
+        p.write_text(text)
+        with pytest.raises(ConfigError):
+            fileio.read_prior_file(str(p), 2)
+
+    @pytest.mark.parametrize("text", ["type,wishart\nS,1\n", "S,1\n",
+                                      "type,normal-omega\nmean,0\n",
+                                      "type,normal-omega\nsd,1\n"])
+    def test_missing_key_is_a_configuration_error(self, tmp_path, text):
+        p = tmp_path / "prior.csv"
+        p.write_text(text)
+        args = ["--data", datasets.fixture_path("seeds.csv"), "--family", "binomial",
+                "--group-col", "plate", "--response-col", "germinated",
+                "--trials-col", "total", "--prior", "file", "--prior-file", str(p),
+                "--out", str(tmp_path / "o")]
+        assert run_cli(args) == 2
 
 
 class TestStateFile:
@@ -177,6 +285,36 @@ class TestCliRuns:
         assert len(rows) == 1 + 500 * 7
         truth = open(os.path.join(out, "truth.csv")).read()
         assert "beta0,1.5" in truth and "sigma,1.5" in truth
+
+
+class TestCliFormats:
+    @pytest.mark.parametrize("scenario", ["poisson-ii", "bernoulli-i", "binomial-i"])
+    def test_simulated_dataset_round_trips(self, tmp_path, scenario):
+        out = str(tmp_path / scenario)
+        assert run_cli(["--simulate", scenario, "--seed", "4", "--out", out]) == 0
+        want, truth = simulate.simulate_dataset(scenario, 4)
+        got = fileio.load_csv(os.path.join(out, "dataset.csv"), truth["family"], "group",
+                              ["x"], [], trials_col="m" if truth["trials"] else None)
+        for name in ("y", "X", "Z", "trials", "n_obs", "mask"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert got.x_names == want.x_names
+
+    def test_sharded_summary_lines(self, tmp_path):
+        out = str(tmp_path / "sharded")
+        args = ["--data", datasets.fixture_path("seeds.csv"),
+                "--family", "binomial", "--group-col", "plate",
+                "--response-col", "germinated", "--trials-col", "total",
+                "--fixed", "seed,extract", "--method", "a1", "--seed", "2",
+                "--prior", "normal-omega", "--shards", "2",
+                "--max-iter", "400", "--draws", "200", "--out", out]
+        assert run_cli(args) == 0
+        lines = open(os.path.join(out, "summary.csv")).read().splitlines()
+        assert lines[:4] == ["key,value", "method,a1", "shards,2", "parameter,mean,sd"]
+        rows = [ln.split(",") for ln in lines[4:]]
+        assert [r[0] for r in rows] == ["beta.intercept", "beta.seed", "beta.extract",
+                                        "omega.00", "sigma"]
+        assert all(len(r) == 3 and float(r[2]) > 0 for r in rows)
 
 
 class TestCliExitCodes:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from glmmvb import engine, model, recombine, simulate
-from glmmvb.exceptions import InvalidVError, NotPositiveDefiniteError
+from glmmvb import datasets, engine, model, recombine, simulate
+from glmmvb.exceptions import DivergedError, InvalidVError, NotPositiveDefiniteError
 
 from conftest import random_spd
 
@@ -116,6 +116,15 @@ class TestFitSharded:
         np.testing.assert_array_equal(covered, np.arange(data.n))
         np.linalg.cholesky(sharded.combined.cov)
         assert sharded.global_names == ["beta.intercept", "beta.x", "omega.00"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shard_failure_names_the_shard(self, workers):
+        # a huge Adam step diverges shard 0 at its second iteration
+        data = datasets.seeds_dataset()
+        cfg = engine.FitConfig(method="a1", seed=1, adam_alpha=1e300)
+        with np.errstate(all="ignore"), pytest.raises(DivergedError, match=r"^shard 0: "):
+            recombine.fit_sharded(data, model.normal_omega_prior(data.r), cfg, V=2,
+                                  workers=workers)
 
     def test_deterministic(self):
         data, prior, cfg = self._small_problem()
