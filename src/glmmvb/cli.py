@@ -121,7 +121,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return run(args)
-    except (ConfigError, InvalidVError, ValueError) as err:
+    except (ConfigError, InvalidVError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     except DataError as err:

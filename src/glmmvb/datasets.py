@@ -17,6 +17,7 @@ the derived columns.
 from importlib import resources
 
 from . import families, fileio
+from .exceptions import ConfigError
 
 # epilepsy model -> (fixed-effect columns, random-effect columns)
 _EPILEPSY = {"I": (["lbase", "trt", "lbase_trt", "lage", "v4"], []),
@@ -26,7 +27,7 @@ _EPILEPSY = {"I": (["lbase", "trt", "lbase_trt", "lage", "v4"], []),
 def epilepsy_dataset(model="I"):
     """The epilepsy trial as a Dataset; model "I" (r=1) or "II" (r=2)."""
     if model not in _EPILEPSY:
-        raise ValueError(f"unknown epilepsy model {model!r}")
+        raise ConfigError(f"unknown epilepsy model {model!r}")
     data = fileio.load_csv(fixture_path("epilepsy.csv"), families.POISSON, "subject",
                            *_EPILEPSY[model])
     # the coded visit is reported as "visit"

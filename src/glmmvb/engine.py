@@ -12,12 +12,14 @@ iteration is scheduled.
 
 import math
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import gradients, matcalc, model, reparam
 from .exceptions import (
+    ConfigError,
     DivergedError,
     ModeSearchFailedError,
     NotPositiveDefiniteError,
@@ -30,6 +32,9 @@ LANE_SIM = 2
 LANE_PART = 3
 
 _RECOVERABLE = (OverflowGuardError, NotPositiveDefiniteError, ModeSearchFailedError)
+
+ELBO_CHUNK = 250  # draws per chunk of the final ELBO
+REJECTION_WARN_FRACTION = 0.01  # warn when more of the draws over q are rejected
 
 
 def stream(seed, lane, t):
@@ -72,11 +77,11 @@ class FitConfig:
 
     def __post_init__(self):
         if self.method not in reparam.METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+            raise ConfigError(f"unknown method {self.method!r}")
         if self.estimator not in ("L1", "L2", "L3"):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
+            raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.max_iter < 1 or self.window < 1 or self.tau < 2:
-            raise ValueError("limits must be positive (tau >= 2)")
+            raise ConfigError("limits must be positive (tau >= 2)")
 
 
 class VariationalState:
@@ -225,7 +230,7 @@ def estimator(state, s, grad_vec, which, blocks=None):
         g_mu = grad_vec - cts
         outer_of = grad_vec + cts
     else:
-        raise ValueError(f"unknown estimator {which!r}")
+        raise ConfigError(f"unknown estimator {which!r}")
 
     s_loc, s_glob = state.split(s)
     o_loc, o_glob = state.split(outer_of)
@@ -311,25 +316,61 @@ def step(data, prior, config, state, adam, t, draws=None):
     return elbo
 
 
-def elbo_estimate(data, prior, state, method, n_draws, seed, lane=LANE_FINAL, chunk=250):
-    """Monte Carlo ELBO at a fixed state, averaged over fresh draws."""
-    vals = []
-    logdet = state.log_det_c()
-    done = 0
-    ci = 0
+def accepted_draws(state, n_draws, seed, lane, chunk, evaluate):
+    """Monte Carlo over q: evaluate(s) on chunks of standard normal draws
+    until n_draws draws are accepted.
+
+    Chunk k holds min(chunk, draws still wanted) rows of stream(seed, lane,
+    k). evaluate maps a (B, d) chunk to a tuple of arrays with B leading
+    rows. When it raises a recoverable error, the chunk is evaluated again
+    one draw at a time and the draws that raise are rejected. Yields
+    (results, draws rejected so far) per chunk with accepted draws.
+    """
+    if n_draws < 1:
+        raise ConfigError("n_draws must be >= 1")
+    done = rejected = k = 0
     while done < n_draws:
-        b = min(chunk, n_draws - done)
-        rng = stream(seed, lane, ci)
-        s = rng.standard_normal((b, state.d))
-        theta = state.affine(s)
-        b_tilde, glob = state.split(theta)
+        s = stream(seed, lane, k).standard_normal((min(chunk, n_draws - done), state.d))
+        k += 1
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            try:
+                out = evaluate(s)
+            except _RECOVERABLE:
+                kept = []
+                for i in range(len(s)):
+                    try:
+                        kept.append(evaluate(s[i:i + 1]))
+                    except _RECOVERABLE:
+                        pass
+                out = tuple(np.concatenate(parts) for parts in zip(*kept))
+        n_ok = len(out[0]) if out else 0
+        rejected += len(s) - n_ok
+        if rejected > 100 * (1 + n_draws):
+            raise OverflowGuardError("Monte Carlo over q rejected nearly all draws")
+        if n_ok:
+            yield out, rejected
+            done += n_ok
+    if rejected > REJECTION_WARN_FRACTION * n_draws:
+        warnings.warn(f"Monte Carlo over q rejected {rejected} pathological draws",
+                      RuntimeWarning, stacklevel=3)
+
+
+def elbo_estimate(data, prior, state, method, n_draws, seed):
+    """Monte Carlo ELBO at a fixed state, averaged over fresh draws; a draw
+    whose transforms fail or whose log joint is not finite is rejected."""
+    logdet = state.log_det_c()
+
+    def evaluate(s):
+        b_tilde, glob = state.split(state.affine(s))
         gp = _global_params(data, prior, glob)
         transforms = reparam.build_transforms(data, gp, method)
         value = model.log_joint_reparam(data, gp, b_tilde, transforms, prior)
-        vals.append(value + logdet + 0.5 * (s * s).sum(axis=-1))
-        done += b
-        ci += 1
-    vals = np.concatenate(vals)
+        if not np.all(np.isfinite(value)):
+            raise OverflowGuardError("non-finite log joint")
+        return (value + logdet + 0.5 * (s * s).sum(axis=-1),)
+
+    vals = np.concatenate([out[0] for out, _ in accepted_draws(
+        state, n_draws, seed, LANE_FINAL, ELBO_CHUNK, evaluate)])
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
 
 
@@ -340,7 +381,7 @@ def fit(data, prior, config=None, **overrides):
     elif overrides:
         config = replace(config, **overrides)
     if not prior.learns_omega and prior.omega.shape != (data.g2,):
-        raise ValueError("fixed omega has the wrong length for this dataset")
+        raise ConfigError("fixed omega has the wrong length for this dataset")
     g = data.p + (data.g2 if prior.learns_omega else 0)
     state = VariationalState.initial(data.n, data.r, g)
     adam = AdamState.zeros(state.get_params().size)

@@ -1,8 +1,15 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class GlmmVbError(Exception):
     """Base class for all package errors."""
+
+    def __reduce__(self):
+        # pickled (from a worker process, say) by args and attributes, not
+        # through __init__, whose signature differs between subclasses
+        return copyreg.__newobj__, (type(self),), {**self.__dict__, "args": self.args}
 
 
 class NotPositiveDefiniteError(GlmmVbError):
@@ -41,7 +48,7 @@ class InvalidVError(GlmmVbError):
     """Invalid number of data shards."""
 
 
-class ConfigError(GlmmVbError):
+class ConfigError(GlmmVbError, ValueError):
     """Invalid run configuration (CLI exit code 2)."""
 
 

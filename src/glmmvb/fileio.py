@@ -114,7 +114,10 @@ def read_prior_file(path, r):
     def need(key):
         if key not in entries:
             raise ConfigError(f"prior file {path}: missing key {key!r}")
-        return np.array([[float(v) for v in vals] for vals in entries[key]])
+        try:
+            return np.array([[float(v) for v in vals] for vals in entries[key]])
+        except ValueError as err:
+            raise ConfigError(f"prior file {path}: {key}: {err}") from None
 
     kind = entries.get("type", [["wishart"]])[-1][0]
     sb2 = need("sigma_beta2")[-1, 0] if "sigma_beta2" in entries else model.DEFAULT_SIGMA_BETA2

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import matcalc
 from .exceptions import (
+    ConfigError,
     DataError,
     IrlsDivergedError,
     NotPositiveDefiniteError,
@@ -167,7 +168,7 @@ class GlobalParams:
         self.beta = np.asarray(self.beta, dtype=float)
         self.omega = np.asarray(self.omega, dtype=float)
         if self.omega.shape[-1] != matcalc.half_len(self.r):
-            raise ValueError("omega length does not match r")
+            raise ConfigError("omega length does not match r")
 
     def w_matrix(self):
         """Lower Cholesky factor W of Omega (diagonal exponentiated)."""
@@ -195,6 +196,16 @@ class GlobalParams:
         return self.omega[..., matcalc.diag_positions(self.r)].sum(axis=-1)
 
 
+def global_names(data, prior):
+    """Names of the theta_G coordinates: beta.<x name>, then omega.<ij> over
+    the lower triangle when the prior learns omega."""
+    names = [f"beta.{nm}" for nm in data.x_names]
+    if prior.learns_omega:
+        rows, cols = matcalc.tri_indices(data.r)
+        names += [f"omega.{i}{j}" for i, j in zip(rows, cols)]
+    return names
+
+
 # ---------------------------------------------------------------------------
 # priors
 
@@ -215,7 +226,7 @@ class WishartPrior:
         self.S_inv = 0.5 * (self.S_inv + self.S_inv.T)
         r = self.S.shape[0]
         if not self.nu > r - 1:
-            raise ValueError("Wishart degrees of freedom must exceed r - 1")
+            raise ConfigError("Wishart degrees of freedom must exceed r - 1")
         self.u = np.arange(r + 1, 1, -1, dtype=float)  # u_i = r - i + 2
 
     def log_omega(self, gp):
@@ -251,7 +262,7 @@ class NormalOmegaPrior:
         self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         self.sd = np.broadcast_to(np.asarray(self.sd, dtype=float), self.mean.shape).copy()
         if np.any(self.sd <= 0):
-            raise ValueError("omega prior sds must be positive")
+            raise ConfigError("omega prior sds must be positive")
 
     def log_omega(self, gp):
         z = (gp.omega - self.mean) / self.sd

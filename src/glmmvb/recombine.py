@@ -117,7 +117,10 @@ def fit_sharded(data, prior, config, V, partition_seed=None, workers=1):
             try:
                 results.append(fit_shard())
             except Exception as err:
-                raise type(err)(f"shard {v}: {err}") from err
+                # prefix in place: rebuilding would call constructors with
+                # other signatures
+                err.args = (f"shard {v}: {err}",)
+                raise
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
@@ -127,7 +130,4 @@ def fit_sharded(data, prior, config, V, partition_seed=None, workers=1):
         raise NotPositiveDefiniteError(
             "combined precision is not positive definite "
             "(antagonistic shards or too-strong prior subtraction)") from None
-    names = [f"beta.{nm}" for nm in data.x_names]
-    rows, cols = matcalc.tri_indices(data.r)
-    names += [f"omega.{i}{j}" for i, j in zip(rows, cols)]
-    return ShardedFitResult(combined, results, parts, names)
+    return ShardedFitResult(combined, results, parts, model.global_names(data, prior))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcalc
-from .exceptions import ModeSearchFailedError, NotPositiveDefiniteError
+from .exceptions import ConfigError, ModeSearchFailedError, NotPositiveDefiniteError
 
 NR_MAX_ITER = 100
 NR_TOL = 1e-11
@@ -183,7 +183,7 @@ def transform_a2(data, gp):
 
 def build_transforms(data, gp, method):
     if method not in METHODS:
-        raise ValueError(f"unknown transform method {method!r}")
+        raise ConfigError(f"unknown transform method {method!r}")
     try:
         return transform_a1(data, gp) if method == "a1" else transform_a2(data, gp)
     except np.linalg.LinAlgError as err:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, families
+from .exceptions import ConfigError
 from .model import Dataset
 
 DEFAULT_N = 500
@@ -56,6 +57,8 @@ def simulate_dataset(scenario, seed, n=None, n_i=None, sigma=None):
     n = spec.n if n is None else n
     n_i = spec.n_i if n_i is None else n_i
     sigma = spec.sigma if sigma is None else sigma
+    if n < 1 or n_i < 1:
+        raise ConfigError(f"need n >= 1 and n_i >= 1, got n={n}, n_i={n_i}")
     rng = engine.stream(seed, engine.LANE_SIM, 0)
 
     if spec.x_rule == "visit":
@@ -63,7 +66,7 @@ def simulate_dataset(scenario, seed, n=None, n_i=None, sigma=None):
     elif spec.x_rule == "bernoulli":
         x = rng.integers(0, 2, size=(n, n_i)).astype(float)
     else:
-        raise ValueError(f"unknown covariate rule {spec.x_rule!r}")
+        raise ConfigError(f"unknown covariate rule {spec.x_rule!r}")
 
     b = sigma * rng.standard_normal(n)
     eta = spec.beta[0] + spec.beta[1] * x + b[:, None]
@@ -78,7 +81,7 @@ def simulate_dataset(scenario, seed, n=None, n_i=None, sigma=None):
         y = rng.binomial(spec.trials, 1.0 / (1.0 + np.exp(-eta))).astype(float)
         trials = np.full((n, n_i), float(spec.trials))
     else:
-        raise ValueError(f"scenario family {fam.name!r} not supported")
+        raise ConfigError(f"scenario family {fam.name!r} not supported")
 
     X = np.stack([np.ones_like(x), x], axis=-1)
     Z = np.ones((n, n_i, 1))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from glmmvb import engine, families, gradients, model
-from glmmvb.exceptions import DivergedError
+from glmmvb import engine, families, gradients, matcalc, model
+from glmmvb.exceptions import DivergedError, OverflowGuardError
 
 import oracles
 from conftest import (
@@ -240,6 +240,54 @@ class TestStepAndFit:
         m2, se2 = engine.elbo_estimate(data, prior, res.state, "a1", 3200, seed=9)
         assert se2 < se1
         assert abs(m1 - m2) < 5 * np.sqrt(se1 ** 2 + se2 ** 2) + 1e-9
+
+
+class TestAcceptedDraws:
+    @staticmethod
+    def _first_coordinate_at_most_one(s):
+        if np.any(s[:, 0] > 1.0):
+            raise OverflowGuardError("pathological draw")
+        return (s[:, 0], 2.0 * s)
+
+    def test_rejects_only_the_draws_that_raise(self):
+        state = engine.VariationalState.initial(2, 1, 1)
+        with pytest.warns(RuntimeWarning, match="rejected"):
+            chunks = list(engine.accepted_draws(state, 90, 5, engine.LANE_SIM, 40,
+                                                self._first_coordinate_at_most_one))
+        # chunk k is drawn from stream(seed, lane, k), sized by the draws still wanted
+        drawn, wanted = [], 90
+        for k in range(len(chunks)):
+            s = engine.stream(5, engine.LANE_SIM, k).standard_normal((min(40, wanted), 3))
+            drawn.append(s)
+            wanted -= int((s[:, 0] <= 1.0).sum())
+        drawn = np.concatenate(drawn)
+        kept = drawn[drawn[:, 0] <= 1.0]
+        first = np.concatenate([out[0] for out, _ in chunks])
+        second = np.concatenate([out[1] for out, _ in chunks])
+        np.testing.assert_array_equal(first, kept[:, 0])
+        np.testing.assert_array_equal(second, 2.0 * kept)
+        assert len(first) == 90 and wanted == 0
+        assert chunks[-1][1] == len(drawn) - 90 > 0  # rejected so far, at the end
+
+    def test_nearly_all_rejected_raises(self):
+        def reject_all(s):
+            raise OverflowGuardError("pathological draw")
+        state = engine.VariationalState.initial(1, 1, 1)
+        with pytest.raises(OverflowGuardError, match="rejected nearly all"):
+            list(engine.accepted_draws(state, 3, 1, engine.LANE_SIM, 50, reject_all))
+
+    def test_elbo_estimate_rejects_pathological_draws(self):
+        # Z = 0 leaves Omega alone in the a1 precision: omega draws below
+        # about -355 overflow Omega^{-1}, the others give a finite log joint
+        data = model.Dataset.from_lists(families.POISSON, [[2.0, 3.0]],
+                                        [[[1.0], [1.0]]], [[[0.0], [0.0]]])
+        prior = model.normal_omega_prior(1)
+        state = engine.VariationalState.initial(1, 1, 2)
+        state.mu[2] = -354.0
+        state.cstar_global[matcalc.diag_positions(2)] = [np.log(0.1), 0.0]
+        with pytest.warns(RuntimeWarning, match="rejected"):
+            elbo, se = engine.elbo_estimate(data, prior, state, "a1", 1000, seed=2)
+        assert np.isfinite(elbo) and 0.0 < se < 1.0
 
 
 class TestLaneStream:

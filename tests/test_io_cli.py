@@ -1,4 +1,5 @@
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -162,6 +163,20 @@ class TestPriorFile:
                 "--trials-col", "total", "--prior", "file", "--prior-file", str(p),
                 "--out", str(tmp_path / "o")]
         assert run_cli(args) == 2
+
+
+class TestErrorPickling:
+    @pytest.mark.parametrize("err, attrs", [
+        (ParseError(3, "bad cell"), {"line": 3}),
+        (MissingColumnError("dose"), {"column": "dose"}),
+        (InvalidResponseError("poisson", 4, "negative count"),
+         {"family": "poisson", "line": 4}),
+    ], ids=["ParseError", "MissingColumnError", "InvalidResponseError"])
+    def test_round_trip_keeps_type_message_and_fields(self, err, attrs):
+        # errors raised in a worker process reach the parent pickled
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is type(err) and str(back) == str(err)
+        assert {k: getattr(back, k) for k in attrs} == attrs
 
 
 class TestStateFile:
@@ -340,6 +355,41 @@ class TestCliExitCodes:
                 "--prior", "normal-omega", "--shards", "22",
                 "--out", str(tmp_path)]
         assert run_cli(args) == 2
+
+    def test_bare_value_error_is_not_a_configuration_error(self, tmp_path, monkeypatch):
+        def failing_fit(*args, **kwargs):
+            raise ValueError("a numeric failure outside the package's checks")
+        monkeypatch.setattr(engine, "fit", failing_fit)
+        args = ["--data", datasets.fixture_path("seeds.csv"),
+                "--family", "binomial", "--group-col", "plate",
+                "--response-col", "germinated", "--trials-col", "total",
+                "--out", str(tmp_path)]
+        with pytest.raises(ValueError, match="numeric failure"):
+            run_cli(args)
+
+    def test_non_numeric_prior_value(self, tmp_path):
+        p = tmp_path / "prior.csv"
+        p.write_text("nu,three\nS,1\n")
+        with pytest.raises(ConfigError, match="nu: could not convert"):
+            fileio.read_prior_file(str(p), 1)
+        args = ["--data", datasets.fixture_path("seeds.csv"), "--family", "binomial",
+                "--group-col", "plate", "--response-col", "germinated",
+                "--trials-col", "total", "--prior", "file", "--prior-file", str(p),
+                "--out", str(tmp_path / "o")]
+        assert run_cli(args) == 2
+
+    @pytest.mark.parametrize("extra", [["--max-iter", "0"], ["--draws", "0"],
+                                       ["--omega-prior-sd", "0", "--prior", "normal-omega"]])
+    def test_package_checks_exit_2(self, tmp_path, extra):
+        args = ["--data", datasets.fixture_path("seeds.csv"),
+                "--family", "binomial", "--group-col", "plate",
+                "--response-col", "germinated", "--trials-col", "total",
+                "--max-iter", "50", "--out", str(tmp_path), *extra]
+        assert run_cli(args) == 2
+
+    def test_empty_simulation_is_a_configuration_error(self, tmp_path):
+        assert run_cli(["--simulate", "poisson-i", "--simulate-n", "0",
+                        "--out", str(tmp_path)]) == 2
 
     def test_gaussian_unit_gated(self, tmp_path):
         p = tmp_path / "g.csv"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from glmmvb import engine, families, matcalc, model, posterior, reparam
+from glmmvb.exceptions import OverflowGuardError
 
 from conftest import random_dataset, random_gp
 
@@ -111,6 +112,18 @@ class TestSimulateB:
             summary = posterior.simulate_b(data, prior, state, "a1", 400, seed=4)
         assert summary.n_rejected > 0
         assert np.all(np.isfinite(summary.b_mean))
+
+
+    def test_all_draws_rejected_raises(self):
+        # every omega draw overflows Omega: the loop stops instead of drawing on
+        data = model.Dataset.from_lists(families.POISSON, [[2.0, 3.0]],
+                                        [[[1.0], [1.0]]], [[[1.0], [1.0]]])
+        prior = model.default_prior(data)
+        state = engine.VariationalState.initial(1, 1, 2)
+        state.mu[2] = 400.0
+        state.cstar_global[matcalc.diag_positions(2)] = np.log(1e-12)
+        with pytest.raises(OverflowGuardError, match="rejected nearly all"):
+            posterior.simulate_b(data, prior, state, "a1", 5, seed=1)
 
 
 class TestScaleMapping:

@@ -1,9 +1,16 @@
-import numpy as np
-import pytest
+import multiprocessing
 from dataclasses import replace
 
+import numpy as np
+import pytest
+
 from glmmvb import datasets, engine, model, recombine, simulate
-from glmmvb.exceptions import DivergedError, InvalidVError, NotPositiveDefiniteError
+from glmmvb.exceptions import (
+    DivergedError,
+    InvalidVError,
+    NotPositiveDefiniteError,
+    ParseError,
+)
 
 from conftest import random_spd
 
@@ -125,6 +132,22 @@ class TestFitSharded:
         with np.errstate(all="ignore"), pytest.raises(DivergedError, match=r"^shard 0: "):
             recombine.fit_sharded(data, model.normal_omega_prior(data.r), cfg, V=2,
                                   workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shard_error_keeps_its_type(self, workers, monkeypatch):
+        # ParseError's constructor takes (line, message); with workers=2 the
+        # error also has to pickle back from the worker process
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched fit reaches the workers only through fork")
+
+        def bad_fit(data, prior, config):
+            raise ParseError(7, "bad cell")
+        monkeypatch.setattr(engine, "fit", bad_fit)
+        data = datasets.seeds_dataset()
+        with pytest.raises(ParseError, match=r"^shard 0: line 7: bad cell$") as info:
+            recombine.fit_sharded(data, model.normal_omega_prior(data.r),
+                                  engine.FitConfig(method="a1"), V=2, workers=workers)
+        assert info.value.line == 7
 
     def test_deterministic(self):
         data, prior, cfg = self._small_problem()
