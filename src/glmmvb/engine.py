@@ -274,15 +274,17 @@ def _global_params(data, prior, glob):
     return model.GlobalParams(beta, omega, data.r)
 
 
-def step(data, prior, config, state, adam, t, draws=None):
+def step(data, prior, config, state, adam, t, draws=None, modes=None):
     """One stochastic gradient step; returns the pre-update ELBO sample.
 
     The draws are those of stream(config.seed, LANE_FIT, t), taken from
-    `draws`, the fit's LaneStream of that stream, when given. A recoverable
-    numeric failure (overflow guard, failed factorization, failed mode
-    search) retries once with a fresh draw from the same iteration stream;
-    a second failure, a non-finite ELBO sample or a non-finite update
-    raises DivergedError.
+    `draws`, the fit's LaneStream of that stream, when given. `modes`, an
+    (n, r) array, is where the a2 mode search starts; the step overwrites
+    it with the modes it found (None: start from the least-squares guess).
+    A recoverable numeric failure (overflow guard, failed factorization,
+    failed mode search) retries once with a fresh draw from the same
+    iteration stream and the same start; a second failure, a non-finite
+    ELBO sample or a non-finite update raises DivergedError.
     """
     rng = (draws or LaneStream(config.seed, LANE_FIT)).at(t)
     blocks = state.blocks()
@@ -292,7 +294,9 @@ def step(data, prior, config, state, adam, t, draws=None):
         try:
             b_tilde, glob = state.split(state.affine(s, blocks))
             gp = _global_params(data, prior, glob)
-            value, grad = gradients.value_and_grad(data, gp, b_tilde, config.method, prior)
+            transforms = reparam.build_transforms(data, gp, config.method, modes)
+            value, grad = gradients.value_and_grad(data, gp, b_tilde, config.method, prior,
+                                                   transforms)
             break
         except _RECOVERABLE as err:
             last_err = err
@@ -313,6 +317,8 @@ def step(data, prior, config, state, adam, t, draws=None):
     if not np.all(np.isfinite(update)):
         raise DivergedError(f"iteration {t}: non-finite parameter update")
     state.set_params(state.get_params() + update)
+    if modes is not None:
+        modes[...] = transforms.lam
     return elbo
 
 
@@ -371,7 +377,13 @@ def elbo_estimate(data, prior, state, method, n_draws, seed):
 
     vals = np.concatenate([out[0] for out, _ in accepted_draws(
         state, n_draws, seed, LANE_FINAL, ELBO_CHUNK, evaluate)])
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
+    # moments of the values scaled by a power of two above their largest
+    # magnitude: that changes no rounding, and the sums stay finite also when
+    # the values lie near the largest float
+    _, e = np.frexp(np.abs(vals).max())
+    z = np.ldexp(vals, -e)
+    return (float(np.ldexp(z.mean(), e)),
+            float(np.ldexp(z.std(ddof=1) / np.sqrt(len(z)), e)))
 
 
 def fit(data, prior, config=None, **overrides):
@@ -387,6 +399,9 @@ def fit(data, prior, config=None, **overrides):
     adam = AdamState.zeros(state.get_params().size)
 
     draws = LaneStream(config.seed, LANE_FIT)
+    # a2: each step's mode search starts from the modes the previous step found
+    modes = (reparam.nr_init(data, state.split(state.mu)[1][:data.p])
+             if config.method == "a2" else None)
     t_start = time.perf_counter()
     means = []
     acc = 0.0
@@ -394,7 +409,7 @@ def fit(data, prior, config=None, **overrides):
     converged = False
     it = 0
     for it in range(1, config.max_iter + 1):
-        acc += step(data, prior, config, state, adam, it, draws)
+        acc += step(data, prior, config, state, adam, it, draws, modes)
         cnt += 1
         if cnt == config.window:
             means.append(acc / cnt)

@@ -37,6 +37,10 @@ class Family:
     def h3(self, eta, trials=None):
         raise NotImplementedError
 
+    def h_derivs(self, eta, trials=None):
+        """(h, h', h'') at eta from one pass; equal to (h, h1, h2) bit for bit."""
+        return self.h(eta, trials), self.h1(eta, trials), self.h2(eta, trials)
+
     def loglik(self, y, eta, trials=None):
         """y*eta - h(eta), constants independent of eta excluded."""
         return np.asarray(y, dtype=float) * eta - self.h(eta, trials)
@@ -71,6 +75,10 @@ class Poisson(Family):
     h1 = h
     h2 = h
     h3 = h
+
+    def h_derivs(self, eta, trials=None):
+        e = self.h(eta)
+        return e, e, e
 
     def eta_hat_reg(self, y, trials=None):
         return sc.digamma(np.asarray(y, dtype=float) + 0.5)
@@ -110,6 +118,13 @@ class Binomial(Family):
         eta = np.asarray(eta, dtype=float)
         p = sc.expit(eta)
         return self._trials(eta, trials) * p * (1.0 - p) * (1.0 - 2.0 * p)
+
+    def h_derivs(self, eta, trials=None):
+        eta = np.asarray(eta, dtype=float)
+        m = self._trials(eta, trials)
+        p = sc.expit(eta)
+        h1 = m * p
+        return m * np.logaddexp(0.0, eta), h1, h1 * (1.0 - p)
 
     def eta_hat_reg(self, y, trials=None):
         y = np.asarray(y, dtype=float)

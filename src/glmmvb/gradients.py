@@ -76,8 +76,8 @@ def value_and_grad(data, gp, b_tilde, method, prior, transforms=None):
     LBL = L @ _sym_lower(local[..., :, None] * b_tilde[..., None, :]) @ np.swapaxes(L, -1, -2)
     alpha = 0.0  # a2 only: the mode moves with theta_G, so a = a - Z'alpha
     if transforms.method == "a2":
-        alpha = 0.5 * data.mask * data.family.h3(transforms.base_eta, data.trials) * np.einsum(
-            "njr,...nrs,njs->...nj", data.Z, Lam + LBL, data.Z)
+        alpha = (0.5 * data.mask * data.family.h3(transforms.base_eta, data.trials)
+                 * data.zmz(Lam + LBL))
         a = a - np.einsum("njr,...nj->...nr", data.Z, alpha)
     t1 = np.einsum("...nrs,...ns->...nr", Lam, a)
 

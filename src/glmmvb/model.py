@@ -151,6 +151,21 @@ class Dataset:
             self.cache[key] = self.family.eta_hat_reg(self.y, self.trials)
         return self.cache[key]
 
+    def _zz(self):
+        """Per-observation outer products Z_ij Z_ij', flattened to (n, J, r*r) (cached)."""
+        if "zz" not in self.cache:
+            self.cache["zz"] = (self.Z[..., :, None] * self.Z[..., None, :]).reshape(
+                self.n, self.J, self.r * self.r)
+        return self.cache["zz"]
+
+    def zwz(self, w):
+        """sum_j w_ij Z_ij Z_ij' per subject, (..., n, r, r), for weights w (..., n, J)."""
+        return (w[..., None, :] @ self._zz())[..., 0, :].reshape(w.shape[:-1] + (self.r, self.r))
+
+    def zmz(self, M):
+        """Z_ij' M_i Z_ij per observation, (..., n, J), for matrices M (..., n, r, r)."""
+        return (self._zz() @ M.reshape(M.shape[:-2] + (self.r * self.r, 1)))[..., 0]
+
 
 # ---------------------------------------------------------------------------
 # global parameters
@@ -210,6 +225,11 @@ def global_names(data, prior):
 # priors
 
 
+def _check_sigma_beta2(sigma_beta2):
+    if not (math.isfinite(sigma_beta2) and sigma_beta2 > 0):
+        raise ConfigError(f"sigma_beta2 must be positive and finite, got {sigma_beta2}")
+
+
 @dataclass
 class WishartPrior:
     """N(0, sigma_beta2 I) on beta, Wishart(nu, S) on Omega (induced on omega)."""
@@ -220,6 +240,7 @@ class WishartPrior:
     learns_omega: bool = field(default=True, init=False)
 
     def __post_init__(self):
+        _check_sigma_beta2(self.sigma_beta2)
         self.S = np.atleast_2d(np.asarray(self.S, dtype=float))
         matcalc.cholesky(self.S)  # must be SPD
         self.S_inv = np.linalg.inv(self.S)
@@ -259,6 +280,7 @@ class NormalOmegaPrior:
     learns_omega: bool = field(default=True, init=False)
 
     def __post_init__(self):
+        _check_sigma_beta2(self.sigma_beta2)
         self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         self.sd = np.broadcast_to(np.asarray(self.sd, dtype=float), self.mean.shape).copy()
         if np.any(self.sd <= 0):
@@ -284,6 +306,7 @@ class KnownOmega:
     learns_omega: bool = field(default=False, init=False)
 
     def __post_init__(self):
+        _check_sigma_beta2(self.sigma_beta2)
         self.omega = np.atleast_1d(np.asarray(self.omega, dtype=float))
 
     def log_omega(self, gp):

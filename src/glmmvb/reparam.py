@@ -123,36 +123,53 @@ def transform_a1(data, gp, eta_hat=None):
 # method a2
 
 
-def _conditional_objective(data, Xbeta, Omega, b):
-    eta = Xbeta + np.einsum("njr,...nr->...nj", data.Z, b)
-    ll = (data.mask * data.family.loglik(data.y, eta, data.trials)).sum(axis=-1)
+def _eta(data, Xbeta, b):
+    return Xbeta + np.einsum("njr,...nr->...nj", data.Z, b)
+
+
+def _conditional_objective(data, Xbeta, Omega, b, eta=None, h=None):
+    """Per-subject log p(y_i, b_i | theta_G) up to constants:
+    sum_j {y eta - h(eta)} - b'Omega b / 2, with eta = X beta + Z b and
+    h(eta) computed here unless the caller has them."""
+    if eta is None:
+        eta = _eta(data, Xbeta, b)
+    if h is None:
+        h = data.family.h(eta, data.trials)
+    ll = (data.mask * (data.y * eta - h)).sum(axis=-1)
     quad = np.einsum("...nr,...rs,...ns->...n", b, Omega, b)
     return ll - 0.5 * quad
 
 
-def transform_a2(data, gp):
+def _evaluate(data, Xbeta, b):
+    """eta = X beta + Z b and (h, h', h'') at eta: the one evaluation of a point."""
+    eta = _eta(data, Xbeta, b)
+    return (eta,) + data.family.h_derivs(eta, data.trials)
+
+
+def transform_a2(data, gp, start=None):
     """Transforms from the expansion about the conditional posterior mode.
 
     The mode solves Z'(y - g(X beta + Z b)) = Omega b; Newton-Raphson with
     per-subject step halving, iterated essentially to stationarity (the
     global-parameter gradient formulas differentiate the mode implicitly,
-    which requires the stationarity equation to hold tightly).
+    which requires the stationarity equation to hold tightly). The search
+    starts from start, (n, r) or broadcastable to the batch, when given
+    (a fit passes the previous step's modes), and from nr_init otherwise.
+    Each point is evaluated once: the accepted candidate's h' and h'' give
+    the next gradient and precision.
     """
-    fam = data.family
     Omega = gp.Omega
     Xbeta = np.einsum("njp,...p->...nj", data.X, gp.beta)
-    b = np.broadcast_to(nr_init(data, gp.beta),
+    b = np.broadcast_to(nr_init(data, gp.beta) if start is None else start,
                         np.broadcast_shapes(Xbeta.shape[:-1] + (data.r,),
                                             Omega.shape[:-2] + (data.n, data.r))).copy()
-    f = _conditional_objective(data, Xbeta, Omega, b)
+    eta, h, h1, h2 = _evaluate(data, Xbeta, b)
+    f = _conditional_objective(data, Xbeta, Omega, b, eta, h)
     for it in range(NR_MAX_ITER + 1):
-        # eta, the gradient and the precision P always belong to the current b
-        eta = Xbeta + np.einsum("njr,...nr->...nj", data.Z, b)
         Om_b = np.einsum("...rs,...ns->...nr", Omega, b)
-        grad = np.einsum("njr,...nj->...nr", data.Z,
-                         data.mask * (data.y - fam.h1(eta, data.trials))) - Om_b
-        P = Omega[..., None, :, :] + np.einsum(
-            "njr,...nj,njs->...nrs", data.Z, data.mask * fam.h2(eta, data.trials), data.Z)
+        grad = np.einsum("njr,...nj->...nr", data.Z, data.mask * (data.y - h1)) - Om_b
+        P = Omega[..., None, :, :] + data.zwz(data.mask * h2)
+        eta = h = h1 = h2 = None  # free this point's (..., n, J) arrays before the next
         scale = 1.0 + np.abs(Om_b).max(axis=-1)
         gnorm = np.abs(grad).max(axis=-1)
         active = gnorm > NR_TOL * scale
@@ -162,7 +179,8 @@ def transform_a2(data, gp):
         t = active.astype(float)
         for _ in range(NR_MAX_HALVINGS + 1):
             cand = b + t[..., None] * step
-            f_new = _conditional_objective(data, Xbeta, Omega, cand)
+            eta, h, h1, h2 = _evaluate(data, Xbeta, cand)
+            f_new = _conditional_objective(data, Xbeta, Omega, cand, eta, h)
             bad = active & (f_new < f - 1e-10 * (np.abs(f) + 1.0)) & (t > 0)
             if not bad.any():
                 break
@@ -172,20 +190,24 @@ def transform_a2(data, gp):
         moved = active & (t > 0)
         if not moved.any():
             break
-        # f_new was evaluated at exactly the new b of every moved subject
+        # the last candidate is the new b of every subject but the frozen ones
         b = b + t[..., None] * step
         f = np.where(moved, f_new, f)
+        if bad.any():
+            eta, h, h1, h2 = _evaluate(data, Xbeta, b)
     if np.any(gnorm > NR_TOL_ACCEPT * scale):
         raise ModeSearchFailedError("Newton-Raphson mode search did not reach stationarity")
     Lam, L = _assemble(P)
-    return Transforms("a2", b, L, Lam, base_eta=eta)
+    return Transforms("a2", b, L, Lam, base_eta=_eta(data, Xbeta, b))
 
 
-def build_transforms(data, gp, method):
+def build_transforms(data, gp, method, start=None):
+    """Transforms of the given method at theta_G; start is the a2 mode
+    search's starting point (see transform_a2), unused by a1."""
     if method not in METHODS:
         raise ConfigError(f"unknown transform method {method!r}")
     try:
-        return transform_a1(data, gp) if method == "a1" else transform_a2(data, gp)
+        return transform_a1(data, gp) if method == "a1" else transform_a2(data, gp, start)
     except np.linalg.LinAlgError as err:
         # overflowed omega / corrupted theta_G: same recoverable category
         raise NotPositiveDefiniteError(str(err)) from None

@@ -3,8 +3,8 @@
 Matrix-calculus operators (applied through index maps, not materialized
 matrices), the Cholesky directional derivative, a domain-checked digamma,
 per-subject and per-observation quantities the fitted path never forms
-separately, the variational log density and the forward transform
-b~ = L^{-1}(b - lambda).
+separately, the variational log density, the forward transform
+b~ = L^{-1}(b - lambda) and the straightforward a2 mode search.
 """
 
 from functools import lru_cache
@@ -12,8 +12,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.special as sc
 
-from glmmvb import gradients, matcalc
-from glmmvb.exceptions import DomainError
+from glmmvb import gradients, matcalc, reparam
+from glmmvb.exceptions import DomainError, ModeSearchFailedError
 
 
 @lru_cache(maxsize=None)
@@ -157,3 +157,50 @@ def log_q(state, theta):
 def apply_transform(transforms, b):
     """b~ = L^{-1}(b - lambda), by triangular solve."""
     return matcalc.solve_lower(transforms.L, b - transforms.lam)
+
+
+def transform_a2(data, gp, start=None):
+    """Reference a2 transforms: Newton-Raphson with per-subject step halving
+    that recomputes eta, h'(eta) and h''(eta) at every accepted point, the
+    log-likelihood at every candidate, and the precision by a three-operand
+    contraction. Starts from start, or from reparam.nr_init when None, and
+    reads the reparam.NR_* settings at call time."""
+    fam = data.family
+    Omega = gp.Omega
+    Xbeta = np.einsum("njp,...p->...nj", data.X, gp.beta)
+    b0 = reparam.nr_init(data, gp.beta) if start is None else start
+    b = np.broadcast_to(b0, np.broadcast_shapes(Xbeta.shape[:-1] + (data.r,),
+                                                Omega.shape[:-2] + (data.n, data.r))).copy()
+    f = reparam._conditional_objective(data, Xbeta, Omega, b)
+    for it in range(reparam.NR_MAX_ITER + 1):
+        eta = Xbeta + np.einsum("njr,...nr->...nj", data.Z, b)
+        Om_b = np.einsum("...rs,...ns->...nr", Omega, b)
+        grad = np.einsum("njr,...nj->...nr", data.Z,
+                         data.mask * (data.y - fam.h1(eta, data.trials))) - Om_b
+        P = Omega[..., None, :, :] + np.einsum(
+            "njr,...nj,njs->...nrs", data.Z, data.mask * fam.h2(eta, data.trials), data.Z)
+        scale = 1.0 + np.abs(Om_b).max(axis=-1)
+        gnorm = np.abs(grad).max(axis=-1)
+        active = gnorm > reparam.NR_TOL * scale
+        if it == reparam.NR_MAX_ITER or not active.any():
+            break
+        step = np.linalg.solve(P, grad[..., None])[..., 0]
+        t = active.astype(float)
+        for _ in range(reparam.NR_MAX_HALVINGS + 1):
+            cand = b + t[..., None] * step
+            f_new = reparam._conditional_objective(data, Xbeta, Omega, cand)
+            bad = active & (f_new < f - 1e-10 * (np.abs(f) + 1.0)) & (t > 0)
+            if not bad.any():
+                break
+            t = np.where(bad, 0.5 * t, t)
+        else:
+            t = np.where(bad, 0.0, t)
+        moved = active & (t > 0)
+        if not moved.any():
+            break
+        b = b + t[..., None] * step
+        f = np.where(moved, f_new, f)
+    if np.any(gnorm > reparam.NR_TOL_ACCEPT * scale):
+        raise ModeSearchFailedError("Newton-Raphson mode search did not reach stationarity")
+    Lam, L = reparam._assemble(P)
+    return reparam.Transforms("a2", b, L, Lam, base_eta=eta)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from glmmvb import engine, families, gradients, matcalc, model
+from glmmvb import datasets, engine, families, fileio, gradients, matcalc, model, reparam
 from glmmvb.exceptions import DivergedError, OverflowGuardError
 
 import oracles
@@ -288,6 +288,86 @@ class TestAcceptedDraws:
         with pytest.warns(RuntimeWarning, match="rejected"):
             elbo, se = engine.elbo_estimate(data, prior, state, "a1", 1000, seed=2)
         assert np.isfinite(elbo) and 0.0 < se < 1.0
+
+    def test_elbo_estimate_near_the_largest_float_is_finite(self):
+        # the pathological state of test_rejection_of_pathological_draws: the
+        # accepted draws' log joints are finite but near -1e307, so their plain
+        # sum overflows
+        data = model.Dataset.from_lists(families.POISSON, [[2.0, 3.0]],
+                                        [[[1.0], [1.0]]], [[[1.0], [1.0]]])
+        prior = model.default_prior(data)
+        state = engine.VariationalState.initial(1, 1, 2)
+        state.mu[2] = 355.0
+        state.cstar_global[matcalc.diag_positions(2)] = [np.log(1e-12), np.log(0.3)]
+        with pytest.warns(RuntimeWarning, match="rejected"):
+            elbo, se = engine.elbo_estimate(data, prior, state, "a1", 400, seed=4)
+        assert np.isfinite(elbo) and np.isfinite(se) and se > 0.0
+        assert elbo < -1e300
+
+
+def _a2_fit(data, seed=5, max_iter=300):
+    cfg = engine.FitConfig(method="a2", seed=seed, max_iter=max_iter, window=100,
+                           final_elbo_draws=50)
+    return engine.fit(data, model.default_prior(data), cfg)
+
+
+def _same_fit(a, b):
+    for x, y in ((a.state.mu, b.state.mu), (a.state.cstar_local, b.state.cstar_local),
+                 (a.state.cstar_global, b.state.cstar_global),
+                 (a.window_means, b.window_means)):
+        np.testing.assert_array_equal(x, y)
+    assert (a.elbo, a.elbo_se, a.n_iter) == (b.elbo, b.elbo_se, b.n_iter)
+
+
+class TestWarmStart:
+    def test_same_seed_fits_are_bit_identical(self):
+        data = datasets.epilepsy_dataset("I")
+        _same_fit(_a2_fit(data), _a2_fit(data))
+
+    def test_no_state_leaks_between_fits(self):
+        alone = _a2_fit(datasets.seeds_dataset())
+        _a2_fit(datasets.epilepsy_dataset("I"), seed=9)
+        _same_fit(alone, _a2_fit(datasets.seeds_dataset()))
+
+    def test_state_file_holds_no_modes(self, tmp_path):
+        data = datasets.epilepsy_dataset("I")
+        res = _a2_fit(data, max_iter=50)
+        assert set(vars(res.state)) == {"mu", "cstar_local", "cstar_global", "n", "r", "g"}
+        path = tmp_path / "state.txt"
+        fileio.write_state(path, res.state, "a2", "poisson", 5)
+        lines = path.read_text().splitlines()
+        assert lines[:7] == ["format,glmmvb-state,1", f"n,{data.n}", "r,1", f"g,{data.g}",
+                             "method,a2", "family,poisson", "seed,5"]
+        assert [ln for ln in lines if ln.startswith("section,")] == [
+            "section,mu", "section,cstar_local", "section,cstar_global"]
+        assert len(lines) == 7 + 3 + 1 + data.n + 1
+        back, _ = fileio.read_state(path)
+        np.testing.assert_array_equal(back.get_params(), res.state.get_params())
+
+    def test_retry_keeps_the_start_and_the_step_stores_the_modes(self, rng, monkeypatch):
+        data = random_dataset(rng, families.POISSON, r=2, n=3)
+        prior = model.default_prior(data)
+        cfg = engine.FitConfig(method="a2", seed=8)
+        state = engine.VariationalState.initial(data.n, data.r, data.g)
+        adam = engine.AdamState.zeros(state.get_params().size)
+        modes = 0.1 * rng.standard_normal((data.n, data.r))
+        original = modes.copy()
+        build = reparam.build_transforms
+        starts, built = [], []
+
+        def fail_once(data, gp, method, start=None):
+            starts.append(start.copy())
+            if len(starts) == 1:
+                raise OverflowGuardError("injected")
+            built.append(build(data, gp, method, start))
+            return built[-1]
+
+        monkeypatch.setattr(reparam, "build_transforms", fail_once)
+        engine.step(data, prior, cfg, state, adam, 1, modes=modes)
+        assert len(starts) == 2
+        for s in starts:
+            np.testing.assert_array_equal(s, original)
+        np.testing.assert_array_equal(modes, built[0].lam)
 
 
 class TestLaneStream:

@@ -60,6 +60,23 @@ class TestLogPartitionDerivatives:
             families.POISSON.h(501.0)
         families.POISSON.h(499.0)  # below the guard is fine
 
+    @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.name)
+    def test_shared_derivatives_equal_separate_ones(self, fam, rng):
+        eta = np.concatenate([np.linspace(-40, 40, 161), 3.0 * rng.standard_normal(30)])
+        m = rng.integers(1, 12, size=eta.shape).astype(float)
+        for trials in (m, None):
+            shared = fam.h_derivs(eta, trials)
+            assert len(shared) == 3
+            for got, want in zip(shared, (fam.h(eta, trials), fam.h1(eta, trials),
+                                          fam.h2(eta, trials))):
+                np.testing.assert_array_equal(got, want)
+
+    def test_shared_derivatives_keep_the_poisson_guard(self):
+        eta = np.array([0.0, families.POISSON_ETA_MAX + 1.0])
+        with pytest.raises(OverflowGuardError):
+            families.POISSON.h_derivs(eta)
+        families.POISSON.h_derivs(eta - 2.0)  # below the guard is fine
+
 
 class TestRegularizedEstimateTable:
     """Digamma-based estimates and their derived quantities, to two decimals."""

@@ -379,7 +379,9 @@ class TestCliExitCodes:
         assert run_cli(args) == 2
 
     @pytest.mark.parametrize("extra", [["--max-iter", "0"], ["--draws", "0"],
-                                       ["--omega-prior-sd", "0", "--prior", "normal-omega"]])
+                                       ["--omega-prior-sd", "0", "--prior", "normal-omega"],
+                                       ["--sigma-beta2", "0"],
+                                       ["--sigma-beta2", "-1", "--prior", "normal-omega"]])
     def test_package_checks_exit_2(self, tmp_path, extra):
         args = ["--data", datasets.fixture_path("seeds.csv"),
                 "--family", "binomial", "--group-col", "plate",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from glmmvb import datasets, families, matcalc, model
-from glmmvb.exceptions import DataError, RankDeficientError
+from glmmvb.exceptions import ConfigError, DataError, RankDeficientError
 
 import oracles
 from conftest import (
@@ -309,3 +309,16 @@ class TestPooledGlmAndDefaultPrior:
         m = data.trials.ravel()[sel]
         score = X.T @ (y - data.family.h1(X @ beta, m))
         assert np.abs(score).max() < 1e-6
+
+
+class TestPriorSettings:
+    @pytest.mark.parametrize("sigma_beta2", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda sb2: model.WishartPrior(sb2, 2.0, np.eye(1)),
+        lambda sb2: model.NormalOmegaPrior(sb2, np.zeros(1), np.ones(1)),
+        lambda sb2: model.KnownOmega(sb2, np.zeros(1)),
+    ], ids=["wishart", "normal-omega", "known-omega"])
+    def test_sigma_beta2_must_be_positive_and_finite(self, make, sigma_beta2):
+        with pytest.raises(ConfigError, match="sigma_beta2"):
+            make(sigma_beta2)
+        make(0.5)

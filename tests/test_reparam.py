@@ -1,10 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from glmmvb import families, model, reparam
-from glmmvb.exceptions import NotPositiveDefiniteError
+from glmmvb import families, matcalc, model, reparam
+from glmmvb.exceptions import (
+    ModeSearchFailedError,
+    NotPositiveDefiniteError,
+    OverflowGuardError,
+)
 
 import oracles
 from conftest import ALL_FAMILIES, random_dataset, random_gp
@@ -135,6 +142,70 @@ class TestTransformA2:
         t = reparam.transform_a2(data, gp)
         final = reparam._conditional_objective(data, Xbeta, Omega, t.lam)
         assert np.all(final >= prev - 1e-9 * (np.abs(prev) + 1))
+
+
+# the loop differs from oracles.transform_a2 only in the order of the
+# precision's products, so the two agree to round-off; the bound is set a
+# priori, well above float64 round-off, not from observed differences
+REFERENCE_TOL = 1e-10
+
+
+def _outcome(transform, data, gp, start):
+    try:
+        return transform(data, gp, start)
+    except (ModeSearchFailedError, OverflowGuardError) as err:
+        return type(err)
+
+
+class TestModeSearchAgainstReference:
+    @pytest.mark.parametrize("halvings", [reparam.NR_MAX_HALVINGS, 1, 0])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(famname=st.sampled_from(["poisson", "bernoulli", "binomial"]),
+           r=st.integers(1, 3), batched=st.booleans(),
+           start_kind=st.sampled_from(["least-squares", "warm", "perturbed"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_reference_loop(self, halvings, famname, r, batched, start_kind, seed):
+        rng = np.random.default_rng(seed)
+        data = random_dataset(rng, families.by_name(famname), r=r, n=4, p=2)
+        lead = (3,) if batched else ()
+        gp = model.GlobalParams(0.5 * rng.standard_normal(lead + (2,)),
+                                0.5 * rng.standard_normal(lead + (matcalc.half_len(r),)), r)
+        start = None
+        if start_kind != "least-squares":
+            # the mode at a nearby theta_G, as a fit's previous step leaves it
+            # (one theta_G, so batched cases broadcast it)
+            beta, omega = gp.beta.reshape(-1, 2)[0], gp.omega.reshape(-1, gp.omega.shape[-1])[0]
+            near = model.GlobalParams(beta + 0.05 * rng.standard_normal(2),
+                                      omega + 0.05 * rng.standard_normal(omega.shape), r)
+            start = oracles.transform_a2(data, near).lam
+            if start_kind == "perturbed":
+                start = start + 3.0 * rng.standard_normal(lead + start.shape)
+        with mock.patch.object(reparam, "NR_MAX_HALVINGS", halvings):
+            want = _outcome(oracles.transform_a2, data, gp, start)
+            got = _outcome(reparam.transform_a2, data, gp, start)
+        if isinstance(want, type) or isinstance(got, type):
+            assert got == want
+            return
+        for field in ("lam", "L", "Lambda", "base_eta"):
+            np.testing.assert_allclose(getattr(got, field), getattr(want, field),
+                                       rtol=REFERENCE_TOL, atol=REFERENCE_TOL)
+
+    # cases whose frozen subjects (out of halvings) reach stationarity only
+    # when their gradient is taken at the wrong point: the loop must re-evaluate
+    # them where they stay, as the reference does, and so fail as it does
+    @pytest.mark.parametrize("seed", [508, 1335, 1502])
+    def test_frozen_subjects_are_evaluated_where_they_stay(self, seed):
+        rng = np.random.default_rng(seed)
+        fam = [families.POISSON, families.BERNOULLI, families.BINOMIAL][seed % 3]
+        r = 1 + seed % 2
+        data = random_dataset(rng, fam, r=r, n=3, p=2)
+        gp = model.GlobalParams(0.5 * rng.standard_normal(2),
+                                0.5 * rng.standard_normal(matcalc.half_len(r)), r)
+        start = 4.0 * rng.standard_normal((data.n, r))
+        with mock.patch.object(reparam, "NR_MAX_HALVINGS", seed % 2):
+            assert (_outcome(reparam.transform_a2, data, gp, start)
+                    == _outcome(oracles.transform_a2, data, gp, start)
+                    == ModeSearchFailedError)
 
 
 class TestNewtonInit:
