@@ -82,37 +82,65 @@ class FitConfig:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.max_iter < 1 or self.window < 1 or self.tau < 2:
             raise ConfigError("limits must be positive (tau >= 2)")
+        if not (math.isfinite(self.adam_alpha) and self.adam_alpha > 0
+                and 0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1
+                and math.isfinite(self.adam_eps) and self.adam_eps > 0):
+            raise ConfigError("Adam needs a finite alpha > 0, betas in [0, 1) and a "
+                              "finite eps > 0")
+        if self.final_elbo_draws < 0:
+            raise ConfigError("final_elbo_draws must be >= 0 (0: no final ELBO)")
 
 
 class VariationalState:
     """Mean vector and packed Cholesky blocks of the variational Gaussian.
 
-    Layout of mu (length d = n*r + g): the n local blocks first, then the
-    global block. C blocks are stored as half-vecs of C* (log diagonal).
+    All parameters live in one vector, `params`, laid out as
+    [mu (d = n*r + g), C* local (n * r(r+1)/2), C* global (g(g+1)/2)]: the
+    section order of the state file, and the order of Adam's vector. mu holds
+    the n local blocks first, then the global block; C blocks are half-vecs
+    of C* (log diagonal). `mu`, `cstar_local` (n, r(r+1)/2) and
+    `cstar_global` are views of `params`, and assigning to any of the four
+    writes into `params`.
     """
 
-    def __init__(self, mu, cstar_local, cstar_global, n, r, g):
-        self.mu = np.asarray(mu, dtype=float)
-        self.cstar_local = np.asarray(cstar_local, dtype=float)
-        self.cstar_global = np.asarray(cstar_global, dtype=float)
+    def __init__(self, n, r, g, params=None):
         self.n, self.r, self.g = n, r, g
+        size = self.d + n * matcalc.half_len(r) + matcalc.half_len(g)
+        self.params = np.zeros(size) if params is None else np.asarray(params, dtype=float)
+        if self.params.shape != (size,):
+            raise ConfigError(f"expected {size} parameters, got shape {self.params.shape}")
+        self.mu, self.cstar_local, self.cstar_global = self.views(self.params)
+
+    def __setattr__(self, name, value):
+        # params and its views are written into once set, never rebound
+        if name in ("params", "mu", "cstar_local", "cstar_global") and name in vars(self):
+            vars(self)[name][...] = value
+        else:
+            object.__setattr__(self, name, value)
 
     @classmethod
     def initial(cls, n, r, g, global_scale=0.1):
         """mu = 0, C = blockdiag(I_{nr}, global_scale * I_g)."""
-        d = n * r + g
-        cstar_local = np.zeros((n, matcalc.half_len(r)))
-        cstar_global = np.zeros(matcalc.half_len(g))
-        cstar_global[matcalc.diag_positions(g)] = np.log(global_scale)
-        return cls(np.zeros(d), cstar_local, cstar_global, n, r, g)
+        state = cls(n, r, g)
+        state.cstar_global[matcalc.diag_positions(g)] = np.log(global_scale)
+        return state
 
     @property
     def d(self):
         return self.n * self.r + self.g
 
+    def views(self, vec):
+        """(mu, C* local, C* global) views of a (..., P) params-layout vector."""
+        d, k = self.d, self.n * matcalc.half_len(self.r)
+        return (vec[..., :d], vec[..., d:d + k].reshape(vec.shape[:-1] + (self.n, -1)),
+                vec[..., d + k:])
+
     def copy(self):
-        return VariationalState(self.mu.copy(), self.cstar_local.copy(),
-                                self.cstar_global.copy(), self.n, self.r, self.g)
+        return VariationalState(self.n, self.r, self.g, self.params.copy())
+
+    def __reduce__(self):
+        # pickled as the one vector, so that the views are rebuilt on it
+        return VariationalState, (self.n, self.r, self.g, self.params)
 
     # -- C blocks ----------------------------------------------------------
     @staticmethod
@@ -161,17 +189,6 @@ class VariationalState:
         s_loc, s_glob = self.split(s)
         glob = np.linalg.solve(c_glob.T, s_glob[..., None])[..., 0]
         return self._join(matcalc.solve_lower(c_loc, s_loc, trans=True), glob)
-
-    # -- optimizer parameter vector -----------------------------------------
-    def get_params(self):
-        return np.concatenate([self.mu, self.cstar_local.ravel(), self.cstar_global])
-
-    def set_params(self, vec):
-        d = self.d
-        k = self.cstar_local.size
-        self.mu = vec[:d].copy()
-        self.cstar_local = vec[d:d + k].reshape(self.cstar_local.shape).copy()
-        self.cstar_global = vec[d + k:].copy()
 
 
 @dataclass
@@ -316,7 +333,7 @@ def step(data, prior, config, state, adam, t, draws=None, modes=None):
     update = adam.ascent_step(g_all, config)
     if not np.all(np.isfinite(update)):
         raise DivergedError(f"iteration {t}: non-finite parameter update")
-    state.set_params(state.get_params() + update)
+    state.params += update
     if modes is not None:
         modes[...] = transforms.lam
     return elbo
@@ -396,7 +413,7 @@ def fit(data, prior, config=None, **overrides):
         raise ConfigError("fixed omega has the wrong length for this dataset")
     g = data.p + (data.g2 if prior.learns_omega else 0)
     state = VariationalState.initial(data.n, data.r, g)
-    adam = AdamState.zeros(state.get_params().size)
+    adam = AdamState.zeros(state.params.size)
 
     draws = LaneStream(config.seed, LANE_FIT)
     # a2: each step's mode search starts from the modes the previous step found

@@ -19,6 +19,8 @@ from .exceptions import ConfigError, MissingColumnError, ParseError
 
 SUMMARY_FMT = "%.9g"
 STATE_FMT = "%.17g"
+# the state file's sections: views of VariationalState.params, in its order
+STATE_SECTIONS = ("mu", "cstar_local", "cstar_global")
 
 
 def _split_cols(spec):
@@ -190,17 +192,16 @@ def write_state(path, state, method, family_name, seed):
         fh.write("format,glmmvb-state,1\n")
         fh.write(f"n,{state.n}\nr,{state.r}\ng,{state.g}\n")
         fh.write(f"method,{method}\nfamily,{family_name}\nseed,{seed}\n")
-        fh.write("section,mu\n")
-        fh.write(",".join(STATE_FMT % v for v in state.mu) + "\n")
-        fh.write("section,cstar_local\n")
-        for i in range(state.n):
-            fh.write(",".join(STATE_FMT % v for v in state.cstar_local[i]) + "\n")
-        fh.write("section,cstar_global\n")
-        fh.write(",".join(STATE_FMT % v for v in state.cstar_global) + "\n")
+        for name in STATE_SECTIONS:
+            fh.write(f"section,{name}\n")
+            for row in np.atleast_2d(getattr(state, name)):
+                fh.write(",".join(STATE_FMT % v for v in row) + "\n")
 
 
 def read_state(path):
-    """Inverse of write_state; returns (VariationalState, meta dict)."""
+    """Inverse of write_state; returns (VariationalState, meta dict). Each
+    section's rows are read into the state's view of that name; a malformed
+    file raises ParseError with its line number."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or not lines[0].startswith("format,glmmvb-state"):
@@ -208,29 +209,33 @@ def read_state(path):
     meta = {}
     i = 1
     while i < len(lines) and not lines[i].startswith("section,"):
-        key, val = lines[i].split(",", 1)
+        key, sep, val = lines[i].partition(",")
+        if not sep:
+            raise ParseError(i + 1, "expected key,value")
         meta[key] = val
         i += 1
-    n, r, g = int(meta["n"]), int(meta["r"]), int(meta["g"])
-
-    def expect_section(name):
-        nonlocal i
-        if lines[i] != f"section,{name}":
+    try:
+        n, r, g = (int(meta[key]) for key in "nrg")
+    except (KeyError, ValueError) as err:
+        raise ParseError(i + 1, f"header above needs integer n, r and g ({err})") from None
+    if min(n, r, g) < 1:
+        raise ParseError(i + 1, "n, r and g must be positive")
+    state = VariationalState(n, r, g)
+    for name in STATE_SECTIONS:
+        if i >= len(lines) or lines[i] != f"section,{name}":
             raise ParseError(i + 1, f"expected section {name}")
         i += 1
-
-    expect_section("mu")
-    mu = np.array([float(v) for v in lines[i].split(",")])
-    i += 1
-    expect_section("cstar_local")
-    cl = np.array([[float(v) for v in lines[i + k].split(",")] for k in range(n)])
-    cl = cl.reshape(n, matcalc.half_len(r))
-    i += n
-    expect_section("cstar_global")
-    cg = np.array([float(v) for v in lines[i].split(",")])
-    state = VariationalState(mu, cl, cg, n, r, g)
-    if state.d != mu.size or cg.size != matcalc.half_len(g):
-        raise ParseError(i + 1, "inconsistent dimensions in state file")
+        for row in np.atleast_2d(getattr(state, name)):
+            if i >= len(lines):
+                raise ParseError(i + 1, f"file ends inside section {name}")
+            try:
+                values = [float(v) for v in lines[i].split(",")]
+            except ValueError:
+                raise ParseError(i + 1, f"non-numeric value in section {name}") from None
+            if len(values) != row.size:
+                raise ParseError(i + 1, f"expected {row.size} values, got {len(values)}")
+            row[:] = values
+            i += 1
     return state, meta
 
 

@@ -1,8 +1,11 @@
+import operator
+import pickle
+
 import numpy as np
 import pytest
 
 from glmmvb import datasets, engine, families, fileio, gradients, matcalc, model, reparam
-from glmmvb.exceptions import DivergedError, OverflowGuardError
+from glmmvb.exceptions import ConfigError, DivergedError, OverflowGuardError
 
 import oracles
 from conftest import (
@@ -31,6 +34,73 @@ def micro_model(rng=None, n=1, k=3):
                                     [ones] * n, [ones] * n)
     prior = model.KnownOmega(100.0, np.array([0.25]))
     return data, prior
+
+
+class TestParamsLayout:
+    def test_views_share_params_and_copies_share_nothing(self, rng):
+        state = small_state(rng)
+        for view in (state.mu, state.cstar_local, state.cstar_global):
+            assert np.shares_memory(view, state.params)
+        for other in (state.copy(), pickle.loads(pickle.dumps(state))):
+            np.testing.assert_array_equal(other.params, state.params)
+            assert not np.shares_memory(other.params, state.params)
+            for name in ("mu", "cstar_local", "cstar_global"):
+                assert np.shares_memory(getattr(other, name), other.params)
+                assert not np.shares_memory(getattr(other, name), state.params)
+
+    @pytest.mark.parametrize("name", ["params", "mu", "cstar_local", "cstar_global"])
+    def test_assignment_writes_into_params(self, rng, name):
+        state = small_state(rng)
+        view = getattr(state, name)
+        setattr(state, name, np.full(view.shape, 0.25))
+        setattr(state, name, operator.iadd(getattr(state, name), 1.0))  # state.<name> += 1.0
+        assert getattr(state, name) is view
+        np.testing.assert_array_equal(view, np.full(view.shape, 1.25))
+        assert np.count_nonzero(state.params == 1.25) == view.size
+
+    def test_initial_layout(self):
+        lg = np.log(0.1)
+        # n = 2, r = 2, g = 3: mu (7), two local half-vecs (3 each), one
+        # global half-vec (6) with the diagonal at positions 0, 3 and 5
+        expected = np.concatenate([np.zeros(7), np.zeros(6), [lg, 0, 0, lg, 0, lg]])
+        np.testing.assert_array_equal(engine.VariationalState.initial(2, 2, 3).params,
+                                      expected)
+
+    def test_wrong_size_params_raise(self):
+        with pytest.raises(ConfigError, match="expected 4 parameters"):
+            engine.VariationalState(1, 1, 1, np.zeros(5))
+
+    def test_step_adds_the_adam_update_to_params(self, rng, monkeypatch):
+        data = random_dataset(rng, families.POISSON, r=2, n=3)
+        prior = model.default_prior(data)
+        state = small_state(rng, n=data.n, r=data.r, g=data.g)
+        adam = engine.AdamState.zeros(state.params.size)
+        before, updates = state.params.copy(), []
+        ascent_step = engine.AdamState.ascent_step
+
+        def record(self, g, cfg):
+            updates.append(ascent_step(self, g, cfg))
+            return updates[-1]
+
+        monkeypatch.setattr(engine.AdamState, "ascent_step", record)
+        engine.step(data, prior, engine.FitConfig(method="a1", seed=2), state, adam, 1)
+        assert len(updates) == 1 and np.any(updates[0] != 0.0)
+        np.testing.assert_array_equal(state.params, before + updates[0])
+
+
+class TestFitConfig:
+    @pytest.mark.parametrize("setting", [
+        {"adam_alpha": -1e-3}, {"adam_alpha": 0.0}, {"adam_alpha": np.inf},
+        {"adam_alpha": np.nan}, {"adam_beta1": 1.0}, {"adam_beta1": -0.1},
+        {"adam_beta2": 1.0}, {"adam_beta2": np.nan}, {"adam_eps": 0.0},
+        {"adam_eps": -1e-8}, {"adam_eps": np.inf}, {"final_elbo_draws": -5},
+    ], ids=lambda setting: "{}={}".format(*next(iter(setting.items()))))
+    def test_rejects_settings_that_give_wrong_fits(self, setting):
+        with pytest.raises(ConfigError):
+            engine.FitConfig(**setting)
+
+    def test_edge_settings_are_accepted(self):
+        engine.FitConfig(adam_beta1=0.0, adam_beta2=0.0, final_elbo_draws=0)
 
 
 class TestDrawSample:
@@ -198,7 +268,7 @@ class TestStepAndFit:
         cfg = engine.FitConfig(method="a2", seed=3, max_iter=200, window=1000,
                                final_elbo_draws=0)
         state = engine.VariationalState.initial(data.n, data.r, data.g)
-        adam = engine.AdamState.zeros(state.get_params().size)
+        adam = engine.AdamState.zeros(state.params.size)
         for t in range(1, 201):
             engine.step(data, prior, cfg, state, adam, t)
             assert np.all(np.diagonal(state.c_local(), axis1=-2, axis2=-1) > 0)
@@ -332,7 +402,8 @@ class TestWarmStart:
     def test_state_file_holds_no_modes(self, tmp_path):
         data = datasets.epilepsy_dataset("I")
         res = _a2_fit(data, max_iter=50)
-        assert set(vars(res.state)) == {"mu", "cstar_local", "cstar_global", "n", "r", "g"}
+        assert set(vars(res.state)) == {"params", "mu", "cstar_local", "cstar_global",
+                                        "n", "r", "g"}
         path = tmp_path / "state.txt"
         fileio.write_state(path, res.state, "a2", "poisson", 5)
         lines = path.read_text().splitlines()
@@ -342,14 +413,14 @@ class TestWarmStart:
             "section,mu", "section,cstar_local", "section,cstar_global"]
         assert len(lines) == 7 + 3 + 1 + data.n + 1
         back, _ = fileio.read_state(path)
-        np.testing.assert_array_equal(back.get_params(), res.state.get_params())
+        np.testing.assert_array_equal(back.params, res.state.params)
 
     def test_retry_keeps_the_start_and_the_step_stores_the_modes(self, rng, monkeypatch):
         data = random_dataset(rng, families.POISSON, r=2, n=3)
         prior = model.default_prior(data)
         cfg = engine.FitConfig(method="a2", seed=8)
         state = engine.VariationalState.initial(data.n, data.r, data.g)
-        adam = engine.AdamState.zeros(state.get_params().size)
+        adam = engine.AdamState.zeros(state.params.size)
         modes = 0.1 * rng.standard_normal((data.n, data.r))
         original = modes.copy()
         build = reparam.build_transforms
@@ -392,9 +463,9 @@ class TestLaneStream:
         states = []
         for draws in (None, engine.LaneStream(cfg.seed, engine.LANE_FIT)):
             state = engine.VariationalState.initial(data.n, data.r, data.g)
-            adam = engine.AdamState.zeros(state.get_params().size)
+            adam = engine.AdamState.zeros(state.params.size)
             elbos = [engine.step(data, prior, cfg, state, adam, t, draws) for t in range(1, 30)]
-            states.append((elbos, state.get_params()))
+            states.append((elbos, state.params))
         assert states[0][0] == states[1][0]
         np.testing.assert_array_equal(states[0][1], states[1][1])
 
@@ -407,7 +478,7 @@ class TestFailFast:
         prior = model.KnownOmega(100.0, np.array([-800.0]))
         cfg = engine.FitConfig(method="a1", seed=1)
         state = engine.VariationalState.initial(data.n, data.r, data.p)
-        adam = engine.AdamState.zeros(state.get_params().size)
+        adam = engine.AdamState.zeros(state.params.size)
         with pytest.raises(DivergedError, match="iteration 1"):
             engine.step(data, prior, cfg, state, adam, 1)
 

@@ -3,6 +3,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from glmmvb import cli, datasets, engine, fileio, model, simulate
 from glmmvb.exceptions import (
@@ -199,6 +201,45 @@ class TestStateFile:
         p.write_text("something else\n")
         with pytest.raises(ParseError):
             fileio.read_state(str(p))
+
+    # a valid file of n = 2, r = 2, g = 3: header on lines 1-7, section mu on
+    # 8-9, cstar_local on 10-12, cstar_global on 13-14
+    @pytest.mark.parametrize("edit, line", [
+        (lambda ls: ls[:11], 12),                              # truncated in a section
+        (lambda ls: ls[:7], 8),                                # truncated after the header
+        (lambda ls: ls[:11] + ["0.5,0.5"] + ls[12:], 12),      # short cstar_local row
+        (lambda ls: ls[:8] + ["0,1,x,3,4,5,6"] + ls[9:], 9),   # non-numeric value
+        (lambda ls: ls[:8] + [ls[8] + ",7"] + ls[9:], 9),      # long mu row
+        (lambda ls: ls[:2] + ls[3:], 7),                       # no r header line
+        (lambda ls: ls[:2] + ["r,two"] + ls[3:], 8),           # non-integer r
+        (lambda ls: ls[:7] + ["junk"] + ls[7:], 8),            # header line without a comma
+        (lambda ls: ls[:12] + ls[13:], 13),                    # missing section line
+    ], ids=["truncated", "header-only", "short-row", "non-numeric", "long-row",
+            "no-r", "non-integer-r", "no-comma", "no-section"])
+    def test_malformed_file_names_its_line(self, tmp_path, edit, line):
+        path = tmp_path / "state.txt"
+        fileio.write_state(path, engine.VariationalState.initial(2, 2, 3), "a1", "poisson", 3)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ParseError) as info:
+            fileio.read_state(path)
+        assert info.value.line == line
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(1, 6), r=st.integers(1, 3), g=st.integers(1, 4), data=st.data())
+    def test_roundtrip_is_bit_exact(self, tmp_path, n, r, g, data):
+        state = engine.VariationalState.initial(n, r, g)
+        values = st.one_of(
+            st.floats(allow_nan=False),
+            st.sampled_from([1e300, -1e300, 1.7976931348623157e308, 5e-324, -5e-324,
+                             2.2250738585072014e-308, 1e-310, -0.0]))
+        state.params = data.draw(st.lists(values, min_size=state.params.size,
+                                          max_size=state.params.size))
+        path = tmp_path / "state.txt"
+        fileio.write_state(path, state, "a2", "bernoulli", 0)
+        back, _ = fileio.read_state(path)
+        assert (back.n, back.r, back.g) == (n, r, g)
+        assert back.params.tobytes() == state.params.tobytes()
 
 
 def run_cli(args):

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glmmvb import datasets, engine, model, recombine, simulate
 from glmmvb.exceptions import (
@@ -43,14 +45,30 @@ class TestPartition:
         with pytest.raises(InvalidVError):
             recombine.partition(5, 6, seed=0)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 60), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_covers_every_subject_once_in_balanced_parts(self, n, data, seed):
+        V = data.draw(st.integers(1, n))
+        parts = recombine.partition(n, V, seed)
+        sizes = [len(p) for p in parts]
+        assert len(parts) == V and max(sizes) - min(sizes) <= 1
+        np.testing.assert_array_equal(np.sort(np.concatenate(parts)), np.arange(n))
+
 
 class TestCombine:
-    def test_single_factor_unchanged(self, rng):
-        f = recombine.GaussianFactor(rng.standard_normal(3), random_spd(rng, 3))
-        prior = recombine.GaussianFactor(np.zeros(3), 100 * np.eye(3))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-8, 1.0, 1e6]))
+    def test_single_factor_unchanged(self, k, seed, scale):
+        rng = np.random.default_rng(seed)
+        f = recombine.GaussianFactor(scale * rng.standard_normal(k),
+                                     random_spd(rng, k, scale=scale))
+        prior = recombine.GaussianFactor(rng.standard_normal(k), 100 * random_spd(rng, k))
         out = recombine.combine([f], prior)
         np.testing.assert_array_equal(out.mean, f.mean)
         np.testing.assert_array_equal(out.cov, f.cov)
+        assert out.mean.tobytes() == f.mean.tobytes() and out.cov.tobytes() == f.cov.tobytes()
+        assert not np.shares_memory(out.mean, f.mean) and not np.shares_memory(out.cov, f.cov)
 
     def test_scalar_example(self):
         prior = recombine.GaussianFactor([0.0], [[100.0]])
