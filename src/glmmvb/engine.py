@@ -11,6 +11,7 @@ iteration is scheduled.
 """
 
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -80,6 +81,9 @@ class FitConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.estimator not in ("L1", "L2", "L3"):
             raise ConfigError(f"unknown estimator {self.estimator!r}")
+        counts = (self.max_iter, self.window, self.tau, self.final_elbo_draws)
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in counts):
+            raise ConfigError("max_iter, window, tau and final_elbo_draws must be integers")
         if self.max_iter < 1 or self.window < 1 or self.tau < 2:
             raise ConfigError("limits must be positive (tau >= 2)")
         if not (math.isfinite(self.adam_alpha) and self.adam_alpha > 0
@@ -297,7 +301,8 @@ def step(data, prior, config, state, adam, t, draws=None, modes=None):
     The draws are those of stream(config.seed, LANE_FIT, t), taken from
     `draws`, the fit's LaneStream of that stream, when given. `modes`, an
     (n, r) array, is where the a2 mode search starts; the step overwrites
-    it with the modes it found (None: start from the least-squares guess).
+    it with the modes it found (None: start from a1's lambda at the drawn
+    theta_G).
     A recoverable numeric failure (overflow guard, failed factorization,
     failed mode search) retries once with a fresh draw from the same
     iteration stream and the same start; a second failure, a non-finite
@@ -416,9 +421,10 @@ def fit(data, prior, config=None, **overrides):
     adam = AdamState.zeros(state.params.size)
 
     draws = LaneStream(config.seed, LANE_FIT)
-    # a2: each step's mode search starts from the modes the previous step found
-    modes = (reparam.nr_init(data, state.split(state.mu)[1][:data.p])
-             if config.method == "a2" else None)
+    # a2: each step's mode search starts from the modes the previous step
+    # found, the first from a1's lambda at the initial theta_G
+    gp0 = _global_params(data, prior, state.split(state.mu)[1])
+    modes = reparam.transform_a1(data, gp0).lam if config.method == "a2" else None
     t_start = time.perf_counter()
     means = []
     acc = 0.0

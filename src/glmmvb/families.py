@@ -49,12 +49,14 @@ class Family:
         raise NotImplementedError
 
     def validate(self, y, trials=None, lines=None):
-        """Raise InvalidResponseError on responses outside the support."""
+        """Raise InvalidResponseError on responses outside the support, naming
+        the first of `lines` (an array like y) that holds one."""
         raise NotImplementedError
 
-    def _bad(self, idx, lines, message):
-        line = int(lines[idx]) if lines is not None else int(idx) + 1
-        raise InvalidResponseError(self.name, line, message)
+    def _bad(self, bad, lines, message):
+        """Raise for the first line where bad holds (position + 1 without lines)."""
+        line = lines[bad].min() if lines is not None else np.argmax(bad) + 1
+        raise InvalidResponseError(self.name, int(line), message)
 
     def __repr__(self):
         return f"{type(self).__name__}()"
@@ -87,7 +89,7 @@ class Poisson(Family):
         y = np.asarray(y, dtype=float)
         bad = ~np.isfinite(y) | (y < 0) | (y != np.round(y))
         if np.any(bad):
-            self._bad(np.argmax(bad), lines, "expected a nonnegative integer count")
+            self._bad(bad, lines, "expected a nonnegative integer count")
 
 
 class Binomial(Family):
@@ -136,10 +138,10 @@ class Binomial(Family):
         m = self._trials(y, trials)
         bad = ~np.isfinite(m) | (m < 1) | (m != np.round(m))
         if np.any(bad):
-            self._bad(np.argmax(bad), lines, "trial count must be a positive integer")
+            self._bad(bad, lines, "trial count must be a positive integer")
         bad = ~np.isfinite(y) | (y < 0) | (y > m) | (y != np.round(y))
         if np.any(bad):
-            self._bad(np.argmax(bad), lines, "expected an integer in [0, trials]")
+            self._bad(bad, lines, "expected an integer in [0, trials]")
 
 
 class Bernoulli(Binomial):
@@ -153,7 +155,7 @@ class Bernoulli(Binomial):
         y = np.asarray(y, dtype=float)
         bad = ~np.isfinite(y) | ((y != 0) & (y != 1))
         if np.any(bad):
-            self._bad(np.argmax(bad), lines, "expected 0 or 1")
+            self._bad(bad, lines, "expected 0 or 1")
 
 
 class GaussianUnit(Family):
@@ -186,7 +188,7 @@ class GaussianUnit(Family):
         y = np.asarray(y, dtype=float)
         bad = ~np.isfinite(y)
         if np.any(bad):
-            self._bad(np.argmax(bad), lines, "expected a finite real")
+            self._bad(bad, lines, "expected a finite real")
 
 
 POISSON = Poisson()

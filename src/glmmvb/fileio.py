@@ -71,7 +71,6 @@ def load_csv(path, family, group_col, fixed_cols, random_cols,
         raise ParseError(1, "no data rows")
     values = np.array(rows)
     k = 1 + bool(trials_col)  # first design column of `values`
-    fam.validate(values[:, 0], values[:, 1] if trials_col else None, lines=lines)
 
     # scatter row t to (group[t], its rank among its group's rows)
     group = np.array(group)
@@ -94,7 +93,7 @@ def load_csv(path, family, group_col, fixed_cols, random_cols,
     return model.Dataset(fam, y, X, Z, trials, n_obs,
                          x_names=["intercept"] * add_x + fixed_cols,
                          z_names=["intercept"] * add_z + random_cols,
-                         group_labels=list(group_of))
+                         group_labels=list(group_of), lines=padded(0, np.array(lines)))
 
 
 def read_prior_file(path, r):

@@ -46,10 +46,12 @@ class Dataset:
     Z : (n, J, r) random-effect designs, padded rows zero
     trials : (n, J) binomial trial counts (ones elsewhere)
     n_obs : (n,) observations per subject
+    lines : (n, J) file line of each observation, named in response errors
+        (by default the observation's position among the unpadded rows)
     """
 
     def __init__(self, family, y, X, Z, trials=None, n_obs=None,
-                 x_names=None, z_names=None, group_labels=None):
+                 x_names=None, z_names=None, group_labels=None, lines=None):
         y = np.asarray(y, dtype=float)
         X = np.asarray(X, dtype=float)
         Z = np.asarray(Z, dtype=float)
@@ -65,10 +67,11 @@ class Dataset:
         if np.any(n_obs < 1):
             raise DataError("every subject needs at least one observation")
         mask = (np.arange(J)[None, :] < n_obs[:, None]).astype(float)
+        obs = mask > 0
+        family.validate(y[obs], trials[obs], None if lines is None else np.asarray(lines)[obs])
         for name, arr in (("X", X), ("Z", Z)):
             if not np.all(np.isfinite(arr)):
                 raise DataError(f"non-finite entries in {name}")
-        family.validate(y[mask > 0], trials[mask > 0])
         self.family = family
         self.y = y
         self.X = X

@@ -7,7 +7,7 @@ conditional posterior of b_i given the global parameters:
   regularized per-observation natural-parameter estimate (finite even on
   the support boundary), combined with the random-effects prior;
 * method "a2": expansion about the conditional posterior mode, found by
-  Newton-Raphson with step halving.
+  Newton-Raphson with step halving, started from a1's lambda.
 
 Everything broadcasts over leading batch dimensions of the global
 parameters (one global draw during fitting, many during posterior
@@ -50,46 +50,8 @@ class Transforms:
         return np.log(diag).sum(axis=(-1, -2))
 
 
-def _nr_init_cache(data):
-    """Solve operator for the least-squares Newton initializer (data only)."""
-    if "nr_init" not in data.cache:
-        G = np.einsum("njr,njs->nrs", data.Z, data.Z)
-        eig = np.linalg.eigvalsh(G)
-        singular = eig[:, 0] <= 1e-10 * np.maximum(eig[:, -1], 1.0)
-        G = G + (1e-8 * singular[:, None, None]) * np.eye(data.r)
-        data.cache["nr_init"] = (G, data.n_obs < data.r)
-    return data.cache["nr_init"]
-
-
-def nr_init(data, beta):
-    """Starting values for the mode search.
-
-    Least-squares fit of the regularized natural-parameter estimates,
-    b0 = (Z'Z)^{-1} Z'(eta_hat - X beta); zero where a subject has fewer
-    observations than random effects. A tiny ridge is added when Z'Z is
-    numerically singular.
-    """
-    G, too_small = _nr_init_cache(data)
-    resid = data.mask * (data.eta_hat_reg() - np.einsum("njp,...p->...nj", data.X, beta))
-    rhs = np.einsum("njr,...nj->...nr", data.Z, resid)
-    b0 = np.linalg.solve(G, rhs[..., None])[..., 0]
-    return np.where(too_small[:, None], 0.0, b0)
-
-
 # ---------------------------------------------------------------------------
 # method a1
-
-
-def _a1_expansion(data, eta_hat):
-    """The parts of the a1 expansion about eta_hat that do not depend on
-    theta_G: Z'HZ, Z'{y - g + H eta_hat} and Z'HX, H = mask * h''(eta_hat)."""
-    fam = data.family
-    w = data.mask * fam.h2(eta_hat, data.trials)
-    K = np.einsum("njr,...nj,njs->...nrs", data.Z, w, data.Z)
-    resid = data.mask * (data.y - fam.h1(eta_hat, data.trials)) + w * eta_hat
-    c = np.einsum("njr,...nj->...nr", data.Z, resid)
-    ZWX = np.einsum("njr,...nj,njp->...nrp", data.Z, w, data.X)
-    return K, c, ZWX
 
 
 def _assemble(precision):
@@ -99,24 +61,27 @@ def _assemble(precision):
     return Lam, matcalc.cholesky(Lam)
 
 
-def transform_a1(data, gp, eta_hat=None):
-    """Transforms from the Taylor expansion about eta_hat, by default the
-    regularized estimates (whose expansion is cached on the dataset).
+def transform_a1(data, gp):
+    """Transforms from the Taylor expansion about the regularized estimates
+    eta_hat, H = mask * h''(eta_hat); the parts that do not depend on
+    theta_G are cached on the dataset.
 
     Lambda_i = (Omega + Z'H(eta_hat)Z)^{-1},
     lambda_i = Lambda_i Z'{y - g(eta_hat) + H(eta_hat)(eta_hat - X beta)}.
     """
-    if eta_hat is not None:
-        K, c, ZWX = _a1_expansion(data, eta_hat)
-    else:
-        eta_hat = data.eta_hat_reg()
-        if "a1" not in data.cache:
-            data.cache["a1"] = _a1_expansion(data, eta_hat)
-        K, c, ZWX = data.cache["a1"]
+    if "a1" not in data.cache:
+        # the parts free of theta_G: Z'HZ, Z'{y - g + H eta_hat} and Z'HX
+        fam, eta_hat = data.family, data.eta_hat_reg()
+        w = data.mask * fam.h2(eta_hat, data.trials)
+        resid = data.mask * (data.y - fam.h1(eta_hat, data.trials)) + w * eta_hat
+        data.cache["a1"] = (np.einsum("njr,nj,njs->nrs", data.Z, w, data.Z),
+                            np.einsum("njr,nj->nr", data.Z, resid),
+                            np.einsum("njr,nj,njp->nrp", data.Z, w, data.X))
+    K, c, ZWX = data.cache["a1"]
     Lam, L = _assemble(gp.Omega[..., None, :, :] + K)
     rhs = c - np.einsum("...nrp,...p->...nr", ZWX, gp.beta)
     lam = np.einsum("...nrs,...ns->...nr", Lam, rhs)
-    return Transforms("a1", lam, L, Lam, base_eta=eta_hat)
+    return Transforms("a1", lam, L, Lam, base_eta=data.eta_hat_reg())
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +119,15 @@ def transform_a2(data, gp, start=None):
     global-parameter gradient formulas differentiate the mode implicitly,
     which requires the stationarity equation to hold tightly). The search
     starts from start, (n, r) or broadcastable to the batch, when given
-    (a fit passes the previous step's modes), and from nr_init otherwise.
+    (a fit passes the previous step's modes), and otherwise from a1's
+    lambda, the mean of the same Gaussian approximation taken about the
+    regularized estimates instead of the mode.
     Each point is evaluated once: the accepted candidate's h' and h'' give
     the next gradient and precision.
     """
     Omega = gp.Omega
     Xbeta = np.einsum("njp,...p->...nj", data.X, gp.beta)
-    b = np.broadcast_to(nr_init(data, gp.beta) if start is None else start,
+    b = np.broadcast_to(transform_a1(data, gp).lam if start is None else start,
                         np.broadcast_shapes(Xbeta.shape[:-1] + (data.r,),
                                             Omega.shape[:-2] + (data.n, data.r))).copy()
     eta, h, h1, h2 = _evaluate(data, Xbeta, b)

@@ -163,12 +163,12 @@ def transform_a2(data, gp, start=None):
     """Reference a2 transforms: Newton-Raphson with per-subject step halving
     that recomputes eta, h'(eta) and h''(eta) at every accepted point, the
     log-likelihood at every candidate, and the precision by a three-operand
-    contraction. Starts from start, or from reparam.nr_init when None, and
+    contraction. Starts from start, or from a1's lambda when None, and
     reads the reparam.NR_* settings at call time."""
     fam = data.family
     Omega = gp.Omega
     Xbeta = np.einsum("njp,...p->...nj", data.X, gp.beta)
-    b0 = reparam.nr_init(data, gp.beta) if start is None else start
+    b0 = reparam.transform_a1(data, gp).lam if start is None else start
     b = np.broadcast_to(b0, np.broadcast_shapes(Xbeta.shape[:-1] + (data.r,),
                                                 Omega.shape[:-2] + (data.n, data.r))).copy()
     f = reparam._conditional_objective(data, Xbeta, Omega, b)

@@ -312,6 +312,7 @@ def test_c08_btilde_normalization(seeds_a2_fit, epilepsy1_a2_fit):
             assert 0.75 <= np.median(s.btilde_sd) <= 1.15
 
 
+@pytest.mark.slow
 def test_c09_simulation_recovery():
     with criterion(9, "simulated Poisson-II recovers (1.5, 0.5, 1.5) within 3 "
                       "posterior sds with |ELBO_a1 - ELBO_a2| < 1; Bernoulli-I "
@@ -337,6 +338,7 @@ def test_c09_simulation_recovery():
         assert time.perf_counter() - t0 < 600.0
 
 
+@pytest.mark.slow
 def test_c10_divide_and_recombine():
     with criterion(10, "Bernoulli n=1500, V=3, normal-omega prior: combined "
                        "global means within 0.05 of the full-data fit across 5 "

@@ -102,6 +102,20 @@ class TestFitConfig:
     def test_edge_settings_are_accepted(self):
         engine.FitConfig(adam_beta1=0.0, adam_beta2=0.0, final_elbo_draws=0)
 
+    # a float count never closes a window or breaks range(); a bool is not a count
+    @pytest.mark.parametrize("setting", [
+        {"max_iter": 1e3}, {"window": 10.5}, {"window": True}, {"tau": 5.0},
+        {"tau": True}, {"final_elbo_draws": 10.5}, {"final_elbo_draws": False},
+        {"max_iter": np.float64(100.0)}, {"window": np.bool_(True)},
+    ], ids=lambda setting: "{}={!r}".format(*next(iter(setting.items()))))
+    def test_rejects_counts_that_are_not_integers(self, setting):
+        with pytest.raises(ConfigError):
+            engine.FitConfig(**setting)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        engine.FitConfig(max_iter=np.int64(100), window=np.int32(10), tau=np.int8(3),
+                         final_elbo_draws=np.uint16(0))
+
 
 class TestDrawSample:
     def test_zero_draw_returns_mean(self, rng):

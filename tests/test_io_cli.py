@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from glmmvb import cli, datasets, engine, fileio, model, simulate
+from glmmvb import cli, datasets, engine, families, fileio, model, simulate
 from glmmvb.exceptions import (
     ConfigError,
     InvalidResponseError,
@@ -65,6 +65,25 @@ class TestLoadCsv:
         with pytest.raises(InvalidResponseError) as err:
             fileio.load_csv(str(p), "poisson", "group", [], [])
         assert err.value.line == 3
+
+    def test_reports_first_bad_trial_count_of_the_file(self, tmp_path):
+        # groups b, a, c in file order; the bad trial counts are c's line 4 and
+        # a's line 5, so a comes before c among the subjects but after it in
+        # the file; b's line 6 has a bad response, checked after the trials
+        p = tmp_path / "trials.csv"
+        p.write_text("group,y,m\nb,1,2\na,2,3\nc,1,0\na,1,2.5\nb,4,3\n")
+        with pytest.raises(InvalidResponseError) as err:
+            fileio.load_csv(str(p), "binomial", "group", [], [], trials_col="m")
+        assert err.value.line == 4
+
+    def test_validates_each_load_once(self, monkeypatch):
+        calls = []
+        validate = families.Binomial.validate
+        monkeypatch.setattr(families.Binomial, "validate",
+                            lambda *args, **kw: calls.append(1) or validate(*args, **kw))
+        fileio.load_csv(datasets.fixture_path("seeds.csv"), "binomial", "plate",
+                        ["seed", "extract"], [], response_col="germinated", trials_col="total")
+        assert len(calls) == 1
 
     def test_blank_rows_skipped(self, tmp_path):
         p = tmp_path / "gaps.csv"

@@ -35,6 +35,19 @@ def closed_form_lmm(data, gp):
     return np.array(lams), np.array(Lams)
 
 
+def assert_stationary(data, gp, lam):
+    """The modes lam solve Z'(y - g(X beta + Z b)) = Omega b, subject by subject."""
+    fam, Omega = data.family, gp.omega_matrix()
+    for i in range(data.n):
+        k = int(data.n_obs[i])
+        Z, X, y = data.Z[i, :k], data.X[i, :k], data.y[i, :k]
+        m = data.trials[i, :k]
+        eta = X @ gp.beta + Z @ lam[i]
+        resid = Z.T @ (y - fam.h1(eta, m)) - Omega @ lam[i]
+        scale = 1.0 + np.abs(Omega @ lam[i]).max()
+        assert np.abs(resid).max() < 1e-8 * scale
+
+
 class TestTransformA1:
     def test_gaussian_reduces_to_closed_form(self):
         data = model.Dataset.from_lists(families.GAUSSIAN_UNIT, [[1.0, 3.0]],
@@ -119,16 +132,38 @@ class TestTransformA2:
         for fam in (families.POISSON, families.BERNOULLI):
             data = random_dataset(rng, fam, r=2, n=4, p=2)
             gp = random_gp(rng, 2, 2)
+            assert_stationary(data, gp, reparam.transform_a2(data, gp).lam)
+
+    # subjects whose Z'Z is singular: Omega + Z'HZ is still SPD, so the
+    # search from a1's lambda needs no special case for them
+    @pytest.mark.parametrize("fam", [families.POISSON, families.BINOMIAL],
+                             ids=lambda f: f.name)
+    @pytest.mark.parametrize("kind", ["fewer-observations-than-effects", "collinear-columns"])
+    def test_singular_design_subjects(self, rng, fam, kind):
+        x = rng.standard_normal(4)
+        if kind == "fewer-observations-than-effects":
+            # one observation for r = 2, beside a subject with four
+            Z_list = [[[1.0, 0.5]], np.column_stack([np.ones(4), x])]
+        else:
+            # the second column is twice the first
+            Z_list = [np.column_stack([np.ones(3), 2.0 * np.ones(3)]),
+                      np.column_stack([x, 2.0 * x])]
+        y_list = [rng.integers(0, 4, len(z)).astype(float) for z in Z_list]
+        X_list = [np.column_stack([np.ones(len(z)), rng.standard_normal(len(z))])
+                  for z in Z_list]
+        trials = [np.full(len(z), 4.0) for z in Z_list]
+        data = model.Dataset.from_lists(fam, y_list, X_list, Z_list, trials)
+        for lead in ((), (3,)):
+            gp = model.GlobalParams(0.5 * rng.standard_normal(lead + (2,)),
+                                    0.5 * rng.standard_normal(lead + (3,)), 2)
             t = reparam.transform_a2(data, gp)
-            Omega = gp.omega_matrix()
-            for i in range(data.n):
-                k = int(data.n_obs[i])
-                Z, X, y = data.Z[i, :k], data.X[i, :k], data.y[i, :k]
-                m = data.trials[i, :k]
-                eta = X @ gp.beta + Z @ t.lam[i]
-                resid = Z.T @ (y - fam.h1(eta, m)) - Omega @ t.lam[i]
-                scale = 1.0 + np.abs(Omega @ t.lam[i]).max()
-                assert np.abs(resid).max() < 1e-8 * scale
+            want = oracles.transform_a2(data, gp)
+            for field in ("lam", "L", "Lambda", "base_eta"):
+                np.testing.assert_allclose(getattr(t, field), getattr(want, field),
+                                           rtol=REFERENCE_TOL, atol=REFERENCE_TOL)
+            for k in np.ndindex(lead):
+                gp_k = model.GlobalParams(gp.beta[k], gp.omega[k], 2)
+                assert_stationary(data, gp_k, t.lam[k])
 
     def test_objective_monotone_over_iterations(self, rng):
         # re-run the mode search manually with the public pieces and check
@@ -137,7 +172,7 @@ class TestTransformA2:
         gp = random_gp(rng, 2, 2)
         Omega = gp.omega_matrix()
         Xbeta = np.einsum("njp,p->nj", data.X, gp.beta)
-        b = reparam.nr_init(data, gp.beta)
+        b = reparam.transform_a1(data, gp).lam
         prev = reparam._conditional_objective(data, Xbeta, Omega, b)
         t = reparam.transform_a2(data, gp)
         final = reparam._conditional_objective(data, Xbeta, Omega, t.lam)
@@ -162,7 +197,7 @@ class TestModeSearchAgainstReference:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(famname=st.sampled_from(["poisson", "bernoulli", "binomial"]),
            r=st.integers(1, 3), batched=st.booleans(),
-           start_kind=st.sampled_from(["least-squares", "warm", "perturbed"]),
+           start_kind=st.sampled_from(["default", "warm", "perturbed"]),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_reference_loop(self, halvings, famname, r, batched, start_kind, seed):
         rng = np.random.default_rng(seed)
@@ -171,7 +206,7 @@ class TestModeSearchAgainstReference:
         gp = model.GlobalParams(0.5 * rng.standard_normal(lead + (2,)),
                                 0.5 * rng.standard_normal(lead + (matcalc.half_len(r),)), r)
         start = None
-        if start_kind != "least-squares":
+        if start_kind != "default":
             # the mode at a nearby theta_G, as a fit's previous step leaves it
             # (one theta_G, so batched cases broadcast it)
             beta, omega = gp.beta.reshape(-1, 2)[0], gp.omega.reshape(-1, gp.omega.shape[-1])[0]
@@ -206,29 +241,6 @@ class TestModeSearchAgainstReference:
             assert (_outcome(reparam.transform_a2, data, gp, start)
                     == _outcome(oracles.transform_a2, data, gp, start)
                     == ModeSearchFailedError)
-
-
-class TestNewtonInit:
-    def test_zero_when_too_few_observations(self, rng):
-        data = model.Dataset.from_lists(families.POISSON, [[2.0]], [[[1.0]]],
-                                        [[[1.0, 0.5]]])
-        b0 = reparam.nr_init(data, np.array([0.1]))
-        np.testing.assert_array_equal(b0, np.zeros((1, 2)))
-
-    def test_mean_when_intercept_only(self):
-        data = model.Dataset.from_lists(families.GAUSSIAN_UNIT, [[1.0, 3.0]],
-                                        [[[0.0], [0.0]]], [[[1.0], [1.0]]])
-        b0 = reparam.nr_init(data, np.array([0.0]))
-        np.testing.assert_allclose(b0, [[2.0]], atol=1e-7)
-
-    def test_orthonormal_projection(self, rng):
-        Z = np.linalg.qr(rng.standard_normal((5, 2)))[0]
-        y = rng.standard_normal(5)
-        data = model.Dataset.from_lists(families.GAUSSIAN_UNIT, [y],
-                                        [np.zeros((5, 1))], [Z])
-        b0 = reparam.nr_init(data, np.array([0.0]))
-        eta_hat = data.eta_hat_reg()[0]
-        np.testing.assert_allclose(b0[0], Z.T @ eta_hat, atol=1e-7)
 
 
 class TestApplyInvert:
@@ -267,6 +279,26 @@ class TestStructuralProperties:
             np.testing.assert_allclose(t.L @ np.swapaxes(t.L, -1, -2), t.Lambda,
                                        atol=1e-10)
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(famname=st.sampled_from([f.name for f in ALL_FAMILIES]), r=st.integers(1, 3),
+           method=st.sampled_from(reparam.METHODS), batched=st.booleans(),
+           few_obs=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_lambda_is_spd_with_its_cholesky_factor(self, famname, r, method, batched,
+                                                    few_obs, seed):
+        # few_obs: every subject has fewer observations than random effects (r > 1)
+        rng = np.random.default_rng(seed)
+        data = random_dataset(rng, families.by_name(famname), r=r, n=3, p=2,
+                              ni_max=max(r - 1, 1) if few_obs else 5)
+        lead = (4,) if batched else ()
+        gp = model.GlobalParams(0.6 * rng.standard_normal(lead + (2,)),
+                                0.6 * rng.standard_normal(lead + (matcalc.half_len(r),)), r)
+        t = reparam.build_transforms(data, gp, method)
+        assert t.Lambda.shape == t.L.shape == lead + (data.n, r, r)
+        np.testing.assert_array_equal(t.Lambda, np.swapaxes(t.Lambda, -1, -2))
+        np.testing.assert_array_equal(t.L, np.tril(t.L))
+        assert np.all(np.diagonal(t.L, axis1=-2, axis2=-1) > 0)
+        np.testing.assert_allclose(t.L @ np.swapaxes(t.L, -1, -2), t.Lambda, rtol=1e-10)
+
     def test_gaussian_methods_coincide(self, rng):
         for _ in range(20):
             r = int(rng.integers(1, 4))
@@ -285,7 +317,8 @@ class TestStructuralProperties:
         data = model.Dataset.from_lists(families.POISSON, [[0.0, 0.0]],
                                         [[[0.3], [0.4]]], [[[1.0], [0.7]]])
         gp = model.GlobalParams([0.25], [0.2], 1)
-        t = reparam.transform_a1(data, gp, np.full((1, 2), -30.0))
+        data.cache["eta_hat_reg"] = np.full((1, 2), -30.0)
+        t = reparam.transform_a1(data, gp)
         Om_inv = np.linalg.inv(gp.omega_matrix())
         assert np.abs(t.lam).max() < 1e-10
         assert np.abs(t.Lambda[0] - Om_inv).max() < 1e-10
