@@ -82,7 +82,9 @@ def value_and_grad(data, gp, b_tilde, method, prior, transforms=None):
     t1 = np.einsum("...nrs,...ns->...nr", Lam, a)
 
     zt1 = np.einsum("njr,...nr->...nj", data.Z, t1)
-    weight = data.mask * data.family.h2(transforms.base_eta, data.trials)
+    weight = transforms.weight
+    if weight is None:  # a2: h'' at the mode
+        weight = data.mask * data.family.h2(transforms.base_eta, data.trials)
     beta_grad = (np.einsum("njp,...nj->...p", data.X, resid - weight * zt1 - alpha)
                  - gp.beta / prior.sigma_beta2)
 

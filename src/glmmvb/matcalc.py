@@ -46,22 +46,125 @@ def halfvec(a):
     return a[..., rows, cols]
 
 
+def _require(ok):
+    """Raise NotPositiveDefiniteError unless ok holds everywhere."""
+    if not ok.all():
+        raise NotPositiveDefiniteError("matrix is not positive definite")
+
+
+def _lapack(routine, *args):
+    """A numpy.linalg routine whose LinAlgError becomes NotPositiveDefiniteError."""
+    try:
+        return routine(*args)
+    except np.linalg.LinAlgError as err:
+        raise NotPositiveDefiniteError(str(err)) from None
+
+
+# A 2 x 2 determinant a d - b^2 carries a rounding error of a few eps * a d,
+# more when the entries are themselves sums of products; below this share of
+# a d the block is singular to working precision (its correlation is 1 to
+# within round-off), where LAPACK's last pivot has the sign of its round-off.
+SINGULAR_RTOL = 16 * np.finfo(float).eps
+
+
+def _sym_entries(s):
+    """(a, b, d) of the symmetric part [[a, b], [b, d]] of 2 x 2 blocks."""
+    return s[..., 0, 0], 0.5 * (s[..., 1, 0] + s[..., 0, 1]), s[..., 1, 1]
+
+
+def _sym_det(s):
+    """(a, b, d, det) of the symmetric part of 2 x 2 blocks; raises unless
+    a > 0 and det exceeds SINGULAR_RTOL * a d."""
+    a, b, d = _sym_entries(s)
+    ad = a * d
+    det = ad - b * b
+    _require((a > 0) & (det > SINGULAR_RTOL * ad))
+    return a, b, d, det
+
+
 def cholesky(s):
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
     The input is symmetrized first; matrices assembled from floating point
-    products are symmetric only to round-off. Raises
-    NotPositiveDefiniteError when a leading minor is not positive, or when
-    the input contains non-finite entries. Batched over leading dims.
+    products are symmetric only to round-off. Closed forms for r <= 2 take
+    LAPACK's steps (the off-diagonal entry times the reciprocal pivot),
+    LAPACK above. Raises NotPositiveDefiniteError when a leading minor is
+    not positive, or when the input contains non-finite entries. Batched
+    over leading dims.
     """
     s = np.asarray(s, dtype=float)
-    s = 0.5 * (s + np.swapaxes(s, -1, -2))
-    try:
-        out = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError as err:
-        raise NotPositiveDefiniteError(str(err)) from None
-    if not np.all(np.isfinite(out)):
-        raise NotPositiveDefiniteError("non-finite Cholesky factor")
+    r = s.shape[-1]
+    if r == 1:
+        _require((s > 0) & (s < np.inf))
+        return np.sqrt(s)
+    if r > 2:
+        out = _lapack(np.linalg.cholesky, 0.5 * (s + np.swapaxes(s, -1, -2)))
+        _require(np.isfinite(out))
+        return out
+    a, b, d = _sym_entries(s)
+    _require((a > 0) & (a < np.inf))
+    out = np.empty_like(s)
+    l11 = out[..., 0, 0] = np.sqrt(a)
+    l21 = out[..., 1, 0] = b * (1.0 / l11)
+    piv = d - l21 * l21  # non-finite b or d make it -inf, inf or nan
+    _require((piv > 0) & (piv < np.inf))
+    out[..., 1, 1] = np.sqrt(piv)
+    out[..., 0, 1] = 0.0
+    return out
+
+
+def spd_inv(s):
+    """Symmetric inverse of a symmetric positive definite matrix.
+
+    Closed forms for r <= 2 (1/x; the adjugate of the symmetric part over
+    its determinant), LAPACK's inverse symmetrized above. Raises
+    NotPositiveDefiniteError for a singular matrix, a non-finite input or
+    result, and for r <= 2 also a pivot that is not positive or a
+    determinant within round-off of zero (see SINGULAR_RTOL). Batched over
+    leading dims.
+    """
+    s = np.asarray(s, dtype=float)
+    r = s.shape[-1]
+    if r == 1:
+        _require((s > 0) & (s < np.inf))
+        out = 1.0 / s
+    elif r == 2:
+        a, b, d, det = _sym_det(s)
+        out = np.empty_like(s)
+        out[..., 0, 0] = d
+        out[..., 1, 0] = out[..., 0, 1] = -b
+        out[..., 1, 1] = a
+        out /= det[..., None, None]
+    else:
+        out = _lapack(np.linalg.inv, s)
+        out = 0.5 * (out + np.swapaxes(out, -1, -2))
+    _require(np.isfinite(out))
+    return out
+
+
+def spd_solve(s, b):
+    """x with S x = b for symmetric positive definite S (..., r, r) and
+    b (..., r) of the same leading shape.
+
+    Closed forms for r <= 2 (b/x; the adjugate of the symmetric part over
+    its determinant), LAPACK's general solve above. Raises
+    NotPositiveDefiniteError as spd_inv does.
+    """
+    s = np.asarray(s, dtype=float)
+    r = s.shape[-1]
+    if r == 1:
+        _require((s > 0) & (s < np.inf))
+        out = b / s[..., 0]
+    elif r == 2:
+        a, c, d, det = _sym_det(s)
+        b0, b1 = b[..., 0], b[..., 1]
+        out = np.empty(b.shape)
+        out[..., 0] = d * b0 - c * b1
+        out[..., 1] = a * b1 - c * b0
+        out /= det[..., None]
+    else:
+        out = _lapack(np.linalg.solve, s, b[..., None])[..., 0]
+    _require(np.isfinite(out))
     return out
 
 

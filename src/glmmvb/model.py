@@ -246,8 +246,7 @@ class WishartPrior:
         _check_sigma_beta2(self.sigma_beta2)
         self.S = np.atleast_2d(np.asarray(self.S, dtype=float))
         matcalc.cholesky(self.S)  # must be SPD
-        self.S_inv = np.linalg.inv(self.S)
-        self.S_inv = 0.5 * (self.S_inv + self.S_inv.T)
+        self.S_inv = matcalc.spd_inv(self.S)
         r = self.S.shape[0]
         if not self.nu > r - 1:
             raise ConfigError("Wishart degrees of freedom must exceed r - 1")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine, model, reparam
+from . import engine, matcalc, model, reparam
 from .exceptions import ZeroSdError
 
 SIM_CHUNK = 2000  # draws per chunk
@@ -40,7 +40,7 @@ class PosteriorSummary:
 def _scales_from_omega(omega, r):
     """Per-draw derived scale parameters from omega draws (B, g2)."""
     gp = model.GlobalParams(np.zeros(omega.shape[:-1] + (0,)), omega, r)
-    cov = np.linalg.inv(gp.omega_matrix())
+    cov = matcalc.spd_inv(gp.omega_matrix())
     idx = np.arange(r)
     sig = np.sqrt(cov[..., idx, idx])
     if r == 1:

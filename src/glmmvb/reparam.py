@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcalc
-from .exceptions import ConfigError, ModeSearchFailedError, NotPositiveDefiniteError
+from .exceptions import ConfigError, ModeSearchFailedError
 
 NR_MAX_ITER = 100
 NR_TOL = 1e-11
@@ -39,6 +39,7 @@ class Transforms:
     L: np.ndarray        # (..., n, r, r) lower, positive diagonal
     Lambda: np.ndarray   # (..., n, r, r) SPD
     base_eta: np.ndarray | None = None  # (..., n, J) Taylor expansion point
+    weight: np.ndarray | None = None    # (n, J) mask * h''(base_eta), a1 only
 
     def invert(self, b_tilde):
         """b = L b~ + lambda."""
@@ -56,15 +57,15 @@ class Transforms:
 
 def _assemble(precision):
     """Lambda = precision^{-1} (symmetrized) and its Cholesky factor."""
-    Lam = np.linalg.inv(precision)
-    Lam = 0.5 * (Lam + np.swapaxes(Lam, -1, -2))
+    Lam = matcalc.spd_inv(precision)
     return Lam, matcalc.cholesky(Lam)
 
 
 def transform_a1(data, gp):
     """Transforms from the Taylor expansion about the regularized estimates
     eta_hat, H = mask * h''(eta_hat); the parts that do not depend on
-    theta_G are cached on the dataset.
+    theta_G are cached on the dataset, among them the weight
+    mask * h''(eta_hat), which the transforms carry for the gradient.
 
     Lambda_i = (Omega + Z'H(eta_hat)Z)^{-1},
     lambda_i = Lambda_i Z'{y - g(eta_hat) + H(eta_hat)(eta_hat - X beta)}.
@@ -76,12 +77,12 @@ def transform_a1(data, gp):
         resid = data.mask * (data.y - fam.h1(eta_hat, data.trials)) + w * eta_hat
         data.cache["a1"] = (np.einsum("njr,nj,njs->nrs", data.Z, w, data.Z),
                             np.einsum("njr,nj->nr", data.Z, resid),
-                            np.einsum("njr,nj,njp->nrp", data.Z, w, data.X))
-    K, c, ZWX = data.cache["a1"]
+                            np.einsum("njr,nj,njp->nrp", data.Z, w, data.X), w)
+    K, c, ZWX, w = data.cache["a1"]
     Lam, L = _assemble(gp.Omega[..., None, :, :] + K)
     rhs = c - np.einsum("...nrp,...p->...nr", ZWX, gp.beta)
     lam = np.einsum("...nrs,...ns->...nr", Lam, rhs)
-    return Transforms("a1", lam, L, Lam, base_eta=data.eta_hat_reg())
+    return Transforms("a1", lam, L, Lam, base_eta=data.eta_hat_reg(), weight=w)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +143,7 @@ def transform_a2(data, gp, start=None):
         active = gnorm > NR_TOL * scale
         if it == NR_MAX_ITER or not active.any():
             break
-        step = np.linalg.solve(P, grad[..., None])[..., 0]
+        step = matcalc.spd_solve(P, grad)
         t = active.astype(float)
         for _ in range(NR_MAX_HALVINGS + 1):
             cand = b + t[..., None] * step
@@ -173,8 +174,4 @@ def build_transforms(data, gp, method, start=None):
     search's starting point (see transform_a2), unused by a1."""
     if method not in METHODS:
         raise ConfigError(f"unknown transform method {method!r}")
-    try:
-        return transform_a1(data, gp) if method == "a1" else transform_a2(data, gp, start)
-    except np.linalg.LinAlgError as err:
-        # overflowed omega / corrupted theta_G: same recoverable category
-        raise NotPositiveDefiniteError(str(err)) from None
+    return transform_a1(data, gp) if method == "a1" else transform_a2(data, gp, start)

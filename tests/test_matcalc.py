@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glmmvb import matcalc
 from glmmvb.exceptions import NotPositiveDefiniteError
@@ -115,6 +117,143 @@ class TestCholesky:
             L = matcalc.cholesky(s)
             err = np.abs(L @ L.T - s).max() / np.abs(s).max()
             assert err < 1e-12
+
+
+def _solve(s, b=None):
+    return matcalc.spd_solve(s, np.ones(s.shape[:-1]) if b is None else b)
+
+
+SMALL_KERNELS = {"inv": matcalc.spd_inv, "cholesky": matcalc.cholesky, "solve": _solve}
+
+
+def _spd_batch(rng, lead, r, log_cond, log_scale):
+    """Random SPD blocks: a random rotation of eigenvalues spread over up to
+    10^log_cond, times 10^log_scale."""
+    q, _ = np.linalg.qr(rng.standard_normal(lead + (r, r)))
+    log_eig = rng.uniform(0.0, log_cond, lead + (r,))
+    log_eig[..., 0] = log_cond  # every block as ill-conditioned as asked
+    log_eig[..., -1] = 0.0
+    s = (q * 10.0 ** (log_eig + log_scale)[..., None, :]) @ np.swapaxes(q, -1, -2)
+    return 0.5 * (s + np.swapaxes(s, -1, -2))
+
+
+def _lapack_fails(fn, *args):
+    """Whether a LAPACK routine raises or returns a non-finite result."""
+    try:
+        out = fn(*args)
+    except np.linalg.LinAlgError:
+        return True
+    return not np.all(np.isfinite(out))
+
+
+def _bad_block(rng, r, kind):
+    """A (r, r) block that is not numerically SPD."""
+    if kind == "singular":  # exactly: powers of two keep every step exact
+        z = 2.0 ** rng.integers(-3, 4, r) * rng.integers(1, 8, r)
+        z[0] = 2.0 ** rng.integers(-3, 4)
+        if r != 2:  # r = 3: a zero row, which LAPACK's LU meets as a zero pivot
+            z[-1] = 0.0
+        return np.outer(z, z)
+    s = _spd_batch(rng, (), r, 2.0, 0.0)
+    i, j = rng.integers(0, r, 2)
+    if kind == "indefinite":
+        q, _ = np.linalg.qr(rng.standard_normal((r, r)))
+        eig = 10.0 ** rng.uniform(-2, 2, r)
+        eig[i] = -eig[i]
+        return (q * eig) @ q.T
+    s[i, j] = s[j, i] = {"nan": np.nan, "inf": np.inf, "negative": -1.0}[kind]
+    if kind == "negative":
+        s[i, i] = -1.0
+    return s
+
+
+class TestSmallBlockKernels:
+    """Closed forms for r <= 2 against LAPACK, which serves r >= 3."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(r=st.integers(1, 3), lead=st.sampled_from([(), (5,), (3, 4)]),
+           log_cond=st.floats(0.0, 8.0), log_scale=st.floats(-30.0, 30.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_agree_with_lapack(self, r, lead, log_cond, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        s = _spd_batch(rng, lead, r, 0.0 if r == 1 else log_cond, log_scale)
+        b = rng.standard_normal(lead + (r,))
+        pairs = [(matcalc.spd_inv(s), np.linalg.inv(s)),
+                 (matcalc.cholesky(s), np.linalg.cholesky(s)),
+                 (matcalc.spd_solve(s, b), np.linalg.solve(s, b[..., None])[..., 0])]
+        if r == 1:
+            for got, want in pairs:
+                np.testing.assert_array_equal(got, want)
+            return
+        cond = np.linalg.cond(s)
+        for got, want in pairs:
+            err = np.abs(got - want).reshape(lead + (-1,)).max(axis=-1)
+            size = np.abs(want).reshape(lead + (-1,)).max(axis=-1)
+            assert np.all(err <= 1e-12 * cond * size)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(r=st.integers(1, 3), lead=st.sampled_from([(), (5,), (3, 4)]),
+           kind=st.sampled_from(["singular", "indefinite", "nan", "inf", "negative"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_raise_where_lapack_fails(self, r, lead, kind, seed):
+        # r <= 2: on a block that LAPACK's Cholesky rejects or factors to
+        # non-finite entries; r = 3: where the LAPACK routine itself fails
+        rng = np.random.default_rng(seed)
+        s = _spd_batch(rng, lead, r, 2.0, 0.0)
+        at = tuple(int(rng.integers(0, k)) for k in lead)
+        s[at] = _bad_block(rng, r, kind)
+        b = rng.standard_normal(lead + (r,))
+        chol_fails = _lapack_fails(np.linalg.cholesky, s)
+        want = {"cholesky": chol_fails,
+                "inv": chol_fails if r <= 2 else _lapack_fails(np.linalg.inv, s),
+                "solve": chol_fails if r <= 2 else _lapack_fails(np.linalg.solve, s, b[..., None])}
+        assert chol_fails or r == 3
+        for name, kernel in SMALL_KERNELS.items():
+            try:
+                kernel(s, b) if name == "solve" else kernel(s)
+                raised = False
+            except NotPositiveDefiniteError:
+                raised = True
+            assert raised == want[name], name
+
+    @pytest.mark.parametrize("name", SMALL_KERNELS)
+    @pytest.mark.parametrize("block", [
+        [[0.0]], [[-2.0]], [[np.nan]],
+        [[1.0, 2.0], [2.0, 4.0]], [[1.0, 2.0], [2.0, 1.0]], [[1.0, np.nan], [np.nan, 2.0]],
+        [[np.nan, 0.0], [0.0, 1.0]]],
+        ids=["singular1", "indefinite1", "nan1", "singular2", "indefinite2", "nan2", "nan2diag"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_non_spd_blocks_raise(self, name, block, batched):
+        s = np.array(block)
+        if batched:  # behind a good block
+            s = np.stack([np.eye(len(block)), s])
+        with pytest.raises(NotPositiveDefiniteError):
+            SMALL_KERNELS[name](s)
+
+    @pytest.mark.parametrize("name", ["inv", "solve"])
+    def test_rank_one_round_off_raises(self, name):
+        # z z' with an inexact product: singular to round-off, its computed
+        # determinant is a few eps * a d
+        z = np.array([1.0, 0.3])
+        s = 0.7 * np.outer(z, z)
+        assert abs(np.linalg.det(s)) < 1e-15
+        with pytest.raises(NotPositiveDefiniteError):
+            SMALL_KERNELS[name](s)
+
+    @pytest.mark.parametrize("block", [[[1e-310]], [[1e-310, 0.0], [0.0, 1.0]]],
+                             ids=["r1", "r2"])
+    def test_overflowing_inverse_raises(self, block):
+        # SPD with a finite Cholesky factor, but 1 / 1e-310 overflows
+        np.testing.assert_array_equal(np.isfinite(matcalc.cholesky(block)), True)
+        with pytest.raises(NotPositiveDefiniteError), np.errstate(over="ignore"):
+            matcalc.spd_inv(block)
+
+    def test_symmetric_results(self, rng):
+        s = _spd_batch(rng, (6,), 2, 4.0, 0.0)
+        s[..., 0, 1] += 1e-13  # symmetric to round-off only
+        inv = matcalc.spd_inv(s)
+        np.testing.assert_array_equal(inv, np.swapaxes(inv, -1, -2))
+        np.testing.assert_array_equal(matcalc.cholesky(s), np.tril(matcalc.cholesky(s)))
 
 
 class TestCholDiff:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glmmvb import families, matcalc, model, reparam
+from glmmvb import families, gradients, matcalc, model, reparam
 from glmmvb.exceptions import (
     ModeSearchFailedError,
     NotPositiveDefiniteError,
@@ -14,7 +14,7 @@ from glmmvb.exceptions import (
 )
 
 import oracles
-from conftest import ALL_FAMILIES, random_dataset, random_gp
+from conftest import ALL_FAMILIES, random_dataset, random_gp, random_wishart_prior
 
 import scipy.special as sc
 
@@ -346,3 +346,45 @@ class TestBuildFailures:
         gp = model.GlobalParams([0.1], [-800.0], 1)
         with pytest.raises(NotPositiveDefiniteError):
             reparam.build_transforms(data, gp, "a1")
+
+    # r = 2, a subject with one observation (n_i < r) and Omega = exp(-800)
+    # W W' = 0: that subject's precision z z' h'' is singular, its computed
+    # determinant zero or a round-off multiple of eps
+    @pytest.mark.parametrize("fam", [families.POISSON, families.BERNOULLI], ids=lambda f: f.name)
+    @pytest.mark.parametrize("z", [[1.0, 0.5], [1.0, 0.3], [1.0, 1.0], [1.0, 0.0], [1.0, -0.7]])
+    @pytest.mark.parametrize("method,start", [("a1", None), ("a2", None), ("a2", "zeros")])
+    def test_underflowed_omega_with_fewer_observations_than_effects(self, fam, z, method, start):
+        data = model.Dataset.from_lists(fam, [[1.0], [1.0, 0.0]], [[[1.0]], [[1.0], [1.0]]],
+                                        [[z], [[1.0, 0.2], [1.0, -0.4]]])
+        gp = model.GlobalParams([0.1], [-400.0, 0.0, -400.0], 2)
+        with pytest.raises(NotPositiveDefiniteError):
+            reparam.build_transforms(data, gp, method, None if start is None else np.zeros((2, 2)))
+
+
+def _no_lapack(*args, **kwargs):
+    raise AssertionError("LAPACK called on a block of order r <= 2")
+
+
+class TestSmallBlocksStayOffLapack:
+    """Builds and gradients at r <= 2 use matcalc's closed forms, and an a1
+    gradient takes h''(eta_hat) from the cache instead of recomputing it."""
+
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("method", reparam.METHODS)
+    @pytest.mark.parametrize("lead", [(), (4,)], ids=["single", "batched"])
+    def test_build_and_gradient(self, rng, r, method, lead):
+        data = random_dataset(rng, families.POISSON, r=r, n=4, p=2)
+        gp = model.GlobalParams(0.4 * rng.standard_normal(lead + (2,)),
+                                0.4 * rng.standard_normal(lead + (matcalc.half_len(r),)), r)
+        prior = random_wishart_prior(rng, r)
+        b_tilde = rng.standard_normal(lead + (data.n, r))
+        reparam.build_transforms(data, gp, "a1")  # fills the a1 cache
+        with mock.patch.multiple(np.linalg, inv=_no_lapack, cholesky=_no_lapack,
+                                 solve=_no_lapack), \
+                mock.patch.object(data.family, "h2", wraps=data.family.h2) as h2:
+            t = reparam.build_transforms(data, gp, method)
+            assert t.L.shape == lead + (data.n, r, r)
+            gradients.value_and_grad(data, gp, b_tilde, method, prior, t)
+            gradients.value_and_grad(data, gp, b_tilde, method, prior)
+        if method == "a1":
+            assert h2.call_count == 0
