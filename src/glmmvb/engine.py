@@ -295,28 +295,31 @@ def _global_params(data, prior, glob):
     return model.GlobalParams(beta, omega, data.r)
 
 
-def step(data, prior, config, state, adam, t, draws=None, modes=None):
+def step(data, prior, config, state, adam, t, draws=None, anchor=None):
     """One stochastic gradient step; returns the pre-update ELBO sample.
 
     The draws are those of stream(config.seed, LANE_FIT, t), taken from
-    `draws`, the fit's LaneStream of that stream, when given. `modes`, an
-    (n, r) array, is where the a2 mode search starts; the step overwrites
-    it with the modes it found (None: start from a1's lambda at the drawn
-    theta_G).
+    `draws`, the fit's LaneStream of that stream, when given. `anchor`, a
+    one-item list, carries the a2 mode search from step to step: it holds
+    the reparam.mode_predictor of the last accepted step's transforms, and
+    the search starts from its prediction at the drawn theta_G (None, or no
+    anchor: from a1's lambda there). An accepted step puts its own in.
     A recoverable numeric failure (overflow guard, failed factorization,
     failed mode search) retries once with a fresh draw from the same
-    iteration stream and the same start; a second failure, a non-finite
-    ELBO sample or a non-finite update raises DivergedError.
+    iteration stream, predicted from the same anchor; a second failure, a
+    non-finite ELBO sample or a non-finite update raises DivergedError.
     """
     rng = (draws or LaneStream(config.seed, LANE_FIT)).at(t)
     blocks = state.blocks()
+    predict = anchor[0] if anchor else None
     last_err = None
     for _ in range(2):
         s = rng.standard_normal(state.d)
         try:
             b_tilde, glob = state.split(state.affine(s, blocks))
             gp = _global_params(data, prior, glob)
-            transforms = reparam.build_transforms(data, gp, config.method, modes)
+            start = None if predict is None else predict(gp)
+            transforms = reparam.build_transforms(data, gp, config.method, start)
             value, grad = gradients.value_and_grad(data, gp, b_tilde, config.method, prior,
                                                    transforms)
             break
@@ -339,8 +342,8 @@ def step(data, prior, config, state, adam, t, draws=None, modes=None):
     if not np.all(np.isfinite(update)):
         raise DivergedError(f"iteration {t}: non-finite parameter update")
     state.params += update
-    if modes is not None:
-        modes[...] = transforms.lam
+    if anchor is not None:
+        anchor[0] = reparam.mode_predictor(data, transforms, gp)
     return elbo
 
 
@@ -383,15 +386,32 @@ def accepted_draws(state, n_draws, seed, lane, chunk, evaluate):
                       RuntimeWarning, stacklevel=3)
 
 
+def mean_predictor(data, prior, state, method):
+    """For a2, the mode predictor (reparam.mode_predictor) of the transforms
+    at the mean of theta_G under q, from which the draws over q start their
+    mode searches. None for a1, or when that build fails: the draws then
+    start from a1's lambda."""
+    if method != "a2":
+        return None
+    gp = _global_params(data, prior, state.split(state.mu)[1])
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return reparam.mode_predictor(data, reparam.transform_a2(data, gp), gp)
+    except _RECOVERABLE:
+        return None
+
+
 def elbo_estimate(data, prior, state, method, n_draws, seed):
     """Monte Carlo ELBO at a fixed state, averaged over fresh draws; a draw
     whose transforms fail or whose log joint is not finite is rejected."""
     logdet = state.log_det_c()
+    predict = mean_predictor(data, prior, state, method)
 
     def evaluate(s):
         b_tilde, glob = state.split(state.affine(s))
         gp = _global_params(data, prior, glob)
-        transforms = reparam.build_transforms(data, gp, method)
+        transforms = reparam.build_transforms(data, gp, method,
+                                              None if predict is None else predict(gp))
         value = model.log_joint_reparam(data, gp, b_tilde, transforms, prior)
         if not np.all(np.isfinite(value)):
             raise OverflowGuardError("non-finite log joint")
@@ -421,10 +441,9 @@ def fit(data, prior, config=None, **overrides):
     adam = AdamState.zeros(state.params.size)
 
     draws = LaneStream(config.seed, LANE_FIT)
-    # a2: each step's mode search starts from the modes the previous step
-    # found, the first from a1's lambda at the initial theta_G
-    gp0 = _global_params(data, prior, state.split(state.mu)[1])
-    modes = reparam.transform_a1(data, gp0).lam if config.method == "a2" else None
+    # a2: each step's mode search starts from the modes predicted from the
+    # previous step's, the first from a1's lambda
+    anchor = [None] if config.method == "a2" else None
     t_start = time.perf_counter()
     means = []
     acc = 0.0
@@ -432,7 +451,7 @@ def fit(data, prior, config=None, **overrides):
     converged = False
     it = 0
     for it in range(1, config.max_iter + 1):
-        acc += step(data, prior, config, state, adam, it, draws, modes)
+        acc += step(data, prior, config, state, adam, it, draws, anchor)
         cnt += 1
         if cnt == config.window:
             means.append(acc / cnt)

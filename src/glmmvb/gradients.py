@@ -83,7 +83,7 @@ def value_and_grad(data, gp, b_tilde, method, prior, transforms=None):
 
     zt1 = np.einsum("njr,...nr->...nj", data.Z, t1)
     weight = transforms.weight
-    if weight is None:  # a2: h'' at the mode
+    if weight is None:  # a2 built at a batch of theta_G: h'' at the modes
         weight = data.mask * data.family.h2(transforms.base_eta, data.trials)
     beta_grad = (np.einsum("njp,...nj->...p", data.X, resid - weight * zt1 - alpha)
                  - gp.beta / prior.sigma_beta2)

@@ -113,6 +113,19 @@ def cholesky(s):
     return out
 
 
+def _inv2(s):
+    """(inverse, b, d) of 2 x 2 blocks: the adjugate of the symmetric part
+    [[a, b], [b, d]] over its determinant, checked as spd_inv checks."""
+    a, b, d, det = _sym_det(s)
+    out = np.empty_like(s)
+    out[..., 0, 0] = d
+    out[..., 1, 0] = out[..., 0, 1] = -b
+    out[..., 1, 1] = a
+    out /= det[..., None, None]
+    _require(np.isfinite(out))
+    return out, b, d
+
+
 def spd_inv(s):
     """Symmetric inverse of a symmetric positive definite matrix.
 
@@ -125,21 +138,37 @@ def spd_inv(s):
     """
     s = np.asarray(s, dtype=float)
     r = s.shape[-1]
+    if r == 2:
+        return _inv2(s)[0]
     if r == 1:
         _require((s > 0) & (s < np.inf))
         out = 1.0 / s
-    elif r == 2:
-        a, b, d, det = _sym_det(s)
-        out = np.empty_like(s)
-        out[..., 0, 0] = d
-        out[..., 1, 0] = out[..., 0, 1] = -b
-        out[..., 1, 1] = a
-        out /= det[..., None, None]
     else:
         out = _lapack(np.linalg.inv, s)
         out = 0.5 * (out + np.swapaxes(out, -1, -2))
     _require(np.isfinite(out))
     return out
+
+
+def spd_inv_cholesky(s):
+    """(S^{-1}, the lower Cholesky factor of S^{-1}) for symmetric positive
+    definite S, raising as spd_inv does.
+
+    For r = 2 the factor follows from the entries [[a, b], [b, d]] of S
+    without factoring the inverse: l11 = sqrt(d / det), the inverse's first
+    pivot, l21 = -b l11 / d = -b / sqrt(d det) and l22 = 1 / sqrt(d), where
+    the inverse's checks hold for S. cholesky(S^{-1}) otherwise.
+    """
+    s = np.asarray(s, dtype=float)
+    if s.shape[-1] != 2:
+        inv = spd_inv(s)
+        return inv, cholesky(inv)
+    inv, b, d = _inv2(s)
+    out = np.zeros_like(inv)
+    l11 = out[..., 0, 0] = np.sqrt(inv[..., 0, 0])
+    out[..., 1, 0] = -b * l11 / d
+    out[..., 1, 1] = 1.0 / np.sqrt(d)
+    return inv, out
 
 
 def spd_solve(s, b):

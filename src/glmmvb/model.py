@@ -154,20 +154,29 @@ class Dataset:
             self.cache[key] = self.family.eta_hat_reg(self.y, self.trials)
         return self.cache[key]
 
-    def _zz(self):
-        """Per-observation outer products Z_ij Z_ij', flattened to (n, J, r*r) (cached)."""
-        if "zz" not in self.cache:
-            self.cache["zz"] = (self.Z[..., :, None] * self.Z[..., None, :]).reshape(
-                self.n, self.J, self.r * self.r)
-        return self.cache["zz"]
+    def _z_outer(self, name):
+        """Per-observation outer products Z_ij A_ij' for A = Z or X (by
+        name), flattened to (n, J, r * columns of A) (cached)."""
+        key = "z" + name
+        if key not in self.cache:
+            A = getattr(self, name)
+            self.cache[key] = (self.Z[..., :, None] * A[..., None, :]).reshape(
+                self.n, self.J, -1)
+        return self.cache[key]
 
     def zwz(self, w):
         """sum_j w_ij Z_ij Z_ij' per subject, (..., n, r, r), for weights w (..., n, J)."""
-        return (w[..., None, :] @ self._zz())[..., 0, :].reshape(w.shape[:-1] + (self.r, self.r))
+        return (w[..., None, :] @ self._z_outer("Z"))[..., 0, :].reshape(
+            w.shape[:-1] + (self.r, self.r))
+
+    def zwx(self, w):
+        """sum_j w_ij Z_ij X_ij' per subject, (..., n, r, p), for weights w (..., n, J)."""
+        return (w[..., None, :] @ self._z_outer("X"))[..., 0, :].reshape(
+            w.shape[:-1] + (self.r, self.p))
 
     def zmz(self, M):
         """Z_ij' M_i Z_ij per observation, (..., n, J), for matrices M (..., n, r, r)."""
-        return (self._zz() @ M.reshape(M.shape[:-2] + (self.r * self.r, 1)))[..., 0]
+        return (self._z_outer("Z") @ M.reshape(M.shape[:-2] + (self.r * self.r, 1)))[..., 0]
 
 
 # ---------------------------------------------------------------------------

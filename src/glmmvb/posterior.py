@@ -37,6 +37,13 @@ class PosteriorSummary:
     n_rejected: int
 
 
+def _scale_names(r):
+    """Names of the derived scales of an r x r Omega."""
+    if r == 1:
+        return ["sigma"]
+    return [f"sigma{k + 1}" for k in range(r)] + (["rho"] if r == 2 else [])
+
+
 def _scales_from_omega(omega, r):
     """Per-draw derived scale parameters from omega draws (B, g2)."""
     gp = model.GlobalParams(np.zeros(omega.shape[:-1] + (0,)), omega, r)
@@ -44,13 +51,11 @@ def _scales_from_omega(omega, r):
     idx = np.arange(r)
     sig = np.sqrt(cov[..., idx, idx])
     if r == 1:
-        return ["sigma"], sig
+        return _scale_names(r), sig
     cols = [sig[..., k] for k in range(r)]
-    names = [f"sigma{k + 1}" for k in range(r)]
     if r == 2:
-        names.append("rho")
         cols.append(cov[..., 0, 1] / (sig[..., 0] * sig[..., 1]))
-    return names, np.stack(cols, axis=-1)
+    return _scale_names(r), np.stack(cols, axis=-1)
 
 
 def factor_scales(factor, p, r, n_draws, seed):
@@ -63,27 +68,32 @@ def factor_scales(factor, p, r, n_draws, seed):
     return names, scales.mean(axis=0), scales.std(axis=0, ddof=1)
 
 
-def _draw_transforms(data, prior, state, method, s):
-    """(b, omega) of a chunk of draws s: theta~ = C s + mu, with the
-    transforms rebuilt from each drawn theta_G and b = L b~ + lambda."""
+def _draw_transforms(data, prior, state, method, s, predict):
+    """(b, derived scales) of a chunk of draws s: theta~ = C s + mu, with
+    the transforms rebuilt from each drawn theta_G, their a2 mode searches
+    started from predict's prediction there (engine.mean_predictor), and
+    b = L b~ + lambda."""
     b_tilde, glob = state.split(state.affine(s))
     gp = engine._global_params(data, prior, glob)
-    return reparam.build_transforms(data, gp, method).invert(b_tilde), gp.omega
+    start = None if predict is None else predict(gp)
+    b = reparam.build_transforms(data, gp, method, start).invert(b_tilde)
+    return b, _scales_from_omega(gp.omega, data.r)[1]
 
 
 def simulate_b(data, prior, state, method, n_draws, seed):
     """Simulation summary (a PosteriorSummary) of the untransformed random
-    effects from n_draws accepted draws; pathological draws are rejected."""
+    effects from n_draws accepted draws; a pathological draw, whose
+    transforms or derived scales fail, is rejected."""
     b_sum = np.zeros((data.n, data.r))
     b_sq = np.zeros((data.n, data.r))
     scale_chunks = []
+    predict = engine.mean_predictor(data, prior, state, method)
     chunks = engine.accepted_draws(
         state, n_draws, seed, engine.LANE_SIM, SIM_CHUNK,
-        lambda s: _draw_transforms(data, prior, state, method, s))
-    for (b, omega), rejected in chunks:
+        lambda s: _draw_transforms(data, prior, state, method, s, predict))
+    for (b, scales), rejected in chunks:
         b_sum += b.sum(axis=0)
         b_sq += (b * b).sum(axis=0)
-        scale_names, scales = _scales_from_omega(omega, data.r)
         scale_chunks.append(scales)
 
     b_mean = b_sum / n_draws
@@ -96,7 +106,7 @@ def simulate_b(data, prior, state, method, n_draws, seed):
     return PosteriorSummary(
         global_names=model.global_names(data, prior), global_mean=mu_glob.copy(),
         global_sd=np.sqrt(np.diag(c_glob @ c_glob.T)),
-        scale_names=scale_names,
+        scale_names=_scale_names(data.r),
         scale_mean=scales.mean(axis=0), scale_sd=scales.std(axis=0, ddof=1),
         b_mean=b_mean, b_sd=np.sqrt(b_var),
         btilde_mean=mu_loc.copy(), btilde_sd=btilde_sd,

@@ -7,7 +7,8 @@ conditional posterior of b_i given the global parameters:
   regularized per-observation natural-parameter estimate (finite even on
   the support boundary), combined with the random-effects prior;
 * method "a2": expansion about the conditional posterior mode, found by
-  Newton-Raphson with step halving, started from a1's lambda.
+  Newton-Raphson with step halving, started from a1's lambda or from a
+  first-order prediction of the mode (mode_predictor).
 
 Everything broadcasts over leading batch dimensions of the global
 parameters (one global draw during fitting, many during posterior
@@ -39,7 +40,8 @@ class Transforms:
     L: np.ndarray        # (..., n, r, r) lower, positive diagonal
     Lambda: np.ndarray   # (..., n, r, r) SPD
     base_eta: np.ndarray | None = None  # (..., n, J) Taylor expansion point
-    weight: np.ndarray | None = None    # (n, J) mask * h''(base_eta), a1 only
+    # (n, J) mask * h''(base_eta): a1 always, a2 only when built at one theta_G
+    weight: np.ndarray | None = None
 
     def invert(self, b_tilde):
         """b = L b~ + lambda."""
@@ -53,12 +55,6 @@ class Transforms:
 
 # ---------------------------------------------------------------------------
 # method a1
-
-
-def _assemble(precision):
-    """Lambda = precision^{-1} (symmetrized) and its Cholesky factor."""
-    Lam = matcalc.spd_inv(precision)
-    return Lam, matcalc.cholesky(Lam)
 
 
 def transform_a1(data, gp):
@@ -79,7 +75,7 @@ def transform_a1(data, gp):
                             np.einsum("njr,nj->nr", data.Z, resid),
                             np.einsum("njr,nj,njp->nrp", data.Z, w, data.X), w)
     K, c, ZWX, w = data.cache["a1"]
-    Lam, L = _assemble(gp.Omega[..., None, :, :] + K)
+    Lam, L = matcalc.spd_inv_cholesky(gp.Omega[..., None, :, :] + K)
     rhs = c - np.einsum("...nrp,...p->...nr", ZWX, gp.beta)
     lam = np.einsum("...nrs,...ns->...nr", Lam, rhs)
     return Transforms("a1", lam, L, Lam, base_eta=data.eta_hat_reg(), weight=w)
@@ -101,15 +97,20 @@ def _conditional_objective(data, Xbeta, Omega, b, eta=None, h=None):
         eta = _eta(data, Xbeta, b)
     if h is None:
         h = data.family.h(eta, data.trials)
-    ll = (data.mask * (data.y * eta - h)).sum(axis=-1)
+    ll = data.y * eta  # the one (..., n, J) temporary
+    ll -= h
+    ll *= data.mask
+    ll = ll.sum(axis=-1)
     quad = np.einsum("...nr,...rs,...ns->...n", b, Omega, b)
     return ll - 0.5 * quad
 
 
-def _evaluate(data, Xbeta, b):
-    """eta = X beta + Z b and (h, h', h'') at eta: the one evaluation of a point."""
+def _evaluate(data, Xbeta, Omega, b):
+    """The one evaluation of a point b: the objective and (h', h'') at
+    eta = X beta + Z b; eta and h are dropped here."""
     eta = _eta(data, Xbeta, b)
-    return (eta,) + data.family.h_derivs(eta, data.trials)
+    h, h1, h2 = data.family.h_derivs(eta, data.trials)
+    return _conditional_objective(data, Xbeta, Omega, b, eta, h), h1, h2
 
 
 def transform_a2(data, gp, start=None):
@@ -120,24 +121,33 @@ def transform_a2(data, gp, start=None):
     global-parameter gradient formulas differentiate the mode implicitly,
     which requires the stationarity equation to hold tightly). The search
     starts from start, (n, r) or broadcastable to the batch, when given
-    (a fit passes the previous step's modes), and otherwise from a1's
-    lambda, the mean of the same Gaussian approximation taken about the
-    regularized estimates instead of the mode.
+    (a fit and the draws over q pass a mode_predictor's prediction), and
+    otherwise from a1's lambda, the mean of the same Gaussian approximation
+    taken about the regularized estimates instead of the mode.
     Each point is evaluated once: the accepted candidate's h' and h'' give
-    the next gradient and precision.
+    the next gradient and precision, and at one theta_G the weight
+    mask * h'' at the mode is kept for the gradient (Transforms.weight); a
+    batch keeps no such (B, n, J) array.
     """
     Omega = gp.Omega
     Xbeta = np.einsum("njp,...p->...nj", data.X, gp.beta)
-    b = np.broadcast_to(transform_a1(data, gp).lam if start is None else start,
-                        np.broadcast_shapes(Xbeta.shape[:-1] + (data.r,),
-                                            Omega.shape[:-2] + (data.n, data.r))).copy()
-    eta, h, h1, h2 = _evaluate(data, Xbeta, b)
-    f = _conditional_objective(data, Xbeta, Omega, b, eta, h)
+    b = transform_a1(data, gp).lam if start is None else np.asarray(start, dtype=float)
+    shape = np.broadcast_shapes(Xbeta.shape[:-1] + (data.r,), Omega.shape[:-2] + (data.n, data.r))
+    # each step rebinds b and none writes into it, so a full-shaped start is
+    # not copied (the modes are start itself if no step moves them)
+    if b.shape != shape:
+        b = np.broadcast_to(b, shape).copy()
+    f, h1, h2 = _evaluate(data, Xbeta, Omega, b)
     for it in range(NR_MAX_ITER + 1):
         Om_b = np.einsum("...rs,...ns->...nr", Omega, b)
         grad = np.einsum("njr,...nj->...nr", data.Z, data.mask * (data.y - h1)) - Om_b
-        P = Omega[..., None, :, :] + data.zwz(data.mask * h2)
-        eta = h = h1 = h2 = None  # free this point's (..., n, J) arrays before the next
+        w = data.mask * h2
+        P = data.zwz(w)
+        P += Omega[..., None, :, :]  # in place, while w is still held
+        # free this point's (..., n, J) arrays before the next
+        h1 = h2 = None
+        if b.ndim > 2:
+            w = None
         scale = 1.0 + np.abs(Om_b).max(axis=-1)
         gnorm = np.abs(grad).max(axis=-1)
         active = gnorm > NR_TOL * scale
@@ -147,8 +157,7 @@ def transform_a2(data, gp, start=None):
         t = active.astype(float)
         for _ in range(NR_MAX_HALVINGS + 1):
             cand = b + t[..., None] * step
-            eta, h, h1, h2 = _evaluate(data, Xbeta, cand)
-            f_new = _conditional_objective(data, Xbeta, Omega, cand, eta, h)
+            f_new, h1, h2 = _evaluate(data, Xbeta, Omega, cand)
             bad = active & (f_new < f - 1e-10 * (np.abs(f) + 1.0)) & (t > 0)
             if not bad.any():
                 break
@@ -162,11 +171,32 @@ def transform_a2(data, gp, start=None):
         b = b + t[..., None] * step
         f = np.where(moved, f_new, f)
         if bad.any():
-            eta, h, h1, h2 = _evaluate(data, Xbeta, b)
+            _, h1, h2 = _evaluate(data, Xbeta, Omega, b)
     if np.any(gnorm > NR_TOL_ACCEPT * scale):
         raise ModeSearchFailedError("Newton-Raphson mode search did not reach stationarity")
-    Lam, L = _assemble(P)
-    return Transforms("a2", b, L, Lam, base_eta=_eta(data, Xbeta, b))
+    Lam, L = matcalc.spd_inv_cholesky(P)
+    return Transforms("a2", b, L, Lam, base_eta=_eta(data, Xbeta, b), weight=w)
+
+
+def mode_predictor(data, transforms, gp):
+    """First-order prediction of the a2 modes from an anchor: a2 transforms
+    built at one theta_G, gp.
+
+    Differentiating the mode equation Z'(y - g(X beta + Z lam)) = Omega lam
+    gives d lam = -Lambda {Z'WX d beta + d Omega lam}, with W the anchor's
+    weight. Returns predict(gp'), the modes (..., n, r) at theta_G' =
+    gp' (any leading dims): lam - Lambda {Z'WX (beta' - beta) + (Omega' -
+    Omega) lam}. Z'WX is contracted here, once per anchor, to (n, r, p), so
+    a prediction for a batch makes no (B, n, J) array.
+    """
+    zwx = data.zwx(transforms.weight)
+    lam, Lam, beta, Omega = transforms.lam, transforms.Lambda, gp.beta, gp.Omega
+
+    def predict(gp_new):
+        shift = (np.einsum("nrp,...p->...nr", zwx, gp_new.beta - beta)
+                 + np.einsum("...rs,ns->...nr", gp_new.Omega - Omega, lam))
+        return lam - np.einsum("nrs,...ns->...nr", Lam, shift)
+    return predict
 
 
 def build_transforms(data, gp, method, start=None):

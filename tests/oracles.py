@@ -202,5 +202,5 @@ def transform_a2(data, gp, start=None):
         f = np.where(moved, f_new, f)
     if np.any(gnorm > reparam.NR_TOL_ACCEPT * scale):
         raise ModeSearchFailedError("Newton-Raphson mode search did not reach stationarity")
-    Lam, L = reparam._assemble(P)
+    Lam, L = matcalc.spd_inv_cholesky(P)
     return reparam.Transforms("a2", b, L, Lam, base_eta=eta)

@@ -429,30 +429,68 @@ class TestWarmStart:
         back, _ = fileio.read_state(path)
         np.testing.assert_array_equal(back.params, res.state.params)
 
-    def test_retry_keeps_the_start_and_the_step_stores_the_modes(self, rng, monkeypatch):
+    def test_attempts_start_from_the_anchor_and_the_accepted_build_is_next(
+            self, rng, monkeypatch):
         data = random_dataset(rng, families.POISSON, r=2, n=3)
         prior = model.default_prior(data)
         cfg = engine.FitConfig(method="a2", seed=8)
         state = engine.VariationalState.initial(data.n, data.r, data.g)
         adam = engine.AdamState.zeros(state.params.size)
-        modes = 0.1 * rng.standard_normal((data.n, data.r))
-        original = modes.copy()
-        build = reparam.build_transforms
-        starts, built = [], []
+        build, make = reparam.build_transforms, reparam.mode_predictor
+        attempts, built, made = [], [], []
 
-        def fail_once(data, gp, method, start=None):
-            starts.append(start.copy())
-            if len(starts) == 1:
+        def fail_second_steps_first(data, gp, method, start=None):
+            attempts.append((gp, start))
+            if len(attempts) == 2:
                 raise OverflowGuardError("injected")
             built.append(build(data, gp, method, start))
             return built[-1]
 
-        monkeypatch.setattr(reparam, "build_transforms", fail_once)
-        engine.step(data, prior, cfg, state, adam, 1, modes=modes)
-        assert len(starts) == 2
-        for s in starts:
-            np.testing.assert_array_equal(s, original)
-        np.testing.assert_array_equal(modes, built[0].lam)
+        def spy(data, transforms, gp):
+            made.append((transforms, gp, make(data, transforms, gp)))
+            return made[-1][2]
+
+        monkeypatch.setattr(reparam, "build_transforms", fail_second_steps_first)
+        monkeypatch.setattr(reparam, "mode_predictor", spy)
+        anchor = [None]
+        engine.step(data, prior, cfg, state, adam, 1, anchor=anchor)
+        # the first step starts from a1's lambda
+        assert len(attempts) == 1 and attempts[0][1] is None
+        first = anchor[0]
+        assert len(made) == 1 and made[0][0] is built[0] and made[0][1] is attempts[0][0]
+        assert first is made[0][2]
+
+        engine.step(data, prior, cfg, state, adam, 2, anchor=anchor)
+        # the failed attempt and the retry each start from the one anchor's
+        # prediction at their own theta_G
+        assert len(attempts) == 3
+        assert not np.array_equal(attempts[1][0].beta, attempts[2][0].beta)
+        for gp, start in attempts[1:]:
+            np.testing.assert_array_equal(start, first(gp))
+        # the accepted build, at the retry's theta_G, is the next anchor
+        assert len(made) == 2 and made[1][0] is built[1] and made[1][1] is attempts[2][0]
+        assert anchor[0] is made[1][2]
+
+    def test_predicted_starts_take_fewer_newton_steps(self, monkeypatch):
+        data = datasets.epilepsy_dataset("I")
+        prior = model.default_prior(data)
+        cfg = engine.FitConfig(method="a2", seed=5, max_iter=300, window=100,
+                               final_elbo_draws=0)
+        solve, calls = matcalc.spd_solve, []
+
+        def counting(s, b):
+            calls.append(len(b))
+            return solve(s, b)
+
+        monkeypatch.setattr(matcalc, "spd_solve", counting)
+        assert engine.fit(data, prior, cfg).n_iter == 300
+        predicted = len(calls)
+        calls.clear()
+        # the warm start: each step from the previous step's modes
+        monkeypatch.setattr(reparam, "mode_predictor",
+                            lambda data, transforms, gp: lambda gp_new: transforms.lam)
+        assert engine.fit(data, prior, cfg).n_iter == 300
+        assert predicted < len(calls)
 
 
 class TestLaneStream:

@@ -123,7 +123,8 @@ def _solve(s, b=None):
     return matcalc.spd_solve(s, np.ones(s.shape[:-1]) if b is None else b)
 
 
-SMALL_KERNELS = {"inv": matcalc.spd_inv, "cholesky": matcalc.cholesky, "solve": _solve}
+SMALL_KERNELS = {"inv": matcalc.spd_inv, "cholesky": matcalc.cholesky, "solve": _solve,
+                 "inv_cholesky": matcalc.spd_inv_cholesky}
 
 
 def _spd_batch(rng, lead, r, log_cond, log_scale):
@@ -193,6 +194,26 @@ class TestSmallBlockKernels:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(r=st.integers(1, 3), lead=st.sampled_from([(), (5,), (3, 4)]),
+           log_cond=st.floats(0.0, 8.0), log_scale=st.floats(-30.0, 30.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_inverse_with_its_factor(self, r, lead, log_cond, log_scale, seed):
+        # the inverse is spd_inv's, and L L' = S^{-1}: for r = 2 L is built
+        # from S's entries, not by factoring the inverse
+        rng = np.random.default_rng(seed)
+        s = _spd_batch(rng, lead, r, 0.0 if r == 1 else log_cond, log_scale)
+        inv, L = matcalc.spd_inv_cholesky(s)
+        np.testing.assert_array_equal(inv, matcalc.spd_inv(s))
+        if r == 1:
+            np.testing.assert_array_equal(L, np.linalg.cholesky(np.linalg.inv(s)))
+            return
+        np.testing.assert_array_equal(L, np.tril(L))
+        assert np.all(np.diagonal(L, axis1=-2, axis2=-1) > 0)
+        err = np.abs(L @ np.swapaxes(L, -1, -2) - inv).reshape(lead + (-1,)).max(axis=-1)
+        size = np.abs(inv).reshape(lead + (-1,)).max(axis=-1)
+        assert np.all(err <= 1e-12 * np.linalg.cond(s) * size)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(r=st.integers(1, 3), lead=st.sampled_from([(), (5,), (3, 4)]),
            kind=st.sampled_from(["singular", "indefinite", "nan", "inf", "negative"]),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_raise_where_lapack_fails(self, r, lead, kind, seed):
@@ -207,6 +228,8 @@ class TestSmallBlockKernels:
         want = {"cholesky": chol_fails,
                 "inv": chol_fails if r <= 2 else _lapack_fails(np.linalg.inv, s),
                 "solve": chol_fails if r <= 2 else _lapack_fails(np.linalg.solve, s, b[..., None])}
+        want["inv_cholesky"] = chol_fails if r <= 2 else _lapack_fails(
+            lambda x: np.linalg.cholesky(np.linalg.inv(x)), s)
         assert chol_fails or r == 3
         for name, kernel in SMALL_KERNELS.items():
             try:
@@ -230,7 +253,7 @@ class TestSmallBlockKernels:
         with pytest.raises(NotPositiveDefiniteError):
             SMALL_KERNELS[name](s)
 
-    @pytest.mark.parametrize("name", ["inv", "solve"])
+    @pytest.mark.parametrize("name", ["inv", "solve", "inv_cholesky"])
     def test_rank_one_round_off_raises(self, name):
         # z z' with an inexact product: singular to round-off, its computed
         # determinant is a few eps * a d

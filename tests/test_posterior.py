@@ -113,6 +113,22 @@ class TestSimulateB:
         assert summary.n_rejected > 0
         assert np.all(np.isfinite(summary.b_mean))
 
+    @pytest.mark.parametrize("method", ["a1", "a2"])
+    def test_draws_whose_scales_fail_are_rejected(self, method):
+        # omega draws straddling the underflow of Omega = e^{2 omega}
+        # (2 omega < -745): the transforms build, since Omega + Z'HZ stays
+        # SPD, but the scales need a finite Omega^{-1}; the draws below
+        # omega = -354.9 are rejected, about a third
+        data = model.Dataset.from_lists(families.POISSON, [[2.0, 3.0]],
+                                        [[[1.0], [1.0]]], [[[1.0], [1.0]]])
+        prior = model.default_prior(data)
+        state = engine.VariationalState.initial(1, 1, 2)
+        state.mu[2] = -350.0
+        state.cstar_global[matcalc.diag_positions(2)] = [np.log(1e-12), np.log(10.0)]
+        with pytest.warns(RuntimeWarning, match="rejected"):
+            summary = posterior.simulate_b(data, prior, state, method, 200, seed=3)
+        assert 0 < summary.n_rejected < 200
+        assert np.all(np.isfinite(summary.scale_mean)) and np.all(np.isfinite(summary.b_mean))
 
     def test_all_draws_rejected_raises(self):
         # every omega draw overflows Omega: the loop stops instead of drawing on

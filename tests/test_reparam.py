@@ -197,7 +197,7 @@ class TestModeSearchAgainstReference:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(famname=st.sampled_from(["poisson", "bernoulli", "binomial"]),
            r=st.integers(1, 3), batched=st.booleans(),
-           start_kind=st.sampled_from(["default", "warm", "perturbed"]),
+           start_kind=st.sampled_from(["default", "warm", "perturbed", "predicted"]),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_reference_loop(self, halvings, famname, r, batched, start_kind, seed):
         rng = np.random.default_rng(seed)
@@ -212,7 +212,12 @@ class TestModeSearchAgainstReference:
             beta, omega = gp.beta.reshape(-1, 2)[0], gp.omega.reshape(-1, gp.omega.shape[-1])[0]
             near = model.GlobalParams(beta + 0.05 * rng.standard_normal(2),
                                       omega + 0.05 * rng.standard_normal(omega.shape), r)
-            start = oracles.transform_a2(data, near).lam
+            if start_kind == "predicted":
+                # from the transforms there to each theta_G of gp
+                anchor = reparam.transform_a2(data, near)
+                start = reparam.mode_predictor(data, anchor, near)(gp)
+            else:
+                start = oracles.transform_a2(data, near).lam
             if start_kind == "perturbed":
                 start = start + 3.0 * rng.standard_normal(lead + start.shape)
         with mock.patch.object(reparam, "NR_MAX_HALVINGS", halvings):
@@ -241,6 +246,71 @@ class TestModeSearchAgainstReference:
             assert (_outcome(reparam.transform_a2, data, gp, start)
                     == _outcome(oracles.transform_a2, data, gp, start)
                     == ModeSearchFailedError)
+
+
+def _shifted(gp, h, d_beta, d_omega):
+    return model.GlobalParams(gp.beta + h * d_beta, gp.omega + h * d_omega, gp.r)
+
+
+PREDICTED_FAMILIES = [families.POISSON, families.BERNOULLI, families.BINOMIAL]
+
+
+class TestModePredictor:
+    @pytest.mark.parametrize("fam", PREDICTED_FAMILIES, ids=lambda f: f.name)
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_error_is_second_order(self, fam, r, seed):
+        # a first-order prediction errs by O(h^2): halving the step cuts
+        # the error about four times; a wrong sign or a missing term would
+        # leave an O(h) error, cut only twice
+        rng = np.random.default_rng(seed)
+        data = random_dataset(rng, fam, r=r, n=5, p=2)
+        gp = random_gp(rng, 2, r)
+        predict = reparam.mode_predictor(data, reparam.transform_a2(data, gp), gp)
+        d_beta, d_omega = rng.standard_normal(2), rng.standard_normal(matcalc.half_len(r))
+        errs = []
+        for h in (0.04, 0.02):
+            near = _shifted(gp, h, d_beta, d_omega)
+            errs.append(np.abs(predict(near) - reparam.transform_a2(data, near).lam).max())
+        assert 3.0 < errs[0] / errs[1] < 5.0
+
+    def test_predicts_a_batch_as_one_theta_at_a_time(self, rng):
+        data = random_dataset(rng, families.POISSON, r=2, n=4, p=2)
+        gp = random_gp(rng, 2, 2)
+        predict = reparam.mode_predictor(data, reparam.transform_a2(data, gp), gp)
+        batch = model.GlobalParams(gp.beta + 0.1 * rng.standard_normal((2, 3, 2)),
+                                   gp.omega + 0.1 * rng.standard_normal((2, 3, 3)), 2)
+        got = predict(batch)
+        assert got.shape == (2, 3, data.n, 2)
+        for k in np.ndindex(2, 3):
+            one = model.GlobalParams(batch.beta[k], batch.omega[k], 2)
+            np.testing.assert_allclose(got[k], predict(one), rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("fam", PREDICTED_FAMILIES, ids=lambda f: f.name)
+    def test_far_off_prediction_reaches_the_default_starts_mode(self, fam):
+        # predicted from a much smaller Omega: the prediction lies far from
+        # the mode, and step halving still takes the search there
+        rng = np.random.default_rng(100)
+        data = random_dataset(rng, fam, r=2, n=5, p=2)
+        gp = random_gp(rng, 2, 2)
+        d_beta, d_omega = rng.standard_normal(2), rng.standard_normal(3)
+        far = _shifted(gp, 1.5, d_beta, -np.abs(d_omega))
+        start = reparam.mode_predictor(data, reparam.transform_a2(data, far), far)(gp)
+        want = reparam.transform_a2(data, gp)
+        assert np.abs(start - want.lam).max() > 1.0
+        got = reparam.transform_a2(data, gp, start)
+        for field in ("lam", "L", "Lambda", "base_eta", "weight"):
+            np.testing.assert_allclose(getattr(got, field), getattr(want, field),
+                                       rtol=REFERENCE_TOL, atol=REFERENCE_TOL)
+
+    def test_weight_is_kept_for_one_theta_only(self, rng):
+        data = random_dataset(rng, families.BINOMIAL, r=2, n=4, p=2)
+        gp = random_gp(rng, 2, 2)
+        t = reparam.transform_a2(data, gp)
+        np.testing.assert_array_equal(
+            t.weight, data.mask * data.family.h2(t.base_eta, data.trials))
+        batch = model.GlobalParams(np.stack([gp.beta] * 3), np.stack([gp.omega] * 3), 2)
+        assert reparam.transform_a2(data, batch).weight is None
 
 
 class TestApplyInvert:
