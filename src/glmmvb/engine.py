@@ -19,27 +19,26 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import gradients, matcalc, model, reparam
-from .exceptions import (
-    ConfigError,
-    DivergedError,
-    ModeSearchFailedError,
-    NotPositiveDefiniteError,
-    OverflowGuardError,
-)
+from .exceptions import RECOVERABLE, ConfigError, DivergedError, OverflowGuardError
 
 LANE_FIT = 0
 LANE_FINAL = 1
 LANE_SIM = 2
 LANE_PART = 3
 
-_RECOVERABLE = (OverflowGuardError, NotPositiveDefiniteError, ModeSearchFailedError)
-
 ELBO_CHUNK = 250  # draws per chunk of the final ELBO
 REJECTION_WARN_FRACTION = 0.01  # warn when more of the draws over q are rejected
 
 
+def _check_seed(seed):
+    """Raise ConfigError unless seed is a Philox key: an integer in [0, 2^128)."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2 ** 128):
+        raise ConfigError(f"seed must be an integer in [0, 2^128), got {seed!r}")
+
+
 def stream(seed, lane, t):
     """Deterministic generator for iteration t of a given lane."""
+    _check_seed(seed)
     return np.random.Generator(np.random.Philox(key=int(seed), counter=[0, 0, int(lane), int(t)]))
 
 
@@ -77,6 +76,7 @@ class FitConfig:
     final_elbo_draws: int = 1000
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.method not in reparam.METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.estimator not in ("L1", "L2", "L3"):
@@ -302,8 +302,9 @@ def step(data, prior, config, state, adam, t, draws=None, anchor=None):
     `draws`, the fit's LaneStream of that stream, when given. `anchor`, a
     one-item list, carries the a2 mode search from step to step: it holds
     the reparam.mode_predictor of the last accepted step's transforms, and
-    the search starts from its prediction at the drawn theta_G (None, or no
-    anchor: from a1's lambda there). An accepted step puts its own in.
+    the search starts from its prediction at the drawn theta_G (None, no
+    anchor or a failed search from the prediction: from a1's lambda there).
+    An accepted step puts its own in.
     A recoverable numeric failure (overflow guard, failed factorization,
     failed mode search) retries once with a fresh draw from the same
     iteration stream, predicted from the same anchor; a second failure, a
@@ -323,7 +324,7 @@ def step(data, prior, config, state, adam, t, draws=None, anchor=None):
             value, grad = gradients.value_and_grad(data, gp, b_tilde, config.method, prior,
                                                    transforms)
             break
-        except _RECOVERABLE as err:
+        except RECOVERABLE as err:
             last_err = err
     else:
         raise DivergedError(f"iteration {t}: {last_err}") from last_err
@@ -366,12 +367,12 @@ def accepted_draws(state, n_draws, seed, lane, chunk, evaluate):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
                 out = evaluate(s)
-            except _RECOVERABLE:
+            except RECOVERABLE:
                 kept = []
                 for i in range(len(s)):
                     try:
                         kept.append(evaluate(s[i:i + 1]))
-                    except _RECOVERABLE:
+                    except RECOVERABLE:
                         pass
                 out = tuple(np.concatenate(parts) for parts in zip(*kept))
         n_ok = len(out[0]) if out else 0
@@ -397,7 +398,7 @@ def mean_predictor(data, prior, state, method):
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return reparam.mode_predictor(data, reparam.transform_a2(data, gp), gp)
-    except _RECOVERABLE:
+    except RECOVERABLE:
         return None
 
 
@@ -419,13 +420,18 @@ def elbo_estimate(data, prior, state, method, n_draws, seed):
 
     vals = np.concatenate([out[0] for out, _ in accepted_draws(
         state, n_draws, seed, LANE_FINAL, ELBO_CHUNK, evaluate)])
-    # moments of the values scaled by a power of two above their largest
-    # magnitude: that changes no rounding, and the sums stay finite also when
-    # the values lie near the largest float
-    _, e = np.frexp(np.abs(vals).max())
+    mean, sd = scaled_moments(vals)
+    return float(mean), float(sd / np.sqrt(len(vals)))
+
+
+def scaled_moments(vals):
+    """(mean, sd with ddof 1) of each column of vals, taken of the column
+    scaled by a power of two above its largest magnitude: that changes no
+    rounding, and the sums stay finite also when the values lie near the
+    largest float."""
+    _, e = np.frexp(np.abs(vals).max(axis=0))
     z = np.ldexp(vals, -e)
-    return (float(np.ldexp(z.mean(), e)),
-            float(np.ldexp(z.std(ddof=1) / np.sqrt(len(z)), e)))
+    return np.ldexp(z.mean(axis=0), e), np.ldexp(z.std(axis=0, ddof=1), e)
 
 
 def fit(data, prior, config=None, **overrides):

@@ -24,6 +24,11 @@ class ModeSearchFailedError(GlmmVbError):
     """Newton-Raphson mode search did not converge."""
 
 
+# the numeric failures of a transform build that a caller recovers from: by
+# a search from another start, a retried step or a rejected draw
+RECOVERABLE = (OverflowGuardError, NotPositiveDefiniteError, ModeSearchFailedError)
+
+
 class DivergedError(GlmmVbError):
     """The stochastic optimizer hit unrecoverable numerical failure."""
 

@@ -67,56 +67,31 @@ def _lapack(routine, *args):
 SINGULAR_RTOL = 16 * np.finfo(float).eps
 
 
-def _sym_entries(s):
-    """(a, b, d) of the symmetric part [[a, b], [b, d]] of 2 x 2 blocks."""
-    return s[..., 0, 0], 0.5 * (s[..., 1, 0] + s[..., 0, 1]), s[..., 1, 1]
-
-
-def _sym_det(s):
-    """(a, b, d, det) of the symmetric part of 2 x 2 blocks; raises unless
-    a > 0 and det exceeds SINGULAR_RTOL * a d."""
-    a, b, d = _sym_entries(s)
-    ad = a * d
-    det = ad - b * b
-    _require((a > 0) & (det > SINGULAR_RTOL * ad))
-    return a, b, d, det
-
-
 def cholesky(s):
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
     The input is symmetrized first; matrices assembled from floating point
-    products are symmetric only to round-off. Closed forms for r <= 2 take
-    LAPACK's steps (the off-diagonal entry times the reciprocal pivot),
-    LAPACK above. Raises NotPositiveDefiniteError when a leading minor is
-    not positive, or when the input contains non-finite entries. Batched
-    over leading dims.
+    products are symmetric only to round-off. sqrt for r = 1, LAPACK above.
+    Raises NotPositiveDefiniteError when a leading minor is not positive, or
+    when the input contains non-finite entries. Batched over leading dims.
     """
     s = np.asarray(s, dtype=float)
-    r = s.shape[-1]
-    if r == 1:
+    if s.shape[-1] == 1:
         _require((s > 0) & (s < np.inf))
         return np.sqrt(s)
-    if r > 2:
-        out = _lapack(np.linalg.cholesky, 0.5 * (s + np.swapaxes(s, -1, -2)))
-        _require(np.isfinite(out))
-        return out
-    a, b, d = _sym_entries(s)
-    _require((a > 0) & (a < np.inf))
-    out = np.empty_like(s)
-    l11 = out[..., 0, 0] = np.sqrt(a)
-    l21 = out[..., 1, 0] = b * (1.0 / l11)
-    piv = d - l21 * l21  # non-finite b or d make it -inf, inf or nan
-    _require((piv > 0) & (piv < np.inf))
-    out[..., 1, 1] = np.sqrt(piv)
-    out[..., 0, 1] = 0.0
+    out = _lapack(np.linalg.cholesky, 0.5 * (s + np.swapaxes(s, -1, -2)))
+    _require(np.isfinite(out))
     return out
 
 
 def _inv2(s):
     """(inverse, b, d) of 2 x 2 blocks: the adjugate of the symmetric part
-    [[a, b], [b, d]] over its determinant, checked as spd_inv checks."""
-    a, b, d, det = _sym_det(s)
+    [[a, b], [b, d]] over its determinant; raises unless a > 0, the
+    determinant exceeds SINGULAR_RTOL * a d and the inverse is finite."""
+    a, b, d = s[..., 0, 0], 0.5 * (s[..., 1, 0] + s[..., 0, 1]), s[..., 1, 1]
+    ad = a * d
+    det = ad - b * b
+    _require((a > 0) & (det > SINGULAR_RTOL * ad))
     out = np.empty_like(s)
     out[..., 0, 0] = d
     out[..., 1, 0] = out[..., 0, 1] = -b
@@ -169,32 +144,6 @@ def spd_inv_cholesky(s):
     out[..., 1, 0] = -b * l11 / d
     out[..., 1, 1] = 1.0 / np.sqrt(d)
     return inv, out
-
-
-def spd_solve(s, b):
-    """x with S x = b for symmetric positive definite S (..., r, r) and
-    b (..., r) of the same leading shape.
-
-    Closed forms for r <= 2 (b/x; the adjugate of the symmetric part over
-    its determinant), LAPACK's general solve above. Raises
-    NotPositiveDefiniteError as spd_inv does.
-    """
-    s = np.asarray(s, dtype=float)
-    r = s.shape[-1]
-    if r == 1:
-        _require((s > 0) & (s < np.inf))
-        out = b / s[..., 0]
-    elif r == 2:
-        a, c, d, det = _sym_det(s)
-        b0, b1 = b[..., 0], b[..., 1]
-        out = np.empty(b.shape)
-        out[..., 0] = d * b0 - c * b1
-        out[..., 1] = a * b1 - c * b0
-        out /= det[..., None]
-    else:
-        out = _lapack(np.linalg.solve, s, b[..., None])[..., 0]
-    _require(np.isfinite(out))
-    return out
 
 
 def solve_lower(L, b, trans=False):

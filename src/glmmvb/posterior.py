@@ -62,10 +62,10 @@ def factor_scales(factor, p, r, n_draws, seed):
     """Simulated (names, means, sds) of the derived scales under a Gaussian
     factor on theta_G = (beta (p), omega), such as a recombined sharded fit."""
     rng = engine.stream(seed, engine.LANE_SIM, 1)
-    L = np.linalg.cholesky(factor.cov)
+    L = matcalc.cholesky(factor.cov)
     draws = factor.mean + rng.standard_normal((n_draws, factor.mean.size)) @ L.T
     names, scales = _scales_from_omega(draws[:, p:], r)
-    return names, scales.mean(axis=0), scales.std(axis=0, ddof=1)
+    return (names, *engine.scaled_moments(scales))
 
 
 def _draw_transforms(data, prior, state, method, s, predict):
@@ -98,7 +98,7 @@ def simulate_b(data, prior, state, method, n_draws, seed):
 
     b_mean = b_sum / n_draws
     b_var = np.maximum(b_sq / n_draws - b_mean ** 2, 0.0)
-    scales = np.concatenate(scale_chunks, axis=0)
+    scale_mean, scale_sd = engine.scaled_moments(np.concatenate(scale_chunks, axis=0))
 
     mu_loc, mu_glob = state.split(state.mu)
     c_loc, c_glob = state.blocks()
@@ -107,7 +107,7 @@ def simulate_b(data, prior, state, method, n_draws, seed):
         global_names=model.global_names(data, prior), global_mean=mu_glob.copy(),
         global_sd=np.sqrt(np.diag(c_glob @ c_glob.T)),
         scale_names=_scale_names(data.r),
-        scale_mean=scales.mean(axis=0), scale_sd=scales.std(axis=0, ddof=1),
+        scale_mean=scale_mean, scale_sd=scale_sd,
         b_mean=b_mean, b_sd=np.sqrt(b_var),
         btilde_mean=mu_loc.copy(), btilde_sd=btilde_sd,
         n_draws=n_draws, n_rejected=rejected)

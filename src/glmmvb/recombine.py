@@ -79,16 +79,15 @@ def combine(factors, prior):
     V = len(factors)
     if V == 1:  # the prior correction vanishes; exact identity
         return GaussianFactor(factors[0].mean.copy(), factors[0].cov.copy())
-    prior_prec = np.linalg.inv(prior.cov)
+    prior_prec = matcalc.spd_inv(prior.cov)
     prec = -(V - 1) * prior_prec
     eta = -(V - 1) * (prior_prec @ prior.mean)
     for f in factors:
-        fp = np.linalg.inv(f.cov)
+        fp = matcalc.spd_inv(f.cov)
         prec = prec + fp
         eta = eta + fp @ f.mean
     matcalc.cholesky(prec)  # assembled precision must be SPD
-    cov = np.linalg.inv(prec)
-    cov = 0.5 * (cov + cov.T)
+    cov = matcalc.spd_inv(prec)
     return GaussianFactor(cov @ eta, cov)
 
 

@@ -8,7 +8,8 @@ conditional posterior of b_i given the global parameters:
   the support boundary), combined with the random-effects prior;
 * method "a2": expansion about the conditional posterior mode, found by
   Newton-Raphson with step halving, started from a1's lambda or from a
-  first-order prediction of the mode (mode_predictor).
+  first-order prediction of the mode (mode_predictor), and from a1's lambda
+  again when the search from the prediction fails.
 
 Everything broadcasts over leading batch dimensions of the global
 parameters (one global draw during fitting, many during posterior
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcalc
-from .exceptions import ConfigError, ModeSearchFailedError
+from .exceptions import RECOVERABLE, ConfigError, ModeSearchFailedError
 
 NR_MAX_ITER = 100
 NR_TOL = 1e-11
@@ -153,7 +154,9 @@ def transform_a2(data, gp, start=None):
         active = gnorm > NR_TOL * scale
         if it == NR_MAX_ITER or not active.any():
             break
-        step = matcalc.spd_solve(P, grad)
+        step = np.einsum("...nrs,...ns->...nr", matcalc.spd_inv(P), grad)
+        if not np.isfinite(step).all():
+            raise ModeSearchFailedError("non-finite Newton step")
         t = active.astype(float)
         for _ in range(NR_MAX_HALVINGS + 1):
             cand = b + t[..., None] * step
@@ -201,7 +204,15 @@ def mode_predictor(data, transforms, gp):
 
 def build_transforms(data, gp, method, start=None):
     """Transforms of the given method at theta_G; start is the a2 mode
-    search's starting point (see transform_a2), unused by a1."""
+    search's starting point (see transform_a2), unused by a1. A search
+    from start that fails recoverably is made again from a1's lambda."""
     if method not in METHODS:
         raise ConfigError(f"unknown transform method {method!r}")
-    return transform_a1(data, gp) if method == "a1" else transform_a2(data, gp, start)
+    if method == "a1":
+        return transform_a1(data, gp)
+    if start is not None:
+        try:
+            return transform_a2(data, gp, start)
+        except RECOVERABLE:
+            pass
+    return transform_a2(data, gp)

@@ -94,6 +94,7 @@ class TestFitConfig:
         {"adam_alpha": np.nan}, {"adam_beta1": 1.0}, {"adam_beta1": -0.1},
         {"adam_beta2": 1.0}, {"adam_beta2": np.nan}, {"adam_eps": 0.0},
         {"adam_eps": -1e-8}, {"adam_eps": np.inf}, {"final_elbo_draws": -5},
+        {"seed": -1}, {"seed": 2 ** 128},
     ], ids=lambda setting: "{}={}".format(*next(iter(setting.items()))))
     def test_rejects_settings_that_give_wrong_fits(self, setting):
         with pytest.raises(ConfigError):
@@ -101,6 +102,7 @@ class TestFitConfig:
 
     def test_edge_settings_are_accepted(self):
         engine.FitConfig(adam_beta1=0.0, adam_beta2=0.0, final_elbo_draws=0)
+        engine.FitConfig(seed=2 ** 128 - 1)
 
     # a float count never closes a window or breaks range(); a bool is not a count
     @pytest.mark.parametrize("setting", [
@@ -476,13 +478,13 @@ class TestWarmStart:
         prior = model.default_prior(data)
         cfg = engine.FitConfig(method="a2", seed=5, max_iter=300, window=100,
                                final_elbo_draws=0)
-        solve, calls = matcalc.spd_solve, []
+        objective, calls = reparam._conditional_objective, []
 
-        def counting(s, b):
-            calls.append(len(b))
-            return solve(s, b)
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return objective(*args, **kwargs)
 
-        monkeypatch.setattr(matcalc, "spd_solve", counting)
+        monkeypatch.setattr(reparam, "_conditional_objective", counting)
         assert engine.fit(data, prior, cfg).n_iter == 300
         predicted = len(calls)
         calls.clear()

@@ -441,7 +441,8 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("extra", [["--max-iter", "0"], ["--draws", "0"],
                                        ["--omega-prior-sd", "0", "--prior", "normal-omega"],
                                        ["--sigma-beta2", "0"],
-                                       ["--sigma-beta2", "-1", "--prior", "normal-omega"]])
+                                       ["--sigma-beta2", "-1", "--prior", "normal-omega"],
+                                       ["--seed", "-1"]])
     def test_package_checks_exit_2(self, tmp_path, extra):
         args = ["--data", datasets.fixture_path("seeds.csv"),
                 "--family", "binomial", "--group-col", "plate",
@@ -451,6 +452,10 @@ class TestCliExitCodes:
 
     def test_empty_simulation_is_a_configuration_error(self, tmp_path):
         assert run_cli(["--simulate", "poisson-i", "--simulate-n", "0",
+                        "--out", str(tmp_path)]) == 2
+
+    def test_simulation_seed_out_of_range_is_a_configuration_error(self, tmp_path):
+        assert run_cli(["--simulate", "poisson-i", "--seed", "-1",
                         "--out", str(tmp_path)]) == 2
 
     def test_gaussian_unit_gated(self, tmp_path):

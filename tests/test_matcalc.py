@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,11 +122,7 @@ class TestCholesky:
             assert err < 1e-12
 
 
-def _solve(s, b=None):
-    return matcalc.spd_solve(s, np.ones(s.shape[:-1]) if b is None else b)
-
-
-SMALL_KERNELS = {"inv": matcalc.spd_inv, "cholesky": matcalc.cholesky, "solve": _solve,
+SMALL_KERNELS = {"inv": matcalc.spd_inv, "cholesky": matcalc.cholesky,
                  "inv_cholesky": matcalc.spd_inv_cholesky}
 
 
@@ -169,7 +168,8 @@ def _bad_block(rng, r, kind):
 
 
 class TestSmallBlockKernels:
-    """Closed forms for r <= 2 against LAPACK, which serves r >= 3."""
+    """Closed forms (r = 1 for cholesky, r <= 2 for the inverses) against
+    LAPACK, which serves the rest."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(r=st.integers(1, 3), lead=st.sampled_from([(), (5,), (3, 4)]),
@@ -178,10 +178,8 @@ class TestSmallBlockKernels:
     def test_agree_with_lapack(self, r, lead, log_cond, log_scale, seed):
         rng = np.random.default_rng(seed)
         s = _spd_batch(rng, lead, r, 0.0 if r == 1 else log_cond, log_scale)
-        b = rng.standard_normal(lead + (r,))
         pairs = [(matcalc.spd_inv(s), np.linalg.inv(s)),
-                 (matcalc.cholesky(s), np.linalg.cholesky(s)),
-                 (matcalc.spd_solve(s, b), np.linalg.solve(s, b[..., None])[..., 0])]
+                 (matcalc.cholesky(s), np.linalg.cholesky(s))]
         if r == 1:
             for got, want in pairs:
                 np.testing.assert_array_equal(got, want)
@@ -223,17 +221,15 @@ class TestSmallBlockKernels:
         s = _spd_batch(rng, lead, r, 2.0, 0.0)
         at = tuple(int(rng.integers(0, k)) for k in lead)
         s[at] = _bad_block(rng, r, kind)
-        b = rng.standard_normal(lead + (r,))
         chol_fails = _lapack_fails(np.linalg.cholesky, s)
         want = {"cholesky": chol_fails,
-                "inv": chol_fails if r <= 2 else _lapack_fails(np.linalg.inv, s),
-                "solve": chol_fails if r <= 2 else _lapack_fails(np.linalg.solve, s, b[..., None])}
+                "inv": chol_fails if r <= 2 else _lapack_fails(np.linalg.inv, s)}
         want["inv_cholesky"] = chol_fails if r <= 2 else _lapack_fails(
             lambda x: np.linalg.cholesky(np.linalg.inv(x)), s)
         assert chol_fails or r == 3
         for name, kernel in SMALL_KERNELS.items():
             try:
-                kernel(s, b) if name == "solve" else kernel(s)
+                kernel(s)
                 raised = False
             except NotPositiveDefiniteError:
                 raised = True
@@ -253,7 +249,7 @@ class TestSmallBlockKernels:
         with pytest.raises(NotPositiveDefiniteError):
             SMALL_KERNELS[name](s)
 
-    @pytest.mark.parametrize("name", ["inv", "solve", "inv_cholesky"])
+    @pytest.mark.parametrize("name", ["inv", "inv_cholesky"])
     def test_rank_one_round_off_raises(self, name):
         # z z' with an inexact product: singular to round-off, its computed
         # determinant is a few eps * a d
@@ -335,3 +331,42 @@ class TestLogDiagJacobian:
             u = np.arange(r + 1, 1, -1)
             expected = r * np.log(2.0) + (u * np.log(diag)).sum()
             assert abs(logdet - expected) < 1e-6
+
+
+# np.linalg outside matcalc, as (module, enclosing function): the global
+# block's triangular solve, and the pooled GLM's rank check and IRLS solve
+LINALG_OUTSIDE_MATCALC = {("engine", "VariationalState.cinv_t"), ("model", "fit_pooled_glm")}
+
+
+def _linalg_uses(source):
+    """(enclosing function, line) of each linalg attribute or import in a module."""
+    uses = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        names = ([a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) else [])
+        if (isinstance(node, ast.Attribute) and node.attr == "linalg"
+                or any(name.split(".")[-1] == "linalg" for name in names)):
+            uses.append((".".join(scope), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return uses
+
+
+class TestLinalgStaysInMatcalc:
+    def test_other_modules_call_the_kernels(self):
+        package = pathlib.Path(matcalc.__file__).parent
+        found = {(path.stem, scope, line)
+                 for path in package.glob("*.py") if path.stem != "matcalc"
+                 for scope, line in _linalg_uses(path.read_text())}
+        assert {(module, scope) for module, scope, _ in found} == LINALG_OUTSIDE_MATCALC, \
+            sorted(found)
+
+    def test_finds_attributes_and_imports(self):
+        source = ("import numpy.linalg\nfrom scipy import linalg\n"
+                  "class A:\n    def f(self):\n        return np.linalg.inv(x)\n")
+        assert _linalg_uses(source) == [("", 1), ("", 2), ("A.f", 5)]

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from glmmvb import engine, families, matcalc, model, posterior, reparam
-from glmmvb.exceptions import OverflowGuardError
+from glmmvb import engine, families, matcalc, model, posterior, recombine, reparam
+from glmmvb.exceptions import NotPositiveDefiniteError, OverflowGuardError
 
-from conftest import random_dataset, random_gp
+from conftest import random_dataset, random_gp, random_spd
 
 from test_engine import micro_model
 
@@ -129,6 +129,7 @@ class TestSimulateB:
             summary = posterior.simulate_b(data, prior, state, method, 200, seed=3)
         assert 0 < summary.n_rejected < 200
         assert np.all(np.isfinite(summary.scale_mean)) and np.all(np.isfinite(summary.b_mean))
+        assert np.all(np.isfinite(summary.scale_sd))
 
     def test_all_draws_rejected_raises(self):
         # every omega draw overflows Omega: the loop stops instead of drawing on
@@ -161,6 +162,25 @@ class TestScaleMapping:
         omega = rng.standard_normal((20, 1))
         names, scales = posterior._scales_from_omega(omega, 1)
         np.testing.assert_allclose(scales[:, 0], np.exp(-omega[:, 0]), rtol=1e-12)
+
+
+class TestFactorScales:
+    def test_draws_from_the_factors_cholesky(self, rng):
+        cov = random_spd(rng, 3)
+        factor = recombine.GaussianFactor(rng.standard_normal(3), cov)
+        names, means, sds = posterior.factor_scales(factor, 2, 1, 50, seed=3)
+        draws = (factor.mean + engine.stream(3, engine.LANE_SIM, 1).standard_normal((50, 3))
+                 @ np.linalg.cholesky(cov).T)
+        want = posterior._scales_from_omega(draws[:, 2:], 1)[1]
+        np.testing.assert_array_equal(means, want.mean(axis=0))
+        np.testing.assert_array_equal(sds, want.std(axis=0, ddof=1))
+
+    @pytest.mark.parametrize("cov", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]],
+                             ids=["indefinite", "nan"])
+    def test_covariance_that_is_not_spd_raises(self, cov):
+        factor = recombine.GaussianFactor(np.zeros(2), cov)
+        with pytest.raises(NotPositiveDefiniteError):
+            posterior.factor_scales(factor, 1, 1, 10, seed=0)
 
 
 class TestCompareMetrics:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from glmmvb import datasets, engine, model, recombine, simulate
 from glmmvb.exceptions import (
+    ConfigError,
     DivergedError,
     InvalidVError,
     NotPositiveDefiniteError,
@@ -44,6 +45,10 @@ class TestPartition:
             recombine.partition(5, 0, seed=0)
         with pytest.raises(InvalidVError):
             recombine.partition(5, 6, seed=0)
+
+    def test_seed_out_of_range_is_a_configuration_error(self):
+        with pytest.raises(ConfigError):
+            recombine.partition(5, 2, seed=-1)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(n=st.integers(1, 60), data=st.data(), seed=st.integers(0, 2**32 - 1))
@@ -107,6 +112,18 @@ class TestCombine:
     def test_too_strong_prior_subtraction(self, rng):
         prior = recombine.GaussianFactor([0.0], [[1e-6]])  # overwhelms the shards
         fs = [recombine.GaussianFactor([0.0], [[1.0]]) for _ in range(3)]
+        with pytest.raises(NotPositiveDefiniteError):
+            recombine.combine(fs, prior)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_singular_shard_covariance_is_not_positive_definite(self, k):
+        # a shard covariance with a zero row: the closed forms (k <= 2) and
+        # LAPACK (k = 3) both reject it with the package's error
+        prior = recombine.GaussianFactor(np.zeros(k), 100 * np.eye(k))
+        singular = np.eye(k)
+        singular[-1, -1] = 0.0
+        fs = [recombine.GaussianFactor(np.zeros(k), np.eye(k)),
+              recombine.GaussianFactor(np.zeros(k), singular)]
         with pytest.raises(NotPositiveDefiniteError):
             recombine.combine(fs, prior)
 

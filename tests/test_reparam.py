@@ -303,6 +303,28 @@ class TestModePredictor:
             np.testing.assert_allclose(getattr(got, field), getattr(want, field),
                                        rtol=REFERENCE_TOL, atol=REFERENCE_TOL)
 
+    # predicted from an Omega e^-6 times the target's: the search from the
+    # prediction overflows (seed 101) or meets a singular precision (102),
+    # while the search from a1's lambda reaches the mode
+    @pytest.mark.parametrize("seed,draws,error", [(101, 1, OverflowGuardError),
+                                                  (102, 6, NotPositiveDefiniteError)])
+    def test_failed_predicted_start_is_searched_again_from_a1(self, seed, draws, error):
+        rng = np.random.default_rng(seed)
+        data = random_dataset(rng, families.POISSON, r=2, n=5, p=2)
+        for _ in range(draws):
+            gp = random_gp(rng, 2, 2)
+        omega = gp.omega.copy()
+        omega[matcalc.diag_positions(2)] -= 3.0
+        far = model.GlobalParams(gp.beta, omega, 2)
+        start = reparam.mode_predictor(data, reparam.transform_a2(data, far), far)(gp)
+        with np.errstate(all="ignore"):
+            with pytest.raises(error):
+                reparam.transform_a2(data, gp, start)
+            got = reparam.build_transforms(data, gp, "a2", start)
+        want = reparam.transform_a2(data, gp)
+        for field in ("lam", "L", "Lambda", "base_eta", "weight"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
     def test_weight_is_kept_for_one_theta_only(self, rng):
         data = random_dataset(rng, families.BINOMIAL, r=2, n=4, p=2)
         gp = random_gp(rng, 2, 2)
@@ -429,6 +451,18 @@ class TestBuildFailures:
         gp = model.GlobalParams([0.1], [-400.0, 0.0, -400.0], 2)
         with pytest.raises(NotPositiveDefiniteError):
             reparam.build_transforms(data, gp, method, None if start is None else np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("fam", [families.POISSON, families.BERNOULLI], ids=lambda f: f.name)
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_non_finite_newton_step_is_recoverable(self, rng, monkeypatch, fam, r):
+        # a Newton step that is not finite ends the search in a recoverable
+        # error, which a step retries and a draw rejects
+        data = random_dataset(rng, fam, r=r, n=3, p=2)
+        gp = random_gp(rng, 2, r)
+        monkeypatch.setattr(matcalc, "spd_inv", lambda s: np.full(np.shape(s), np.inf))
+        with pytest.raises(ModeSearchFailedError, match="non-finite Newton step"), \
+                np.errstate(all="ignore"):
+            reparam.transform_a2(data, gp, np.zeros((data.n, r)))
 
 
 def _no_lapack(*args, **kwargs):
