@@ -14,7 +14,6 @@ from .engine import FitConfig, FitResult, VariationalState, fit
 from .model import (
     Dataset,
     GlobalParams,
-    KnownOmega,
     NormalOmegaPrior,
     WishartPrior,
     default_prior,
@@ -32,7 +31,6 @@ __all__ = [
     "fit",
     "Dataset",
     "GlobalParams",
-    "KnownOmega",
     "NormalOmegaPrior",
     "WishartPrior",
     "default_prior",

@@ -16,10 +16,8 @@ from .exceptions import ConfigError, DataError, GlmmVbError, InvalidVError
 def build_parser():
     p = argparse.ArgumentParser(prog="glmmvb", description=__doc__)
     p.add_argument("--data", help="input CSV (long format, one row per observation)")
-    p.add_argument("--family", choices=["poisson", "binomial", "bernoulli", "gaussian-unit"],
+    p.add_argument("--family", choices=["poisson", "binomial", "bernoulli"],
                    help="response family")
-    p.add_argument("--enable-test-family", action="store_true",
-                   help="allow the internal gaussian-unit test family")
     p.add_argument("--trials-col", default=None, help="binomial trials column")
     p.add_argument("--group-col", default="group", help="subject/group id column")
     p.add_argument("--response-col", default="y", help="response column")
@@ -68,9 +66,6 @@ def run(args):
         return 0
     if not args.data or not args.family:
         raise ConfigError("--data and --family are required unless --simulate is given")
-    if args.family == "gaussian-unit" and not args.enable_test_family:
-        raise ConfigError("gaussian-unit is an internal test family; "
-                          "pass --enable-test-family to use it")
     if args.family == "binomial" and not args.trials_col:
         raise ConfigError("binomial fits need --trials-col")
     data = fileio.load_csv(args.data, args.family, args.group_col,

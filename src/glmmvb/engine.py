@@ -286,7 +286,7 @@ def window_slope(window_means, tau):
 
 
 def _global_params(data, prior, glob):
-    """Split a global-block vector into GlobalParams, honoring KnownOmega."""
+    """Split a global-block vector into GlobalParams, omega fixed unless prior.learns_omega."""
     beta = glob[..., :data.p]
     if prior.learns_omega:
         omega = glob[..., data.p:]

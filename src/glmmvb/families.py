@@ -1,11 +1,12 @@
 """One-parameter exponential families with canonical links.
 
-Each family exposes the log-partition function h and its first three
-derivatives, the log-likelihood y*eta - h(eta) (additive constants that do
-not depend on eta are dropped throughout the package so that lower bounds
-are comparable), and a regularized natural-parameter estimate per
-observation: the posterior mean of eta under the Jeffreys prior, which,
-unlike the maximum-likelihood estimate, is finite on the support boundary.
+A family is three methods: derivs, the log-partition function h and its
+first k <= 3 derivatives from one pass over eta; eta_hat_reg, a regularized
+natural-parameter estimate per observation (the posterior mean of eta
+under the Jeffreys prior, which, unlike the maximum-likelihood estimate,
+is finite on the support boundary); and validate. The log-likelihood is
+y*eta - h(eta): additive constants that do not depend on eta are dropped
+throughout the package so that lower bounds are comparable.
 
 All functions are vectorized over numpy arrays of eta / y / trials.
 """
@@ -25,25 +26,10 @@ class Family:
 
     name = "family"
 
-    def h(self, eta, trials=None):
+    def derivs(self, eta, trials, k):
+        """(h, h', ..., h^(k)) at eta for k <= 3, from one pass. The arrays
+        may share memory, so callers must not write into them."""
         raise NotImplementedError
-
-    def h1(self, eta, trials=None):
-        raise NotImplementedError
-
-    def h2(self, eta, trials=None):
-        raise NotImplementedError
-
-    def h3(self, eta, trials=None):
-        raise NotImplementedError
-
-    def h_derivs(self, eta, trials=None):
-        """(h, h', h'') at eta from one pass; equal to (h, h1, h2) bit for bit."""
-        return self.h(eta, trials), self.h1(eta, trials), self.h2(eta, trials)
-
-    def loglik(self, y, eta, trials=None):
-        """y*eta - h(eta), constants independent of eta excluded."""
-        return np.asarray(y, dtype=float) * eta - self.h(eta, trials)
 
     def eta_hat_reg(self, y, trials=None):
         raise NotImplementedError
@@ -65,22 +51,11 @@ class Family:
 class Poisson(Family):
     name = "poisson"
 
-    def _guard(self, eta):
+    def derivs(self, eta, trials, k):
         eta = np.asarray(eta, dtype=float)
         if np.any(eta > POISSON_ETA_MAX):
             raise OverflowGuardError("poisson linear predictor exceeded guard")
-        return eta
-
-    def h(self, eta, trials=None):
-        return np.exp(self._guard(eta))
-
-    h1 = h
-    h2 = h
-    h3 = h
-
-    def h_derivs(self, eta, trials=None):
-        e = self.h(eta)
-        return e, e, e
+        return (np.exp(eta),) * (k + 1)
 
     def eta_hat_reg(self, y, trials=None):
         return sc.digamma(np.asarray(y, dtype=float) + 0.5)
@@ -90,6 +65,24 @@ class Poisson(Family):
         bad = ~np.isfinite(y) | (y < 0) | (y != np.round(y))
         if np.any(bad):
             self._bad(bad, lines, "expected a nonnegative integer count")
+
+
+def _logistic_derivs(eta, k):
+    """Softplus h = log(1 + e^eta) and its derivatives for one trial, from
+    e = exp(-|eta|), which never overflows: h = max(eta, 0) + log1p(e),
+    h' = (1 or e)/(1 + e), h'' = e/(1 + e)^2 (no cancellation at large
+    |eta|) and h''' = -h'' tanh(eta/2) (none near eta = 0)."""
+    eta = np.asarray(eta, dtype=float)
+    e = np.exp(-np.abs(eta))
+    out = [np.maximum(eta, 0.0) + np.log1p(e)]
+    if k >= 1:
+        d = 1.0 + e
+        out.append(np.where(eta >= 0, 1.0, e) / d)
+    if k >= 2:
+        out.append(e / (d * d))
+    if k >= 3:
+        out.append(-out[2] * np.tanh(0.5 * eta))
+    return tuple(out)
 
 
 class Binomial(Family):
@@ -103,30 +96,12 @@ class Binomial(Family):
             return np.ones_like(np.asarray(eta_like, dtype=float))
         return np.asarray(trials, dtype=float)
 
-    def h(self, eta, trials=None):
-        eta = np.asarray(eta, dtype=float)
-        return self._trials(eta, trials) * np.logaddexp(0.0, eta)
-
-    def h1(self, eta, trials=None):
-        eta = np.asarray(eta, dtype=float)
-        return self._trials(eta, trials) * sc.expit(eta)
-
-    def h2(self, eta, trials=None):
-        eta = np.asarray(eta, dtype=float)
-        p = sc.expit(eta)
-        return self._trials(eta, trials) * p * (1.0 - p)
-
-    def h3(self, eta, trials=None):
-        eta = np.asarray(eta, dtype=float)
-        p = sc.expit(eta)
-        return self._trials(eta, trials) * p * (1.0 - p) * (1.0 - 2.0 * p)
-
-    def h_derivs(self, eta, trials=None):
-        eta = np.asarray(eta, dtype=float)
-        m = self._trials(eta, trials)
-        p = sc.expit(eta)
-        h1 = m * p
-        return m * np.logaddexp(0.0, eta), h1, h1 * (1.0 - p)
+    def derivs(self, eta, trials, k):
+        out = _logistic_derivs(eta, k)
+        if trials is None:
+            return out
+        m = np.asarray(trials, dtype=float)
+        return tuple(m * v for v in out)
 
     def eta_hat_reg(self, y, trials=None):
         y = np.asarray(y, dtype=float)
@@ -151,6 +126,9 @@ class Bernoulli(Binomial):
     def _trials(eta_like, trials):
         return np.ones_like(np.asarray(eta_like, dtype=float))
 
+    def derivs(self, eta, trials, k):
+        return _logistic_derivs(eta, k)
+
     def validate(self, y, trials=None, lines=None):
         y = np.asarray(y, dtype=float)
         bad = ~np.isfinite(y) | ((y != 0) & (y != 1))
@@ -158,45 +136,11 @@ class Bernoulli(Binomial):
             self._bad(bad, lines, "expected 0 or 1")
 
 
-class GaussianUnit(Family):
-    """y ~ N(eta, 1) with h(eta) = eta^2/2.
-
-    Test family: its conditional posteriors are exactly Gaussian, making the
-    closed-form linear-mixed-model transform an exactness oracle. Internal;
-    the CLI exposes it only behind a flag.
-    """
-
-    name = "gaussian-unit"
-
-    def h(self, eta, trials=None):
-        eta = np.asarray(eta, dtype=float)
-        return 0.5 * eta * eta
-
-    def h1(self, eta, trials=None):
-        return np.asarray(eta, dtype=float)
-
-    def h2(self, eta, trials=None):
-        return np.ones_like(np.asarray(eta, dtype=float))
-
-    def h3(self, eta, trials=None):
-        return np.zeros_like(np.asarray(eta, dtype=float))
-
-    def eta_hat_reg(self, y, trials=None):
-        return np.asarray(y, dtype=float)
-
-    def validate(self, y, trials=None, lines=None):
-        y = np.asarray(y, dtype=float)
-        bad = ~np.isfinite(y)
-        if np.any(bad):
-            self._bad(bad, lines, "expected a finite real")
-
-
 POISSON = Poisson()
 BINOMIAL = Binomial()
 BERNOULLI = Bernoulli()
-GAUSSIAN_UNIT = GaussianUnit()
 
-_BY_NAME = {f.name: f for f in (POISSON, BINOMIAL, BERNOULLI, GAUSSIAN_UNIT)}
+_BY_NAME = {f.name: f for f in (POISSON, BINOMIAL, BERNOULLI)}
 
 
 def by_name(name):

@@ -9,8 +9,10 @@ raw half-vec gradient in v(W) coordinates is available for checks).
 Both transform methods share one routine: a1 is a2 with the expansion point
 fixed at the regularized estimates instead of the conditional mode, which
 does not move with theta_G, so a1 has no third-derivative correction
-alpha_i. All functions broadcast over leading batch dimensions of theta_G
-and b~.
+alpha_i. The family is called once per point: derivs gives h and h' at
+eta = X beta + Z b for the value and the residuals and, under a2, h'' and
+h''' at the modes. All functions broadcast over leading batch dimensions
+of theta_G and b~.
 """
 
 from dataclasses import dataclass
@@ -38,9 +40,10 @@ class JointGradient:
         return np.concatenate(parts, axis=-1)
 
 
-def _score(data, gp, b, eta):
-    """Masked residuals y - g(eta) and a_i = Z_i'(y_i - g(eta_i)) - Omega b_i."""
-    resid = data.mask * (data.y - data.family.h1(eta, data.trials))
+def _score(data, gp, b, h1):
+    """Masked residuals y - g(eta) and a_i = Z_i'(y_i - g(eta_i)) - Omega b_i,
+    from g(eta) = h'(eta)."""
+    resid = data.mask * (data.y - h1)
     return resid, (np.einsum("njr,...nj->...nr", data.Z, resid)
                    - np.einsum("...rs,...ns->...nr", gp.Omega, b))
 
@@ -69,22 +72,23 @@ def value_and_grad(data, gp, b_tilde, method, prior, transforms=None):
     L, lam, Lam = transforms.L, transforms.lam, transforms.Lambda
     b = transforms.invert(b_tilde)
     eta = data.eta(gp.beta, b)
-    resid, a = _score(data, gp, b, eta)
-    value = model.log_joint(data, gp, b, prior, eta=eta) + transforms.log_det_l()
+    h, h1 = data.family.derivs(eta, data.trials, 1)
+    resid, a = _score(data, gp, b, h1)
+    value = model.log_joint(data, gp, b, prior, eta=eta, h=h) + transforms.log_det_l()
 
     local = grad_local(transforms, a)
     LBL = L @ _sym_lower(local[..., :, None] * b_tilde[..., None, :]) @ np.swapaxes(L, -1, -2)
     alpha = 0.0  # a2 only: the mode moves with theta_G, so a = a - Z'alpha
+    weight = transforms.weight
     if transforms.method == "a2":
-        alpha = (0.5 * data.mask * data.family.h3(transforms.base_eta, data.trials)
-                 * data.zmz(Lam + LBL))
+        _, _, h2, h3 = data.family.derivs(transforms.base_eta, data.trials, 3)
+        if weight is None:  # built at a batch of theta_G: h'' at the modes
+            weight = data.mask * h2
+        alpha = 0.5 * data.mask * h3 * data.zmz(Lam + LBL)
         a = a - np.einsum("njr,...nj->...nr", data.Z, alpha)
     t1 = np.einsum("...nrs,...ns->...nr", Lam, a)
 
     zt1 = np.einsum("njr,...nr->...nj", data.Z, t1)
-    weight = transforms.weight
-    if weight is None:  # a2 built at a batch of theta_G: h'' at the modes
-        weight = data.mask * data.family.h2(transforms.base_eta, data.trials)
     beta_grad = (np.einsum("njp,...nj->...p", data.X, resid - weight * zt1 - alpha)
                  - gp.beta / prior.sigma_beta2)
 

@@ -305,28 +305,6 @@ class NormalOmegaPrior:
         return -(gp.omega - self.mean) / (self.sd * self.sd)
 
 
-@dataclass
-class KnownOmega:
-    """Degenerate prior holding omega fixed; omega is not a variational variable.
-
-    Realizes conjugate test models with a known random-effects precision.
-    """
-
-    sigma_beta2: float
-    omega: np.ndarray
-    learns_omega: bool = field(default=False, init=False)
-
-    def __post_init__(self):
-        _check_sigma_beta2(self.sigma_beta2)
-        self.omega = np.atleast_1d(np.asarray(self.omega, dtype=float))
-
-    def log_omega(self, gp):
-        return np.zeros(gp.omega.shape[:-1])
-
-    def grad_omega(self, gp):
-        return np.zeros_like(gp.omega)
-
-
 def normal_omega_prior(r, sigma_beta2=DEFAULT_SIGMA_BETA2, mean=0.0, sd=10.0):
     g2 = matcalc.half_len(r)
     return NormalOmegaPrior(sigma_beta2, np.full(g2, float(mean)), np.full(g2, float(sd)))
@@ -336,16 +314,19 @@ def normal_omega_prior(r, sigma_beta2=DEFAULT_SIGMA_BETA2, mean=0.0, sd=10.0):
 # log joints
 
 
-def log_joint(data, gp, b, prior, eta=None):
+def log_joint(data, gp, b, prior, eta=None, h=None):
     """Log joint density of data, random effects and global parameters.
 
     sum_i [ sum_j {y eta - h(eta)} - b_i' Omega b_i / 2 ] + (n/2) log|Omega|
     - beta'beta/(2 sigma_beta^2) + log p(omega); broadcasts over leading
-    dims of gp.beta / gp.omega / b. eta = X beta + Z b, if already known.
+    dims of gp.beta / gp.omega / b. eta = X beta + Z b and h(eta), if
+    already known.
     """
     if eta is None:
         eta = data.eta(gp.beta, b)
-    ll = (data.mask * data.family.loglik(data.y, eta, data.trials)).sum(axis=(-1, -2))
+    if h is None:
+        h = data.family.derivs(eta, data.trials, 0)[0]
+    ll = (data.mask * (data.y * eta - h)).sum(axis=(-1, -2))
     quad = np.einsum("...nr,...rs,...ns->...", b, gp.Omega, b)
     pen = (gp.beta * gp.beta).sum(axis=-1) / (2.0 * prior.sigma_beta2)
     return (ll - 0.5 * quad + data.n * gp.log_diag_sum() - pen
@@ -382,14 +363,15 @@ def fit_pooled_glm(data, tol=1e-8, max_iter=25):
     if ones_col.size and fam.name == "poisson":
         beta[ones_col[0]] = math.log(y.mean() + 0.5)
 
-    def deviance(bvec):
-        return -2.0 * fam.loglik(y, X @ bvec, m).sum()
+    def evaluate(bvec):
+        """The deviance at bvec, and h' and h'' for the next step from there."""
+        eta = X @ bvec
+        h, h1, w = fam.derivs(eta, m, 2)
+        return -2.0 * (y * eta - h).sum(), h1, w
 
-    dev = deviance(beta)
+    dev, h1, w = evaluate(beta)
     for _ in range(max_iter):
-        eta = X @ beta
-        w = fam.h2(eta, m)
-        score = X.T @ (y - fam.h1(eta, m))
+        score = X.T @ (y - h1)
         fisher = X.T @ (w[:, None] * X)
         try:
             step = np.linalg.solve(fisher, score)
@@ -398,7 +380,7 @@ def fit_pooled_glm(data, tol=1e-8, max_iter=25):
         t = 1.0
         for _ in range(30):
             cand = beta + t * step
-            dev_new = deviance(cand)
+            dev_new, h1, w = evaluate(cand)
             if dev_new <= dev + 1e-12 * (abs(dev) + 1.0):
                 break
             t *= 0.5
@@ -420,7 +402,7 @@ def default_prior(data, sigma_beta2=DEFAULT_SIGMA_BETA2):
     """
     beta_hat = fit_pooled_glm(data)
     eta = np.einsum("njp,p->nj", data.X, beta_hat)
-    w = data.mask * data.family.h2(eta, data.trials)
+    w = data.mask * data.family.derivs(eta, data.trials, 2)[2]
     A = np.einsum("njr,nj,njs->rs", data.Z, w, data.Z) / data.n
     rho = data.r if data.r == 1 else data.r + 1
     try:

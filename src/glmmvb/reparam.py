@@ -70,8 +70,9 @@ def transform_a1(data, gp):
     if "a1" not in data.cache:
         # the parts free of theta_G: Z'HZ, Z'{y - g + H eta_hat} and Z'HX
         fam, eta_hat = data.family, data.eta_hat_reg()
-        w = data.mask * fam.h2(eta_hat, data.trials)
-        resid = data.mask * (data.y - fam.h1(eta_hat, data.trials)) + w * eta_hat
+        _, h1, h2 = fam.derivs(eta_hat, data.trials, 2)
+        w = data.mask * h2
+        resid = data.mask * (data.y - h1) + w * eta_hat
         data.cache["a1"] = (np.einsum("njr,nj,njs->nrs", data.Z, w, data.Z),
                             np.einsum("njr,nj->nr", data.Z, resid),
                             np.einsum("njr,nj,njp->nrp", data.Z, w, data.X), w)
@@ -97,7 +98,7 @@ def _conditional_objective(data, Xbeta, Omega, b, eta=None, h=None):
     if eta is None:
         eta = _eta(data, Xbeta, b)
     if h is None:
-        h = data.family.h(eta, data.trials)
+        h = data.family.derivs(eta, data.trials, 0)[0]
     ll = data.y * eta  # the one (..., n, J) temporary
     ll -= h
     ll *= data.mask
@@ -110,7 +111,7 @@ def _evaluate(data, Xbeta, Omega, b):
     """The one evaluation of a point b: the objective and (h', h'') at
     eta = X beta + Z b; eta and h are dropped here."""
     eta = _eta(data, Xbeta, b)
-    h, h1, h2 = data.family.h_derivs(eta, data.trials)
+    h, h1, h2 = data.family.derivs(eta, data.trials, 2)
     return _conditional_objective(data, Xbeta, Omega, b, eta, h), h1, h2
 
 
@@ -212,7 +213,10 @@ def build_transforms(data, gp, method, start=None):
         return transform_a1(data, gp)
     if start is not None:
         try:
-            return transform_a2(data, gp, start)
+            # a far-off start can overflow on its way to a recoverable
+            # failure; its warnings belong to the discarded attempt
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                return transform_a2(data, gp, start)
         except RECOVERABLE:
             pass
     return transform_a2(data, gp)

@@ -5,6 +5,8 @@ import pytest
 
 from glmmvb import families, matcalc, model, reparam
 
+import oracles
+
 
 def random_spd(rng, r, scale=1.0):
     a = rng.standard_normal((r, r))
@@ -82,7 +84,7 @@ def max_rel_err(approx, exact):
 
 
 ALL_FAMILIES = [families.POISSON, families.BINOMIAL, families.BERNOULLI,
-                families.GAUSSIAN_UNIT]
+                oracles.GAUSSIAN_UNIT]
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,73 @@
 """Reference implementations that only the tests use.
 
-Matrix-calculus operators (applied through index maps, not materialized
-matrices), the Cholesky directional derivative, a domain-checked digamma,
-per-subject and per-observation quantities the fitted path never forms
-separately, the variational log density, the forward transform
-b~ = L^{-1}(b - lambda) and the straightforward a2 mode search.
+A unit-variance Gaussian family and a prior with a known omega, under
+which conditional posteriors are exactly Gaussian (the closed-form
+exactness oracles); matrix-calculus operators (applied through index
+maps, not materialized matrices), the Cholesky directional derivative, a
+domain-checked digamma, per-subject and per-observation quantities the
+fitted path never forms separately, the variational log density, the
+forward transform b~ = L^{-1}(b - lambda) and the straightforward a2 mode
+search.
 """
 
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 import scipy.special as sc
 
-from glmmvb import gradients, matcalc, reparam
+from glmmvb import families, gradients, matcalc, model, reparam
 from glmmvb.exceptions import DomainError, ModeSearchFailedError
+
+
+class GaussianUnit(families.Family):
+    """y ~ N(eta, 1) with h(eta) = eta^2/2: conditional posteriors are
+    exactly Gaussian, so the closed-form linear-mixed-model transform is an
+    exactness oracle."""
+
+    name = "gaussian-unit"
+
+    def derivs(self, eta, trials, k):
+        eta = np.asarray(eta, dtype=float)
+        return (0.5 * eta * eta, eta, np.ones_like(eta), np.zeros_like(eta))[:k + 1]
+
+    def eta_hat_reg(self, y, trials=None):
+        return np.asarray(y, dtype=float)
+
+    def validate(self, y, trials=None, lines=None):
+        y = np.asarray(y, dtype=float)
+        bad = ~np.isfinite(y)
+        if np.any(bad):
+            self._bad(bad, lines, "expected a finite real")
+
+
+GAUSSIAN_UNIT = GaussianUnit()
+
+
+def family(name):
+    """The package family of that name, or the Gaussian oracle family."""
+    return GAUSSIAN_UNIT if name == GAUSSIAN_UNIT.name else families.by_name(name)
+
+
+@dataclass
+class KnownOmega:
+    """Degenerate prior holding omega fixed; omega is not a variational
+    variable. Realizes conjugate test models with a known random-effects
+    precision."""
+
+    sigma_beta2: float
+    omega: np.ndarray
+    learns_omega: bool = field(default=False, init=False)
+
+    def __post_init__(self):
+        model._check_sigma_beta2(self.sigma_beta2)
+        self.omega = np.atleast_1d(np.asarray(self.omega, dtype=float))
+
+    def log_omega(self, gp):
+        return np.zeros(gp.omega.shape[:-1])
+
+    def grad_omega(self, gp):
+        return np.zeros_like(gp.omega)
 
 
 @lru_cache(maxsize=None)
@@ -135,7 +189,8 @@ def subject_grad_omega(gp, b):
 
 def a_vec(data, gp, b):
     """a_i = Z_i'(y_i - g(eta_i)) - Omega b_i at eta_i = X_i beta + Z_i b_i."""
-    return gradients._score(data, gp, b, data.eta(gp.beta, b))[1]
+    h1 = data.family.derivs(data.eta(gp.beta, b), data.trials, 1)[1]
+    return gradients._score(data, gp, b, h1)[1]
 
 
 def btilde_mat(transforms, a, b_tilde):
@@ -175,10 +230,10 @@ def transform_a2(data, gp, start=None):
     for it in range(reparam.NR_MAX_ITER + 1):
         eta = Xbeta + np.einsum("njr,...nr->...nj", data.Z, b)
         Om_b = np.einsum("...rs,...ns->...nr", Omega, b)
-        grad = np.einsum("njr,...nj->...nr", data.Z,
-                         data.mask * (data.y - fam.h1(eta, data.trials))) - Om_b
+        _, h1, h2 = fam.derivs(eta, data.trials, 2)
+        grad = np.einsum("njr,...nj->...nr", data.Z, data.mask * (data.y - h1)) - Om_b
         P = Omega[..., None, :, :] + np.einsum(
-            "njr,...nj,njs->...nrs", data.Z, data.mask * fam.h2(eta, data.trials), data.Z)
+            "njr,...nj,njs->...nrs", data.Z, data.mask * h2, data.Z)
         scale = 1.0 + np.abs(Om_b).max(axis=-1)
         gnorm = np.abs(grad).max(axis=-1)
         active = gnorm > reparam.NR_TOL * scale

@@ -30,9 +30,9 @@ def micro_model(rng=None, n=1, k=3):
     rng = rng or np.random.default_rng(7)
     y = [rng.standard_normal(k) + 0.8 for _ in range(n)]
     ones = np.ones((k, 1))
-    data = model.Dataset.from_lists(families.GAUSSIAN_UNIT, y,
+    data = model.Dataset.from_lists(oracles.GAUSSIAN_UNIT, y,
                                     [ones] * n, [ones] * n)
-    prior = model.KnownOmega(100.0, np.array([0.25]))
+    prior = oracles.KnownOmega(100.0, np.array([0.25]))
     return data, prior
 
 
@@ -529,7 +529,7 @@ class TestFailFast:
         # every draw of the known omega makes the a1 precision singular
         data = model.Dataset.from_lists(families.POISSON, [[1.0, 2.0]],
                                         [[[1.0], [0.5]]], [[[0.0], [0.0]]])
-        prior = model.KnownOmega(100.0, np.array([-800.0]))
+        prior = oracles.KnownOmega(100.0, np.array([-800.0]))
         cfg = engine.FitConfig(method="a1", seed=1)
         state = engine.VariationalState.initial(data.n, data.r, data.p)
         adam = engine.AdamState.zeros(state.params.size)

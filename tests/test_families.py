@@ -1,7 +1,11 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from glmmvb import families
 from glmmvb.exceptions import DomainError, InvalidResponseError, OverflowGuardError
@@ -12,8 +16,9 @@ from conftest import ALL_FAMILIES
 EULER_GAMMA = 0.57721566490153286061
 
 
-def _derivative_chain(fam, eta, m):
-    return [fam.h(eta, m), fam.h1(eta, m), fam.h2(eta, m), fam.h3(eta, m)]
+def _log_likelihood(fam, y, eta, trials=None):
+    """y*eta - h(eta), constants independent of eta excluded."""
+    return y * eta - fam.derivs(eta, trials, 0)[0]
 
 
 class TestLogPartitionDerivatives:
@@ -22,60 +27,146 @@ class TestLogPartitionDerivatives:
         eta = np.linspace(-20, 20, 161)
         m = np.full_like(eta, 10.0)
         h = 1e-4
-        chain = _derivative_chain(fam, eta, m)
-        funcs = [fam.h, fam.h1, fam.h2]
+        chain = fam.derivs(eta, m, 3)
         for level in range(3):
-            fd = (funcs[level](eta + h, m) - funcs[level](eta - h, m)) / (2 * h)
+            fd = (fam.derivs(eta + h, m, 2)[level] - fam.derivs(eta - h, m, 2)[level]) / (2 * h)
             err = np.abs(fd - chain[level + 1]) / (1 + np.abs(chain[level + 1]))
             assert err.max() < 1e-6
 
     @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.name)
     def test_variance_nonnegative(self, fam):
         eta = np.linspace(-30, 30, 301)
-        assert np.all(fam.h2(eta, np.full_like(eta, 7.0)) >= 0)
+        assert np.all(fam.derivs(eta, np.full_like(eta, 7.0), 2)[2] >= 0)
 
     def test_poisson_at_zero(self):
-        fam = families.POISSON
-        assert fam.h(0.0) == fam.h1(0.0) == fam.h2(0.0) == fam.h3(0.0) == 1.0
+        h, h1, h2, h3 = families.POISSON.derivs(0.0, None, 3)
+        assert h == h1 == h2 == h3 == 1.0
 
     def test_binomial_at_zero(self):
-        fam = families.BINOMIAL
-        m = np.array(10.0)
-        assert fam.h1(0.0, m) == 5.0
-        assert fam.h2(0.0, m) == 2.5
-        assert fam.h3(0.0, m) == 0.0
+        _, h1, h2, h3 = families.BINOMIAL.derivs(0.0, np.array(10.0), 3)
+        assert h1 == 5.0
+        assert h2 == 2.5
+        assert h3 == 0.0
 
     def test_bernoulli_value(self):
-        assert abs(families.BERNOULLI.h1(2.0) - 0.88) < 0.005
+        assert abs(families.BERNOULLI.derivs(2.0, None, 1)[1] - 0.88) < 0.005
 
     def test_gaussian_unit(self):
-        fam = families.GAUSSIAN_UNIT
-        assert fam.h(3.0) == 4.5
-        assert fam.h1(3.0) == 3.0
-        assert fam.h2(3.0) == 1.0
-        assert fam.h3(3.0) == 0.0
+        h, h1, h2, h3 = oracles.GAUSSIAN_UNIT.derivs(3.0, None, 3)
+        assert h == 4.5
+        assert h1 == 3.0
+        assert h2 == 1.0
+        assert h3 == 0.0
 
     def test_poisson_overflow_guard(self):
         with pytest.raises(OverflowGuardError):
-            families.POISSON.h(501.0)
-        families.POISSON.h(499.0)  # below the guard is fine
-
-    @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.name)
-    def test_shared_derivatives_equal_separate_ones(self, fam, rng):
-        eta = np.concatenate([np.linspace(-40, 40, 161), 3.0 * rng.standard_normal(30)])
-        m = rng.integers(1, 12, size=eta.shape).astype(float)
-        for trials in (m, None):
-            shared = fam.h_derivs(eta, trials)
-            assert len(shared) == 3
-            for got, want in zip(shared, (fam.h(eta, trials), fam.h1(eta, trials),
-                                          fam.h2(eta, trials))):
-                np.testing.assert_array_equal(got, want)
+            families.POISSON.derivs(501.0, None, 0)
+        families.POISSON.derivs(499.0, None, 0)  # below the guard is fine
 
     def test_shared_derivatives_keep_the_poisson_guard(self):
         eta = np.array([0.0, families.POISSON_ETA_MAX + 1.0])
         with pytest.raises(OverflowGuardError):
-            families.POISSON.h_derivs(eta)
-        families.POISSON.h_derivs(eta - 2.0)  # below the guard is fine
+            families.POISSON.derivs(eta, None, 2)
+        families.POISSON.derivs(eta - 2.0, None, 2)  # below the guard is fine
+
+
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny  # the smallest normal float
+PACKAGE_FAMILIES = [families.POISSON, families.BINOMIAL, families.BERNOULLI]
+
+
+def _longdouble_derivs(fam, eta):
+    """(h, h', h'', h''') of one trial and e, by the formulas of fam.derivs
+    evaluated in np.longdouble (a 64-bit mantissa on x86_64); e is exp(eta)
+    for Poisson and exp(-|eta|) for the logistic families."""
+    x = np.asarray(eta, dtype=np.longdouble)
+    if fam is families.POISSON:
+        e = np.exp(x)
+        return (e,) * 4, e
+    e = np.exp(-np.abs(x))
+    d = 1 + e
+    h2 = e / (d * d)
+    return (np.maximum(x, 0) + np.log1p(e), np.where(x >= 0, 1, e) / d, h2,
+            -h2 * np.tanh(x / 2)), e
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
+                    reason="np.longdouble is no wider than a double here")
+class TestAccuracy:
+    """Every derivs output is within 4 eps of its extended-precision value
+    wherever that value is a normal float (for binomial, wherever the value
+    of one trial is too: trials times a subnormal has lost bits), and
+    h'' > 0 wherever e is normal. h'' as h'(1 - h') fails this by 1e-3
+    at eta = 30."""
+
+    @pytest.mark.parametrize("fam", PACKAGE_FAMILIES, ids=lambda f: f.name)
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(eta=st.lists(st.floats(-745.0, 745.0), min_size=1, max_size=20),
+           trials=st.integers(1, 50))
+    @example(eta=[30.0, 37.5, -30.0, 0.0, -0.0, 1e-300, -1e-300, 708.3, -708.3, 745.0, -745.0],
+             trials=7)  # where h'(1 - h') cancels, the smallest |eta| and the ends
+    def test_within_4_eps_of_longdouble(self, fam, eta, trials):
+        eta = np.array(eta)
+        if fam is families.POISSON:  # up to its guard
+            eta = np.minimum(eta, families.POISSON_ETA_MAX)
+        m = float(trials) if fam is families.BINOMIAL else 1.0
+        got = fam.derivs(eta, np.full_like(eta, m), 3)
+        want, e = _longdouble_derivs(fam, eta)
+        assert len(got) == 4
+        for level, (g, one) in enumerate(zip(got, want)):
+            w = m * one
+            normal = (np.abs(w.astype(float)) >= TINY) & (np.abs(one.astype(float)) >= TINY)
+            rel = np.abs(g.astype(np.longdouble) - w)[normal] / np.abs(w[normal])
+            assert np.all(rel <= 4 * EPS), (level, eta[normal][np.argmax(rel)], rel.max() / EPS)
+        assert np.all(got[2][e >= TINY] > 0)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("fam", PACKAGE_FAMILIES, ids=lambda f: f.name)
+    def test_k_gives_the_first_k_derivatives(self, fam, k):
+        eta = np.linspace(-40.0, 40.0, 81)
+        m = np.full_like(eta, 3.0)
+        got = fam.derivs(eta, m, k)
+        assert len(got) == k + 1
+        for g, w in zip(got, fam.derivs(eta, m, 3)):
+            np.testing.assert_array_equal(g, w)
+
+
+# the public methods of a family, and the logistic kernels that families.py
+# replaced by its own one-exponential forms
+FAMILY_METHODS = {"derivs", "eta_hat_reg", "validate"}
+LOGISTIC_KERNELS = {"logaddexp", "expit"}
+
+
+def _kernel_uses(source):
+    """Line of each logaddexp or expit attribute or import in a module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = ([a.name for a in node.names]
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) else [])
+        if (isinstance(node, ast.Attribute) and node.attr in LOGISTIC_KERNELS
+                or any(name.split(".")[-1] in LOGISTIC_KERNELS for name in names)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+class TestFamilyInterface:
+    def test_families_define_only_the_three_methods(self):
+        extra = {(cls.__name__, name) for cls in vars(families).values()
+                 if isinstance(cls, type) and issubclass(cls, families.Family)
+                 for name, attr in vars(cls).items()
+                 if callable(attr) and not name.startswith("_") and name not in FAMILY_METHODS}
+        assert extra == set()
+
+    def test_no_other_module_calls_the_logistic_kernels(self):
+        package = pathlib.Path(families.__file__).parent
+        found = {(path.stem, line) for path in package.glob("*.py") if path.stem != "families"
+                 for line in _kernel_uses(path.read_text())}
+        assert found == set()
+
+    def test_finds_attributes_and_imports(self):
+        source = ("from scipy.special import expit\nimport numpy as np\n"
+                  "def f(x):\n    return np.logaddexp(0, x) + sc.expit(x)\n")
+        assert _kernel_uses(source) == [1, 4, 4]
 
 
 class TestRegularizedEstimateTable:
@@ -85,9 +176,9 @@ class TestRegularizedEstimateTable:
         fam = families.POISSON
         eta = fam.eta_hat_reg(0.0)
         assert round(float(eta), 2) == -1.96
-        assert round(float(fam.h1(eta)), 2) == 0.14
-        assert round(float(fam.h2(eta)), 2) == 0.14
-        assert round(float(fam.h2(eta) * eta), 2) == -0.28
+        assert round(float(fam.derivs(eta, None, 1)[1]), 2) == 0.14
+        assert round(float(fam.derivs(eta, None, 2)[2]), 2) == 0.14
+        assert round(float(fam.derivs(eta, None, 2)[2] * eta), 2) == -0.28
 
     def test_binomial_boundaries(self):
         fam = families.BINOMIAL
@@ -95,11 +186,11 @@ class TestRegularizedEstimateTable:
         lo = fam.eta_hat_reg(0.0, m)
         hi = fam.eta_hat_reg(10.0, m)
         assert round(float(lo), 2) == -4.27 and round(float(hi), 2) == 4.27
-        assert round(float(fam.h1(lo, m)), 2) == 0.14
-        assert round(float(fam.h1(hi, m)), 2) == 9.86
-        assert round(float(fam.h2(lo, m)), 2) == 0.14
-        assert round(float(fam.h2(lo, m) * lo), 2) == -0.58
-        assert round(float(fam.h2(hi, m) * hi), 2) == 0.58
+        assert round(float(fam.derivs(lo, m, 1)[1]), 2) == 0.14
+        assert round(float(fam.derivs(hi, m, 1)[1]), 2) == 9.86
+        assert round(float(fam.derivs(lo, m, 2)[2]), 2) == 0.14
+        assert round(float(fam.derivs(lo, m, 2)[2] * lo), 2) == -0.58
+        assert round(float(fam.derivs(hi, m, 2)[2] * hi), 2) == 0.58
 
     def test_bernoulli_boundaries(self):
         fam = families.BERNOULLI
@@ -107,11 +198,11 @@ class TestRegularizedEstimateTable:
         hi = fam.eta_hat_reg(1.0)
         assert abs(float(hi) - 2.0) < 1e-12  # psi(1.5) - psi(0.5) = 2 exactly
         assert abs(float(lo) + 2.0) < 1e-12
-        assert round(float(fam.h1(lo)), 2) == 0.12
-        assert round(float(fam.h1(hi)), 2) == 0.88
-        assert round(float(fam.h2(hi)), 2) == 0.10
-        assert round(float(fam.h2(hi) * hi), 2) == 0.21
-        assert round(float(fam.h2(lo) * lo), 2) == -0.21
+        assert round(float(fam.derivs(lo, None, 1)[1]), 2) == 0.12
+        assert round(float(fam.derivs(hi, None, 1)[1]), 2) == 0.88
+        assert round(float(fam.derivs(hi, None, 2)[2]), 2) == 0.10
+        assert round(float(fam.derivs(hi, None, 2)[2] * hi), 2) == 0.21
+        assert round(float(fam.derivs(lo, None, 2)[2] * lo), 2) == -0.21
 
 
 class TestMaximumLikelihoodEstimates:
@@ -132,7 +223,7 @@ class TestMaximumLikelihoodEstimates:
         assert np.isnan(oracles.eta_hat_ml(families.BERNOULLI, 1.0))
 
     def test_gaussian_defined_everywhere(self):
-        assert float(oracles.eta_hat_ml(families.GAUSSIAN_UNIT, -4.2)) == -4.2
+        assert float(oracles.eta_hat_ml(oracles.GAUSSIAN_UNIT, -4.2)) == -4.2
 
     def test_regularized_close_to_ml_off_boundary(self):
         fam = families.POISSON
@@ -163,13 +254,13 @@ class TestDigamma:
 
 class TestLogLikelihood:
     def test_examples(self):
-        assert float(families.POISSON.loglik(0.0, 0.0)) == -1.0
-        assert abs(float(families.BERNOULLI.loglik(1.0, 0.0)) + math.log(2)) < 1e-15
-        assert float(families.GAUSSIAN_UNIT.loglik(1.0, 1.0)) == 0.5
+        assert float(_log_likelihood(families.POISSON, 0.0, 0.0)) == -1.0
+        assert abs(float(_log_likelihood(families.BERNOULLI, 1.0, 0.0)) + math.log(2)) < 1e-15
+        assert float(_log_likelihood(oracles.GAUSSIAN_UNIT, 1.0, 1.0)) == 0.5
 
     def test_overflow_propagates(self):
         with pytest.raises(OverflowGuardError):
-            families.POISSON.loglik(1.0, 600.0)
+            _log_likelihood(families.POISSON, 1.0, 600.0)
 
 
 class TestBoundaryLimits:
@@ -179,18 +270,18 @@ class TestBoundaryLimits:
     def test_poisson_zero_towards_minus_infinity(self):
         fam = families.POISSON
         etas = -np.array([30.0, 40.0, 50.0, 60.0])
-        q1 = np.abs(fam.h1(etas) - 0.0)
-        q2 = fam.h2(etas)
-        q3 = np.abs(fam.h2(etas) * etas)
+        q1 = np.abs(fam.derivs(etas, None, 1)[1] - 0.0)
+        q2 = fam.derivs(etas, None, 2)[2]
+        q3 = np.abs(fam.derivs(etas, None, 2)[2] * etas)
         for q in (q1, q2, q3):
             assert np.all(np.diff(q) < 0) and q[-1] < 1e-12
 
     def test_bernoulli_one_towards_plus_infinity(self):
         fam = families.BERNOULLI
         etas = np.array([30.0, 31.0, 32.0, 33.0])  # 1 - sigma still representable
-        q1 = np.abs(fam.h1(etas) - 1.0)
-        q2 = fam.h2(etas)
-        q3 = np.abs(fam.h2(etas) * etas)
+        q1 = np.abs(fam.derivs(etas, None, 1)[1] - 1.0)
+        q2 = fam.derivs(etas, None, 2)[2]
+        q3 = np.abs(fam.derivs(etas, None, 2)[2] * etas)
         for q in (q1, q2, q3):
             assert np.all(np.diff(q) < 0) and q[-1] < 1e-12
 

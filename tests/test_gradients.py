@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glmmvb import families, gradients, matcalc, model, reparam
+from glmmvb import engine, families, gradients, matcalc, model, reparam
 
 import oracles
 from conftest import (
@@ -52,7 +52,8 @@ class TestAVec:
         def conditional(bflat):
             bb = bflat.reshape(2, 2)
             eta = data.eta(gp.beta, bb)
-            ll = (data.mask * data.family.loglik(data.y, eta, data.trials)).sum()
+            h = data.family.derivs(eta, data.trials, 0)[0]
+            ll = (data.mask * (data.y * eta - h)).sum()
             quad = np.einsum("nr,rs,ns->", bb, gp.omega_matrix(), bb)
             return float(ll - 0.5 * quad)
 
@@ -107,7 +108,7 @@ class TestGlobalBlocks:
     def test_gaussian_methods_agree(self, rng):
         for _ in range(10):
             r = int(rng.integers(1, 4))
-            data = random_dataset(rng, families.GAUSSIAN_UNIT, r=r, n=3)
+            data = random_dataset(rng, oracles.GAUSSIAN_UNIT, r=r, n=3)
             gp = random_gp(rng, 2, r)
             pr = random_wishart_prior(rng, r)
             bt = rng.standard_normal((3, r))
@@ -130,8 +131,8 @@ class TestGlobalBlocks:
         base = float(gp.beta[0] + t.lam[0, 0])
         sig = 1.0 / (1.0 + np.exp(-base))
         alpha_hand = 0.5 * sig * (1 - sig) * (1 - 2 * sig) * float(S[0, 0, 0])
-        w = data.mask * data.family.h2(t.base_eta, data.trials)
-        alpha_code = 0.5 * data.mask * data.family.h3(t.base_eta, data.trials) * \
+        w = data.mask * data.family.derivs(t.base_eta, data.trials, 2)[2]
+        alpha_code = 0.5 * data.mask * data.family.derivs(t.base_eta, data.trials, 3)[3] * \
             np.einsum("njr,nrs,njs->nj", data.Z, S, data.Z)
         np.testing.assert_allclose(alpha_code[0, 0], alpha_hand, rtol=1e-12)
         assert w.shape == (1, 1)
@@ -160,7 +161,7 @@ class TestFiniteDifferenceAgreement:
         # the acceptance suite sweeps 100 configurations; this is a fast
         # per-combination smoke version of the same oracle
         rng = np.random.default_rng(hash((famname, method, r)) % 2 ** 32)
-        fam = families.by_name(famname)
+        fam = oracles.family(famname)
         worst = 0.0
         for _ in range(5):
             data = random_dataset(rng, fam, r=r, n=2, p=2, ni_max=4)
@@ -216,12 +217,12 @@ def make_prior(rng, kind, r):
         return random_wishart_prior(rng, r)
     if kind == "normal-omega":
         return model.normal_omega_prior(r, sd=2.0)
-    return model.KnownOmega(100.0, 0.3 * rng.standard_normal(matcalc.half_len(r)))
+    return oracles.KnownOmega(100.0, 0.3 * rng.standard_normal(matcalc.half_len(r)))
 
 
 def random_case(famname, r, prior_kind, seed):
     rng = np.random.default_rng(seed)
-    data = random_dataset(rng, families.by_name(famname), r=r, n=2, p=2, ni_max=4)
+    data = random_dataset(rng, oracles.family(famname), r=r, n=2, p=2, ni_max=4)
     gp = random_gp(rng, 2, r)
     pr = make_prior(rng, prior_kind, r)
     return data, gp, pr, 0.8 * rng.standard_normal((data.n, r))
@@ -247,3 +248,48 @@ class TestValueAndGradProperties:
         t = reparam.build_transforms(data, gp, method)
         value, _ = gradients.value_and_grad(data, gp, bt, method, pr, transforms=t)
         assert value == model.log_joint_reparam(data, gp, bt, t, pr)
+
+
+def _count_family_calls(monkeypatch, fam):
+    """Record the eta of every fam.derivs call from here on."""
+    calls, derivs = [], fam.derivs
+
+    def counted(eta, trials, k):
+        calls.append(eta)
+        return derivs(eta, trials, k)
+
+    monkeypatch.setattr(fam, "derivs", counted)
+    return calls
+
+
+class TestOneFamilyCallPerPoint:
+    """h and its derivatives at one eta come from one derivs call: an a1
+    step evaluates the family once, at the draw's eta (h'' at the
+    regularized estimates is cached), and an a2 gradient twice, at the
+    draw's eta and at the modes (h'' and h''' from one call, also for a
+    batch, whose transforms keep no weight)."""
+
+    def test_a1_step(self, rng, monkeypatch):
+        data = random_dataset(rng, families.BINOMIAL, r=2, n=4, p=2)
+        prior = model.default_prior(data)
+        cfg = engine.FitConfig(method="a1", seed=5)
+        state = engine.VariationalState.initial(data.n, data.r, data.g)
+        adam = engine.AdamState.zeros(state.params.size)
+        engine.step(data, prior, cfg, state, adam, 1)  # fills the a1 cache
+        calls = _count_family_calls(monkeypatch, data.family)
+        for t in range(2, 6):
+            engine.step(data, prior, cfg, state, adam, t)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "batch"])
+    def test_a2_gradient(self, rng, monkeypatch, lead):
+        data = random_dataset(rng, families.BINOMIAL, r=2, n=4, p=2)
+        gp = model.GlobalParams(0.4 * rng.standard_normal(lead + (2,)),
+                                0.4 * rng.standard_normal(lead + (3,)), 2)
+        prior = random_wishart_prior(rng, 2)
+        t = reparam.build_transforms(data, gp, "a2")
+        b_tilde = rng.standard_normal(lead + (data.n, 2))
+        calls = _count_family_calls(monkeypatch, data.family)
+        gradients.value_and_grad(data, gp, b_tilde, "a2", prior, t)
+        assert len(calls) == 2
+        assert sum(eta is t.base_eta for eta in calls) == 1

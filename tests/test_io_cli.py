@@ -458,15 +458,6 @@ class TestCliExitCodes:
         assert run_cli(["--simulate", "poisson-i", "--seed", "-1",
                         "--out", str(tmp_path)]) == 2
 
-    def test_gaussian_unit_gated(self, tmp_path):
-        p = tmp_path / "g.csv"
-        p.write_text("group,y\n1,0.5\n1,-0.2\n")
-        args = ["--data", str(p), "--family", "gaussian-unit",
-                "--group-col", "group", "--out", str(tmp_path / "o")]
-        assert run_cli(args) == 2
-        assert run_cli(args + ["--enable-test-family", "--max-iter", "50",
-                               "--draws", "50"]) == 0
-
 
 class TestSummaryFormatting:
     def test_nine_significant_digits(self, tmp_path):

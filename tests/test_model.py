@@ -26,7 +26,7 @@ def naive_log_joint(data, gp, b, prior):
     for i in range(data.n):
         for j in range(int(data.n_obs[i])):
             eta = float(data.X[i, j] @ gp.beta + data.Z[i, j] @ b[i])
-            total += float(data.y[i, j]) * eta - float(fam.h(eta, data.trials[i, j]))
+            total += float(data.y[i, j]) * eta - float(fam.derivs(eta, data.trials[i, j], 0)[0])
         total -= 0.5 * float(b[i] @ Omega @ b[i])
     total += data.n * math.log(np.linalg.det(Omega)) / 2.0
     total -= float(gp.beta @ gp.beta) / (2.0 * prior.sigma_beta2)
@@ -115,7 +115,7 @@ class TestLogJoint:
 
     @pytest.mark.parametrize("famname", ["poisson", "binomial", "gaussian-unit"])
     def test_matches_naive_evaluator(self, rng, famname):
-        fam = families.by_name(famname)
+        fam = oracles.family(famname)
         for _ in range(5):
             r = int(rng.integers(1, 3))
             data = random_dataset(rng, fam, r=r, n=4, p=2)
@@ -239,7 +239,7 @@ class TestGaussianMarginalOracle:
         # marginal to relative 1e-8
         from conftest import _subject_log_factor, gh_integral
 
-        data = random_dataset(rng, families.GAUSSIAN_UNIT, r=1, n=3, p=1)
+        data = random_dataset(rng, oracles.GAUSSIAN_UNIT, r=1, n=3, p=1)
         beta = np.array([0.4])
         omega0 = np.array([0.3])
         gp = model.GlobalParams(beta, omega0, 1)
@@ -260,10 +260,10 @@ class TestGaussianMarginalOracle:
         # at random points (known-omega prior contributes nothing for omega)
         from conftest import _subject_log_factor
 
-        data = random_dataset(rng, families.GAUSSIAN_UNIT, r=1, n=3, p=1)
+        data = random_dataset(rng, oracles.GAUSSIAN_UNIT, r=1, n=3, p=1)
         beta = np.array([-0.2])
         omega0 = np.array([0.1])
-        pr = model.KnownOmega(100.0, omega0)
+        pr = oracles.KnownOmega(100.0, omega0)
         gp = model.GlobalParams(beta, omega0, 1)
         Omega = gp.omega_matrix().item()
         b = rng.standard_normal((data.n, 1))
@@ -307,7 +307,7 @@ class TestPooledGlmAndDefaultPrior:
         X = data.X.reshape(-1, 2)[sel]
         y = data.y.ravel()[sel]
         m = data.trials.ravel()[sel]
-        score = X.T @ (y - data.family.h1(X @ beta, m))
+        score = X.T @ (y - data.family.derivs(X @ beta, m, 1)[1])
         assert np.abs(score).max() < 1e-6
 
 
@@ -316,7 +316,7 @@ class TestPriorSettings:
     @pytest.mark.parametrize("make", [
         lambda sb2: model.WishartPrior(sb2, 2.0, np.eye(1)),
         lambda sb2: model.NormalOmegaPrior(sb2, np.zeros(1), np.ones(1)),
-        lambda sb2: model.KnownOmega(sb2, np.zeros(1)),
+        lambda sb2: oracles.KnownOmega(sb2, np.zeros(1)),
     ], ids=["wishart", "normal-omega", "known-omega"])
     def test_sigma_beta2_must_be_positive_and_finite(self, make, sigma_beta2):
         with pytest.raises(ConfigError, match="sigma_beta2"):

@@ -4,6 +4,7 @@ import pytest
 from glmmvb import engine, families, matcalc, model, posterior, recombine, reparam
 from glmmvb.exceptions import NotPositiveDefiniteError, OverflowGuardError
 
+import oracles
 from conftest import random_dataset, random_gp, random_spd
 
 from test_engine import micro_model
@@ -39,7 +40,7 @@ class TestSimulateB:
 
     def test_gaussian_pointmass_global_matches_closed_form(self, rng):
         # with theta_G degenerate, b ~ N(L mu_i + lambda, L Ci Ci' L') exactly
-        data = random_dataset(rng, families.GAUSSIAN_UNIT, r=2, n=3)
+        data = random_dataset(rng, oracles.GAUSSIAN_UNIT, r=2, n=3)
         prior = model.default_prior(data)
         gp = random_gp(rng, data.p, 2)
         state = tiny_global_state(data, np.concatenate([gp.beta, gp.omega]), rng=rng)

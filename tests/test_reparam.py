@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from glmmvb import families, gradients, matcalc, model, reparam
 from glmmvb.exceptions import (
+    RECOVERABLE,
     ModeSearchFailedError,
     NotPositiveDefiniteError,
     OverflowGuardError,
@@ -43,14 +45,14 @@ def assert_stationary(data, gp, lam):
         Z, X, y = data.Z[i, :k], data.X[i, :k], data.y[i, :k]
         m = data.trials[i, :k]
         eta = X @ gp.beta + Z @ lam[i]
-        resid = Z.T @ (y - fam.h1(eta, m)) - Omega @ lam[i]
+        resid = Z.T @ (y - fam.derivs(eta, m, 1)[1]) - Omega @ lam[i]
         scale = 1.0 + np.abs(Omega @ lam[i]).max()
         assert np.abs(resid).max() < 1e-8 * scale
 
 
 class TestTransformA1:
     def test_gaussian_reduces_to_closed_form(self):
-        data = model.Dataset.from_lists(families.GAUSSIAN_UNIT, [[1.0, 3.0]],
+        data = model.Dataset.from_lists(oracles.GAUSSIAN_UNIT, [[1.0, 3.0]],
                                         [[[0.0], [0.0]]], [[[1.0], [1.0]]])
         gp = model.GlobalParams([0.0], [0.0], 1)
         t = reparam.transform_a1(data, gp)
@@ -75,7 +77,7 @@ class TestTransformA1:
         delta = np.array([0.3, -0.2])
         t0 = reparam.transform_a1(data, gp)
         t1 = reparam.transform_a1(data, model.GlobalParams(gp.beta + delta, gp.omega, 1))
-        w = data.mask * data.family.h2(data.eta_hat_reg(), data.trials)
+        w = data.mask * data.family.derivs(data.eta_hat_reg(), data.trials, 2)[2]
         pred = -np.einsum("nrs,njs,nj,njp,p->nr", t0.Lambda, data.Z, w, data.X, delta)
         np.testing.assert_allclose(t1.lam - t0.lam, pred, atol=1e-12)
 
@@ -85,7 +87,7 @@ class TestTransformA1:
         k = 4
         X = np.ones((k, 1))
         y = rng.standard_normal(k)
-        data = model.Dataset.from_lists(families.GAUSSIAN_UNIT, [y], [X], [X])
+        data = model.Dataset.from_lists(oracles.GAUSSIAN_UNIT, [y], [X], [X])
         gp = model.GlobalParams([0.2], [0.1], 1)
         delta = np.array([0.7])
         t0 = reparam.transform_a1(data, gp)
@@ -121,7 +123,7 @@ class TestTransformA2:
                                    rtol=1e-9)
 
     def test_gaussian_single_newton_step(self):
-        data = model.Dataset.from_lists(families.GAUSSIAN_UNIT, [[1.0, 3.0]],
+        data = model.Dataset.from_lists(oracles.GAUSSIAN_UNIT, [[1.0, 3.0]],
                                         [[[0.0], [0.0]]], [[[1.0], [1.0]]])
         gp = model.GlobalParams([0.0], [0.0], 1)
         t = reparam.transform_a2(data, gp)
@@ -255,6 +257,19 @@ def _shifted(gp, h, d_beta, d_omega):
 PREDICTED_FAMILIES = [families.POISSON, families.BERNOULLI, families.BINOMIAL]
 
 
+def _far_prediction(seed, draws):
+    """Poisson r = 2 data and the draws-th random theta_G of that seed, with
+    the mode predicted from an anchor whose omega diagonal is 3.0 lower."""
+    rng = np.random.default_rng(seed)
+    data = random_dataset(rng, families.POISSON, r=2, n=5, p=2)
+    for _ in range(draws):
+        gp = random_gp(rng, 2, 2)
+    omega = gp.omega.copy()
+    omega[matcalc.diag_positions(2)] -= 3.0
+    far = model.GlobalParams(gp.beta, omega, 2)
+    return data, gp, reparam.mode_predictor(data, reparam.transform_a2(data, far), far)(gp)
+
+
 class TestModePredictor:
     @pytest.mark.parametrize("fam", PREDICTED_FAMILIES, ids=lambda f: f.name)
     @pytest.mark.parametrize("r", [1, 2])
@@ -309,16 +324,24 @@ class TestModePredictor:
     @pytest.mark.parametrize("seed,draws,error", [(101, 1, OverflowGuardError),
                                                   (102, 6, NotPositiveDefiniteError)])
     def test_failed_predicted_start_is_searched_again_from_a1(self, seed, draws, error):
-        rng = np.random.default_rng(seed)
-        data = random_dataset(rng, families.POISSON, r=2, n=5, p=2)
-        for _ in range(draws):
-            gp = random_gp(rng, 2, 2)
-        omega = gp.omega.copy()
-        omega[matcalc.diag_positions(2)] -= 3.0
-        far = model.GlobalParams(gp.beta, omega, 2)
-        start = reparam.mode_predictor(data, reparam.transform_a2(data, far), far)(gp)
+        data, gp, start = _far_prediction(seed, draws)
         with np.errstate(all="ignore"):
             with pytest.raises(error):
+                reparam.transform_a2(data, gp, start)
+            got = reparam.build_transforms(data, gp, "a2", start)
+        want = reparam.transform_a2(data, gp)
+        for field in ("lam", "L", "Lambda", "base_eta", "weight"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+    # the same recipe at seeds 105 and 113: on its way to a singular
+    # precision the search from the prediction overflows in the 2 x 2
+    # determinant, and those warnings stay inside the discarded attempt
+    @pytest.mark.parametrize("seed,draws", [(105, 3), (113, 9)])
+    def test_failed_predicted_search_leaves_no_warning(self, seed, draws):
+        data, gp, start = _far_prediction(seed, draws)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((RuntimeWarning,) + RECOVERABLE):
                 reparam.transform_a2(data, gp, start)
             got = reparam.build_transforms(data, gp, "a2", start)
         want = reparam.transform_a2(data, gp)
@@ -330,7 +353,7 @@ class TestModePredictor:
         gp = random_gp(rng, 2, 2)
         t = reparam.transform_a2(data, gp)
         np.testing.assert_array_equal(
-            t.weight, data.mask * data.family.h2(t.base_eta, data.trials))
+            t.weight, data.mask * data.family.derivs(t.base_eta, data.trials, 2)[2])
         batch = model.GlobalParams(np.stack([gp.beta] * 3), np.stack([gp.omega] * 3), 2)
         assert reparam.transform_a2(data, batch).weight is None
 
@@ -379,7 +402,7 @@ class TestStructuralProperties:
                                                     few_obs, seed):
         # few_obs: every subject has fewer observations than random effects (r > 1)
         rng = np.random.default_rng(seed)
-        data = random_dataset(rng, families.by_name(famname), r=r, n=3, p=2,
+        data = random_dataset(rng, oracles.family(famname), r=r, n=3, p=2,
                               ni_max=max(r - 1, 1) if few_obs else 5)
         lead = (4,) if batched else ()
         gp = model.GlobalParams(0.6 * rng.standard_normal(lead + (2,)),
@@ -394,7 +417,7 @@ class TestStructuralProperties:
     def test_gaussian_methods_coincide(self, rng):
         for _ in range(20):
             r = int(rng.integers(1, 4))
-            data = random_dataset(rng, families.GAUSSIAN_UNIT, r=r, n=3, p=2)
+            data = random_dataset(rng, oracles.GAUSSIAN_UNIT, r=r, n=3, p=2)
             gp = random_gp(rng, 2, r)
             t1 = reparam.transform_a1(data, gp)
             t2 = reparam.transform_a2(data, gp)
@@ -483,9 +506,16 @@ class TestSmallBlocksStayOffLapack:
         prior = random_wishart_prior(rng, r)
         b_tilde = rng.standard_normal(lead + (data.n, r))
         reparam.build_transforms(data, gp, "a1")  # fills the a1 cache
+        h2 = mock.Mock()  # called by each family call that asks for h''
+
+        def derivs(eta, trials, k, derivs=data.family.derivs):
+            if k >= 2:
+                h2()
+            return derivs(eta, trials, k)
+
         with mock.patch.multiple(np.linalg, inv=_no_lapack, cholesky=_no_lapack,
                                  solve=_no_lapack), \
-                mock.patch.object(data.family, "h2", wraps=data.family.h2) as h2:
+                mock.patch.object(data.family, "derivs", derivs):
             t = reparam.build_transforms(data, gp, method)
             assert t.L.shape == lead + (data.n, r, r)
             gradients.value_and_grad(data, gp, b_tilde, method, prior, t)
