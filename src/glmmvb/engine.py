@@ -27,6 +27,9 @@ LANE_SIM = 2
 LANE_PART = 3
 
 ELBO_CHUNK = 250  # draws per chunk of the final ELBO
+# bytes of one (block, n, J) float64 array, for the blocks of draws that
+# evaluate takes at once (draw_block): 2^16 elements, 512 KB
+DRAW_BLOCK_BYTES = 2 ** 19
 REJECTION_WARN_FRACTION = 0.01  # warn when more of the draws over q are rejected
 
 
@@ -348,15 +351,23 @@ def step(data, prior, config, state, adam, t, draws=None, anchor=None):
     return elbo
 
 
-def accepted_draws(state, n_draws, seed, lane, chunk, evaluate):
+def draw_block(data):
+    """Draws evaluate takes at once: as many as keep a (block, n, J) float64
+    array within DRAW_BLOCK_BYTES, and at least one."""
+    return max(1, DRAW_BLOCK_BYTES // (8 * data.n * data.J))
+
+
+def accepted_draws(state, n_draws, seed, lane, chunk, block, evaluate):
     """Monte Carlo over q: evaluate(s) on chunks of standard normal draws
     until n_draws draws are accepted.
 
     Chunk k holds min(chunk, draws still wanted) rows of stream(seed, lane,
-    k). evaluate maps a (B, d) chunk to a tuple of arrays with B leading
-    rows. When it raises a recoverable error, the chunk is evaluated again
-    one draw at a time and the draws that raise are rejected. Yields
-    (results, draws rejected so far) per chunk with accepted draws.
+    k). evaluate maps a (B, d) block of at most `block` of a chunk's rows to
+    a tuple of arrays with B leading rows; a chunk's results are its blocks'
+    concatenated. When a block raises a recoverable error, that block is
+    evaluated again one draw at a time and the draws that raise are
+    rejected. Yields (results, draws rejected so far) per chunk with
+    accepted draws.
     """
     if n_draws < 1:
         raise ConfigError("n_draws must be >= 1")
@@ -364,17 +375,19 @@ def accepted_draws(state, n_draws, seed, lane, chunk, evaluate):
     while done < n_draws:
         s = stream(seed, lane, k).standard_normal((min(chunk, n_draws - done), state.d))
         k += 1
+        kept = []
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            try:
-                out = evaluate(s)
-            except RECOVERABLE:
-                kept = []
-                for i in range(len(s)):
-                    try:
-                        kept.append(evaluate(s[i:i + 1]))
-                    except RECOVERABLE:
-                        pass
-                out = tuple(np.concatenate(parts) for parts in zip(*kept))
+            for lo in range(0, len(s), block):
+                part = s[lo:lo + block]
+                try:
+                    kept.append(evaluate(part))
+                except RECOVERABLE:
+                    for i in range(len(part)):
+                        try:
+                            kept.append(evaluate(part[i:i + 1]))
+                        except RECOVERABLE:
+                            pass
+        out = tuple(np.concatenate(parts) for parts in zip(*kept))
         n_ok = len(out[0]) if out else 0
         rejected += len(s) - n_ok
         if rejected > 100 * (1 + n_draws):
@@ -419,7 +432,7 @@ def elbo_estimate(data, prior, state, method, n_draws, seed):
         return (value + logdet + 0.5 * (s * s).sum(axis=-1),)
 
     vals = np.concatenate([out[0] for out, _ in accepted_draws(
-        state, n_draws, seed, LANE_FINAL, ELBO_CHUNK, evaluate)])
+        state, n_draws, seed, LANE_FINAL, ELBO_CHUNK, draw_block(data), evaluate)])
     mean, sd = scaled_moments(vals)
     return float(mean), float(sd / np.sqrt(len(vals)))
 

@@ -25,6 +25,8 @@ class Family:
     """Base class; subclasses are stateless and shared freely across threads."""
 
     name = "family"
+    # linear predictors above this make derivs raise OverflowGuardError
+    eta_max = np.inf
 
     def derivs(self, eta, trials, k):
         """(h, h', ..., h^(k)) at eta for k <= 3, from one pass. The arrays
@@ -50,10 +52,11 @@ class Family:
 
 class Poisson(Family):
     name = "poisson"
+    eta_max = POISSON_ETA_MAX
 
     def derivs(self, eta, trials, k):
         eta = np.asarray(eta, dtype=float)
-        if np.any(eta > POISSON_ETA_MAX):
+        if np.any(eta > self.eta_max):
             raise OverflowGuardError("poisson linear predictor exceeded guard")
         return (np.exp(eta),) * (k + 1)
 

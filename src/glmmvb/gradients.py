@@ -10,9 +10,9 @@ Both transform methods share one routine: a1 is a2 with the expansion point
 fixed at the regularized estimates instead of the conditional mode, which
 does not move with theta_G, so a1 has no third-derivative correction
 alpha_i. The family is called once per point: derivs gives h and h' at
-eta = X beta + Z b for the value and the residuals and, under a2, h'' and
-h''' at the modes. All functions broadcast over leading batch dimensions
-of theta_G and b~.
+eta = X beta + Z b for the value and the residuals and, under a2, h''' at
+the modes (h'' there is the transforms' weight). All functions broadcast
+over leading batch dimensions of theta_G and b~.
 """
 
 from dataclasses import dataclass
@@ -79,17 +79,14 @@ def value_and_grad(data, gp, b_tilde, method, prior, transforms=None):
     local = grad_local(transforms, a)
     LBL = L @ _sym_lower(local[..., :, None] * b_tilde[..., None, :]) @ np.swapaxes(L, -1, -2)
     alpha = 0.0  # a2 only: the mode moves with theta_G, so a = a - Z'alpha
-    weight = transforms.weight
     if transforms.method == "a2":
-        _, _, h2, h3 = data.family.derivs(transforms.base_eta, data.trials, 3)
-        if weight is None:  # built at a batch of theta_G: h'' at the modes
-            weight = data.mask * h2
+        h3 = data.family.derivs(transforms.base_eta, data.trials, 3)[3]
         alpha = 0.5 * data.mask * h3 * data.zmz(Lam + LBL)
         a = a - np.einsum("njr,...nj->...nr", data.Z, alpha)
     t1 = np.einsum("...nrs,...ns->...nr", Lam, a)
 
     zt1 = np.einsum("njr,...nr->...nj", data.Z, t1)
-    beta_grad = (np.einsum("njp,...nj->...p", data.X, resid - weight * zt1 - alpha)
+    beta_grad = (np.einsum("njp,...nj->...p", data.X, resid - transforms.weight * zt1 - alpha)
                  - gp.beta / prior.sigma_beta2)
 
     M = (b[..., :, None] * b[..., None, :]

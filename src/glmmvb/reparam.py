@@ -41,8 +41,7 @@ class Transforms:
     L: np.ndarray        # (..., n, r, r) lower, positive diagonal
     Lambda: np.ndarray   # (..., n, r, r) SPD
     base_eta: np.ndarray | None = None  # (..., n, J) Taylor expansion point
-    # (n, J) mask * h''(base_eta): a1 always, a2 only when built at one theta_G
-    weight: np.ndarray | None = None
+    weight: np.ndarray | None = None    # (..., n, J) mask * h''(base_eta)
 
     def invert(self, b_tilde):
         """b = L b~ + lambda."""
@@ -91,28 +90,39 @@ def _eta(data, Xbeta, b):
     return Xbeta + np.einsum("njr,...nr->...nj", data.Z, b)
 
 
-def _conditional_objective(data, Xbeta, Omega, b, eta=None, h=None):
+def _conditional_objective(data, Xbeta, Omega, b, eta=None, h=None, Om_b=None):
     """Per-subject log p(y_i, b_i | theta_G) up to constants:
-    sum_j {y eta - h(eta)} - b'Omega b / 2, with eta = X beta + Z b and
-    h(eta) computed here unless the caller has them."""
+    sum_j {y eta - h(eta)} - b'Omega b / 2, with eta = X beta + Z b, h(eta)
+    and Omega b computed here unless the caller has them."""
     if eta is None:
         eta = _eta(data, Xbeta, b)
     if h is None:
         h = data.family.derivs(eta, data.trials, 0)[0]
+    if Om_b is None:
+        Om_b = _omega_b(Omega, b)
     ll = data.y * eta  # the one (..., n, J) temporary
     ll -= h
     ll *= data.mask
     ll = ll.sum(axis=-1)
-    quad = np.einsum("...nr,...rs,...ns->...n", b, Omega, b)
-    return ll - 0.5 * quad
+    return ll - 0.5 * (b * Om_b).sum(axis=-1)
 
 
-def _evaluate(data, Xbeta, Omega, b):
-    """The one evaluation of a point b: the objective and (h', h'') at
-    eta = X beta + Z b; eta and h are dropped here."""
-    eta = _eta(data, Xbeta, b)
+def _omega_b(Omega, b):
+    """Omega b_i per subject, (..., n, r)."""
+    return b @ np.swapaxes(Omega, -1, -2)
+
+
+def _evaluate(data, Xbeta, Omega, b, eta=None):
+    """The one evaluation of a point b: (objective, h', h'', eta, Omega b),
+    with eta = X beta + Z b unless given and h, h', h'' from one family
+    call. The loop keeps all but h: the gradient and the precision come
+    from h' and h'', the gradient and its scale from Omega b, and the
+    expansion point from eta."""
+    if eta is None:
+        eta = _eta(data, Xbeta, b)
     h, h1, h2 = data.family.derivs(eta, data.trials, 2)
-    return _conditional_objective(data, Xbeta, Omega, b, eta, h), h1, h2
+    Om_b = _omega_b(Omega, b)
+    return _conditional_objective(data, Xbeta, Omega, b, eta, h, Om_b), h1, h2, eta, Om_b
 
 
 def transform_a2(data, gp, start=None):
@@ -126,12 +136,17 @@ def transform_a2(data, gp, start=None):
     (a fit and the draws over q pass a mode_predictor's prediction), and
     otherwise from a1's lambda, the mean of the same Gaussian approximation
     taken about the regularized estimates instead of the mode.
-    Each point is evaluated once: the accepted candidate's h' and h'' give
-    the next gradient and precision, and at one theta_G the weight
-    mask * h'' at the mode is kept for the gradient (Transforms.weight); a
-    batch keeps no such (B, n, J) array.
+    Each point is evaluated once (_evaluate): an accepted candidate is the
+    next point, with its eta, Omega b, h' and h'', which give the next
+    gradient and precision; the last point's eta is the expansion point
+    and mask * h'' there the weight the gradient takes (Transforms.weight).
+    A candidate whose linear predictor exceeds the family's eta_max counts
+    as a failed ascent and is halved, evaluated meanwhile at its subject's
+    current eta, so the family never sees it; a start beyond eta_max
+    raises OverflowGuardError.
     """
     Omega = gp.Omega
+    eta_max = data.family.eta_max
     Xbeta = np.einsum("njp,...p->...nj", data.X, gp.beta)
     b = transform_a1(data, gp).lam if start is None else np.asarray(start, dtype=float)
     shape = np.broadcast_shapes(Xbeta.shape[:-1] + (data.r,), Omega.shape[:-2] + (data.n, data.r))
@@ -139,17 +154,13 @@ def transform_a2(data, gp, start=None):
     # not copied (the modes are start itself if no step moves them)
     if b.shape != shape:
         b = np.broadcast_to(b, shape).copy()
-    f, h1, h2 = _evaluate(data, Xbeta, Omega, b)
+    f, h1, h2, eta, Om_b = _evaluate(data, Xbeta, Omega, b)
     for it in range(NR_MAX_ITER + 1):
-        Om_b = np.einsum("...rs,...ns->...nr", Omega, b)
         grad = np.einsum("njr,...nj->...nr", data.Z, data.mask * (data.y - h1)) - Om_b
         w = data.mask * h2
         P = data.zwz(w)
         P += Omega[..., None, :, :]  # in place, while w is still held
-        # free this point's (..., n, J) arrays before the next
-        h1 = h2 = None
-        if b.ndim > 2:
-            w = None
+        h1 = h2 = None  # free this point's (..., n, J) arrays before the next
         scale = 1.0 + np.abs(Om_b).max(axis=-1)
         gnorm = np.abs(grad).max(axis=-1)
         active = gnorm > NR_TOL * scale
@@ -161,8 +172,12 @@ def transform_a2(data, gp, start=None):
         t = active.astype(float)
         for _ in range(NR_MAX_HALVINGS + 1):
             cand = b + t[..., None] * step
-            f_new, h1, h2 = _evaluate(data, Xbeta, Omega, cand)
-            bad = active & (f_new < f - 1e-10 * (np.abs(f) + 1.0)) & (t > 0)
+            eta_new = _eta(data, Xbeta, cand)
+            over = (eta_new > eta_max).any(axis=-1)
+            if over.any():
+                eta_new = np.where(over[..., None], eta, eta_new)
+            f_new, h1, h2, eta_new, Om_new = _evaluate(data, Xbeta, Omega, cand, eta_new)
+            bad = active & (over | (f_new < f - 1e-10 * (np.abs(f) + 1.0))) & (t > 0)
             if not bad.any():
                 break
             t = np.where(bad, 0.5 * t, t)
@@ -171,15 +186,17 @@ def transform_a2(data, gp, start=None):
         moved = active & (t > 0)
         if not moved.any():
             break
-        # the last candidate is the new b of every subject but the frozen ones
-        b = b + t[..., None] * step
+        # the last candidate is the new point of every subject but the frozen ones
         f = np.where(moved, f_new, f)
         if bad.any():
-            _, h1, h2 = _evaluate(data, Xbeta, Omega, b)
+            b = np.where(bad[..., None], b, cand)
+            _, h1, h2, eta, Om_b = _evaluate(data, Xbeta, Omega, b)
+        else:
+            b, eta, Om_b = cand, eta_new, Om_new
     if np.any(gnorm > NR_TOL_ACCEPT * scale):
         raise ModeSearchFailedError("Newton-Raphson mode search did not reach stationarity")
     Lam, L = matcalc.spd_inv_cholesky(P)
-    return Transforms("a2", b, L, Lam, base_eta=_eta(data, Xbeta, b), weight=w)
+    return Transforms("a2", b, L, Lam, base_eta=eta, weight=w)
 
 
 def mode_predictor(data, transforms, gp):

@@ -6,10 +6,12 @@ exactness oracles); matrix-calculus operators (applied through index
 maps, not materialized matrices), the Cholesky directional derivative, a
 domain-checked digamma, per-subject and per-observation quantities the
 fitted path never forms separately, the variational log density, the
-forward transform b~ = L^{-1}(b - lambda) and the straightforward a2 mode
-search.
+forward transform b~ = L^{-1}(b - lambda), the straightforward a2 mode
+search, and the tally of a2 searches from far-off predicted starts.
 """
 
+import collections
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -17,7 +19,7 @@ import numpy as np
 import scipy.special as sc
 
 from glmmvb import families, gradients, matcalc, model, reparam
-from glmmvb.exceptions import DomainError, ModeSearchFailedError
+from glmmvb.exceptions import RECOVERABLE, DomainError, ModeSearchFailedError
 
 
 class GaussianUnit(families.Family):
@@ -217,7 +219,8 @@ def apply_transform(transforms, b):
 def transform_a2(data, gp, start=None):
     """Reference a2 transforms: Newton-Raphson with per-subject step halving
     that recomputes eta, h'(eta) and h''(eta) at every accepted point, the
-    log-likelihood at every candidate, and the precision by a three-operand
+    log-likelihood at every candidate (minus infinity where its eta exceeds
+    the family's eta_max), and the precision by a three-operand
     contraction. Starts from start, or from a1's lambda when None, and
     reads the reparam.NR_* settings at call time."""
     fam = data.family
@@ -243,7 +246,11 @@ def transform_a2(data, gp, start=None):
         t = active.astype(float)
         for _ in range(reparam.NR_MAX_HALVINGS + 1):
             cand = b + t[..., None] * step
-            f_new = reparam._conditional_objective(data, Xbeta, Omega, cand)
+            # a candidate beyond the family's eta_max is no ascent
+            eta_c = Xbeta + np.einsum("njr,...nr->...nj", data.Z, cand)
+            over = (eta_c > fam.eta_max).any(axis=-1)
+            f_new = np.where(over, -np.inf, reparam._conditional_objective(
+                data, Xbeta, Omega, cand, np.where(over[..., None], 0.0, eta_c)))
             bad = active & (f_new < f - 1e-10 * (np.abs(f) + 1.0)) & (t > 0)
             if not bad.any():
                 break
@@ -259,3 +266,35 @@ def transform_a2(data, gp, start=None):
         raise ModeSearchFailedError("Newton-Raphson mode search did not reach stationarity")
     Lam, L = matcalc.spd_inv_cholesky(P)
     return reparam.Transforms("a2", b, L, Lam, base_eta=eta)
+
+
+def far_prediction(seed, draw, shift=3.0, scale=0.4):
+    """Poisson r = 2 data (random_dataset, n = 5, p = 2) of that seed, its
+    draw-th random theta_G (random_gp of that scale) and the modes there
+    predicted from an anchor whose omega diagonal is shift lower: a start
+    far from the mode."""
+    from conftest import random_dataset, random_gp  # conftest imports this module
+    rng = np.random.default_rng(seed)
+    data = random_dataset(rng, families.POISSON, r=2, n=5, p=2)
+    for _ in range(draw):
+        gp = random_gp(rng, 2, 2, scale)
+    omega = gp.omega.copy()
+    omega[matcalc.diag_positions(2)] -= shift
+    far = model.GlobalParams(gp.beta, omega, 2)
+    return data, gp, reparam.mode_predictor(data, reparam.transform_a2(data, far), far)(gp)
+
+
+def predicted_start_failures(shift, pairs=None, scale=0.4):
+    """Outcomes of the a2 search from far_prediction(seed, draw, shift,
+    scale) over pairs (seed, draw), by default seeds 100-159 and draws 1-10:
+    counts by the name of the error the search raises, or "succeeded"."""
+    counts = collections.Counter()
+    for seed, draw in pairs or itertools.product(range(100, 160), range(1, 11)):
+        data, gp, start = far_prediction(seed, draw, shift, scale)
+        try:
+            with np.errstate(all="ignore"):
+                reparam.transform_a2(data, gp, start)
+            counts["succeeded"] += 1
+        except RECOVERABLE as err:
+            counts[type(err).__name__] += 1
+    return dict(counts)

@@ -338,7 +338,7 @@ class TestAcceptedDraws:
     def test_rejects_only_the_draws_that_raise(self):
         state = engine.VariationalState.initial(2, 1, 1)
         with pytest.warns(RuntimeWarning, match="rejected"):
-            chunks = list(engine.accepted_draws(state, 90, 5, engine.LANE_SIM, 40,
+            chunks = list(engine.accepted_draws(state, 90, 5, engine.LANE_SIM, 40, 7,
                                                 self._first_coordinate_at_most_one))
         # chunk k is drawn from stream(seed, lane, k), sized by the draws still wanted
         drawn, wanted = [], 90
@@ -360,7 +360,7 @@ class TestAcceptedDraws:
             raise OverflowGuardError("pathological draw")
         state = engine.VariationalState.initial(1, 1, 1)
         with pytest.raises(OverflowGuardError, match="rejected nearly all"):
-            list(engine.accepted_draws(state, 3, 1, engine.LANE_SIM, 50, reject_all))
+            list(engine.accepted_draws(state, 3, 1, engine.LANE_SIM, 50, 50, reject_all))
 
     def test_elbo_estimate_rejects_pathological_draws(self):
         # Z = 0 leaves Omega alone in the a1 precision: omega draws below

@@ -266,8 +266,7 @@ class TestOneFamilyCallPerPoint:
     """h and its derivatives at one eta come from one derivs call: an a1
     step evaluates the family once, at the draw's eta (h'' at the
     regularized estimates is cached), and an a2 gradient twice, at the
-    draw's eta and at the modes (h'' and h''' from one call, also for a
-    batch, whose transforms keep no weight)."""
+    draw's eta and at the modes (h''' there; the transforms carry h'')."""
 
     def test_a1_step(self, rng, monkeypatch):
         data = random_dataset(rng, families.BINOMIAL, r=2, n=4, p=2)

@@ -1,11 +1,17 @@
+import tracemalloc
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from glmmvb import engine, families, matcalc, model, posterior, recombine, reparam
+from glmmvb import datasets, engine, families, matcalc, model, posterior, recombine, reparam
 from glmmvb.exceptions import NotPositiveDefiniteError, OverflowGuardError
 
 import oracles
-from conftest import random_dataset, random_gp, random_spd
+from conftest import random_dataset, random_gp, random_spd, random_wishart_prior
 
 from test_engine import micro_model
 
@@ -142,6 +148,93 @@ class TestSimulateB:
         state.cstar_global[matcalc.diag_positions(2)] = np.log(1e-12)
         with pytest.raises(OverflowGuardError, match="rejected nearly all"):
             posterior.simulate_b(data, prior, state, "a1", 5, seed=1)
+
+
+def _blocks_of(data, block):
+    """engine.DRAW_BLOCK_BYTES patched so that draw_block(data) is block."""
+    return mock.patch.object(engine, "DRAW_BLOCK_BYTES", 8 * data.n * data.J * block)
+
+
+UNBOUNDED = 10 ** 9  # more draws than any chunk
+
+
+class TestDrawBlocks:
+    """The draws over q are evaluated in blocks within engine.DRAW_BLOCK_BYTES;
+    the results do not depend on the block size."""
+
+    @staticmethod
+    def _results(data, prior, state, method, n_draws, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # rejected draws
+            summary = posterior.simulate_b(data, prior, state, method, n_draws, seed)
+            elbo = engine.elbo_estimate(data, prior, state, method, n_draws, seed)
+        return (summary.b_mean, summary.b_sd, summary.scale_mean, summary.scale_sd,
+                summary.n_rejected, elbo)
+
+    @pytest.mark.parametrize("famname", ["poisson", "bernoulli", "binomial"])
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("method", reparam.METHODS)
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(n_draws=st.integers(8, 20), seed=st.integers(0, 2 ** 32 - 1))
+    def test_results_do_not_depend_on_the_block(self, famname, r, method, n_draws, seed):
+        rng = np.random.default_rng(seed)
+        data = random_dataset(rng, families.by_name(famname), r=r, n=4, p=2)
+        prior = random_wishart_prior(rng, r)
+        state = engine.VariationalState.initial(data.n, r, data.g)
+        state.params += 0.2 * rng.standard_normal(state.params.size)
+        with _blocks_of(data, UNBOUNDED):
+            want = self._results(data, prior, state, method, n_draws, seed)
+        for block in (1, 3, 7):
+            with _blocks_of(data, block):
+                assert engine.draw_block(data) == block
+                got = self._results(data, prior, state, method, n_draws, seed)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+    def test_a_failing_draw_is_evaluated_again_in_its_block_only(self, rng, monkeypatch):
+        data = random_dataset(rng, families.POISSON, r=2, n=4, p=2)
+        prior = random_wishart_prior(rng, 2)
+        state = engine.VariationalState.initial(data.n, 2, data.g)
+        n_draws, block, seed = 24, 7, 5
+        chunk = engine.stream(seed, engine.LANE_SIM, 0).standard_normal((n_draws, state.d))
+        failing = chunk[10, 0]
+        calls, draw_transforms = [], posterior._draw_transforms
+
+        def evaluate(data, prior, state, method, s, predict):
+            calls.append(np.isin(s[:, 0], chunk[:, 0]).all())  # a block of chunk 0
+            if np.any(s[:, 0] == failing):
+                raise OverflowGuardError("injected")
+            return draw_transforms(data, prior, state, method, s, predict)
+
+        monkeypatch.setattr(posterior, "_draw_transforms", evaluate)
+        runs = {}
+        for size in (block, UNBOUNDED):
+            calls.clear()
+            with _blocks_of(data, size), pytest.warns(RuntimeWarning, match="rejected 1 "):
+                runs[size] = posterior.simulate_b(data, prior, state, "a2", n_draws, seed)
+            runs[size, "calls"] = sum(calls)
+        # 4 blocks, and the failing one again draw by draw; unsplit, the
+        # whole chunk again draw by draw
+        assert runs[block, "calls"] <= -(-n_draws // block) + block
+        assert runs[UNBOUNDED, "calls"] == 1 + n_draws
+        for field in ("b_mean", "b_sd", "scale_mean", "scale_sd", "n_rejected"):
+            np.testing.assert_array_equal(getattr(runs[block], field),
+                                          getattr(runs[UNBOUNDED], field))
+        assert runs[block].n_rejected == 1
+
+    def test_epilepsy_a2_simulation_memory(self):
+        # 2,000 draws of epilepsy II (n J = 236) under a2: unsplit, the mode
+        # search held about 39 MB of (2000, 59, 4) temporaries
+        data = datasets.epilepsy_dataset("II")
+        prior = model.default_prior(data)
+        state = engine.VariationalState.initial(data.n, data.r, data.g)
+        tracemalloc.start()
+        try:
+            posterior.simulate_b(data, prior, state, "a2", 2000, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2 ** 20
 
 
 class TestScaleMapping:

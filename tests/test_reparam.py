@@ -257,19 +257,6 @@ def _shifted(gp, h, d_beta, d_omega):
 PREDICTED_FAMILIES = [families.POISSON, families.BERNOULLI, families.BINOMIAL]
 
 
-def _far_prediction(seed, draws):
-    """Poisson r = 2 data and the draws-th random theta_G of that seed, with
-    the mode predicted from an anchor whose omega diagonal is 3.0 lower."""
-    rng = np.random.default_rng(seed)
-    data = random_dataset(rng, families.POISSON, r=2, n=5, p=2)
-    for _ in range(draws):
-        gp = random_gp(rng, 2, 2)
-    omega = gp.omega.copy()
-    omega[matcalc.diag_positions(2)] -= 3.0
-    far = model.GlobalParams(gp.beta, omega, 2)
-    return data, gp, reparam.mode_predictor(data, reparam.transform_a2(data, far), far)(gp)
-
-
 class TestModePredictor:
     @pytest.mark.parametrize("fam", PREDICTED_FAMILIES, ids=lambda f: f.name)
     @pytest.mark.parametrize("r", [1, 2])
@@ -324,7 +311,7 @@ class TestModePredictor:
     @pytest.mark.parametrize("seed,draws,error", [(101, 1, OverflowGuardError),
                                                   (102, 6, NotPositiveDefiniteError)])
     def test_failed_predicted_start_is_searched_again_from_a1(self, seed, draws, error):
-        data, gp, start = _far_prediction(seed, draws)
+        data, gp, start = oracles.far_prediction(seed, draws)
         with np.errstate(all="ignore"):
             with pytest.raises(error):
                 reparam.transform_a2(data, gp, start)
@@ -338,7 +325,7 @@ class TestModePredictor:
     # determinant, and those warnings stay inside the discarded attempt
     @pytest.mark.parametrize("seed,draws", [(105, 3), (113, 9)])
     def test_failed_predicted_search_leaves_no_warning(self, seed, draws):
-        data, gp, start = _far_prediction(seed, draws)
+        data, gp, start = oracles.far_prediction(seed, draws)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises((RuntimeWarning,) + RECOVERABLE):
@@ -348,14 +335,32 @@ class TestModePredictor:
         for field in ("lam", "L", "Lambda", "base_eta", "weight"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
-    def test_weight_is_kept_for_one_theta_only(self, rng):
+    # the recipe with targets of scale 2.0, whose Omega can be small: from
+    # these three starts a Newton candidate's eta exceeds POISSON_ETA_MAX,
+    # and halving it leads to the mode the search from a1's lambda finds
+    CANDIDATE_OVERFLOWS = [(102, 3), (115, 1), (129, 9)]
+
+    def test_overflowing_candidate_is_halved(self):
+        assert oracles.predicted_start_failures(
+            3.0, self.CANDIDATE_OVERFLOWS, scale=2.0) == {"succeeded": 3}
+        for seed, draw in self.CANDIDATE_OVERFLOWS:
+            data, gp, start = oracles.far_prediction(seed, draw, 3.0, scale=2.0)
+            assert np.all(data.eta(gp.beta, start) <= families.POISSON_ETA_MAX)
+            with np.errstate(all="ignore"):
+                got = reparam.transform_a2(data, gp, start)
+            want = reparam.transform_a2(data, gp)
+            np.testing.assert_allclose(got.lam, want.lam, rtol=0, atol=REFERENCE_TOL)
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "batch"])
+    def test_weight_is_h2_at_the_modes_draw_by_draw(self, rng, lead):
         data = random_dataset(rng, families.BINOMIAL, r=2, n=4, p=2)
-        gp = random_gp(rng, 2, 2)
+        gp = model.GlobalParams(0.4 * rng.standard_normal(lead + (2,)),
+                                0.4 * rng.standard_normal(lead + (3,)), 2)
         t = reparam.transform_a2(data, gp)
-        np.testing.assert_array_equal(
-            t.weight, data.mask * data.family.derivs(t.base_eta, data.trials, 2)[2])
-        batch = model.GlobalParams(np.stack([gp.beta] * 3), np.stack([gp.omega] * 3), 2)
-        assert reparam.transform_a2(data, batch).weight is None
+        assert t.weight.shape == lead + (data.n, data.J)
+        for k in np.ndindex(lead):
+            np.testing.assert_array_equal(
+                t.weight[k], data.mask * data.family.derivs(t.base_eta[k], data.trials, 2)[2])
 
 
 class TestApplyInvert:
