@@ -41,15 +41,15 @@ def _check_seed(seed):
 
 def stream(seed, lane, t):
     """Deterministic generator for iteration t of a given lane."""
-    _check_seed(seed)
-    return np.random.Generator(np.random.Philox(key=int(seed), counter=[0, 0, int(lane), int(t)]))
+    return LaneStream(seed, lane).at(t)
 
 
 class LaneStream:
-    """stream(seed, lane, t) for every t from one Philox generator: at(t)
-    resets its counter to iteration t's instead of building a new one."""
+    """The generators of one lane: at(t) resets one Philox generator keyed
+    by seed to iteration t's counter, [0, 0, lane, t]."""
 
     def __init__(self, seed, lane):
+        _check_seed(seed)
         self._bits = np.random.Philox(key=int(seed), counter=[0, 0, int(lane), 0])
         self._state, self._gen = self._bits.state, np.random.Generator(self._bits)
 
@@ -298,32 +298,33 @@ def _global_params(data, prior, glob):
     return model.GlobalParams(beta, omega, data.r)
 
 
+def draw(data, prior, state, method, s, anchor=None, blocks=None):
+    """(b~, GlobalParams, transforms) of draws s (..., d): theta~ = C s + mu
+    split, and reparam.build_transforms from anchor at the drawn theta_G."""
+    b_tilde, glob = state.split(state.affine(s, blocks))
+    gp = _global_params(data, prior, glob)
+    return b_tilde, gp, reparam.build_transforms(data, gp, method, anchor)
+
+
 def step(data, prior, config, state, adam, t, draws=None, anchor=None):
-    """One stochastic gradient step; returns the pre-update ELBO sample.
+    """One stochastic gradient step; returns the pre-update ELBO sample and
+    the step's transforms, the next step's anchor.
 
     The draws are those of stream(config.seed, LANE_FIT, t), taken from
-    `draws`, the fit's LaneStream of that stream, when given. `anchor`, a
-    one-item list, carries the a2 mode search from step to step: it holds
-    the reparam.mode_predictor of the last accepted step's transforms, and
-    the search starts from its prediction at the drawn theta_G (None, no
-    anchor or a failed search from the prediction: from a1's lambda there).
-    An accepted step puts its own in.
-    A recoverable numeric failure (overflow guard, failed factorization,
-    failed mode search) retries once with a fresh draw from the same
-    iteration stream, predicted from the same anchor; a second failure, a
-    non-finite ELBO sample or a non-finite update raises DivergedError.
+    `draws`, the fit's LaneStream of that stream, when given; the
+    transforms are built from `anchor` (draw). A recoverable numeric
+    failure (overflow guard, failed factorization, failed mode search)
+    retries once with a fresh draw from the same iteration stream and the
+    same anchor; a second failure, a non-finite ELBO sample or a
+    non-finite update raises DivergedError.
     """
     rng = (draws or LaneStream(config.seed, LANE_FIT)).at(t)
     blocks = state.blocks()
-    predict = anchor[0] if anchor else None
     last_err = None
     for _ in range(2):
         s = rng.standard_normal(state.d)
         try:
-            b_tilde, glob = state.split(state.affine(s, blocks))
-            gp = _global_params(data, prior, glob)
-            start = None if predict is None else predict(gp)
-            transforms = reparam.build_transforms(data, gp, config.method, start)
+            b_tilde, gp, transforms = draw(data, prior, state, config.method, s, anchor, blocks)
             value, grad = gradients.value_and_grad(data, gp, b_tilde, config.method, prior,
                                                    transforms)
             break
@@ -346,9 +347,7 @@ def step(data, prior, config, state, adam, t, draws=None, anchor=None):
     if not np.all(np.isfinite(update)):
         raise DivergedError(f"iteration {t}: non-finite parameter update")
     state.params += update
-    if anchor is not None:
-        anchor[0] = reparam.mode_predictor(data, transforms, gp)
-    return elbo
+    return elbo, transforms
 
 
 def draw_block(data):
@@ -400,17 +399,13 @@ def accepted_draws(state, n_draws, seed, lane, chunk, block, evaluate):
                       RuntimeWarning, stacklevel=3)
 
 
-def mean_predictor(data, prior, state, method):
-    """For a2, the mode predictor (reparam.mode_predictor) of the transforms
-    at the mean of theta_G under q, from which the draws over q start their
-    mode searches. None for a1, or when that build fails: the draws then
-    start from a1's lambda."""
-    if method != "a2":
-        return None
+def mean_anchor(data, prior, state, method):
+    """The transforms at the mean of theta_G under q, the draws' anchor; None
+    when that build fails: their a2 mode searches then start from a1's lambda."""
     gp = _global_params(data, prior, state.split(state.mu)[1])
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return reparam.mode_predictor(data, reparam.transform_a2(data, gp), gp)
+            return reparam.build_transforms(data, gp, method)
     except RECOVERABLE:
         return None
 
@@ -419,13 +414,10 @@ def elbo_estimate(data, prior, state, method, n_draws, seed):
     """Monte Carlo ELBO at a fixed state, averaged over fresh draws; a draw
     whose transforms fail or whose log joint is not finite is rejected."""
     logdet = state.log_det_c()
-    predict = mean_predictor(data, prior, state, method)
+    anchor = mean_anchor(data, prior, state, method)
 
     def evaluate(s):
-        b_tilde, glob = state.split(state.affine(s))
-        gp = _global_params(data, prior, glob)
-        transforms = reparam.build_transforms(data, gp, method,
-                                              None if predict is None else predict(gp))
+        b_tilde, gp, transforms = draw(data, prior, state, method, s, anchor)
         value = model.log_joint_reparam(data, gp, b_tilde, transforms, prior)
         if not np.all(np.isfinite(value)):
             raise OverflowGuardError("non-finite log joint")
@@ -459,10 +451,7 @@ def fit(data, prior, config=None, **overrides):
     state = VariationalState.initial(data.n, data.r, g)
     adam = AdamState.zeros(state.params.size)
 
-    draws = LaneStream(config.seed, LANE_FIT)
-    # a2: each step's mode search starts from the modes predicted from the
-    # previous step's, the first from a1's lambda
-    anchor = [None] if config.method == "a2" else None
+    draws, anchor = LaneStream(config.seed, LANE_FIT), None
     t_start = time.perf_counter()
     means = []
     acc = 0.0
@@ -470,7 +459,8 @@ def fit(data, prior, config=None, **overrides):
     converged = False
     it = 0
     for it in range(1, config.max_iter + 1):
-        acc += step(data, prior, config, state, adam, it, draws, anchor)
+        elbo, anchor = step(data, prior, config, state, adam, it, draws, anchor)
+        acc += elbo
         cnt += 1
         if cnt == config.window:
             means.append(acc / cnt)

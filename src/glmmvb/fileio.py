@@ -15,7 +15,7 @@ import numpy as np
 
 from . import families, matcalc, model
 from .engine import VariationalState
-from .exceptions import ConfigError, MissingColumnError, ParseError
+from .exceptions import ConfigError, MissingColumnError, NotPositiveDefiniteError, ParseError
 
 SUMMARY_FMT = "%.9g"
 STATE_FMT = "%.17g"
@@ -126,7 +126,10 @@ def read_prior_file(path, r):
         S = need("S")
         if S.shape != (r, r):
             raise ConfigError(f"prior file {path}: S must be {r} x {r}")
-        return model.WishartPrior(sb2, need("nu")[-1, 0], S)
+        try:
+            return model.WishartPrior(sb2, need("nu")[-1, 0], S)
+        except NotPositiveDefiniteError:
+            raise ConfigError(f"prior file {path}: S must be positive definite") from None
     if kind == "normal-omega":
         mean, sd, g2 = need("mean")[-1], need("sd")[-1], matcalc.half_len(r)
         if mean.size not in (1, g2) or sd.size not in (1, mean.size):

@@ -257,8 +257,8 @@ class WishartPrior:
         matcalc.cholesky(self.S)  # must be SPD
         self.S_inv = matcalc.spd_inv(self.S)
         r = self.S.shape[0]
-        if not self.nu > r - 1:
-            raise ConfigError("Wishart degrees of freedom must exceed r - 1")
+        if not (math.isfinite(self.nu) and self.nu > r - 1):
+            raise ConfigError("Wishart degrees of freedom must be finite and exceed r - 1")
         self.u = np.arange(r + 1, 1, -1, dtype=float)  # u_i = r - i + 2
 
     def log_omega(self, gp):
@@ -294,8 +294,8 @@ class NormalOmegaPrior:
         _check_sigma_beta2(self.sigma_beta2)
         self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         self.sd = np.broadcast_to(np.asarray(self.sd, dtype=float), self.mean.shape).copy()
-        if np.any(self.sd <= 0):
-            raise ConfigError("omega prior sds must be positive")
+        if not (np.isfinite(self.mean).all() and np.all((self.sd > 0) & (self.sd < np.inf))):
+            raise ConfigError("omega prior means must be finite and sds positive and finite")
 
     def log_omega(self, gp):
         z = (gp.omega - self.mean) / self.sd

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine, matcalc, model, reparam
+from . import engine, matcalc, model
 from .exceptions import ZeroSdError
 
 SIM_CHUNK = 2000  # draws per chunk
@@ -68,16 +68,12 @@ def factor_scales(factor, p, r, n_draws, seed):
     return (names, *engine.scaled_moments(scales))
 
 
-def _draw_transforms(data, prior, state, method, s, predict):
-    """(b, derived scales) of a chunk of draws s: theta~ = C s + mu, with
-    the transforms rebuilt from each drawn theta_G, their a2 mode searches
-    started from predict's prediction there (engine.mean_predictor), and
-    b = L b~ + lambda."""
-    b_tilde, glob = state.split(state.affine(s))
-    gp = engine._global_params(data, prior, glob)
-    start = None if predict is None else predict(gp)
-    b = reparam.build_transforms(data, gp, method, start).invert(b_tilde)
-    return b, _scales_from_omega(gp.omega, data.r)[1]
+def _draw_transforms(data, prior, state, method, s, anchor):
+    """(b, derived scales) of a chunk of draws s: the transforms rebuilt
+    from each drawn theta_G and anchor (engine.draw, engine.mean_anchor),
+    and b = L b~ + lambda."""
+    b_tilde, gp, transforms = engine.draw(data, prior, state, method, s, anchor)
+    return transforms.invert(b_tilde), _scales_from_omega(gp.omega, data.r)[1]
 
 
 def simulate_b(data, prior, state, method, n_draws, seed):
@@ -87,10 +83,10 @@ def simulate_b(data, prior, state, method, n_draws, seed):
     b_sum = np.zeros((data.n, data.r))
     b_sq = np.zeros((data.n, data.r))
     scale_chunks = []
-    predict = engine.mean_predictor(data, prior, state, method)
+    anchor = engine.mean_anchor(data, prior, state, method)
     chunks = engine.accepted_draws(
         state, n_draws, seed, engine.LANE_SIM, SIM_CHUNK, engine.draw_block(data),
-        lambda s: _draw_transforms(data, prior, state, method, s, predict))
+        lambda s: _draw_transforms(data, prior, state, method, s, anchor))
     for (b, scales), rejected in chunks:
         b_sum += b.sum(axis=0)
         b_sq += (b * b).sum(axis=0)

@@ -7,8 +7,8 @@ conditional posterior of b_i given the global parameters:
   regularized per-observation natural-parameter estimate (finite even on
   the support boundary), combined with the random-effects prior;
 * method "a2": expansion about the conditional posterior mode, found by
-  Newton-Raphson with step halving, started from a1's lambda or from a
-  first-order prediction of the mode (mode_predictor), and from a1's lambda
+  Newton-Raphson with step halving, started from a1's lambda or from the
+  modes predicted from an anchor (predict_modes), and from a1's lambda
   again when the search from the prediction fails.
 
 Everything broadcasts over leading batch dimensions of the global
@@ -42,6 +42,7 @@ class Transforms:
     Lambda: np.ndarray   # (..., n, r, r) SPD
     base_eta: np.ndarray | None = None  # (..., n, J) Taylor expansion point
     weight: np.ndarray | None = None    # (..., n, J) mask * h''(base_eta)
+    gp: object = None                   # the GlobalParams they were built at
 
     def invert(self, b_tilde):
         """b = L b~ + lambda."""
@@ -79,7 +80,7 @@ def transform_a1(data, gp):
     Lam, L = matcalc.spd_inv_cholesky(gp.Omega[..., None, :, :] + K)
     rhs = c - np.einsum("...nrp,...p->...nr", ZWX, gp.beta)
     lam = np.einsum("...nrs,...ns->...nr", Lam, rhs)
-    return Transforms("a1", lam, L, Lam, base_eta=data.eta_hat_reg(), weight=w)
+    return Transforms("a1", lam, L, Lam, base_eta=data.eta_hat_reg(), weight=w, gp=gp)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +134,7 @@ def transform_a2(data, gp, start=None):
     global-parameter gradient formulas differentiate the mode implicitly,
     which requires the stationarity equation to hold tightly). The search
     starts from start, (n, r) or broadcastable to the batch, when given
-    (a fit and the draws over q pass a mode_predictor's prediction), and
+    (build_transforms passes the modes predicted from an anchor), and
     otherwise from a1's lambda, the mean of the same Gaussian approximation
     taken about the regularized estimates instead of the mode.
     Each point is evaluated once (_evaluate): an accepted candidate is the
@@ -196,44 +197,39 @@ def transform_a2(data, gp, start=None):
     if np.any(gnorm > NR_TOL_ACCEPT * scale):
         raise ModeSearchFailedError("Newton-Raphson mode search did not reach stationarity")
     Lam, L = matcalc.spd_inv_cholesky(P)
-    return Transforms("a2", b, L, Lam, base_eta=eta, weight=w)
+    return Transforms("a2", b, L, Lam, base_eta=eta, weight=w, gp=gp)
 
 
-def mode_predictor(data, transforms, gp):
-    """First-order prediction of the a2 modes from an anchor: a2 transforms
-    built at one theta_G, gp.
+def predict_modes(data, anchor, gp):
+    """First-order prediction of the a2 modes at theta_G = gp (any leading
+    dims) from an anchor, a2 transforms built at anchor.gp.
 
     Differentiating the mode equation Z'(y - g(X beta + Z lam)) = Omega lam
     gives d lam = -Lambda {Z'WX d beta + d Omega lam}, with W the anchor's
-    weight. Returns predict(gp'), the modes (..., n, r) at theta_G' =
-    gp' (any leading dims): lam - Lambda {Z'WX (beta' - beta) + (Omega' -
-    Omega) lam}. Z'WX is contracted here, once per anchor, to (n, r, p), so
-    a prediction for a batch makes no (B, n, J) array.
+    weight. Z'WX is contracted to (n, r, p) first, so a prediction for a
+    batch makes no (B, n, J) array.
     """
-    zwx = data.zwx(transforms.weight)
-    lam, Lam, beta, Omega = transforms.lam, transforms.Lambda, gp.beta, gp.Omega
-
-    def predict(gp_new):
-        shift = (np.einsum("nrp,...p->...nr", zwx, gp_new.beta - beta)
-                 + np.einsum("...rs,ns->...nr", gp_new.Omega - Omega, lam))
-        return lam - np.einsum("nrs,...ns->...nr", Lam, shift)
-    return predict
+    lam, at = anchor.lam, anchor.gp
+    shift = (np.einsum("nrp,...p->...nr", data.zwx(anchor.weight), gp.beta - at.beta)
+             + np.einsum("...rs,ns->...nr", gp.Omega - at.Omega, lam))
+    return lam - np.einsum("nrs,...ns->...nr", anchor.Lambda, shift)
 
 
-def build_transforms(data, gp, method, start=None):
-    """Transforms of the given method at theta_G; start is the a2 mode
-    search's starting point (see transform_a2), unused by a1. A search
-    from start that fails recoverably is made again from a1's lambda."""
+def build_transforms(data, gp, method, anchor=None):
+    """Transforms of the given method at theta_G. An a2 mode search starts
+    from the modes predicted from anchor (predict_modes), when given, and
+    from a1's lambda otherwise, or when the search from the prediction
+    fails recoverably; a1 ignores the anchor."""
     if method not in METHODS:
         raise ConfigError(f"unknown transform method {method!r}")
     if method == "a1":
         return transform_a1(data, gp)
-    if start is not None:
+    if anchor is not None:
         try:
             # a far-off start can overflow on its way to a recoverable
             # failure; its warnings belong to the discarded attempt
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                return transform_a2(data, gp, start)
+                return transform_a2(data, gp, predict_modes(data, anchor, gp))
         except RECOVERABLE:
             pass
     return transform_a2(data, gp)

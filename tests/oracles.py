@@ -270,9 +270,9 @@ def transform_a2(data, gp, start=None):
 
 def far_prediction(seed, draw, shift=3.0, scale=0.4):
     """Poisson r = 2 data (random_dataset, n = 5, p = 2) of that seed, its
-    draw-th random theta_G (random_gp of that scale) and the modes there
-    predicted from an anchor whose omega diagonal is shift lower: a start
-    far from the mode."""
+    draw-th random theta_G (random_gp of that scale) and an anchor whose
+    omega diagonal is shift lower, from which the modes there are predicted
+    far off."""
     from conftest import random_dataset, random_gp  # conftest imports this module
     rng = np.random.default_rng(seed)
     data = random_dataset(rng, families.POISSON, r=2, n=5, p=2)
@@ -281,19 +281,20 @@ def far_prediction(seed, draw, shift=3.0, scale=0.4):
     omega = gp.omega.copy()
     omega[matcalc.diag_positions(2)] -= shift
     far = model.GlobalParams(gp.beta, omega, 2)
-    return data, gp, reparam.mode_predictor(data, reparam.transform_a2(data, far), far)(gp)
+    return data, gp, reparam.transform_a2(data, far)
 
 
 def predicted_start_failures(shift, pairs=None, scale=0.4):
-    """Outcomes of the a2 search from far_prediction(seed, draw, shift,
-    scale) over pairs (seed, draw), by default seeds 100-159 and draws 1-10:
+    """Outcomes of the a2 search from the modes predicted from the anchor of
+    far_prediction(seed, draw, shift, scale) over pairs (seed, draw), by
+    default seeds 100-159 and draws 1-10:
     counts by the name of the error the search raises, or "succeeded"."""
     counts = collections.Counter()
     for seed, draw in pairs or itertools.product(range(100, 160), range(1, 11)):
-        data, gp, start = far_prediction(seed, draw, shift, scale)
+        data, gp, anchor = far_prediction(seed, draw, shift, scale)
         try:
             with np.errstate(all="ignore"):
-                reparam.transform_a2(data, gp, start)
+                reparam.transform_a2(data, gp, reparam.predict_modes(data, anchor, gp))
             counts["succeeded"] += 1
         except RECOVERABLE as err:
             counts[type(err).__name__] += 1

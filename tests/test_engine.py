@@ -438,40 +438,36 @@ class TestWarmStart:
         cfg = engine.FitConfig(method="a2", seed=8)
         state = engine.VariationalState.initial(data.n, data.r, data.g)
         adam = engine.AdamState.zeros(state.params.size)
-        build, make = reparam.build_transforms, reparam.mode_predictor
-        attempts, built, made = [], [], []
+        build, predict = reparam.build_transforms, reparam.predict_modes
+        attempts, built, predicted = [], [], []
 
-        def fail_second_steps_first(data, gp, method, start=None):
-            attempts.append((gp, start))
+        def fail_second_steps_first(data, gp, method, anchor=None):
+            attempts.append((gp, anchor))
             if len(attempts) == 2:
                 raise OverflowGuardError("injected")
-            built.append(build(data, gp, method, start))
+            built.append(build(data, gp, method, anchor))
             return built[-1]
 
-        def spy(data, transforms, gp):
-            made.append((transforms, gp, make(data, transforms, gp)))
-            return made[-1][2]
+        def spy(data, anchor, gp):
+            predicted.append((anchor, gp))
+            return predict(data, anchor, gp)
 
         monkeypatch.setattr(reparam, "build_transforms", fail_second_steps_first)
-        monkeypatch.setattr(reparam, "mode_predictor", spy)
-        anchor = [None]
-        engine.step(data, prior, cfg, state, adam, 1, anchor=anchor)
+        monkeypatch.setattr(reparam, "predict_modes", spy)
+        _, first = engine.step(data, prior, cfg, state, adam, 1)
         # the first step starts from a1's lambda
-        assert len(attempts) == 1 and attempts[0][1] is None
-        first = anchor[0]
-        assert len(made) == 1 and made[0][0] is built[0] and made[0][1] is attempts[0][0]
-        assert first is made[0][2]
+        assert len(attempts) == 1 and attempts[0][1] is None and predicted == []
+        assert first is built[0] and first.gp is attempts[0][0]
 
-        engine.step(data, prior, cfg, state, adam, 2, anchor=anchor)
-        # the failed attempt and the retry each start from the one anchor's
-        # prediction at their own theta_G
+        _, anchor = engine.step(data, prior, cfg, state, adam, 2, anchor=first)
+        # the failed attempt and the retry each predict from the one anchor
+        # at their own theta_G
         assert len(attempts) == 3
         assert not np.array_equal(attempts[1][0].beta, attempts[2][0].beta)
-        for gp, start in attempts[1:]:
-            np.testing.assert_array_equal(start, first(gp))
+        assert attempts[1][1] is first and attempts[2][1] is first
+        assert predicted == [(first, attempts[2][0])]
         # the accepted build, at the retry's theta_G, is the next anchor
-        assert len(made) == 2 and made[1][0] is built[1] and made[1][1] is attempts[2][0]
-        assert anchor[0] is made[1][2]
+        assert anchor is built[1] and anchor.gp is attempts[2][0]
 
     def test_predicted_starts_take_fewer_newton_steps(self, monkeypatch):
         data = datasets.epilepsy_dataset("I")
@@ -489,8 +485,7 @@ class TestWarmStart:
         predicted = len(calls)
         calls.clear()
         # the warm start: each step from the previous step's modes
-        monkeypatch.setattr(reparam, "mode_predictor",
-                            lambda data, transforms, gp: lambda gp_new: transforms.lam)
+        monkeypatch.setattr(reparam, "predict_modes", lambda data, anchor, gp: anchor.lam)
         assert engine.fit(data, prior, cfg).n_iter == 300
         assert predicted < len(calls)
 
@@ -501,9 +496,28 @@ class TestLaneStream:
         for t in (5, 1, 2, 1000, 2):
             rng = lane.at(t)
             first, retry = rng.standard_normal(7), rng.standard_normal(7)
-            ref = engine.stream(17, engine.LANE_FIT, t)
+            ref = np.random.Generator(
+                np.random.Philox(key=17, counter=[0, 0, engine.LANE_FIT, t]))
             np.testing.assert_array_equal(first, ref.standard_normal(7))
             np.testing.assert_array_equal(retry, ref.standard_normal(7))
+
+    # the generator is reused and reset before each check
+    @pytest.mark.parametrize("seed", [0, 17, 2 ** 64 + 1, 2 ** 127 + 3])
+    def test_stream_and_lane_stream_reproduce_philox(self, seed):
+        lane = engine.LaneStream(seed, engine.LANE_SIM)
+        for t in (3, 0, 2 ** 40, 3):
+            ref = np.random.Generator(
+                np.random.Philox(key=seed, counter=[0, 0, engine.LANE_SIM, t])).standard_normal(5)
+            np.testing.assert_array_equal(lane.at(t).standard_normal(5), ref)
+            np.testing.assert_array_equal(engine.stream(seed, engine.LANE_SIM, t).standard_normal(5),
+                                          ref)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.5])
+    def test_seed_is_checked(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            engine.LaneStream(seed, engine.LANE_FIT)
+        with pytest.raises(ConfigError, match="seed"):
+            engine.stream(seed, engine.LANE_SIM, 0)
 
     def test_lanes_differ(self):
         a = engine.LaneStream(3, engine.LANE_FIT).at(4).standard_normal(3)
@@ -518,7 +532,8 @@ class TestLaneStream:
         for draws in (None, engine.LaneStream(cfg.seed, engine.LANE_FIT)):
             state = engine.VariationalState.initial(data.n, data.r, data.g)
             adam = engine.AdamState.zeros(state.params.size)
-            elbos = [engine.step(data, prior, cfg, state, adam, t, draws) for t in range(1, 30)]
+            elbos = [engine.step(data, prior, cfg, state, adam, t, draws)[0]
+                     for t in range(1, 30)]
             states.append((elbos, state.params))
         assert states[0][0] == states[1][0]
         np.testing.assert_array_equal(states[0][1], states[1][1])

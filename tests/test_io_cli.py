@@ -185,6 +185,26 @@ class TestPriorFile:
                 "--out", str(tmp_path / "o")]
         assert run_cli(args) == 2
 
+    # settings that define no prior: the fit would fail at its first step
+    @pytest.mark.parametrize("text,match", [("type,normal-omega\nmean,0\nsd,nan\n", "sds"),
+                                            ("type,normal-omega\nmean,nan\nsd,1\n", "means"),
+                                            ("type,normal-omega\nmean,inf\nsd,1\n", "means"),
+                                            ("nu,3\nS,-1\n", "S must be positive definite"),
+                                            ("nu,3\nS,nan\n", "S must be positive definite"),
+                                            ("nu,inf\nS,1\n", "degrees of freedom")],
+                             ids=["sd-nan", "mean-nan", "mean-inf", "S-negative", "S-nan",
+                                  "nu-inf"])
+    def test_prior_file_that_defines_no_prior(self, tmp_path, text, match):
+        p = tmp_path / "prior.csv"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            fileio.read_prior_file(str(p), 1)
+        args = ["--data", datasets.fixture_path("seeds.csv"), "--family", "binomial",
+                "--group-col", "plate", "--response-col", "germinated",
+                "--trials-col", "total", "--prior", "file", "--prior-file", str(p),
+                "--max-iter", "50", "--out", str(tmp_path / "o")]
+        assert run_cli(args) == 2
+
 
 class TestErrorPickling:
     @pytest.mark.parametrize("err, attrs", [
@@ -442,7 +462,9 @@ class TestCliExitCodes:
                                        ["--omega-prior-sd", "0", "--prior", "normal-omega"],
                                        ["--sigma-beta2", "0"],
                                        ["--sigma-beta2", "-1", "--prior", "normal-omega"],
-                                       ["--seed", "-1"]])
+                                       ["--seed", "-1"],
+                                       ["--omega-prior-sd", "nan", "--prior", "normal-omega"],
+                                       ["--omega-prior-sd", "inf", "--prior", "normal-omega"]])
     def test_package_checks_exit_2(self, tmp_path, extra):
         args = ["--data", datasets.fixture_path("seeds.csv"),
                 "--family", "binomial", "--group-col", "plate",

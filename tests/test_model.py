@@ -322,3 +322,10 @@ class TestPriorSettings:
         with pytest.raises(ConfigError, match="sigma_beta2"):
             make(sigma_beta2)
         make(0.5)
+
+    @pytest.mark.parametrize("mean,sd", [(0.0, 0.0), (0.0, -1.0), (0.0, math.nan),
+                                         (0.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)])
+    def test_normal_omega_needs_finite_means_and_positive_finite_sds(self, mean, sd):
+        with pytest.raises(ConfigError, match="omega prior"):
+            model.NormalOmegaPrior(1.0, np.array([0.0, mean]), np.array([1.0, sd]))
+        model.NormalOmegaPrior(1.0, np.array([0.0, 0.0]), np.array([1.0, 2.0]))

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glmmvb import datasets, engine, families, matcalc, model, posterior, recombine, reparam
-from glmmvb.exceptions import NotPositiveDefiniteError, OverflowGuardError
+from glmmvb.exceptions import ModeSearchFailedError, NotPositiveDefiniteError, OverflowGuardError
 
 import oracles
 from conftest import random_dataset, random_gp, random_spd, random_wishart_prior
 
 from test_engine import micro_model
+from test_reparam import REFERENCE_TOL
 
 
 def tiny_global_state(data, mu_global, local_scale=0.4, rng=None):
@@ -200,11 +201,11 @@ class TestDrawBlocks:
         failing = chunk[10, 0]
         calls, draw_transforms = [], posterior._draw_transforms
 
-        def evaluate(data, prior, state, method, s, predict):
+        def evaluate(data, prior, state, method, s, anchor):
             calls.append(np.isin(s[:, 0], chunk[:, 0]).all())  # a block of chunk 0
             if np.any(s[:, 0] == failing):
                 raise OverflowGuardError("injected")
-            return draw_transforms(data, prior, state, method, s, predict)
+            return draw_transforms(data, prior, state, method, s, anchor)
 
         monkeypatch.setattr(posterior, "_draw_transforms", evaluate)
         runs = {}
@@ -235,6 +236,47 @@ class TestDrawBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 12 * 2 ** 20
+
+
+class TestMeanAnchor:
+    def test_failed_build_at_the_mean_searches_every_draw_from_a1(self, rng, monkeypatch):
+        data = random_dataset(rng, families.POISSON, r=2, n=4, p=2)
+        prior = random_wishart_prior(rng, 2)
+        state = engine.VariationalState.initial(data.n, 2, data.g)
+        state.params += 0.2 * rng.standard_normal(state.params.size)
+        build, transform_a2, starts = reparam.build_transforms, reparam.transform_a2, []
+
+        def failing_at_the_mean(data, gp, method, anchor=None):
+            # the mean is the one theta_G built alone; the draws come in blocks
+            if fail and np.ndim(gp.beta) == 1:
+                raise ModeSearchFailedError("injected")
+            return build(data, gp, method, anchor)
+
+        def spy(data, gp, start=None):
+            starts.append(start)
+            return transform_a2(data, gp, start)
+
+        monkeypatch.setattr(reparam, "build_transforms", failing_at_the_mean)
+        monkeypatch.setattr(reparam, "transform_a2", spy)
+        runs = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fail in (False, True):
+                starts.clear()
+                runs[fail] = (posterior.simulate_b(data, prior, state, "a2", 40, 6),
+                              engine.elbo_estimate(data, prior, state, "a2", 40, 6))
+                runs[fail, "starts"] = list(starts)
+        # anchored, the mean's build and then every draw's from its prediction
+        assert runs[False, "starts"][0] is None and len(runs[False, "starts"]) == 4
+        assert all(start is not None for start in runs[False, "starts"][1::2])
+        # no anchor: every draw from a1's lambda
+        assert runs[True, "starts"] == [None, None]
+        (want, want_elbo), (got, got_elbo) = runs[False], runs[True]
+        for field in ("b_mean", "b_sd", "scale_mean", "scale_sd"):
+            np.testing.assert_allclose(getattr(got, field), getattr(want, field),
+                                       rtol=REFERENCE_TOL, atol=REFERENCE_TOL)
+        assert got.n_rejected == want.n_rejected == 0
+        np.testing.assert_allclose(got_elbo, want_elbo, rtol=REFERENCE_TOL, atol=REFERENCE_TOL)
 
 
 class TestScaleMapping:

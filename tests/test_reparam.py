@@ -216,8 +216,7 @@ class TestModeSearchAgainstReference:
                                       omega + 0.05 * rng.standard_normal(omega.shape), r)
             if start_kind == "predicted":
                 # from the transforms there to each theta_G of gp
-                anchor = reparam.transform_a2(data, near)
-                start = reparam.mode_predictor(data, anchor, near)(gp)
+                start = reparam.predict_modes(data, reparam.transform_a2(data, near), gp)
             else:
                 start = oracles.transform_a2(data, near).lam
             if start_kind == "perturbed":
@@ -268,25 +267,27 @@ class TestModePredictor:
         rng = np.random.default_rng(seed)
         data = random_dataset(rng, fam, r=r, n=5, p=2)
         gp = random_gp(rng, 2, r)
-        predict = reparam.mode_predictor(data, reparam.transform_a2(data, gp), gp)
+        anchor = reparam.transform_a2(data, gp)
         d_beta, d_omega = rng.standard_normal(2), rng.standard_normal(matcalc.half_len(r))
         errs = []
         for h in (0.04, 0.02):
             near = _shifted(gp, h, d_beta, d_omega)
-            errs.append(np.abs(predict(near) - reparam.transform_a2(data, near).lam).max())
+            errs.append(np.abs(reparam.predict_modes(data, anchor, near)
+                               - reparam.transform_a2(data, near).lam).max())
         assert 3.0 < errs[0] / errs[1] < 5.0
 
     def test_predicts_a_batch_as_one_theta_at_a_time(self, rng):
         data = random_dataset(rng, families.POISSON, r=2, n=4, p=2)
         gp = random_gp(rng, 2, 2)
-        predict = reparam.mode_predictor(data, reparam.transform_a2(data, gp), gp)
+        anchor = reparam.transform_a2(data, gp)
         batch = model.GlobalParams(gp.beta + 0.1 * rng.standard_normal((2, 3, 2)),
                                    gp.omega + 0.1 * rng.standard_normal((2, 3, 3)), 2)
-        got = predict(batch)
+        got = reparam.predict_modes(data, anchor, batch)
         assert got.shape == (2, 3, data.n, 2)
         for k in np.ndindex(2, 3):
             one = model.GlobalParams(batch.beta[k], batch.omega[k], 2)
-            np.testing.assert_allclose(got[k], predict(one), rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(got[k], reparam.predict_modes(data, anchor, one),
+                                       rtol=1e-14, atol=1e-14)
 
     @pytest.mark.parametrize("fam", PREDICTED_FAMILIES, ids=lambda f: f.name)
     def test_far_off_prediction_reaches_the_default_starts_mode(self, fam):
@@ -297,7 +298,7 @@ class TestModePredictor:
         gp = random_gp(rng, 2, 2)
         d_beta, d_omega = rng.standard_normal(2), rng.standard_normal(3)
         far = _shifted(gp, 1.5, d_beta, -np.abs(d_omega))
-        start = reparam.mode_predictor(data, reparam.transform_a2(data, far), far)(gp)
+        start = reparam.predict_modes(data, reparam.transform_a2(data, far), gp)
         want = reparam.transform_a2(data, gp)
         assert np.abs(start - want.lam).max() > 1.0
         got = reparam.transform_a2(data, gp, start)
@@ -311,11 +312,11 @@ class TestModePredictor:
     @pytest.mark.parametrize("seed,draws,error", [(101, 1, OverflowGuardError),
                                                   (102, 6, NotPositiveDefiniteError)])
     def test_failed_predicted_start_is_searched_again_from_a1(self, seed, draws, error):
-        data, gp, start = oracles.far_prediction(seed, draws)
+        data, gp, anchor = oracles.far_prediction(seed, draws)
         with np.errstate(all="ignore"):
             with pytest.raises(error):
-                reparam.transform_a2(data, gp, start)
-            got = reparam.build_transforms(data, gp, "a2", start)
+                reparam.transform_a2(data, gp, reparam.predict_modes(data, anchor, gp))
+            got = reparam.build_transforms(data, gp, "a2", anchor)
         want = reparam.transform_a2(data, gp)
         for field in ("lam", "L", "Lambda", "base_eta", "weight"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
@@ -325,12 +326,13 @@ class TestModePredictor:
     # determinant, and those warnings stay inside the discarded attempt
     @pytest.mark.parametrize("seed,draws", [(105, 3), (113, 9)])
     def test_failed_predicted_search_leaves_no_warning(self, seed, draws):
-        data, gp, start = oracles.far_prediction(seed, draws)
+        data, gp, anchor = oracles.far_prediction(seed, draws)
+        start = reparam.predict_modes(data, anchor, gp)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises((RuntimeWarning,) + RECOVERABLE):
                 reparam.transform_a2(data, gp, start)
-            got = reparam.build_transforms(data, gp, "a2", start)
+            got = reparam.build_transforms(data, gp, "a2", anchor)
         want = reparam.transform_a2(data, gp)
         for field in ("lam", "L", "Lambda", "base_eta", "weight"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
@@ -344,7 +346,8 @@ class TestModePredictor:
         assert oracles.predicted_start_failures(
             3.0, self.CANDIDATE_OVERFLOWS, scale=2.0) == {"succeeded": 3}
         for seed, draw in self.CANDIDATE_OVERFLOWS:
-            data, gp, start = oracles.far_prediction(seed, draw, 3.0, scale=2.0)
+            data, gp, anchor = oracles.far_prediction(seed, draw, 3.0, scale=2.0)
+            start = reparam.predict_modes(data, anchor, gp)
             assert np.all(data.eta(gp.beta, start) <= families.POISSON_ETA_MAX)
             with np.errstate(all="ignore"):
                 got = reparam.transform_a2(data, gp, start)
@@ -477,8 +480,11 @@ class TestBuildFailures:
         data = model.Dataset.from_lists(fam, [[1.0], [1.0, 0.0]], [[[1.0]], [[1.0], [1.0]]],
                                         [[z], [[1.0, 0.2], [1.0, -0.4]]])
         gp = model.GlobalParams([0.1], [-400.0, 0.0, -400.0], 2)
+        # an anchor at gp itself, from which the predicted start is zeros
+        zeros_anchor = reparam.Transforms("a2", np.zeros((2, 2)), None, np.zeros((2, 2, 2)),
+                                          weight=np.zeros((2, data.J)), gp=gp)
         with pytest.raises(NotPositiveDefiniteError):
-            reparam.build_transforms(data, gp, method, None if start is None else np.zeros((2, 2)))
+            reparam.build_transforms(data, gp, method, None if start is None else zeros_anchor)
 
     @pytest.mark.parametrize("fam", [families.POISSON, families.BERNOULLI], ids=lambda f: f.name)
     @pytest.mark.parametrize("r", [1, 2])
