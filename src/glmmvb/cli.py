@@ -38,7 +38,7 @@ def build_parser():
     p.add_argument("--max-iter", type=int, default=200_000)
     p.add_argument("--estimator", choices=["L1", "L2", "L3"], default="L2")
     p.add_argument("--draws", type=int, default=50_000,
-                   help="posterior simulation draws for reporting")
+                   help="posterior simulation draws for reporting (at least 2)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--simulate", default=None, metavar="SCENARIO",
                    choices=sorted(simulate.SCENARIOS),
@@ -66,6 +66,8 @@ def run(args):
         return 0
     if not args.data or not args.family:
         raise ConfigError("--data and --family are required unless --simulate is given")
+    if args.draws < 2:
+        raise ConfigError("--draws must be >= 2")
     if args.family == "binomial" and not args.trials_col:
         raise ConfigError("binomial fits need --trials-col")
     data = fileio.load_csv(args.data, args.family, args.group_col,
@@ -98,7 +100,7 @@ def run(args):
     else:
         sharded = recombine.fit_sharded(data, prior, config, args.shards)
         scales = posterior.factor_scales(sharded.combined, data.p, data.r,
-                                         max(args.draws, 1000), args.seed)
+                                         args.draws, args.seed)
         fileio.write_sharded_summary(os.path.join(args.out, "summary.csv"), sharded,
                                      args.method, scales)
         for v, res in enumerate(sharded.shard_results):

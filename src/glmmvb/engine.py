@@ -94,8 +94,8 @@ class FitConfig:
                 and math.isfinite(self.adam_eps) and self.adam_eps > 0):
             raise ConfigError("Adam needs a finite alpha > 0, betas in [0, 1) and a "
                               "finite eps > 0")
-        if self.final_elbo_draws < 0:
-            raise ConfigError("final_elbo_draws must be >= 0 (0: no final ELBO)")
+        if self.final_elbo_draws < 0 or self.final_elbo_draws == 1:
+            raise ConfigError("final_elbo_draws must be 0 (no final ELBO) or >= 2")
 
 
 class VariationalState:
@@ -366,10 +366,10 @@ def accepted_draws(state, n_draws, seed, lane, chunk, block, evaluate):
     concatenated. When a block raises a recoverable error, that block is
     evaluated again one draw at a time and the draws that raise are
     rejected. Yields (results, draws rejected so far) per chunk with
-    accepted draws.
+    accepted draws. n_draws must be at least 2, which a standard error needs.
     """
-    if n_draws < 1:
-        raise ConfigError("n_draws must be >= 1")
+    if n_draws < 2:
+        raise ConfigError("n_draws must be >= 2")
     done = rejected = k = 0
     while done < n_draws:
         s = stream(seed, lane, k).standard_normal((min(chunk, n_draws - done), state.d))

@@ -8,17 +8,46 @@ is finite on the support boundary); and validate. The log-likelihood is
 y*eta - h(eta): additive constants that do not depend on eta are dropped
 throughout the package so that lower bounds are comparable.
 
-All functions are vectorized over numpy arrays of eta / y / trials.
+All functions are vectorized over numpy arrays of eta / y / trials. The
+digamma of eta_hat_reg is computed here with numpy alone (it is only ever
+taken at a count plus 1/2), so the package's one runtime dependency is numpy.
 """
 
 import numpy as np
-import scipy.special as sc
 
 from .exceptions import DomainError, InvalidResponseError, OverflowGuardError
 
 # Poisson linear predictors above this raise OverflowGuardError: exp() is
 # about to overflow and the optimization state is divergent anyway.
 POISSON_ETA_MAX = 500.0
+
+
+# psi(3/2) = 2 - gamma - 2 log 2, as scipy.special.digamma returns it
+_PSI_3_2 = 0.03648997397857652
+# psi(k + 1/2) for k < 10, by the recurrence psi(x) = psi(x + 1) - 1/x down to
+# 3/2, with the reciprocals summed in the order of cephes' psi (which scipy's
+# digamma is), so that the two agree bit for bit
+_PSI_HALF_TABLE = np.array(
+    [-2.0 + _PSI_3_2]
+    + [sum((1.0 / (j + 0.5) for j in range(k - 1, 0, -1)), 0.0) + _PSI_3_2 for k in range(1, 10)])
+# cephes' asymptotic series for x >= 10: psi(x) = log x - 1/(2x) - z P(z),
+# z = 1/x^2, with P's coefficients from the highest power down, for Horner
+_PSI_ASYMPTOTIC = (1 / 12, -691 / 32760, 1 / 132, -1 / 240, 1 / 252, -1 / 120, 1 / 12)
+
+
+def _digamma_half(x):
+    """psi(x) for x = k + 1/2 with k a non-negative integer (k < 2^52, where
+    such x are exact); any other x raises DomainError."""
+    x = np.asarray(x, dtype=float)
+    k = x - 0.5
+    if not np.all((k >= 0) & (k == np.floor(k)) & (x < 2.0 ** 52)):
+        raise DomainError("digamma here takes only a non-negative integer plus 1/2")
+    z = 1.0 / (x * x)
+    poly = 0.0
+    for a in _PSI_ASYMPTOTIC:
+        poly = poly * z + a
+    return np.where(x < 10, _PSI_HALF_TABLE[np.minimum(k, 9).astype(int)],
+                    np.log(x) - 0.5 / x - z * poly)
 
 
 class Family:
@@ -61,7 +90,7 @@ class Poisson(Family):
         return (np.exp(eta),) * (k + 1)
 
     def eta_hat_reg(self, y, trials=None):
-        return sc.digamma(np.asarray(y, dtype=float) + 0.5)
+        return _digamma_half(np.asarray(y, dtype=float) + 0.5)
 
     def validate(self, y, trials=None, lines=None):
         y = np.asarray(y, dtype=float)
@@ -109,7 +138,7 @@ class Binomial(Family):
     def eta_hat_reg(self, y, trials=None):
         y = np.asarray(y, dtype=float)
         m = self._trials(y, trials)
-        return sc.digamma(y + 0.5) - sc.digamma(m - y + 0.5)
+        return _digamma_half(y + 0.5) - _digamma_half(m - y + 0.5)
 
     def validate(self, y, trials=None, lines=None):
         y = np.asarray(y, dtype=float)

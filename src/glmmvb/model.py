@@ -294,8 +294,12 @@ class NormalOmegaPrior:
         _check_sigma_beta2(self.sigma_beta2)
         self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         self.sd = np.broadcast_to(np.asarray(self.sd, dtype=float), self.mean.shape).copy()
-        if not (np.isfinite(self.mean).all() and np.all((self.sd > 0) & (self.sd < np.inf))):
-            raise ConfigError("omega prior means must be finite and sds positive and finite")
+        # grad_omega divides by sd^2, so it must not underflow: sd >= 2^-511,
+        # the square root of the smallest normal number, is exactly sd^2 >= it
+        if not (np.isfinite(self.mean).all()
+                and np.all((self.sd >= 2.0 ** -511) & (self.sd < np.inf))):
+            raise ConfigError("omega prior means must be finite and sds finite and "
+                              "at least 2^-511, so that sd^2 does not underflow")
 
     def log_omega(self, gp):
         z = (gp.omega - self.mean) / self.sd

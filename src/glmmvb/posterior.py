@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, matcalc, model
-from .exceptions import ZeroSdError
+from .exceptions import ConfigError, ZeroSdError
 
 SIM_CHUNK = 2000  # draws per chunk
 
@@ -60,7 +60,10 @@ def _scales_from_omega(omega, r):
 
 def factor_scales(factor, p, r, n_draws, seed):
     """Simulated (names, means, sds) of the derived scales under a Gaussian
-    factor on theta_G = (beta (p), omega), such as a recombined sharded fit."""
+    factor on theta_G = (beta (p), omega), such as a recombined sharded fit;
+    n_draws must be at least 2, which an sd needs."""
+    if n_draws < 2:
+        raise ConfigError("n_draws must be >= 2")
     rng = engine.stream(seed, engine.LANE_SIM, 1)
     L = matcalc.cholesky(factor.cov)
     draws = factor.mean + rng.standard_normal((n_draws, factor.mean.size)) @ L.T

@@ -94,6 +94,7 @@ class TestFitConfig:
         {"adam_alpha": np.nan}, {"adam_beta1": 1.0}, {"adam_beta1": -0.1},
         {"adam_beta2": 1.0}, {"adam_beta2": np.nan}, {"adam_eps": 0.0},
         {"adam_eps": -1e-8}, {"adam_eps": np.inf}, {"final_elbo_draws": -5},
+        {"final_elbo_draws": 1},
         {"seed": -1}, {"seed": 2 ** 128},
     ], ids=lambda setting: "{}={}".format(*next(iter(setting.items()))))
     def test_rejects_settings_that_give_wrong_fits(self, setting):
@@ -102,6 +103,7 @@ class TestFitConfig:
 
     def test_edge_settings_are_accepted(self):
         engine.FitConfig(adam_beta1=0.0, adam_beta2=0.0, final_elbo_draws=0)
+        engine.FitConfig(final_elbo_draws=2)
         engine.FitConfig(seed=2 ** 128 - 1)
 
     # a float count never closes a window or breaks range(); a bool is not a count
@@ -354,6 +356,18 @@ class TestAcceptedDraws:
         np.testing.assert_array_equal(second, 2.0 * kept)
         assert len(first) == 90 and wanted == 0
         assert chunks[-1][1] == len(drawn) - 90 > 0  # rejected so far, at the end
+
+    @pytest.mark.parametrize("n_draws", [0, 1])
+    def test_needs_two_draws(self, n_draws):
+        # one draw has no standard error: it was NaN, with numpy's ddof warning
+        data = model.Dataset.from_lists(families.POISSON, [[2.0, 3.0]],
+                                        [[[1.0], [1.0]]], [[[1.0], [1.0]]])
+        state = engine.VariationalState.initial(1, 1, 2)
+        with pytest.raises(ConfigError, match="n_draws"):
+            list(engine.accepted_draws(state, n_draws, 1, engine.LANE_SIM, 50, 50,
+                                       self._first_coordinate_at_most_one))
+        with pytest.raises(ConfigError, match="n_draws"):
+            engine.elbo_estimate(data, model.default_prior(data), state, "a1", n_draws, seed=1)
 
     def test_nearly_all_rejected_raises(self):
         def reject_all(s):

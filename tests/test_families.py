@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from glmmvb import families
+from glmmvb import datasets, families, simulate
 from glmmvb.exceptions import DomainError, InvalidResponseError, OverflowGuardError
 
 import oracles
@@ -235,21 +235,67 @@ class TestMaximumLikelihoodEstimates:
         assert np.abs(fam.eta_hat_reg(y, m) - oracles.eta_hat_ml(fam, y, m)).max() < 0.15
 
 
+def _bundled_datasets():
+    """Every dataset the package ships or simulates, by name."""
+    out = {"seeds": datasets.seeds_dataset(),
+           "epilepsy-I": datasets.epilepsy_dataset("I"),
+           "epilepsy-II": datasets.epilepsy_dataset("II")}
+    for scenario in sorted(simulate.SCENARIOS):
+        for seed in (5, 77, 202):
+            out[f"{scenario}-{seed}"] = simulate.simulate_dataset(scenario, seed)[0]
+    return out
+
+
 class TestDigamma:
+    """families._digamma_half, with the scipy-backed oracle as the reference."""
+
     def test_known_values(self):
+        assert abs(families._digamma_half(0.5) + EULER_GAMMA + 2 * math.log(2)) < 1e-15
         assert abs(oracles.digamma(1.0) + EULER_GAMMA) < 1e-12
         assert abs(oracles.digamma(0.5) + EULER_GAMMA + 2 * math.log(2)) < 1e-12
 
-    def test_recurrence(self, rng):
-        x = rng.uniform(0.05, 40.0, size=200)
-        lhs = oracles.digamma(x + 1.0) - oracles.digamma(x)
-        assert np.abs(lhs - 1.0 / x).max() < 1e-12
+    def test_recurrence(self):
+        x = np.arange(0, 2000) + 0.5  # across the table's end at 9.5
+        lhs = families._digamma_half(x + 1.0) - families._digamma_half(x)
+        assert np.abs(lhs - 1.0 / x).max() < 1e-14
+
+    def test_bitwise_equal_to_the_oracle(self):
+        x = np.arange(0, 50_001) + 0.5
+        got, want = families._digamma_half(x), oracles.digamma(x)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 52 - 1))
+    @example(54_731)
+    @example(2 ** 52 - 1)
+    def test_within_two_ulp_of_the_oracle(self, k):
+        x = k + 0.5
+        want = float(oracles.digamma(x))
+        assert abs(float(families._digamma_half(x)) - want) <= 2 * np.spacing(abs(want))
+
+    @pytest.mark.parametrize("x", [0.0, 1.0, -0.5, 0.25, 2.0 ** 52, 1e17, math.inf,
+                                   -math.inf, math.nan, [0.5, 3.0]])
+    def test_domain_is_the_non_negative_half_integers(self, x):
+        with pytest.raises(DomainError):
+            families._digamma_half(x)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             oracles.digamma(0.0)
         with pytest.raises(DomainError):
             oracles.digamma(-1.5)
+
+    def test_eta_hat_reg_equals_the_oracle_on_bundled_data(self):
+        families_seen = set()
+        for name, data in _bundled_datasets().items():
+            y, m = data.y, data.trials
+            if data.family is families.POISSON:
+                want = oracles.digamma(y + 0.5)
+            else:
+                want = oracles.digamma(y + 0.5) - oracles.digamma(m - y + 0.5)
+            assert data.family.eta_hat_reg(y, m).tobytes() == want.tobytes(), name
+            families_seen.add(data.family.name)
+        assert families_seen == {"poisson", "binomial", "bernoulli"}
 
 
 class TestLogLikelihood:

@@ -464,12 +464,26 @@ class TestCliExitCodes:
                                        ["--sigma-beta2", "-1", "--prior", "normal-omega"],
                                        ["--seed", "-1"],
                                        ["--omega-prior-sd", "nan", "--prior", "normal-omega"],
-                                       ["--omega-prior-sd", "inf", "--prior", "normal-omega"]])
+                                       ["--omega-prior-sd", "inf", "--prior", "normal-omega"],
+                                       ["--omega-prior-sd", "1e-200", "--prior", "normal-omega"],
+                                       ["--draws", "1"]])
     def test_package_checks_exit_2(self, tmp_path, extra):
         args = ["--data", datasets.fixture_path("seeds.csv"),
                 "--family", "binomial", "--group-col", "plate",
                 "--response-col", "germinated", "--trials-col", "total",
                 "--max-iter", "50", "--out", str(tmp_path), *extra]
+        assert run_cli(args) == 2
+
+    @pytest.mark.parametrize("shards", ["1", "2"])
+    def test_draws_are_checked_before_fitting(self, tmp_path, monkeypatch, shards):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit called")
+        monkeypatch.setattr(engine, "fit", no_fit)
+        args = ["--data", datasets.fixture_path("seeds.csv"),
+                "--family", "binomial", "--group-col", "plate",
+                "--response-col", "germinated", "--trials-col", "total",
+                "--prior", "normal-omega", "--shards", shards, "--draws", "0",
+                "--out", str(tmp_path)]
         assert run_cli(args) == 2
 
     def test_empty_simulation_is_a_configuration_error(self, tmp_path):

@@ -324,8 +324,18 @@ class TestPriorSettings:
         make(0.5)
 
     @pytest.mark.parametrize("mean,sd", [(0.0, 0.0), (0.0, -1.0), (0.0, math.nan),
-                                         (0.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)])
+                                         (0.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0),
+                                         (0.0, 1e-200)])
     def test_normal_omega_needs_finite_means_and_positive_finite_sds(self, mean, sd):
         with pytest.raises(ConfigError, match="omega prior"):
             model.NormalOmegaPrior(1.0, np.array([0.0, mean]), np.array([1.0, sd]))
         model.NormalOmegaPrior(1.0, np.array([0.0, 0.0]), np.array([1.0, 2.0]))
+
+    def test_normal_omega_sd_squared_must_not_underflow(self):
+        smallest = 2.0 ** -511  # its square is the smallest normal number
+        with pytest.raises(ConfigError, match="omega prior"):
+            model.NormalOmegaPrior(1.0, np.zeros(1), np.array([np.nextafter(smallest, 0.0)]))
+        prior = model.NormalOmegaPrior(1.0, np.zeros(1), np.array([smallest]))
+        gp = model.GlobalParams(np.zeros(1), np.ones(1), 1)
+        with np.errstate(all="raise"):
+            assert np.isfinite(prior.grad_omega(gp)).all()

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glmmvb import datasets, engine, families, matcalc, model, posterior, recombine, reparam
-from glmmvb.exceptions import ModeSearchFailedError, NotPositiveDefiniteError, OverflowGuardError
+from glmmvb.exceptions import (
+    ConfigError,
+    ModeSearchFailedError,
+    NotPositiveDefiniteError,
+    OverflowGuardError,
+)
 
 import oracles
 from conftest import random_dataset, random_gp, random_spd, random_wishart_prior
@@ -31,6 +36,15 @@ def tiny_global_state(data, mu_global, local_scale=0.4, rng=None):
 
 
 class TestSimulateB:
+    @pytest.mark.parametrize("n_draws", [0, 1])
+    def test_needs_two_draws(self, rng, n_draws):
+        # one draw gave a NaN scale_sd, with numpy's ddof warning
+        data = random_dataset(rng, families.POISSON, r=1, n=3)
+        prior = model.default_prior(data)
+        state = engine.VariationalState.initial(data.n, data.r, data.g)
+        with pytest.raises(ConfigError, match="n_draws"):
+            posterior.simulate_b(data, prior, state, "a1", n_draws, seed=1)
+
     def test_degenerate_q_is_transform_of_mean(self, rng):
         data = random_dataset(rng, families.POISSON, r=1, n=4)
         prior = model.default_prior(data)
@@ -310,6 +324,12 @@ class TestFactorScales:
         want = posterior._scales_from_omega(draws[:, 2:], 1)[1]
         np.testing.assert_array_equal(means, want.mean(axis=0))
         np.testing.assert_array_equal(sds, want.std(axis=0, ddof=1))
+
+    @pytest.mark.parametrize("n_draws", [0, 1])
+    def test_needs_two_draws(self, n_draws):
+        factor = recombine.GaussianFactor(np.zeros(2), np.eye(2))
+        with pytest.raises(ConfigError, match="n_draws"):
+            posterior.factor_scales(factor, 1, 1, n_draws, seed=0)
 
     @pytest.mark.parametrize("cov", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]],
                              ids=["indefinite", "nan"])
