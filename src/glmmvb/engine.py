@@ -299,11 +299,11 @@ def _global_params(data, prior, glob):
 
 
 def draw(data, prior, state, method, s, anchor=None, blocks=None):
-    """(b~, GlobalParams, transforms) of draws s (..., d): theta~ = C s + mu
-    split, and reparam.build_transforms from anchor at the drawn theta_G."""
+    """(b~, transforms) of draws s (..., d): theta~ = C s + mu split, and
+    reparam.build_transforms from anchor at the drawn theta_G (Transforms.gp)."""
     b_tilde, glob = state.split(state.affine(s, blocks))
     gp = _global_params(data, prior, glob)
-    return b_tilde, gp, reparam.build_transforms(data, gp, method, anchor)
+    return b_tilde, reparam.build_transforms(data, gp, method, anchor)
 
 
 def step(data, prior, config, state, adam, t, draws=None, anchor=None):
@@ -324,9 +324,8 @@ def step(data, prior, config, state, adam, t, draws=None, anchor=None):
     for _ in range(2):
         s = rng.standard_normal(state.d)
         try:
-            b_tilde, gp, transforms = draw(data, prior, state, config.method, s, anchor, blocks)
-            value, grad = gradients.value_and_grad(data, gp, b_tilde, config.method, prior,
-                                                   transforms)
+            b_tilde, transforms = draw(data, prior, state, config.method, s, anchor, blocks)
+            value, grad = gradients.value_and_grad(data, b_tilde, transforms, prior)
             break
         except RECOVERABLE as err:
             last_err = err
@@ -417,8 +416,8 @@ def elbo_estimate(data, prior, state, method, n_draws, seed):
     anchor = mean_anchor(data, prior, state, method)
 
     def evaluate(s):
-        b_tilde, gp, transforms = draw(data, prior, state, method, s, anchor)
-        value = model.log_joint_reparam(data, gp, b_tilde, transforms, prior)
+        b_tilde, transforms = draw(data, prior, state, method, s, anchor)
+        value = model.log_joint_reparam(data, b_tilde, transforms, prior)
         if not np.all(np.isfinite(value)):
             raise OverflowGuardError("non-finite log joint")
         return (value + logdet + 0.5 * (s * s).sum(axis=-1),)

@@ -49,12 +49,12 @@ class ZeroSdError(GlmmVbError):
     """A standard deviation that must be positive is zero."""
 
 
-class InvalidVError(GlmmVbError):
-    """Invalid number of data shards."""
-
-
 class ConfigError(GlmmVbError, ValueError):
     """Invalid run configuration (CLI exit code 2)."""
+
+
+class InvalidVError(ConfigError):
+    """Invalid number of data shards."""
 
 
 class DataError(GlmmVbError):

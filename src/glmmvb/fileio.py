@@ -102,14 +102,16 @@ def read_prior_file(path, r):
     `type` is wishart (the default) or normal-omega, and `sigma_beta2` is
     optional. A Wishart prior needs `nu` and r lines `S` holding the rows of
     its scale matrix; a normal-omega prior needs `mean` (1 or r(r+1)/2
-    values) and `sd` (1 value or one per mean). A missing key or a wrong
-    size raises ConfigError.
+    values) and `sd` (1 value or one per mean). A missing key, a key with no
+    value or a wrong size raises ConfigError.
     """
     entries = {}  # key -> the values of each of its lines
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             key, *vals = [t.strip() for t in line.strip().split(",")]
             if key:
+                if not vals:
+                    raise ConfigError(f"prior file {path}: key {key!r} has no value")
                 entries.setdefault(key, []).append(vals)
 
     def need(key):

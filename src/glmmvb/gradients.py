@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcalc, model, reparam
+from . import matcalc, model
 
 
 @dataclass
@@ -58,18 +58,12 @@ def _sym_lower(B):
     return np.where(np.tri(B.shape[-1], dtype=bool), B, np.swapaxes(B, -1, -2))
 
 
-def value_and_grad(data, gp, b_tilde, method, prior, transforms=None):
+def value_and_grad(data, b_tilde, transforms, prior):
     """Reparametrized log joint (equal to model.log_joint_reparam) and its
-    full gradient at (b~, theta_G), from one pass: b, eta and the residuals
-    are computed once and shared.
-
-    Transforms are rebuilt from theta_G unless a set built from the same
-    theta_G is supplied (they are functions of theta_G, so reuse across
-    different parameter values would be wrong).
+    full gradient at (b~, theta_G), theta_G being transforms.gp, from one
+    pass: b, eta and the residuals are computed once and shared.
     """
-    if transforms is None:
-        transforms = reparam.build_transforms(data, gp, method)
-    L, lam, Lam = transforms.L, transforms.lam, transforms.Lambda
+    gp, L, lam, Lam = transforms.gp, transforms.L, transforms.lam, transforms.Lambda
     b = transforms.invert(b_tilde)
     eta = data.eta(gp.beta, b)
     h, h1 = data.family.derivs(eta, data.trials, 1)
@@ -98,6 +92,6 @@ def value_and_grad(data, gp, b_tilde, method, prior, transforms=None):
     return value, JointGradient(local, beta_grad, omega_grad)
 
 
-def grad_full(data, gp, b_tilde, method, prior, transforms=None):
-    """Full gradient of the reparametrized log joint at (b~, theta_G)."""
-    return value_and_grad(data, gp, b_tilde, method, prior, transforms)[1]
+def grad_full(data, b_tilde, transforms, prior):
+    """Full gradient of the reparametrized log joint at (b~, transforms.gp)."""
+    return value_and_grad(data, b_tilde, transforms, prior)[1]

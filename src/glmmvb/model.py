@@ -294,19 +294,21 @@ class NormalOmegaPrior:
         _check_sigma_beta2(self.sigma_beta2)
         self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         self.sd = np.broadcast_to(np.asarray(self.sd, dtype=float), self.mean.shape).copy()
-        # grad_omega divides by sd^2, so it must not underflow: sd >= 2^-511,
+        # grad_omega divides by var = sd^2, so it must not underflow: sd >= 2^-511,
         # the square root of the smallest normal number, is exactly sd^2 >= it
         if not (np.isfinite(self.mean).all()
                 and np.all((self.sd >= 2.0 ** -511) & (self.sd < np.inf))):
             raise ConfigError("omega prior means must be finite and sds finite and "
                               "at least 2^-511, so that sd^2 does not underflow")
+        with np.errstate(over="ignore"):  # an infinite variance is a flat prior
+            self.var = self.sd * self.sd
 
     def log_omega(self, gp):
         z = (gp.omega - self.mean) / self.sd
         return -0.5 * (z * z).sum(axis=-1)
 
     def grad_omega(self, gp):
-        return -(gp.omega - self.mean) / (self.sd * self.sd)
+        return -(gp.omega - self.mean) / self.var
 
 
 def normal_omega_prior(r, sigma_beta2=DEFAULT_SIGMA_BETA2, mean=0.0, sd=10.0):
@@ -337,11 +339,11 @@ def log_joint(data, gp, b, prior, eta=None, h=None):
             + prior.log_omega(gp))
 
 
-def log_joint_reparam(data, gp, b_tilde, transforms, prior):
-    """Log joint of the reparametrized model: log_joint at b = L b~ + lambda
-    plus the Jacobian term sum_i log|L_i|."""
+def log_joint_reparam(data, b_tilde, transforms, prior):
+    """Log joint of the reparametrized model at theta_G = transforms.gp:
+    log_joint at b = L b~ + lambda plus the Jacobian term sum_i log|L_i|."""
     b = transforms.invert(b_tilde)
-    return log_joint(data, gp, b, prior) + transforms.log_det_l()
+    return log_joint(data, transforms.gp, b, prior) + transforms.log_det_l()
 
 
 # ---------------------------------------------------------------------------

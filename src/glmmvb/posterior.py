@@ -75,8 +75,8 @@ def _draw_transforms(data, prior, state, method, s, anchor):
     """(b, derived scales) of a chunk of draws s: the transforms rebuilt
     from each drawn theta_G and anchor (engine.draw, engine.mean_anchor),
     and b = L b~ + lambda."""
-    b_tilde, gp, transforms = engine.draw(data, prior, state, method, s, anchor)
-    return transforms.invert(b_tilde), _scales_from_omega(gp.omega, data.r)[1]
+    b_tilde, transforms = engine.draw(data, prior, state, method, s, anchor)
+    return transforms.invert(b_tilde), _scales_from_omega(transforms.gp.omega, data.r)[1]
 
 
 def simulate_b(data, prior, state, method, n_draws, seed):

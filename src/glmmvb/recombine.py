@@ -70,7 +70,7 @@ def prior_factor(prior, p):
     if not isinstance(prior, model.NormalOmegaPrior):
         raise InvalidVError("sharded fits require the normal-omega prior")
     mean = np.concatenate([np.zeros(p), prior.mean])
-    var = np.concatenate([np.full(p, prior.sigma_beta2), prior.sd ** 2])
+    var = np.concatenate([np.full(p, prior.sigma_beta2), prior.var])
     return GaussianFactor(mean, np.diag(var))
 
 

@@ -60,9 +60,8 @@ def reparam_value(data, theta, method, prior):
     b_tilde = theta[: n * r].reshape(n, r)
     beta = theta[n * r: n * r + p]
     omega = theta[n * r + p:]
-    gp = model.GlobalParams(beta, omega, r)
-    transforms = reparam.build_transforms(data, gp, method)
-    return model.log_joint_reparam(data, gp, b_tilde, transforms, prior)
+    transforms = reparam.build_transforms(data, model.GlobalParams(beta, omega, r), method)
+    return model.log_joint_reparam(data, b_tilde, transforms, prior)
 
 
 def fd_gradient(f, x, h=1e-5):

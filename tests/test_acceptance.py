@@ -111,7 +111,8 @@ def test_c01_gradient_oracle_suite():
                         gp = random_gp(rng, 2, r)
                         pr = random_wishart_prior(rng, r)
                         bt = 0.8 * rng.standard_normal((n, r))
-                        got = gradients.grad_full(data, gp, bt, method, pr).concat()
+                        got = gradients.grad_full(
+                            data, bt, reparam.build_transforms(data, gp, method), pr).concat()
                         theta = np.concatenate([bt.ravel(), gp.beta, gp.omega])
                         fd = np.zeros_like(theta)
                         h = 1e-5
@@ -272,8 +273,8 @@ def test_c07_estimator_properties(seeds_problem, seeds_a1_fits):
             theta = state.affine(s)
             b_tilde, glob = state.split(theta)
             gp = engine._global_params(data, prior, glob)
-            gvec = gradients.grad_full(data, gp, b_tilde, "a1", prior).concat(
-                include_omega=False)
+            gvec = gradients.grad_full(data, b_tilde, reparam.build_transforms(data, gp, "a1"),
+                                       prior).concat(include_omega=False)
             for which in sums:
                 gmu, _, _ = engine.estimator(state, s, gvec, which)
                 sums[which] += gmu.sum(axis=0)
@@ -294,7 +295,8 @@ def test_c07_estimator_properties(seeds_problem, seeds_a1_fits):
             theta = state.affine(s)
             b_tilde, glob = state.split(theta)
             gp = engine._global_params(data, prior, glob)
-            gvec = gradients.grad_full(data, gp, b_tilde, "a1", prior).concat()
+            gvec = gradients.grad_full(data, b_tilde, reparam.build_transforms(data, gp, "a1"),
+                                       prior).concat()
             for which in acc:
                 gmu, _, _ = engine.estimator(state, s, gvec, which)
                 acc[which][0] += gmu.sum(axis=0)

@@ -210,7 +210,7 @@ class TestEstimators:
         theta = state.affine(s)
         b_tilde, glob = state.split(theta)
         gp = engine._global_params(data, prior, glob)
-        grad = gradients.grad_full(data, gp, b_tilde, "a1", prior)
+        grad = gradients.grad_full(data, b_tilde, reparam.build_transforms(data, gp, "a1"), prior)
         gvec = grad.concat(include_omega=False)
         means, ses = {}, {}
         for which in ("L1", "L2", "L3"):

@@ -24,7 +24,8 @@ def full_fd(data, gp, b_tilde, method, prior, h=1e-5):
 
 
 def analytic(data, gp, b_tilde, method, prior):
-    return gradients.grad_full(data, gp, b_tilde, method, prior).concat()
+    return gradients.grad_full(data, b_tilde, reparam.build_transforms(data, gp, method),
+                               prior).concat()
 
 
 class TestAVec:
@@ -91,7 +92,8 @@ class TestLocalBlocks:
         data = random_dataset(rng, families.POISSON, r=1, n=4)
         gp = random_gp(rng, 2, 1)
         pr = random_wishart_prior(rng, 1)
-        g = gradients.grad_full(data, gp, np.zeros((4, 1)), "a2", pr)
+        t = reparam.build_transforms(data, gp, "a2")
+        g = gradients.grad_full(data, np.zeros((4, 1)), t, pr)
         assert np.abs(g.local).max() < 1e-7
 
 
@@ -101,7 +103,8 @@ class TestGlobalBlocks:
                              np.zeros((0, 1, 1)))
         gp = random_gp(rng, 2, 1)
         pr = random_wishart_prior(rng, 1)
-        g = gradients.grad_full(data, gp, np.zeros((0, 1)), "a1", pr)
+        t = reparam.build_transforms(data, gp, "a1")
+        g = gradients.grad_full(data, np.zeros((0, 1)), t, pr)
         np.testing.assert_allclose(g.beta, -gp.beta / pr.sigma_beta2, atol=1e-14)
         np.testing.assert_allclose(g.omega, pr.grad_omega(gp), atol=1e-14)
 
@@ -112,8 +115,8 @@ class TestGlobalBlocks:
             gp = random_gp(rng, 2, r)
             pr = random_wishart_prior(rng, r)
             bt = rng.standard_normal((3, r))
-            g1 = gradients.grad_full(data, gp, bt, "a1", pr)
-            g2 = gradients.grad_full(data, gp, bt, "a2", pr)
+            g1 = gradients.grad_full(data, bt, reparam.build_transforms(data, gp, "a1"), pr)
+            g2 = gradients.grad_full(data, bt, reparam.build_transforms(data, gp, "a2"), pr)
             np.testing.assert_allclose(g1.beta, g2.beta, atol=1e-10)
             np.testing.assert_allclose(g1.omega, g2.omega, atol=1e-10)
 
@@ -142,9 +145,10 @@ class TestGlobalBlocks:
         gp = random_gp(rng, 2, 1)
         pr = random_wishart_prior(rng, 1)
         bt = rng.standard_normal((5, 1))
-        g = gradients.grad_full(data, gp, bt, "a1", pr)
+        g = gradients.grad_full(data, bt, reparam.build_transforms(data, gp, "a1"), pr)
         perm = rng.permutation(5)
-        gperm = gradients.grad_full(data.subset(perm), gp, bt[perm], "a1", pr)
+        sub = data.subset(perm)
+        gperm = gradients.grad_full(sub, bt[perm], reparam.build_transforms(sub, gp, "a1"), pr)
         np.testing.assert_allclose(gperm.local, g.local[perm], atol=1e-12)
         np.testing.assert_allclose(gperm.beta, g.beta, atol=1e-12)
         np.testing.assert_allclose(gperm.omega, g.omega, atol=1e-12)
@@ -246,8 +250,8 @@ class TestValueAndGradProperties:
     def test_value_is_log_joint_reparam(self, famname, method, r, prior_kind, seed):
         data, gp, pr, bt = random_case(famname, r, prior_kind, seed)
         t = reparam.build_transforms(data, gp, method)
-        value, _ = gradients.value_and_grad(data, gp, bt, method, pr, transforms=t)
-        assert value == model.log_joint_reparam(data, gp, bt, t, pr)
+        value, _ = gradients.value_and_grad(data, bt, t, pr)
+        assert value == model.log_joint_reparam(data, bt, t, pr)
 
 
 def _count_family_calls(monkeypatch, fam):
@@ -289,6 +293,6 @@ class TestOneFamilyCallPerPoint:
         t = reparam.build_transforms(data, gp, "a2")
         b_tilde = rng.standard_normal(lead + (data.n, 2))
         calls = _count_family_calls(monkeypatch, data.family)
-        gradients.value_and_grad(data, gp, b_tilde, "a2", prior, t)
+        gradients.value_and_grad(data, b_tilde, t, prior)
         assert len(calls) == 2
         assert sum(eta is t.base_eta for eta in calls) == 1

@@ -175,7 +175,10 @@ class TestPriorFile:
 
     @pytest.mark.parametrize("text", ["type,wishart\nS,1\n", "S,1\n",
                                       "type,normal-omega\nmean,0\n",
-                                      "type,normal-omega\nsd,1\n"])
+                                      "type,normal-omega\nsd,1\n",
+                                      # a key with no value
+                                      "nu\nS,0.5\n", "type\nnu,3\nS,0.5\n",
+                                      "sigma_beta2\nnu,3\nS,0.5\n"])
     def test_missing_key_is_a_configuration_error(self, tmp_path, text):
         p = tmp_path / "prior.csv"
         p.write_text(text)

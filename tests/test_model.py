@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from glmmvb import datasets, families, matcalc, model
+from glmmvb import datasets, engine, families, matcalc, model
 from glmmvb.exceptions import ConfigError, DataError, RankDeficientError
 
 import oracles
@@ -143,9 +143,9 @@ class TestLogJointReparam:
         pr = random_wishart_prior(rng, 2)
         from glmmvb import reparam
         t = reparam.Transforms("a1", np.zeros((3, 2)), np.tile(np.eye(2), (3, 1, 1)),
-                               np.tile(np.eye(2), (3, 1, 1)))
+                               np.tile(np.eye(2), (3, 1, 1)), gp=gp)
         bt = rng.standard_normal((3, 2))
-        assert abs(float(model.log_joint_reparam(data, gp, bt, t, pr))
+        assert abs(float(model.log_joint_reparam(data, bt, t, pr))
                    - float(model.log_joint(data, gp, bt, pr))) < 1e-12
 
     def test_scaling_adds_log_determinant(self, rng):
@@ -155,9 +155,9 @@ class TestLogJointReparam:
         from glmmvb import reparam
         lam = np.array([[0.3]])
         t = reparam.Transforms("a1", lam, np.full((1, 1, 1), 2.0),
-                               np.full((1, 1, 1), 4.0))
+                               np.full((1, 1, 1), 4.0), gp=gp)
         bt = np.array([[0.7]])
-        lhs = float(model.log_joint_reparam(data, gp, bt, t, pr))
+        lhs = float(model.log_joint_reparam(data, bt, t, pr))
         rhs = float(model.log_joint(data, gp, 2.0 * bt + lam, pr)) + math.log(2.0)
         assert abs(lhs - rhs) < 1e-12
 
@@ -168,7 +168,7 @@ class TestLogJointReparam:
         from glmmvb import reparam
         t = reparam.transform_a1(data, gp)
         bt = rng.standard_normal((4, 2))
-        lhs = float(model.log_joint_reparam(data, gp, bt, t, pr))
+        lhs = float(model.log_joint_reparam(data, bt, t, pr))
         logdet = float(np.log(np.diagonal(t.L, axis1=-2, axis2=-1)).sum())
         rhs = float(model.log_joint(data, gp, t.invert(bt), pr)) + logdet
         assert abs(lhs - rhs) < 1e-12 * (1 + abs(rhs))
@@ -339,3 +339,13 @@ class TestPriorSettings:
         gp = model.GlobalParams(np.zeros(1), np.ones(1), 1)
         with np.errstate(all="raise"):
             assert np.isfinite(prior.grad_omega(gp)).all()
+
+    def test_normal_omega_sd_whose_square_overflows_is_flat(self):
+        # sd^2 is infinite above about 1.3e154: the prior gradient is zero,
+        # and neither it nor a fit warns (pytest turns warnings into errors)
+        data = datasets.seeds_dataset()
+        prior = model.normal_omega_prior(data.r, sd=1e200)
+        gp = model.GlobalParams(np.zeros(data.p), np.ones(data.g2), data.r)
+        assert np.array_equal(prior.grad_omega(gp), np.zeros(data.g2))
+        res = engine.fit(data, prior, method="a1", seed=1, max_iter=50)
+        assert np.isfinite(res.state.params).all() and np.isfinite(res.elbo)

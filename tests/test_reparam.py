@@ -529,7 +529,6 @@ class TestSmallBlocksStayOffLapack:
                 mock.patch.object(data.family, "derivs", derivs):
             t = reparam.build_transforms(data, gp, method)
             assert t.L.shape == lead + (data.n, r, r)
-            gradients.value_and_grad(data, gp, b_tilde, method, prior, t)
-            gradients.value_and_grad(data, gp, b_tilde, method, prior)
+            gradients.value_and_grad(data, b_tilde, t, prior)
         if method == "a1":
             assert h2.call_count == 0
