@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import gradients, matcalc, model, reparam
-from .exceptions import RECOVERABLE, ConfigError, DivergedError, OverflowGuardError
+from .exceptions import RECOVERABLE, ConfigError, DivergedError, GlmmVbError, OverflowGuardError
 
 LANE_FIT = 0
 LANE_FINAL = 1
@@ -127,7 +127,8 @@ class VariationalState:
 
     @classmethod
     def initial(cls, n, r, g, global_scale=0.1):
-        """mu = 0, C = blockdiag(I_{nr}, global_scale * I_g)."""
+        """mu = 0, C = blockdiag(I_{nr}, global_scale * I_g); fit then moves
+        beta to its start."""
         state = cls(n, r, g)
         state.cstar_global[matcalc.diag_positions(g)] = np.log(global_scale)
         return state
@@ -229,6 +230,7 @@ class FitResult:
     max_iter_reached: bool
     method: str
     config: FitConfig = field(repr=False, default=None)
+    start: np.ndarray = field(repr=False, default=None)  # the beta the fit began from
 
 
 def estimator(state, s, grad_vec, which, blocks=None):
@@ -439,7 +441,9 @@ def scaled_moments(vals):
 
 
 def fit(data, prior, config=None, **overrides):
-    """Run the optimizer until the stopping rule fires or max_iter is hit."""
+    """Run the optimizer until the stopping rule fires or max_iter is hit,
+    from VariationalState.initial with beta at the pooled GLM's mode under
+    the prior on beta (0 if that IRLS raises): FitResult.start."""
     if config is None:
         config = FitConfig(**overrides)
     elif overrides:
@@ -448,6 +452,11 @@ def fit(data, prior, config=None, **overrides):
         raise ConfigError("fixed omega has the wrong length for this dataset")
     g = data.p + (data.g2 if prior.learns_omega else 0)
     state = VariationalState.initial(data.n, data.r, g)
+    try:
+        start = model.fit_pooled_glm(data, sigma_beta2=prior.sigma_beta2)
+    except GlmmVbError:
+        start = np.zeros(data.p)
+    state.split(state.mu)[1][:data.p] = start
     adam = AdamState.zeros(state.params.size)
 
     draws, anchor = LaneStream(config.seed, LANE_FIT), None
@@ -478,4 +487,4 @@ def fit(data, prior, config=None, **overrides):
     return FitResult(state=state, window_means=np.asarray(means), n_iter=it,
                      wall_time=wall, elbo=elbo, elbo_se=elbo_se,
                      converged=converged, max_iter_reached=not converged,
-                     method=config.method, config=config)
+                     method=config.method, config=config, start=start)

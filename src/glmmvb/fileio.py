@@ -21,6 +21,8 @@ SUMMARY_FMT = "%.9g"
 STATE_FMT = "%.17g"
 # the state file's sections: views of VariationalState.params, in its order
 STATE_SECTIONS = ("mu", "cstar_local", "cstar_global")
+# the keys of a prior file of each type, besides `type` and `sigma_beta2`
+PRIOR_KEYS = {"wishart": {"nu", "S"}, "normal-omega": {"mean", "sd"}}
 
 
 def _split_cols(spec):
@@ -102,8 +104,8 @@ def read_prior_file(path, r):
     `type` is wishart (the default) or normal-omega, and `sigma_beta2` is
     optional. A Wishart prior needs `nu` and r lines `S` holding the rows of
     its scale matrix; a normal-omega prior needs `mean` (1 or r(r+1)/2
-    values) and `sd` (1 value or one per mean). A missing key, a key with no
-    value or a wrong size raises ConfigError.
+    values) and `sd` (1 value or one per mean). A missing key, a key the type
+    does not take, a key with no value or a wrong size raises ConfigError.
     """
     entries = {}  # key -> the values of each of its lines
     with open(path, "r", encoding="utf-8") as fh:
@@ -123,6 +125,11 @@ def read_prior_file(path, r):
             raise ConfigError(f"prior file {path}: {key}: {err}") from None
 
     kind = entries.get("type", [["wishart"]])[-1][0]
+    if kind not in PRIOR_KEYS:
+        raise ConfigError(f"unknown prior type {kind!r}")
+    unknown = sorted(set(entries) - PRIOR_KEYS[kind] - {"type", "sigma_beta2"})
+    if unknown:
+        raise ConfigError(f"prior file {path}: unknown key {unknown[0]!r} for a {kind} prior")
     sb2 = need("sigma_beta2")[-1, 0] if "sigma_beta2" in entries else model.DEFAULT_SIGMA_BETA2
     if kind == "wishart":
         S = need("S")
@@ -132,13 +139,11 @@ def read_prior_file(path, r):
             return model.WishartPrior(sb2, need("nu")[-1, 0], S)
         except NotPositiveDefiniteError:
             raise ConfigError(f"prior file {path}: S must be positive definite") from None
-    if kind == "normal-omega":
-        mean, sd, g2 = need("mean")[-1], need("sd")[-1], matcalc.half_len(r)
-        if mean.size not in (1, g2) or sd.size not in (1, mean.size):
-            raise ConfigError(f"prior file {path}: mean needs 1 or {g2} values, "
-                              "sd 1 or as many as mean")
-        return model.NormalOmegaPrior(sb2, mean, sd)
-    raise ConfigError(f"unknown prior type {kind!r}")
+    mean, sd, g2 = need("mean")[-1], need("sd")[-1], matcalc.half_len(r)
+    if mean.size not in (1, g2) or sd.size not in (1, mean.size):
+        raise ConfigError(f"prior file {path}: mean needs 1 or {g2} values, "
+                          "sd 1 or as many as mean")
+    return model.NormalOmegaPrior(sb2, mean, sd)
 
 
 # ---------------------------------------------------------------------------

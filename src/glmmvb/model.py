@@ -350,11 +350,13 @@ def log_joint_reparam(data, b_tilde, transforms, prior):
 # pooled GLM + default conjugate prior
 
 
-def fit_pooled_glm(data, tol=1e-8, max_iter=25):
-    """IRLS fit of the GLM pooling all subjects with b_i = 0.
+def fit_pooled_glm(data, sigma_beta2=math.inf, tol=1e-8, max_iter=25):
+    """IRLS fit of the GLM pooling all subjects with b_i = 0: the mode of its
+    likelihood times a N(0, sigma_beta2 I) prior on beta (flat by default).
 
     Canonical links only, so Fisher scoring and Newton coincide. Damped
-    half-steps guard against deviance increases.
+    half-steps guard against deviance increases. A finite sigma_beta2 keeps
+    the mode finite under (quasi-)separation.
     """
     sel = data.mask.ravel() > 0
     X = data.X.reshape(-1, data.p)[sel]
@@ -364,21 +366,22 @@ def fit_pooled_glm(data, tol=1e-8, max_iter=25):
     if np.linalg.matrix_rank(X) < data.p:
         raise RankDeficientError("pooled design is rank deficient")
 
+    prec = np.eye(data.p) / sigma_beta2  # the prior's precision; zeros for a flat prior
     beta = np.zeros(data.p)
     ones_col = np.flatnonzero(np.all(np.abs(X - 1.0) < 1e-12, axis=0))
     if ones_col.size and fam.name == "poisson":
         beta[ones_col[0]] = math.log(y.mean() + 0.5)
 
     def evaluate(bvec):
-        """The deviance at bvec, and h' and h'' for the next step from there."""
+        """The penalized deviance at bvec, and h' and h'' for the next step."""
         eta = X @ bvec
         h, h1, w = fam.derivs(eta, m, 2)
-        return -2.0 * (y * eta - h).sum(), h1, w
+        return -2.0 * (y * eta - h).sum() + bvec @ prec @ bvec, h1, w
 
     dev, h1, w = evaluate(beta)
     for _ in range(max_iter):
-        score = X.T @ (y - h1)
-        fisher = X.T @ (w[:, None] * X)
+        score = X.T @ (y - h1) - prec @ beta
+        fisher = X.T @ (w[:, None] * X) + prec
         try:
             step = np.linalg.solve(fisher, score)
         except np.linalg.LinAlgError:

@@ -43,6 +43,14 @@ def random_dataset(rng, family, r=1, n=3, p=2, ni_max=5, beta_scale=0.4):
     return model.Dataset.from_lists(family, y_list, X_list, Z_list, trials_list=m_list)
 
 
+def separable_bernoulli(n=20, k=5, seed=0):
+    """Bernoulli responses y = 1 exactly where the covariate x is positive,
+    with an intercept in X and Z: the pooled GLM's likelihood has no mode."""
+    x = np.random.default_rng(seed).standard_normal((n, k))
+    X = np.stack([np.ones((n, k)), x], axis=-1)
+    return model.Dataset(families.BERNOULLI, (x > 0).astype(float), X, np.ones((n, k, 1)))
+
+
 def random_gp(rng, p, r, scale=0.4):
     g2 = matcalc.half_len(r)
     return model.GlobalParams(scale * rng.standard_normal(p),

@@ -7,11 +7,13 @@ maps, not materialized matrices), the Cholesky directional derivative, a
 domain-checked digamma, per-subject and per-observation quantities the
 fitted path never forms separately, the variational log density, the
 forward transform b~ = L^{-1}(b - lambda), the straightforward a2 mode
-search, and the tally of a2 searches from far-off predicted starts.
+search, the tally of a2 searches from far-off predicted starts, and the
+pooled-GLM IRLS under a flat prior, written without the ridge terms.
 """
 
 import collections
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -19,7 +21,13 @@ import numpy as np
 import scipy.special as sc
 
 from glmmvb import families, gradients, matcalc, model, reparam
-from glmmvb.exceptions import RECOVERABLE, DomainError, ModeSearchFailedError
+from glmmvb.exceptions import (
+    RECOVERABLE,
+    DomainError,
+    IrlsDivergedError,
+    ModeSearchFailedError,
+    RankDeficientError,
+)
 
 
 class GaussianUnit(families.Family):
@@ -299,3 +307,57 @@ def predicted_start_failures(shift, pairs=None, scale=0.4):
         except RECOVERABLE as err:
             counts[type(err).__name__] += 1
     return dict(counts)
+
+
+def pooled_glm_flat(data, tol=1e-8, max_iter=25):
+    """model.fit_pooled_glm with no prior on beta, written without its ridge
+    terms: at sigma_beta2 = inf the package must return this bit for bit."""
+    sel = data.mask.ravel() > 0
+    X = data.X.reshape(-1, data.p)[sel]
+    y = data.y.ravel()[sel]
+    m = data.trials.ravel()[sel]
+    fam = data.family
+    if np.linalg.matrix_rank(X) < data.p:
+        raise RankDeficientError("pooled design is rank deficient")
+    beta = np.zeros(data.p)
+    ones_col = np.flatnonzero(np.all(np.abs(X - 1.0) < 1e-12, axis=0))
+    if ones_col.size and fam.name == "poisson":
+        beta[ones_col[0]] = math.log(y.mean() + 0.5)
+
+    def evaluate(bvec):
+        eta = X @ bvec
+        h, h1, w = fam.derivs(eta, m, 2)
+        return -2.0 * (y * eta - h).sum(), h1, w
+
+    dev, h1, w = evaluate(beta)
+    for _ in range(max_iter):
+        score = X.T @ (y - h1)
+        fisher = X.T @ (w[:, None] * X)
+        try:
+            step = np.linalg.solve(fisher, score)
+        except np.linalg.LinAlgError:
+            raise RankDeficientError("singular weighted normal equations") from None
+        t = 1.0
+        for _ in range(30):
+            cand = beta + t * step
+            dev_new, h1, w = evaluate(cand)
+            if dev_new <= dev + 1e-12 * (abs(dev) + 1.0):
+                break
+            t *= 0.5
+        else:
+            raise IrlsDivergedError("half-stepping failed to decrease deviance")
+        beta = cand
+        if abs(dev - dev_new) <= tol * (abs(dev_new) + 1.0):
+            return beta
+        dev = dev_new
+    raise IrlsDivergedError(f"no convergence in {max_iter} iterations")
+
+
+def pooled_glm_penalized_score(data, beta, sigma_beta2):
+    """(score, Fisher matrix) at beta of the pooled GLM's log likelihood
+    plus a N(0, sigma_beta2 I) log prior on beta."""
+    sel = data.mask.ravel() > 0
+    X = data.X.reshape(-1, data.p)[sel]
+    _, h1, w = data.family.derivs(X @ beta, data.trials.ravel()[sel], 2)
+    return (X.T @ (data.y.ravel()[sel] - h1) - beta / sigma_beta2,
+            X.T @ (w[:, None] * X) + np.eye(data.p) / sigma_beta2)

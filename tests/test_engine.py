@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from glmmvb import datasets, engine, families, fileio, gradients, matcalc, model, reparam
-from glmmvb.exceptions import ConfigError, DivergedError, OverflowGuardError
+from glmmvb.exceptions import ConfigError, DivergedError, OverflowGuardError, RankDeficientError
 
 import oracles
 from conftest import (
@@ -13,6 +13,7 @@ from conftest import (
     random_dataset,
     random_gp,
     random_wishart_prior,
+    separable_bernoulli,
 )
 
 
@@ -330,6 +331,79 @@ class TestStepAndFit:
         assert abs(m1 - m2) < 5 * np.sqrt(se1 ** 2 + se2 ** 2) + 1e-9
 
 
+def zero_count_group(seed=0, n=20, k=5):
+    """Poisson counts whose covariate group (x = 1, every other subject) has
+    only zero counts: quasi-separated, the pooled GLM's beta_x runs off to
+    -infinity and unpenalized IRLS stops near -18.6."""
+    rng = np.random.default_rng(seed)
+    x = np.repeat((np.arange(n) % 2.0)[:, None], k, axis=1)
+    b = 0.5 * rng.standard_normal((n, 1))
+    y = np.where(x == 1, 0.0, rng.poisson(np.exp(b - 1.0), size=(n, k)))
+    return model.Dataset(families.POISSON, y, np.stack([np.ones((n, k)), x], axis=-1),
+                         np.ones((n, k, 1)))
+
+
+class TestStart:
+    def test_starts_at_the_pooled_glm_mode_under_the_beta_prior(self, rng):
+        data = random_dataset(rng, families.BINOMIAL, r=2, n=4)
+        prior = model.WishartPrior(2.0, 3.0, np.eye(2))
+        cfg = engine.FitConfig(method="a1", seed=2, max_iter=1, final_elbo_draws=0)
+        start = model.fit_pooled_glm(data, sigma_beta2=2.0)
+        assert not np.array_equal(start, model.fit_pooled_glm(data))
+        res = engine.fit(data, prior, cfg)
+        np.testing.assert_array_equal(res.start, start)
+        # one step from VariationalState.initial with only beta moved there
+        state = engine.VariationalState.initial(data.n, data.r, data.g)
+        state.mu[data.n * data.r:data.n * data.r + data.p] = start
+        engine.step(data, prior, cfg, state, engine.AdamState.zeros(state.params.size), 1)
+        np.testing.assert_array_equal(res.state.params, state.params)
+
+    def test_quasi_separation_starts_at_the_finite_ridge_mode(self, monkeypatch):
+        data = zero_count_group()
+        prior = model.default_prior(data)
+        assert model.fit_pooled_glm(data)[1] < -18
+        cfg = engine.FitConfig(method="a1", seed=1, window=500)
+        res = engine.fit(data, prior, cfg)
+        score, _ = oracles.pooled_glm_penalized_score(data, res.start, prior.sigma_beta2)
+        assert np.all(np.isfinite(res.start)) and np.abs(score).max() < 1e-8
+        # the same fit from beta = 0 ends as high; from the unpenalized
+        # IRLS's beta_x = -18.6 Adam does not climb back, and the ELBO ends
+        # 0.79 nats lower
+        monkeypatch.setattr(model, "fit_pooled_glm",
+                            lambda data, sigma_beta2: np.zeros(data.p))
+        zero = engine.fit(data, prior, cfg)
+        assert res.converged and zero.converged
+        assert abs(res.elbo - zero.elbo) < 0.2
+
+    def test_separable_bernoulli_starts_at_the_ridge_mode_and_fits(self):
+        data = separable_bernoulli()
+        prior = model.WishartPrior(100.0, 1.0, np.eye(1))
+        res = engine.fit(data, prior, method="a1", seed=1, window=500)
+        np.testing.assert_array_equal(res.start, model.fit_pooled_glm(data, sigma_beta2=100.0))
+        assert np.all(np.isfinite(res.start))
+        assert res.converged and np.isfinite(res.elbo)
+
+    def test_failed_irls_starts_at_zero(self, rng):
+        # a duplicated X column: the pooled design's rank check raises
+        data = random_dataset(rng, families.POISSON, n=6, p=2)
+        data = model.Dataset(data.family, data.y, data.X[..., [0, 1, 1]], data.Z,
+                             n_obs=data.n_obs)
+        prior = model.WishartPrior(100.0, 1.0, np.eye(1))
+        with pytest.raises(RankDeficientError):
+            model.fit_pooled_glm(data, sigma_beta2=prior.sigma_beta2)
+        cfg = engine.FitConfig(method="a2", seed=3, max_iter=300, window=100,
+                               final_elbo_draws=0)
+        res = engine.fit(data, prior, cfg)
+        np.testing.assert_array_equal(res.start, np.zeros(data.p))
+        # the fit from mu = 0: VariationalState.initial, stepped as fit steps it
+        state = engine.VariationalState.initial(data.n, data.r, data.g)
+        adam = engine.AdamState.zeros(state.params.size)
+        draws, anchor = engine.LaneStream(cfg.seed, engine.LANE_FIT), None
+        for t in range(1, res.n_iter + 1):
+            _, anchor = engine.step(data, prior, cfg, state, adam, t, draws, anchor)
+        np.testing.assert_array_equal(res.state.params, state.params)
+
+
 class TestAcceptedDraws:
     @staticmethod
     def _first_coordinate_at_most_one(s):
@@ -569,12 +643,12 @@ class TestFailFast:
         data, prior = micro_model()
         make = engine.VariationalState.initial
 
-        def nan_beta(n, r, g, **kw):
+        def nan_local_mean(n, r, g, **kw):
             state = make(n, r, g, **kw)
-            state.mu[n * r] = np.nan
+            state.mu[0] = np.nan  # a coordinate the start leaves as it is
             return state
 
-        monkeypatch.setattr(engine.VariationalState, "initial", staticmethod(nan_beta))
+        monkeypatch.setattr(engine.VariationalState, "initial", staticmethod(nan_local_mean))
         cfg = engine.FitConfig(method="a1", seed=1, max_iter=60, window=5,
                                final_elbo_draws=0)
         with pytest.raises(DivergedError, match="iteration 1:"):

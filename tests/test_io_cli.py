@@ -188,6 +188,23 @@ class TestPriorFile:
                 "--out", str(tmp_path / "o")]
         assert run_cli(args) == 2
 
+    # a misspelt key, and a key of the other prior type, would otherwise be
+    # dropped and leave their setting at its default
+    @pytest.mark.parametrize("text,key", [("nu,3\nS,0.5\nsigma_beta,1\n", "sigma_beta"),
+                                          ("nu,3\nS,0.5\nmean,0\n", "mean"),
+                                          ("type,normal-omega\nmean,0\nsd,1\nnu,3\n", "nu")],
+                             ids=["misspelt", "normal-omega-key", "wishart-key"])
+    def test_unknown_key_is_a_configuration_error(self, tmp_path, text, key):
+        p = tmp_path / "prior.csv"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            fileio.read_prior_file(str(p), 1)
+        args = ["--data", datasets.fixture_path("seeds.csv"), "--family", "binomial",
+                "--group-col", "plate", "--response-col", "germinated",
+                "--trials-col", "total", "--prior", "file", "--prior-file", str(p),
+                "--out", str(tmp_path / "o")]
+        assert run_cli(args) == 2
+
     # settings that define no prior: the fit would fail at its first step
     @pytest.mark.parametrize("text,match", [("type,normal-omega\nmean,0\nsd,nan\n", "sds"),
                                             ("type,normal-omega\nmean,nan\nsd,1\n", "means"),

@@ -2,9 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glmmvb import datasets, engine, families, matcalc, model
-from glmmvb.exceptions import ConfigError, DataError, RankDeficientError
+from glmmvb.exceptions import (
+    ConfigError,
+    DataError,
+    GlmmVbError,
+    IrlsDivergedError,
+    RankDeficientError,
+)
 
 import oracles
 from conftest import (
@@ -14,6 +22,7 @@ from conftest import (
     random_gp,
     random_spd,
     random_wishart_prior,
+    separable_bernoulli,
 )
 
 
@@ -309,6 +318,45 @@ class TestPooledGlmAndDefaultPrior:
         m = data.trials.ravel()[sel]
         score = X.T @ (y - data.family.derivs(X @ beta, m, 1)[1])
         assert np.abs(score).max() < 1e-6
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(famname=st.sampled_from(["poisson", "binomial", "bernoulli"]),
+           n=st.integers(1, 8), p=st.integers(1, 3), ni_max=st.integers(1, 6),
+           beta_scale=st.floats(0.0, 3.0), log_sigma_beta2=st.floats(-2.0, 4.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_ridge_irls_solves_the_penalized_score_equations(
+            self, famname, n, p, ni_max, beta_scale, log_sigma_beta2, seed):
+        data = random_dataset(np.random.default_rng(seed), families.by_name(famname),
+                              n=n, p=p, ni_max=ni_max, beta_scale=beta_scale)
+        # the flat prior adds exact zeros: the IRLS without ridge terms, bit
+        # for bit, or the same error
+        try:
+            flat = oracles.pooled_glm_flat(data)
+        except GlmmVbError as err:
+            with pytest.raises(type(err)):
+                model.fit_pooled_glm(data)
+        else:
+            np.testing.assert_array_equal(model.fit_pooled_glm(data, sigma_beta2=math.inf),
+                                          flat)
+        sigma_beta2 = 10.0 ** log_sigma_beta2
+        sel = data.mask.ravel() > 0
+        if np.linalg.matrix_rank(data.X.reshape(-1, p)[sel]) < p:
+            with pytest.raises(RankDeficientError):
+                model.fit_pooled_glm(data, sigma_beta2=sigma_beta2)
+            return
+        # a finite prior always has a finite mode, and IRLS reaches it: the
+        # Newton step left from the result is negligible
+        beta = model.fit_pooled_glm(data, sigma_beta2=sigma_beta2)
+        score, fisher = oracles.pooled_glm_penalized_score(data, beta, sigma_beta2)
+        assert np.abs(np.linalg.solve(fisher, score)).max() < 1e-5 * (1.0 + np.abs(beta).max())
+
+    def test_ridge_keeps_a_separable_design_finite(self):
+        data = separable_bernoulli()
+        with pytest.raises(IrlsDivergedError):
+            model.fit_pooled_glm(data)
+        beta = model.fit_pooled_glm(data, sigma_beta2=100.0)
+        score, _ = oracles.pooled_glm_penalized_score(data, beta, 100.0)
+        assert np.all(np.isfinite(beta)) and np.abs(score).max() < 1e-8
 
 
 class TestPriorSettings:
