@@ -43,7 +43,7 @@ def build_parser():
     p.add_argument("--simulate", default=None, metavar="SCENARIO",
                    choices=sorted(simulate.SCENARIOS),
                    help="write a synthetic dataset instead of fitting")
-    p.add_argument("--simulate-n", type=int, default=None)
+    p.add_argument("--simulate-n", type=int, default=simulate.N)
     return p
 
 

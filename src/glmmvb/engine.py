@@ -14,7 +14,7 @@ import math
 import numbers
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,10 @@ ELBO_CHUNK = 250  # draws per chunk of the final ELBO
 # evaluate takes at once (draw_block): 2^16 elements, 512 KB
 DRAW_BLOCK_BYTES = 2 ** 19
 REJECTION_WARN_FRACTION = 0.01  # warn when more of the draws over q are rejected
+ADAM_ALPHA = 1e-3  # Adam's step size, decay rates and guard (Kingma & Ba, 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def _check_seed(seed):
@@ -71,10 +75,6 @@ class FitConfig:
     max_iter: int = 200_000
     window: int = 1000
     tau: int = 5
-    adam_alpha: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     estimator: str = "L2"
     final_elbo_draws: int = 1000
 
@@ -89,11 +89,6 @@ class FitConfig:
             raise ConfigError("max_iter, window, tau and final_elbo_draws must be integers")
         if self.max_iter < 1 or self.window < 1 or self.tau < 2:
             raise ConfigError("limits must be positive (tau >= 2)")
-        if not (math.isfinite(self.adam_alpha) and self.adam_alpha > 0
-                and 0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1
-                and math.isfinite(self.adam_eps) and self.adam_eps > 0):
-            raise ConfigError("Adam needs a finite alpha > 0, betas in [0, 1) and a "
-                              "finite eps > 0")
         if self.final_elbo_draws < 0 or self.final_elbo_draws == 1:
             raise ConfigError("final_elbo_draws must be 0 (no final ELBO) or >= 2")
 
@@ -126,11 +121,11 @@ class VariationalState:
             object.__setattr__(self, name, value)
 
     @classmethod
-    def initial(cls, n, r, g, global_scale=0.1):
-        """mu = 0, C = blockdiag(I_{nr}, global_scale * I_g); fit then moves
-        beta to its start."""
+    def initial(cls, n, r, g):
+        """mu = 0, C = blockdiag(I_{nr}, 0.1 I_g); fit then moves beta to its
+        start."""
         state = cls(n, r, g)
-        state.cstar_global[matcalc.diag_positions(g)] = np.log(global_scale)
+        state.cstar_global[matcalc.diag_positions(g)] = np.log(0.1)
         return state
 
     @property
@@ -209,13 +204,13 @@ class AdamState:
     def zeros(cls, size):
         return cls(np.zeros(size), np.zeros(size))
 
-    def ascent_step(self, g, cfg):
+    def ascent_step(self, g):
         self.t += 1
-        self.m = cfg.adam_beta1 * self.m + (1.0 - cfg.adam_beta1) * g
-        self.v = cfg.adam_beta2 * self.v + (1.0 - cfg.adam_beta2) * g * g
-        m_hat = self.m / (1.0 - cfg.adam_beta1 ** self.t)
-        v_hat = self.v / (1.0 - cfg.adam_beta2 ** self.t)
-        return cfg.adam_alpha * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * g
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * g * g
+        m_hat = self.m / (1.0 - ADAM_BETA1 ** self.t)
+        v_hat = self.v / (1.0 - ADAM_BETA2 ** self.t)
+        return ADAM_ALPHA * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -227,10 +222,8 @@ class FitResult:
     elbo: float
     elbo_se: float
     converged: bool
-    max_iter_reached: bool
-    method: str
-    config: FitConfig = field(repr=False, default=None)
-    start: np.ndarray = field(repr=False, default=None)  # the beta the fit began from
+    config: FitConfig = field(repr=False)
+    start: np.ndarray = field(repr=False)  # the beta the fit began from
 
 
 def estimator(state, s, grad_vec, which, blocks=None):
@@ -308,19 +301,19 @@ def draw(data, prior, state, method, s, anchor=None, blocks=None):
     return b_tilde, reparam.build_transforms(data, gp, method, anchor)
 
 
-def step(data, prior, config, state, adam, t, draws=None, anchor=None):
+def step(data, prior, config, state, adam, t, draws, anchor=None):
     """One stochastic gradient step; returns the pre-update ELBO sample and
     the step's transforms, the next step's anchor.
 
     The draws are those of stream(config.seed, LANE_FIT, t), taken from
-    `draws`, the fit's LaneStream of that stream, when given; the
-    transforms are built from `anchor` (draw). A recoverable numeric
+    `draws`, the fit's LaneStream of that stream; the transforms are built
+    from `anchor` (draw). A recoverable numeric
     failure (overflow guard, failed factorization, failed mode search)
     retries once with a fresh draw from the same iteration stream and the
     same anchor; a second failure, a non-finite ELBO sample or a
     non-finite update raises DivergedError.
     """
-    rng = (draws or LaneStream(config.seed, LANE_FIT)).at(t)
+    rng = draws.at(t)
     blocks = state.blocks()
     last_err = None
     for _ in range(2):
@@ -344,7 +337,7 @@ def step(data, prior, config, state, adam, t, draws=None, anchor=None):
     gv_loc[..., matcalc.diag_positions(state.r)] *= _diag(c_loc)
     gv_glob[matcalc.diag_positions(state.g)] *= np.diag(c_glob)
     g_all = np.concatenate([g_mu, gv_loc.ravel(), gv_glob])
-    update = adam.ascent_step(g_all, config)
+    update = adam.ascent_step(g_all)
     if not np.all(np.isfinite(update)):
         raise DivergedError(f"iteration {t}: non-finite parameter update")
     state.params += update
@@ -440,16 +433,17 @@ def scaled_moments(vals):
     return np.ldexp(z.mean(axis=0), e), np.ldexp(z.std(axis=0, ddof=1), e)
 
 
-def fit(data, prior, config=None, **overrides):
+def fit(data, prior, config=None, **settings):
     """Run the optimizer until the stopping rule fires or max_iter is hit,
     from VariationalState.initial with beta at the pooled GLM's mode under
-    the prior on beta (0 if that IRLS raises): FitResult.start."""
+    the prior on beta (0 if that IRLS raises): FitResult.start. The
+    settings are `config`, or FitConfig(**settings) when it is None."""
     if config is None:
-        config = FitConfig(**overrides)
-    elif overrides:
-        config = replace(config, **overrides)
-    if not prior.learns_omega and prior.omega.shape != (data.g2,):
-        raise ConfigError("fixed omega has the wrong length for this dataset")
+        config = FitConfig(**settings)
+    elif settings:
+        raise ConfigError("fit takes a FitConfig or its settings, not both")
+    if prior.g2 != data.g2:
+        raise ConfigError(f"the prior is on {prior.g2} omega values; r = {data.r} has {data.g2}")
     g = data.p + (data.g2 if prior.learns_omega else 0)
     state = VariationalState.initial(data.n, data.r, g)
     try:
@@ -463,17 +457,13 @@ def fit(data, prior, config=None, **overrides):
     t_start = time.perf_counter()
     means = []
     acc = 0.0
-    cnt = 0
     converged = False
-    it = 0
     for it in range(1, config.max_iter + 1):
         elbo, anchor = step(data, prior, config, state, adam, it, draws, anchor)
         acc += elbo
-        cnt += 1
-        if cnt == config.window:
-            means.append(acc / cnt)
+        if it % config.window == 0:
+            means.append(acc / config.window)
             acc = 0.0
-            cnt = 0
             if should_stop(means, config.tau):
                 converged = True
                 break
@@ -486,5 +476,4 @@ def fit(data, prior, config=None, **overrides):
         elbo, elbo_se = float("nan"), float("nan")
     return FitResult(state=state, window_means=np.asarray(means), n_iter=it,
                      wall_time=wall, elbo=elbo, elbo_se=elbo_se,
-                     converged=converged, max_iter_reached=not converged,
-                     method=config.method, config=config, start=start)
+                     converged=converged, config=config, start=start)

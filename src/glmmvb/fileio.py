@@ -104,8 +104,10 @@ def read_prior_file(path, r):
     `type` is wishart (the default) or normal-omega, and `sigma_beta2` is
     optional. A Wishart prior needs `nu` and r lines `S` holding the rows of
     its scale matrix; a normal-omega prior needs `mean` (1 or r(r+1)/2
-    values) and `sd` (1 value or one per mean). A missing key, a key the type
-    does not take, a key with no value or a wrong size raises ConfigError.
+    values) and `sd` (1 value or one per mean); only `S` takes more than one
+    line, and `type`, `nu` and `sigma_beta2` take one value. A missing key, a
+    key the type does not take, a key with no value, a repeated key or a
+    wrong size raises ConfigError.
     """
     entries = {}  # key -> the values of each of its lines
     with open(path, "r", encoding="utf-8") as fh:
@@ -114,6 +116,10 @@ def read_prior_file(path, r):
             if key:
                 if not vals:
                     raise ConfigError(f"prior file {path}: key {key!r} has no value")
+                if key in entries and key != "S":
+                    raise ConfigError(f"prior file {path}: key {key!r} is on more than one line")
+                if key in ("type", "nu", "sigma_beta2") and len(vals) != 1:
+                    raise ConfigError(f"prior file {path}: key {key!r} takes one value")
                 entries.setdefault(key, []).append(vals)
 
     def need(key):
@@ -124,26 +130,26 @@ def read_prior_file(path, r):
         except ValueError as err:
             raise ConfigError(f"prior file {path}: {key}: {err}") from None
 
-    kind = entries.get("type", [["wishart"]])[-1][0]
+    kind = entries.get("type", [["wishart"]])[0][0]
     if kind not in PRIOR_KEYS:
         raise ConfigError(f"unknown prior type {kind!r}")
     unknown = sorted(set(entries) - PRIOR_KEYS[kind] - {"type", "sigma_beta2"})
     if unknown:
         raise ConfigError(f"prior file {path}: unknown key {unknown[0]!r} for a {kind} prior")
-    sb2 = need("sigma_beta2")[-1, 0] if "sigma_beta2" in entries else model.DEFAULT_SIGMA_BETA2
+    sb2 = need("sigma_beta2")[0, 0] if "sigma_beta2" in entries else model.DEFAULT_SIGMA_BETA2
     if kind == "wishart":
         S = need("S")
         if S.shape != (r, r):
             raise ConfigError(f"prior file {path}: S must be {r} x {r}")
         try:
-            return model.WishartPrior(sb2, need("nu")[-1, 0], S)
+            return model.WishartPrior(sb2, need("nu")[0, 0], S)
         except NotPositiveDefiniteError:
             raise ConfigError(f"prior file {path}: S must be positive definite") from None
-    mean, sd, g2 = need("mean")[-1], need("sd")[-1], matcalc.half_len(r)
+    mean, sd, g2 = need("mean")[0], need("sd")[0], matcalc.half_len(r)
     if mean.size not in (1, g2) or sd.size not in (1, mean.size):
         raise ConfigError(f"prior file {path}: mean needs 1 or {g2} values, "
                           "sd 1 or as many as mean")
-    return model.NormalOmegaPrior(sb2, mean, sd)
+    return model.NormalOmegaPrior(sb2, np.broadcast_to(mean, g2), sd)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from .exceptions import (
 )
 
 DEFAULT_SIGMA_BETA2 = 100.0
+IRLS_TOL = 1e-8  # the pooled GLM's IRLS stops at this relative deviance change
+IRLS_MAX_ITER = 25
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +262,7 @@ class WishartPrior:
         if not (math.isfinite(self.nu) and self.nu > r - 1):
             raise ConfigError("Wishart degrees of freedom must be finite and exceed r - 1")
         self.u = np.arange(r + 1, 1, -1, dtype=float)  # u_i = r - i + 2
+        self.g2 = matcalc.half_len(r)  # the length of the omega it is a prior on
 
     def log_omega(self, gp):
         r = gp.r
@@ -302,6 +305,7 @@ class NormalOmegaPrior:
                               "at least 2^-511, so that sd^2 does not underflow")
         with np.errstate(over="ignore"):  # an infinite variance is a flat prior
             self.var = self.sd * self.sd
+        self.g2 = self.mean.size
 
     def log_omega(self, gp):
         z = (gp.omega - self.mean) / self.sd
@@ -311,9 +315,10 @@ class NormalOmegaPrior:
         return -(gp.omega - self.mean) / self.var
 
 
-def normal_omega_prior(r, sigma_beta2=DEFAULT_SIGMA_BETA2, mean=0.0, sd=10.0):
+def normal_omega_prior(r, sigma_beta2=DEFAULT_SIGMA_BETA2, sd=10.0):
+    """N(0, sd^2) on each of the r(r+1)/2 coordinates of omega."""
     g2 = matcalc.half_len(r)
-    return NormalOmegaPrior(sigma_beta2, np.full(g2, float(mean)), np.full(g2, float(sd)))
+    return NormalOmegaPrior(sigma_beta2, np.zeros(g2), np.full(g2, float(sd)))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +355,7 @@ def log_joint_reparam(data, b_tilde, transforms, prior):
 # pooled GLM + default conjugate prior
 
 
-def fit_pooled_glm(data, sigma_beta2=math.inf, tol=1e-8, max_iter=25):
+def fit_pooled_glm(data, sigma_beta2=math.inf):
     """IRLS fit of the GLM pooling all subjects with b_i = 0: the mode of its
     likelihood times a N(0, sigma_beta2 I) prior on beta (flat by default).
 
@@ -379,7 +384,7 @@ def fit_pooled_glm(data, sigma_beta2=math.inf, tol=1e-8, max_iter=25):
         return -2.0 * (y * eta - h).sum() + bvec @ prec @ bvec, h1, w
 
     dev, h1, w = evaluate(beta)
-    for _ in range(max_iter):
+    for _ in range(IRLS_MAX_ITER):
         score = X.T @ (y - h1) - prec @ beta
         fisher = X.T @ (w[:, None] * X) + prec
         try:
@@ -396,20 +401,25 @@ def fit_pooled_glm(data, sigma_beta2=math.inf, tol=1e-8, max_iter=25):
         else:
             raise IrlsDivergedError("half-stepping failed to decrease deviance")
         beta = cand
-        if abs(dev - dev_new) <= tol * (abs(dev_new) + 1.0):
+        if abs(dev - dev_new) <= IRLS_TOL * (abs(dev_new) + 1.0):
             return beta
         dev = dev_new
-    raise IrlsDivergedError(f"no convergence in {max_iter} iterations")
+    raise IrlsDivergedError(f"no convergence in {IRLS_MAX_ITER} iterations")
 
 
 def default_prior(data, sigma_beta2=DEFAULT_SIGMA_BETA2):
     """Default conjugate Wishart prior from pooled-GLM weights.
 
     nu = r for r = 1 and r + 1 otherwise; S = (1/(nu n)) sum_i Z_i' W_i Z_i
-    with the GLM weight matrices evaluated at the pooled fit. For r = 1 this
-    is the Gamma(nu/2, S^{-1}/2) prior on the precision.
+    with the GLM weight matrices evaluated at the pooled fit, under the
+    N(0, sigma_beta2 I) prior on beta where the flat IRLS diverges (a
+    separable design). For r = 1 this is the Gamma(nu/2, S^{-1}/2) prior on
+    the precision.
     """
-    beta_hat = fit_pooled_glm(data)
+    try:
+        beta_hat = fit_pooled_glm(data)
+    except IrlsDivergedError:
+        beta_hat = fit_pooled_glm(data, sigma_beta2)
     eta = np.einsum("njp,p->nj", data.X, beta_hat)
     w = data.mask * data.family.derivs(eta, data.trials, 2)[2]
     A = np.einsum("njr,nj,njs->rs", data.Z, w, data.Z) / data.n

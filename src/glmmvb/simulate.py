@@ -4,10 +4,10 @@ Six named scenarios share the structure
 
     eta_ij = beta0 + beta1 x_ij + b_i,   b_i ~ N(0, sigma^2),
 
-with n = 500 subjects, n_i = 7 observations each and sigma = 1.5 unless
-overridden. Covariates are either the deterministic visit code
-x_ij = (j - 4)/10 or independent Bernoulli(0.5) draws; the binomial
-scenarios use 20 trials per observation.
+with n = 500 subjects unless simulate_dataset is given another n, n_i = 7
+observations each and sigma = 1.5. Covariates are either the deterministic
+visit code x_ij = (j - 4)/10 or independent Bernoulli(0.5) draws; the
+binomial scenarios use 20 trials per observation.
 """
 
 from dataclasses import dataclass
@@ -18,10 +18,10 @@ from . import engine, families
 from .exceptions import ConfigError
 from .model import Dataset
 
-DEFAULT_N = 500
-DEFAULT_NI = 7
-DEFAULT_SIGMA = 1.5
 BINOMIAL_TRIALS = 20
+N = 500  # subjects, observations per subject, random-intercept sd
+N_I = 7
+SIGMA = 1.5
 
 
 @dataclass
@@ -30,9 +30,6 @@ class ScenarioSpec:
     beta: tuple
     x_rule: str              # "visit" or "bernoulli"
     trials: int | None = None
-    n: int = DEFAULT_N
-    n_i: int = DEFAULT_NI
-    sigma: float = DEFAULT_SIGMA
 
 
 SCENARIOS = {
@@ -47,28 +44,25 @@ SCENARIOS = {
 }
 
 
-def simulate_dataset(scenario, seed, n=None, n_i=None, sigma=None):
-    """Simulate one dataset; returns (Dataset, truth record).
+def simulate_dataset(scenario, seed, n=N):
+    """Simulate one dataset of n subjects; returns (Dataset, truth record).
 
     `scenario` is a name from SCENARIOS or a ScenarioSpec. Deterministic
     per seed.
     """
     spec = SCENARIOS[scenario] if isinstance(scenario, str) else scenario
-    n = spec.n if n is None else n
-    n_i = spec.n_i if n_i is None else n_i
-    sigma = spec.sigma if sigma is None else sigma
-    if n < 1 or n_i < 1:
-        raise ConfigError(f"need n >= 1 and n_i >= 1, got n={n}, n_i={n_i}")
+    if n < 1:
+        raise ConfigError(f"need n >= 1, got n={n}")
     rng = engine.stream(seed, engine.LANE_SIM, 0)
 
     if spec.x_rule == "visit":
-        x = np.tile((np.arange(1, n_i + 1) - 4.0) / 10.0, (n, 1))
+        x = np.tile((np.arange(1, N_I + 1) - 4.0) / 10.0, (n, 1))
     elif spec.x_rule == "bernoulli":
-        x = rng.integers(0, 2, size=(n, n_i)).astype(float)
+        x = rng.integers(0, 2, size=(n, N_I)).astype(float)
     else:
         raise ConfigError(f"unknown covariate rule {spec.x_rule!r}")
 
-    b = sigma * rng.standard_normal(n)
+    b = SIGMA * rng.standard_normal(n)
     eta = spec.beta[0] + spec.beta[1] * x + b[:, None]
     fam = spec.family
     if fam.name == "poisson":
@@ -79,15 +73,15 @@ def simulate_dataset(scenario, seed, n=None, n_i=None, sigma=None):
         trials = None
     elif fam.name == "binomial":
         y = rng.binomial(spec.trials, 1.0 / (1.0 + np.exp(-eta))).astype(float)
-        trials = np.full((n, n_i), float(spec.trials))
+        trials = np.full((n, N_I), float(spec.trials))
     else:
         raise ConfigError(f"scenario family {fam.name!r} not supported")
 
     X = np.stack([np.ones_like(x), x], axis=-1)
-    Z = np.ones((n, n_i, 1))
+    Z = np.ones((n, N_I, 1))
     data = Dataset(fam, y, X, Z, trials=trials,
                    x_names=["intercept", "x"], z_names=["intercept"])
-    truth = {"beta": list(spec.beta), "sigma": sigma, "family": fam.name,
-             "n": n, "n_i": n_i, "seed": seed,
+    truth = {"beta": list(spec.beta), "sigma": SIGMA, "family": fam.name,
+             "n": n, "n_i": N_I, "seed": seed,
              "trials": spec.trials, "random_effects": b}
     return data, truth

@@ -72,6 +72,7 @@ class KnownOmega:
     def __post_init__(self):
         model._check_sigma_beta2(self.sigma_beta2)
         self.omega = np.atleast_1d(np.asarray(self.omega, dtype=float))
+        self.g2 = self.omega.size
 
     def log_omega(self, gp):
         return np.zeros(gp.omega.shape[:-1])

@@ -79,23 +79,20 @@ class TestParamsLayout:
         before, updates = state.params.copy(), []
         ascent_step = engine.AdamState.ascent_step
 
-        def record(self, g, cfg):
-            updates.append(ascent_step(self, g, cfg))
+        def record(self, g):
+            updates.append(ascent_step(self, g))
             return updates[-1]
 
         monkeypatch.setattr(engine.AdamState, "ascent_step", record)
-        engine.step(data, prior, engine.FitConfig(method="a1", seed=2), state, adam, 1)
+        engine.step(data, prior, engine.FitConfig(method="a1", seed=2), state, adam, 1,
+                    engine.LaneStream(2, engine.LANE_FIT))
         assert len(updates) == 1 and np.any(updates[0] != 0.0)
         np.testing.assert_array_equal(state.params, before + updates[0])
 
 
 class TestFitConfig:
     @pytest.mark.parametrize("setting", [
-        {"adam_alpha": -1e-3}, {"adam_alpha": 0.0}, {"adam_alpha": np.inf},
-        {"adam_alpha": np.nan}, {"adam_beta1": 1.0}, {"adam_beta1": -0.1},
-        {"adam_beta2": 1.0}, {"adam_beta2": np.nan}, {"adam_eps": 0.0},
-        {"adam_eps": -1e-8}, {"adam_eps": np.inf}, {"final_elbo_draws": -5},
-        {"final_elbo_draws": 1},
+        {"final_elbo_draws": -5}, {"final_elbo_draws": 1},
         {"seed": -1}, {"seed": 2 ** 128},
     ], ids=lambda setting: "{}={}".format(*next(iter(setting.items()))))
     def test_rejects_settings_that_give_wrong_fits(self, setting):
@@ -103,7 +100,7 @@ class TestFitConfig:
             engine.FitConfig(**setting)
 
     def test_edge_settings_are_accepted(self):
-        engine.FitConfig(adam_beta1=0.0, adam_beta2=0.0, final_elbo_draws=0)
+        engine.FitConfig(final_elbo_draws=0)
         engine.FitConfig(final_elbo_draws=2)
         engine.FitConfig(seed=2 ** 128 - 1)
 
@@ -128,7 +125,7 @@ class TestDrawSample:
         np.testing.assert_array_equal(state.affine(np.zeros(state.d)), state.mu)
 
     def test_identity_returns_draw(self, rng):
-        state = engine.VariationalState.initial(2, 2, 3, global_scale=1.0)
+        state = engine.VariationalState(2, 2, 3)  # C = I
         s = rng.standard_normal(state.d)
         np.testing.assert_allclose(state.affine(s), s, atol=1e-15)
 
@@ -152,11 +149,11 @@ class TestDrawSample:
 
 class TestLogQ:
     def test_standard_normal_at_mean(self):
-        state = engine.VariationalState.initial(1, 1, 1, global_scale=1.0)
+        state = engine.VariationalState(1, 1, 1)  # C = I
         assert abs(float(oracles.log_q(state, np.zeros(2)))) < 1e-15
 
     def test_scalar_case(self):
-        state = engine.VariationalState.initial(1, 1, 1, global_scale=1.0)
+        state = engine.VariationalState(1, 1, 1)  # C = I
         # single local block C = 2, theta - mu = 2 in that coordinate
         state.cstar_local[0, 0] = np.log(2.0)
         theta = np.array([2.0, 0.0])
@@ -256,17 +253,15 @@ class TestShouldStop:
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         adam = engine.AdamState.zeros(4)
-        cfg = engine.FitConfig()
-        step = adam.ascent_step(np.zeros(4), cfg)
+        step = adam.ascent_step(np.zeros(4))
         np.testing.assert_array_equal(step, np.zeros(4))
         assert adam.t == 1
 
     def test_step_size_bounded_by_alpha(self, rng):
         adam = engine.AdamState.zeros(6)
-        cfg = engine.FitConfig()
         for _ in range(10):
-            step = adam.ascent_step(rng.standard_normal(6), cfg)
-            assert np.all(np.abs(step) <= 5 * cfg.adam_alpha)
+            step = adam.ascent_step(rng.standard_normal(6))
+            assert np.all(np.abs(step) <= 5 * engine.ADAM_ALPHA)
 
 
 class TestStepAndFit:
@@ -288,8 +283,9 @@ class TestStepAndFit:
                                final_elbo_draws=0)
         state = engine.VariationalState.initial(data.n, data.r, data.g)
         adam = engine.AdamState.zeros(state.params.size)
+        draws = engine.LaneStream(cfg.seed, engine.LANE_FIT)
         for t in range(1, 201):
-            engine.step(data, prior, cfg, state, adam, t)
+            engine.step(data, prior, cfg, state, adam, t, draws)
             assert np.all(np.diagonal(state.c_local(), axis1=-2, axis2=-1) > 0)
             assert np.all(np.diag(state.c_global()) > 0)
 
@@ -316,9 +312,27 @@ class TestStepAndFit:
         cfg = engine.FitConfig(method="a1", seed=5, max_iter=50_000, window=200,
                                tau=5, final_elbo_draws=0)
         res = engine.fit(data, prior, cfg)
-        assert res.converged and not res.max_iter_reached
+        assert res.converged
         assert engine.window_slope(res.window_means, cfg.tau) < 0
         assert res.n_iter < cfg.max_iter
+
+    # unchecked, the first two fail inside step with numpy's ValueError on seeds (r = 1)
+    @pytest.mark.parametrize("make", [
+        lambda: model.WishartPrior(100.0, 3.0, np.eye(2)),
+        lambda: model.NormalOmegaPrior(100.0, np.zeros(3), np.ones(3)),
+        lambda: oracles.KnownOmega(100.0, np.zeros(3)),
+    ], ids=["wishart-S", "normal-omega-mean", "known-omega"])
+    def test_prior_for_another_r_raises_before_the_first_step(self, make, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("step called")
+        monkeypatch.setattr(engine, "step", no_step)
+        with pytest.raises(ConfigError, match="r = 1 has 1"):
+            engine.fit(datasets.seeds_dataset(), make(), method="a1", seed=1)
+
+    def test_config_and_settings_together_raise(self):
+        data = datasets.seeds_dataset()
+        with pytest.raises(ConfigError, match="not both"):
+            engine.fit(data, model.default_prior(data), engine.FitConfig(method="a1"), seed=2)
 
     def test_elbo_estimate_se_shrinks(self, rng):
         data, prior = micro_model(rng)
@@ -355,7 +369,8 @@ class TestStart:
         # one step from VariationalState.initial with only beta moved there
         state = engine.VariationalState.initial(data.n, data.r, data.g)
         state.mu[data.n * data.r:data.n * data.r + data.p] = start
-        engine.step(data, prior, cfg, state, engine.AdamState.zeros(state.params.size), 1)
+        engine.step(data, prior, cfg, state, engine.AdamState.zeros(state.params.size), 1,
+                    engine.LaneStream(cfg.seed, engine.LANE_FIT))
         np.testing.assert_array_equal(res.state.params, state.params)
 
     def test_quasi_separation_starts_at_the_finite_ridge_mode(self, monkeypatch):
@@ -542,12 +557,13 @@ class TestWarmStart:
 
         monkeypatch.setattr(reparam, "build_transforms", fail_second_steps_first)
         monkeypatch.setattr(reparam, "predict_modes", spy)
-        _, first = engine.step(data, prior, cfg, state, adam, 1)
+        draws = engine.LaneStream(cfg.seed, engine.LANE_FIT)
+        _, first = engine.step(data, prior, cfg, state, adam, 1, draws)
         # the first step starts from a1's lambda
         assert len(attempts) == 1 and attempts[0][1] is None and predicted == []
         assert first is built[0] and first.gp is attempts[0][0]
 
-        _, anchor = engine.step(data, prior, cfg, state, adam, 2, anchor=first)
+        _, anchor = engine.step(data, prior, cfg, state, adam, 2, draws, anchor=first)
         # the failed attempt and the retry each predict from the one anchor
         # at their own theta_G
         assert len(attempts) == 3
@@ -617,10 +633,12 @@ class TestLaneStream:
         prior = model.default_prior(data)
         cfg = engine.FitConfig(method="a2", seed=8)
         states = []
-        for draws in (None, engine.LaneStream(cfg.seed, engine.LANE_FIT)):
+        # a new LaneStream per step, then the one LaneStream of a fit
+        for shared in (None, engine.LaneStream(cfg.seed, engine.LANE_FIT)):
             state = engine.VariationalState.initial(data.n, data.r, data.g)
             adam = engine.AdamState.zeros(state.params.size)
-            elbos = [engine.step(data, prior, cfg, state, adam, t, draws)[0]
+            elbos = [engine.step(data, prior, cfg, state, adam, t,
+                                 shared or engine.LaneStream(cfg.seed, engine.LANE_FIT))[0]
                      for t in range(1, 30)]
             states.append((elbos, state.params))
         assert states[0][0] == states[1][0]
@@ -637,7 +655,7 @@ class TestFailFast:
         state = engine.VariationalState.initial(data.n, data.r, data.p)
         adam = engine.AdamState.zeros(state.params.size)
         with pytest.raises(DivergedError, match="iteration 1"):
-            engine.step(data, prior, cfg, state, adam, 1)
+            engine.step(data, prior, cfg, state, adam, 1, engine.LaneStream(1, engine.LANE_FIT))
 
     def test_nan_state_stops_at_first_step(self, monkeypatch):
         data, prior = micro_model()

@@ -278,10 +278,11 @@ class TestOneFamilyCallPerPoint:
         cfg = engine.FitConfig(method="a1", seed=5)
         state = engine.VariationalState.initial(data.n, data.r, data.g)
         adam = engine.AdamState.zeros(state.params.size)
-        engine.step(data, prior, cfg, state, adam, 1)  # fills the a1 cache
+        draws = engine.LaneStream(cfg.seed, engine.LANE_FIT)
+        engine.step(data, prior, cfg, state, adam, 1, draws)  # fills the a1 cache
         calls = _count_family_calls(monkeypatch, data.family)
         for t in range(2, 6):
-            engine.step(data, prior, cfg, state, adam, t)
+            engine.step(data, prior, cfg, state, adam, t, draws)
         assert len(calls) == 4
 
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "batch"])

@@ -1,15 +1,25 @@
 """The package's runtime dependency is numpy alone: no module imports scipy,
-which only the tests' reference implementations use."""
+which only the tests' reference implementations use. The demos import only
+names the package has, and call its fit and simulation entry points with
+arguments their signatures take."""
 
 import ast
+import importlib
+import inspect
 import os
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import glmmvb
 
 PACKAGE = pathlib.Path(glmmvb.__file__).parent
+DEMOS = sorted((pathlib.Path(__file__).parents[1] / "demos").glob("*.py"))
+# the entry points whose calls in the demos are checked against their signatures
+CHECKED = (glmmvb.FitConfig, glmmvb.fit, glmmvb.simulate_dataset, glmmvb.normal_omega_prior,
+           glmmvb.simulate_b, glmmvb.fit_sharded)
 
 
 def _scipy_imports(source):
@@ -50,3 +60,58 @@ class TestNumpyOnlyRuntime:
         imported_from, loaded = done.stdout.splitlines()
         assert pathlib.Path(imported_from).parent == PACKAGE
         assert loaded == "[]"
+
+
+def _checked_calls(source):
+    """(line, callee, bound arguments) of each call of a CHECKED entry point
+    in a module, by the name it imported from glmmvb. Resolving an imported
+    name the package lacks raises ImportError, and binding arguments the
+    signature does not take raises TypeError. fit's keyword settings are
+    bound to FitConfig."""
+    tree = ast.parse(source)
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "glmmvb":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                # as the import statement does: an attribute, else a submodule
+                names[alias.asname or alias.name] = (
+                    getattr(module, alias.name) if hasattr(module, alias.name)
+                    else importlib.import_module(f"{node.module}.{alias.name}"))
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        callee = names.get(node.func.id)
+        if callee not in CHECKED:
+            continue
+        bound = inspect.signature(callee).bind_partial(
+            *[None] * len(node.args), **{kw.arg: None for kw in node.keywords if kw.arg})
+        if callee is glmmvb.fit:
+            inspect.signature(glmmvb.FitConfig).bind_partial(**bound.arguments.get("settings", {}))
+        found.append((node.lineno, callee.__name__, dict(bound.arguments)))
+    return found
+
+
+class TestDemos:
+    @pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.name)
+    def test_calls_match_the_package(self, path):
+        assert _checked_calls(path.read_text())
+
+    def test_every_entry_point_is_called_by_a_demo(self):
+        called = {name for path in DEMOS for _, name, _ in _checked_calls(path.read_text())}
+        assert called == {entry.__name__ for entry in CHECKED}
+
+    def test_finds_what_the_package_does_not_take(self):
+        with pytest.raises(ImportError):
+            _checked_calls("from glmmvb import no_such_name\n")
+        with pytest.raises(TypeError):
+            _checked_calls("from glmmvb import simulate_dataset\n"
+                           "simulate_dataset('poisson-i', seed=1, n_obs=3)\n")
+        with pytest.raises(TypeError):
+            _checked_calls("from glmmvb import fit\nfit(data, prior, adam_alpha=0.1)\n")
+        source = ("from glmmvb import fit as run, datasets\n"
+                  "run(data, prior, None)\nrun(data, prior, method='a1')\n")
+        assert _checked_calls(source) == [
+            (2, "fit", {"data": None, "prior": None, "config": None}),
+            (3, "fit", {"data": None, "prior": None, "settings": {"method": None}})]

@@ -14,6 +14,8 @@ from glmmvb.exceptions import (
     ParseError,
 )
 
+from conftest import separable_bernoulli
+
 
 class TestLoadCsv:
     def test_epilepsy_grouping(self):
@@ -164,6 +166,20 @@ class TestPriorFile:
         np.testing.assert_array_equal(prior.mean, [0.0, 0.5, 1.0])
         np.testing.assert_array_equal(prior.sd, [5.0, 5.0, 5.0])
 
+    def test_normal_omega_single_mean_fits_r2(self, tmp_path):
+        # one mean holds for every coordinate of omega, as one sd does
+        p = tmp_path / "n.csv"
+        p.write_text("type,normal-omega\nmean,0\nsd,1\n")
+        prior = fileio.read_prior_file(str(p), 2)
+        np.testing.assert_array_equal(prior.mean, [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(prior.sd, [1.0, 1.0, 1.0])
+        args = ["--data", datasets.fixture_path("epilepsy.csv"), "--family", "poisson",
+                "--group-col", "subject", "--response-col", "y", "--fixed", "lbase,visit_code",
+                "--random", "visit_code", "--prior", "file", "--prior-file", str(p),
+                "--method", "a1", "--max-iter", "50", "--draws", "200",
+                "--out", str(tmp_path / "o")]
+        assert run_cli(args) == 0
+
     @pytest.mark.parametrize("text", ["nu,3\nS,1,0\n",
                                       "type,normal-omega\nmean,0,0\nsd,1\n",
                                       "type,normal-omega\nmean,0\nsd,1,1,1\n"])
@@ -203,6 +219,25 @@ class TestPriorFile:
                 "--group-col", "plate", "--response-col", "germinated",
                 "--trials-col", "total", "--prior", "file", "--prior-file", str(p),
                 "--out", str(tmp_path / "o")]
+        assert run_cli(args) == 2
+
+    # otherwise a scalar key with more values reads as its first value, and
+    # of a key on two lines one line is silently dropped
+    @pytest.mark.parametrize("text,match", [
+        ("nu,3,4\nS,0.5\n", "'nu' takes one value"),
+        ("nu,3\nS,0.5\nsigma_beta2,10,20\n", "'sigma_beta2' takes one value"),
+        ("nu,3\nS,0.5\nnu,4\n", "'nu' is on more than one line"),
+        ("type,normal-omega\nmean,0\nsd,1\nmean,1\n", "'mean' is on more than one line"),
+    ], ids=["nu-two-values", "sigma_beta2-two-values", "nu-two-lines", "mean-two-lines"])
+    def test_keys_are_given_once(self, tmp_path, text, match):
+        p = tmp_path / "prior.csv"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            fileio.read_prior_file(str(p), 1)
+        args = ["--data", datasets.fixture_path("seeds.csv"), "--family", "binomial",
+                "--group-col", "plate", "--response-col", "germinated",
+                "--trials-col", "total", "--prior", "file", "--prior-file", str(p),
+                "--max-iter", "50", "--out", str(tmp_path / "o")]
         assert run_cli(args) == 2
 
     # settings that define no prior: the fit would fail at its first step
@@ -390,6 +425,19 @@ class TestCliRuns:
             assert state.r == 1
         text = open(os.path.join(out, "summary.csv")).read()
         assert "shards,2" in text and "sigma," in text
+
+    def test_default_prior_fits_a_separable_design(self, tmp_path):
+        # the flat pooled IRLS diverges on it; the default prior's weights come
+        # from the ridge mode
+        data = separable_bernoulli()
+        path = tmp_path / "sep.csv"
+        path.write_text("g,y,x\n" + "".join(
+            f"{i},{data.y[i, j]:g},{float(data.X[i, j, 1])!r}\n"
+            for i in range(data.n) for j in range(data.J)))
+        args = ["--data", str(path), "--family", "bernoulli", "--group-col", "g",
+                "--response-col", "y", "--fixed", "x", "--method", "a1",
+                "--max-iter", "50", "--draws", "500", "--out", str(tmp_path / "o")]
+        assert run_cli(args) == 0
 
     def test_simulate_mode(self, tmp_path):
         out = str(tmp_path / "sim")

@@ -308,6 +308,8 @@ class TestPooledGlmAndDefaultPrior:
         data = model.Dataset.from_lists(families.POISSON, y, X, Z)
         with pytest.raises(RankDeficientError):
             model.fit_pooled_glm(data)
+        with pytest.raises(RankDeficientError):
+            model.default_prior(data)
 
     def test_pooled_fit_matches_score_equations(self, rng):
         data = random_dataset(rng, families.BINOMIAL, r=1, n=10, p=2, ni_max=6)
@@ -357,6 +359,17 @@ class TestPooledGlmAndDefaultPrior:
         beta = model.fit_pooled_glm(data, sigma_beta2=100.0)
         score, _ = oracles.pooled_glm_penalized_score(data, beta, 100.0)
         assert np.all(np.isfinite(beta)) and np.abs(score).max() < 1e-8
+
+    @pytest.mark.parametrize("sigma_beta2", [100.0, 10.0])
+    def test_default_prior_of_a_separable_design_takes_the_ridge_mode(self, sigma_beta2):
+        # the flat IRLS diverges; the weights come from the mode under the
+        # prior's own N(0, sigma_beta2 I) on beta (r = 1: nu = 1, S = sum w / n)
+        data = separable_bernoulli()
+        beta = model.fit_pooled_glm(data, sigma_beta2=sigma_beta2)
+        w = data.mask * data.family.derivs(data.X @ beta, data.trials, 2)[2]
+        prior = model.default_prior(data, sigma_beta2=sigma_beta2)
+        assert prior.nu == 1.0 and prior.sigma_beta2 == sigma_beta2
+        np.testing.assert_allclose(prior.S, [[w.sum() / data.n]], rtol=1e-12)
 
 
 class TestPriorSettings:
