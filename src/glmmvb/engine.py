@@ -74,7 +74,7 @@ class FitConfig:
     seed: int = 0
     max_iter: int = 200_000
     window: int = 1000
-    tau: int = 5
+    tau: int = 3
     estimator: str = "L2"
     final_elbo_draws: int = 1000
 
@@ -215,12 +215,14 @@ class AdamState:
 
 @dataclass
 class FitResult:
+    # converged: the average of the last window's iterates; else the last iterate
     state: VariationalState
     window_means: np.ndarray
     n_iter: int
     wall_time: float
     elbo: float
     elbo_se: float
+    elbo_rejected: int  # draws of the final ELBO rejected (0 without one)
     converged: bool
     config: FitConfig = field(repr=False)
     start: np.ndarray = field(repr=False)  # the beta the fit began from
@@ -268,7 +270,9 @@ def _diag(mat):
 
 def should_stop(window_means, tau):
     """Least-squares slope over the most recent min(tau, available) window
-    means; stop once it turns negative. Never stops on a single mean."""
+    means; stop once it turns negative. Never stops on a single mean. The
+    ELBO is then on its plateau, where constant-step Adam's iterates scatter
+    about the optimum, so fit returns their average over the last window."""
     k = min(tau, len(window_means))
     if k < 2:
         return False
@@ -405,8 +409,9 @@ def mean_anchor(data, prior, state, method):
 
 
 def elbo_estimate(data, prior, state, method, n_draws, seed):
-    """Monte Carlo ELBO at a fixed state, averaged over fresh draws; a draw
-    whose transforms fail or whose log joint is not finite is rejected."""
+    """Monte Carlo ELBO at a fixed state, averaged over fresh draws: (mean,
+    its standard error, draws rejected). A draw whose transforms fail or
+    whose log joint is not finite is rejected."""
     logdet = state.log_det_c()
     anchor = mean_anchor(data, prior, state, method)
 
@@ -417,10 +422,11 @@ def elbo_estimate(data, prior, state, method, n_draws, seed):
             raise OverflowGuardError("non-finite log joint")
         return (value + logdet + 0.5 * (s * s).sum(axis=-1),)
 
-    vals = np.concatenate([out[0] for out, _ in accepted_draws(
-        state, n_draws, seed, LANE_FINAL, ELBO_CHUNK, draw_block(data), evaluate)])
+    chunks = list(accepted_draws(state, n_draws, seed, LANE_FINAL, ELBO_CHUNK,
+                                 draw_block(data), evaluate))
+    vals = np.concatenate([out[0] for out, _ in chunks])
     mean, sd = scaled_moments(vals)
-    return float(mean), float(sd / np.sqrt(len(vals)))
+    return float(mean), float(sd / np.sqrt(len(vals))), chunks[-1][1]
 
 
 def scaled_moments(vals):
@@ -437,7 +443,11 @@ def fit(data, prior, config=None, **settings):
     """Run the optimizer until the stopping rule fires or max_iter is hit,
     from VariationalState.initial with beta at the pooled GLM's mode under
     the prior on beta (0 if that IRLS raises): FitResult.start. The
-    settings are `config`, or FitConfig(**settings) when it is None."""
+    settings are `config`, or FitConfig(**settings) when it is None.
+
+    A converged fit returns the average of its last window's iterates, the
+    params after each of that window's steps summed in step order (Polyak &
+    Juditsky, 1992); a fit that reaches max_iter returns its last iterate."""
     if config is None:
         config = FitConfig(**settings)
     elif settings:
@@ -456,24 +466,26 @@ def fit(data, prior, config=None, **settings):
     draws, anchor = LaneStream(config.seed, LANE_FIT), None
     t_start = time.perf_counter()
     means = []
-    acc = 0.0
+    acc = total = 0.0  # the window's ELBO samples and iterates, summed
     converged = False
     for it in range(1, config.max_iter + 1):
         elbo, anchor = step(data, prior, config, state, adam, it, draws, anchor)
         acc += elbo
+        total += state.params
         if it % config.window == 0:
             means.append(acc / config.window)
-            acc = 0.0
             if should_stop(means, config.tau):
                 converged = True
+                state.params = total / config.window
                 break
+            acc = total = 0.0
     wall = time.perf_counter() - t_start
 
     if config.final_elbo_draws > 0:
-        elbo, elbo_se = elbo_estimate(data, prior, state, config.method,
-                                      config.final_elbo_draws, config.seed)
+        elbo, elbo_se, rejected = elbo_estimate(data, prior, state, config.method,
+                                                config.final_elbo_draws, config.seed)
     else:
-        elbo, elbo_se = float("nan"), float("nan")
+        elbo, elbo_se, rejected = float("nan"), float("nan"), 0
     return FitResult(state=state, window_means=np.asarray(means), n_iter=it,
-                     wall_time=wall, elbo=elbo, elbo_se=elbo_se,
+                     wall_time=wall, elbo=elbo, elbo_se=elbo_se, elbo_rejected=rejected,
                      converged=converged, config=config, start=start)

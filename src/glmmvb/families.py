@@ -1,7 +1,8 @@
 """One-parameter exponential families with canonical links.
 
-A family is three methods: derivs, the log-partition function h and its
-first k <= 3 derivatives from one pass over eta; eta_hat_reg, a regularized
+A family is four methods: derivs, the log-partition function h and its
+first k <= 3 derivatives from one pass over eta; h3_from_h2, h''' at eta
+from h'' there, which is also derivs' h'''; eta_hat_reg, a regularized
 natural-parameter estimate per observation (the posterior mean of eta
 under the Jeffreys prior, which, unlike the maximum-likelihood estimate,
 is finite on the support boundary); and validate. The log-likelihood is
@@ -60,6 +61,17 @@ class Family:
     def derivs(self, eta, trials, k):
         """(h, h', ..., h^(k)) at eta for k <= 3, from one pass. The arrays
         may share memory, so callers must not write into them."""
+        eta = np.asarray(eta, dtype=float)
+        out = self._derivs(eta, trials, min(k, 2))
+        return out + (self.h3_from_h2(eta, out[2]),) if k == 3 else out
+
+    def _derivs(self, eta, trials, k):
+        """(h, ..., h^(k)) at the array eta for k <= 2."""
+        raise NotImplementedError
+
+    def h3_from_h2(self, eta, h2):
+        """h''' at eta from h2 = h'' there. h2 may carry the trials and a 0/1
+        mask as factors, and the result then carries them too."""
         raise NotImplementedError
 
     def eta_hat_reg(self, y, trials=None):
@@ -83,11 +95,13 @@ class Poisson(Family):
     name = "poisson"
     eta_max = POISSON_ETA_MAX
 
-    def derivs(self, eta, trials, k):
-        eta = np.asarray(eta, dtype=float)
+    def _derivs(self, eta, trials, k):
         if np.any(eta > self.eta_max):
             raise OverflowGuardError("poisson linear predictor exceeded guard")
         return (np.exp(eta),) * (k + 1)
+
+    def h3_from_h2(self, eta, h2):
+        return h2
 
     def eta_hat_reg(self, y, trials=None):
         return _digamma_half(np.asarray(y, dtype=float) + 0.5)
@@ -100,11 +114,10 @@ class Poisson(Family):
 
 
 def _logistic_derivs(eta, k):
-    """Softplus h = log(1 + e^eta) and its derivatives for one trial, from
-    e = exp(-|eta|), which never overflows: h = max(eta, 0) + log1p(e),
-    h' = (1 or e)/(1 + e), h'' = e/(1 + e)^2 (no cancellation at large
-    |eta|) and h''' = -h'' tanh(eta/2) (none near eta = 0)."""
-    eta = np.asarray(eta, dtype=float)
+    """Softplus h = log(1 + e^eta) and its first k <= 2 derivatives for one
+    trial, from e = exp(-|eta|), which never overflows: h = max(eta, 0) +
+    log1p(e), h' = (1 or e)/(1 + e) and h'' = e/(1 + e)^2 (no cancellation
+    at large |eta|)."""
     e = np.exp(-np.abs(eta))
     out = [np.maximum(eta, 0.0) + np.log1p(e)]
     if k >= 1:
@@ -112,8 +125,6 @@ def _logistic_derivs(eta, k):
         out.append(np.where(eta >= 0, 1.0, e) / d)
     if k >= 2:
         out.append(e / (d * d))
-    if k >= 3:
-        out.append(-out[2] * np.tanh(0.5 * eta))
     return tuple(out)
 
 
@@ -128,12 +139,16 @@ class Binomial(Family):
             return np.ones_like(np.asarray(eta_like, dtype=float))
         return np.asarray(trials, dtype=float)
 
-    def derivs(self, eta, trials, k):
+    def _derivs(self, eta, trials, k):
         out = _logistic_derivs(eta, k)
         if trials is None:
             return out
         m = np.asarray(trials, dtype=float)
         return tuple(m * v for v in out)
+
+    def h3_from_h2(self, eta, h2):
+        # -h'' tanh(eta/2): no cancellation near eta = 0
+        return -h2 * np.tanh(0.5 * eta)
 
     def eta_hat_reg(self, y, trials=None):
         y = np.asarray(y, dtype=float)
@@ -158,7 +173,7 @@ class Bernoulli(Binomial):
     def _trials(eta_like, trials):
         return np.ones_like(np.asarray(eta_like, dtype=float))
 
-    def derivs(self, eta, trials, k):
+    def _derivs(self, eta, trials, k):
         return _logistic_derivs(eta, k)
 
     def validate(self, y, trials=None, lines=None):

@@ -9,10 +9,10 @@ raw half-vec gradient in v(W) coordinates is available for checks).
 Both transform methods share one routine: a1 is a2 with the expansion point
 fixed at the regularized estimates instead of the conditional mode, which
 does not move with theta_G, so a1 has no third-derivative correction
-alpha_i. The family is called once per point: derivs gives h and h' at
-eta = X beta + Z b for the value and the residuals and, under a2, h''' at
-the modes (h'' there is the transforms' weight). All functions broadcast
-over leading batch dimensions of theta_G and b~.
+alpha_i. The family is evaluated once: derivs gives h and h' at
+eta = X beta + Z b for the value and the residuals. Under a2, h''' at the
+modes comes from the transforms' weight, mask * h'' there (h3_from_h2).
+All functions broadcast over leading batch dimensions of theta_G and b~.
 """
 
 from dataclasses import dataclass
@@ -74,8 +74,9 @@ def value_and_grad(data, b_tilde, transforms, prior):
     LBL = L @ _sym_lower(local[..., :, None] * b_tilde[..., None, :]) @ np.swapaxes(L, -1, -2)
     alpha = 0.0  # a2 only: the mode moves with theta_G, so a = a - Z'alpha
     if transforms.method == "a2":
-        h3 = data.family.derivs(transforms.base_eta, data.trials, 3)[3]
-        alpha = 0.5 * data.mask * h3 * data.zmz(Lam + LBL)
+        # the weight is mask * h'', so h3 carries the mask too
+        h3 = data.family.h3_from_h2(transforms.base_eta, transforms.weight)
+        alpha = 0.5 * h3 * data.zmz(Lam + LBL)
         a = a - np.einsum("njr,...nj->...nr", data.Z, alpha)
     t1 = np.einsum("...nrs,...ns->...nr", Lam, a)
 

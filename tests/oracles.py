@@ -37,9 +37,11 @@ class GaussianUnit(families.Family):
 
     name = "gaussian-unit"
 
-    def derivs(self, eta, trials, k):
-        eta = np.asarray(eta, dtype=float)
-        return (0.5 * eta * eta, eta, np.ones_like(eta), np.zeros_like(eta))[:k + 1]
+    def _derivs(self, eta, trials, k):
+        return (0.5 * eta * eta, eta, np.ones_like(eta))[:k + 1]
+
+    def h3_from_h2(self, eta, h2):
+        return np.zeros_like(h2)
 
     def eta_hat_reg(self, y, trials=None):
         return np.asarray(y, dtype=float)

@@ -3,6 +3,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from glmmvb import datasets, engine, families, fileio, gradients, matcalc, model, reparam
 from glmmvb.exceptions import ConfigError, DivergedError, OverflowGuardError, RankDeficientError
@@ -339,8 +341,8 @@ class TestStepAndFit:
         cfg = engine.FitConfig(method="a1", seed=4, max_iter=500, window=500,
                                final_elbo_draws=0)
         res = engine.fit(data, prior, cfg)
-        m1, se1 = engine.elbo_estimate(data, prior, res.state, "a1", 200, seed=9)
-        m2, se2 = engine.elbo_estimate(data, prior, res.state, "a1", 3200, seed=9)
+        m1, se1, _ = engine.elbo_estimate(data, prior, res.state, "a1", 200, seed=9)
+        m2, se2, _ = engine.elbo_estimate(data, prior, res.state, "a1", 3200, seed=9)
         assert se2 < se1
         assert abs(m1 - m2) < 5 * np.sqrt(se1 ** 2 + se2 ** 2) + 1e-9
 
@@ -419,6 +421,74 @@ class TestStart:
         np.testing.assert_array_equal(res.state.params, state.params)
 
 
+def _hand_steps(data, prior, cfg, start):
+    """fit's steps written out: (the ELBO sample and the params after each
+    of cfg.max_iter steps from fit's start)."""
+    state = engine.VariationalState.initial(data.n, data.r, data.g)
+    state.split(state.mu)[1][:data.p] = start
+    adam = engine.AdamState.zeros(state.params.size)
+    draws, anchor = engine.LaneStream(cfg.seed, engine.LANE_FIT), None
+    elbos, iterates = [], []
+    for t in range(1, cfg.max_iter + 1):
+        elbo, anchor = engine.step(data, prior, cfg, state, adam, t, draws, anchor)
+        elbos.append(elbo)
+        iterates.append(state.params.copy())
+    return elbos, iterates
+
+
+def _hand_stop(elbos, window, tau):
+    """(window means, n_iter, converged) of the paper's rule over the steps."""
+    means, acc = [], 0.0
+    for it, elbo in enumerate(elbos, 1):
+        acc += elbo
+        if it % window == 0:
+            means.append(acc / window)
+            acc = 0.0
+            if engine.should_stop(means, tau):
+                return means, it, True
+    return means, len(elbos), False
+
+
+class TestReturnedState:
+    """A converged fit returns the average of its last window's iterates, and
+    a fit that reaches max_iter its last iterate; both stop where the paper's
+    rule stops."""
+
+    @settings(max_examples=24, deadline=None, derandomize=True)
+    @given(famname=st.sampled_from(["poisson", "binomial", "bernoulli"]),
+           r=st.sampled_from([1, 2]), method=st.sampled_from(["a1", "a2"]),
+           window=st.sampled_from([1, 5, 20]), max_iter=st.integers(1, 90),
+           seed=st.integers(0, 2 ** 16))
+    @example(famname="poisson", r=1, method="a1", window=1, max_iter=40, seed=0)
+    @example(famname="bernoulli", r=2, method="a2", window=20, max_iter=90, seed=1)
+    @example(famname="binomial", r=1, method="a2", window=5, max_iter=9, seed=2)
+    def test_converged_fits_return_the_window_average(self, famname, r, method, window,
+                                                      max_iter, seed):
+        rng = np.random.default_rng(seed)
+        data = random_dataset(rng, families.by_name(famname), r=r, n=3)
+        prior = model.default_prior(data)
+        elbos = iterates = None
+        for tau in (3, 5):
+            cfg = engine.FitConfig(method=method, seed=seed, max_iter=max_iter, window=window,
+                                   tau=tau, final_elbo_draws=0)
+            res = engine.fit(data, prior, cfg)
+            if elbos is None:
+                elbos, iterates = _hand_steps(data, prior, cfg, res.start)
+            means, n_iter, converged = _hand_stop(elbos, window, tau)
+            assert (res.n_iter, res.converged) == (n_iter, converged)
+            np.testing.assert_array_equal(res.window_means, means)
+            if converged:
+                total = np.zeros_like(iterates[0])
+                for params in iterates[n_iter - window:n_iter]:
+                    total += params
+                want = total / window
+            else:
+                want = iterates[-1]
+            np.testing.assert_array_equal(res.state.params, want)
+            assert all(np.shares_memory(v, res.state.params)
+                       for v in (res.state.mu, res.state.cstar_local, res.state.cstar_global))
+
+
 class TestAcceptedDraws:
     @staticmethod
     def _first_coordinate_at_most_one(s):
@@ -475,8 +545,39 @@ class TestAcceptedDraws:
         state.mu[2] = -354.0
         state.cstar_global[matcalc.diag_positions(2)] = [np.log(0.1), 0.0]
         with pytest.warns(RuntimeWarning, match="rejected"):
-            elbo, se = engine.elbo_estimate(data, prior, state, "a1", 1000, seed=2)
+            elbo, se, _ = engine.elbo_estimate(data, prior, state, "a1", 1000, seed=2)
         assert np.isfinite(elbo) and 0.0 < se < 1.0
+
+    def test_elbo_estimate_reports_the_rejected_draws(self, monkeypatch):
+        # the pathological state of test_elbo_estimate_rejects_pathological_draws
+        data = model.Dataset.from_lists(families.POISSON, [[2.0, 3.0]],
+                                        [[[1.0], [1.0]]], [[[0.0], [0.0]]])
+        prior = model.normal_omega_prior(1)
+        state = engine.VariationalState.initial(1, 1, 2)
+        state.mu[2] = -354.0
+        state.cstar_global[matcalc.diag_positions(2)] = [np.log(0.1), 0.0]
+        yielded, accepted_draws = [], engine.accepted_draws
+
+        def recorded(*args):
+            for out, rejected in accepted_draws(*args):
+                yielded.append(rejected)
+                yield out, rejected
+
+        monkeypatch.setattr(engine, "accepted_draws", recorded)
+        with pytest.warns(RuntimeWarning, match="rejected"):
+            _, _, rejected = engine.elbo_estimate(data, prior, state, "a1", 1000, seed=2)
+        assert rejected == yielded[-1] > 0
+
+    @pytest.mark.parametrize("final_elbo_draws", [0, 200])
+    def test_fit_records_the_final_elbo_and_its_rejected_draws(self, final_elbo_draws):
+        data, prior = micro_model()
+        res = engine.fit(data, prior, method="a1", seed=3, max_iter=300, window=100,
+                         final_elbo_draws=final_elbo_draws)
+        if final_elbo_draws:
+            assert (res.elbo, res.elbo_se, res.elbo_rejected) == engine.elbo_estimate(
+                data, prior, res.state, "a1", final_elbo_draws, 3)
+        else:
+            assert np.isnan(res.elbo) and np.isnan(res.elbo_se) and res.elbo_rejected == 0
 
     def test_elbo_estimate_near_the_largest_float_is_finite(self):
         # the pathological state of test_rejection_of_pathological_draws: the
@@ -489,7 +590,7 @@ class TestAcceptedDraws:
         state.mu[2] = 355.0
         state.cstar_global[matcalc.diag_positions(2)] = [np.log(1e-12), np.log(0.3)]
         with pytest.warns(RuntimeWarning, match="rejected"):
-            elbo, se = engine.elbo_estimate(data, prior, state, "a1", 400, seed=4)
+            elbo, se, _ = engine.elbo_estimate(data, prior, state, "a1", 400, seed=4)
         assert np.isfinite(elbo) and np.isfinite(se) and se > 0.0
         assert elbo < -1e300
 

@@ -51,6 +51,17 @@ class TestLogPartitionDerivatives:
     def test_bernoulli_value(self):
         assert abs(families.BERNOULLI.derivs(2.0, None, 1)[1] - 0.88) < 0.005
 
+    @pytest.mark.parametrize("with_trials", [False, True], ids=["no-trials", "trials"])
+    @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.name)
+    def test_h3_from_h2_is_the_third_derivative(self, fam, with_trials):
+        eta = np.linspace(-40.0, 40.0, 161)
+        m = np.full_like(eta, 7.0) if with_trials else None
+        _, _, h2, h3 = fam.derivs(eta, m, 3)
+        np.testing.assert_array_equal(fam.h3_from_h2(eta, h2), h3)
+        # as the a2 gradient takes it, from the weight mask * h''
+        mask = (np.arange(eta.size) % 3 > 0).astype(float)
+        np.testing.assert_array_equal(fam.h3_from_h2(eta, mask * h2), mask * h3)
+
     def test_gaussian_unit(self):
         h, h1, h2, h3 = oracles.GAUSSIAN_UNIT.derivs(3.0, None, 3)
         assert h == 4.5
@@ -133,7 +144,7 @@ class TestAccuracy:
 
 # the public methods of a family, and the logistic kernels that families.py
 # replaced by its own one-exponential forms
-FAMILY_METHODS = {"derivs", "eta_hat_reg", "validate"}
+FAMILY_METHODS = {"derivs", "h3_from_h2", "eta_hat_reg", "validate"}
 LOGISTIC_KERNELS = {"logaddexp", "expit"}
 
 
@@ -150,7 +161,7 @@ def _kernel_uses(source):
 
 
 class TestFamilyInterface:
-    def test_families_define_only_the_three_methods(self):
+    def test_families_define_only_the_interface_methods(self):
         extra = {(cls.__name__, name) for cls in vars(families).values()
                  if isinstance(cls, type) and issubclass(cls, families.Family)
                  for name, attr in vars(cls).items()

@@ -269,8 +269,8 @@ def _count_family_calls(monkeypatch, fam):
 class TestOneFamilyCallPerPoint:
     """h and its derivatives at one eta come from one derivs call: an a1
     step evaluates the family once, at the draw's eta (h'' at the
-    regularized estimates is cached), and an a2 gradient twice, at the
-    draw's eta and at the modes (h''' there; the transforms carry h'')."""
+    regularized estimates is cached), and so does an a2 gradient: it takes
+    h''' at the modes from the transforms' weight, mask * h'' there."""
 
     def test_a1_step(self, rng, monkeypatch):
         data = random_dataset(rng, families.BINOMIAL, r=2, n=4, p=2)
@@ -294,6 +294,13 @@ class TestOneFamilyCallPerPoint:
         t = reparam.build_transforms(data, gp, "a2")
         b_tilde = rng.standard_normal(lead + (data.n, 2))
         calls = _count_family_calls(monkeypatch, data.family)
+        third, h3_from_h2 = [], data.family.h3_from_h2
+
+        def recorded(eta, h2):
+            third.append((eta, h2))
+            return h3_from_h2(eta, h2)
+
+        monkeypatch.setattr(data.family, "h3_from_h2", recorded)
         gradients.value_and_grad(data, b_tilde, t, prior)
-        assert len(calls) == 2
-        assert sum(eta is t.base_eta for eta in calls) == 1
+        assert len(calls) == 1 and calls[0] is not t.base_eta
+        assert len(third) == 1 and third[0][0] is t.base_eta and third[0][1] is t.weight

@@ -1,9 +1,11 @@
 """The package's runtime dependency is numpy alone: no module imports scipy,
 which only the tests' reference implementations use. The demos import only
 names the package has, and call its fit and simulation entry points with
-arguments their signatures take."""
+arguments their signatures take. README's FitConfig table lists FitConfig's
+fields with their defaults."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -16,7 +18,8 @@ import pytest
 import glmmvb
 
 PACKAGE = pathlib.Path(glmmvb.__file__).parent
-DEMOS = sorted((pathlib.Path(__file__).parents[1] / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # the entry points whose calls in the demos are checked against their signatures
 CHECKED = (glmmvb.FitConfig, glmmvb.fit, glmmvb.simulate_dataset, glmmvb.normal_omega_prior,
            glmmvb.simulate_b, glmmvb.fit_sharded)
@@ -115,3 +118,31 @@ class TestDemos:
         assert _checked_calls(source) == [
             (2, "fit", {"data": None, "prior": None, "config": None}),
             (3, "fit", {"data": None, "prior": None, "settings": {"method": None}})]
+
+
+def _settings_table(text):
+    """{setting: default} of the README table headed | setting | default |,
+    each default read as a Python literal once its thousands commas go."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.replace(" ", "").startswith("|setting|default|"))
+    rows = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        name, default = (cell.strip().strip("`") for cell in line.split("|")[1:3])
+        rows[name] = ast.literal_eval(default.replace(",", ""))
+    return rows
+
+
+class TestReadme:
+    def test_fit_config_table_matches_the_fields(self):
+        table = _settings_table((ROOT / "README.md").read_text())
+        fields = {f.name: f.default for f in dataclasses.fields(glmmvb.FitConfig)}
+        assert list(table) == list(fields)
+        assert table == fields
+
+    def test_reads_quoted_and_grouped_defaults(self):
+        text = ("intro\n\n| setting | default | meaning |\n|---|---|---|\n"
+                "| `method` | `\"a2\"` | m |\n| `max_iter` | 200,000 | n |\n\nafter\n")
+        assert _settings_table(text) == {"method": "a2", "max_iter": 200_000}
