@@ -48,13 +48,13 @@ def build_parser():
 
 
 def _make_prior(args, data):
+    if (args.prior == "file") != (args.prior_file is not None):
+        raise ConfigError("--prior file and --prior-file go together")
     if args.prior == "default":
         return model.default_prior(data, sigma_beta2=args.sigma_beta2)
     if args.prior == "normal-omega":
         return model.normal_omega_prior(data.r, sigma_beta2=args.sigma_beta2,
                                         sd=args.omega_prior_sd)
-    if args.prior_file is None:
-        raise ConfigError("--prior file requires --prior-file")
     return fileio.read_prior_file(args.prior_file, data.r)
 
 
@@ -76,8 +76,6 @@ def run(args):
                            intercept=args.intercept)
     if not 1 <= args.shards <= data.n:
         raise InvalidVError(f"--shards must be in [1, {data.n}]")
-    if args.shards > 1 and args.prior != "normal-omega":
-        raise ConfigError("sharded fits require --prior normal-omega")
     prior = _make_prior(args, data)
     config = engine.FitConfig(method=args.method, seed=args.seed,
                               max_iter=args.max_iter, estimator=args.estimator)

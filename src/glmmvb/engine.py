@@ -39,7 +39,8 @@ ADAM_EPS = 1e-8
 
 def _check_seed(seed):
     """Raise ConfigError unless seed is a Philox key: an integer in [0, 2^128)."""
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2 ** 128):
+    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
+            and 0 <= seed < 2 ** 128):
         raise ConfigError(f"seed must be an integer in [0, 2^128), got {seed!r}")
 
 
@@ -185,10 +186,10 @@ class VariationalState:
         glob = np.einsum("rs,...s->...r", c_glob, s_glob) + mu_glob
         return self._join(loc, glob)
 
-    def cinv_t(self, s, blocks=None):
-        """C^{-T} s, blockwise triangular solves (LAPACK for the global block,
-        where substitution would take g Python-level sweeps)."""
-        c_loc, c_glob = blocks or self.blocks()
+    def cinv_t(self, s, blocks):
+        """C^{-T} s from blocks(), blockwise triangular solves (LAPACK for the
+        global block, where substitution would take g Python-level sweeps)."""
+        c_loc, c_glob = blocks
         s_loc, s_glob = self.split(s)
         glob = np.linalg.solve(c_glob.T, s_glob[..., None])[..., 0]
         return self._join(matcalc.solve_lower(c_loc, s_loc, trans=True), glob)
@@ -273,10 +274,7 @@ def should_stop(window_means, tau):
     means; stop once it turns negative. Never stops on a single mean. The
     ELBO is then on its plateau, where constant-step Adam's iterates scatter
     about the optimum, so fit returns their average over the last window."""
-    k = min(tau, len(window_means))
-    if k < 2:
-        return False
-    return window_slope(window_means, tau) < 0.0
+    return len(window_means) >= 2 and window_slope(window_means, tau) < 0.0
 
 
 def window_slope(window_means, tau):
@@ -334,8 +332,8 @@ def step(data, prior, config, state, adam, t, draws, anchor=None):
     if not math.isfinite(elbo):
         raise DivergedError(f"iteration {t}: non-finite ELBO sample {elbo}")
 
-    grad_vec = grad.concat(include_omega=prior.learns_omega)
-    g_mu, gv_loc, gv_glob = estimator(state, s, grad_vec, config.estimator, blocks)
+    # omega's block is last, and d leaves it out when the prior fixes omega
+    g_mu, gv_loc, gv_glob = estimator(state, s, grad[:state.d], config.estimator, blocks)
     # chain rule into C*: scale diagonal positions by the current diagonals
     c_loc, c_glob = blocks
     gv_loc[..., matcalc.diag_positions(state.r)] *= _diag(c_loc)

@@ -1,13 +1,13 @@
 """One-parameter exponential families with canonical links.
 
 A family is four methods: derivs, the log-partition function h and its
-first k <= 3 derivatives from one pass over eta; h3_from_h2, h''' at eta
-from h'' there, which is also derivs' h'''; eta_hat_reg, a regularized
-natural-parameter estimate per observation (the posterior mean of eta
-under the Jeffreys prior, which, unlike the maximum-likelihood estimate,
-is finite on the support boundary); and validate. The log-likelihood is
-y*eta - h(eta): additive constants that do not depend on eta are dropped
-throughout the package so that lower bounds are comparable.
+first k <= 2 derivatives from one pass over eta; h3_from_h2, h''' at eta
+from h'' there; eta_hat_reg, a regularized natural-parameter estimate
+per observation (the posterior mean of eta under the Jeffreys prior,
+which, unlike the maximum-likelihood estimate, is finite on the support
+boundary); and validate. The log-likelihood is y*eta - h(eta): additive
+constants that do not depend on eta are dropped throughout the package
+so that lower bounds are comparable.
 
 All functions are vectorized over numpy arrays of eta / y / trials. The
 digamma of eta_hat_reg is computed here with numpy alone (it is only ever
@@ -59,14 +59,8 @@ class Family:
     eta_max = np.inf
 
     def derivs(self, eta, trials, k):
-        """(h, h', ..., h^(k)) at eta for k <= 3, from one pass. The arrays
+        """(h, h', ..., h^(k)) at eta for k <= 2, from one pass. The arrays
         may share memory, so callers must not write into them."""
-        eta = np.asarray(eta, dtype=float)
-        out = self._derivs(eta, trials, min(k, 2))
-        return out + (self.h3_from_h2(eta, out[2]),) if k == 3 else out
-
-    def _derivs(self, eta, trials, k):
-        """(h, ..., h^(k)) at the array eta for k <= 2."""
         raise NotImplementedError
 
     def h3_from_h2(self, eta, h2):
@@ -95,7 +89,7 @@ class Poisson(Family):
     name = "poisson"
     eta_max = POISSON_ETA_MAX
 
-    def _derivs(self, eta, trials, k):
+    def derivs(self, eta, trials, k):
         if np.any(eta > self.eta_max):
             raise OverflowGuardError("poisson linear predictor exceeded guard")
         return (np.exp(eta),) * (k + 1)
@@ -139,7 +133,7 @@ class Binomial(Family):
             return np.ones_like(np.asarray(eta_like, dtype=float))
         return np.asarray(trials, dtype=float)
 
-    def _derivs(self, eta, trials, k):
+    def derivs(self, eta, trials, k):
         out = _logistic_derivs(eta, k)
         if trials is None:
             return out
@@ -173,7 +167,7 @@ class Bernoulli(Binomial):
     def _trials(eta_like, trials):
         return np.ones_like(np.asarray(eta_like, dtype=float))
 
-    def _derivs(self, eta, trials, k):
+    def derivs(self, eta, trials, k):
         return _logistic_derivs(eta, k)
 
     def validate(self, y, trials=None, lines=None):

@@ -15,29 +15,9 @@ modes comes from the transforms' weight, mask * h'' there (h3_from_h2).
 All functions broadcast over leading batch dimensions of theta_G and b~.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import matcalc, model
-
-
-@dataclass
-class JointGradient:
-    """Gradient blocks in theta~ order: locals, then beta, then omega."""
-
-    local: np.ndarray  # (..., n, r)
-    beta: np.ndarray   # (..., p)
-    omega: np.ndarray  # (..., g2)
-
-    def concat(self, include_omega=True):
-        flat_local = self.local.reshape(self.local.shape[:-2] + (-1,))
-        parts = [flat_local, self.beta] + ([self.omega] if include_omega else [])
-        leads = {a.shape[:-1] for a in parts}
-        if len(leads) > 1:
-            lead = np.broadcast_shapes(*leads)
-            parts = [np.broadcast_to(a, lead + a.shape[-1:]) for a in parts]
-        return np.concatenate(parts, axis=-1)
 
 
 def _score(data, gp, b, h1):
@@ -61,7 +41,9 @@ def _sym_lower(B):
 def value_and_grad(data, b_tilde, transforms, prior):
     """Reparametrized log joint (equal to model.log_joint_reparam) and its
     full gradient at (b~, theta_G), theta_G being transforms.gp, from one
-    pass: b, eta and the residuals are computed once and shared.
+    pass: b, eta and the residuals are computed once and shared. The
+    gradient is one (..., n*r + p + g2) vector in theta~ order: b~ (n, r)
+    flattened, beta, omega.
     """
     gp, L, lam, Lam = transforms.gp, transforms.L, transforms.lam, transforms.Lambda
     b = transforms.invert(b_tilde)
@@ -90,7 +72,8 @@ def value_and_grad(data, b_tilde, transforms, prior):
          + Lam + LBL).sum(axis=-3)
     raw = data.n * gp.W_inv_t - M @ gp.W
     omega_grad = matcalc.dweight(gp.W) * matcalc.halfvec(raw) + prior.grad_omega(gp)
-    return value, JointGradient(local, beta_grad, omega_grad)
+    flat_local = local.reshape(local.shape[:-2] + (-1,))
+    return value, np.concatenate([flat_local, beta_grad, omega_grad], axis=-1)
 
 
 def grad_full(data, b_tilde, transforms, prior):

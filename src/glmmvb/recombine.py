@@ -13,6 +13,7 @@ single machine only. Local posteriors stay shard-local and are reported per
 shard.
 """
 
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -44,8 +45,8 @@ class ShardedFitResult:
 def partition(n, V, seed):
     """Random balanced partition of range(n) into V parts (sizes differ by
     at most one), deterministic per seed."""
-    if not 1 <= V <= n:
-        raise InvalidVError(f"need 1 <= V <= n, got V={V}, n={n}")
+    if not (isinstance(V, numbers.Integral) and not isinstance(V, bool) and 1 <= V <= n):
+        raise InvalidVError(f"need an integer 1 <= V <= n, got V={V!r}, n={n}")
     rng = engine.stream(seed, engine.LANE_PART, 0)
     perm = rng.permutation(n)
     base, rem = divmod(n, V)

@@ -91,16 +91,10 @@ def _eta(data, Xbeta, b):
     return Xbeta + np.einsum("njr,...nr->...nj", data.Z, b)
 
 
-def _conditional_objective(data, Xbeta, Omega, b, eta=None, h=None, Om_b=None):
+def _conditional_objective(data, b, eta, h, Om_b):
     """Per-subject log p(y_i, b_i | theta_G) up to constants:
-    sum_j {y eta - h(eta)} - b'Omega b / 2, with eta = X beta + Z b, h(eta)
-    and Omega b computed here unless the caller has them."""
-    if eta is None:
-        eta = _eta(data, Xbeta, b)
-    if h is None:
-        h = data.family.derivs(eta, data.trials, 0)[0]
-    if Om_b is None:
-        Om_b = _omega_b(Omega, b)
+    sum_j {y eta - h(eta)} - b'Omega b / 2, from eta = X beta + Z b, h(eta)
+    and Omega b."""
     ll = data.y * eta  # the one (..., n, J) temporary
     ll -= h
     ll *= data.mask
@@ -123,7 +117,7 @@ def _evaluate(data, Xbeta, Omega, b, eta=None):
         eta = _eta(data, Xbeta, b)
     h, h1, h2 = data.family.derivs(eta, data.trials, 2)
     Om_b = _omega_b(Omega, b)
-    return _conditional_objective(data, Xbeta, Omega, b, eta, h, Om_b), h1, h2, eta, Om_b
+    return _conditional_objective(data, b, eta, h, Om_b), h1, h2, eta, Om_b
 
 
 def transform_a2(data, gp, start=None):
@@ -133,10 +127,12 @@ def transform_a2(data, gp, start=None):
     per-subject step halving, iterated essentially to stationarity (the
     global-parameter gradient formulas differentiate the mode implicitly,
     which requires the stationarity equation to hold tightly). The search
-    starts from start, (n, r) or broadcastable to the batch, when given
-    (build_transforms passes the modes predicted from an anchor), and
-    otherwise from a1's lambda, the mean of the same Gaussian approximation
-    taken about the regularized estimates instead of the mode.
+    starts from start, full-shaped (..., n, r), when given (build_transforms
+    passes the modes predicted from an anchor), and otherwise from a1's
+    lambda, the mean of the same Gaussian approximation taken about the
+    regularized estimates instead of the mode. Each step rebinds b and none
+    writes into it, so the start is not copied (the modes are start itself
+    if no step moves them).
     Each point is evaluated once (_evaluate): an accepted candidate is the
     next point, with its eta, Omega b, h' and h'', which give the next
     gradient and precision; the last point's eta is the expansion point
@@ -149,12 +145,7 @@ def transform_a2(data, gp, start=None):
     Omega = gp.Omega
     eta_max = data.family.eta_max
     Xbeta = np.einsum("njp,...p->...nj", data.X, gp.beta)
-    b = transform_a1(data, gp).lam if start is None else np.asarray(start, dtype=float)
-    shape = np.broadcast_shapes(Xbeta.shape[:-1] + (data.r,), Omega.shape[:-2] + (data.n, data.r))
-    # each step rebinds b and none writes into it, so a full-shaped start is
-    # not copied (the modes are start itself if no step moves them)
-    if b.shape != shape:
-        b = np.broadcast_to(b, shape).copy()
+    b = transform_a1(data, gp).lam if start is None else start
     f, h1, h2, eta, Om_b = _evaluate(data, Xbeta, Omega, b)
     for it in range(NR_MAX_ITER + 1):
         grad = np.einsum("njr,...nj->...nr", data.Z, data.mask * (data.y - h1)) - Om_b

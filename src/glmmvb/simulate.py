@@ -45,22 +45,19 @@ SCENARIOS = {
 
 
 def simulate_dataset(scenario, seed, n=N):
-    """Simulate one dataset of n subjects; returns (Dataset, truth record).
-
-    `scenario` is a name from SCENARIOS or a ScenarioSpec. Deterministic
-    per seed.
-    """
-    spec = SCENARIOS[scenario] if isinstance(scenario, str) else scenario
+    """Simulate one dataset of n subjects of the scenario of that name in
+    SCENARIOS; returns (Dataset, truth record). Deterministic per seed."""
+    if scenario not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {scenario!r}")
+    spec = SCENARIOS[scenario]
     if n < 1:
         raise ConfigError(f"need n >= 1, got n={n}")
     rng = engine.stream(seed, engine.LANE_SIM, 0)
 
     if spec.x_rule == "visit":
         x = np.tile((np.arange(1, N_I + 1) - 4.0) / 10.0, (n, 1))
-    elif spec.x_rule == "bernoulli":
+    else:  # "bernoulli"
         x = rng.integers(0, 2, size=(n, N_I)).astype(float)
-    else:
-        raise ConfigError(f"unknown covariate rule {spec.x_rule!r}")
 
     b = SIGMA * rng.standard_normal(n)
     eta = spec.beta[0] + spec.beta[1] * x + b[:, None]
@@ -71,11 +68,9 @@ def simulate_dataset(scenario, seed, n=N):
     elif fam.name == "bernoulli":
         y = (rng.random(eta.shape) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
         trials = None
-    elif fam.name == "binomial":
+    else:  # "binomial"
         y = rng.binomial(spec.trials, 1.0 / (1.0 + np.exp(-eta))).astype(float)
         trials = np.full((n, N_I), float(spec.trials))
-    else:
-        raise ConfigError(f"scenario family {fam.name!r} not supported")
 
     X = np.stack([np.ones_like(x), x], axis=-1)
     Z = np.ones((n, N_I, 1))

@@ -72,6 +72,13 @@ def reparam_value(data, theta, method, prior):
     return model.log_joint_reparam(data, b_tilde, transforms, prior)
 
 
+def grad_blocks(data, grad):
+    """(b~ (..., n, r), beta, omega) blocks of a value_and_grad gradient."""
+    nr = data.n * data.r
+    local = grad[..., :nr].reshape(grad.shape[:-1] + (data.n, data.r))
+    return local, grad[..., nr:nr + data.p], grad[..., nr + data.p:]
+
+
 def fd_gradient(f, x, h=1e-5):
     """Central finite differences of a scalar function."""
     x = np.asarray(x, dtype=float)

@@ -37,7 +37,7 @@ class GaussianUnit(families.Family):
 
     name = "gaussian-unit"
 
-    def _derivs(self, eta, trials, k):
+    def derivs(self, eta, trials, k):
         return (0.5 * eta * eta, eta, np.ones_like(eta))[:k + 1]
 
     def h3_from_h2(self, eta, h2):
@@ -240,7 +240,7 @@ def transform_a2(data, gp, start=None):
     b0 = reparam.transform_a1(data, gp).lam if start is None else start
     b = np.broadcast_to(b0, np.broadcast_shapes(Xbeta.shape[:-1] + (data.r,),
                                                 Omega.shape[:-2] + (data.n, data.r))).copy()
-    f = reparam._conditional_objective(data, Xbeta, Omega, b)
+    f = reparam._evaluate(data, Xbeta, Omega, b)[0]
     for it in range(reparam.NR_MAX_ITER + 1):
         eta = Xbeta + np.einsum("njr,...nr->...nj", data.Z, b)
         Om_b = np.einsum("...rs,...ns->...nr", Omega, b)
@@ -260,8 +260,8 @@ def transform_a2(data, gp, start=None):
             # a candidate beyond the family's eta_max is no ascent
             eta_c = Xbeta + np.einsum("njr,...nr->...nj", data.Z, cand)
             over = (eta_c > fam.eta_max).any(axis=-1)
-            f_new = np.where(over, -np.inf, reparam._conditional_objective(
-                data, Xbeta, Omega, cand, np.where(over[..., None], 0.0, eta_c)))
+            f_new = np.where(over, -np.inf, reparam._evaluate(
+                data, Xbeta, Omega, cand, np.where(over[..., None], 0.0, eta_c))[0])
             bad = active & (f_new < f - 1e-10 * (np.abs(f) + 1.0)) & (t > 0)
             if not bad.any():
                 break

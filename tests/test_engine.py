@@ -95,7 +95,7 @@ class TestParamsLayout:
 class TestFitConfig:
     @pytest.mark.parametrize("setting", [
         {"final_elbo_draws": -5}, {"final_elbo_draws": 1},
-        {"seed": -1}, {"seed": 2 ** 128},
+        {"seed": -1}, {"seed": 2 ** 128}, {"seed": True},
     ], ids=lambda setting: "{}={}".format(*next(iter(setting.items()))))
     def test_rejects_settings_that_give_wrong_fits(self, setting):
         with pytest.raises(ConfigError):
@@ -211,7 +211,7 @@ class TestEstimators:
         b_tilde, glob = state.split(theta)
         gp = engine._global_params(data, prior, glob)
         grad = gradients.grad_full(data, b_tilde, reparam.build_transforms(data, gp, "a1"), prior)
-        gvec = grad.concat(include_omega=False)
+        gvec = grad[..., :state.d]
         means, ses = {}, {}
         for which in ("L1", "L2", "L3"):
             gmu, _, _ = engine.estimator(state, s, gvec, which)
@@ -717,7 +717,7 @@ class TestLaneStream:
             np.testing.assert_array_equal(engine.stream(seed, engine.LANE_SIM, t).standard_normal(5),
                                           ref)
 
-    @pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.5, True])
     def test_seed_is_checked(self, seed):
         with pytest.raises(ConfigError, match="seed"):
             engine.LaneStream(seed, engine.LANE_FIT)

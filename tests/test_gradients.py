@@ -9,6 +9,7 @@ import oracles
 from conftest import (
     ALL_FAMILIES,
     fd_gradient,
+    grad_blocks,
     max_rel_err,
     random_dataset,
     random_gp,
@@ -25,7 +26,7 @@ def full_fd(data, gp, b_tilde, method, prior, h=1e-5):
 
 def analytic(data, gp, b_tilde, method, prior):
     return gradients.grad_full(data, b_tilde, reparam.build_transforms(data, gp, method),
-                               prior).concat()
+                               prior)
 
 
 class TestAVec:
@@ -93,8 +94,8 @@ class TestLocalBlocks:
         gp = random_gp(rng, 2, 1)
         pr = random_wishart_prior(rng, 1)
         t = reparam.build_transforms(data, gp, "a2")
-        g = gradients.grad_full(data, np.zeros((4, 1)), t, pr)
-        assert np.abs(g.local).max() < 1e-7
+        local, _, _ = grad_blocks(data, gradients.grad_full(data, np.zeros((4, 1)), t, pr))
+        assert np.abs(local).max() < 1e-7
 
 
 class TestGlobalBlocks:
@@ -104,9 +105,9 @@ class TestGlobalBlocks:
         gp = random_gp(rng, 2, 1)
         pr = random_wishart_prior(rng, 1)
         t = reparam.build_transforms(data, gp, "a1")
-        g = gradients.grad_full(data, np.zeros((0, 1)), t, pr)
-        np.testing.assert_allclose(g.beta, -gp.beta / pr.sigma_beta2, atol=1e-14)
-        np.testing.assert_allclose(g.omega, pr.grad_omega(gp), atol=1e-14)
+        _, beta, omega = grad_blocks(data, gradients.grad_full(data, np.zeros((0, 1)), t, pr))
+        np.testing.assert_allclose(beta, -gp.beta / pr.sigma_beta2, atol=1e-14)
+        np.testing.assert_allclose(omega, pr.grad_omega(gp), atol=1e-14)
 
     def test_gaussian_methods_agree(self, rng):
         for _ in range(10):
@@ -115,10 +116,12 @@ class TestGlobalBlocks:
             gp = random_gp(rng, 2, r)
             pr = random_wishart_prior(rng, r)
             bt = rng.standard_normal((3, r))
-            g1 = gradients.grad_full(data, bt, reparam.build_transforms(data, gp, "a1"), pr)
-            g2 = gradients.grad_full(data, bt, reparam.build_transforms(data, gp, "a2"), pr)
-            np.testing.assert_allclose(g1.beta, g2.beta, atol=1e-10)
-            np.testing.assert_allclose(g1.omega, g2.omega, atol=1e-10)
+            g1 = grad_blocks(data, gradients.grad_full(
+                data, bt, reparam.build_transforms(data, gp, "a1"), pr))
+            g2 = grad_blocks(data, gradients.grad_full(
+                data, bt, reparam.build_transforms(data, gp, "a2"), pr))
+            np.testing.assert_allclose(g1[1], g2[1], atol=1e-10)
+            np.testing.assert_allclose(g1[2], g2[2], atol=1e-10)
 
     def test_bernoulli_alpha_hand_assembly(self, rng):
         # single subject, single observation: alpha has one entry
@@ -134,8 +137,9 @@ class TestGlobalBlocks:
         base = float(gp.beta[0] + t.lam[0, 0])
         sig = 1.0 / (1.0 + np.exp(-base))
         alpha_hand = 0.5 * sig * (1 - sig) * (1 - 2 * sig) * float(S[0, 0, 0])
-        w = data.mask * data.family.derivs(t.base_eta, data.trials, 2)[2]
-        alpha_code = 0.5 * data.mask * data.family.derivs(t.base_eta, data.trials, 3)[3] * \
+        h2 = data.family.derivs(t.base_eta, data.trials, 2)[2]
+        w = data.mask * h2
+        alpha_code = 0.5 * data.mask * data.family.h3_from_h2(t.base_eta, h2) * \
             np.einsum("njr,nrs,njs->nj", data.Z, S, data.Z)
         np.testing.assert_allclose(alpha_code[0, 0], alpha_hand, rtol=1e-12)
         assert w.shape == (1, 1)
@@ -145,13 +149,15 @@ class TestGlobalBlocks:
         gp = random_gp(rng, 2, 1)
         pr = random_wishart_prior(rng, 1)
         bt = rng.standard_normal((5, 1))
-        g = gradients.grad_full(data, bt, reparam.build_transforms(data, gp, "a1"), pr)
+        g = grad_blocks(data, gradients.grad_full(
+            data, bt, reparam.build_transforms(data, gp, "a1"), pr))
         perm = rng.permutation(5)
         sub = data.subset(perm)
-        gperm = gradients.grad_full(sub, bt[perm], reparam.build_transforms(sub, gp, "a1"), pr)
-        np.testing.assert_allclose(gperm.local, g.local[perm], atol=1e-12)
-        np.testing.assert_allclose(gperm.beta, g.beta, atol=1e-12)
-        np.testing.assert_allclose(gperm.omega, g.omega, atol=1e-12)
+        gperm = grad_blocks(sub, gradients.grad_full(
+            sub, bt[perm], reparam.build_transforms(sub, gp, "a1"), pr))
+        np.testing.assert_allclose(gperm[0], g[0][perm], atol=1e-12)
+        np.testing.assert_allclose(gperm[1], g[1], atol=1e-12)
+        np.testing.assert_allclose(gperm[2], g[2], atol=1e-12)
 
 
 ALL_COMBOS = [(f, m, r) for f in ["poisson", "binomial", "bernoulli", "gaussian-unit"]

@@ -1,13 +1,14 @@
 """The package's runtime dependency is numpy alone: no module imports scipy,
-which only the tests' reference implementations use. The demos import only
-names the package has, and call its fit and simulation entry points with
-arguments their signatures take. README's FitConfig table lists FitConfig's
-fields with their defaults."""
+which only the tests' reference implementations use. The demos and the
+benchmark import only names the package has, and call its entry points and
+the functions of its modules with arguments their signatures take. README's
+FitConfig table lists FitConfig's fields with their defaults."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import itertools
 import os
 import pathlib
 import subprocess
@@ -20,6 +21,8 @@ import glmmvb
 PACKAGE = pathlib.Path(glmmvb.__file__).parent
 ROOT = pathlib.Path(__file__).parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# the benchmark's scripts that call the package
+BENCHMARKS = [ROOT / "benchmarks" / "workloads.py", ROOT / "benchmarks" / "selftest.py"]
 # the entry points whose calls in the demos are checked against their signatures
 CHECKED = (glmmvb.FitConfig, glmmvb.fit, glmmvb.simulate_dataset, glmmvb.normal_omega_prior,
            glmmvb.simulate_b, glmmvb.fit_sharded)
@@ -66,11 +69,13 @@ class TestNumpyOnlyRuntime:
 
 
 def _checked_calls(source):
-    """(line, callee, bound arguments) of each call of a CHECKED entry point
-    in a module, by the name it imported from glmmvb. Resolving an imported
-    name the package lacks raises ImportError, and binding arguments the
-    signature does not take raises TypeError. fit's keyword settings are
-    bound to FitConfig."""
+    """(line, callee, bound arguments) of each call in a module of a CHECKED
+    entry point, by the name it imported from glmmvb, and of each call
+    module.attr(...) on a glmmvb module it imported, whose callee is named
+    "module.attr". Resolving an imported name the package lacks raises
+    ImportError, an attribute the module lacks AttributeError, and binding
+    arguments the signature does not take TypeError. fit's keyword settings
+    are bound to FitConfig."""
     tree = ast.parse(source)
     names = {}
     for node in ast.walk(tree):
@@ -83,16 +88,26 @@ def _checked_calls(source):
                     else importlib.import_module(f"{node.module}.{alias.name}"))
     found = []
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+        if not isinstance(node, ast.Call):
             continue
-        callee = names.get(node.func.id)
-        if callee not in CHECKED:
+        func = node.func
+        if isinstance(func, ast.Name) and names.get(func.id) in CHECKED:
+            callee = names[func.id]
+            name = callee.__name__
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+              and inspect.ismodule(names.get(func.value.id))):
+            callee = getattr(names[func.value.id], func.attr)
+            name = f"{func.value.id}.{func.attr}"
+        else:
             continue
+        # a starred argument stands for any number: bind only those before it
+        positional = list(itertools.takewhile(lambda a: not isinstance(a, ast.Starred),
+                                              node.args))
         bound = inspect.signature(callee).bind_partial(
-            *[None] * len(node.args), **{kw.arg: None for kw in node.keywords if kw.arg})
+            *[None] * len(positional), **{kw.arg: None for kw in node.keywords if kw.arg})
         if callee is glmmvb.fit:
             inspect.signature(glmmvb.FitConfig).bind_partial(**bound.arguments.get("settings", {}))
-        found.append((node.lineno, callee.__name__, dict(bound.arguments)))
+        found.append((node.lineno, name, dict(bound.arguments)))
     return found
 
 
@@ -102,7 +117,8 @@ class TestDemos:
         assert _checked_calls(path.read_text())
 
     def test_every_entry_point_is_called_by_a_demo(self):
-        called = {name for path in DEMOS for _, name, _ in _checked_calls(path.read_text())}
+        called = {name for path in DEMOS for _, name, _ in _checked_calls(path.read_text())
+                  if "." not in name}
         assert called == {entry.__name__ for entry in CHECKED}
 
     def test_finds_what_the_package_does_not_take(self):
@@ -118,6 +134,27 @@ class TestDemos:
         assert _checked_calls(source) == [
             (2, "fit", {"data": None, "prior": None, "config": None}),
             (3, "fit", {"data": None, "prior": None, "settings": {"method": None}})]
+
+
+class TestBenchmark:
+    @pytest.mark.parametrize("path", BENCHMARKS, ids=lambda path: path.name)
+    def test_calls_match_the_package(self, path):
+        assert any("." in name for _, name, _ in _checked_calls(path.read_text()))
+
+    def test_finds_module_calls_the_package_does_not_take(self):
+        with pytest.raises(TypeError):
+            _checked_calls("from glmmvb import fileio\n"
+                           "fileio.write_trace(path, means, 1000, 'extra')\n")
+        with pytest.raises(TypeError):
+            _checked_calls("from glmmvb import recombine\n"
+                           "recombine.fit_sharded(data, prior, cfg, 2, processes=1)\n")
+        with pytest.raises(AttributeError):
+            _checked_calls("from glmmvb import engine\nengine.no_such_function()\n")
+        source = ("import numpy as np\nfrom glmmvb import engine, posterior as post\n"
+                  "post.simulate_b(d, p, s, 'a1', *rest)\nnp.zeros(3)\nstate.split(x)\n")
+        assert _checked_calls(source) == [
+            (3, "post.simulate_b", {"data": None, "prior": None, "state": None,
+                                    "method": None})]
 
 
 def _settings_table(text):

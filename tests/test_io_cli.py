@@ -426,6 +426,17 @@ class TestCliRuns:
         text = open(os.path.join(out, "summary.csv")).read()
         assert "shards,2" in text and "sigma," in text
 
+    def test_sharded_run_takes_a_normal_omega_prior_file(self, tmp_path):
+        p = tmp_path / "prior.csv"
+        p.write_text("type,normal-omega\nmean,0\nsd,5\n")
+        args = ["--data", datasets.fixture_path("seeds.csv"),
+                "--family", "binomial", "--group-col", "plate",
+                "--response-col", "germinated", "--trials-col", "total",
+                "--method", "a1", "--prior", "file", "--prior-file", str(p),
+                "--shards", "2", "--max-iter", "400", "--draws", "200",
+                "--out", str(tmp_path / "o")]
+        assert run_cli(args) == 0
+
     def test_default_prior_fits_a_separable_design(self, tmp_path):
         # the flat pooled IRLS diverges on it; the default prior's weights come
         # from the ridge mode
@@ -540,6 +551,27 @@ class TestCliExitCodes:
                 "--family", "binomial", "--group-col", "plate",
                 "--response-col", "germinated", "--trials-col", "total",
                 "--max-iter", "50", "--out", str(tmp_path), *extra]
+        assert run_cli(args) == 2
+
+    def test_sharded_fit_with_the_default_prior_exits_2_before_fitting(
+            self, tmp_path, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit called")
+        monkeypatch.setattr(engine, "fit", no_fit)
+        args = ["--data", datasets.fixture_path("seeds.csv"),
+                "--family", "binomial", "--group-col", "plate",
+                "--response-col", "germinated", "--trials-col", "total",
+                "--shards", "2", "--out", str(tmp_path)]
+        assert run_cli(args) == 2
+
+    def test_prior_file_without_prior_file_mode(self, tmp_path):
+        # the file would be ignored and the default prior fitted
+        p = tmp_path / "prior.csv"
+        p.write_text("type,normal-omega\nmean,0\nsd,5\n")
+        args = ["--data", datasets.fixture_path("seeds.csv"),
+                "--family", "binomial", "--group-col", "plate",
+                "--response-col", "germinated", "--trials-col", "total",
+                "--prior-file", str(p), "--max-iter", "50", "--out", str(tmp_path / "o")]
         assert run_cli(args) == 2
 
     @pytest.mark.parametrize("shards", ["1", "2"])

@@ -46,6 +46,12 @@ class TestPartition:
         with pytest.raises(InvalidVError):
             recombine.partition(5, 6, seed=0)
 
+    # a float V would fail in slicing, and True would give one part
+    @pytest.mark.parametrize("V", [2.0, True], ids=repr)
+    def test_v_that_is_not_an_integer(self, V):
+        with pytest.raises(InvalidVError):
+            recombine.partition(5, V, seed=0)
+
     def test_seed_out_of_range_is_a_configuration_error(self):
         with pytest.raises(ConfigError):
             recombine.partition(5, 2, seed=-1)
@@ -214,6 +220,10 @@ class TestSimulatedDatasets:
         assert all(0.75 <= f <= 0.89 for f in fracs_i)
         assert 0.09 <= np.mean(fracs_ii) <= 0.17
         assert all(0.07 <= f <= 0.19 for f in fracs_ii)
+
+    def test_unknown_scenario_is_a_configuration_error(self):
+        with pytest.raises(ConfigError, match="poisson-iii"):
+            simulate.simulate_dataset("poisson-iii", seed=1)
 
     def test_binomial_uses_twenty_trials(self):
         d, t = simulate.simulate_dataset("binomial-i", seed=1)

@@ -175,9 +175,9 @@ class TestTransformA2:
         Omega = gp.omega_matrix()
         Xbeta = np.einsum("njp,p->nj", data.X, gp.beta)
         b = reparam.transform_a1(data, gp).lam
-        prev = reparam._conditional_objective(data, Xbeta, Omega, b)
+        prev = reparam._evaluate(data, Xbeta, Omega, b)[0]
         t = reparam.transform_a2(data, gp)
-        final = reparam._conditional_objective(data, Xbeta, Omega, t.lam)
+        final = reparam._evaluate(data, Xbeta, Omega, t.lam)[0]
         assert np.all(final >= prev - 1e-9 * (np.abs(prev) + 1))
 
 
@@ -218,9 +218,10 @@ class TestModeSearchAgainstReference:
                 # from the transforms there to each theta_G of gp
                 start = reparam.predict_modes(data, reparam.transform_a2(data, near), gp)
             else:
-                start = oracles.transform_a2(data, near).lam
+                start = np.broadcast_to(oracles.transform_a2(data, near).lam,
+                                        lead + (data.n, r))
             if start_kind == "perturbed":
-                start = start + 3.0 * rng.standard_normal(lead + start.shape)
+                start = start + 3.0 * rng.standard_normal(start.shape)
         with mock.patch.object(reparam, "NR_MAX_HALVINGS", halvings):
             want = _outcome(oracles.transform_a2, data, gp, start)
             got = _outcome(reparam.transform_a2, data, gp, start)
