@@ -36,7 +36,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--shards", type=int, default=1, help="V for divide and recombine")
     p.add_argument("--max-iter", type=int, default=200_000)
-    p.add_argument("--estimator", choices=["L1", "L2", "L3"], default="L2")
     p.add_argument("--draws", type=int, default=50_000,
                    help="posterior simulation draws for reporting (at least 2)")
     p.add_argument("--out", required=True, help="output directory")
@@ -77,8 +76,7 @@ def run(args):
     if not 1 <= args.shards <= data.n:
         raise InvalidVError(f"--shards must be in [1, {data.n}]")
     prior = _make_prior(args, data)
-    config = engine.FitConfig(method=args.method, seed=args.seed,
-                              max_iter=args.max_iter, estimator=args.estimator)
+    config = engine.FitConfig(method=args.method, seed=args.seed, max_iter=args.max_iter)
     os.makedirs(args.out, exist_ok=True)
 
     if args.shards == 1:

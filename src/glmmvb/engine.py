@@ -2,8 +2,8 @@
 
 q(theta~) = N(mu, C C') with C block diagonal: n local blocks of order r and
 one global block of order g. Diagonals of C are optimized on the log scale
-(C*), which keeps them positive; the dweight chain-rule scaling turns
-half-vec gradients in C into gradients in C*.
+(C*), which keeps them positive; the chain rule scales the diagonal
+positions of a half-vec gradient in C by C's diagonal to give it in C*.
 
 Randomness is a counter-based stream keyed by (seed, lane, iteration), so a
 fit is reproducible bit for bit regardless of how per-subject work inside an
@@ -76,15 +76,12 @@ class FitConfig:
     max_iter: int = 200_000
     window: int = 1000
     tau: int = 3
-    estimator: str = "L2"
     final_elbo_draws: int = 1000
 
     def __post_init__(self):
         _check_seed(self.seed)
         if self.method not in reparam.METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.estimator not in ("L1", "L2", "L3"):
-            raise ConfigError(f"unknown estimator {self.estimator!r}")
         counts = (self.max_iter, self.window, self.tau, self.final_elbo_draws)
         if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in counts):
             raise ConfigError("max_iter, window, tau and final_elbo_draws must be integers")
@@ -138,9 +135,6 @@ class VariationalState:
         d, k = self.d, self.n * matcalc.half_len(self.r)
         return (vec[..., :d], vec[..., d:d + k].reshape(vec.shape[:-1] + (self.n, -1)),
                 vec[..., d + k:])
-
-    def copy(self):
-        return VariationalState(self.n, self.r, self.g, self.params.copy())
 
     def __reduce__(self):
         # pickled as the one vector, so that the views are rebuilt on it
@@ -229,44 +223,26 @@ class FitResult:
     start: np.ndarray = field(repr=False)  # the beta the fit began from
 
 
-def estimator(state, s, grad_vec, which, blocks=None):
-    """Gradient estimators for (mu, v(C)) from a single draw.
+def estimator(state, s, grad_vec, blocks):
+    """The L2 estimate of the ELBO's gradient from draws s (..., d), in the
+    layout and coordinates of `params`; broadcasts over leading draw dims.
 
-    L1 evaluates the entropy term analytically; L2 uses the same draw for
-    both terms and collapses to zero noise at convergence; L3 keeps the
-    noisier score form for mu (its v(C) part is taken from L2, which is the
-    form the update rule uses).
-
-    Returns (g_mu (..., d), g_vC local (..., n, K_r), g_vC global (..., K_g)),
-    with only the block-diagonal support of v(.) formed.
+    grad_vec is the log joint's gradient at theta~ = C s + mu, and blocks
+    the C blocks. g_mu = grad_vec + C^{-T} s uses the same draw for the
+    entropy term, so its noise vanishes at convergence (Roeder, Wu &
+    Duvenaud, 2017); the C blocks' part is v(g_mu s') on the block-diagonal
+    support, its diagonal positions times C's diagonal for C*'s log scale.
     """
-    c_loc, c_glob = blocks or state.blocks()
-    cts = state.cinv_t(s, (c_loc, c_glob))
-    if which == "L1":
-        g_mu = grad_vec
-        outer_of = grad_vec
-    elif which == "L2":
-        g_mu = grad_vec + cts
-        outer_of = g_mu
-    elif which == "L3":
-        g_mu = grad_vec - cts
-        outer_of = grad_vec + cts
-    else:
-        raise ConfigError(f"unknown estimator {which!r}")
-
+    c_loc, c_glob = blocks
+    g_mu = grad_vec + state.cinv_t(s, blocks)
     s_loc, s_glob = state.split(s)
-    o_loc, o_glob = state.split(outer_of)
+    o_loc, o_glob = state.split(g_mu)
+    # the diagonal scaled in place: cheaper per step than matcalc.dweight's product
     gv_loc = matcalc.halfvec(o_loc[..., :, None] * s_loc[..., None, :])
+    gv_loc[..., matcalc.diag_positions(state.r)] *= np.diagonal(c_loc, axis1=-2, axis2=-1)
     gv_glob = matcalc.halfvec(o_glob[..., :, None] * s_glob[..., None, :])
-    if which == "L1":
-        # + v(C^{-T}): only the diagonal of C^{-T} lies on the lower support
-        gv_loc[..., matcalc.diag_positions(state.r)] += 1.0 / _diag(c_loc)
-        gv_glob[..., matcalc.diag_positions(state.g)] += 1.0 / _diag(c_glob)
-    return g_mu, gv_loc, gv_glob
-
-
-def _diag(mat):
-    return np.diagonal(mat, axis1=-2, axis2=-1)
+    gv_glob[..., matcalc.diag_positions(state.g)] *= np.diag(c_glob)
+    return np.concatenate([g_mu, gv_loc.reshape(gv_loc.shape[:-2] + (-1,)), gv_glob], axis=-1)
 
 
 def should_stop(window_means, tau):
@@ -333,13 +309,7 @@ def step(data, prior, config, state, adam, t, draws, anchor=None):
         raise DivergedError(f"iteration {t}: non-finite ELBO sample {elbo}")
 
     # omega's block is last, and d leaves it out when the prior fixes omega
-    g_mu, gv_loc, gv_glob = estimator(state, s, grad[:state.d], config.estimator, blocks)
-    # chain rule into C*: scale diagonal positions by the current diagonals
-    c_loc, c_glob = blocks
-    gv_loc[..., matcalc.diag_positions(state.r)] *= _diag(c_loc)
-    gv_glob[matcalc.diag_positions(state.g)] *= np.diag(c_glob)
-    g_all = np.concatenate([g_mu, gv_loc.ravel(), gv_glob])
-    update = adam.ascent_step(g_all)
+    update = adam.ascent_step(estimator(state, s, grad[:state.d], blocks))
     if not np.all(np.isfinite(update)):
         raise DivergedError(f"iteration {t}: non-finite parameter update")
     state.params += update
@@ -452,7 +422,7 @@ def fit(data, prior, config=None, **settings):
         raise ConfigError("fit takes a FitConfig or its settings, not both")
     if prior.g2 != data.g2:
         raise ConfigError(f"the prior is on {prior.g2} omega values; r = {data.r} has {data.g2}")
-    g = data.p + (data.g2 if prior.learns_omega else 0)
+    g = data.g if prior.learns_omega else data.p
     state = VariationalState.initial(data.n, data.r, g)
     try:
         start = model.fit_pooled_glm(data, sigma_beta2=prior.sigma_beta2)

@@ -6,8 +6,9 @@ exactness oracles); matrix-calculus operators (applied through index
 maps, not materialized matrices), the Cholesky directional derivative, a
 domain-checked digamma, per-subject and per-observation quantities the
 fitted path never forms separately, the variational log density, the
-forward transform b~ = L^{-1}(b - lambda), the straightforward a2 mode
-search, the tally of a2 searches from far-off predicted starts, and the
+forward transform b~ = L^{-1}(b - lambda), the L1 and L3 gradient
+estimators that the fit's L2 is compared against, the straightforward a2
+mode search, the tally of a2 searches from far-off predicted starts, and the
 pooled-GLM IRLS under a flat prior, written without the ridge terms.
 """
 
@@ -20,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.special as sc
 
-from glmmvb import families, gradients, matcalc, model, reparam
+from glmmvb import engine, families, gradients, matcalc, model, reparam
 from glmmvb.exceptions import (
     RECOVERABLE,
     DomainError,
@@ -220,6 +221,29 @@ def log_q(state, theta):
     u_glob = matcalc.solve_lower(c_glob, z_glob)
     quad = (u_loc * u_loc).sum(axis=(-1, -2)) + (u_glob * u_glob).sum(axis=-1)
     return -state.log_det_c() - 0.5 * quad
+
+
+def estimator_l1(state, s, grad_vec, blocks):
+    """The L1 gradient estimate, in engine.estimator's layout and
+    coordinates: the entropy term taken analytically, g_mu = grad_vec and
+    the C blocks' part v(grad_vec s') + v(C^{-T}), scaled by dweight into C*."""
+    out = np.empty(s.shape[:-1] + state.params.shape)
+    g_mu, g_loc, g_glob = state.views(out)
+    g_mu[...] = grad_vec
+    for g, o, z, c in zip((g_loc, g_glob), state.split(grad_vec), state.split(s), blocks):
+        v = matcalc.halfvec(o[..., :, None] * z[..., None, :])
+        # only the diagonal of C^{-T} lies on the lower support
+        v[..., matcalc.diag_positions(c.shape[-1])] += 1.0 / np.diagonal(c, axis1=-2, axis2=-1)
+        g[...] = v * matcalc.dweight(c)
+    return out
+
+
+def estimator_l3(state, s, grad_vec, blocks):
+    """The L3 gradient estimate: the score form g_mu = grad_vec - C^{-T} s,
+    the noisier one, with the C blocks' part of engine.estimator (L2)."""
+    out = engine.estimator(state, s, grad_vec, blocks)
+    state.views(out)[0][...] = grad_vec - state.cinv_t(s, blocks)
+    return out
 
 
 def apply_transform(transforms, b):

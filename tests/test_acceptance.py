@@ -256,6 +256,8 @@ def test_c07_estimator_properties(seeds_problem, seeds_a1_fits):
                       "standard errors (1e5 draws); at the converged seeds state "
                       "var(L2) <= 0.2 var(L1) per coordinate (< 2 min)"):
         t0 = time.perf_counter()
+        estimators = {"L1": oracles.estimator_l1, "L2": engine.estimator,
+                      "L3": oracles.estimator_l3}
         gen = np.random.default_rng(7)
         y = [gen.standard_normal(3) + 0.8, gen.standard_normal(3)]
         ones = np.ones((3, 1))
@@ -276,7 +278,7 @@ def test_c07_estimator_properties(seeds_problem, seeds_a1_fits):
             gvec = gradients.grad_full(data, b_tilde, reparam.build_transforms(data, gp, "a1"),
                                        prior)[..., :state.d]
             for which in sums:
-                gmu, _, _ = engine.estimator(state, s, gvec, which)
+                gmu = state.views(estimators[which](state, s, gvec, state.blocks()))[0]
                 sums[which] += gmu.sum(axis=0)
                 sqs[which] += (gmu * gmu).sum(axis=0)
         means = {w: sums[w] / N for w in sums}
@@ -298,7 +300,7 @@ def test_c07_estimator_properties(seeds_problem, seeds_a1_fits):
             gvec = gradients.grad_full(data, b_tilde, reparam.build_transforms(data, gp, "a1"),
                                        prior)
             for which in acc:
-                gmu, _, _ = engine.estimator(state, s, gvec, which)
+                gmu = state.views(estimators[which](state, s, gvec, state.blocks()))[0]
                 acc[which][0] += gmu.sum(axis=0)
                 acc[which][1] += (gmu * gmu).sum(axis=0)
         var = {w: acc[w][1] / N - (acc[w][0] / N) ** 2 for w in acc}

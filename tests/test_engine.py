@@ -44,7 +44,8 @@ class TestParamsLayout:
         state = small_state(rng)
         for view in (state.mu, state.cstar_local, state.cstar_global):
             assert np.shares_memory(view, state.params)
-        for other in (state.copy(), pickle.loads(pickle.dumps(state))):
+        copy = engine.VariationalState(state.n, state.r, state.g, state.params.copy())
+        for other in (copy, pickle.loads(pickle.dumps(state))):
             np.testing.assert_array_equal(other.params, state.params)
             assert not np.shares_memory(other.params, state.params)
             for name in ("mu", "cstar_local", "cstar_global"):
@@ -183,16 +184,30 @@ class TestEstimators:
     def test_zero_draw_l2(self, rng):
         state = small_state(rng)
         g = rng.standard_normal(state.d)
-        gmu, gvl, gvg = engine.estimator(state, np.zeros(state.d), g, "L2")
+        gmu, gvl, gvg = state.views(engine.estimator(state, np.zeros(state.d), g, state.blocks()))
         np.testing.assert_array_equal(gmu, g)
         np.testing.assert_array_equal(gvl, np.zeros_like(gvl))
         np.testing.assert_array_equal(gvg, np.zeros_like(gvg))
 
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_batch_of_draws_gives_each_draws_gradient(self, rng, r):
+        state = small_state(rng, n=3, r=r, g=3)
+        blocks = state.blocks()
+        s = rng.standard_normal((5, state.d))
+        g = rng.standard_normal((5, state.d))
+        batch = engine.estimator(state, s, g, blocks)
+        assert batch.shape == (5, state.params.size)
+        for k in range(5):
+            single = engine.estimator(state, s[k], g[k], blocks)
+            assert batch[k].tobytes() == single.tobytes()
+
     def test_zero_draw_l1_gives_inverse_diag(self, rng):
         state = small_state(rng)
         g = rng.standard_normal(state.d)
-        _, gvl, gvg = engine.estimator(state, np.zeros(state.d), g, "L1")
-        from glmmvb import matcalc
+        _, gvl, gvg = state.views(oracles.estimator_l1(state, np.zeros(state.d), g,
+                                                       state.blocks()))
+        # from C*'s coordinates back to C's
+        gvl, gvg = gvl / matcalc.dweight(state.c_local()), gvg / matcalc.dweight(state.c_global())
         dl = np.diagonal(state.c_local(), axis1=-2, axis2=-1)
         np.testing.assert_allclose(gvl[:, matcalc.diag_positions(state.r)], 1.0 / dl)
         dg = np.diag(state.c_global())
@@ -213,8 +228,10 @@ class TestEstimators:
         grad = gradients.grad_full(data, b_tilde, reparam.build_transforms(data, gp, "a1"), prior)
         gvec = grad[..., :state.d]
         means, ses = {}, {}
-        for which in ("L1", "L2", "L3"):
-            gmu, _, _ = engine.estimator(state, s, gvec, which)
+        estimators = {"L1": oracles.estimator_l1, "L2": engine.estimator,
+                      "L3": oracles.estimator_l3}
+        for which, est in estimators.items():
+            gmu = state.views(est(state, s, gvec, state.blocks()))[0]
             means[which] = gmu.mean(axis=0)
             ses[which] = gmu.std(axis=0, ddof=1) / np.sqrt(N)
         for a, b in (("L1", "L2"), ("L1", "L3"), ("L2", "L3")):
@@ -226,8 +243,8 @@ class TestEstimators:
         N = 200_000
         s = rng.standard_normal((N, state.d))
         g = np.broadcast_to(rng.standard_normal(state.d), (N, state.d))
-        _, gvl1, gvg1 = engine.estimator(state, s, g, "L1")
-        _, gvl2, gvg2 = engine.estimator(state, s, g, "L2")
+        _, gvl1, gvg1 = state.views(oracles.estimator_l1(state, s, g, state.blocks()))
+        _, gvl2, gvg2 = state.views(engine.estimator(state, s, g, state.blocks()))
         for a, b in ((gvl1, gvl2), (gvg1, gvg2)):
             se = np.sqrt(a.var(axis=0) / N + b.var(axis=0) / N)
             assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) < 4 * se + 1e-10)

@@ -2,7 +2,8 @@
 which only the tests' reference implementations use. The demos and the
 benchmark import only names the package has, and call its entry points and
 the functions of its modules with arguments their signatures take. README's
-FitConfig table lists FitConfig's fields with their defaults."""
+FitConfig table lists FitConfig's fields with their defaults, and its
+"Command line" section names every flag of the CLI."""
 
 import ast
 import dataclasses
@@ -11,12 +12,14 @@ import inspect
 import itertools
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import glmmvb
+from glmmvb import cli
 
 PACKAGE = pathlib.Path(glmmvb.__file__).parent
 ROOT = pathlib.Path(__file__).parents[1]
@@ -172,12 +175,34 @@ def _settings_table(text):
     return rows
 
 
+def _section(text, heading):
+    """The text under the markdown heading `## heading`, up to the next."""
+    return text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _unnamed_flags(parser, text):
+    """The parser's option strings that text does not name as a whole word:
+    "--simulate-n" does not name "--simulate"."""
+    return [opt for action in parser._actions for opt in action.option_strings
+            if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", text)]
+
+
 class TestReadme:
     def test_fit_config_table_matches_the_fields(self):
         table = _settings_table((ROOT / "README.md").read_text())
         fields = {f.name: f.default for f in dataclasses.fields(glmmvb.FitConfig)}
         assert list(table) == list(fields)
         assert table == fields
+
+    def test_every_cli_flag_is_documented(self):
+        text = _section((ROOT / "README.md").read_text(), "Command line")
+        assert _unnamed_flags(cli.build_parser(), text) == []
+
+    def test_finds_a_flag_named_only_inside_a_longer_one(self):
+        parser = cli.build_parser()
+        named = " ".join(opt for action in parser._actions for opt in action.option_strings
+                         if opt != "--simulate")
+        assert _unnamed_flags(parser, named) == ["--simulate"]
 
     def test_reads_quoted_and_grouped_defaults(self):
         text = ("intro\n\n| setting | default | meaning |\n|---|---|---|\n"

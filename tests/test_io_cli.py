@@ -586,6 +586,20 @@ class TestCliExitCodes:
                 "--out", str(tmp_path)]
         assert run_cli(args) == 2
 
+    def test_estimator_is_an_unknown_argument(self, tmp_path, monkeypatch, capsys):
+        # every fit runs the L2 estimator, so there is nothing to choose
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit called")
+        monkeypatch.setattr(engine, "fit", no_fit)
+        args = ["--data", datasets.fixture_path("seeds.csv"),
+                "--family", "binomial", "--group-col", "plate",
+                "--response-col", "germinated", "--trials-col", "total",
+                "--estimator", "L2", "--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(args)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --estimator L2" in capsys.readouterr().err
+
     def test_empty_simulation_is_a_configuration_error(self, tmp_path):
         assert run_cli(["--simulate", "poisson-i", "--simulate-n", "0",
                         "--out", str(tmp_path)]) == 2
