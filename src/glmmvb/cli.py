@@ -84,11 +84,12 @@ def run(args):
         summary = posterior.simulate_b(data, prior, result.state, args.method,
                                        args.draws, args.seed)
         fileio.write_summary(os.path.join(args.out, "summary.csv"), summary,
-                             args.method, result.n_iter, result.wall_time, result.elbo)
+                             args.method, result.n_iter, result.wall_time, result.elbo,
+                             result.converged, result.start_kind)
         fileio.write_trace(os.path.join(args.out, "trace.csv"),
                            result.window_means, config.window)
         fileio.write_state(os.path.join(args.out, "state.txt"), result.state,
-                           args.method, data.family.name, args.seed)
+                           args.method, data.family.name, args.seed, result.converged)
         fileio.write_subject_diagnostics(os.path.join(args.out, "subjects.csv"),
                                          data, summary)
         print(f"converged={result.converged} iterations={result.n_iter} "
@@ -101,7 +102,8 @@ def run(args):
                                      args.method, scales)
         for v, res in enumerate(sharded.shard_results):
             fileio.write_state(os.path.join(args.out, f"state_shard{v}.txt"),
-                               res.state, args.method, data.family.name, args.seed)
+                               res.state, args.method, data.family.name, args.seed,
+                               res.converged)
             fileio.write_trace(os.path.join(args.out, f"trace_shard{v}.csv"),
                                res.window_means, config.window)
         print(f"combined {args.shards} shards; "

@@ -35,6 +35,13 @@ ADAM_ALPHA = 1e-3  # Adam's step size, decay rates and guard (Kingma & Ba, 2015)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# the start's BFGS search (start_state): its gradient tolerance, iteration
+# limit and central-difference step; and the largest sd of a theta_G
+# coordinate under which the Laplace start is kept
+LAPLACE_GTOL = 1e-6
+LAPLACE_MAX_ITER = 100
+LAPLACE_FD_STEP = 1e-4
+LAPLACE_MAX_SD = 1.0
 
 
 def _check_seed(seed):
@@ -120,8 +127,8 @@ class VariationalState:
 
     @classmethod
     def initial(cls, n, r, g):
-        """mu = 0, C = blockdiag(I_{nr}, 0.1 I_g); fit then moves beta to its
-        start."""
+        """mu = 0, C = blockdiag(I_{nr}, 0.1 I_g); start_state moves beta
+        from there."""
         state = cls(n, r, g)
         state.cstar_global[matcalc.diag_positions(g)] = np.log(0.1)
         return state
@@ -220,7 +227,8 @@ class FitResult:
     elbo_rejected: int  # draws of the final ELBO rejected (0 without one)
     converged: bool
     config: FitConfig = field(repr=False)
-    start: np.ndarray = field(repr=False)  # the beta the fit began from
+    start: np.ndarray = field(repr=False)  # the pooled GLM's beta (0 if its IRLS raised)
+    start_kind: str  # the state the first step ran from: "laplace" or "pooled" (start_state)
 
 
 def estimator(state, s, grad_vec, blocks):
@@ -407,11 +415,131 @@ def scaled_moments(vals):
     return np.ldexp(z.mean(axis=0), e), np.ldexp(z.std(axis=0, ddof=1), e)
 
 
+def laplace_objective(data, prior, x, anchor=None):
+    """The Laplace approximation of log p(y, theta_G) at theta_G = x (..., g),
+    its gradient in x and the a2 transforms it was built from (anchored at
+    `anchor`, as draw builds are).
+
+    Under a2, the reparametrized log joint at b~ = 0 is
+    log p(y, lambda(theta_G), theta_G) + log|L(theta_G)|: the second-order
+    expansion about each conditional mode integrated over b (Tierney &
+    Kadane, 1986), with gradients.value_and_grad's exact gradient. Raises
+    the build's recoverable errors, and OverflowGuardError when the value or
+    the gradient is not finite.
+    """
+    transforms = reparam.build_transforms(data, _global_params(data, prior, x), "a2", anchor)
+    value, grad = gradients.value_and_grad(data, np.zeros((data.n, data.r)), transforms, prior)
+    nr = data.n * data.r
+    grad = grad[..., nr:nr + x.shape[-1]]
+    if not (np.all(np.isfinite(value)) and np.all(np.isfinite(grad))):
+        raise OverflowGuardError("non-finite Laplace objective")
+    return value, grad, transforms
+
+
+def _laplace_mode(data, prior, x):
+    """(mode, its a2 transforms, the Cholesky factor of (-H)^{-1}) of the
+    Laplace objective, by BFGS from x (Nocedal & Wright, 2006, ch. 6).
+
+    The first direction is the gradient scaled to at most 1 per coordinate.
+    A trial point is accepted, as transform_a2 accepts a Newton candidate,
+    unless its objective is lower by more than round-off; otherwise, or
+    when its build fails recoverably, the step is halved, and a direction
+    with no ascent after NR_MAX_HALVINGS ends the search. H is the central
+    difference of the gradient at the mode, its 2g points built as one
+    batch; raises NotPositiveDefiniteError unless -H is positive definite.
+    """
+    f, grad, transforms = laplace_objective(data, prior, x)
+    eye = np.eye(x.size)
+    hinv, scaled = eye / max(1.0, np.abs(grad).max()), False
+    for _ in range(LAPLACE_MAX_ITER):
+        if np.abs(grad).max() <= LAPLACE_GTOL:
+            break
+        direction, t = hinv @ grad, 1.0
+        for _ in range(reparam.NR_MAX_HALVINGS + 1):
+            try:
+                f_new, g_new, t_new = laplace_objective(data, prior, x + t * direction,
+                                                        transforms)
+                if f_new >= f - 1e-10 * (abs(f) + 1.0):
+                    break
+            except RECOVERABLE:
+                pass
+            t *= 0.5
+        else:
+            break
+        s, y = t * direction, grad - g_new  # y: the change in the gradient of -f
+        sy = s @ y
+        if sy > 0:
+            if not scaled:  # the first update starts from (s'y / y'y) I
+                hinv, scaled = (sy / (y @ y)) * eye, True
+            v = eye - np.outer(s, y) / sy
+            hinv = v @ hinv @ v.T + np.outer(s, s) / sy
+        x, f, grad, transforms = x + s, f_new, g_new, t_new
+    steps = LAPLACE_FD_STEP * np.concatenate([eye, -eye])
+    grads = laplace_objective(data, prior, x + steps, transforms)[1]
+    hess = (grads[:x.size] - grads[x.size:]) / (2.0 * LAPLACE_FD_STEP)
+    return x, transforms, matcalc.spd_inv_cholesky(-0.5 * (hess + hess.T))[1]
+
+
+def _log_diag_halfvec(c):
+    """Half-vec of lower-triangular blocks c with each diagonal entry's log:
+    the C* layout (inverse of matcalc.unpack_log_diag)."""
+    out = matcalc.halfvec(c)
+    pos = matcalc.diag_positions(c.shape[-1])
+    out[..., pos] = np.log(out[..., pos])
+    return out
+
+
+def start_state(data, prior, method, beta):
+    """The state fit's first step runs from, and its kind.
+
+    "laplace": q's global block is the Laplace approximation of the
+    marginal posterior of theta_G, its mode (_laplace_mode, from `beta` and
+    omega = 0, a2 transforms whatever the method) and the Cholesky factor of
+    (-H)^{-1}. Each local block is the a2 conditional N(lambda2_i,
+    Lambda2_i) of b_i at the mode: under a2 that is mu_i = 0, C_i = I, as
+    VariationalState.initial has them; under a1, in a1's coordinates,
+    mu_i = L1_i^{-1}(lambda2_i - lambda1_i) and C_i = L1_i^{-1} L2_i, the
+    Cholesky factor of L1_i^{-1} Lambda2_i L1_i^{-T}.
+
+    "pooled": VariationalState.initial with beta at `beta`, when a build
+    fails recoverably or a value is not finite at the start or the mode,
+    -H is not positive definite, or a sd of the global block exceeds
+    LAPLACE_MAX_SD: a posterior that wide is one the data barely inform,
+    where the large-sample expansion fails, and q drawn from it can put b
+    far outside the family's range (all-zero Poisson counts, a separable
+    Bernoulli design). The search uses no draws, so a seeded fit stays
+    reproducible.
+    """
+    g = data.g if prior.learns_omega else data.p
+    state = VariationalState.initial(data.n, data.r, g)
+    glob = state.split(state.mu)[1]
+    glob[:data.p] = beta
+    try:
+        # a trial point far from the mode may overflow on its way to a failure
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            mode, transforms, c_glob = _laplace_mode(data, prior, glob.copy())
+            a1 = reparam.build_transforms(data, transforms.gp, "a1") if method == "a1" else None
+    except RECOVERABLE:
+        return state, "pooled"
+    if np.sqrt((c_glob * c_glob).sum(axis=-1)).max() > LAPLACE_MAX_SD:
+        return state, "pooled"
+    glob[:] = mode
+    state.cstar_global = _log_diag_halfvec(c_glob)
+    if a1 is not None:
+        state.split(state.mu)[0][:] = matcalc.solve_lower(a1.L, transforms.lam - a1.lam)
+        # column k of L1^{-1} L2 solves L1 x = column k of L2
+        state.cstar_local = _log_diag_halfvec(np.swapaxes(matcalc.solve_lower(
+            a1.L[:, None], np.swapaxes(transforms.L, -1, -2)), -1, -2))
+    return state, "laplace"
+
+
 def fit(data, prior, config=None, **settings):
     """Run the optimizer until the stopping rule fires or max_iter is hit,
-    from VariationalState.initial with beta at the pooled GLM's mode under
-    the prior on beta (0 if that IRLS raises): FitResult.start. The
-    settings are `config`, or FitConfig(**settings) when it is None.
+    from start_state at the pooled GLM's beta under the prior on beta (0 if
+    that IRLS raises): FitResult.start, and FitResult.start_kind the kind of
+    state the first step ran from. The settings are `config`, or
+    FitConfig(**settings) when it is None. FitResult.wall_time times all of
+    it but the final ELBO.
 
     A converged fit returns the average of its last window's iterates, the
     params after each of that window's steps summed in step order (Polyak &
@@ -422,17 +550,15 @@ def fit(data, prior, config=None, **settings):
         raise ConfigError("fit takes a FitConfig or its settings, not both")
     if prior.g2 != data.g2:
         raise ConfigError(f"the prior is on {prior.g2} omega values; r = {data.r} has {data.g2}")
-    g = data.g if prior.learns_omega else data.p
-    state = VariationalState.initial(data.n, data.r, g)
+    t_start = time.perf_counter()
     try:
         start = model.fit_pooled_glm(data, sigma_beta2=prior.sigma_beta2)
     except GlmmVbError:
         start = np.zeros(data.p)
-    state.split(state.mu)[1][:data.p] = start
+    state, start_kind = start_state(data, prior, config.method, start)
     adam = AdamState.zeros(state.params.size)
 
     draws, anchor = LaneStream(config.seed, LANE_FIT), None
-    t_start = time.perf_counter()
     means = []
     acc = total = 0.0  # the window's ELBO samples and iterates, summed
     converged = False
@@ -456,4 +582,5 @@ def fit(data, prior, config=None, **settings):
         elbo, elbo_se, rejected = float("nan"), float("nan"), 0
     return FitResult(state=state, window_means=np.asarray(means), n_iter=it,
                      wall_time=wall, elbo=elbo, elbo_se=elbo_se, elbo_rejected=rejected,
-                     converged=converged, config=config, start=start)
+                     converged=converged, config=config, start=start,
+                     start_kind=start_kind)

@@ -164,11 +164,16 @@ def _write_summary(path, meta, rows):
         fh.write("\n".join(lines) + "\n")
 
 
-def write_summary(path, summary, method, n_iter, wall_time, elbo):
-    """Per-parameter mean/sd plus run metadata, in a stable key order."""
+def write_summary(path, summary, method, n_iter, wall_time, elbo, converged=None,
+                  start_kind=None):
+    """Per-parameter mean/sd plus run metadata, in a stable key order: then
+    FitResult's converged and start_kind, as rows `converged` and `start`,
+    when given."""
+    fit_rows = [(key, val) for key, val in (("converged", converged), ("start", start_kind))
+                if val is not None]
     _write_summary(path, [("method", method), ("iterations", n_iter),
                           ("wall_time_s", SUMMARY_FMT % wall_time),
-                          ("elbo", SUMMARY_FMT % elbo)],
+                          ("elbo", SUMMARY_FMT % elbo), *fit_rows],
                    [*zip(summary.global_names, summary.global_mean, summary.global_sd),
                     *zip(summary.scale_names, summary.scale_mean, summary.scale_sd)])
 
@@ -201,12 +206,15 @@ def write_subject_diagnostics(path, data, summary):
             fh.write(",".join([data.group_labels[i]] + [SUMMARY_FMT % v for v in vals]) + "\n")
 
 
-def write_state(path, state, method, family_name, seed):
-    """Serialize (mu, C*) with a dimension header; round-trips bit-exactly."""
+def write_state(path, state, method, family_name, seed, converged=None):
+    """Serialize (mu, C*) with a dimension header, which ends with the
+    fit's `converged` when given; round-trips bit-exactly."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("format,glmmvb-state,1\n")
         fh.write(f"n,{state.n}\nr,{state.r}\ng,{state.g}\n")
         fh.write(f"method,{method}\nfamily,{family_name}\nseed,{seed}\n")
+        if converged is not None:
+            fh.write(f"converged,{converged}\n")
         for name in STATE_SECTIONS:
             fh.write(f"section,{name}\n")
             for row in np.atleast_2d(getattr(state, name)):

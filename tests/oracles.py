@@ -8,8 +8,9 @@ domain-checked digamma, per-subject and per-observation quantities the
 fitted path never forms separately, the variational log density, the
 forward transform b~ = L^{-1}(b - lambda), the L1 and L3 gradient
 estimators that the fit's L2 is compared against, the straightforward a2
-mode search, the tally of a2 searches from far-off predicted starts, and the
-pooled-GLM IRLS under a flat prior, written without the ridge terms.
+mode search, the tally of a2 searches from far-off predicted starts, the
+pooled-GLM IRLS under a flat prior, written without the ridge terms, and
+the exact log p(y, theta_G) of the unit-variance Gaussian model.
 """
 
 import collections
@@ -20,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.special as sc
+import scipy.stats
 
 from glmmvb import engine, families, gradients, matcalc, model, reparam
 from glmmvb.exceptions import (
@@ -388,3 +390,18 @@ def pooled_glm_penalized_score(data, beta, sigma_beta2):
     _, h1, w = data.family.derivs(X @ beta, data.trials.ravel()[sel], 2)
     return (X.T @ (data.y.ravel()[sel] - h1) - beta / sigma_beta2,
             X.T @ (w[:, None] * X) + np.eye(data.p) / sigma_beta2)
+
+
+def gaussian_unit_log_marginal(data, gp, prior):
+    """log p(y, theta_G) of the gaussian-unit model, b integrated out exactly:
+    y_i ~ N(X_i beta, I + Z_i Omega^{-1} Z_i'). The constants the package's
+    log densities drop, y^2/2 + log(2 pi)/2 per observation, are added back."""
+    cov_b = np.linalg.inv(gp.Omega)
+    total = -gp.beta @ gp.beta / (2.0 * prior.sigma_beta2) + prior.log_omega(gp)
+    for i in range(data.n):
+        k = data.n_obs[i]
+        X, Z, y = data.X[i, :k], data.Z[i, :k], data.y[i, :k]
+        total += scipy.stats.multivariate_normal.logpdf(y, X @ gp.beta,
+                                                        np.eye(k) + Z @ cov_b @ Z.T)
+        total += 0.5 * (y @ y) + 0.5 * k * math.log(2.0 * math.pi)
+    return total

@@ -220,7 +220,9 @@ def test_c05_seeds_reproduction(seeds_a1_fits, seeds_a2_fit):
         assert abs(elbo_a1 - res_a2.elbo) < 0.5
         for r, _ in seeds_a1_fits:
             assert r.converged
-            assert r.window_means[0] < r.window_means[-1]
+            # the fit starts on the plateau: its first window mean is within
+            # 0.5 nats of its best
+            assert r.window_means[0] > r.window_means.max() - 0.5
             assert engine.window_slope(r.window_means, r.config.tau) < 0
         # shared fixture timing is attributed here; generous margin
         assert time.perf_counter() - t0 < 120.0
@@ -242,7 +244,7 @@ def test_c06_epilepsy_reproduction(epilepsy1_a2_fit, epilepsy2_a2_fit):
             assert abs(s1.global_sd[k] - sd_ref) < 0.03, name
         assert abs(s1.scale_mean[0] - 0.53) < 0.05
         assert abs(s1.scale_sd[0] - 0.06) < 0.03
-        assert res1.converged and res1.window_means[0] < res1.window_means[-1]
+        assert res1.converged and res1.window_means[0] > res1.window_means.max() - 0.5
 
         _, _, res2, s2 = epilepsy2_a2_fit
         assert s2.scale_names == ["sigma1", "sigma2", "rho"]

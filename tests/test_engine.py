@@ -1,13 +1,30 @@
 import operator
 import pickle
+import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from glmmvb import datasets, engine, families, fileio, gradients, matcalc, model, reparam
-from glmmvb.exceptions import ConfigError, DivergedError, OverflowGuardError, RankDeficientError
+from glmmvb import (
+    datasets,
+    engine,
+    families,
+    fileio,
+    gradients,
+    matcalc,
+    model,
+    reparam,
+    simulate,
+)
+from glmmvb.exceptions import (
+    ConfigError,
+    DivergedError,
+    ModeSearchFailedError,
+    OverflowGuardError,
+    RankDeficientError,
+)
 
 import oracles
 from conftest import (
@@ -385,9 +402,9 @@ class TestStart:
         assert not np.array_equal(start, model.fit_pooled_glm(data))
         res = engine.fit(data, prior, cfg)
         np.testing.assert_array_equal(res.start, start)
-        # one step from VariationalState.initial with only beta moved there
-        state = engine.VariationalState.initial(data.n, data.r, data.g)
-        state.mu[data.n * data.r:data.n * data.r + data.p] = start
+        # one step from the start the fit recorded
+        state, kind = engine.start_state(data, prior, cfg.method, res.start)
+        assert kind == res.start_kind
         engine.step(data, prior, cfg, state, engine.AdamState.zeros(state.params.size), 1,
                     engine.LaneStream(cfg.seed, engine.LANE_FIT))
         np.testing.assert_array_equal(res.state.params, state.params)
@@ -429,8 +446,9 @@ class TestStart:
                                final_elbo_draws=0)
         res = engine.fit(data, prior, cfg)
         np.testing.assert_array_equal(res.start, np.zeros(data.p))
-        # the fit from mu = 0: VariationalState.initial, stepped as fit steps it
-        state = engine.VariationalState.initial(data.n, data.r, data.g)
+        # the fit from the start it recorded, stepped as fit steps it
+        state, kind = engine.start_state(data, prior, cfg.method, res.start)
+        assert kind == res.start_kind
         adam = engine.AdamState.zeros(state.params.size)
         draws, anchor = engine.LaneStream(cfg.seed, engine.LANE_FIT), None
         for t in range(1, res.n_iter + 1):
@@ -438,11 +456,140 @@ class TestStart:
         np.testing.assert_array_equal(res.state.params, state.params)
 
 
+class TestLaplaceStart:
+    """start_state: q starts at the Laplace approximation of p(theta_G | y)."""
+
+    @staticmethod
+    def _start(data, prior, method, beta=None):
+        beta = model.fit_pooled_glm(data, sigma_beta2=prior.sigma_beta2) if beta is None else beta
+        state, kind = engine.start_state(data, prior, method, beta)
+        assert kind == "laplace"
+        return state, state.split(state.mu)[1]
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: (datasets.seeds_dataset(), None),
+        lambda rng: (random_dataset(rng, families.POISSON, r=2, n=25, ni_max=6), None),
+        lambda rng: (simulate.simulate_dataset("bernoulli-i", seed=3, n=60)[0],
+                     model.normal_omega_prior(1)),
+    ], ids=["seeds", "poisson-r2", "bernoulli-normal-omega"])
+    def test_mode_is_a_finite_difference_maximum(self, rng, make):
+        data, prior = make(rng)
+        prior = prior or model.default_prior(data)
+        state, mode = self._start(data, prior, "a2")
+
+        def f(x):
+            return float(engine.laplace_objective(data, prior, x)[0])
+
+        f0, h, eye = f(mode), 1e-3, np.eye(mode.size)
+        up = np.array([f(mode + h * e) for e in eye])
+        down = np.array([f(mode - h * e) for e in eye])
+        assert np.all(up < f0) and np.all(down < f0)
+        # the values' central difference at the mode: zero to within its own
+        # truncation and round-off, far below the curvature over one step
+        curv = (up + down - 2.0 * f0) / (h * h)
+        assert np.all(np.abs(up - down) / (2 * h) < 1e-5 * np.abs(curv))
+        # the global block is the inverse of the values' second differences
+        hess = np.array([[f(mode + h * (a + b)) - f(mode + h * (a - b))
+                          - f(mode - h * (a - b)) + f(mode - h * (a + b)) for b in eye]
+                         for a in eye]) / (4 * h * h)
+        c = state.c_global()
+        np.testing.assert_allclose(np.linalg.inv(c @ c.T), -hess,
+                                   atol=1e-4 * np.abs(hess).max())
+
+    @settings(max_examples=18, deadline=None, derandomize=True)
+    @given(famname=st.sampled_from(["poisson", "binomial", "bernoulli"]),
+           r=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2 ** 16))
+    def test_a1_local_blocks_are_the_a2_conditional(self, famname, r, seed):
+        data = random_dataset(np.random.default_rng(seed), families.by_name(famname),
+                              r=r, n=20, ni_max=8)
+        prior = model.default_prior(data)
+        beta = model.fit_pooled_glm(data, sigma_beta2=prior.sigma_beta2)
+        state, kind = engine.start_state(data, prior, "a1", beta)
+        assume(kind == "laplace")
+        gp = model.GlobalParams(*np.split(state.split(state.mu)[1], [data.p]), r)
+        a1 = reparam.build_transforms(data, gp, "a1")
+        a2 = reparam.build_transforms(data, gp, "a2")
+        # b = L1 b~ + lambda1 with b~ ~ N(mu_i, C_i C_i') is N(lambda2_i, Lambda2_i)
+        mean = np.einsum("nrs,ns->nr", a1.L, state.split(state.mu)[0]) + a1.lam
+        lc = a1.L @ state.c_local()
+        for got, want in ((mean, a2.lam), (lc @ np.swapaxes(lc, -1, -2), a2.Lambda)):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-10 * max(1.0, np.abs(want).max()))
+
+    def test_objective_is_the_exact_marginal_under_gaussian_unit(self, rng):
+        data = random_dataset(rng, oracles.GAUSSIAN_UNIT, r=2, n=6, p=2)
+        prior = random_wishart_prior(rng, 2)
+        for _ in range(3):
+            x = 0.5 * rng.standard_normal(data.g)
+            gp = model.GlobalParams(x[:data.p], x[data.p:], data.r)
+            value, grad, _ = engine.laplace_objective(data, prior, x)
+            exact = oracles.gaussian_unit_log_marginal(data, gp, prior)
+            assert abs(value - exact) < 1e-10 * abs(exact)
+            h, eye = 1e-5, np.eye(data.g)
+            fd = [(oracles.gaussian_unit_log_marginal(
+                       data, model.GlobalParams(*np.split(x + h * e, [data.p]), 2), prior)
+                   - oracles.gaussian_unit_log_marginal(
+                       data, model.GlobalParams(*np.split(x - h * e, [data.p]), 2), prior))
+                  / (2 * h) for e in eye]
+            np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6)
+
+    def test_far_start_finds_the_same_mode_without_warnings(self, rng):
+        # trial points far from the mode overflow on their way; pytest makes
+        # any RuntimeWarning that escapes an error
+        data = random_dataset(rng, families.POISSON, r=2, n=25, ni_max=6)
+        prior = model.default_prior(data)
+        _, near = self._start(data, prior, "a2")
+        _, far = self._start(data, prior, "a2", beta=np.array([10.0, -5.0]))
+        np.testing.assert_allclose(far, near, atol=1e-6)
+
+    @pytest.mark.parametrize("case", ["failed build", "wide posterior"])
+    def test_fallback_keeps_the_pooled_start(self, rng, monkeypatch, case):
+        if case == "failed build":
+            data = random_dataset(rng, families.BINOMIAL, r=2, n=20, ni_max=6)
+            build = reparam.build_transforms
+
+            def build_a1_only(data, gp, method, anchor=None):
+                if method == "a2":
+                    raise ModeSearchFailedError("injected")
+                return build(data, gp, method, anchor)
+
+            monkeypatch.setattr(reparam, "build_transforms", build_a1_only)
+        else:
+            # all-zero counts: the mode sends beta and omega towards -inf,
+            # with sds of several units there
+            data = random_dataset(rng, families.POISSON, n=3)
+            data = model.Dataset(data.family, 0.0 * data.y, data.X, data.Z, n_obs=data.n_obs)
+        prior = model.default_prior(data)
+        cfg = engine.FitConfig(method="a1", seed=4, max_iter=1, final_elbo_draws=0)
+        res = engine.fit(data, prior, cfg)
+        assert res.start_kind == "pooled"
+        # one step from VariationalState.initial with beta at the pooled GLM's
+        state = engine.VariationalState.initial(data.n, data.r, data.g)
+        state.split(state.mu)[1][:data.p] = res.start
+        engine.step(data, prior, cfg, state, engine.AdamState.zeros(state.params.size), 1,
+                    engine.LaneStream(cfg.seed, engine.LANE_FIT))
+        np.testing.assert_array_equal(res.state.params, state.params)
+
+    def test_wall_time_covers_the_irls_and_the_start(self, monkeypatch):
+        data, prior = micro_model()
+        glm, start = model.fit_pooled_glm, engine.start_state
+
+        def slow(fn):
+            def call(*args, **kwargs):
+                time.sleep(0.05)
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(model, "fit_pooled_glm", slow(glm))
+        monkeypatch.setattr(engine, "start_state", slow(start))
+        res = engine.fit(data, prior, method="a1", max_iter=1, final_elbo_draws=0)
+        assert res.wall_time >= 0.1
+
+
 def _hand_steps(data, prior, cfg, start):
     """fit's steps written out: (the ELBO sample and the params after each
-    of cfg.max_iter steps from fit's start)."""
-    state = engine.VariationalState.initial(data.n, data.r, data.g)
-    state.split(state.mu)[1][:data.p] = start
+    of cfg.max_iter steps from fit's start, start_state at the beta start)."""
+    state, _ = engine.start_state(data, prior, cfg.method, start)
     adam = engine.AdamState.zeros(state.params.size)
     draws, anchor = engine.LaneStream(cfg.seed, engine.LANE_FIT), None
     elbos, iterates = [], []
@@ -781,11 +928,11 @@ class TestFailFast:
 
         def nan_local_mean(n, r, g, **kw):
             state = make(n, r, g, **kw)
-            state.mu[0] = np.nan  # a coordinate the start leaves as it is
+            state.mu[0] = np.nan  # a coordinate an a2 start leaves as it is
             return state
 
         monkeypatch.setattr(engine.VariationalState, "initial", staticmethod(nan_local_mean))
-        cfg = engine.FitConfig(method="a1", seed=1, max_iter=60, window=5,
+        cfg = engine.FitConfig(method="a2", seed=1, max_iter=60, window=5,
                                final_elbo_draws=0)
         with pytest.raises(DivergedError, match="iteration 1:"):
             engine.fit(data, prior, cfg)

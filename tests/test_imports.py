@@ -160,19 +160,26 @@ class TestBenchmark:
                                     "method": None})]
 
 
-def _settings_table(text):
-    """{setting: default} of the README table headed | setting | default |,
-    each default read as a Python literal once its thousands commas go."""
+def _table(text, header):
+    """The rows, as lists of cells without spaces or backticks around them,
+    of the first markdown table whose header row starts with the cells
+    `header`."""
     lines = text.splitlines()
-    start = next(i for i, line in enumerate(lines)
-                 if line.replace(" ", "").startswith("|setting|default|"))
-    rows = {}
+    key = "|" + "|".join(header) + "|"
+    start = next(i for i, line in enumerate(lines) if line.replace(" ", "").startswith(key))
+    rows = []
     for line in lines[start + 2:]:
         if not line.startswith("|"):
             break
-        name, default = (cell.strip().strip("`") for cell in line.split("|")[1:3])
-        rows[name] = ast.literal_eval(default.replace(",", ""))
+        rows.append([cell.strip().strip("`") for cell in line.split("|")[1:-1]])
     return rows
+
+
+def _settings_table(text):
+    """{setting: default} of the README table headed | setting | default |,
+    each default read as a Python literal once its thousands commas go."""
+    return {name: ast.literal_eval(default.replace(",", ""))
+            for name, default, *_ in _table(text, ("setting", "default"))}
 
 
 def _section(text, heading):
@@ -193,6 +200,10 @@ class TestReadme:
         fields = {f.name: f.default for f in dataclasses.fields(glmmvb.FitConfig)}
         assert list(table) == list(fields)
         assert table == fields
+
+    def test_fit_result_table_matches_the_fields(self):
+        rows = _table((ROOT / "README.md").read_text(), ("field", "meaning"))
+        assert [row[0] for row in rows] == [f.name for f in dataclasses.fields(glmmvb.FitResult)]
 
     def test_every_cli_flag_is_documented(self):
         text = _section((ROOT / "README.md").read_text(), "Command line")

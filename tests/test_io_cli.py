@@ -359,6 +359,9 @@ class TestCliRuns:
         params = [ln.split(",")[0] for ln in lines]
         assert params.index("beta.intercept") < params.index("beta.seed") \
             < params.index("beta.extract") < params.index("sigma")
+        # one window of 1,000 steps within --max-iter 1200: not converged
+        assert lines[5:7] == ["converged,False", "start,laplace"]
+        assert fileio.read_state(os.path.join(out, "state.txt"))[1]["converged"] == "False"
 
     def test_deterministic_outputs(self, tmp_path):
         outs = []
@@ -489,6 +492,9 @@ class TestCliFormats:
         assert [r[0] for r in rows] == ["beta.intercept", "beta.seed", "beta.extract",
                                         "omega.00", "sigma"]
         assert all(len(r) == 3 and float(r[2]) > 0 for r in rows)
+        for v in range(2):
+            _, meta = fileio.read_state(os.path.join(out, f"state_shard{v}.txt"))
+            assert meta["converged"] == "False"
 
 
 class TestCliExitCodes:
