@@ -144,7 +144,7 @@ class VariationalState:
                 vec[..., d + k:])
 
     def __reduce__(self):
-        # pickled as the one vector, so that the views are rebuilt on it
+        # deepcopy and pickle copy params alone and rebuild the views on the copy
         return VariationalState, (self.n, self.r, self.g, self.params)
 
     # -- C blocks ----------------------------------------------------------

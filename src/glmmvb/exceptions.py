@@ -1,15 +1,8 @@
 """Exception types shared across the package."""
 
-import copyreg
-
 
 class GlmmVbError(Exception):
     """Base class for all package errors."""
-
-    def __reduce__(self):
-        # pickled (from a worker process, say) by args and attributes, not
-        # through __init__, whose signature differs between subclasses
-        return copyreg.__newobj__, (type(self),), {**self.__dict__, "args": self.args}
 
 
 class NotPositiveDefiniteError(GlmmVbError):

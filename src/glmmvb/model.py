@@ -363,6 +363,8 @@ def fit_pooled_glm(data, sigma_beta2=math.inf):
     half-steps guard against deviance increases. A finite sigma_beta2 keeps
     the mode finite under (quasi-)separation.
     """
+    if not 0 < sigma_beta2 <= math.inf:
+        raise ConfigError(f"need 0 < sigma_beta2 <= inf (inf: flat), got {sigma_beta2}")
     sel = data.mask.ravel() > 0
     X = data.X.reshape(-1, data.p)[sel]
     y = data.y.ravel()[sel]

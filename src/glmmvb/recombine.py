@@ -14,14 +14,12 @@ shard.
 """
 
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from . import engine, matcalc, model
-from .exceptions import InvalidVError, NotPositiveDefiniteError
+from .exceptions import ConfigError, InvalidVError, NotPositiveDefiniteError
 
 
 @dataclass
@@ -92,38 +90,26 @@ def combine(factors, prior):
     return GaussianFactor(cov @ eta, cov)
 
 
-def _fit_shard(args):
-    data, indices, prior, config = args
-    return engine.fit(data.subset(indices), prior, config)
-
-
 def fit_sharded(data, prior, config, V, partition_seed=None, workers=1):
-    """Fit V shards independently and combine the global posteriors.
+    """Fit V shards one after another and combine the global posteriors.
 
-    Shard seeds are derived from (config.seed, shard index), so results do
-    not depend on scheduling. Any shard failure propagates with its index.
+    Shard seeds are derived from (config.seed, shard index); any shard
+    failure propagates with its index. workers accepts only 1.
     """
+    if isinstance(workers, bool) or not (isinstance(workers, numbers.Integral) and workers == 1):
+        raise ConfigError(f"shards fit in the calling process; need workers=1, got {workers!r}")
     prior_f = prior_factor(prior, data.p)  # rejects a non-Gaussian prior before any fit
     parts = partition(data.n, V, config.seed if partition_seed is None else partition_seed)
-    jobs = [(data, idx, prior, replace(config, seed=engine.child_seed(config.seed, v)))
-            for v, idx in enumerate(parts)]
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        # one zero-argument call per shard, collected in shard order
-        fits = ([pool.submit(_fit_shard, job).result for job in jobs] if pool
-                else [partial(_fit_shard, job) for job in jobs])
-        results = []
-        for v, fit_shard in enumerate(fits):
-            try:
-                results.append(fit_shard())
-            except Exception as err:
-                # prefix in place: rebuilding would call constructors with
-                # other signatures
-                err.args = (f"shard {v}: {err}",)
-                raise
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
+    results = []
+    for v, idx in enumerate(parts):
+        try:
+            results.append(engine.fit(data.subset(idx), prior,
+                                      replace(config, seed=engine.child_seed(config.seed, v))))
+        except Exception as err:
+            # prefix in place: rebuilding would call constructors with other
+            # signatures
+            err.args = (f"shard {v}: {err}",)
+            raise
     try:
         combined = combine([global_factor(r.state) for r in results], prior_f)
     except NotPositiveDefiniteError:

@@ -10,6 +10,7 @@ visit code x_ij = (j - 4)/10 or independent Bernoulli(0.5) draws; the
 binomial scenarios use 20 trials per observation.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,8 @@ def simulate_dataset(scenario, seed, n=N):
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}")
     spec = SCENARIOS[scenario]
-    if n < 1:
-        raise ConfigError(f"need n >= 1, got n={n}")
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
+        raise ConfigError(f"need an integer n >= 1, got n={n!r}")
     rng = engine.stream(seed, engine.LANE_SIM, 0)
 
     if spec.x_rule == "visit":

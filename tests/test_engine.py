@@ -1,6 +1,7 @@
 import operator
 import pickle
 import time
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ class TestParamsLayout:
         for view in (state.mu, state.cstar_local, state.cstar_global):
             assert np.shares_memory(view, state.params)
         copy = engine.VariationalState(state.n, state.r, state.g, state.params.copy())
-        for other in (copy, pickle.loads(pickle.dumps(state))):
+        for other in (copy, pickle.loads(pickle.dumps(state)), deepcopy(state)):
             np.testing.assert_array_equal(other.params, state.params)
             assert not np.shares_memory(other.params, state.params)
             for name in ("mu", "cstar_local", "cstar_global"):

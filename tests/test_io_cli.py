@@ -1,5 +1,4 @@
 import os
-import pickle
 
 import numpy as np
 import pytest
@@ -259,20 +258,6 @@ class TestPriorFile:
                 "--trials-col", "total", "--prior", "file", "--prior-file", str(p),
                 "--max-iter", "50", "--out", str(tmp_path / "o")]
         assert run_cli(args) == 2
-
-
-class TestErrorPickling:
-    @pytest.mark.parametrize("err, attrs", [
-        (ParseError(3, "bad cell"), {"line": 3}),
-        (MissingColumnError("dose"), {"column": "dose"}),
-        (InvalidResponseError("poisson", 4, "negative count"),
-         {"family": "poisson", "line": 4}),
-    ], ids=["ParseError", "MissingColumnError", "InvalidResponseError"])
-    def test_round_trip_keeps_type_message_and_fields(self, err, attrs):
-        # errors raised in a worker process reach the parent pickled
-        back = pickle.loads(pickle.dumps(err))
-        assert type(back) is type(err) and str(back) == str(err)
-        assert {k: getattr(back, k) for k in attrs} == attrs
 
 
 class TestStateFile:

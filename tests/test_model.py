@@ -352,6 +352,14 @@ class TestPooledGlmAndDefaultPrior:
         score, fisher = oracles.pooled_glm_penalized_score(data, beta, sigma_beta2)
         assert np.abs(np.linalg.solve(fisher, score)).max() < 1e-5 * (1.0 + np.abs(beta).max())
 
+    # -1 used to return a mode under a negative prior variance, and 0, -0.001
+    # and nan raised IrlsDivergedError
+    @pytest.mark.parametrize("sigma_beta2", [0.0, -0.001, -1.0, -math.inf, math.nan])
+    def test_sigma_beta2_outside_zero_to_inf_is_a_configuration_error(self, sigma_beta2):
+        data = datasets.seeds_dataset()
+        with pytest.raises(ConfigError, match="sigma_beta2"):
+            model.fit_pooled_glm(data, sigma_beta2=sigma_beta2)
+
     def test_ridge_keeps_a_separable_design_finite(self):
         data = separable_bernoulli()
         with pytest.raises(IrlsDivergedError):

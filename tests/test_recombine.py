@@ -1,4 +1,3 @@
-import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -165,33 +164,54 @@ class TestFitSharded:
         np.linalg.cholesky(sharded.combined.cov)
         assert sharded.global_names == ["beta.intercept", "beta.x", "omega.00"]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_shard_failure_names_the_shard(self, workers, monkeypatch):
+    def test_shard_failure_names_the_shard(self, monkeypatch):
         # a huge Adam step diverges shard 0 at its second iteration
-        if workers > 1 and multiprocessing.get_start_method() != "fork":
-            pytest.skip("the patched step size reaches the workers only through fork")
         monkeypatch.setattr(engine, "ADAM_ALPHA", 1e300)
         data = datasets.seeds_dataset()
         cfg = engine.FitConfig(method="a1", seed=1)
         with np.errstate(all="ignore"), pytest.raises(DivergedError, match=r"^shard 0: "):
-            recombine.fit_sharded(data, model.normal_omega_prior(data.r), cfg, V=2,
-                                  workers=workers)
+            recombine.fit_sharded(data, model.normal_omega_prior(data.r), cfg, V=2)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_shard_error_keeps_its_type(self, workers, monkeypatch):
-        # ParseError's constructor takes (line, message); with workers=2 the
-        # error also has to pickle back from the worker process
-        if workers > 1 and multiprocessing.get_start_method() != "fork":
-            pytest.skip("the patched fit reaches the workers only through fork")
-
+    def test_shard_error_keeps_its_type(self, monkeypatch):
+        # ParseError's constructor takes (line, message)
         def bad_fit(data, prior, config):
             raise ParseError(7, "bad cell")
         monkeypatch.setattr(engine, "fit", bad_fit)
         data = datasets.seeds_dataset()
         with pytest.raises(ParseError, match=r"^shard 0: line 7: bad cell$") as info:
             recombine.fit_sharded(data, model.normal_omega_prior(data.r),
-                                  engine.FitConfig(method="a1"), V=2, workers=workers)
+                                  engine.FitConfig(method="a1"), V=2)
         assert info.value.line == 7
+
+    @pytest.mark.parametrize("workers", [2, 0, True, 1.0], ids=repr)
+    def test_workers_other_than_one_is_a_configuration_error(self, workers, monkeypatch):
+        def no_fit(data, prior, config):
+            raise AssertionError("a shard was fitted")
+        monkeypatch.setattr(engine, "fit", no_fit)
+        data, prior, cfg = self._small_problem()
+        with pytest.raises(ConfigError, match="workers"):
+            recombine.fit_sharded(data, prior, cfg, V=2, workers=workers)
+
+    def test_shards_are_independent_fits_in_shard_order(self):
+        data, prior, cfg = self._small_problem()
+        cfg = replace(cfg, final_elbo_draws=20)
+        sharded = recombine.fit_sharded(data, prior, cfg, V=3)
+        parts = recombine.partition(data.n, 3, cfg.seed)
+        fits = [engine.fit(data.subset(idx), prior,
+                           replace(cfg, seed=engine.child_seed(cfg.seed, v)))
+                for v, idx in enumerate(parts)]
+        for got, want, idx, part in zip(sharded.shard_results, fits,
+                                        sharded.shard_indices, parts):
+            np.testing.assert_array_equal(idx, part)
+            assert got.n_iter == want.n_iter
+            for name in ("window_means", "elbo"):
+                assert (np.asarray(getattr(got, name)).tobytes()
+                        == np.asarray(getattr(want, name)).tobytes())
+            assert got.state.params.tobytes() == want.state.params.tobytes()
+        combined = recombine.combine([recombine.global_factor(r.state) for r in fits],
+                                     recombine.prior_factor(prior, data.p))
+        assert sharded.combined.mean.tobytes() == combined.mean.tobytes()
+        assert sharded.combined.cov.tobytes() == combined.cov.tobytes()
 
     def test_deterministic(self):
         data, prior, cfg = self._small_problem()
@@ -224,6 +244,12 @@ class TestSimulatedDatasets:
     def test_unknown_scenario_is_a_configuration_error(self):
         with pytest.raises(ConfigError, match="poisson-iii"):
             simulate.simulate_dataset("poisson-iii", seed=1)
+
+    # 2.5, True and "3" used to reach numpy and raise a bare TypeError
+    @pytest.mark.parametrize("n", [0, 2.5, True, "3"], ids=repr)
+    def test_n_that_is_not_a_positive_integer(self, n):
+        with pytest.raises(ConfigError, match="integer n"):
+            simulate.simulate_dataset("poisson-i", seed=1, n=n)
 
     def test_binomial_uses_twenty_trials(self):
         d, t = simulate.simulate_dataset("binomial-i", seed=1)
