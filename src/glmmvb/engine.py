@@ -183,17 +183,18 @@ class VariationalState:
         c_loc, c_glob = blocks or self.blocks()
         s_loc, s_glob = self.split(s)
         mu_loc, mu_glob = self.split(self.mu)
-        loc = np.einsum("nrs,...ns->...nr", c_loc, s_loc) + mu_loc
-        glob = np.einsum("rs,...s->...r", c_glob, s_glob) + mu_glob
+        loc = matcalc.matvec(c_loc, s_loc) + mu_loc
+        glob = matcalc.matvec_fixed(c_glob, s_glob) + mu_glob
         return self._join(loc, glob)
 
     def cinv_t(self, s, blocks):
-        """C^{-T} s from blocks(), blockwise triangular solves (LAPACK for the
-        global block, where substitution would take g Python-level sweeps)."""
+        """C^{-T} s from blocks(), as (local (..., n, r), global (..., g))
+        blocks: blockwise triangular solves (LAPACK for the global block,
+        where substitution would take g Python-level sweeps)."""
         c_loc, c_glob = blocks
         s_loc, s_glob = self.split(s)
-        glob = np.linalg.solve(c_glob.T, s_glob[..., None])[..., 0]
-        return self._join(matcalc.solve_lower(c_loc, s_loc, trans=True), glob)
+        return (matcalc.solve_lower(c_loc, s_loc, trans=True),
+                np.linalg.solve(c_glob.T, s_glob[..., None])[..., 0])
 
 
 @dataclass
@@ -208,8 +209,10 @@ class AdamState:
 
     def ascent_step(self, g):
         self.t += 1
-        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * g
-        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * g * g
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * g
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * g * g
         m_hat = self.m / (1.0 - ADAM_BETA1 ** self.t)
         v_hat = self.v / (1.0 - ADAM_BETA2 ** self.t)
         return ADAM_ALPHA * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
@@ -241,16 +244,19 @@ def estimator(state, s, grad_vec, blocks):
     Duvenaud, 2017); the C blocks' part is v(g_mu s') on the block-diagonal
     support, its diagonal positions times C's diagonal for C*'s log scale.
     """
-    c_loc, c_glob = blocks
-    g_mu = grad_vec + state.cinv_t(s, blocks)
-    s_loc, s_glob = state.split(s)
-    o_loc, o_glob = state.split(g_mu)
-    # the diagonal scaled in place: cheaper per step than matcalc.dweight's product
-    gv_loc = matcalc.halfvec(o_loc[..., :, None] * s_loc[..., None, :])
-    gv_loc[..., matcalc.diag_positions(state.r)] *= np.diagonal(c_loc, axis1=-2, axis2=-1)
-    gv_glob = matcalc.halfvec(o_glob[..., :, None] * s_glob[..., None, :])
-    gv_glob[..., matcalc.diag_positions(state.g)] *= np.diag(c_glob)
-    return np.concatenate([g_mu, gv_loc.reshape(gv_loc.shape[:-2] + (-1,)), gv_glob], axis=-1)
+    lead = s.shape[:-1]
+    g_mu, g_c = [], []  # the local block, then the global one
+    for grad_part, s_part, cinv_t_s, c in zip(state.split(grad_vec), state.split(s),
+                                              state.cinv_t(s, blocks), blocks):
+        g = grad_part + cinv_t_s
+        outer = g[..., :, None] * s_part[..., None, :]
+        # its diagonal times C's, in place through a strided view: cheaper
+        # per step than matcalc.dweight's product
+        r = c.shape[-1]
+        outer.reshape(outer.shape[:-2] + (r * r,))[..., ::r + 1] *= c.diagonal(0, -2, -1)
+        g_mu.append(g.reshape(lead + (-1,)))
+        g_c.append(matcalc.halfvec(outer).reshape(lead + (-1,)))
+    return np.concatenate(g_mu + g_c, axis=-1)
 
 
 def should_stop(window_means, tau):

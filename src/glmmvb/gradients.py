@@ -15,27 +15,36 @@ modes comes from the transforms' weight, mask * h'' there (h3_from_h2).
 All functions broadcast over leading batch dimensions of theta_G and b~.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import matcalc, model
 
 
 def _score(data, gp, b, h1):
-    """Masked residuals y - g(eta) and a_i = Z_i'(y_i - g(eta_i)) - Omega b_i,
-    from g(eta) = h'(eta)."""
+    """Masked residuals y - g(eta), a_i = Z_i'(y_i - g(eta_i)) - Omega b_i
+    and Omega b_i, from g(eta) = h'(eta)."""
     resid = data.mask * (data.y - h1)
-    return resid, (np.einsum("njr,...nj->...nr", data.Z, resid)
-                   - np.einsum("...rs,...ns->...nr", gp.Omega, b))
+    omega_b = gp.omega_b(b)
+    return resid, data.zt(resid) - omega_b, omega_b
 
 
 def grad_local(transforms, a):
     """Gradient with respect to each b~_i: L_i' a_i."""
-    return np.einsum("...nsr,...ns->...nr", transforms.L, a)
+    return matcalc.matvec(np.swapaxes(transforms.L, -1, -2), np.asarray(a))
+
+
+@lru_cache(maxsize=None)
+def _lower_mask(r):
+    mask = np.tri(r, dtype=bool)
+    mask.setflags(write=False)
+    return mask
 
 
 def _sym_lower(B):
     """bar(B) + bar(B)' - dg(B): the symmetric matrix with B's lower triangle."""
-    return np.where(np.tri(B.shape[-1], dtype=bool), B, np.swapaxes(B, -1, -2))
+    return np.where(_lower_mask(B.shape[-1]), B, np.swapaxes(B, -1, -2))
 
 
 def value_and_grad(data, b_tilde, transforms, prior):
@@ -49,29 +58,31 @@ def value_and_grad(data, b_tilde, transforms, prior):
     b = transforms.invert(b_tilde)
     eta = data.eta(gp.beta, b)
     h, h1 = data.family.derivs(eta, data.trials, 1)
-    resid, a = _score(data, gp, b, h1)
-    value = model.log_joint(data, gp, b, prior, eta=eta, h=h) + transforms.log_det_l()
+    resid, a, omega_b = _score(data, gp, b, h1)
+    value = (model.log_joint(data, gp, b, prior, eta=eta, h=h, omega_b=omega_b)
+             + transforms.log_det_l())
 
     local = grad_local(transforms, a)
     LBL = L @ _sym_lower(local[..., :, None] * b_tilde[..., None, :]) @ np.swapaxes(L, -1, -2)
+    Lam_LBL = Lam + LBL
     alpha = 0.0  # a2 only: the mode moves with theta_G, so a = a - Z'alpha
     if transforms.method == "a2":
         # the weight is mask * h'', so h3 carries the mask too
         h3 = data.family.h3_from_h2(transforms.base_eta, transforms.weight)
-        alpha = 0.5 * h3 * data.zmz(Lam + LBL)
-        a = a - np.einsum("njr,...nj->...nr", data.Z, alpha)
-    t1 = np.einsum("...nrs,...ns->...nr", Lam, a)
+        alpha = 0.5 * h3 * data.zmz(Lam_LBL)
+        a = a - data.zt(alpha)
+    t1 = matcalc.matvec(Lam, a)
 
-    zt1 = np.einsum("njr,...nr->...nj", data.Z, t1)
-    beta_grad = (np.einsum("njp,...nj->...p", data.X, resid - transforms.weight * zt1 - alpha)
+    zt1 = data.zb(t1)
+    beta_grad = (data.xt(resid - transforms.weight * zt1 - alpha)
                  - gp.beta / prior.sigma_beta2)
 
-    M = (b[..., :, None] * b[..., None, :]
-         + t1[..., :, None] * lam[..., None, :]
-         + lam[..., :, None] * t1[..., None, :]
-         + Lam + LBL).sum(axis=-3)
+    # sum_i b_i b_i' + t1_i lam_i' + lam_i t1_i' + Lambda_i + L_i B~_i L_i'
+    t1_lam = np.swapaxes(t1, -1, -2) @ lam
+    M = (np.swapaxes(b, -1, -2) @ b + t1_lam + np.swapaxes(t1_lam, -1, -2)
+         + Lam_LBL.sum(axis=-3))
     raw = data.n * gp.W_inv_t - M @ gp.W
-    omega_grad = matcalc.dweight(gp.W) * matcalc.halfvec(raw) + prior.grad_omega(gp)
+    omega_grad = gp.W_dweight * matcalc.halfvec(raw) + prior.grad_omega(gp)
     flat_local = local.reshape(local.shape[:-2] + (-1,))
     return value, np.concatenate([flat_local, beta_grad, omega_grad], axis=-1)
 

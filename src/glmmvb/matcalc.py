@@ -166,6 +166,33 @@ def solve_lower(L, b, trans=False):
     return x
 
 
+def matvec(a, x):
+    """A x for blocks A (..., r, s) and vectors x (..., s): (..., r), as s
+    elementwise products summed in column order. Each entry of the result
+    is computed from its own row alone, so a row of a batch equals that row
+    computed on its own (no leading axis goes into one BLAS product), and
+    small blocks cost s multiply-adds over the batch instead of a BLAS call each.
+    """
+    out = a[..., 0] * x[..., 0, None]
+    for k in range(1, a.shape[-1]):
+        out += a[..., k] * x[..., k, None]
+    return out
+
+
+def matvec_rows(a, x):
+    """A x_i for one matrix A (..., r, s) per leading index and rows x_i of
+    x (..., n, s): (..., n, r), one matrix product per leading index."""
+    return x @ np.swapaxes(a, -1, -2)
+
+
+def matvec_fixed(a, x):
+    """A x for one fixed array A (m..., s), such as a design, and vectors x
+    (..., s): (..., m...), one matrix-vector product of A's rows, flattened
+    to (prod(m), s), per leading index of x."""
+    rows = a.reshape(-1, a.shape[-1]) @ x[..., None]
+    return rows.reshape(x.shape[:-1] + a.shape[:-1])
+
+
 def dweight(m):
     """Diagonal chain-rule scaling for a log-diagonal triangular factor.
 
@@ -193,6 +220,6 @@ def unpack_log_diag(h, r):
     """Lower-triangular matrix from a half-vec that holds the log of each
     diagonal entry (the C* and omega parameterizations)."""
     out = unpack_lower(h, r)
-    diag = np.einsum("...ii->...i", out)  # a writable view
+    diag = out.reshape(out.shape[:-2] + (r * r,))[..., ::r + 1]  # a writable view
     np.exp(diag, out=diag)
     return out

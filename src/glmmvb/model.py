@@ -15,7 +15,6 @@ lower-bound differences are meaningful).
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -144,10 +143,32 @@ class Dataset:
                        x_names=self.x_names, z_names=self.z_names,
                        group_labels=[self.group_labels[i] for i in idx])
 
+    # The contraction kernels below broadcast over leading (draw) dims and
+    # never fold a leading axis into one BLAS product: a row of a batch
+    # equals that row computed alone, whatever the batch.
+    def xbeta(self, beta):
+        """X beta per observation, (..., n, J), for beta (..., p): one
+        matrix-vector product per draw."""
+        return matcalc.matvec_fixed(self.X, beta)
+
+    def zb(self, b):
+        """Z_ij' b_i per observation, (..., n, J), for b (..., n, r): each
+        subject's Z_i as a block of matcalc.matvec, r elementwise multiply-adds."""
+        return matcalc.matvec(self.Z, b)
+
+    def zt(self, v):
+        """Z_i' v_i per subject, (..., n, r), for v (..., n, J)."""
+        return (v[..., None, :] @ self.Z)[..., 0, :]
+
+    def xt(self, v):
+        """sum_i X_i' v_i, (..., p), for v (..., n, J)."""
+        rows = (v.reshape(v.shape[:-2] + (1, self.n * self.J))
+                @ self.X.reshape(self.n * self.J, self.p))
+        return rows[..., 0, :]
+
     def eta(self, beta, b):
         """Linear predictors X beta + Z b, broadcasting over leading dims."""
-        return (np.einsum("njp,...p->...nj", self.X, beta)
-                + np.einsum("njr,...nr->...nj", self.Z, b))
+        return self.xbeta(beta) + self.zb(b)
 
     def eta_hat_reg(self):
         """Per-observation regularized natural-parameter estimates (cached)."""
@@ -185,6 +206,23 @@ class Dataset:
 # global parameters
 
 
+class _cached:
+    """functools.cached_property without its lock: the value is computed at
+    the first access and stored in the instance's __dict__, which later
+    accesses read directly. Before Python 3.12 cached_property takes a lock
+    at each first access, and a fit step makes five of them on a fresh
+    GlobalParams; no GlobalParams is shared between threads."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass
 class GlobalParams:
     """Fixed effects and the unconstrained precision parameterization."""
@@ -207,22 +245,32 @@ class GlobalParams:
         return self.W @ np.swapaxes(self.W, -1, -2)
 
     # computed once per parameter value, shared by transforms, joint and prior
-    @cached_property
+    @_cached
     def W(self):
         return self.w_matrix()
 
-    @cached_property
+    @_cached
     def Omega(self):
         return self.omega_matrix()
 
-    @cached_property
+    @_cached
     def W_inv_t(self):
         """W^{-T}: row k solves W x = e_k."""
         return matcalc.solve_lower(self.W[..., None, :, :], np.eye(self.r))
 
+    @_cached
+    def W_dweight(self):
+        """matcalc.dweight(W): the log-diagonal chain rule of omega's gradients."""
+        return matcalc.dweight(self.W)
+
+    @_cached
     def log_diag_sum(self):
         """sum_i log W_ii = half of log|Omega|."""
         return self.omega[..., matcalc.diag_positions(self.r)].sum(axis=-1)
+
+    def omega_b(self, b):
+        """Omega b_i per subject, (..., n, r), for b (..., n, r)."""
+        return matcalc.matvec_rows(self.Omega, b)
 
 
 def global_names(data, prior):
@@ -261,23 +309,21 @@ class WishartPrior:
         r = self.S.shape[0]
         if not (math.isfinite(self.nu) and self.nu > r - 1):
             raise ConfigError("Wishart degrees of freedom must be finite and exceed r - 1")
-        self.u = np.arange(r + 1, 1, -1, dtype=float)  # u_i = r - i + 2
         self.g2 = matcalc.half_len(r)  # the length of the omega it is a prior on
+        # u_i = r - i + 2 at omega's diagonal positions (log W_ii), 0 elsewhere
+        self.u = np.zeros(self.g2)
+        self.u[matcalc.diag_positions(r)] = np.arange(r + 1, 1, -1)
 
     def log_omega(self, gp):
         r = gp.r
-        diag = gp.omega[..., matcalc.diag_positions(r)]
-        logdet = 2.0 * diag.sum(axis=-1)
-        trace = np.einsum("ij,...ij->...", self.S_inv, gp.Omega)
-        return (0.5 * (self.nu - r - 1) * logdet - 0.5 * trace
-                + r * math.log(2.0) + (self.u * diag).sum(axis=-1))
+        trace = (self.S_inv * gp.Omega).sum(axis=(-1, -2))
+        # (nu - r - 1) / 2 log|Omega|, log|Omega| being twice the log-diagonal sum
+        return ((self.nu - r - 1) * gp.log_diag_sum - 0.5 * trace
+                + r * math.log(2.0) + (self.u * gp.omega).sum(axis=-1))
 
     def grad_omega(self, gp):
-        r = gp.r
-        raw = (self.nu - r - 1) * gp.W_inv_t - self.S_inv @ gp.W
-        out = matcalc.dweight(gp.W) * matcalc.halfvec(raw)
-        out[..., matcalc.diag_positions(r)] += self.u
-        return out
+        raw = (self.nu - gp.r - 1) * gp.W_inv_t - self.S_inv @ gp.W
+        return gp.W_dweight * matcalc.halfvec(raw) + self.u
 
 
 @dataclass
@@ -325,22 +371,24 @@ def normal_omega_prior(r, sigma_beta2=DEFAULT_SIGMA_BETA2, sd=10.0):
 # log joints
 
 
-def log_joint(data, gp, b, prior, eta=None, h=None):
+def log_joint(data, gp, b, prior, eta=None, h=None, omega_b=None):
     """Log joint density of data, random effects and global parameters.
 
     sum_i [ sum_j {y eta - h(eta)} - b_i' Omega b_i / 2 ] + (n/2) log|Omega|
     - beta'beta/(2 sigma_beta^2) + log p(omega); broadcasts over leading
-    dims of gp.beta / gp.omega / b. eta = X beta + Z b and h(eta), if
-    already known.
+    dims of gp.beta / gp.omega / b. eta = X beta + Z b, h(eta) and
+    gp.omega_b(b), if already known.
     """
     if eta is None:
         eta = data.eta(gp.beta, b)
     if h is None:
         h = data.family.derivs(eta, data.trials, 0)[0]
+    if omega_b is None:
+        omega_b = gp.omega_b(b)
     ll = (data.mask * (data.y * eta - h)).sum(axis=(-1, -2))
-    quad = np.einsum("...nr,...rs,...ns->...", b, gp.Omega, b)
+    quad = (b * omega_b).sum(axis=(-1, -2))
     pen = (gp.beta * gp.beta).sum(axis=-1) / (2.0 * prior.sigma_beta2)
-    return (ll - 0.5 * quad + data.n * gp.log_diag_sum() - pen
+    return (ll - 0.5 * quad + data.n * gp.log_diag_sum - pen
             + prior.log_omega(gp))
 
 

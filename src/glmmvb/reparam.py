@@ -46,7 +46,7 @@ class Transforms:
 
     def invert(self, b_tilde):
         """b = L b~ + lambda."""
-        return np.einsum("...nrs,...ns->...nr", self.L, b_tilde) + self.lam
+        return matcalc.matvec(self.L, b_tilde) + self.lam
 
     def log_det_l(self):
         """sum_i log|L_i| = sum of log diagonal entries."""
@@ -78,17 +78,13 @@ def transform_a1(data, gp):
                             np.einsum("njr,nj,njp->nrp", data.Z, w, data.X), w)
     K, c, ZWX, w = data.cache["a1"]
     Lam, L = matcalc.spd_inv_cholesky(gp.Omega[..., None, :, :] + K)
-    rhs = c - np.einsum("...nrp,...p->...nr", ZWX, gp.beta)
-    lam = np.einsum("...nrs,...ns->...nr", Lam, rhs)
+    rhs = c - matcalc.matvec_fixed(ZWX, gp.beta)
+    lam = matcalc.matvec(Lam, rhs)
     return Transforms("a1", lam, L, Lam, base_eta=data.eta_hat_reg(), weight=w, gp=gp)
 
 
 # ---------------------------------------------------------------------------
 # method a2
-
-
-def _eta(data, Xbeta, b):
-    return Xbeta + np.einsum("njr,...nr->...nj", data.Z, b)
 
 
 def _conditional_objective(data, b, eta, h, Om_b):
@@ -102,11 +98,6 @@ def _conditional_objective(data, b, eta, h, Om_b):
     return ll - 0.5 * (b * Om_b).sum(axis=-1)
 
 
-def _omega_b(Omega, b):
-    """Omega b_i per subject, (..., n, r)."""
-    return b @ np.swapaxes(Omega, -1, -2)
-
-
 def _evaluate(data, Xbeta, Omega, b, eta=None):
     """The one evaluation of a point b: (objective, h', h'', eta, Omega b),
     with eta = X beta + Z b unless given and h, h', h'' from one family
@@ -114,9 +105,9 @@ def _evaluate(data, Xbeta, Omega, b, eta=None):
     from h' and h'', the gradient and its scale from Omega b, and the
     expansion point from eta."""
     if eta is None:
-        eta = _eta(data, Xbeta, b)
+        eta = Xbeta + data.zb(b)
     h, h1, h2 = data.family.derivs(eta, data.trials, 2)
-    Om_b = _omega_b(Omega, b)
+    Om_b = matcalc.matvec_rows(Omega, b)
     return _conditional_objective(data, b, eta, h, Om_b), h1, h2, eta, Om_b
 
 
@@ -144,11 +135,11 @@ def transform_a2(data, gp, start=None):
     """
     Omega = gp.Omega
     eta_max = data.family.eta_max
-    Xbeta = np.einsum("njp,...p->...nj", data.X, gp.beta)
+    Xbeta = data.xbeta(gp.beta)
     b = transform_a1(data, gp).lam if start is None else start
     f, h1, h2, eta, Om_b = _evaluate(data, Xbeta, Omega, b)
     for it in range(NR_MAX_ITER + 1):
-        grad = np.einsum("njr,...nj->...nr", data.Z, data.mask * (data.y - h1)) - Om_b
+        grad = data.zt(data.mask * (data.y - h1)) - Om_b
         w = data.mask * h2
         P = data.zwz(w)
         P += Omega[..., None, :, :]  # in place, while w is still held
@@ -158,13 +149,13 @@ def transform_a2(data, gp, start=None):
         active = gnorm > NR_TOL * scale
         if it == NR_MAX_ITER or not active.any():
             break
-        step = np.einsum("...nrs,...ns->...nr", matcalc.spd_inv(P), grad)
+        step = matcalc.matvec(matcalc.spd_inv(P), grad)
         if not np.isfinite(step).all():
             raise ModeSearchFailedError("non-finite Newton step")
         t = active.astype(float)
         for _ in range(NR_MAX_HALVINGS + 1):
             cand = b + t[..., None] * step
-            eta_new = _eta(data, Xbeta, cand)
+            eta_new = Xbeta + data.zb(cand)
             over = (eta_new > eta_max).any(axis=-1)
             if over.any():
                 eta_new = np.where(over[..., None], eta, eta_new)
@@ -201,9 +192,9 @@ def predict_modes(data, anchor, gp):
     batch makes no (B, n, J) array.
     """
     lam, at = anchor.lam, anchor.gp
-    shift = (np.einsum("nrp,...p->...nr", data.zwx(anchor.weight), gp.beta - at.beta)
-             + np.einsum("...rs,ns->...nr", gp.Omega - at.Omega, lam))
-    return lam - np.einsum("nrs,...ns->...nr", anchor.Lambda, shift)
+    shift = (matcalc.matvec_fixed(data.zwx(anchor.weight), gp.beta - at.beta)
+             + matcalc.matvec_rows(gp.Omega - at.Omega, lam))
+    return lam - matcalc.matvec(anchor.Lambda, shift)
 
 
 def build_transforms(data, gp, method, anchor=None):

@@ -244,7 +244,9 @@ def estimator_l3(state, s, grad_vec, blocks):
     """The L3 gradient estimate: the score form g_mu = grad_vec - C^{-T} s,
     the noisier one, with the C blocks' part of engine.estimator (L2)."""
     out = engine.estimator(state, s, grad_vec, blocks)
-    state.views(out)[0][...] = grad_vec - state.cinv_t(s, blocks)
+    loc, glob = state.cinv_t(s, blocks)
+    state.views(out)[0][...] = grad_vec - np.concatenate(
+        [loc.reshape(loc.shape[:-2] + (-1,)), glob], axis=-1)
     return out
 
 

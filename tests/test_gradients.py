@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glmmvb import engine, families, gradients, matcalc, model, reparam
+from glmmvb import datasets, engine, families, gradients, matcalc, model, reparam
 
 import oracles
 from conftest import (
@@ -310,3 +310,48 @@ class TestOneFamilyCallPerPoint:
         gradients.value_and_grad(data, b_tilde, t, prior)
         assert len(calls) == 1 and calls[0] is not t.base_eta
         assert len(third) == 1 and third[0][0] is t.base_eta and third[0][1] is t.weight
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of owner.name from here on."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestEachQuantityOncePerStep:
+    """A step computes Omega and dweight(W) once each, for the transforms,
+    the joint, its gradient and the Wishart prior together, and calls no
+    np.einsum: the step runs on the contraction kernels alone. One warm-up
+    step fills the dataset's caches (a1's einsum cache fill among them) and
+    gives the a2 step its anchor."""
+
+    @pytest.mark.parametrize("method", ["a1", "a2"])
+    def test_step(self, rng, monkeypatch, method):
+        if method == "a1":
+            data = datasets.seeds_dataset()
+        else:
+            data = random_dataset(rng, families.POISSON, r=2, n=5, p=2)
+        prior = model.default_prior(data)
+        cfg = engine.FitConfig(method=method, seed=3)
+        state = engine.VariationalState.initial(data.n, data.r, data.g)
+        adam = engine.AdamState.zeros(state.params.size)
+        draws = engine.LaneStream(cfg.seed, engine.LANE_FIT)
+        _, anchor = engine.step(data, prior, cfg, state, adam, 1, draws)
+        omega = _count_calls(monkeypatch, model.GlobalParams, "omega_matrix")
+        dweight = _count_calls(monkeypatch, matcalc, "dweight")
+
+        def no_einsum(*args, **kwargs):
+            raise AssertionError("np.einsum on the step path")
+
+        monkeypatch.setattr(np, "einsum", no_einsum)
+        for t in range(2, 5):
+            omega.clear()
+            dweight.clear()
+            _, anchor = engine.step(data, prior, cfg, state, adam, t, draws, anchor)
+            assert (len(omega), len(dweight)) == (1, 1)

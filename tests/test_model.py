@@ -224,7 +224,7 @@ class TestPriorGradOmega:
             gp = model.GlobalParams([], o, r)
             Om = gp.omega_matrix()
             quad = sum(float(bi @ Om @ bi) for bi in b)
-            return (float(pr.log_omega(gp)) + n * float(gp.log_diag_sum())
+            return (float(pr.log_omega(gp)) + n * float(gp.log_diag_sum)
                     - 0.5 * quad)
 
         gp = model.GlobalParams([], om, r)
