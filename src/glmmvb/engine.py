@@ -324,7 +324,7 @@ def step(data, prior, config, state, adam, t, draws, anchor=None):
 
     # omega's block is last, and d leaves it out when the prior fixes omega
     update = adam.ascent_step(estimator(state, s, grad[:state.d], blocks))
-    if not np.all(np.isfinite(update)):
+    if not np.isfinite(update).all():
         raise DivergedError(f"iteration {t}: non-finite parameter update")
     state.params += update
     return elbo, transforms

@@ -90,7 +90,7 @@ class Poisson(Family):
     eta_max = POISSON_ETA_MAX
 
     def derivs(self, eta, trials, k):
-        if np.any(eta > self.eta_max):
+        if np.greater(eta, self.eta_max).any():
             raise OverflowGuardError("poisson linear predictor exceeded guard")
         return (np.exp(eta),) * (k + 1)
 

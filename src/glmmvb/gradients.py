@@ -32,7 +32,7 @@ def _score(data, gp, b, h1):
 
 def grad_local(transforms, a):
     """Gradient with respect to each b~_i: L_i' a_i."""
-    return matcalc.matvec(np.swapaxes(transforms.L, -1, -2), np.asarray(a))
+    return matcalc.matvec(transforms.L.swapaxes(-1, -2), np.asarray(a))
 
 
 @lru_cache(maxsize=None)
@@ -44,7 +44,7 @@ def _lower_mask(r):
 
 def _sym_lower(B):
     """bar(B) + bar(B)' - dg(B): the symmetric matrix with B's lower triangle."""
-    return np.where(_lower_mask(B.shape[-1]), B, np.swapaxes(B, -1, -2))
+    return np.where(_lower_mask(B.shape[-1]), B, B.swapaxes(-1, -2))
 
 
 def value_and_grad(data, b_tilde, transforms, prior):
@@ -63,7 +63,7 @@ def value_and_grad(data, b_tilde, transforms, prior):
              + transforms.log_det_l())
 
     local = grad_local(transforms, a)
-    LBL = L @ _sym_lower(local[..., :, None] * b_tilde[..., None, :]) @ np.swapaxes(L, -1, -2)
+    LBL = L @ _sym_lower(local[..., :, None] * b_tilde[..., None, :]) @ L.swapaxes(-1, -2)
     Lam_LBL = Lam + LBL
     alpha = 0.0  # a2 only: the mode moves with theta_G, so a = a - Z'alpha
     if transforms.method == "a2":
@@ -78,8 +78,8 @@ def value_and_grad(data, b_tilde, transforms, prior):
                  - gp.beta / prior.sigma_beta2)
 
     # sum_i b_i b_i' + t1_i lam_i' + lam_i t1_i' + Lambda_i + L_i B~_i L_i'
-    t1_lam = np.swapaxes(t1, -1, -2) @ lam
-    M = (np.swapaxes(b, -1, -2) @ b + t1_lam + np.swapaxes(t1_lam, -1, -2)
+    t1_lam = t1.swapaxes(-1, -2) @ lam
+    M = (b.swapaxes(-1, -2) @ b + t1_lam + t1_lam.swapaxes(-1, -2)
          + Lam_LBL.sum(axis=-3))
     raw = data.n * gp.W_inv_t - M @ gp.W
     omega_grad = gp.W_dweight * matcalc.halfvec(raw) + prior.grad_omega(gp)

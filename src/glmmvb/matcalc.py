@@ -35,6 +35,14 @@ def diag_positions(r):
     return pos
 
 
+@lru_cache(maxsize=None)
+def eye(r):
+    """The identity of order r, read-only."""
+    out = np.eye(r)
+    out.setflags(write=False)
+    return out
+
+
 def half_len(r):
     return r * (r + 1) // 2
 
@@ -79,19 +87,25 @@ def cholesky(s):
     if s.shape[-1] == 1:
         _require((s > 0) & (s < np.inf))
         return np.sqrt(s)
-    out = _lapack(np.linalg.cholesky, 0.5 * (s + np.swapaxes(s, -1, -2)))
+    out = _lapack(np.linalg.cholesky, 0.5 * (s + s.swapaxes(-1, -2)))
     _require(np.isfinite(out))
     return out
 
 
-def _inv2(s):
-    """(inverse, b, d) of 2 x 2 blocks: the adjugate of the symmetric part
-    [[a, b], [b, d]] over its determinant; raises unless a > 0, the
-    determinant exceeds SINGULAR_RTOL * a d and the inverse is finite."""
+def _entries2(s):
+    """(a, b, d, det) of 2 x 2 blocks' symmetric part [[a, b], [b, d]]; raises
+    unless a > 0 and the determinant exceeds SINGULAR_RTOL * a d."""
     a, b, d = s[..., 0, 0], 0.5 * (s[..., 1, 0] + s[..., 0, 1]), s[..., 1, 1]
     ad = a * d
     det = ad - b * b
     _require((a > 0) & (det > SINGULAR_RTOL * ad))
+    return a, b, d, det
+
+
+def _inv2(s):
+    """(inverse, b, d) of 2 x 2 blocks: the adjugate of the symmetric part
+    over its determinant; raises as _entries2, and unless it is finite."""
+    a, b, d, det = _entries2(s)
     out = np.empty_like(s)
     out[..., 0, 0] = d
     out[..., 1, 0] = out[..., 0, 1] = -b
@@ -120,8 +134,23 @@ def spd_inv(s):
         out = 1.0 / s
     else:
         out = _lapack(np.linalg.inv, s)
-        out = 0.5 * (out + np.swapaxes(out, -1, -2))
+        out = 0.5 * (out + out.swapaxes(-1, -2))
     _require(np.isfinite(out))
+    return out
+
+
+def spd_solve(s, g):
+    """matvec(spd_inv(S), g) for vectors g (..., r); for r = 2 the same bytes
+    from the inverse's entries without forming it, raising as spd_inv does
+    but not for a non-finite result. Batched over leading dims."""
+    if s.shape[-1] != 2:
+        return matvec(spd_inv(s), g)
+    a, b, d, det = _entries2(s)
+    b_det = b / det  # minus the off-diagonal entry of the inverse
+    x0 = d / det * g[..., 0] - b_det * g[..., 1]
+    out = np.empty(x0.shape + (2,))
+    out[..., 0] = x0
+    out[..., 1] = a / det * g[..., 1] - b_det * g[..., 0]
     return out
 
 
@@ -154,12 +183,12 @@ def solve_lower(L, b, trans=False):
     sweeps of x <- D^{-1} b - N x are exact. b (..., r) broadcasts against
     L (..., r, r).
     """
-    d = np.diagonal(L, axis1=-2, axis2=-1)
+    d = L.diagonal(0, -2, -1)
     c = b / d
     r = L.shape[-1]
     if r == 1:  # nothing below the diagonal
         return c
-    N = (np.swapaxes(L, -1, -2) if trans else L) / d[..., :, None] - np.eye(r)
+    N = (L.swapaxes(-1, -2) if trans else L) / d[..., :, None] - eye(r)
     x = c
     for _ in range(r - 1):
         x = c - (N @ x[..., None])[..., 0]
@@ -179,10 +208,18 @@ def matvec(a, x):
     return out
 
 
+def absmax(x):
+    """max_k |x_k| over the last axis, one column at a time (as matvec)."""
+    out = np.abs(x[..., 0])
+    for k in range(1, x.shape[-1]):
+        np.maximum(out, np.abs(x[..., k]), out=out)
+    return out
+
+
 def matvec_rows(a, x):
     """A x_i for one matrix A (..., r, s) per leading index and rows x_i of
     x (..., n, s): (..., n, r), one matrix product per leading index."""
-    return x @ np.swapaxes(a, -1, -2)
+    return x @ a.swapaxes(-1, -2)
 
 
 def matvec_fixed(a, x):
@@ -203,7 +240,7 @@ def dweight(m):
     m = np.asarray(m, dtype=float)
     r = m.shape[-1]
     out = np.ones(m.shape[:-2] + (half_len(r),), dtype=float)
-    out[..., diag_positions(r)] = np.diagonal(m, axis1=-2, axis2=-1)
+    out[..., diag_positions(r)] = m.diagonal(0, -2, -1)
     return out
 
 

@@ -69,6 +69,9 @@ class Dataset:
             raise DataError("every subject needs at least one observation")
         mask = (np.arange(J)[None, :] < n_obs[:, None]).astype(float)
         obs = mask > 0
+        if not obs.all():  # zero the padding (one in trials) on copies, whatever it held
+            y, trials = np.where(obs, y, 0.0), np.where(obs, trials, 1.0)
+            X, Z = np.where(obs[..., None], X, 0.0), np.where(obs[..., None], Z, 0.0)
         family.validate(y[obs], trials[obs], None if lines is None else np.asarray(lines)[obs])
         for name, arr in (("X", X), ("Z", Z)):
             if not np.all(np.isfinite(arr)):
@@ -242,7 +245,7 @@ class GlobalParams:
         return matcalc.unpack_log_diag(self.omega, self.r)
 
     def omega_matrix(self):
-        return self.W @ np.swapaxes(self.W, -1, -2)
+        return self.W @ self.W.swapaxes(-1, -2)
 
     # computed once per parameter value, shared by transforms, joint and prior
     @_cached
@@ -256,7 +259,7 @@ class GlobalParams:
     @_cached
     def W_inv_t(self):
         """W^{-T}: row k solves W x = e_k."""
-        return matcalc.solve_lower(self.W[..., None, :, :], np.eye(self.r))
+        return matcalc.solve_lower(self.W[..., None, :, :], matcalc.eye(self.r))
 
     @_cached
     def W_dweight(self):

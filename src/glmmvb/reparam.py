@@ -50,8 +50,7 @@ class Transforms:
 
     def log_det_l(self):
         """sum_i log|L_i| = sum of log diagonal entries."""
-        diag = np.diagonal(self.L, axis1=-2, axis2=-1)
-        return np.log(diag).sum(axis=(-1, -2))
+        return np.log(self.L.diagonal(0, -2, -1)).sum(axis=(-1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +93,7 @@ def _conditional_objective(data, b, eta, h, Om_b):
     ll = data.y * eta  # the one (..., n, J) temporary
     ll -= h
     ll *= data.mask
-    ll = ll.sum(axis=-1)
-    return ll - 0.5 * (b * Om_b).sum(axis=-1)
+    return ll.sum(axis=-1) - 0.5 * matcalc.matvec(b[..., None, :], Om_b)[..., 0]
 
 
 def _evaluate(data, Xbeta, Omega, b, eta=None):
@@ -121,17 +119,16 @@ def transform_a2(data, gp, start=None):
     starts from start, full-shaped (..., n, r), when given (build_transforms
     passes the modes predicted from an anchor), and otherwise from a1's
     lambda, the mean of the same Gaussian approximation taken about the
-    regularized estimates instead of the mode. Each step rebinds b and none
-    writes into it, so the start is not copied (the modes are start itself
-    if no step moves them).
+    regularized estimates. No step writes into b, so start is not copied
+    (the modes are start itself if no step moves them).
     Each point is evaluated once (_evaluate): an accepted candidate is the
-    next point, with its eta, Omega b, h' and h'', which give the next
-    gradient and precision; the last point's eta is the expansion point
-    and mask * h'' there the weight the gradient takes (Transforms.weight).
-    A candidate whose linear predictor exceeds the family's eta_max counts
-    as a failed ascent and is halved, evaluated meanwhile at its subject's
-    current eta, so the family never sees it; a start beyond eta_max
-    raises OverflowGuardError.
+    next point, with its eta, Omega b, h' and h'' for the next gradient and
+    precision; the last point's eta is the expansion point and mask * h''
+    there the weight (Transforms.weight), the search's one product with the
+    mask (Dataset pads Z with zeros). Where eta_max is finite, a candidate
+    whose linear predictor exceeds it is a failed ascent, halved and
+    evaluated meanwhile at its subject's current eta, so the family never
+    sees it; a start beyond eta_max raises OverflowGuardError.
     """
     Omega = gp.Omega
     eta_max = data.family.eta_max
@@ -139,47 +136,50 @@ def transform_a2(data, gp, start=None):
     b = transform_a1(data, gp).lam if start is None else start
     f, h1, h2, eta, Om_b = _evaluate(data, Xbeta, Omega, b)
     for it in range(NR_MAX_ITER + 1):
-        grad = data.zt(data.mask * (data.y - h1)) - Om_b
-        w = data.mask * h2
-        P = data.zwz(w)
-        P += Omega[..., None, :, :]  # in place, while w is still held
-        h1 = h2 = None  # free this point's (..., n, J) arrays before the next
-        scale = 1.0 + np.abs(Om_b).max(axis=-1)
-        gnorm = np.abs(grad).max(axis=-1)
+        grad = data.zt(data.y - h1) - Om_b
+        P = data.zwz(h2)
+        P += Omega[..., None, :, :]  # in place, while h2 is still held
+        w, h1 = h2, None  # h'' for the weight; free h' before the next point
+        scale = 1.0 + matcalc.absmax(Om_b)
+        gnorm = matcalc.absmax(grad)
         active = gnorm > NR_TOL * scale
-        if it == NR_MAX_ITER or not active.any():
+        if it == NR_MAX_ITER or not np.count_nonzero(active):
             break
-        step = matcalc.matvec(matcalc.spd_inv(P), grad)
+        step = matcalc.spd_solve(P, grad)
         if not np.isfinite(step).all():
             raise ModeSearchFailedError("non-finite Newton step")
+        floor = f - 1e-10 * (np.abs(f) + 1.0)  # a candidate below it is no ascent
         t = active.astype(float)
         for _ in range(NR_MAX_HALVINGS + 1):
             cand = b + t[..., None] * step
             eta_new = Xbeta + data.zb(cand)
-            over = (eta_new > eta_max).any(axis=-1)
-            if over.any():
+            over = None
+            if eta_max < np.inf and np.count_nonzero(eta_new > eta_max):
+                over = (eta_new > eta_max).any(axis=-1)
                 eta_new = np.where(over[..., None], eta, eta_new)
             f_new, h1, h2, eta_new, Om_new = _evaluate(data, Xbeta, Omega, cand, eta_new)
-            bad = active & (over | (f_new < f - 1e-10 * (np.abs(f) + 1.0))) & (t > 0)
-            if not bad.any():
+            bad = (f_new < floor) & (t > 0)  # t > 0 only where active
+            if over is not None:  # only where t > 0: b itself is within eta_max
+                bad |= over
+            if not np.count_nonzero(bad):
                 break
             t = np.where(bad, 0.5 * t, t)
         else:
             t = np.where(bad, 0.0, t)  # no ascent found: freeze those subjects
-        moved = active & (t > 0)
-        if not moved.any():
+        moved = t > 0
+        if not np.count_nonzero(moved):
             break
         # the last candidate is the new point of every subject but the frozen ones
         f = np.where(moved, f_new, f)
-        if bad.any():
+        if np.count_nonzero(bad):
             b = np.where(bad[..., None], b, cand)
             _, h1, h2, eta, Om_b = _evaluate(data, Xbeta, Omega, b)
         else:
             b, eta, Om_b = cand, eta_new, Om_new
-    if np.any(gnorm > NR_TOL_ACCEPT * scale):
+    if np.count_nonzero(gnorm > NR_TOL_ACCEPT * scale):
         raise ModeSearchFailedError("Newton-Raphson mode search did not reach stationarity")
     Lam, L = matcalc.spd_inv_cholesky(P)
-    return Transforms("a2", b, L, Lam, base_eta=eta, weight=w, gp=gp)
+    return Transforms("a2", b, L, Lam, base_eta=eta, weight=data.mask * w, gp=gp)
 
 
 def predict_modes(data, anchor, gp):

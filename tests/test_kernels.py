@@ -1,15 +1,18 @@
 """The contraction kernels of a fit step (Dataset's and matcalc's) against
-np.einsum, their independence of the draw block, and the einsum-free step
-path."""
+np.einsum, matcalc's small solve and column reductions against numpy,
+their independence of the draw block, and a step path free of np.einsum
+and of numpy's Python-level wrappers."""
 
 import ast
 import pathlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glmmvb import families, matcalc, model
+from glmmvb.exceptions import NotPositiveDefiniteError
 
 REL_TOL = 1e-12
 
@@ -66,6 +69,51 @@ class TestKernels:
                 assert row.tobytes() == np.ascontiguousarray(got[k]).tobytes(), (name, k)
 
 
+def _spd_blocks(rng, shape, r):
+    """Well-conditioned SPD blocks A A' + r I of order r."""
+    a = rng.standard_normal(shape + (r, r))
+    return a @ a.swapaxes(-1, -2) + r * np.eye(r)
+
+
+class TestSolveAndColumnReductions:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 6), s=st.integers(1, 4), r=st.sampled_from([1, 2, 3]),
+           lead=st.sampled_from([(), (3,), (2, 3)]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_match_numpy_and_do_not_depend_on_the_block(self, n, s, r, lead, seed):
+        rng = np.random.default_rng(seed)
+        P, g = _spd_blocks(rng, lead + (n,), r), rng.standard_normal(lead + (n, r))
+        a, x = rng.standard_normal((2,) + lead + (n, s))
+        cases = [
+            # (name, kernel, operands, want, the magnitude its round-off scales with)
+            ("spd_solve", matcalc.spd_solve, (P, g), np.linalg.solve(P, g[..., None])[..., 0],
+             matcalc.matvec(np.abs(np.linalg.inv(P)), np.abs(g))),
+            ("absmax", matcalc.absmax, (x,), np.abs(x).max(axis=-1), 0.0),
+            # b'Omega b in the mode search's objective: a 1 x s block times x
+            ("row times x", lambda a, x: matcalc.matvec(a[..., None, :], x)[..., 0], (a, x),
+             np.einsum("...s,...s->...", a, x), np.einsum("...s,...s->...", np.abs(a), np.abs(x))),
+        ]
+        for name, kernel, ops, want, scale in cases:
+            got = kernel(*ops)
+            assert got.shape == want.shape, name
+            assert np.all(np.abs(got - want) <= REL_TOL * scale), name
+            for k in np.ndindex(lead):
+                row = kernel(*[op[k][None] for op in ops])[0]
+                assert row.tobytes() == np.ascontiguousarray(got[k]).tobytes(), (name, k)
+        # the Newton step is the one spd_inv gave before the solve replaced it
+        assert matcalc.spd_solve(P, g).tobytes() == matcalc.matvec(matcalc.spd_inv(P), g).tobytes()
+
+    # a negative pivot (which LAPACK's inverse takes for r > 2) and a
+    # singular block
+    @pytest.mark.parametrize("r,first", [(1, -1.0), (2, -1.0), (1, 0.0), (2, 0.0), (3, 0.0)])
+    def test_solve_raises_as_the_inverse_does(self, r, first):
+        P = np.eye(r)
+        P[0, 0] = first
+        with pytest.raises(NotPositiveDefiniteError):
+            matcalc.spd_inv(P)
+        with pytest.raises(NotPositiveDefiniteError):
+            matcalc.spd_solve(P, np.ones(r))
+
+
 # np.einsum in the package, as (module, enclosing function): set-up work
 # outside the fit step, namely a1's cache of the parts free of theta_G, the
 # default prior's pooled crossproduct and simulate_b's exact sds of b~
@@ -73,18 +121,28 @@ EINSUM_SITES = {("reparam", "transform_a1"), ("model", "default_prior"),
                 ("posterior", "simulate_b")}
 
 
-def _einsum_uses(source):
-    """(enclosing function, line) of each einsum attribute, name or import."""
+def _uses(source, names, numpy_only=False):
+    """(enclosing function, line) of each attribute, name or import of one
+    of names. With numpy_only, only attributes of np or numpy and imports
+    from numpy count, so that ndarray methods and builtins of the same
+    names pass."""
     uses = []
+
+    def found(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr in names and (not numpy_only or isinstance(node.value, ast.Name)
+                                           and node.value.id in ("np", "numpy"))
+        if isinstance(node, ast.Name):
+            return node.id in names and not numpy_only
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            return ((not numpy_only or isinstance(node, ast.ImportFrom) and node.module == "numpy")
+                    and any(a.name.split(".")[-1] in names for a in node.names))
+        return False
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
-        names = ([a.name for a in node.names]
-                 if isinstance(node, (ast.Import, ast.ImportFrom)) else [])
-        if (isinstance(node, ast.Attribute) and node.attr == "einsum"
-                or isinstance(node, ast.Name) and node.id == "einsum"
-                or any(name.split(".")[-1] == "einsum" for name in names)):
+        if found(node):
             uses.append((".".join(scope), node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -93,12 +151,38 @@ def _einsum_uses(source):
     return uses
 
 
+def _package_uses(names, numpy_only=False):
+    package = pathlib.Path(matcalc.__file__).parent
+    return {(path.stem, scope, line)
+            for path in package.glob("*.py")
+            for scope, line in _uses(path.read_text(), names, numpy_only)}
+
+
+# numpy functions that are Python wrappers around an ndarray method or a
+# cheaper call (np.any/np.all: .any()/.all() or np.count_nonzero; the views
+# of np.swapaxes/np.diagonal: ndarray.swapaxes/diagonal; np.eye: the cached
+# matcalc.eye), and the step path they stay off: every function of matcalc,
+# reparam and gradients, and the step's functions in engine and model
+WRAPPERS = {"any", "all", "swapaxes", "diagonal", "eye"}
+STEP_PATH = {"matcalc": ("",), "reparam": ("",), "gradients": ("",),
+             "engine": ("step", "estimator", "draw", "_global_params", "VariationalState"),
+             "model": ("GlobalParams", "log_joint", "Dataset.xbeta", "Dataset.zb",
+                       "Dataset.zt", "Dataset.xt", "Dataset.eta", "Dataset.zwz",
+                       "Dataset.zwx", "Dataset.zmz", "Dataset._z_outer"),
+             "families": ("Poisson.derivs", "Binomial.derivs", "Bernoulli.derivs",
+                          "_logistic_derivs")}
+# the one use allowed there: matcalc.eye builds the identity it caches
+WRAPPER_SITES = {("matcalc", "eye")}
+
+
+def _on_step_path(module, scope):
+    return any(scope == prefix or scope.startswith(prefix + ".") or prefix == ""
+               for prefix in STEP_PATH.get(module, ()))
+
+
 class TestEinsumStaysOffTheStepPath:
     def test_only_set_up_code_calls_einsum(self):
-        package = pathlib.Path(matcalc.__file__).parent
-        found = {(path.stem, scope, line)
-                 for path in package.glob("*.py")
-                 for scope, line in _einsum_uses(path.read_text())}
+        found = _package_uses({"einsum"})
         assert {(module, scope) for module, scope, _ in found} == EINSUM_SITES, sorted(found)
 
     def test_finds_attributes_names_and_imports(self):
@@ -106,4 +190,36 @@ class TestEinsumStaysOffTheStepPath:
                   "class A:\n    def f(self):\n        return np.einsum('i->', x)\n"
                   "def g():\n    return einsum('i->', x)\n"
                   "def h():\n    return np.sum(x)\n")
-        assert _einsum_uses(source) == [("", 1), ("A.f", 4), ("g", 6)]
+        assert _uses(source, {"einsum"}) == [("", 1), ("A.f", 4), ("g", 6)]
+
+
+class TestNumpyWrappersStayOffTheStepPath:
+    def test_step_path_calls_no_wrapper(self):
+        found = {(module, scope, line) for module, scope, line in _package_uses(WRAPPERS, True)
+                 if _on_step_path(module, scope) and (module, scope) not in WRAPPER_SITES}
+        assert not found, sorted(found)
+
+    def test_the_step_path_names_what_the_package_has(self):
+        # a renamed function would leave the scan looking at nothing
+        from glmmvb import engine, families, gradients, model, reparam
+        modules = {"matcalc": matcalc, "reparam": reparam, "gradients": gradients,
+                   "engine": engine, "model": model, "families": families}
+        for module, prefixes in STEP_PATH.items():
+            for prefix in prefixes:
+                obj = modules[module]
+                for part in filter(None, prefix.split(".")):
+                    obj = getattr(obj, part)
+
+    def test_finds_numpy_attributes_and_imports_only(self):
+        source = ("from numpy import any\n"
+                  "import numpy as np\n"
+                  "def f(x):\n"
+                  "    return np.any(x), x.any(), any(x), all(x), numpy.swapaxes(x, 0, 1)\n"
+                  "def g(x):\n"
+                  "    return x.diagonal(), np.eye(2), y.all()\n")
+        assert _uses(source, WRAPPERS, numpy_only=True) == [("", 1), ("f", 4), ("f", 4),
+                                                            ("g", 6)]
+        assert _on_step_path("engine", "step") and _on_step_path("matcalc", "spd_solve")
+        assert _on_step_path("model", "GlobalParams.W_inv_t")
+        assert not _on_step_path("engine", "start_state")
+        assert not _on_step_path("model", "Dataset.__init__")

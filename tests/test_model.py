@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glmmvb import datasets, engine, families, matcalc, model
+from glmmvb import datasets, engine, families, matcalc, model, reparam
 from glmmvb.exceptions import (
     ConfigError,
     DataError,
@@ -47,6 +47,41 @@ class TestDatasetContainer:
         data = random_dataset(rng, families.POISSON, r=2, n=4, ni_max=5)
         assert data.mask.sum() == data.total_obs
         assert np.all(data.y[data.mask == 0] == 0)
+
+    # Poisson, n = 5, J = 4, n_obs = [4, 2, 3, 4, 1], and the binomial
+    # counterpart, whose padded trials the dataset sets to one
+    @pytest.mark.parametrize("fam", [families.POISSON, families.BINOMIAL], ids=lambda f: f.name)
+    @pytest.mark.parametrize("junk", [1e3, np.nan])
+    def test_garbage_padding_is_zeroed_on_copies(self, fam, junk):
+        rng = np.random.default_rng(11)
+        n_obs = np.array([4, 2, 3, 4, 1])
+        obs = np.arange(4) < n_obs[:, None]
+        trials = np.where(obs, rng.integers(1, 6, (5, 4)), 1.0) if fam is families.BINOMIAL \
+            else np.ones((5, 4))
+        y = np.where(obs, rng.binomial(trials.astype(int), 0.4), 0.0)
+        X = np.dstack([np.ones((5, 4)), 0.5 * rng.standard_normal((5, 4))])
+        Z = np.dstack([np.ones((5, 4)), 0.5 * rng.standard_normal((5, 4))])
+        X, Z = (np.where(obs[..., None], a, 0.0) for a in (X, Z))
+        clean = model.Dataset(fam, y, X, Z, trials, n_obs)
+        dirty_args = [np.where(obs[..., None], X, junk), np.where(obs[..., None], Z, junk),
+                      np.where(obs, y, junk), np.where(obs, trials, junk)]
+        given = [a.copy() for a in dirty_args]
+        dirty = model.Dataset(fam, dirty_args[2], dirty_args[0], dirty_args[1],
+                              dirty_args[3], n_obs)
+        for a, b in zip(dirty_args, given):  # the caller's arrays stay as they were
+            assert a.tobytes() == b.tobytes()
+        for name in ("y", "X", "Z", "trials", "mask"):
+            assert getattr(dirty, name).tobytes() == getattr(clean, name).tobytes(), name
+
+        gp = model.GlobalParams([0.3, -0.2], [0.1, 0.2, -0.1], 2)
+        for method in reparam.METHODS:
+            got, want = (reparam.build_transforms(d, gp, method) for d in (dirty, clean))
+            for field in ("lam", "L", "Lambda", "base_eta", "weight"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+            config = engine.FitConfig(method=method, seed=3, max_iter=200, window=100,
+                                      final_elbo_draws=0)
+            got, want = (engine.fit(d, model.default_prior(d), config) for d in (dirty, clean))
+            assert got.state.params.tobytes() == want.state.params.tobytes()
 
     def test_invalid_response_rejected(self):
         with pytest.raises(DataError):

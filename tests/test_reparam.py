@@ -494,7 +494,7 @@ class TestBuildFailures:
         # error, which a step retries and a draw rejects
         data = random_dataset(rng, fam, r=r, n=3, p=2)
         gp = random_gp(rng, 2, r)
-        monkeypatch.setattr(matcalc, "spd_inv", lambda s: np.full(np.shape(s), np.inf))
+        monkeypatch.setattr(matcalc, "spd_solve", lambda s, g: np.full(np.shape(g), np.inf))
         with pytest.raises(ModeSearchFailedError, match="non-finite Newton step"), \
                 np.errstate(all="ignore"):
             reparam.transform_a2(data, gp, np.zeros((data.n, r)))
