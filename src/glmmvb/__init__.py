@@ -19,7 +19,7 @@ from .model import (
     default_prior,
     normal_omega_prior,
 )
-from .posterior import PosteriorSummary, compare_metrics, simulate_b
+from .posterior import PosteriorSummary, simulate_b
 from .recombine import GaussianFactor, combine, fit_sharded, partition
 from .simulate import simulate_dataset
 
@@ -36,7 +36,6 @@ __all__ = [
     "default_prior",
     "normal_omega_prior",
     "PosteriorSummary",
-    "compare_metrics",
     "simulate_b",
     "GaussianFactor",
     "combine",

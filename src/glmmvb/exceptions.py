@@ -38,10 +38,6 @@ class DomainError(GlmmVbError):
     """Argument outside the mathematical domain of a special function."""
 
 
-class ZeroSdError(GlmmVbError):
-    """A standard deviation that must be positive is zero."""
-
-
 class ConfigError(GlmmVbError, ValueError):
     """Invalid run configuration (CLI exit code 2)."""
 

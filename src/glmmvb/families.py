@@ -64,8 +64,8 @@ class Family:
         raise NotImplementedError
 
     def h3_from_h2(self, eta, h2):
-        """h''' at eta from h2 = h'' there. h2 may carry the trials and a 0/1
-        mask as factors, and the result then carries them too."""
+        """h''' at eta from h2 = h'' there, the transforms' weight. Trials or
+        a 0/1 factor in h2 carry over to the result."""
         raise NotImplementedError
 
     def eta_hat_reg(self, y, trials=None):

@@ -11,7 +11,8 @@ fixed at the regularized estimates instead of the conditional mode, which
 does not move with theta_G, so a1 has no third-derivative correction
 alpha_i. The family is evaluated once: derivs gives h and h' at
 eta = X beta + Z b for the value and the residuals. Under a2, h''' at the
-modes comes from the transforms' weight, mask * h'' there (h3_from_h2).
+modes comes from the transforms' weight, h'' there (h3_from_h2). Only the
+value (model.log_joint) reads the mask: Dataset zeroes X and Z on padding.
 All functions broadcast over leading batch dimensions of theta_G and b~.
 """
 
@@ -23,9 +24,9 @@ from . import matcalc, model
 
 
 def _score(data, gp, b, h1):
-    """Masked residuals y - g(eta), a_i = Z_i'(y_i - g(eta_i)) - Omega b_i
-    and Omega b_i, from g(eta) = h'(eta)."""
-    resid = data.mask * (data.y - h1)
+    """Residuals y - g(eta), a_i = Z_i'(y_i - g(eta_i)) - Omega b_i and
+    Omega b_i, from g(eta) = h'(eta)."""
+    resid = data.y - h1
     omega_b = gp.omega_b(b)
     return resid, data.zt(resid) - omega_b, omega_b
 
@@ -37,9 +38,9 @@ def grad_local(transforms, a):
 
 @lru_cache(maxsize=None)
 def _lower_mask(r):
-    mask = np.tri(r, dtype=bool)
-    mask.setflags(write=False)
-    return mask
+    tri = np.tri(r, dtype=bool)
+    tri.setflags(write=False)
+    return tri
 
 
 def _sym_lower(B):
@@ -67,7 +68,7 @@ def value_and_grad(data, b_tilde, transforms, prior):
     Lam_LBL = Lam + LBL
     alpha = 0.0  # a2 only: the mode moves with theta_G, so a = a - Z'alpha
     if transforms.method == "a2":
-        # the weight is mask * h'', so h3 carries the mask too
+        # h''' at the modes from the weight, h'' there: no second family call
         h3 = data.family.h3_from_h2(transforms.base_eta, transforms.weight)
         alpha = 0.5 * h3 * data.zmz(Lam_LBL)
         a = a - data.zt(alpha)

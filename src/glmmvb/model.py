@@ -56,17 +56,20 @@ class Dataset:
         y = np.asarray(y, dtype=float)
         X = np.asarray(X, dtype=float)
         Z = np.asarray(Z, dtype=float)
+        if y.ndim != 2:
+            raise DataError(f"y must be (n subjects, max cluster size), got shape {y.shape}")
         n, J = y.shape
-        if X.shape[:2] != (n, J) or Z.shape[:2] != (n, J):
-            raise DataError("X, Z, y must agree on (n subjects, max cluster size)")
-        if trials is None:
-            trials = np.ones((n, J))
-        trials = np.asarray(trials, dtype=float)
-        if n_obs is None:
-            n_obs = np.full(n, J, dtype=int)
-        n_obs = np.asarray(n_obs, dtype=int)
+        trials = np.ones((n, J)) if trials is None else np.asarray(trials, dtype=float)
+        n_obs = np.full(n, J, dtype=int) if n_obs is None else np.asarray(n_obs, dtype=int)
+        for name, arr, ndim, lead in (("X", X, 3, (n, J)), ("Z", Z, 3, (n, J)),
+                                      ("trials", trials, 2, (n, J)), ("n_obs", n_obs, 1, (n,))):
+            if arr.ndim != ndim or arr.shape[:2] != lead:
+                raise DataError(f"{name} must be {ndim}-D with leading shape {lead} "
+                                f"from y, got shape {arr.shape}")
         if np.any(n_obs < 1):
             raise DataError("every subject needs at least one observation")
+        if np.any(n_obs > J):
+            raise DataError(f"n_obs exceeds the {J} observations a subject has room for in y")
         mask = (np.arange(J)[None, :] < n_obs[:, None]).astype(float)
         obs = mask > 0
         if not obs.all():  # zero the padding (one in trials) on copies, whatever it held
@@ -187,7 +190,7 @@ class Dataset:
         if key not in self.cache:
             A = getattr(self, name)
             self.cache[key] = (self.Z[..., :, None] * A[..., None, :]).reshape(
-                self.n, self.J, -1)
+                self.n, self.J, self.r * A.shape[-1])
         return self.cache[key]
 
     def zwz(self, w):
@@ -473,9 +476,8 @@ def default_prior(data, sigma_beta2=DEFAULT_SIGMA_BETA2):
         beta_hat = fit_pooled_glm(data)
     except IrlsDivergedError:
         beta_hat = fit_pooled_glm(data, sigma_beta2)
-    eta = np.einsum("njp,p->nj", data.X, beta_hat)
-    w = data.mask * data.family.derivs(eta, data.trials, 2)[2]
-    A = np.einsum("njr,nj,njs->rs", data.Z, w, data.Z) / data.n
+    w = data.family.derivs(data.xbeta(beta_hat), data.trials, 2)[2]
+    A = data.zwz(w).sum(axis=0) / data.n
     rho = data.r if data.r == 1 else data.r + 1
     try:
         return WishartPrior(sigma_beta2, float(rho), A / rho)

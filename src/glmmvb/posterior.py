@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, matcalc, model
-from .exceptions import ConfigError, ZeroSdError
+from .exceptions import ConfigError
 
 SIM_CHUNK = 2000  # draws per chunk
 
@@ -101,7 +101,7 @@ def simulate_b(data, prior, state, method, n_draws, seed):
 
     mu_loc, mu_glob = state.split(state.mu)
     c_loc, c_glob = state.blocks()
-    btilde_sd = np.sqrt(np.einsum("nrs,nrs->nr", c_loc, c_loc))
+    btilde_sd = np.sqrt((c_loc * c_loc).sum(axis=-1))
     return PosteriorSummary(
         global_names=model.global_names(data, prior), global_mean=mu_glob.copy(),
         global_sd=np.sqrt(np.diag(c_glob @ c_glob.T)),
@@ -111,14 +111,3 @@ def simulate_b(data, prior, state, method, n_draws, seed):
         btilde_mean=mu_loc.copy(), btilde_sd=btilde_sd,
         n_draws=n_draws, n_rejected=rejected)
 
-
-def compare_metrics(va_means, va_sds, ref_means, ref_sds):
-    """Per-subject location/scale comparison ratios against a reference:
-    r1 = (mean_va - mean_ref) / sd_va and r2 = sd_ref / sd_va."""
-    va_means = np.asarray(va_means, dtype=float)
-    va_sds = np.asarray(va_sds, dtype=float)
-    ref_means = np.asarray(ref_means, dtype=float)
-    ref_sds = np.asarray(ref_sds, dtype=float)
-    if np.any(va_sds <= 0):
-        raise ZeroSdError("comparison requires positive sds")
-    return (va_means - ref_means) / va_sds, ref_sds / va_sds

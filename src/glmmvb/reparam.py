@@ -41,7 +41,7 @@ class Transforms:
     L: np.ndarray        # (..., n, r, r) lower, positive diagonal
     Lambda: np.ndarray   # (..., n, r, r) SPD
     base_eta: np.ndarray | None = None  # (..., n, J) Taylor expansion point
-    weight: np.ndarray | None = None    # (..., n, J) mask * h''(base_eta)
+    weight: np.ndarray | None = None    # (..., n, J) h''(base_eta), padded cells too
     gp: object = None                   # the GlobalParams they were built at
 
     def invert(self, b_tilde):
@@ -59,9 +59,9 @@ class Transforms:
 
 def transform_a1(data, gp):
     """Transforms from the Taylor expansion about the regularized estimates
-    eta_hat, H = mask * h''(eta_hat); the parts that do not depend on
-    theta_G are cached on the dataset, among them the weight
-    mask * h''(eta_hat), which the transforms carry for the gradient.
+    eta_hat, H = h''(eta_hat); the parts that do not depend on theta_G are
+    cached on the dataset, among them the weight h''(eta_hat), unmasked
+    (Dataset's zero Z and X drop padding), which the transforms carry.
 
     Lambda_i = (Omega + Z'H(eta_hat)Z)^{-1},
     lambda_i = Lambda_i Z'{y - g(eta_hat) + H(eta_hat)(eta_hat - X beta)}.
@@ -70,11 +70,8 @@ def transform_a1(data, gp):
         # the parts free of theta_G: Z'HZ, Z'{y - g + H eta_hat} and Z'HX
         fam, eta_hat = data.family, data.eta_hat_reg()
         _, h1, h2 = fam.derivs(eta_hat, data.trials, 2)
-        w = data.mask * h2
-        resid = data.mask * (data.y - h1) + w * eta_hat
-        data.cache["a1"] = (np.einsum("njr,nj,njs->nrs", data.Z, w, data.Z),
-                            np.einsum("njr,nj->nr", data.Z, resid),
-                            np.einsum("njr,nj,njp->nrp", data.Z, w, data.X), w)
+        data.cache["a1"] = (data.zwz(h2), data.zt(data.y - h1 + h2 * eta_hat),
+                            data.zwx(h2), h2)
     K, c, ZWX, w = data.cache["a1"]
     Lam, L = matcalc.spd_inv_cholesky(gp.Omega[..., None, :, :] + K)
     rhs = c - matcalc.matvec_fixed(ZWX, gp.beta)
@@ -123,12 +120,12 @@ def transform_a2(data, gp, start=None):
     (the modes are start itself if no step moves them).
     Each point is evaluated once (_evaluate): an accepted candidate is the
     next point, with its eta, Omega b, h' and h'' for the next gradient and
-    precision; the last point's eta is the expansion point and mask * h''
-    there the weight (Transforms.weight), the search's one product with the
-    mask (Dataset pads Z with zeros). Where eta_max is finite, a candidate
-    whose linear predictor exceeds it is a failed ascent, halved and
-    evaluated meanwhile at its subject's current eta, so the family never
-    sees it; a start beyond eta_max raises OverflowGuardError.
+    precision; the last point's eta is the expansion point and h'' there
+    the weight (Transforms.weight). Only the objective's sum reads the
+    mask: Dataset zeroes padded y, X and Z. Where eta_max is finite, a
+    candidate whose linear predictor exceeds it is a failed ascent, halved
+    and evaluated meanwhile at its subject's current eta, so the family
+    never sees it; a start beyond eta_max raises OverflowGuardError.
     """
     Omega = gp.Omega
     eta_max = data.family.eta_max
@@ -179,7 +176,7 @@ def transform_a2(data, gp, start=None):
     if np.count_nonzero(gnorm > NR_TOL_ACCEPT * scale):
         raise ModeSearchFailedError("Newton-Raphson mode search did not reach stationarity")
     Lam, L = matcalc.spd_inv_cholesky(P)
-    return Transforms("a2", b, L, Lam, base_eta=eta, weight=data.mask * w, gp=gp)
+    return Transforms("a2", b, L, Lam, base_eta=eta, weight=w, gp=gp)
 
 
 def predict_modes(data, anchor, gp):

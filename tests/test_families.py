@@ -61,7 +61,7 @@ class TestLogPartitionDerivatives:
         m = np.full_like(eta, 7.0) if with_trials else None
         _, _, h2 = fam.derivs(eta, m, 2)
         h3 = fam.h3_from_h2(eta, h2)
-        # as the a2 gradient takes it, from the weight mask * h''
+        # a 0/1 factor in h'' carries over to h'''
         mask = (np.arange(eta.size) % 3 > 0).astype(float)
         np.testing.assert_array_equal(fam.h3_from_h2(eta, mask * h2), mask * h3)
 

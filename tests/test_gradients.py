@@ -99,12 +99,13 @@ class TestLocalBlocks:
 
 
 class TestGlobalBlocks:
-    def test_no_subjects_prior_only(self, rng):
+    @pytest.mark.parametrize("method", reparam.METHODS)
+    def test_no_subjects_prior_only(self, rng, method):
         data = model.Dataset(families.POISSON, np.zeros((0, 1)), np.zeros((0, 1, 2)),
                              np.zeros((0, 1, 1)))
         gp = random_gp(rng, 2, 1)
         pr = random_wishart_prior(rng, 1)
-        t = reparam.build_transforms(data, gp, "a1")
+        t = reparam.build_transforms(data, gp, method)
         _, beta, omega = grad_blocks(data, gradients.grad_full(data, np.zeros((0, 1)), t, pr))
         np.testing.assert_allclose(beta, -gp.beta / pr.sigma_beta2, atol=1e-14)
         np.testing.assert_allclose(omega, pr.grad_omega(gp), atol=1e-14)
@@ -260,6 +261,36 @@ class TestValueAndGradProperties:
         assert value == model.log_joint_reparam(data, bt, t, pr)
 
 
+def _widened(data):
+    """data with one more observation column, padding in every subject."""
+    def pad(a, value=0.0):
+        return np.pad(a, [(0, 0), (0, 1)] + [(0, 0)] * (a.ndim - 2), constant_values=value)
+    return model.Dataset(data.family, pad(data.y), pad(data.X), pad(data.Z),
+                         pad(data.trials, 1.0), data.n_obs)
+
+
+class TestPaddingIsInvisible:
+    """The mask enters only the value sums: a ragged dataset and the same
+    dataset with an all-padding column added give the same value, gradient
+    and transforms."""
+
+    @pytest.mark.parametrize("method", reparam.METHODS)
+    @pytest.mark.parametrize("fam", [families.POISSON, families.BINOMIAL, families.BERNOULLI],
+                             ids=lambda f: f.name)
+    def test_an_all_padding_column_changes_nothing(self, fam, method):
+        rng = np.random.default_rng(5)
+        data = random_dataset(rng, fam, r=2, n=4, ni_max=5)
+        wide = _widened(data)
+        assert not data.mask.all() and wide.J == data.J + 1
+        gp, pr = random_gp(rng, 2, 2), random_wishart_prior(rng, 2)
+        bt = rng.standard_normal((4, 2))
+        t, t_wide = (reparam.build_transforms(d, gp, method) for d in (data, wide))
+        for got, want in zip(gradients.value_and_grad(wide, bt, t_wide, pr)
+                             + (t_wide.lam, t_wide.L),
+                             gradients.value_and_grad(data, bt, t, pr) + (t.lam, t.L)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def _count_family_calls(monkeypatch, fam):
     """Record the eta of every fam.derivs call from here on."""
     calls, derivs = [], fam.derivs
@@ -276,7 +307,7 @@ class TestOneFamilyCallPerPoint:
     """h and its derivatives at one eta come from one derivs call: an a1
     step evaluates the family once, at the draw's eta (h'' at the
     regularized estimates is cached), and so does an a2 gradient: it takes
-    h''' at the modes from the transforms' weight, mask * h'' there."""
+    h''' at the modes from the transforms' weight, h'' there."""
 
     def test_a1_step(self, rng, monkeypatch):
         data = random_dataset(rng, families.BINOMIAL, r=2, n=4, p=2)
@@ -328,8 +359,8 @@ class TestEachQuantityOncePerStep:
     """A step computes Omega and dweight(W) once each, for the transforms,
     the joint, its gradient and the Wishart prior together, and calls no
     np.einsum: the step runs on the contraction kernels alone. One warm-up
-    step fills the dataset's caches (a1's einsum cache fill among them) and
-    gives the a2 step its anchor."""
+    step fills the dataset's caches (a1's among them) and gives the a2 step
+    its anchor."""
 
     @pytest.mark.parametrize("method", ["a1", "a2"])
     def test_step(self, rng, monkeypatch, method):

@@ -1,7 +1,8 @@
 """The contraction kernels of a fit step (Dataset's and matcalc's) against
 np.einsum, matcalc's small solve and column reductions against numpy,
-their independence of the draw block, and a step path free of np.einsum
-and of numpy's Python-level wrappers."""
+their independence of the draw block, a package free of np.einsum, a step
+path free of numpy's Python-level wrappers, and the padding mask read only
+where a value is summed."""
 
 import ast
 import pathlib
@@ -114,11 +115,17 @@ class TestSolveAndColumnReductions:
             matcalc.spd_solve(P, np.ones(r))
 
 
-# np.einsum in the package, as (module, enclosing function): set-up work
-# outside the fit step, namely a1's cache of the parts free of theta_G, the
-# default prior's pooled crossproduct and simulate_b's exact sds of b~
-EINSUM_SITES = {("reparam", "transform_a1"), ("model", "default_prior"),
-                ("posterior", "simulate_b")}
+# np.einsum in the package, as (module, enclosing function): none, set-up
+# work included, since Dataset's kernels compute every sum over observations
+EINSUM_SITES = set()
+
+# the functions that read the padding mask (a name or attribute "mask"):
+# Dataset builds it, and the value sums and the pooled GLM's row selection
+# and the simulation writer need it. Every other sum runs over Dataset's
+# zeroed padding, so the gradient and the transform builds never see it.
+MASK_SITES = {("model", "Dataset.__init__"), ("model", "log_joint"),
+              ("model", "fit_pooled_glm"), ("reparam", "_conditional_objective"),
+              ("fileio", "write_simulation")}
 
 
 def _uses(source, names, numpy_only=False):
@@ -191,6 +198,12 @@ class TestEinsumStaysOffTheStepPath:
                   "def g():\n    return einsum('i->', x)\n"
                   "def h():\n    return np.sum(x)\n")
         assert _uses(source, {"einsum"}) == [("", 1), ("A.f", 4), ("g", 6)]
+
+
+class TestMaskStaysInTheValueSums:
+    def test_only_the_value_sums_read_the_mask(self):
+        found = _package_uses({"mask"})
+        assert {(module, scope) for module, scope, _ in found} == MASK_SITES, sorted(found)
 
 
 class TestNumpyWrappersStayOffTheStepPath:

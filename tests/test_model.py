@@ -83,6 +83,20 @@ class TestDatasetContainer:
             got, want = (engine.fit(d, model.default_prior(d), config) for d in (dirty, clean))
             assert got.state.params.tobytes() == want.state.params.tobytes()
 
+    # n = 2 subjects, J = 3: each case gets one array wrong and names it
+    @pytest.mark.parametrize("name,bad", [
+        ("n_obs", dict(n_obs=[3, 4])),
+        ("y", dict(y=np.zeros(3))),
+        ("X", dict(X=np.zeros((2, 3)))),
+        ("trials", dict(trials=np.ones((2, 4)))),
+        ("n_obs", dict(n_obs=[3, 3, 3])),
+    ], ids=["n_obs above J", "1-D y", "2-D X", "trials shape", "n_obs length"])
+    def test_malformed_arrays_are_data_errors(self, name, bad):
+        args = dict(y=np.zeros((2, 3)), X=np.ones((2, 3, 1)), Z=np.ones((2, 3, 1)),
+                    trials=np.ones((2, 3)), n_obs=[3, 2])
+        with pytest.raises(DataError, match=f"^{name} "):
+            model.Dataset(families.POISSON, **{**args, **bad})
+
     def test_invalid_response_rejected(self):
         with pytest.raises(DataError):
             model.Dataset.from_lists(families.POISSON, [[-1.0]], [[[1.0]]], [[[1.0]]])

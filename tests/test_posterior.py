@@ -338,19 +338,3 @@ class TestFactorScales:
         with pytest.raises(NotPositiveDefiniteError):
             posterior.factor_scales(factor, 1, 1, 10, seed=0)
 
-
-class TestCompareMetrics:
-    def test_identical_inputs(self):
-        r1, r2 = posterior.compare_metrics([1.0, 2.0], [0.5, 0.5], [1.0, 2.0],
-                                           [0.5, 0.5])
-        np.testing.assert_array_equal(r1, [0.0, 0.0])
-        np.testing.assert_array_equal(r2, [1.0, 1.0])
-
-    def test_ratio_values(self):
-        r1, r2 = posterior.compare_metrics([1.5], [1.0], [1.0], [2.0])
-        assert r1[0] == 0.5 and r2[0] == 2.0
-
-    def test_zero_sd_raises(self):
-        from glmmvb.exceptions import ZeroSdError
-        with pytest.raises(ZeroSdError):
-            posterior.compare_metrics([1.0], [0.0], [1.0], [1.0])

@@ -364,7 +364,7 @@ class TestModePredictor:
         assert t.weight.shape == lead + (data.n, data.J)
         for k in np.ndindex(lead):
             np.testing.assert_array_equal(
-                t.weight[k], data.mask * data.family.derivs(t.base_eta[k], data.trials, 2)[2])
+                t.weight[k], data.family.derivs(t.base_eta[k], data.trials, 2)[2])
 
 
 class TestApplyInvert:
