@@ -81,7 +81,7 @@ class FitConfig:
     method: str = "a2"
     seed: int = 0
     max_iter: int = 200_000
-    window: int = 1000
+    window: int = 250
     tau: int = 3
     final_elbo_draws: int = 1000
 

@@ -66,6 +66,8 @@ class Dataset:
             if arr.ndim != ndim or arr.shape[:2] != lead:
                 raise DataError(f"{name} must be {ndim}-D with leading shape {lead} "
                                 f"from y, got shape {arr.shape}")
+        if lines is not None and np.shape(lines) != (n, J):
+            raise DataError(f"lines must have y's shape {(n, J)}, got shape {np.shape(lines)}")
         if np.any(n_obs < 1):
             raise DataError("every subject needs at least one observation")
         if np.any(n_obs > J):
@@ -124,6 +126,8 @@ class Dataset:
     def from_lists(cls, family, y_list, X_list, Z_list, trials_list=None, **kw):
         """Build a padded Dataset from per-subject sequences."""
         n = len(y_list)
+        if n == 0:
+            raise DataError("no subjects: p and r are read from the first subject's designs")
         n_obs = np.array([len(yi) for yi in y_list], dtype=int)
         J = int(n_obs.max())
         p = np.asarray(X_list[0], dtype=float).shape[1]

@@ -1,5 +1,7 @@
 """Shared test helpers: random model configurations and finite differences."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,12 @@ def max_rel_err(approx, exact):
     approx = np.asarray(approx, dtype=float)
     exact = np.asarray(exact, dtype=float)
     return float(np.max(np.abs(approx - exact) / (1.0 + np.abs(exact))))
+
+
+def case_seed(*names):
+    """A seed fixed by the names of a case: a failure replays in any process,
+    where hash() of a str would change with the process's salt."""
+    return zlib.crc32(repr(names).encode())
 
 
 ALL_FAMILIES = [families.POISSON, families.BINOMIAL, families.BERNOULLI,

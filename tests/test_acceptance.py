@@ -26,6 +26,7 @@ from glmmvb import (
 
 import oracles
 from conftest import (
+    case_seed,
     exact_elbo_known_omega_micro,
     max_rel_err,
     random_dataset,
@@ -104,7 +105,7 @@ def test_c01_gradient_oracle_suite():
             fam = oracles.family(famname)
             for method in ("a1", "a2"):
                 for r in (1, 2, 3):
-                    rng = np.random.default_rng(abs(hash((famname, method, r))) % 2 ** 32)
+                    rng = np.random.default_rng(case_seed(famname, method, r))
                     for _ in range(100):
                         n = int(rng.integers(1, 4))
                         data = random_dataset(rng, fam, r=r, n=n, p=2, ni_max=4)

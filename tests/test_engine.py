@@ -353,6 +353,15 @@ class TestStepAndFit:
         assert engine.window_slope(res.window_means, cfg.tau) < 0
         assert res.n_iter < cfg.max_iter
 
+    def test_laplace_started_fit_stops_within_four_default_windows(self):
+        # the Laplace start puts the fit on its plateau, so the default
+        # 250-step windows let it stop after a few of them
+        data = datasets.seeds_dataset()
+        res = engine.fit(data, model.default_prior(data), method="a1", seed=1,
+                         final_elbo_draws=0)
+        assert res.start_kind == "laplace" and res.converged
+        assert res.config.window == 250 and res.n_iter <= 4 * 250
+
     # unchecked, the first two fail inside step with numpy's ValueError on seeds (r = 1)
     @pytest.mark.parametrize("make", [
         lambda: model.WishartPrior(100.0, 3.0, np.eye(2)),

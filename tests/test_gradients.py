@@ -8,6 +8,7 @@ from glmmvb import datasets, engine, families, gradients, matcalc, model, repara
 import oracles
 from conftest import (
     ALL_FAMILIES,
+    case_seed,
     fd_gradient,
     grad_blocks,
     max_rel_err,
@@ -171,7 +172,7 @@ class TestFiniteDifferenceAgreement:
     def test_full_gradient(self, famname, method, r):
         # the acceptance suite sweeps 100 configurations; this is a fast
         # per-combination smoke version of the same oracle
-        rng = np.random.default_rng(hash((famname, method, r)) % 2 ** 32)
+        rng = np.random.default_rng(case_seed(famname, method, r))
         fam = oracles.family(famname)
         worst = 0.0
         for _ in range(5):

@@ -331,7 +331,7 @@ class TestCliRuns:
                 "--family", "binomial", "--group-col", "plate",
                 "--response-col", "germinated", "--trials-col", "total",
                 "--fixed", "seed,extract", "--method", "a1", "--seed", "1",
-                "--max-iter", "1200", "--draws", "500",
+                "--max-iter", "400", "--draws", "500",
                 "--out", out, *extra]
 
     def test_seeds_fit_writes_outputs(self, tmp_path):
@@ -344,7 +344,7 @@ class TestCliRuns:
         params = [ln.split(",")[0] for ln in lines]
         assert params.index("beta.intercept") < params.index("beta.seed") \
             < params.index("beta.extract") < params.index("sigma")
-        # one window of 1,000 steps within --max-iter 1200: not converged
+        # one window of 250 steps within --max-iter 400: not converged
         assert lines[5:7] == ["converged,False", "start,laplace"]
         assert fileio.read_state(os.path.join(out, "state.txt"))[1]["converged"] == "False"
 

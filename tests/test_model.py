@@ -90,12 +90,17 @@ class TestDatasetContainer:
         ("X", dict(X=np.zeros((2, 3)))),
         ("trials", dict(trials=np.ones((2, 4)))),
         ("n_obs", dict(n_obs=[3, 3, 3])),
-    ], ids=["n_obs above J", "1-D y", "2-D X", "trials shape", "n_obs length"])
+        ("lines", dict(lines=np.ones((2, 4)))),
+    ], ids=["n_obs above J", "1-D y", "2-D X", "trials shape", "n_obs length", "lines shape"])
     def test_malformed_arrays_are_data_errors(self, name, bad):
         args = dict(y=np.zeros((2, 3)), X=np.ones((2, 3, 1)), Z=np.ones((2, 3, 1)),
                     trials=np.ones((2, 3)), n_obs=[3, 2])
         with pytest.raises(DataError, match=f"^{name} "):
             model.Dataset(families.POISSON, **{**args, **bad})
+
+    def test_no_subjects_is_a_data_error(self):
+        with pytest.raises(DataError, match="^no subjects"):
+            model.Dataset.from_lists(families.POISSON, [], [], [])
 
     def test_invalid_response_rejected(self):
         with pytest.raises(DataError):
