@@ -29,10 +29,12 @@ def build_parser():
                    help="transform construction: a1 regularized-estimate Taylor, "
                         "a2 conditional-mode Newton")
     p.add_argument("--prior", choices=["default", "normal-omega", "file"], default="default")
-    p.add_argument("--prior-file", default=None)
-    p.add_argument("--omega-prior-sd", type=float, default=10.0,
-                   help="sd of the normal prior on omega (normal-omega mode)")
-    p.add_argument("--sigma-beta2", type=float, default=model.DEFAULT_SIGMA_BETA2)
+    p.add_argument("--prior-file", default=None, help="prior file (--prior file)")
+    p.add_argument("--omega-prior-sd", type=float, default=None,
+                   help="sd of the normal prior on omega (--prior normal-omega; default 10)")
+    p.add_argument("--sigma-beta2", type=float, default=None,
+                   help="prior variance of each beta (--prior default or normal-omega; "
+                        f"default {model.DEFAULT_SIGMA_BETA2:g})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--shards", type=int, default=1, help="V for divide and recombine")
     p.add_argument("--max-iter", type=int, default=200_000)
@@ -47,14 +49,22 @@ def build_parser():
 
 
 def _make_prior(args, data):
-    if (args.prior == "file") != (args.prior_file is not None):
-        raise ConfigError("--prior file and --prior-file go together")
+    """The prior that --prior selects. A prior flag that it does not read
+    raises ConfigError, as does --prior file without --prior-file."""
+    reads = {"default": ("sigma_beta2",), "normal-omega": ("sigma_beta2", "omega_prior_sd"),
+             "file": ("prior_file",)}[args.prior]
+    for flag in ("prior_file", "sigma_beta2", "omega_prior_sd"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise ConfigError(f"--prior {args.prior} does not read --{flag.replace('_', '-')}")
+    if args.prior == "file":
+        if args.prior_file is None:
+            raise ConfigError("--prior file needs --prior-file")
+        return fileio.read_prior_file(args.prior_file, data.r)
+    kw = {key: val for key, val in (("sigma_beta2", args.sigma_beta2), ("sd", args.omega_prior_sd))
+          if val is not None}
     if args.prior == "default":
-        return model.default_prior(data, sigma_beta2=args.sigma_beta2)
-    if args.prior == "normal-omega":
-        return model.normal_omega_prior(data.r, sigma_beta2=args.sigma_beta2,
-                                        sd=args.omega_prior_sd)
-    return fileio.read_prior_file(args.prior_file, data.r)
+        return model.default_prior(data, **kw)
+    return model.normal_omega_prior(data.r, **kw)
 
 
 def run(args):

@@ -23,8 +23,9 @@ from .exceptions import RECOVERABLE, ConfigError, DivergedError, GlmmVbError, Ov
 
 LANE_FIT = 0
 LANE_FINAL = 1
-LANE_SIM = 2
+LANE_SIM = 2  # simulate_dataset (t = 0) and posterior.factor_scales (t = 1)
 LANE_PART = 3
+LANE_POSTERIOR = 4  # posterior.simulate_b, one t per chunk
 
 ELBO_CHUNK = 250  # draws per chunk of the final ELBO
 # bytes of one (block, n, J) float64 array, for the blocks of draws that

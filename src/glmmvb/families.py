@@ -9,8 +9,11 @@ boundary); and validate. The log-likelihood is y*eta - h(eta): additive
 constants that do not depend on eta are dropped throughout the package
 so that lower bounds are comparable.
 
-All functions are vectorized over numpy arrays of eta / y / trials. The
-digamma of eta_hat_reg is computed here with numpy alone (it is only ever
+All functions are vectorized over numpy arrays of eta / y / trials.
+derivs, eta_hat_reg and validate take the trial counts, an array like y
+(Dataset.trials: ones but for binomial responses, and on the padding);
+Poisson and Bernoulli ignore them, so a Bernoulli response is one trial
+whatever the counts hold. The digamma of eta_hat_reg is computed here with numpy alone (it is only ever
 taken at a count plus 1/2), so the package's one runtime dependency is numpy.
 """
 
@@ -68,10 +71,10 @@ class Family:
         a 0/1 factor in h2 carry over to the result."""
         raise NotImplementedError
 
-    def eta_hat_reg(self, y, trials=None):
+    def eta_hat_reg(self, y, trials):
         raise NotImplementedError
 
-    def validate(self, y, trials=None, lines=None):
+    def validate(self, y, trials, lines=None):
         """Raise InvalidResponseError on responses outside the support, naming
         the first of `lines` (an array like y) that holds one."""
         raise NotImplementedError
@@ -97,10 +100,10 @@ class Poisson(Family):
     def h3_from_h2(self, eta, h2):
         return h2
 
-    def eta_hat_reg(self, y, trials=None):
+    def eta_hat_reg(self, y, trials):
         return _digamma_half(np.asarray(y, dtype=float) + 0.5)
 
-    def validate(self, y, trials=None, lines=None):
+    def validate(self, y, trials, lines=None):
         y = np.asarray(y, dtype=float)
         bad = ~np.isfinite(y) | (y < 0) | (y != np.round(y))
         if np.any(bad):
@@ -127,31 +130,21 @@ class Binomial(Family):
 
     name = "binomial"
 
-    @staticmethod
-    def _trials(eta_like, trials):
-        if trials is None:
-            return np.ones_like(np.asarray(eta_like, dtype=float))
-        return np.asarray(trials, dtype=float)
-
     def derivs(self, eta, trials, k):
-        out = _logistic_derivs(eta, k)
-        if trials is None:
-            return out
         m = np.asarray(trials, dtype=float)
-        return tuple(m * v for v in out)
+        return tuple(m * v for v in _logistic_derivs(eta, k))
 
     def h3_from_h2(self, eta, h2):
         # -h'' tanh(eta/2): no cancellation near eta = 0
         return -h2 * np.tanh(0.5 * eta)
 
-    def eta_hat_reg(self, y, trials=None):
+    def eta_hat_reg(self, y, trials):
         y = np.asarray(y, dtype=float)
-        m = self._trials(y, trials)
-        return _digamma_half(y + 0.5) - _digamma_half(m - y + 0.5)
+        return _digamma_half(y + 0.5) - _digamma_half(np.asarray(trials, dtype=float) - y + 0.5)
 
-    def validate(self, y, trials=None, lines=None):
+    def validate(self, y, trials, lines=None):
         y = np.asarray(y, dtype=float)
-        m = self._trials(y, trials)
+        m = np.asarray(trials, dtype=float)
         bad = ~np.isfinite(m) | (m < 1) | (m != np.round(m))
         if np.any(bad):
             self._bad(bad, lines, "trial count must be a positive integer")
@@ -163,14 +156,13 @@ class Binomial(Family):
 class Bernoulli(Binomial):
     name = "bernoulli"
 
-    @staticmethod
-    def _trials(eta_like, trials):
-        return np.ones_like(np.asarray(eta_like, dtype=float))
-
     def derivs(self, eta, trials, k):
         return _logistic_derivs(eta, k)
 
-    def validate(self, y, trials=None, lines=None):
+    def eta_hat_reg(self, y, trials):
+        return super().eta_hat_reg(y, 1.0)
+
+    def validate(self, y, trials, lines=None):
         y = np.asarray(y, dtype=float)
         bad = ~np.isfinite(y) | ((y != 0) & (y != 1))
         if np.any(bad):

@@ -4,7 +4,9 @@ state outputs, and the synthetic datasets of the command line's --simulate.
 All outputs are plain structured text (key-value header plus CSV payload)
 so that shard results can be recombined offline and traces plotted with
 anything. Summary numbers use 9 significant digits; the state file uses
-17 significant digits, which round-trips IEEE doubles exactly.
+17 significant digits, which round-trips IEEE doubles exactly. Every
+file is written by one function, _write_lines: UTF-8, each line ending in
+a line feed; load_csv reads line feeds and CR LF alike.
 """
 
 import csv
@@ -74,28 +76,16 @@ def load_csv(path, family, group_col, fixed_cols, random_cols,
     values = np.array(rows)
     k = 1 + bool(trials_col)  # first design column of `values`
 
-    # scatter row t to (group[t], its rank among its group's rows)
-    group = np.array(group)
-    n_obs = np.bincount(group)
-    order = np.argsort(group, kind="stable")
-    pos = np.empty_like(group)
-    pos[order] = np.arange(group.size) - np.repeat(np.cumsum(n_obs) - n_obs, n_obs)
-    shape = (n_obs.size, int(n_obs.max()))
-
-    def padded(fill, cols):
-        out = np.full(shape + cols.shape[1:], fill)
-        out[group, pos] = cols
-        return out
-
-    ones = np.ones((group.size, 1))
-    y = padded(0.0, values[:, 0])
-    trials = padded(1.0, values[:, 1]) if trials_col else None
-    X = padded(0.0, np.hstack([ones[:, :add_x], values[:, k:k + len(fixed_cols)]]))
-    Z = padded(0.0, np.hstack([ones[:, :add_z], values[:, k + len(fixed_cols):]]))
+    n_obs, pad = model._scatter(np.array(group))
+    ones = np.ones((len(rows), 1))
+    y = pad(0.0, values[:, 0])
+    trials = pad(1.0, values[:, 1]) if trials_col else None
+    X = pad(0.0, np.hstack([ones[:, :add_x], values[:, k:k + len(fixed_cols)]]))
+    Z = pad(0.0, np.hstack([ones[:, :add_z], values[:, k + len(fixed_cols):]]))
     return model.Dataset(fam, y, X, Z, trials, n_obs,
                          x_names=["intercept"] * add_x + fixed_cols,
                          z_names=["intercept"] * add_z + random_cols,
-                         group_labels=list(group_of), lines=padded(0, np.array(lines)))
+                         group_labels=list(group_of), lines=pad(0, np.array(lines)))
 
 
 def read_prior_file(path, r):
@@ -156,12 +146,16 @@ def read_prior_file(path, r):
 # result files
 
 
+def _write_lines(path, lines):
+    """Write lines to path in UTF-8, each ending in a line feed: the package's one file writer."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 def _write_summary(path, meta, rows):
     """key,value metadata, then one parameter,mean,sd line per row."""
-    lines = (["key,value"] + [f"{key},{val}" for key, val in meta] + ["parameter,mean,sd"]
-             + [f"{name},{SUMMARY_FMT % m},{SUMMARY_FMT % s}" for name, m, s in rows])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, ["key,value", *(f"{key},{val}" for key, val in meta), "parameter,mean,sd",
+                        *(f"{name},{SUMMARY_FMT % m},{SUMMARY_FMT % s}" for name, m, s in rows)])
 
 
 def write_summary(path, summary, method, n_iter, wall_time, elbo, converged=None,
@@ -188,37 +182,29 @@ def write_sharded_summary(path, sharded, method, scales):
 
 
 def write_trace(path, window_means, window):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("window,iteration,mean_elbo\n")
-        for k, m in enumerate(window_means, start=1):
-            fh.write(f"{k},{k * window},{SUMMARY_FMT % m}\n")
+    _write_lines(path, ["window,iteration,mean_elbo", *(
+        f"{k},{k * window},{SUMMARY_FMT % m}" for k, m in enumerate(window_means, start=1))])
 
 
 def write_subject_diagnostics(path, data, summary):
-    cols = [f"btilde_{k}" for k in range(data.r)]
-    header = (["subject"] + [f"{c}_mean" for c in cols] + [f"{c}_sd" for c in cols]
-              + [f"b_{k}_mean" for k in range(data.r)] + [f"b_{k}_sd" for k in range(data.r)])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(data.n):
-            vals = (list(summary.btilde_mean[i]) + list(summary.btilde_sd[i])
-                    + list(summary.b_mean[i]) + list(summary.b_sd[i]))
-            fh.write(",".join([data.group_labels[i]] + [SUMMARY_FMT % v for v in vals]) + "\n")
+    header = ["subject"] + [f"{c}_{k}_{s}" for c in ("btilde", "b") for s in ("mean", "sd")
+                            for k in range(data.r)]
+    rows = np.hstack([summary.btilde_mean, summary.btilde_sd, summary.b_mean, summary.b_sd])
+    _write_lines(path, [",".join(header), *(",".join([label, *(SUMMARY_FMT % v for v in row)])
+                                            for label, row in zip(data.group_labels, rows))])
 
 
 def write_state(path, state, method, family_name, seed, converged=None):
     """Serialize (mu, C*) with a dimension header, which ends with the
     fit's `converged` when given; round-trips bit-exactly."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("format,glmmvb-state,1\n")
-        fh.write(f"n,{state.n}\nr,{state.r}\ng,{state.g}\n")
-        fh.write(f"method,{method}\nfamily,{family_name}\nseed,{seed}\n")
-        if converged is not None:
-            fh.write(f"converged,{converged}\n")
-        for name in STATE_SECTIONS:
-            fh.write(f"section,{name}\n")
-            for row in np.atleast_2d(getattr(state, name)):
-                fh.write(",".join(STATE_FMT % v for v in row) + "\n")
+    lines = ["format,glmmvb-state,1", f"n,{state.n}", f"r,{state.r}", f"g,{state.g}",
+             f"method,{method}", f"family,{family_name}", f"seed,{seed}"]
+    lines += [f"converged,{converged}"] * (converged is not None)
+    for name in STATE_SECTIONS:
+        lines.append(f"section,{name}")
+        lines += [",".join(STATE_FMT % v for v in row)
+                  for row in np.atleast_2d(getattr(state, name))]
+    _write_lines(path, lines)
 
 
 def read_state(path):
@@ -270,15 +256,10 @@ def write_simulation(directory, scenario, seed, data, truth):
     path = os.path.join(directory, "dataset.csv")
     binomial = bool(truth["trials"])
     cols = [data.y, data.X[..., 1]] + [data.trials] * binomial
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["group", "y", "x"] + ["m"] * binomial)
-        for i, j in zip(*np.nonzero(data.mask)):
-            w.writerow([i + 1] + [SUMMARY_FMT % c[i, j] for c in cols])
-    with open(os.path.join(directory, "truth.csv"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("key,value\n")
-        fh.write(f"scenario,{scenario}\nseed,{seed}\n")
-        fh.write(f"beta0,{truth['beta'][0]}\nbeta1,{truth['beta'][1]}\n")
-        fh.write(f"sigma,{truth['sigma']}\nfamily,{truth['family']}\n")
+    _write_lines(path, [",".join(["group", "y", "x"] + ["m"] * binomial), *(
+        ",".join([str(i + 1)] + [SUMMARY_FMT % c[i, j] for c in cols])
+        for i, j in zip(*np.nonzero(data.mask)))])
+    _write_lines(os.path.join(directory, "truth.csv"), [
+        "key,value", f"scenario,{scenario}", f"seed,{seed}", f"beta0,{truth['beta'][0]}",
+        f"beta1,{truth['beta'][1]}", f"sigma,{truth['sigma']}", f"family,{truth['family']}"])
     return path

@@ -36,6 +36,24 @@ IRLS_MAX_ITER = 25
 # dataset
 
 
+def _scatter(group):
+    """(n_obs, pad) for rows of subjects group[t]: pad(fill, rows) puts row t
+    at (group[t], its rank among its subject's rows) of an (n, J, ...) array
+    holding fill elsewhere. Subjects need be neither contiguous nor in order."""
+    n_obs = np.bincount(group)
+    order = np.argsort(group, kind="stable")
+    pos = np.empty_like(group)
+    pos[order] = np.arange(group.size) - np.repeat(np.cumsum(n_obs) - n_obs, n_obs)
+    shape = (n_obs.size, int(n_obs.max()))
+
+    def pad(fill, rows):
+        out = np.full(shape + rows.shape[1:], fill)
+        out[group, pos] = rows
+        return out
+
+    return n_obs, pad
+
+
 class Dataset:
     """Grouped responses with per-subject fixed/random effect designs.
 
@@ -125,25 +143,19 @@ class Dataset:
     @classmethod
     def from_lists(cls, family, y_list, X_list, Z_list, trials_list=None, **kw):
         """Build a padded Dataset from per-subject sequences."""
-        n = len(y_list)
-        if n == 0:
-            raise DataError("no subjects: p and r are read from the first subject's designs")
-        n_obs = np.array([len(yi) for yi in y_list], dtype=int)
-        J = int(n_obs.max())
-        p = np.asarray(X_list[0], dtype=float).shape[1]
-        r = np.asarray(Z_list[0], dtype=float).shape[1]
-        y = np.zeros((n, J))
-        X = np.zeros((n, J, p))
-        Z = np.zeros((n, J, r))
-        trials = np.ones((n, J))
-        for i in range(n):
-            k = n_obs[i]
-            y[i, :k] = np.asarray(y_list[i], dtype=float)
-            X[i, :k] = np.asarray(X_list[i], dtype=float)
-            Z[i, :k] = np.asarray(Z_list[i], dtype=float)
-            if trials_list is not None:
-                trials[i, :k] = np.asarray(trials_list[i], dtype=float)
-        return cls(family, y, X, Z, trials, n_obs, **kw)
+        sizes = [len(yi) for yi in y_list]
+        if not sizes:
+            raise DataError("no subjects: p and r come from the subjects' designs")
+        if min(sizes) < 1:
+            raise DataError("every subject needs at least one observation")
+
+        def rows(parts):  # the subjects' rows, one after another
+            return np.concatenate([np.asarray(a, dtype=float) for a in parts])
+
+        n_obs, pad = _scatter(np.repeat(np.arange(len(sizes)), sizes))
+        trials = None if trials_list is None else pad(1.0, rows(trials_list))
+        return cls(family, pad(0.0, rows(y_list)), pad(0.0, rows(X_list)),
+                   pad(0.0, rows(Z_list)), trials, n_obs, **kw)
 
     def subset(self, indices):
         """View of a subset of subjects (used by the divide step)."""

@@ -88,7 +88,7 @@ def simulate_b(data, prior, state, method, n_draws, seed):
     scale_chunks = []
     anchor = engine.mean_anchor(data, prior, state, method)
     chunks = engine.accepted_draws(
-        state, n_draws, seed, engine.LANE_SIM, SIM_CHUNK, engine.draw_block(data),
+        state, n_draws, seed, engine.LANE_POSTERIOR, SIM_CHUNK, engine.draw_block(data),
         lambda s: _draw_transforms(data, prior, state, method, s, anchor))
     for (b, scales), rejected in chunks:
         b_sum += b.sum(axis=0)

@@ -46,10 +46,10 @@ class GaussianUnit(families.Family):
     def h3_from_h2(self, eta, h2):
         return np.zeros_like(h2)
 
-    def eta_hat_reg(self, y, trials=None):
+    def eta_hat_reg(self, y, trials):
         return np.asarray(y, dtype=float)
 
-    def validate(self, y, trials=None, lines=None):
+    def validate(self, y, trials, lines=None):
         y = np.asarray(y, dtype=float)
         bad = ~np.isfinite(y)
         if np.any(bad):
@@ -190,7 +190,7 @@ def eta_hat_ml(family, y, trials=None):
     if family.name == "poisson":
         with np.errstate(divide="ignore"):
             return np.where(y > 0, np.log(np.where(y > 0, y, 1.0)), np.nan)
-    m = family._trials(y, trials)  # binomial and bernoulli
+    m = 1.0 if trials is None else np.asarray(trials, dtype=float)  # binomial and bernoulli
     interior = (y > 0) & (y < m)
     frac = np.where(interior, y / m, 0.5)
     return np.where(interior, sc.logit(frac), np.nan)

@@ -167,7 +167,7 @@ def test_c03_regularized_estimate_table():
     with criterion(3, "regularized estimates and (h1, h2, h2*eta) reproduce the "
                       "boundary table to two decimals"):
         pois = families.POISSON
-        eta = pois.eta_hat_reg(0.0)
+        eta = pois.eta_hat_reg(0.0, 1.0)
         _, h1, h2 = pois.derivs(eta, None, 2)
         assert (round(float(eta), 2), round(float(h1), 2),
                 round(float(h2), 2), round(float(h2 * eta), 2)) \
@@ -180,7 +180,7 @@ def test_c03_regularized_estimate_table():
                 round(float(h2), 2), round(float(h2 * eta), 2)) \
             == (-4.27, 0.14, 0.14, -0.58)
         bern = families.BERNOULLI
-        eta = bern.eta_hat_reg(1.0)
+        eta = bern.eta_hat_reg(1.0, 1.0)
         assert round(float(eta), 2) == 2.0
         _, h1, h2 = bern.derivs(eta, None, 2)
         assert (round(float(h1), 2), round(float(h2), 2),

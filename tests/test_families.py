@@ -58,7 +58,7 @@ class TestLogPartitionDerivatives:
     @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.name)
     def test_h3_from_h2_is_the_third_derivative(self, fam, with_trials):
         eta = np.linspace(-40.0, 40.0, 161)
-        m = np.full_like(eta, 7.0) if with_trials else None
+        m = np.full_like(eta, 7.0) if with_trials else np.ones_like(eta)
         _, _, h2 = fam.derivs(eta, m, 2)
         h3 = fam.h3_from_h2(eta, h2)
         # a 0/1 factor in h'' carries over to h'''
@@ -190,7 +190,7 @@ class TestRegularizedEstimateTable:
 
     def test_poisson_zero(self):
         fam = families.POISSON
-        eta = fam.eta_hat_reg(0.0)
+        eta = fam.eta_hat_reg(0.0, 1.0)
         assert round(float(eta), 2) == -1.96
         assert round(float(fam.derivs(eta, None, 1)[1]), 2) == 0.14
         assert round(float(fam.derivs(eta, None, 2)[2]), 2) == 0.14
@@ -210,8 +210,8 @@ class TestRegularizedEstimateTable:
 
     def test_bernoulli_boundaries(self):
         fam = families.BERNOULLI
-        lo = fam.eta_hat_reg(0.0)
-        hi = fam.eta_hat_reg(1.0)
+        lo = fam.eta_hat_reg(0.0, 1.0)
+        hi = fam.eta_hat_reg(1.0, 1.0)
         assert abs(float(hi) - 2.0) < 1e-12  # psi(1.5) - psi(0.5) = 2 exactly
         assert abs(float(lo) + 2.0) < 1e-12
         assert round(float(fam.derivs(lo, None, 1)[1]), 2) == 0.12
@@ -244,7 +244,7 @@ class TestMaximumLikelihoodEstimates:
     def test_regularized_close_to_ml_off_boundary(self):
         fam = families.POISSON
         y = np.arange(5.0, 51.0)
-        assert np.abs(fam.eta_hat_reg(y) - oracles.eta_hat_ml(fam, y)).max() < 0.15
+        assert np.abs(fam.eta_hat_reg(y, 1.0) - oracles.eta_hat_ml(fam, y)).max() < 0.15
         fam = families.BINOMIAL
         y = np.arange(2.0, 9.0)
         m = np.full_like(y, 10.0)
@@ -351,7 +351,7 @@ class TestBoundaryLimits:
 class TestValidation:
     def test_poisson_rejects_negative(self):
         with pytest.raises(InvalidResponseError):
-            families.POISSON.validate(np.array([1.0, -1.0]))
+            families.POISSON.validate(np.array([1.0, -1.0]), np.ones(2))
 
     def test_binomial_rejects_above_trials(self):
         with pytest.raises(InvalidResponseError):
@@ -359,4 +359,4 @@ class TestValidation:
 
     def test_bernoulli_rejects_two(self):
         with pytest.raises(InvalidResponseError):
-            families.BERNOULLI.validate(np.array([2.0]))
+            families.BERNOULLI.validate(np.array([2.0]), np.ones(1))

@@ -1,4 +1,6 @@
+import ast
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from glmmvb import cli, datasets, engine, families, fileio, model, simulate
 from glmmvb.exceptions import (
     ConfigError,
+    DataError,
     InvalidResponseError,
     MissingColumnError,
     ParseError,
@@ -107,6 +110,39 @@ class TestLoadCsv:
         assert data.group_labels == ["b", "a"]
         np.testing.assert_array_equal(data.y[0, :2], [1.0, 3.0])
         np.testing.assert_array_equal(data.y[1, :2], [2.0, 4.0])
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+           binomial=st.booleans(), newline=st.sampled_from(["\n", "\r\n"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_builds_what_from_lists_builds(self, tmp_path, sizes, binomial, newline, seed):
+        # the same rows in a shuffled file: subjects are neither contiguous nor
+        # in label order, and the file's first appearances set their order;
+        # lines may end in LF, as the package writes them, or in CR LF
+        rng = np.random.default_rng(seed)
+        group = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        labels = [f"s{k}" for k in rng.permutation(len(sizes))]
+        m = rng.integers(1, 9, group.size).astype(float)
+        y = np.floor(rng.random(group.size) * (m + 1)) if binomial \
+            else rng.poisson(3.0, group.size).astype(float)
+        X, Z = rng.standard_normal((group.size, 2)), rng.standard_normal((group.size, 1))
+        path = tmp_path / "rows.csv"
+        path.write_bytes(newline.join(["g,y,m,x1,x2,z"] + [
+            ",".join([labels[k]] + [repr(float(v)) for v in (y[t], m[t], *X[t], *Z[t])])
+            for t, k in enumerate(group)]).encode() + newline.encode())
+        fam = families.BINOMIAL if binomial else families.POISSON
+        got = fileio.load_csv(str(path), fam, "g", ["x1", "x2"], ["z"],
+                              trials_col="m" if binomial else None, intercept="none")
+        first = list(dict.fromkeys(group))
+        rows = [group == k for k in first]
+        want = model.Dataset.from_lists(fam, [y[r] for r in rows], [X[r] for r in rows],
+                                        [Z[r] for r in rows],
+                                        [m[r] for r in rows] if binomial else None)
+        assert got.group_labels == [labels[k] for k in first]
+        for name in ("y", "X", "Z", "trials", "n_obs", "mask"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 class TestBundledDatasets:
@@ -438,6 +474,20 @@ class TestCliRuns:
                 "--max-iter", "50", "--draws", "500", "--out", str(tmp_path / "o")]
         assert run_cli(args) == 0
 
+    @pytest.mark.parametrize("method", ["a1", "a2"])
+    def test_bernoulli_ignores_a_trials_column(self, tmp_path, method):
+        # a Bernoulli response is one trial, whatever the trials column holds
+        outs = []
+        for extra in ([], ["--trials-col", "total"]):
+            out = tmp_path / f"run{len(outs)}"
+            assert run_cli(["--data", datasets.fixture_path("seeds.csv"), "--family", "bernoulli",
+                            "--group-col", "plate", "--response-col", "seed", "--fixed", "extract",
+                            "--method", method, "--max-iter", "250", "--draws", "200",
+                            "--out", str(out), *extra]) == 0
+            outs.append({name: (out / name).read_text()
+                         for name in ("state.txt", "trace.csv", "subjects.csv")})
+        assert outs[0] == outs[1]
+
     def test_simulate_mode(self, tmp_path):
         out = str(tmp_path / "sim")
         assert run_cli(["--simulate", "poisson-ii", "--seed", "2",
@@ -555,6 +605,44 @@ class TestCliExitCodes:
                 "--shards", "2", "--out", str(tmp_path)]
         assert run_cli(args) == 2
 
+    @pytest.mark.parametrize("extra", [["--prior", "file", "--sigma-beta2", "-1"],
+                                       ["--prior", "file", "--sigma-beta2", "100"],
+                                       ["--prior", "file", "--omega-prior-sd", "5"],
+                                       ["--omega-prior-sd", "-5"],
+                                       ["--omega-prior-sd", "10"]])
+    def test_a_prior_flag_the_prior_does_not_read_exits_2(self, tmp_path, monkeypatch, extra):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit called")
+        monkeypatch.setattr(engine, "fit", no_fit)
+        p = tmp_path / "prior.csv"
+        p.write_text("type,normal-omega\nmean,0\nsd,5\n")
+        args = ["--data", datasets.fixture_path("seeds.csv"),
+                "--family", "binomial", "--group-col", "plate",
+                "--response-col", "germinated", "--trials-col", "total",
+                "--out", str(tmp_path / "o"), *extra]
+        assert run_cli(args + ["--prior-file", str(p)] * ("file" in extra)) == 2
+
+    @pytest.mark.parametrize("extra, want", [
+        ([], (model.DEFAULT_SIGMA_BETA2, None)),
+        (["--sigma-beta2", "50"], (50.0, None)),
+        (["--prior", "normal-omega"], (model.DEFAULT_SIGMA_BETA2, 10.0)),
+        (["--prior", "normal-omega", "--sigma-beta2", "50", "--omega-prior-sd", "5"],
+         (50.0, 5.0))])
+    def test_the_selected_prior_reads_its_flags(self, tmp_path, monkeypatch, extra, want):
+        priors = []
+
+        def no_fit(data, prior, config):
+            priors.append(prior)
+            raise ConfigError("stop before fitting")
+        monkeypatch.setattr(engine, "fit", no_fit)
+        args = ["--data", datasets.fixture_path("seeds.csv"),
+                "--family", "binomial", "--group-col", "plate",
+                "--response-col", "germinated", "--trials-col", "total",
+                "--out", str(tmp_path / "o"), *extra]
+        assert run_cli(args) == 2
+        sd = getattr(priors[0], "sd", None)
+        assert (priors[0].sigma_beta2, None if sd is None else float(sd[0])) == want
+
     def test_prior_file_without_prior_file_mode(self, tmp_path):
         # the file would be ignored and the default prior fitted
         p = tmp_path / "prior.csv"
@@ -616,3 +704,63 @@ class TestSummaryFormatting:
         assert "beta.a,0.333333333,0.666666667" in text
         assert "sigma,3.14159265," in text
         assert "elbo,-1.23456789" in text
+
+
+# the functions that open a file for writing: the one writer of fileio
+WRITE_SITES = {("fileio", "_write_lines")}
+
+
+def _write_opens(source):
+    """(enclosing function, line) of each open() call whose mode may write:
+    one holding w, a, x or +, or one that is not a string constant."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call) and "open" in (getattr(node.func, "id", None),
+                                                     getattr(node.func, "attr", None)):
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None)
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and not set(str(mode.value)) & set("wax+")):
+                found.append((".".join(scope), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+class TestOneFileWriter:
+    def test_only_the_writer_opens_files_for_writing(self):
+        package = pathlib.Path(fileio.__file__).parent
+        found = {(path.stem, scope, line) for path in package.glob("*.py")
+                 for scope, line in _write_opens(path.read_text())}
+        assert {(module, scope) for module, scope, _ in found} == WRITE_SITES, sorted(found)
+
+    def test_finds_every_open_that_may_write(self):
+        source = ("def f(p):\n"
+                  "    open(p)\n"
+                  "    open(p, 'r', encoding='utf-8')\n"
+                  "    open(p, 'w')\n"
+                  "class C:\n"
+                  "    def g(self, p, m):\n"
+                  "        io.open(p, mode='a')\n"
+                  "        open(p, m)\n"
+                  "        open(p, 'rb+')\n")
+        assert _write_opens(source) == [("f", 4), ("C.g", 7), ("C.g", 8), ("C.g", 9)]
+
+    def test_no_output_file_holds_a_carriage_return(self, tmp_path):
+        fit = ["--data", datasets.fixture_path("seeds.csv"), "--family", "binomial",
+               "--group-col", "plate", "--response-col", "germinated", "--trials-col", "total",
+               "--method", "a1", "--max-iter", "250", "--draws", "200"]
+        runs = {"fit": fit, "sharded": fit + ["--prior", "normal-omega", "--shards", "2"],
+                "simulate": ["--simulate", "binomial-i", "--simulate-n", "20"]}
+        for name, args in runs.items():
+            out = tmp_path / name
+            assert run_cli(args + ["--out", str(out)]) == 0
+            written = sorted(path.name for path in out.iterdir())
+            assert len(written) >= 2, written
+            for path in out.iterdir():
+                assert b"\r" not in path.read_bytes(), (name, path.name)

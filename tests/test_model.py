@@ -98,6 +98,15 @@ class TestDatasetContainer:
         with pytest.raises(DataError, match=f"^{name} "):
             model.Dataset(families.POISSON, **{**args, **bad})
 
+    @pytest.mark.parametrize("empty", [[], np.zeros((0, 1))], ids=["list", "array"])
+    @pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
+    def test_subject_without_observations_is_a_data_error(self, where, empty):
+        y = [[1.0], [2.0, 3.0], [4.0]]
+        X = [np.ones((len(yi), 1)) for yi in y]
+        y[where], X[where] = [], empty
+        with pytest.raises(DataError, match="every subject needs at least one observation"):
+            model.Dataset.from_lists(families.POISSON, y, X, X)
+
     def test_no_subjects_is_a_data_error(self):
         with pytest.raises(DataError, match="^no subjects"):
             model.Dataset.from_lists(families.POISSON, [], [], [])

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glmmvb import datasets, engine, families, matcalc, model, posterior, recombine, reparam
+from glmmvb import (datasets, engine, families, matcalc, model, posterior, recombine, reparam,
+                    simulate)
 from glmmvb.exceptions import (
     ConfigError,
     ModeSearchFailedError,
@@ -44,6 +45,22 @@ class TestSimulateB:
         state = engine.VariationalState.initial(data.n, data.r, data.g)
         with pytest.raises(ConfigError, match="n_draws"):
             posterior.simulate_b(data, prior, state, "a1", n_draws, seed=1)
+
+    def test_draws_do_not_repeat_the_simulated_effects(self, monkeypatch):
+        # the command line's --seed seeds both a simulated dataset and the
+        # posterior draws of its fit; the draws must come from another stream
+        data, truth = simulate.simulate_dataset("poisson-ii", 11, n=50)
+        state = engine.VariationalState.initial(data.n, data.r, data.g)
+        draws, draw_transforms = [], posterior._draw_transforms
+
+        def recording(data, prior, state, method, s, anchor):
+            draws.append(s.copy())
+            return draw_transforms(data, prior, state, method, s, anchor)
+
+        monkeypatch.setattr(posterior, "_draw_transforms", recording)
+        posterior.simulate_b(data, model.default_prior(data), state, "a1", 2, seed=11)
+        local = draws[0][0, :data.n * data.r] * simulate.SIGMA
+        assert not np.any(np.isclose(local, truth["random_effects"]))
 
     def test_degenerate_q_is_transform_of_mean(self, rng):
         data = random_dataset(rng, families.POISSON, r=1, n=4)
@@ -211,7 +228,7 @@ class TestDrawBlocks:
         prior = random_wishart_prior(rng, 2)
         state = engine.VariationalState.initial(data.n, 2, data.g)
         n_draws, block, seed = 24, 7, 5
-        chunk = engine.stream(seed, engine.LANE_SIM, 0).standard_normal((n_draws, state.d))
+        chunk = engine.stream(seed, engine.LANE_POSTERIOR, 0).standard_normal((n_draws, state.d))
         failing = chunk[10, 0]
         calls, draw_transforms = [], posterior._draw_transforms
 
