@@ -18,7 +18,8 @@ def build_parser():
     p.add_argument("--data", help="input CSV (long format, one row per observation)")
     p.add_argument("--family", choices=["poisson", "binomial", "bernoulli"],
                    help="response family")
-    p.add_argument("--trials-col", default=None, help="binomial trials column")
+    p.add_argument("--trials-col", default=None,
+                   help="binomial trials column (rejected for poisson, ignored for bernoulli)")
     p.add_argument("--group-col", default="group", help="subject/group id column")
     p.add_argument("--response-col", default="y", help="response column")
     p.add_argument("--fixed", default="", help="comma-separated fixed-effect columns")
@@ -79,6 +80,8 @@ def run(args):
         raise ConfigError("--draws must be >= 2")
     if args.family == "binomial" and not args.trials_col:
         raise ConfigError("binomial fits need --trials-col")
+    if args.family == "poisson" and args.trials_col:
+        raise ConfigError("--trials-col is for binomial fits; a Poisson fit reads no trials")
     data = fileio.load_csv(args.data, args.family, args.group_col,
                            fileio._split_cols(args.fixed), fileio._split_cols(args.random),
                            response_col=args.response_col, trials_col=args.trials_col,

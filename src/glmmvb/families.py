@@ -13,13 +13,15 @@ All functions are vectorized over numpy arrays of eta / y / trials.
 derivs, eta_hat_reg and validate take the trial counts, an array like y
 (Dataset.trials: ones but for binomial responses, and on the padding);
 Poisson and Bernoulli ignore them, so a Bernoulli response is one trial
-whatever the counts hold. The digamma of eta_hat_reg is computed here with numpy alone (it is only ever
-taken at a count plus 1/2), so the package's one runtime dependency is numpy.
+whatever the counts hold; binomial's derivs, eta_hat_reg and validate
+raise ConfigError when they are None. The digamma of eta_hat_reg is computed
+here with numpy alone (it is only ever taken at a count plus 1/2), so the
+package's one runtime dependency is numpy.
 """
 
 import numpy as np
 
-from .exceptions import DomainError, InvalidResponseError, OverflowGuardError
+from .exceptions import ConfigError, DomainError, InvalidResponseError, OverflowGuardError
 
 # Poisson linear predictors above this raise OverflowGuardError: exp() is
 # about to overflow and the optimization state is divergent anyway.
@@ -125,12 +127,17 @@ def _logistic_derivs(eta, k):
     return tuple(out)
 
 
+_NO_TRIALS = "binomial responses need their trial counts, got None"
+
+
 class Binomial(Family):
     """Binomial with per-observation trial counts; Bernoulli is trials == 1."""
 
     name = "binomial"
 
     def derivs(self, eta, trials, k):
+        if trials is None:
+            raise ConfigError(_NO_TRIALS)
         m = np.asarray(trials, dtype=float)
         return tuple(m * v for v in _logistic_derivs(eta, k))
 
@@ -139,10 +146,14 @@ class Binomial(Family):
         return -h2 * np.tanh(0.5 * eta)
 
     def eta_hat_reg(self, y, trials):
+        if trials is None:
+            raise ConfigError(_NO_TRIALS)
         y = np.asarray(y, dtype=float)
         return _digamma_half(y + 0.5) - _digamma_half(np.asarray(trials, dtype=float) - y + 0.5)
 
     def validate(self, y, trials, lines=None):
+        if trials is None:
+            raise ConfigError(_NO_TRIALS)
         y = np.asarray(y, dtype=float)
         m = np.asarray(trials, dtype=float)
         bad = ~np.isfinite(m) | (m < 1) | (m != np.round(m))

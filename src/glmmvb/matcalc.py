@@ -9,6 +9,7 @@ gradient evaluations.
 All functions broadcast over leading batch dimensions.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -92,14 +93,20 @@ def cholesky(s):
     return out
 
 
-def _entries2(s):
-    """(a, b, d, det) of 2 x 2 blocks' symmetric part [[a, b], [b, d]]; raises
-    unless a > 0 and the determinant exceeds SINGULAR_RTOL * a d."""
-    a, b, d = s[..., 0, 0], 0.5 * (s[..., 1, 0] + s[..., 0, 1]), s[..., 1, 1]
+def _det2(a, b, d):
+    """The determinant of [[a, b], [b, d]]; raises unless a > 0 and it
+    exceeds SINGULAR_RTOL * a d."""
     ad = a * d
     det = ad - b * b
     _require((a > 0) & (det > SINGULAR_RTOL * ad))
-    return a, b, d, det
+    return det
+
+
+def _entries2(s):
+    """(a, b, d, det) of 2 x 2 blocks' symmetric part [[a, b], [b, d]],
+    raising as _det2."""
+    a, b, d = s[..., 0, 0], 0.5 * (s[..., 1, 0] + s[..., 0, 1]), s[..., 1, 1]
+    return a, b, d, _det2(a, b, d)
 
 
 def _inv2(s):
@@ -139,19 +146,45 @@ def spd_inv(s):
     return out
 
 
-def spd_solve(s, g):
-    """matvec(spd_inv(S), g) for vectors g (..., r); for r = 2 the same bytes
-    from the inverse's entries without forming it, raising as spd_inv does
-    but not for a non-finite result. Batched over leading dims."""
-    if s.shape[-1] != 2:
-        return matvec(spd_inv(s), g)
-    a, b, d, det = _entries2(s)
-    b_det = b / det  # minus the off-diagonal entry of the inverse
-    x0 = d / det * g[..., 0] - b_det * g[..., 1]
-    out = np.empty(x0.shape + (2,))
-    out[..., 0] = x0
-    out[..., 1] = a / det * g[..., 1] - b_det * g[..., 0]
-    return out
+@lru_cache(maxsize=None)
+def _sym_positions(e):
+    """The half-vec position of each entry of a symmetric r x r matrix, (r, r),
+    for half-vecs of length e = r(r+1)/2."""
+    r = (math.isqrt(8 * e + 1) - 1) // 2
+    pos = np.empty((r, r), dtype=int)
+    rows, cols = tri_indices(r)
+    pos[rows, cols] = pos[cols, rows] = np.arange(e)
+    pos.setflags(write=False)
+    return pos
+
+
+def sym_blocks(h):
+    """The symmetric blocks (..., m, r, r) given as half-vec columns h
+    (..., r(r+1)/2, m), model._ObsMajor's layout of the a2 precisions; C
+    ordered, whatever the leading dims (an indexing result's own order
+    depends on them, and a later reduction's order on its)."""
+    return np.ascontiguousarray(h.swapaxes(-1, -2)[..., _sym_positions(h.shape[-2])])
+
+
+def spd_solve(h, g):
+    """x with S x = g for the blocks S of half-vec columns h (sym_blocks) and
+    right-hand sides g (..., r, m), column by column: (..., r, m). For r = 1
+    spd_inv's 1 / x of h itself; for r = 2 adj(S) g / det from the entries
+    a, b, d, the rows of h: the bytes of spd_inv(S) times g without forming
+    the inverse; matvec(spd_inv(S), g) above. Raises as spd_inv does, but
+    for r = 2 not for a non-finite result. Batched over leading dims."""
+    r = g.shape[-2]
+    if r == 1:  # the blocks are h's one row
+        _require((h > 0) & (h < np.inf))
+        inv = 1.0 / h
+        _require(np.isfinite(inv))
+        return inv * g
+    if r > 2:
+        return matvec(spd_inv(sym_blocks(h)), g.swapaxes(-1, -2)).swapaxes(-1, -2)
+    a, b, d = h[..., 0, :], h[..., 1, :], h[..., 2, :]
+    det = _det2(a, b, d)[..., None, :]
+    # (d/det g0 - b/det g1, a/det g1 - b/det g0): (d, a) and g reversed
+    return h[..., ::-2, :] / det * g - b[..., None, :] / det * g[..., ::-1, :]
 
 
 def spd_inv_cholesky(s):
@@ -209,10 +242,12 @@ def matvec(a, x):
 
 
 def absmax(x):
-    """max_k |x_k| over the last axis, one column at a time (as matvec)."""
-    out = np.abs(x[..., 0])
-    for k in range(1, x.shape[-1]):
-        np.maximum(out, np.abs(x[..., k]), out=out)
+    """max_k |x_k| over axis -2, the components of column vectors (..., r, m)
+    (spd_solve's layout), one row at a time: (..., m)."""
+    a = np.abs(x)
+    out = a[..., 0, :]
+    for k in range(1, x.shape[-2]):
+        out = np.maximum(out, a[..., k, :])
     return out
 
 

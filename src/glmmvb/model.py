@@ -209,11 +209,6 @@ class Dataset:
                 self.n, self.J, self.r * A.shape[-1])
         return self.cache[key]
 
-    def zwz(self, w):
-        """sum_j w_ij Z_ij Z_ij' per subject, (..., n, r, r), for weights w (..., n, J)."""
-        return (w[..., None, :] @ self._z_outer("Z"))[..., 0, :].reshape(
-            w.shape[:-1] + (self.r, self.r))
-
     def zwx(self, w):
         """sum_j w_ij Z_ij X_ij' per subject, (..., n, r, p), for weights w (..., n, J)."""
         return (w[..., None, :] @ self._z_outer("X"))[..., 0, :].reshape(
@@ -222,6 +217,74 @@ class Dataset:
     def zmz(self, M):
         """Z_ij' M_i Z_ij per observation, (..., n, J), for matrices M (..., n, r, r)."""
         return (self._z_outer("Z") @ M.reshape(M.shape[:-2] + (self.r * self.r, 1)))[..., 0]
+
+    def _obs_major(self):
+        """The observation-major layout of the data (_ObsMajor), built at the
+        first call and cached."""
+        if "obs" not in self.cache:
+            self.cache["obs"] = _ObsMajor(self)
+        return self.cache["obs"]
+
+
+class _ObsMajor:
+    """A Dataset's arrays observation-major, for the a2 mode search: y, mask
+    and trials (J, n), X (J, n, p), Z's columns Z_k (r, J, n) and their
+    products Z_k Z_l, one per lower-triangle entry (k, l) in half-vec order
+    (r(r+1)/2, J, n). Arrays per observation are then (..., J, n), vectors
+    per subject (..., r, n) and symmetric blocks per subject half-vec
+    columns (..., r(r+1)/2, n) (matcalc.sym_blocks). The subjects lie along
+    the last axis, so elementwise work and every sum over a subject's
+    observations (over axis -2) run inner loops of length n, for one draw
+    and for a block of draws alike. The mask keeps its name, so that scans
+    for reads of it see this copy.
+    """
+
+    def __init__(self, data):
+        self.y = np.ascontiguousarray(data.y.T)
+        self.mask = np.ascontiguousarray(data.mask.T)
+        self.trials = np.ascontiguousarray(data.trials.T)
+        self.X = np.ascontiguousarray(data.X.transpose(1, 0, 2))
+        self.Z = np.ascontiguousarray(data.Z.transpose(2, 1, 0))
+        rows, cols = matcalc.tri_indices(data.r)
+        self.ZZ = self.Z[rows] * self.Z[cols]
+        self.ones = np.ones(data.J)
+
+    def xbeta(self, beta):
+        """X beta per observation, (..., J, n), for beta (..., p)."""
+        return matcalc.matvec_fixed(self.X, beta)
+
+    def eta(self, Xbeta, b):
+        """X beta + Z_ij' b_i per observation, (..., J, n), for X beta
+        (..., J, n) and b (..., r, n): r products added in column order."""
+        tmp = self.Z[0] * b[..., None, 0, :]
+        out = Xbeta + tmp
+        for k in range(1, len(self.Z)):
+            out += np.multiply(self.Z[k], b[..., None, k, :], out=tmp)
+        return out
+
+    def sum_obs(self, v, out=None):
+        """sum_j v_ij per subject, (..., n), for v (..., J, n): one product
+        of a vector of ones with each draw's (J, n) array."""
+        return np.matmul(self.ones, v, out=out)
+
+    def _contract(self, A, v):
+        """sum_j A_kj v_j per subject for each A_k of A (K, J, n), (..., K, n),
+        for v (..., J, n): per k one product into a (..., J, n) temporary,
+        summed over the observations into row k of the output."""
+        out = np.empty(v.shape[:-2] + (len(A), A.shape[-1]))
+        tmp = np.empty(v.shape)
+        for k, a in enumerate(A):
+            self.sum_obs(np.multiply(a, v, out=tmp), out=out[..., k, :])
+        return out
+
+    def zt(self, v):
+        """Z_i' v_i per subject, (..., r, n), for v (..., J, n)."""
+        return self._contract(self.Z, v)
+
+    def zwz(self, w):
+        """Half-vecs of sum_j w_ij Z_ij Z_ij' per subject, (..., r(r+1)/2, n),
+        for weights w (..., J, n)."""
+        return self._contract(self.ZZ, w)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +556,8 @@ def default_prior(data, sigma_beta2=DEFAULT_SIGMA_BETA2):
     except IrlsDivergedError:
         beta_hat = fit_pooled_glm(data, sigma_beta2)
     w = data.family.derivs(data.xbeta(beta_hat), data.trials, 2)[2]
-    A = data.zwz(w).sum(axis=0) / data.n
+    Z = data.Z.reshape(-1, data.r)
+    A = (w.reshape(-1, 1) * Z).T @ Z / data.n  # sum_i Z_i' W_i Z_i / n
     rho = data.r if data.r == 1 else data.r + 1
     try:
         return WishartPrior(sigma_beta2, float(rho), A / rho)

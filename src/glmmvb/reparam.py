@@ -15,6 +15,12 @@ Everything broadcasts over leading batch dimensions of the global
 parameters (one global draw during fitting, many during posterior
 simulation). The per-dataset pieces that do not depend on the global
 parameters are cached on the dataset.
+
+The a2 mode search works on the dataset's observation-major layout
+(model._ObsMajor): (..., J, n) per observation, (..., r, n) per subject,
+so its inner loops run over the n subjects. The Transforms it returns
+read its arrays as (..., n, r) and (..., n, J) views, every other
+module's layout.
 """
 
 from dataclasses import dataclass
@@ -70,8 +76,8 @@ def transform_a1(data, gp):
         # the parts free of theta_G: Z'HZ, Z'{y - g + H eta_hat} and Z'HX
         fam, eta_hat = data.family, data.eta_hat_reg()
         _, h1, h2 = fam.derivs(eta_hat, data.trials, 2)
-        data.cache["a1"] = (data.zwz(h2), data.zt(data.y - h1 + h2 * eta_hat),
-                            data.zwx(h2), h2)
+        data.cache["a1"] = (matcalc.sym_blocks(data._obs_major().zwz(h2.T)),
+                            data.zt(data.y - h1 + h2 * eta_hat), data.zwx(h2), h2)
     K, c, ZWX, w = data.cache["a1"]
     Lam, L = matcalc.spd_inv_cholesky(gp.Omega[..., None, :, :] + K)
     rhs = c - matcalc.matvec_fixed(ZWX, gp.beta)
@@ -83,27 +89,28 @@ def transform_a1(data, gp):
 # method a2
 
 
-def _conditional_objective(data, b, eta, h, Om_b):
-    """Per-subject log p(y_i, b_i | theta_G) up to constants:
+def _conditional_objective(obs, b, eta, h, Om_b):
+    """Per-subject log p(y_i, b_i | theta_G) up to constants, (..., n):
     sum_j {y eta - h(eta)} - b'Omega b / 2, from eta = X beta + Z b, h(eta)
-    and Omega b."""
-    ll = data.y * eta  # the one (..., n, J) temporary
+    and Omega b, in obs's (model._ObsMajor) layout."""
+    ll = obs.y * eta  # the one (..., J, n) temporary
     ll -= h
-    ll *= data.mask
-    return ll.sum(axis=-1) - 0.5 * matcalc.matvec(b[..., None, :], Om_b)[..., 0]
+    ll *= obs.mask
+    quad = np.add.reduce(b * Om_b, axis=-2)
+    return obs.sum_obs(ll) - 0.5 * quad
 
 
-def _evaluate(data, Xbeta, Omega, b, eta=None):
-    """The one evaluation of a point b: (objective, h', h'', eta, Omega b),
-    with eta = X beta + Z b unless given and h, h', h'' from one family
-    call. The loop keeps all but h: the gradient and the precision come
-    from h' and h'', the gradient and its scale from Omega b, and the
-    expansion point from eta."""
+def _evaluate(data, obs, Xbeta, Omega, b, eta=None):
+    """The one evaluation of a point b (..., r, n): (objective, h', h'', eta,
+    Omega b), with eta = X beta + Z b unless given and h, h', h'' from one
+    family call, all in obs's layout. The loop keeps all but h: the
+    gradient and the precision come from h' and h'', the gradient and its
+    scale from Omega b, and the expansion point from eta."""
     if eta is None:
-        eta = Xbeta + data.zb(b)
-    h, h1, h2 = data.family.derivs(eta, data.trials, 2)
-    Om_b = matcalc.matvec_rows(Omega, b)
-    return _conditional_objective(data, b, eta, h, Om_b), h1, h2, eta, Om_b
+        eta = obs.eta(Xbeta, b)
+    h, h1, h2 = data.family.derivs(eta, obs.trials, 2)
+    Om_b = Omega @ b
+    return _conditional_objective(obs, b, eta, h, Om_b), h1, h2, eta, Om_b
 
 
 def transform_a2(data, gp, start=None):
@@ -118,6 +125,11 @@ def transform_a2(data, gp, start=None):
     lambda, the mean of the same Gaussian approximation taken about the
     regularized estimates. No step writes into b, so start is not copied
     (the modes are start itself if no step moves them).
+
+    The loop works observation-major (model._ObsMajor): eta, h' and h''
+    are (..., J, n), b, Omega b, the gradient and the step (..., r, n), and
+    P the half-vec columns (..., r(r+1)/2, n) that matcalc.spd_solve takes.
+
     Each point is evaluated once (_evaluate): an accepted candidate is the
     next point, with its eta, Omega b, h' and h'' for the next gradient and
     precision; the last point's eta is the expansion point and h'' there
@@ -127,56 +139,59 @@ def transform_a2(data, gp, start=None):
     and evaluated meanwhile at its subject's current eta, so the family
     never sees it; a start beyond eta_max raises OverflowGuardError.
     """
+    obs = data._obs_major()
     Omega = gp.Omega
+    Om_h = matcalc.halfvec(Omega)[..., None]
     eta_max = data.family.eta_max
-    Xbeta = data.xbeta(gp.beta)
-    b = transform_a1(data, gp).lam if start is None else start
-    f, h1, h2, eta, Om_b = _evaluate(data, Xbeta, Omega, b)
+    Xbeta = obs.xbeta(gp.beta)
+    b = (transform_a1(data, gp).lam if start is None else start).swapaxes(-1, -2)
+    f, h1, h2, eta, Om_b = _evaluate(data, obs, Xbeta, Omega, b)
     for it in range(NR_MAX_ITER + 1):
-        grad = data.zt(data.y - h1) - Om_b
-        P = data.zwz(h2)
-        P += Omega[..., None, :, :]  # in place, while h2 is still held
+        grad = obs.zt(obs.y - h1) - Om_b
+        P = obs.zwz(h2)
+        P += Om_h  # in place, while h2 is still held
         w, h1 = h2, None  # h'' for the weight; free h' before the next point
         scale = 1.0 + matcalc.absmax(Om_b)
         gnorm = matcalc.absmax(grad)
         active = gnorm > NR_TOL * scale
-        if it == NR_MAX_ITER or not np.count_nonzero(active):
+        n_active = 0 if it == NR_MAX_ITER else np.count_nonzero(active)
+        if not n_active:
             break
         step = matcalc.spd_solve(P, grad)
         if not np.isfinite(step).all():
             raise ModeSearchFailedError("non-finite Newton step")
         floor = f - 1e-10 * (np.abs(f) + 1.0)  # a candidate below it is no ascent
-        t = active.astype(float)
+        t = active.astype(float)  # inactive subjects stay where they are
         for _ in range(NR_MAX_HALVINGS + 1):
-            cand = b + t[..., None] * step
-            eta_new = Xbeta + data.zb(cand)
+            cand = b + t[..., None, :] * step
+            eta_new = obs.eta(Xbeta, cand)
             over = None
             if eta_max < np.inf and np.count_nonzero(eta_new > eta_max):
-                over = (eta_new > eta_max).any(axis=-1)
-                eta_new = np.where(over[..., None], eta, eta_new)
-            f_new, h1, h2, eta_new, Om_new = _evaluate(data, Xbeta, Omega, cand, eta_new)
-            bad = (f_new < floor) & (t > 0)  # t > 0 only where active
-            if over is not None:  # only where t > 0: b itself is within eta_max
+                over = (eta_new > eta_max).any(axis=-2)
+                eta_new = np.where(over[..., None, :], eta, eta_new)
+            f_new, h1, h2, eta_new, Om_new = _evaluate(data, obs, Xbeta, Omega, cand, eta_new)
+            bad = f_new < floor
+            bad &= active
+            if over is not None:  # only where active: b itself is within eta_max
                 bad |= over
-            if not np.count_nonzero(bad):
+            n_bad = np.count_nonzero(bad)
+            if not n_bad:
                 break
             t = np.where(bad, 0.5 * t, t)
         else:
-            t = np.where(bad, 0.0, t)  # no ascent found: freeze those subjects
-        moved = t > 0
-        if not np.count_nonzero(moved):
-            break
-        # the last candidate is the new point of every subject but the frozen ones
-        f = np.where(moved, f_new, f)
-        if np.count_nonzero(bad):
-            b = np.where(bad[..., None], b, cand)
-            _, h1, h2, eta, Om_b = _evaluate(data, Xbeta, Omega, b)
-        else:
-            b, eta, Om_b = cand, eta_new, Om_new
+            if n_bad == n_active:  # no ascent found for any subject
+                break
+        if n_bad:  # freeze the subjects without ascent, move the others
+            f = np.where(bad, f, f_new)
+            b = np.where(bad[..., None, :], b, cand)
+            _, h1, h2, eta, Om_b = _evaluate(data, obs, Xbeta, Omega, b)
+        else:  # an inactive subject's candidate is its point, with its value
+            f, b, eta, Om_b = f_new, cand, eta_new, Om_new
     if np.count_nonzero(gnorm > NR_TOL_ACCEPT * scale):
         raise ModeSearchFailedError("Newton-Raphson mode search did not reach stationarity")
-    Lam, L = matcalc.spd_inv_cholesky(P)
-    return Transforms("a2", b, L, Lam, base_eta=eta, weight=w, gp=gp)
+    Lam, L = matcalc.spd_inv_cholesky(matcalc.sym_blocks(P))
+    return Transforms("a2", b.swapaxes(-1, -2), L, Lam, base_eta=eta.swapaxes(-1, -2),
+                      weight=w.swapaxes(-1, -2), gp=gp)
 
 
 def predict_modes(data, anchor, gp):

@@ -255,6 +255,15 @@ def apply_transform(transforms, b):
     return matcalc.solve_lower(transforms.L, b - transforms.lam)
 
 
+def a2_objective(data, Xbeta, Omega, b, eta=None):
+    """The mode search's objective at b (..., n, r), from reparam._evaluate,
+    which works observation-major: the oracle takes the same accept and
+    halving decisions as the loop it checks."""
+    t = np.swapaxes
+    return reparam._evaluate(data, data._obs_major(), t(Xbeta, -1, -2), Omega, t(b, -1, -2),
+                             None if eta is None else t(eta, -1, -2))[0]
+
+
 def transform_a2(data, gp, start=None):
     """Reference a2 transforms: Newton-Raphson with per-subject step halving
     that recomputes eta, h'(eta) and h''(eta) at every accepted point, the
@@ -268,7 +277,7 @@ def transform_a2(data, gp, start=None):
     b0 = reparam.transform_a1(data, gp).lam if start is None else start
     b = np.broadcast_to(b0, np.broadcast_shapes(Xbeta.shape[:-1] + (data.r,),
                                                 Omega.shape[:-2] + (data.n, data.r))).copy()
-    f = reparam._evaluate(data, Xbeta, Omega, b)[0]
+    f = a2_objective(data, Xbeta, Omega, b)
     for it in range(reparam.NR_MAX_ITER + 1):
         eta = Xbeta + np.einsum("njr,...nr->...nj", data.Z, b)
         Om_b = np.einsum("...rs,...ns->...nr", Omega, b)
@@ -288,8 +297,8 @@ def transform_a2(data, gp, start=None):
             # a candidate beyond the family's eta_max is no ascent
             eta_c = Xbeta + np.einsum("njr,...nr->...nj", data.Z, cand)
             over = (eta_c > fam.eta_max).any(axis=-1)
-            f_new = np.where(over, -np.inf, reparam._evaluate(
-                data, Xbeta, Omega, cand, np.where(over[..., None], 0.0, eta_c))[0])
+            f_new = np.where(over, -np.inf, a2_objective(
+                data, Xbeta, Omega, cand, np.where(over[..., None], 0.0, eta_c)))
             bad = active & (f_new < f - 1e-10 * (np.abs(f) + 1.0)) & (t > 0)
             if not bad.any():
                 break

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glmmvb import datasets, families, simulate
-from glmmvb.exceptions import DomainError, InvalidResponseError, OverflowGuardError
+from glmmvb.exceptions import ConfigError, DomainError, InvalidResponseError, OverflowGuardError
 
 import oracles
 from conftest import ALL_FAMILIES
@@ -183,6 +183,29 @@ class TestFamilyInterface:
         source = ("from scipy.special import expit\nimport numpy as np\n"
                   "def f(x):\n    return np.logaddexp(0, x) + sc.expit(x)\n")
         assert _kernel_uses(source) == [1, 4, 4]
+
+
+class TestBinomialNeedsTrials:
+    # np.asarray(None, dtype=float) is NaN: without the check, derivs returned
+    # all-NaN arrays and eta_hat_reg raised a DomainError about digamma
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_derivs_without_trials_is_a_config_error(self, k):
+        with pytest.raises(ConfigError, match="trial counts"):
+            families.BINOMIAL.derivs(np.zeros(3), None, k)
+
+    def test_estimate_and_validation_without_trials_are_config_errors(self):
+        # validate raised an InvalidResponseError naming line 1 instead
+        y = np.array([0.0, 2.0])
+        with pytest.raises(ConfigError, match="trial counts"):
+            families.BINOMIAL.eta_hat_reg(y, None)
+        with pytest.raises(ConfigError, match="trial counts"):
+            families.BINOMIAL.validate(y, None)
+
+    @pytest.mark.parametrize("fam", [families.POISSON, families.BERNOULLI], ids=lambda f: f.name)
+    def test_poisson_and_bernoulli_read_no_trials(self, fam):
+        y, eta = np.array([0.0, 1.0]), np.array([-0.5, 0.5])
+        assert np.all(np.isfinite(fam.derivs(eta, None, 2)))
+        assert np.all(np.isfinite(fam.eta_hat_reg(y, None)))
 
 
 class TestRegularizedEstimateTable:

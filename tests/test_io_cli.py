@@ -375,7 +375,7 @@ class TestCliRuns:
         assert run_cli(self._seeds_args(out)) == 0
         for name in ("summary.csv", "trace.csv", "state.txt", "subjects.csv"):
             assert os.path.exists(os.path.join(out, name))
-        lines = open(os.path.join(out, "summary.csv")).read().splitlines()
+        lines = pathlib.Path(out, "summary.csv").read_text().splitlines()
         assert lines[0] == "key,value"
         params = [ln.split(",")[0] for ln in lines]
         assert params.index("beta.intercept") < params.index("beta.seed") \
@@ -390,14 +390,14 @@ class TestCliRuns:
             out = str(tmp_path / f"run{k}")
             assert run_cli(self._seeds_args(out)) == 0
             outs.append(out)
-        t0 = open(os.path.join(outs[0], "trace.csv"), "rb").read()
-        t1 = open(os.path.join(outs[1], "trace.csv"), "rb").read()
+        t0 = pathlib.Path(outs[0], "trace.csv").read_bytes()
+        t1 = pathlib.Path(outs[1], "trace.csv").read_bytes()
         assert t0 == t1
-        s0 = open(os.path.join(outs[0], "state.txt"), "rb").read()
-        s1 = open(os.path.join(outs[1], "state.txt"), "rb").read()
+        s0 = pathlib.Path(outs[0], "state.txt").read_bytes()
+        s1 = pathlib.Path(outs[1], "state.txt").read_bytes()
         assert s0 == s1
         # summaries identical apart from the wall-time line
-        strip = lambda p: [ln for ln in open(p).read().splitlines()
+        strip = lambda p: [ln for ln in pathlib.Path(p).read_text().splitlines()
                            if not ln.startswith("wall_time_s")]
         assert strip(os.path.join(outs[0], "summary.csv")) == \
             strip(os.path.join(outs[1], "summary.csv"))
@@ -423,7 +423,7 @@ class TestCliRuns:
                 "--draws", "4000", "--out", out]
         assert run_cli(args) == 0
         table = {}
-        for ln in open(os.path.join(out, "summary.csv")).read().splitlines():
+        for ln in pathlib.Path(out, "summary.csv").read_text().splitlines():
             parts = ln.split(",")
             if len(parts) == 3 and parts[0] not in ("parameter",):
                 try:
@@ -447,7 +447,7 @@ class TestCliRuns:
             assert os.path.exists(os.path.join(out, f"state_shard{v}.txt"))
             state, meta = fileio.read_state(os.path.join(out, f"state_shard{v}.txt"))
             assert state.r == 1
-        text = open(os.path.join(out, "summary.csv")).read()
+        text = pathlib.Path(out, "summary.csv").read_text()
         assert "shards,2" in text and "sigma," in text
 
     def test_sharded_run_takes_a_normal_omega_prior_file(self, tmp_path):
@@ -492,10 +492,10 @@ class TestCliRuns:
         out = str(tmp_path / "sim")
         assert run_cli(["--simulate", "poisson-ii", "--seed", "2",
                         "--out", out]) == 0
-        rows = open(os.path.join(out, "dataset.csv")).read().splitlines()
+        rows = pathlib.Path(out, "dataset.csv").read_text().splitlines()
         assert rows[0] == "group,y,x"
         assert len(rows) == 1 + 500 * 7
-        truth = open(os.path.join(out, "truth.csv")).read()
+        truth = pathlib.Path(out, "truth.csv").read_text()
         assert "beta0,1.5" in truth and "sigma,1.5" in truth
 
 
@@ -521,7 +521,7 @@ class TestCliFormats:
                 "--prior", "normal-omega", "--shards", "2",
                 "--max-iter", "400", "--draws", "200", "--out", out]
         assert run_cli(args) == 0
-        lines = open(os.path.join(out, "summary.csv")).read().splitlines()
+        lines = pathlib.Path(out, "summary.csv").read_text().splitlines()
         assert lines[:4] == ["key,value", "method,a1", "shards,2", "parameter,mean,sd"]
         rows = [ln.split(",") for ln in lines[4:]]
         assert [r[0] for r in rows] == ["beta.intercept", "beta.seed", "beta.extract",
@@ -541,6 +541,14 @@ class TestCliExitCodes:
                         "--family", "binomial", "--group-col", "plate",
                         "--response-col", "germinated",
                         "--out", str(tmp_path)]) == 2
+
+    def test_poisson_with_a_trials_column(self, tmp_path, capsys):
+        # no Poisson response reads trials: naming a column is a configuration
+        # error, not a column silently left unread
+        assert run_cli(["--data", datasets.fixture_path("epilepsy.csv"), "--family", "poisson",
+                        "--group-col", "subject", "--trials-col", "lage", "--fixed", "lbase",
+                        "--max-iter", "250", "--draws", "200", "--out", str(tmp_path)]) == 2
+        assert "--trials-col" in capsys.readouterr().err
 
     def test_data_error(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -700,7 +708,7 @@ class TestSummaryFormatting:
             n_draws=10, n_rejected=0)
         path = str(tmp_path / "s.csv")
         fileio.write_summary(path, summary, "a1", 5, 0.1, -1.23456789012)
-        text = open(path).read()
+        text = pathlib.Path(path).read_text()
         assert "beta.a,0.333333333,0.666666667" in text
         assert "sigma,3.14159265," in text
         assert "elbo,-1.23456789" in text

@@ -1,8 +1,8 @@
-"""The contraction kernels of a fit step (Dataset's and matcalc's) against
-np.einsum, matcalc's small solve and column reductions against numpy,
-their independence of the draw block, a package free of np.einsum, a step
-path free of numpy's Python-level wrappers, and the padding mask read only
-where a value is summed."""
+"""The contraction kernels of a fit step (Dataset's, its observation-major
+layout's and matcalc's) against np.einsum, matcalc's small solve and
+column reductions against numpy, their independence of the draw block, a
+package free of np.einsum, a step path free of numpy's Python-level
+wrappers, and the padding mask read only where a value is summed."""
 
 import ast
 import pathlib
@@ -12,31 +12,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glmmvb import families, matcalc, model
+from glmmvb import families, matcalc, model, reparam
 from glmmvb.exceptions import NotPositiveDefiniteError
+
+from conftest import random_dataset
 
 REL_TOL = 1e-12
 
 
 def _cases(data):
-    """(name, kernel, einsum subscripts, operand specs). Every kernel takes
-    all of the einsum's operands; a spec is either the dataset's own array,
-    taken as it is, or the trailing shape of an operand drawn with the
-    leading (draw) dims in front."""
+    """(name, kernel, einsum subscripts, operand specs, layout). Every kernel
+    takes all of the einsum's operands; a spec is either the dataset's own
+    array, taken as it is, or the trailing shape of an operand drawn with the
+    leading (draw) dims in front. layout maps the einsum's result to the
+    kernel's (observation-major: (..., J, n) per observation, (..., r, n)
+    per subject, half-vec columns (..., r(r+1)/2, n) for symmetric blocks)."""
     n, J, p, r = data.n, data.J, data.p, data.r
     X, Z = data.X, data.Z
+    obs = data._obs_major()
+    oX, oZ = obs.X, obs.Z
+    same = None
     return [
-        ("xbeta", lambda _, beta: data.xbeta(beta), "njp,...p->...nj", [X, (p,)]),
-        ("zb", lambda _, b: data.zb(b), "njr,...nr->...nj", [Z, (n, r)]),
-        ("zt", lambda _, v: data.zt(v), "njr,...nj->...nr", [Z, (n, J)]),
-        ("xt", lambda _, v: data.xt(v), "njp,...nj->...p", [X, (n, J)]),
-        ("zwz", lambda _, w, __: data.zwz(w), "njr,...nj,njs->...nrs", [Z, (n, J), Z]),
-        ("zwx", lambda _, w, __: data.zwx(w), "njr,...nj,njp->...nrp", [Z, (n, J), X]),
-        ("zmz", lambda _, M, __: data.zmz(M), "njr,...nrs,njs->...nj", [Z, (n, r, r), Z]),
-        ("matvec", matcalc.matvec, "...nrs,...ns->...nr", [(n, r, p), (n, p)]),
-        ("matvec, fixed blocks", matcalc.matvec, "nrs,...ns->...nr", [Z, (n, r)]),
-        ("matvec_rows", matcalc.matvec_rows, "...rs,...ns->...nr", [(r, p), (n, p)]),
-        ("matvec_fixed", matcalc.matvec_fixed, "njp,...p->...nj", [X, (p,)]),
+        ("xbeta", lambda _, beta: data.xbeta(beta), "njp,...p->...nj", [X, (p,)], same),
+        ("zb", lambda _, b: data.zb(b), "njr,...nr->...nj", [Z, (n, r)], same),
+        ("zt", lambda _, v: data.zt(v), "njr,...nj->...nr", [Z, (n, J)], same),
+        ("xt", lambda _, v: data.xt(v), "njp,...nj->...p", [X, (n, J)], same),
+        ("zwx", lambda _, w, __: data.zwx(w), "njr,...nj,njp->...nrp", [Z, (n, J), X], same),
+        ("zmz", lambda _, M, __: data.zmz(M), "njr,...nrs,njs->...nj", [Z, (n, r, r), Z], same),
+        ("matvec", matcalc.matvec, "...nrs,...ns->...nr", [(n, r, p), (n, p)], same),
+        ("matvec, fixed blocks", matcalc.matvec, "nrs,...ns->...nr", [Z, (n, r)], same),
+        ("matvec_rows", matcalc.matvec_rows, "...rs,...ns->...nr", [(r, p), (n, p)], same),
+        ("matvec_fixed", matcalc.matvec_fixed, "njp,...p->...nj", [X, (p,)], same),
+        # the observation-major kernels of the a2 mode search
+        ("obs xbeta", lambda _, beta: obs.xbeta(beta), "jnp,...p->...jn", [oX, (p,)], same),
+        ("obs eta", lambda _, b: obs.eta(0.0, b), "rjn,...rn->...jn", [oZ, (r, n)], same),
+        ("obs zt", lambda _, v: obs.zt(v), "rjn,...jn->...rn", [oZ, (J, n)], same),
+        ("obs zwz", lambda _, w, __: obs.zwz(w), "rjn,...jn,sjn->...nrs", [oZ, (J, n), oZ],
+         lambda a: np.swapaxes(matcalc.halfvec(a), -1, -2)),
+        ("obs sum_obs", obs.sum_obs, "...jn->...n", [(J, n)], same),
     ]
 
 
@@ -56,12 +69,14 @@ class TestKernels:
         rng = np.random.default_rng(seed)
         data = model.Dataset(families.POISSON, np.zeros((n, J)),
                              rng.standard_normal((n, J, p)), rng.standard_normal((n, J, r)))
-        for name, kernel, subscripts, specs in _cases(data):
+        for name, kernel, subscripts, specs, layout in _cases(data):
             ops, batched = _operands(rng, specs, lead)
             got = kernel(*ops)
             want = np.einsum(subscripts, *ops)
             # a sum of products rounds within a few eps of its terms' magnitudes
             scale = np.einsum(subscripts, *[np.abs(op) for op in ops])
+            if layout is not None:
+                want, scale = layout(want), layout(scale)
             assert got.shape == want.shape, name
             assert np.all(np.abs(got - want) <= REL_TOL * scale), name
             # a row of a batch equals that row computed alone, byte for byte
@@ -69,11 +84,21 @@ class TestKernels:
                 row = kernel(*[op[k][None] if b else op for op, b in zip(ops, batched)])[0]
                 assert row.tobytes() == np.ascontiguousarray(got[k]).tobytes(), (name, k)
 
+    def test_observation_major_arrays_are_the_datasets(self, rng):
+        data = random_dataset(rng, families.BINOMIAL, r=3, n=5, p=2)
+        obs = data._obs_major()
+        for name in ("y", "mask", "trials"):
+            assert getattr(obs, name).tobytes() == getattr(data, name).T.copy().tobytes(), name
+        assert obs.X.tobytes() == data.X.transpose(1, 0, 2).copy().tobytes()
+        assert obs.Z.tobytes() == data.Z.transpose(2, 1, 0).copy().tobytes()
+        assert data._obs_major() is obs  # built once
+
 
 def _spd_blocks(rng, shape, r):
-    """Well-conditioned SPD blocks A A' + r I of order r."""
+    """Well-conditioned SPD blocks A A' + r I of order r, symmetric to the bit."""
     a = rng.standard_normal(shape + (r, r))
-    return a @ a.swapaxes(-1, -2) + r * np.eye(r)
+    s = a @ a.swapaxes(-1, -2) + r * np.eye(r)
+    return 0.5 * (s + s.swapaxes(-1, -2))
 
 
 class TestSolveAndColumnReductions:
@@ -83,15 +108,16 @@ class TestSolveAndColumnReductions:
     def test_match_numpy_and_do_not_depend_on_the_block(self, n, s, r, lead, seed):
         rng = np.random.default_rng(seed)
         P, g = _spd_blocks(rng, lead + (n,), r), rng.standard_normal(lead + (n, r))
-        a, x = rng.standard_normal((2,) + lead + (n, s))
+        x = rng.standard_normal(lead + (n, s))
+        # the solve's layout: n blocks as half-vec columns, n right-hand sides as columns
+        h, g_cols, x_cols = (np.swapaxes(v, -1, -2) for v in (matcalc.halfvec(P), g, x))
         cases = [
             # (name, kernel, operands, want, the magnitude its round-off scales with)
-            ("spd_solve", matcalc.spd_solve, (P, g), np.linalg.solve(P, g[..., None])[..., 0],
-             matcalc.matvec(np.abs(np.linalg.inv(P)), np.abs(g))),
-            ("absmax", matcalc.absmax, (x,), np.abs(x).max(axis=-1), 0.0),
-            # b'Omega b in the mode search's objective: a 1 x s block times x
-            ("row times x", lambda a, x: matcalc.matvec(a[..., None, :], x)[..., 0], (a, x),
-             np.einsum("...s,...s->...", a, x), np.einsum("...s,...s->...", np.abs(a), np.abs(x))),
+            ("spd_solve", matcalc.spd_solve, (h, g_cols),
+             np.swapaxes(np.linalg.solve(P, g[..., None])[..., 0], -1, -2),
+             np.swapaxes(matcalc.matvec(np.abs(np.linalg.inv(P)), np.abs(g)), -1, -2)),
+            ("sym_blocks", matcalc.sym_blocks, (h,), P, 0.0),
+            ("absmax", matcalc.absmax, (x_cols,), np.abs(x).max(axis=-1), 0.0),
         ]
         for name, kernel, ops, want, scale in cases:
             got = kernel(*ops)
@@ -100,8 +126,11 @@ class TestSolveAndColumnReductions:
             for k in np.ndindex(lead):
                 row = kernel(*[op[k][None] for op in ops])[0]
                 assert row.tobytes() == np.ascontiguousarray(got[k]).tobytes(), (name, k)
-        # the Newton step is the one spd_inv gave before the solve replaced it
-        assert matcalc.spd_solve(P, g).tobytes() == matcalc.matvec(matcalc.spd_inv(P), g).tobytes()
+        # C ordered whatever the block: a reduction's order follows the layout
+        assert matcalc.sym_blocks(h).flags.c_contiguous
+        # the Newton step is the one spd_inv's inverse gives
+        want = matcalc.matvec(matcalc.spd_inv(P), g)
+        assert matcalc.spd_solve(h, g_cols).tobytes() == np.swapaxes(want, -1, -2).tobytes()
 
     # a negative pivot (which LAPACK's inverse takes for r > 2) and a
     # singular block
@@ -112,7 +141,7 @@ class TestSolveAndColumnReductions:
         with pytest.raises(NotPositiveDefiniteError):
             matcalc.spd_inv(P)
         with pytest.raises(NotPositiveDefiniteError):
-            matcalc.spd_solve(P, np.ones(r))
+            matcalc.spd_solve(matcalc.halfvec(P)[:, None], np.ones((r, 1)))
 
 
 # np.einsum in the package, as (module, enclosing function): none, set-up
@@ -120,12 +149,13 @@ class TestSolveAndColumnReductions:
 EINSUM_SITES = set()
 
 # the functions that read the padding mask (a name or attribute "mask"):
-# Dataset builds it, and the value sums and the pooled GLM's row selection
-# and the simulation writer need it. Every other sum runs over Dataset's
+# Dataset builds it and its observation-major layout copies it, and the
+# value sums and the pooled GLM's row selection and the simulation writer
+# need it. Every other sum runs over Dataset's
 # zeroed padding, so the gradient and the transform builds never see it.
-MASK_SITES = {("model", "Dataset.__init__"), ("model", "log_joint"),
-              ("model", "fit_pooled_glm"), ("reparam", "_conditional_objective"),
-              ("fileio", "write_simulation")}
+MASK_SITES = {("model", "Dataset.__init__"), ("model", "_ObsMajor.__init__"),
+              ("model", "log_joint"), ("model", "fit_pooled_glm"),
+              ("reparam", "_conditional_objective"), ("fileio", "write_simulation")}
 
 
 def _uses(source, names, numpy_only=False):
@@ -174,8 +204,10 @@ WRAPPERS = {"any", "all", "swapaxes", "diagonal", "eye"}
 STEP_PATH = {"matcalc": ("",), "reparam": ("",), "gradients": ("",),
              "engine": ("step", "estimator", "draw", "_global_params", "VariationalState"),
              "model": ("GlobalParams", "log_joint", "Dataset.xbeta", "Dataset.zb",
-                       "Dataset.zt", "Dataset.xt", "Dataset.eta", "Dataset.zwz",
-                       "Dataset.zwx", "Dataset.zmz", "Dataset._z_outer"),
+                       "Dataset.zt", "Dataset.xt", "Dataset.eta", "Dataset.zwx",
+                       "Dataset.zmz", "Dataset._z_outer", "Dataset._obs_major",
+                       "_ObsMajor.xbeta", "_ObsMajor.eta", "_ObsMajor.sum_obs",
+                       "_ObsMajor._contract", "_ObsMajor.zt", "_ObsMajor.zwz"),
              "families": ("Poisson.derivs", "Binomial.derivs", "Bernoulli.derivs",
                           "_logistic_derivs")}
 # the one use allowed there: matcalc.eye builds the identity it caches
@@ -200,10 +232,45 @@ class TestEinsumStaysOffTheStepPath:
         assert _uses(source, {"einsum"}) == [("", 1), ("A.f", 4), ("g", 6)]
 
 
+def _cached_arrays(data):
+    """(name, array) of every array Dataset caches, the observation-major
+    layout's attributes among them, whatever the nesting."""
+    found = []
+
+    def walk(name, value):
+        if isinstance(value, np.ndarray):
+            found.append((name, value))
+        elif isinstance(value, (tuple, list)):
+            for k, v in enumerate(value):
+                walk(f"{name}[{k}]", v)
+        elif isinstance(value, dict):
+            for k, v in value.items():
+                walk(f"{name}[{k!r}]", v)
+        elif hasattr(value, "__dict__"):
+            for k, v in vars(value).items():
+                walk(f"{name}.{k}", v)
+
+    walk("cache", data.cache)
+    return found
+
+
 class TestMaskStaysInTheValueSums:
     def test_only_the_value_sums_read_the_mask(self):
         found = _package_uses({"mask"})
         assert {(module, scope) for module, scope, _ in found} == MASK_SITES, sorted(found)
+
+    def test_no_cache_holds_the_mask_under_another_name(self, rng):
+        # the scan above finds reads of attributes named mask, so a copy of
+        # the mask kept under another name would hide its reads from it
+        data = random_dataset(rng, families.POISSON, r=2, n=6, p=2)
+        assert not data.mask.all()  # ragged: the mask is not all ones
+        gp = model.GlobalParams(0.1 * rng.standard_normal(2), 0.1 * rng.standard_normal(3), 2)
+        for method in reparam.METHODS:
+            reparam.build_transforms(data, gp, method)
+        masks = {data.mask.tobytes(), data.mask.T.copy().tobytes()}
+        names = [name for name, a in _cached_arrays(data)
+                 if a.size == data.mask.size and np.ascontiguousarray(a).tobytes() in masks]
+        assert names == ["cache['obs'].mask"]
 
 
 class TestNumpyWrappersStayOffTheStepPath:

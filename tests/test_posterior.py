@@ -204,7 +204,7 @@ class TestDrawBlocks:
                 summary.n_rejected, elbo)
 
     @pytest.mark.parametrize("famname", ["poisson", "bernoulli", "binomial"])
-    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("r", [1, 2, 3])  # r = 3: matcalc's LAPACK paths
     @pytest.mark.parametrize("method", reparam.METHODS)
     @settings(max_examples=3, deadline=None, derandomize=True)
     @given(n_draws=st.integers(8, 20), seed=st.integers(0, 2 ** 32 - 1))
