@@ -260,12 +260,30 @@ def estimator(state, s, grad_vec, blocks):
     return np.concatenate(g_mu + g_c, axis=-1)
 
 
-def should_stop(window_means, tau):
-    """Least-squares slope over the most recent min(tau, available) window
-    means; stop once it turns negative. Never stops on a single mean. The
+class Plateau:
+    """The stopping rule. push(elbo, params) sums a step's ELBO sample and
+    the params after it; at the end of each `window` pushes the mean ELBO
+    joins `means`, the mean params (summed in push order) become `average`
+    and push returns `converged`: whether the least-squares slope of the
+    last min(tau, len(means)) means is negative (never on one mean). The
     ELBO is then on its plateau, where constant-step Adam's iterates scatter
-    about the optimum, so fit returns their average over the last window."""
-    return len(window_means) >= 2 and window_slope(window_means, tau) < 0.0
+    about the optimum: fit returns `average` (Polyak & Juditsky, 1992)."""
+
+    def __init__(self, window, tau):
+        self.window, self.tau, self.means, self.average = window, tau, [], None
+        self.converged, self._count, self._elbo, self._params = False, 0, 0.0, 0.0
+
+    def push(self, elbo, params):
+        self._count += 1
+        self._elbo += elbo
+        self._params += params
+        if self._count < self.window:
+            return False
+        self.means.append(self._elbo / self.window)
+        self.average = self._params / self.window
+        self._count, self._elbo, self._params = 0, 0.0, 0.0
+        self.converged = len(self.means) >= 2 and window_slope(self.means, self.tau) < 0.0
+        return self.converged
 
 
 def window_slope(window_means, tau):
@@ -541,16 +559,16 @@ def start_state(data, prior, method, beta):
 
 
 def fit(data, prior, config=None, **settings):
-    """Run the optimizer until the stopping rule fires or max_iter is hit,
-    from start_state at the pooled GLM's beta under the prior on beta (0 if
-    that IRLS raises): FitResult.start, and FitResult.start_kind the kind of
-    state the first step ran from. The settings are `config`, or
-    FitConfig(**settings) when it is None. FitResult.wall_time times all of
-    it but the final ELBO.
+    """Run the optimizer until the stopping rule (Plateau) fires or max_iter
+    is hit, from start_state at the pooled GLM's beta under the prior on
+    beta (0 if that IRLS raises): FitResult.start, and FitResult.start_kind
+    the kind of state the first step ran from. The settings are `config`,
+    or FitConfig(**settings) when it is None. FitResult.wall_time times all
+    of it but the final ELBO.
 
-    A converged fit returns the average of its last window's iterates, the
-    params after each of that window's steps summed in step order (Polyak &
-    Juditsky, 1992); a fit that reaches max_iter returns its last iterate."""
+    A converged fit returns Plateau.average, the average of its last
+    window's iterates; a fit that reaches max_iter returns its last iterate.
+    FitResult.window_means and converged are the Plateau's."""
     if config is None:
         config = FitConfig(**settings)
     elif settings:
@@ -566,20 +584,12 @@ def fit(data, prior, config=None, **settings):
     adam = AdamState.zeros(state.params.size)
 
     draws, anchor = LaneStream(config.seed, LANE_FIT), None
-    means = []
-    acc = total = 0.0  # the window's ELBO samples and iterates, summed
-    converged = False
+    plateau = Plateau(config.window, config.tau)
     for it in range(1, config.max_iter + 1):
         elbo, anchor = step(data, prior, config, state, adam, it, draws, anchor)
-        acc += elbo
-        total += state.params
-        if it % config.window == 0:
-            means.append(acc / config.window)
-            if should_stop(means, config.tau):
-                converged = True
-                state.params = total / config.window
-                break
-            acc = total = 0.0
+        if plateau.push(elbo, state.params):
+            state.params = plateau.average
+            break
     wall = time.perf_counter() - t_start
 
     if config.final_elbo_draws > 0:
@@ -587,7 +597,7 @@ def fit(data, prior, config=None, **settings):
                                                 config.final_elbo_draws, config.seed)
     else:
         elbo, elbo_se, rejected = float("nan"), float("nan"), 0
-    return FitResult(state=state, window_means=np.asarray(means), n_iter=it,
+    return FitResult(state=state, window_means=np.asarray(plateau.means), n_iter=it,
                      wall_time=wall, elbo=elbo, elbo_se=elbo_se, elbo_rejected=rejected,
-                     converged=converged, config=config, start=start,
+                     converged=plateau.converged, config=config, start=start,
                      start_kind=start_kind)

@@ -83,8 +83,11 @@ def cholesky(s):
     products are symmetric only to round-off. sqrt for r = 1, LAPACK above.
     Raises NotPositiveDefiniteError when a leading minor is not positive, or
     when the input contains non-finite entries. Batched over leading dims.
+    cholesky, spd_inv and spd_inv_cholesky read an input of another layout
+    as a C-ordered copy: their results are C ordered, with the same bytes
+    whatever the input's layout.
     """
-    s = np.asarray(s, dtype=float)
+    s = np.ascontiguousarray(s, dtype=float)
     if s.shape[-1] == 1:
         _require((s > 0) & (s < np.inf))
         return np.sqrt(s)
@@ -132,7 +135,7 @@ def spd_inv(s):
     determinant within round-off of zero (see SINGULAR_RTOL). Batched over
     leading dims.
     """
-    s = np.asarray(s, dtype=float)
+    s = np.ascontiguousarray(s, dtype=float)
     r = s.shape[-1]
     if r == 2:
         return _inv2(s)[0]
@@ -196,7 +199,7 @@ def spd_inv_cholesky(s):
     pivot, l21 = -b l11 / d = -b / sqrt(d det) and l22 = 1 / sqrt(d), where
     the inverse's checks hold for S. cholesky(S^{-1}) otherwise.
     """
-    s = np.asarray(s, dtype=float)
+    s = np.ascontiguousarray(s, dtype=float)
     if s.shape[-1] != 2:
         inv = spd_inv(s)
         return inv, cholesky(inv)

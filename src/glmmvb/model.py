@@ -109,6 +109,9 @@ class Dataset:
         self.x_names = list(x_names) if x_names else [f"x{k}" for k in range(X.shape[2])]
         self.z_names = list(z_names) if z_names else [f"z{k}" for k in range(Z.shape[2])]
         self.group_labels = list(group_labels) if group_labels else [str(i) for i in range(n)]
+        for name, size in (("x_names", self.p), ("z_names", self.r), ("group_labels", n)):
+            if len(getattr(self, name)) != size:
+                raise DataError(f"{name} has {len(getattr(self, name))} entries for {size}")
         self.cache = {}
 
     # -- shapes ------------------------------------------------------------

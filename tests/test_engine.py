@@ -268,23 +268,40 @@ class TestEstimators:
             assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) < 4 * se + 1e-10)
 
 
+def plateau_stops(means, tau):
+    """Whether a Plateau of one-step windows fires at the last of `means`,
+    pushed in order as ELBO samples."""
+    plateau = engine.Plateau(1, tau)
+    return [plateau.push(m, np.zeros(2)) for m in means][-1]
+
+
 class TestShouldStop:
     def test_increasing_continues(self):
-        assert not engine.should_stop([1.0, 2.0, 3.0, 4.0, 5.0], 5)
+        assert not plateau_stops([1.0, 2.0, 3.0, 4.0, 5.0], 5)
 
     def test_plateau_with_dip_stops(self):
         means = [5.0, 5.1, 5.05, 5.06, 5.0]
         slope = engine.window_slope(means, 5)
         assert abs(slope - (-0.004)) < 1e-12  # independent OLS arithmetic
-        assert engine.should_stop(means, 5)
+        assert plateau_stops(means, 5)
 
     def test_single_mean_never_stops(self):
-        assert not engine.should_stop([3.0], 5)
+        assert not plateau_stops([3.0], 5)
 
     def test_uses_most_recent_tau(self):
         means = [0.0, 10.0, 9.0, 8.0, 7.0, 6.0, 5.0]
-        assert engine.should_stop(means, 3)
-        assert not engine.should_stop([5.0, 1.0, 2.0, 3.0], 3)
+        assert plateau_stops(means, 3)
+        assert not plateau_stops([5.0, 1.0, 2.0, 3.0], 3)
+
+    def test_window_means_and_average_in_push_order(self):
+        plateau = engine.Plateau(2, 3)
+        params = [np.array([1.0, 2.0]), np.array([0.1, 0.2]), np.array([3.0, 5.0])]
+        fired = [plateau.push(e, p) for e, p in zip([4.0, 2.0, 1.0], params)]
+        assert fired == [False, False, False] and plateau.means == [3.0]
+        np.testing.assert_array_equal(plateau.average, (params[0] + params[1]) / 2)
+        assert plateau.push(0.0, params[2]) and plateau.converged
+        assert plateau.means == [3.0, 0.5]
+        np.testing.assert_array_equal(plateau.average, (params[2] + params[2]) / 2)
 
 
 class TestAdam:
@@ -618,7 +635,7 @@ def _hand_stop(elbos, window, tau):
         if it % window == 0:
             means.append(acc / window)
             acc = 0.0
-            if engine.should_stop(means, tau):
+            if len(means) >= 2 and engine.window_slope(means, tau) < 0:
                 return means, it, True
     return means, len(elbos), False
 
@@ -741,6 +758,29 @@ class TestAcceptedDraws:
         with pytest.warns(RuntimeWarning, match="rejected"):
             _, _, rejected = engine.elbo_estimate(data, prior, state, "a1", 1000, seed=2)
         assert rejected == yielded[-1] > 0
+
+    def test_elbo_estimate_rejects_draws_whose_log_joint_is_not_finite(self, monkeypatch):
+        # at the initial state b~ is the draw's local part, and the patched log
+        # joint is NaN where the first subject's b~ exceeds 1: exactly those
+        # draws are rejected, chunk k drawn from stream(seed, LANE_FINAL, k)
+        data, prior = micro_model()
+        state = engine.VariationalState.initial(data.n, data.r, data.p)
+        log_joint = model.log_joint_reparam
+
+        def nan_above_one(data, b_tilde, transforms, prior):
+            value = log_joint(data, b_tilde, transforms, prior)
+            return np.where(b_tilde[..., 0, 0] > 1.0, np.nan, value)
+
+        monkeypatch.setattr(model, "log_joint_reparam", nan_above_one)
+        with pytest.warns(RuntimeWarning, match="rejected"):
+            elbo, se, rejected = engine.elbo_estimate(data, prior, state, "a1", 200, seed=3)
+        drawn, wanted, k = 0, 200, 0
+        while wanted:
+            s = engine.stream(3, engine.LANE_FINAL, k).standard_normal(
+                (min(engine.ELBO_CHUNK, wanted), state.d))
+            drawn, wanted, k = drawn + len(s), wanted - int((s[:, 0] <= 1.0).sum()), k + 1
+        assert rejected == drawn - 200 > 0
+        assert np.isfinite(elbo) and np.isfinite(se)
 
     @pytest.mark.parametrize("final_elbo_draws", [0, 200])
     def test_fit_records_the_final_elbo_and_its_rejected_draws(self, final_elbo_draws):
@@ -931,6 +971,26 @@ class TestFailFast:
         adam = engine.AdamState.zeros(state.params.size)
         with pytest.raises(DivergedError, match="iteration 1"):
             engine.step(data, prior, cfg, state, adam, 1, engine.LaneStream(1, engine.LANE_FIT))
+
+    def test_non_finite_update_diverges_before_it_is_applied(self, monkeypatch):
+        # a NaN gradient coordinate beside a finite ELBO sample makes Adam's update NaN
+        value_and_grad = gradients.value_and_grad
+
+        def nan_gradient(*args):
+            value, grad = value_and_grad(*args)
+            grad = grad.copy()
+            grad[..., 0] = np.nan
+            return value, grad
+
+        monkeypatch.setattr(gradients, "value_and_grad", nan_gradient)
+        data, prior = micro_model()
+        cfg = engine.FitConfig(method="a1", seed=1)
+        state = engine.VariationalState.initial(data.n, data.r, data.p)
+        before = state.params.copy()
+        adam = engine.AdamState.zeros(state.params.size)
+        with pytest.raises(DivergedError, match="^iteration 1: non-finite parameter update$"):
+            engine.step(data, prior, cfg, state, adam, 1, engine.LaneStream(1, engine.LANE_FIT))
+        assert state.params.tobytes() == before.tobytes()
 
     def test_nan_state_stops_at_first_step(self, monkeypatch):
         data, prior = micro_model()

@@ -184,6 +184,11 @@ class TestFamilyInterface:
                   "def f(x):\n    return np.logaddexp(0, x) + sc.expit(x)\n")
         assert _kernel_uses(source) == [1, 4, 4]
 
+    def test_by_name(self):
+        assert families.by_name("poisson") is families.POISSON
+        with pytest.raises(DomainError, match="unknown family 'gaussian'"):
+            families.by_name("gaussian")
+
 
 class TestBinomialNeedsTrials:
     # np.asarray(None, dtype=float) is NaN: without the check, derivs returned

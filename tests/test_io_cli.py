@@ -89,6 +89,26 @@ class TestLoadCsv:
                         ["seed", "extract"], [], response_col="germinated", trials_col="total")
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("fixed,intercept,error,match", [
+        (["x"], "fixed", ConfigError, "invalid intercept mode 'fixed'"),
+        ([], "z", ConfigError, "empty design"),
+        (["x"], "x", ConfigError, "empty design"),
+    ], ids=["bad intercept", "no fixed effects", "no random effects"])
+    def test_design_options_are_checked_before_reading(self, tmp_path, fixed, intercept,
+                                                       error, match):
+        # the file does not exist: the options are checked before it is opened
+        with pytest.raises(error, match=match):
+            fileio.load_csv(str(tmp_path / "absent.csv"), "poisson", "group", fixed, [],
+                            intercept=intercept)
+
+    @pytest.mark.parametrize("text", ["group,y\n", "group,y\n\n\n"], ids=["header", "blank"])
+    def test_no_data_rows_is_a_parse_error(self, tmp_path, text):
+        p = tmp_path / "empty.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match="no data rows") as err:
+            fileio.load_csv(str(p), "poisson", "group", [], [])
+        assert err.value.line == 1
+
     def test_blank_rows_skipped(self, tmp_path):
         p = tmp_path / "gaps.csv"
         p.write_text("group,y\n\n1,2\n\n2,3\n1,4\n\n")
@@ -296,6 +316,13 @@ class TestPriorFile:
         assert run_cli(args) == 2
 
 
+    def test_unknown_prior_type_is_a_configuration_error(self, tmp_path):
+        p = tmp_path / "prior.csv"
+        p.write_text("type,gamma\nnu,3\nS,1\n")
+        with pytest.raises(ConfigError, match="unknown prior type 'gamma'"):
+            fileio.read_prior_file(str(p), 1)
+
+
 class TestStateFile:
     def test_bit_exact_roundtrip(self, tmp_path, rng):
         state = engine.VariationalState.initial(3, 2, 4)
@@ -338,6 +365,19 @@ class TestStateFile:
         with pytest.raises(ParseError) as info:
             fileio.read_state(path)
         assert info.value.line == line
+
+    # the header of a valid n = 2, r = 2, g = 3 file with one size set below one
+    @pytest.mark.parametrize("line,value", [(2, "n,0"), (3, "r,0"), (4, "g,-1")],
+                             ids=["n", "r", "g"])
+    def test_sizes_below_one_are_parse_errors(self, tmp_path, line, value):
+        path = tmp_path / "state.txt"
+        fileio.write_state(path, engine.VariationalState.initial(2, 2, 3), "a1", "poisson", 3)
+        lines = path.read_text().splitlines()
+        lines[line - 1] = value
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="n, r and g must be positive") as info:
+            fileio.read_state(path)
+        assert info.value.line == 8  # the first section line, below the header
 
     @settings(max_examples=60, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

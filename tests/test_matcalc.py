@@ -167,6 +167,23 @@ def _bad_block(rng, r, kind):
     return s
 
 
+class TestLayoutIndependence:
+    # a Fortran-ordered input, and one whose leading axes are a transposed
+    # view, give C-ordered results with the bytes of the C-ordered input's
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(SMALL_KERNELS))
+    def test_results_are_c_ordered_whatever_the_input_layout(self, name, r):
+        fn = SMALL_KERNELS[name]
+        s = _spd_batch(np.random.default_rng(r), (3, 4), r, 1.0, 0.0)
+        swapped = np.ascontiguousarray(s.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        want = fn(s)
+        for x in (np.asfortranarray(s), swapped):
+            got = fn(x)
+            for a, b in zip(*(v if isinstance(v, tuple) else (v,) for v in (got, want))):
+                assert a.flags.c_contiguous and b.flags.c_contiguous
+                assert a.tobytes() == b.tobytes()
+
+
 class TestSmallBlockKernels:
     """Closed forms (r = 1 for cholesky, r <= 2 for the inverses) against
     LAPACK, which serves the rest."""

@@ -98,6 +98,38 @@ class TestDatasetContainer:
         with pytest.raises(DataError, match=f"^{name} "):
             model.Dataset(families.POISSON, **{**args, **bad})
 
+    # n = 6 subjects, p = 2 fixed effects, r = 1: names of the wrong length
+    # used to label beta_1's row omega.00 in summary.csv and drop subjects
+    # from subjects.csv
+    @pytest.mark.parametrize("name,bad", [
+        ("x_names", dict(x_names=["intercept"])),
+        ("x_names", dict(x_names=["intercept", "x", "extra"])),
+        ("z_names", dict(z_names=["intercept", "x"])),
+        ("group_labels", dict(group_labels=["a", "b"])),
+    ], ids=["x_names short", "x_names long", "z_names long", "group_labels short"])
+    def test_names_of_the_wrong_length_are_data_errors(self, name, bad):
+        x = np.linspace(-1.0, 1.0, 12).reshape(6, 2)
+        args = dict(y=np.ones((6, 2)), X=np.stack([np.ones((6, 2)), x], axis=-1),
+                    Z=np.ones((6, 2, 1)))
+        model.Dataset(families.POISSON, **args, x_names=["intercept", "x"],
+                      z_names=["intercept"], group_labels=list("abcdef"))
+        with pytest.raises(DataError, match=f"^{name} "):
+            model.Dataset(families.POISSON, **args, **bad)
+
+    def test_n_obs_below_one_is_a_data_error(self):
+        with pytest.raises(DataError, match="every subject needs at least one observation"):
+            model.Dataset(families.POISSON, np.ones((2, 3)), np.ones((2, 3, 1)),
+                          np.ones((2, 3, 1)), n_obs=[3, 0])
+
+    # a non-finite entry in an observed row; padded rows are zeroed instead
+    @pytest.mark.parametrize("name", ["X", "Z"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_design_is_a_data_error(self, name, value):
+        args = dict(y=np.ones((2, 3)), X=np.ones((2, 3, 1)), Z=np.ones((2, 3, 1)))
+        args[name][1, 0, 0] = value
+        with pytest.raises(DataError, match=f"^non-finite entries in {name}$"):
+            model.Dataset(families.POISSON, **args)
+
     @pytest.mark.parametrize("empty", [[], np.zeros((0, 1))], ids=["list", "array"])
     @pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
     def test_subject_without_observations_is_a_data_error(self, where, empty):
@@ -373,6 +405,36 @@ class TestPooledGlmAndDefaultPrior:
             model.fit_pooled_glm(data)
         with pytest.raises(RankDeficientError):
             model.default_prior(data)
+
+    def test_singular_random_effect_crossproduct(self):
+        # Z's two columns are equal, so sum_i Z_i' W_i Z_i has rank one; X is full rank
+        x = np.array([[0.0, 1.0, 2.0], [1.0, -1.0, 0.5]])
+        X = np.stack([np.ones((2, 3)), x], axis=-1)
+        data = model.Dataset(families.POISSON, [[1.0, 3.0, 6.0], [2.0, 0.0, 1.0]], X,
+                             np.ones((2, 3, 2)))
+        assert np.all(np.isfinite(model.fit_pooled_glm(data)))
+        with pytest.raises(RankDeficientError, match="random-effect crossproduct"):
+            model.default_prior(data)
+
+    def test_step_halving_reaches_the_mode(self):
+        # from the start (log(mean y + 1/2), 0) the full Newton step raises
+        # the deviance, so the IRLS halves it
+        x = np.array([4.0, 1.0, -3.5, -0.5, -1.0, -0.5])
+        y = np.array([68.0, 5.0, 0.0, 1.0, 0.0, 0.0])
+        X = np.stack([np.ones(6), x], axis=-1)
+        data = model.Dataset(families.POISSON, y[None], X[None], np.ones((1, 6, 1)))
+
+        def deviance(beta):
+            eta = X @ beta
+            return -2.0 * (y * eta - data.family.derivs(eta, np.ones(6), 0)[0]).sum()
+
+        start = np.array([math.log(y.mean() + 0.5), 0.0])
+        score, fisher = oracles.pooled_glm_penalized_score(data, start, math.inf)
+        assert deviance(start + np.linalg.solve(fisher, score)) > deviance(start)
+        beta = model.fit_pooled_glm(data)
+        np.testing.assert_array_equal(beta, oracles.pooled_glm_flat(data))
+        score, fisher = oracles.pooled_glm_penalized_score(data, beta, math.inf)
+        assert np.abs(np.linalg.solve(fisher, score)).max() < 1e-6
 
     def test_pooled_fit_matches_score_equations(self, rng):
         data = random_dataset(rng, families.BINOMIAL, r=1, n=10, p=2, ni_max=6)

@@ -46,6 +46,12 @@ class TestSimulateB:
         with pytest.raises(ConfigError, match="n_draws"):
             posterior.simulate_b(data, prior, state, "a1", n_draws, seed=1)
 
+    def test_unknown_method_is_a_configuration_error(self, rng):
+        data = random_dataset(rng, families.POISSON, r=1, n=3)
+        state = engine.VariationalState.initial(data.n, data.r, data.g)
+        with pytest.raises(ConfigError, match="unknown transform method 'a3'"):
+            posterior.simulate_b(data, model.default_prior(data), state, "a3", 10, seed=1)
+
     def test_draws_do_not_repeat_the_simulated_effects(self, monkeypatch):
         # the command line's --seed seeds both a simulated dataset and the
         # posterior draws of its fit; the draws must come from another stream

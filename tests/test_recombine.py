@@ -164,6 +164,18 @@ class TestFitSharded:
         np.linalg.cholesky(sharded.combined.cov)
         assert sharded.global_names == ["beta.intercept", "beta.x", "omega.00"]
 
+    def test_combined_precision_that_is_not_positive_definite(self, monkeypatch):
+        # shard factors far broader than the prior: taking V - 1 prior
+        # precisions off their sum leaves a negative definite precision
+        def broad(state):
+            mean = state.split(state.mu)[1]
+            return recombine.GaussianFactor(mean, 1e6 * np.eye(mean.size))
+
+        monkeypatch.setattr(recombine, "global_factor", broad)
+        data, prior, cfg = self._small_problem()
+        with pytest.raises(NotPositiveDefiniteError, match="^combined precision is not"):
+            recombine.fit_sharded(data, prior, replace(cfg, max_iter=10), V=2)
+
     def test_shard_failure_names_the_shard(self, monkeypatch):
         # a huge Adam step diverges shard 0 at its second iteration
         monkeypatch.setattr(engine, "ADAM_ALPHA", 1e300)
