@@ -191,4 +191,4 @@ def by_name(name):
     try:
         return _BY_NAME[name]
     except KeyError:
-        raise DomainError(f"unknown family {name!r}") from None
+        raise ConfigError(f"unknown family {name!r}") from None

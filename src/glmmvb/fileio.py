@@ -209,8 +209,9 @@ def write_state(path, state, method, family_name, seed, converged=None):
 
 def read_state(path):
     """Inverse of write_state; returns (VariationalState, meta dict). Each
-    section's rows are read into the state's view of that name; a malformed
-    file raises ParseError with its line number."""
+    section's rows are read into the state's view of that name, and only
+    blank lines may follow the last; a malformed file raises ParseError
+    with its line number."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or not lines[0].startswith("format,glmmvb-state"):
@@ -245,6 +246,9 @@ def read_state(path):
                 raise ParseError(i + 1, f"expected {row.size} values, got {len(values)}")
             row[:] = values
             i += 1
+    for k in range(i, len(lines)):
+        if lines[k].strip():
+            raise ParseError(k + 1, "unexpected line after the last section")
     return state, meta
 
 

@@ -106,9 +106,10 @@ class Dataset:
         self.trials = trials
         self.n_obs = n_obs
         self.mask = mask
-        self.x_names = list(x_names) if x_names else [f"x{k}" for k in range(X.shape[2])]
-        self.z_names = list(z_names) if z_names else [f"z{k}" for k in range(Z.shape[2])]
-        self.group_labels = list(group_labels) if group_labels else [str(i) for i in range(n)]
+        # names default only when absent: a given list, an empty one too, must fit
+        self.x_names = [f"x{k}" for k in range(self.p)] if x_names is None else list(x_names)
+        self.z_names = [f"z{k}" for k in range(self.r)] if z_names is None else list(z_names)
+        self.group_labels = list(map(str, range(n)) if group_labels is None else group_labels)
         for name, size in (("x_names", self.p), ("z_names", self.r), ("group_labels", n)):
             if len(getattr(self, name)) != size:
                 raise DataError(f"{name} has {len(getattr(self, name))} entries for {size}")
@@ -230,21 +231,20 @@ class Dataset:
 
 
 class _ObsMajor:
-    """A Dataset's arrays observation-major, for the a2 mode search: y, mask
-    and trials (J, n), X (J, n, p), Z's columns Z_k (r, J, n) and their
+    """A Dataset's arrays observation-major, for the a2 mode search: y and
+    trials (J, n), X (J, n, p), Z's columns Z_k (r, J, n) and their
     products Z_k Z_l, one per lower-triangle entry (k, l) in half-vec order
     (r(r+1)/2, J, n). Arrays per observation are then (..., J, n), vectors
     per subject (..., r, n) and symmetric blocks per subject half-vec
     columns (..., r(r+1)/2, n) (matcalc.sym_blocks). The subjects lie along
     the last axis, so elementwise work and every sum over a subject's
     observations (over axis -2) run inner loops of length n, for one draw
-    and for a block of draws alike. The mask keeps its name, so that scans
-    for reads of it see this copy.
+    and for a block of draws alike. There is no mask: Dataset zeroes the
+    padded cells' y, X and Z.
     """
 
     def __init__(self, data):
         self.y = np.ascontiguousarray(data.y.T)
-        self.mask = np.ascontiguousarray(data.mask.T)
         self.trials = np.ascontiguousarray(data.trials.T)
         self.X = np.ascontiguousarray(data.X.transpose(1, 0, 2))
         self.Z = np.ascontiguousarray(data.Z.transpose(2, 1, 0))

@@ -45,16 +45,8 @@ def partition(n, V, seed):
     at most one), deterministic per seed."""
     if not (isinstance(V, numbers.Integral) and not isinstance(V, bool) and 1 <= V <= n):
         raise InvalidVError(f"need an integer 1 <= V <= n, got V={V!r}, n={n}")
-    rng = engine.stream(seed, engine.LANE_PART, 0)
-    perm = rng.permutation(n)
-    base, rem = divmod(n, V)
-    sizes = [base + 1 if v < rem else base for v in range(V)]
-    out = []
-    start = 0
-    for size in sizes:
-        out.append(np.sort(perm[start:start + size]))
-        start += size
-    return out
+    perm = engine.stream(seed, engine.LANE_PART, 0).permutation(n)
+    return [np.sort(part) for part in np.array_split(perm, V)]
 
 
 def global_factor(state):

@@ -92,10 +92,11 @@ def transform_a1(data, gp):
 def _conditional_objective(obs, b, eta, h, Om_b):
     """Per-subject log p(y_i, b_i | theta_G) up to constants, (..., n):
     sum_j {y eta - h(eta)} - b'Omega b / 2, from eta = X beta + Z b, h(eta)
-    and Omega b, in obs's (model._ObsMajor) layout."""
+    and Omega b, in obs's (model._ObsMajor) layout. Padded cells are summed
+    too: Dataset zeroes their y, X and Z, so each adds -h(0) at every b of
+    its subject, and the search only compares values within a subject."""
     ll = obs.y * eta  # the one (..., J, n) temporary
     ll -= h
-    ll *= obs.mask
     quad = np.add.reduce(b * Om_b, axis=-2)
     return obs.sum_obs(ll) - 0.5 * quad
 
@@ -133,8 +134,8 @@ def transform_a2(data, gp, start=None):
     Each point is evaluated once (_evaluate): an accepted candidate is the
     next point, with its eta, Omega b, h' and h'' for the next gradient and
     precision; the last point's eta is the expansion point and h'' there
-    the weight (Transforms.weight). Only the objective's sum reads the
-    mask: Dataset zeroes padded y, X and Z. Where eta_max is finite, a
+    the weight (Transforms.weight). No step reads the mask: Dataset zeroes
+    padded y, X and Z (_conditional_objective). Where eta_max is finite, a
     candidate whose linear predictor exceeds it is a failed ascent, halved
     and evaluated meanwhile at its subject's current eta, so the family
     never sees it; a start beyond eta_max raises OverflowGuardError.

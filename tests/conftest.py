@@ -64,12 +64,13 @@ def random_wishart_prior(rng, r, nu_extra=1.0):
 
 
 def reparam_value(data, theta, method, prior):
-    """log_joint_reparam as a function of the flat theta~ vector, transforms
-    rebuilt from the contained theta_G (the finite-difference oracle path)."""
+    """log_joint_reparam as a function of theta~ (..., n r + g), one value per
+    leading index, transforms rebuilt from the contained theta_G (the
+    finite-difference oracle path)."""
     n, r, p = data.n, data.r, data.p
-    b_tilde = theta[: n * r].reshape(n, r)
-    beta = theta[n * r: n * r + p]
-    omega = theta[n * r + p:]
+    b_tilde = theta[..., : n * r].reshape(theta.shape[:-1] + (n, r))
+    beta = theta[..., n * r: n * r + p]
+    omega = theta[..., n * r + p:]
     transforms = reparam.build_transforms(data, model.GlobalParams(beta, omega, r), method)
     return model.log_joint_reparam(data, b_tilde, transforms, prior)
 
@@ -82,14 +83,15 @@ def grad_blocks(data, grad):
 
 
 def fd_gradient(f, x, h=1e-5):
-    """Central finite differences of a scalar function."""
+    """Central finite differences at the vector x of f, a function of a
+    leading axis of points: f is called once, on the 2 x.size points
+    x + h e_k, then x - h e_k, and row k of the result is
+    (f(x + h e_k) - f(x - h e_k)) / 2h. A vector-valued f gives the
+    transposed Jacobian."""
     x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    for k in range(x.size):
-        e = np.zeros_like(x)
-        e[k] = h
-        g[k] = (f(x + e) - f(x - e)) / (2 * h)
-    return g
+    step = h * np.eye(x.size)
+    values = np.asarray(f(np.concatenate([x + step, x - step])))
+    return (values[: x.size] - values[x.size:]) / (2 * h)
 
 
 def max_rel_err(approx, exact):

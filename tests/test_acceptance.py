@@ -28,6 +28,7 @@ import oracles
 from conftest import (
     case_seed,
     exact_elbo_known_omega_micro,
+    fd_gradient,
     max_rel_err,
     random_dataset,
     random_gp,
@@ -115,13 +116,8 @@ def test_c01_gradient_oracle_suite():
                         got = gradients.grad_full(
                             data, bt, reparam.build_transforms(data, gp, method), pr)
                         theta = np.concatenate([bt.ravel(), gp.beta, gp.omega])
-                        fd = np.zeros_like(theta)
-                        h = 1e-5
-                        for k in range(theta.size):
-                            e = np.zeros_like(theta)
-                            e[k] = h
-                            fd[k] = (reparam_value(data, theta + e, method, pr)
-                                     - reparam_value(data, theta - e, method, pr)) / (2 * h)
+                        fd = fd_gradient(
+                            lambda th: reparam_value(data, th, method, pr), theta)
                         worst = max(worst, max_rel_err(got, fd))
         elapsed = time.perf_counter() - t0
         assert worst < 1e-5, f"max rel err {worst:.2e}"

@@ -186,7 +186,7 @@ class TestFamilyInterface:
 
     def test_by_name(self):
         assert families.by_name("poisson") is families.POISSON
-        with pytest.raises(DomainError, match="unknown family 'gaussian'"):
+        with pytest.raises(ConfigError, match="unknown family 'gaussian'"):
             families.by_name("gaussian")
 
 

@@ -21,8 +21,7 @@ from conftest import (
 
 def full_fd(data, gp, b_tilde, method, prior, h=1e-5):
     theta = np.concatenate([b_tilde.ravel(), gp.beta, gp.omega])
-    return fd_gradient(lambda th: float(reparam_value(data, th, method, prior)),
-                       theta, h=h)
+    return fd_gradient(lambda th: reparam_value(data, th, method, prior), theta, h=h)
 
 
 def analytic(data, gp, b_tilde, method, prior):
@@ -53,12 +52,12 @@ class TestAVec:
         b = 0.4 * rng.standard_normal((2, 2))
 
         def conditional(bflat):
-            bb = bflat.reshape(2, 2)
+            bb = bflat.reshape(bflat.shape[:-1] + (2, 2))
             eta = data.eta(gp.beta, bb)
             h = data.family.derivs(eta, data.trials, 0)[0]
-            ll = (data.mask * (data.y * eta - h)).sum()
-            quad = np.einsum("nr,rs,ns->", bb, gp.omega_matrix(), bb)
-            return float(ll - 0.5 * quad)
+            ll = (data.mask * (data.y * eta - h)).sum(axis=(-1, -2))
+            quad = np.einsum("...nr,rs,...ns->...", bb, gp.omega_matrix(), bb)
+            return ll - 0.5 * quad
 
         fd = fd_gradient(conditional, b.ravel()).reshape(2, 2)
         assert max_rel_err(oracles.a_vec(data, gp, b), fd) < 1e-6

@@ -42,6 +42,12 @@ class TestLoadCsv:
             fileio.load_csv(str(p), "poisson", "group", [], [])
         assert err.value.line == 3
 
+    def test_unknown_family_is_a_config_error(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text("group,y\n1,2\n")
+        with pytest.raises(ConfigError, match="unknown family 'gaussian'"):
+            fileio.load_csv(str(p), "gaussian", "group", [], [])
+
     def test_missing_column(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("group,y\n1,2\n")
@@ -356,8 +362,12 @@ class TestStateFile:
         (lambda ls: ls[:2] + ["r,two"] + ls[3:], 8),           # non-integer r
         (lambda ls: ls[:7] + ["junk"] + ls[7:], 8),            # header line without a comma
         (lambda ls: ls[:12] + ls[13:], 13),                    # missing section line
+        (lambda ls: ls + ["1,2,3"], 15),                       # a row after the last section
+        (lambda ls: ls + ["section,extra"], 15),               # a section after the last
+        (lambda ls: ls + ["", " ", "1,2,3"], 17),              # blank lines are skipped
     ], ids=["truncated", "header-only", "short-row", "non-numeric", "long-row",
-            "no-r", "non-integer-r", "no-comma", "no-section"])
+            "no-r", "non-integer-r", "no-comma", "no-section", "extra-row",
+            "extra-section", "extra-row-after-blanks"])
     def test_malformed_file_names_its_line(self, tmp_path, edit, line):
         path = tmp_path / "state.txt"
         fileio.write_state(path, engine.VariationalState.initial(2, 2, 3), "a1", "poisson", 3)

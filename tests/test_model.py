@@ -100,13 +100,18 @@ class TestDatasetContainer:
 
     # n = 6 subjects, p = 2 fixed effects, r = 1: names of the wrong length
     # used to label beta_1's row omega.00 in summary.csv and drop subjects
-    # from subjects.csv
+    # from subjects.csv, and empty lists were taken for absent ones and
+    # given default names
     @pytest.mark.parametrize("name,bad", [
         ("x_names", dict(x_names=["intercept"])),
         ("x_names", dict(x_names=["intercept", "x", "extra"])),
         ("z_names", dict(z_names=["intercept", "x"])),
         ("group_labels", dict(group_labels=["a", "b"])),
-    ], ids=["x_names short", "x_names long", "z_names long", "group_labels short"])
+        ("x_names", dict(x_names=[])),
+        ("z_names", dict(z_names=[])),
+        ("group_labels", dict(group_labels=[])),
+    ], ids=["x_names short", "x_names long", "z_names long", "group_labels short",
+            "x_names empty", "z_names empty", "group_labels empty"])
     def test_names_of_the_wrong_length_are_data_errors(self, name, bad):
         x = np.linspace(-1.0, 1.0, 12).reshape(6, 2)
         args = dict(y=np.ones((6, 2)), X=np.stack([np.ones((6, 2)), x], axis=-1),
@@ -186,14 +191,9 @@ class TestLogPOmega:
             Omega = gp.omega_matrix()
             log_p_Om = (0.5 * (pr.nu - r - 1) * np.linalg.slogdet(Omega)[1]
                         - 0.5 * np.trace(pr.S_inv @ Omega))
-            h = 1e-6
-            J = np.zeros((k, k))
-            for c in range(k):
-                e = np.zeros(k)
-                e[c] = h
-                J[:, c] = (v_of_omega(om + e) - v_of_omega(om - e)) / (2 * h)
+            J_t = fd_gradient(v_of_omega, om, h=1e-6)  # |J'| = |J|
             diffs.append(float(pr.log_omega(gp)) - log_p_Om
-                         - np.linalg.slogdet(J)[1])
+                         - np.linalg.slogdet(J_t)[1])
         assert np.ptp(diffs) < 1e-6
 
 
@@ -286,8 +286,8 @@ class TestPriorGradOmega:
         pr = model.WishartPrior(100.0, 1.0, [[1.0]])
         got = pr.grad_omega(gp)
         np.testing.assert_allclose(got, [0.0], atol=1e-14)
-        fd = fd_gradient(lambda om: float(pr.log_omega(
-            model.GlobalParams([], om, 1))), np.array([0.0]))
+        fd = fd_gradient(lambda om: pr.log_omega(model.GlobalParams([], om, 1)),
+                         np.array([0.0]))
         np.testing.assert_allclose(got, fd, atol=1e-9)
 
     def test_subject_part_at_identity(self):
@@ -302,8 +302,8 @@ class TestPriorGradOmega:
             om = 0.4 * rng.standard_normal(matcalc.half_len(r))
             gp = model.GlobalParams([], om, r)
             got = pr.grad_omega(gp)
-            fd = fd_gradient(lambda o: float(pr.log_omega(
-                model.GlobalParams([], o, r))), om, h=1e-6)
+            fd = fd_gradient(lambda o: pr.log_omega(model.GlobalParams([], o, r)),
+                             om, h=1e-6)
             assert max_rel_err(got, fd) < 1e-6
 
     def test_joint_omega_pieces_match_fd(self, rng):
@@ -317,10 +317,8 @@ class TestPriorGradOmega:
 
         def omega_part(o):
             gp = model.GlobalParams([], o, r)
-            Om = gp.omega_matrix()
-            quad = sum(float(bi @ Om @ bi) for bi in b)
-            return (float(pr.log_omega(gp)) + n * float(gp.log_diag_sum)
-                    - 0.5 * quad)
+            quad = np.einsum("nr,...rs,ns->...", b, gp.omega_matrix(), b)
+            return pr.log_omega(gp) + n * gp.log_diag_sum - 0.5 * quad
 
         gp = model.GlobalParams([], om, r)
         got = pr.grad_omega(gp) + oracles.subject_grad_omega(gp, b).sum(axis=0)
@@ -331,8 +329,7 @@ class TestPriorGradOmega:
         pr = model.normal_omega_prior(2, sd=10.0)
         om = rng.standard_normal(3)
         gp = model.GlobalParams([], om, 2)
-        fd = fd_gradient(lambda o: float(pr.log_omega(
-            model.GlobalParams([], o, 2))), om)
+        fd = fd_gradient(lambda o: pr.log_omega(model.GlobalParams([], o, 2)), om)
         np.testing.assert_allclose(pr.grad_omega(gp), fd, atol=1e-8)
 
 
