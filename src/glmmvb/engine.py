@@ -36,6 +36,10 @@ ADAM_ALPHA = 1e-3  # Adam's step size, decay rates and guard (Kingma & Ba, 2015)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# a Laplace-started fit's first BOOST_STEPS steps take LAPLACE_BOOST times
+# ADAM_ALPHA: they travel to the plateau, before its window average forms
+LAPLACE_BOOST = 5
+BOOST_STEPS = 100
 # the start's BFGS search (start_state): its gradient tolerance, iteration
 # limit and central-difference step; and the largest sd of a theta_G
 # coordinate under which the Laplace start is kept
@@ -82,7 +86,7 @@ class FitConfig:
     method: str = "a2"
     seed: int = 0
     max_iter: int = 200_000
-    window: int = 250
+    window: int = 100
     tau: int = 3
     final_elbo_draws: int = 1000
 
@@ -208,7 +212,7 @@ class AdamState:
     def zeros(cls, size):
         return cls(np.zeros(size), np.zeros(size))
 
-    def ascent_step(self, g):
+    def ascent_step(self, g, alpha=ADAM_ALPHA):
         self.t += 1
         self.m *= ADAM_BETA1
         self.m += (1.0 - ADAM_BETA1) * g
@@ -216,7 +220,7 @@ class AdamState:
         self.v += (1.0 - ADAM_BETA2) * g * g
         m_hat = self.m / (1.0 - ADAM_BETA1 ** self.t)
         v_hat = self.v / (1.0 - ADAM_BETA2 ** self.t)
-        return ADAM_ALPHA * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        return alpha * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -312,9 +316,9 @@ def draw(data, prior, state, method, s, anchor=None, blocks=None):
     return b_tilde, reparam.build_transforms(data, gp, method, anchor)
 
 
-def step(data, prior, config, state, adam, t, draws, anchor=None):
-    """One stochastic gradient step; returns the pre-update ELBO sample and
-    the step's transforms, the next step's anchor.
+def step(data, prior, config, state, adam, t, draws, anchor=None, alpha=ADAM_ALPHA):
+    """One stochastic gradient step, Adam's at step size alpha; returns the
+    pre-update ELBO sample and the step's transforms, the next step's anchor.
 
     The draws are those of stream(config.seed, LANE_FIT, t), taken from
     `draws`, the fit's LaneStream of that stream; the transforms are built
@@ -342,7 +346,7 @@ def step(data, prior, config, state, adam, t, draws, anchor=None):
         raise DivergedError(f"iteration {t}: non-finite ELBO sample {elbo}")
 
     # omega's block is last, and d leaves it out when the prior fixes omega
-    update = adam.ascent_step(estimator(state, s, grad[:state.d], blocks))
+    update = adam.ascent_step(estimator(state, s, grad[:state.d], blocks), alpha)
     if not np.isfinite(update).all():
         raise DivergedError(f"iteration {t}: non-finite parameter update")
     state.params += update
@@ -561,10 +565,10 @@ def start_state(data, prior, method, beta):
 def fit(data, prior, config=None, **settings):
     """Run the optimizer until the stopping rule (Plateau) fires or max_iter
     is hit, from start_state at the pooled GLM's beta under the prior on
-    beta (0 if that IRLS raises): FitResult.start, and FitResult.start_kind
-    the kind of state the first step ran from. The settings are `config`,
-    or FitConfig(**settings) when it is None. FitResult.wall_time times all
-    of it but the final ELBO.
+    beta (0 if that IRLS raises): FitResult.start; FitResult.start_kind is
+    the start's kind, and a "laplace" start's first BOOST_STEPS steps take
+    LAPLACE_BOOST times Adam's step size. The settings are `config`, or
+    FitConfig(**settings); FitResult.wall_time times all but the final ELBO.
 
     A converged fit returns Plateau.average, the average of its last
     window's iterates; a fit that reaches max_iter returns its last iterate.
@@ -585,8 +589,10 @@ def fit(data, prior, config=None, **settings):
 
     draws, anchor = LaneStream(config.seed, LANE_FIT), None
     plateau = Plateau(config.window, config.tau)
+    boost = LAPLACE_BOOST if start_kind == "laplace" else 1
     for it in range(1, config.max_iter + 1):
-        elbo, anchor = step(data, prior, config, state, adam, it, draws, anchor)
+        alpha = ADAM_ALPHA * (boost if it <= BOOST_STEPS else 1)
+        elbo, anchor = step(data, prior, config, state, adam, it, draws, anchor, alpha)
         if plateau.push(elbo, state.params):
             state.params = plateau.average
             break

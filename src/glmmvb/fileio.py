@@ -210,8 +210,8 @@ def write_state(path, state, method, family_name, seed, converged=None):
 def read_state(path):
     """Inverse of write_state; returns (VariationalState, meta dict). Each
     section's rows are read into the state's view of that name, and only
-    blank lines may follow the last; a malformed file raises ParseError
-    with its line number."""
+    blank lines may follow the last; a malformed file, or a header key given
+    twice, raises ParseError with its line number."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or not lines[0].startswith("format,glmmvb-state"):
@@ -222,6 +222,8 @@ def read_state(path):
         key, sep, val = lines[i].partition(",")
         if not sep:
             raise ParseError(i + 1, "expected key,value")
+        if key in meta:
+            raise ParseError(i + 1, f"repeated header key {key!r}")
         meta[key] = val
         i += 1
     try:

@@ -100,8 +100,8 @@ class TestParamsLayout:
         before, updates = state.params.copy(), []
         ascent_step = engine.AdamState.ascent_step
 
-        def record(self, g):
-            updates.append(ascent_step(self, g))
+        def record(self, g, alpha):
+            updates.append(ascent_step(self, g, alpha))
             return updates[-1]
 
         monkeypatch.setattr(engine.AdamState, "ascent_step", record)
@@ -371,13 +371,13 @@ class TestStepAndFit:
         assert res.n_iter < cfg.max_iter
 
     def test_laplace_started_fit_stops_within_four_default_windows(self):
-        # the Laplace start puts the fit on its plateau, so the default
-        # 250-step windows let it stop after a few of them
+        # the Laplace start and its boosted first steps put the fit on its
+        # plateau, so the default 100-step windows let it stop after a few
         data = datasets.seeds_dataset()
         res = engine.fit(data, model.default_prior(data), method="a1", seed=1,
                          final_elbo_draws=0)
         assert res.start_kind == "laplace" and res.converged
-        assert res.config.window == 250 and res.n_iter <= 4 * 250
+        assert res.config.window == 100 and res.n_iter <= 4 * 100
 
     # unchecked, the first two fail inside step with numpy's ValueError on seeds (r = 1)
     @pytest.mark.parametrize("make", [
@@ -420,6 +420,60 @@ def zero_count_group(seed=0, n=20, k=5):
                          np.ones((n, k, 1)))
 
 
+class TestBoost:
+    """A Laplace-started fit's first BOOST_STEPS updates are LAPLACE_BOOST
+    times Adam's step for the same gradient, whatever the window; a pooled
+    start takes Adam's step throughout."""
+
+    @staticmethod
+    def _fit_updates(monkeypatch, data, prior, **settings):
+        """fit's result, and each step's (update, Adam's step from the same
+        moments and gradient)."""
+        ascent_step, updates = engine.AdamState.ascent_step, []
+
+        def record(self, g, alpha):
+            unit = ascent_step(deepcopy(self), g)
+            updates.append((ascent_step(self, g, alpha), unit))
+            return updates[-1][0]
+
+        monkeypatch.setattr(engine.AdamState, "ascent_step", record)
+        res = engine.fit(data, prior, final_elbo_draws=0, **settings)
+        assert len(updates) == res.n_iter
+        return res, updates
+
+    @pytest.mark.parametrize("settings", [{}, {"window": 1000, "tau": 5, "max_iter": 150}],
+                             ids=["default-window", "paper-window"])
+    def test_laplace_start_boosts_its_first_steps(self, monkeypatch, settings):
+        data = datasets.seeds_dataset()
+        res, updates = self._fit_updates(monkeypatch, data, model.default_prior(data),
+                                         method="a1", seed=1, **settings)
+        assert res.start_kind == "laplace" and res.n_iter > engine.BOOST_STEPS
+        for t, (update, unit) in enumerate(updates, start=1):
+            if t <= engine.BOOST_STEPS:
+                np.testing.assert_allclose(update, engine.LAPLACE_BOOST * unit,
+                                           rtol=1e-12, atol=0.0)
+            else:
+                np.testing.assert_array_equal(update, unit)
+        assert np.any(updates[0][1] != 0.0)
+
+    def test_pooled_start_takes_adams_step_throughout(self, monkeypatch):
+        res, updates = self._fit_updates(
+            monkeypatch, separable_bernoulli(), model.WishartPrior(100.0, 1.0, np.eye(1)),
+            method="a1", seed=1, max_iter=engine.BOOST_STEPS + 50)
+        assert res.start_kind == "pooled"
+        for update, unit in updates:
+            np.testing.assert_array_equal(update, unit)
+
+    def test_fit_shorter_than_the_boost_is_finite_and_reproducible(self):
+        data = datasets.seeds_dataset()
+        cfg = engine.FitConfig(method="a1", seed=3, max_iter=engine.BOOST_STEPS // 2,
+                               final_elbo_draws=0)
+        fits = [engine.fit(data, model.default_prior(data), cfg) for _ in range(2)]
+        assert fits[0].start_kind == "laplace" and fits[0].n_iter == cfg.max_iter
+        assert np.all(np.isfinite(fits[0].state.params))
+        np.testing.assert_array_equal(fits[0].state.params, fits[1].state.params)
+
+
 class TestStart:
     def test_starts_at_the_pooled_glm_mode_under_the_beta_prior(self, rng):
         data = random_dataset(rng, families.BINOMIAL, r=2, n=4)
@@ -429,11 +483,11 @@ class TestStart:
         assert not np.array_equal(start, model.fit_pooled_glm(data))
         res = engine.fit(data, prior, cfg)
         np.testing.assert_array_equal(res.start, start)
-        # one step from the start the fit recorded
+        # one step from the start the fit recorded, at fit's step size
         state, kind = engine.start_state(data, prior, cfg.method, res.start)
         assert kind == res.start_kind
         engine.step(data, prior, cfg, state, engine.AdamState.zeros(state.params.size), 1,
-                    engine.LaneStream(cfg.seed, engine.LANE_FIT))
+                    engine.LaneStream(cfg.seed, engine.LANE_FIT), alpha=_fit_alpha(kind, 1))
         np.testing.assert_array_equal(res.state.params, state.params)
 
     def test_quasi_separation_starts_at_the_finite_ridge_mode(self, monkeypatch):
@@ -613,15 +667,22 @@ class TestLaplaceStart:
         assert res.wall_time >= 0.1
 
 
+def _fit_alpha(start_kind, t):
+    """Adam's step size at fit's step t: boosted over a Laplace start's first steps."""
+    boosted = start_kind == "laplace" and t <= engine.BOOST_STEPS
+    return engine.ADAM_ALPHA * (engine.LAPLACE_BOOST if boosted else 1)
+
+
 def _hand_steps(data, prior, cfg, start):
     """fit's steps written out: (the ELBO sample and the params after each
     of cfg.max_iter steps from fit's start, start_state at the beta start)."""
-    state, _ = engine.start_state(data, prior, cfg.method, start)
+    state, kind = engine.start_state(data, prior, cfg.method, start)
     adam = engine.AdamState.zeros(state.params.size)
     draws, anchor = engine.LaneStream(cfg.seed, engine.LANE_FIT), None
     elbos, iterates = [], []
     for t in range(1, cfg.max_iter + 1):
-        elbo, anchor = engine.step(data, prior, cfg, state, adam, t, draws, anchor)
+        elbo, anchor = engine.step(data, prior, cfg, state, adam, t, draws, anchor,
+                                   _fit_alpha(kind, t))
         elbos.append(elbo)
         iterates.append(state.params.copy())
     return elbos, iterates

@@ -365,9 +365,10 @@ class TestStateFile:
         (lambda ls: ls + ["1,2,3"], 15),                       # a row after the last section
         (lambda ls: ls + ["section,extra"], 15),               # a section after the last
         (lambda ls: ls + ["", " ", "1,2,3"], 17),              # blank lines are skipped
+        (lambda ls: ls[:4] + ["method,a2"] + ls[4:], 6),       # a repeated header key
     ], ids=["truncated", "header-only", "short-row", "non-numeric", "long-row",
             "no-r", "non-integer-r", "no-comma", "no-section", "extra-row",
-            "extra-section", "extra-row-after-blanks"])
+            "extra-section", "extra-row-after-blanks", "repeated-key"])
     def test_malformed_file_names_its_line(self, tmp_path, edit, line):
         path = tmp_path / "state.txt"
         fileio.write_state(path, engine.VariationalState.initial(2, 2, 3), "a1", "poisson", 3)
@@ -417,7 +418,7 @@ class TestCliRuns:
                 "--family", "binomial", "--group-col", "plate",
                 "--response-col", "germinated", "--trials-col", "total",
                 "--fixed", "seed,extract", "--method", "a1", "--seed", "1",
-                "--max-iter", "400", "--draws", "500",
+                "--max-iter", "150", "--draws", "500",
                 "--out", out, *extra]
 
     def test_seeds_fit_writes_outputs(self, tmp_path):
@@ -430,7 +431,7 @@ class TestCliRuns:
         params = [ln.split(",")[0] for ln in lines]
         assert params.index("beta.intercept") < params.index("beta.seed") \
             < params.index("beta.extract") < params.index("sigma")
-        # one window of 250 steps within --max-iter 400: not converged
+        # one window of 100 steps within --max-iter 150: not converged
         assert lines[5:7] == ["converged,False", "start,laplace"]
         assert fileio.read_state(os.path.join(out, "state.txt"))[1]["converged"] == "False"
 
