@@ -269,12 +269,14 @@ class Plateau:
     the params after it; at the end of each `window` pushes the mean ELBO
     joins `means`, the mean params (summed in push order) become `average`
     and push returns `converged`: whether the least-squares slope of the
-    last min(tau, len(means)) means is negative (never on one mean). The
-    ELBO is then on its plateau, where constant-step Adam's iterates scatter
-    about the optimum: fit returns `average` (Polyak & Juditsky, 1992)."""
+    last min(tau, len(means)) means is negative (never on one mean, nor on
+    a window holding one of the first `hold` pushes). The ELBO is then on
+    its plateau, where constant-step Adam's iterates scatter about the
+    optimum: fit returns `average` (Polyak & Juditsky, 1992), which is why
+    a window of boosted steps, whose iterates scatter wider, never fires."""
 
-    def __init__(self, window, tau):
-        self.window, self.tau, self.means, self.average = window, tau, [], None
+    def __init__(self, window, tau, hold=0):
+        self.window, self.tau, self.hold, self.means, self.average = window, tau, hold, [], None
         self.converged, self._count, self._elbo, self._params = False, 0, 0.0, 0.0
 
     def push(self, elbo, params):
@@ -286,7 +288,8 @@ class Plateau:
         self.means.append(self._elbo / self.window)
         self.average = self._params / self.window
         self._count, self._elbo, self._params = 0, 0.0, 0.0
-        self.converged = len(self.means) >= 2 and window_slope(self.means, self.tau) < 0.0
+        self.converged = (len(self.means) >= 2 and (len(self.means) - 1) * self.window >= self.hold
+                          and window_slope(self.means, self.tau) < 0.0)
         return self.converged
 
 
@@ -389,7 +392,7 @@ def accepted_draws(state, n_draws, seed, lane, chunk, block, evaluate):
                             kept.append(evaluate(part[i:i + 1]))
                         except RECOVERABLE:
                             pass
-        out = tuple(np.concatenate(parts) for parts in zip(*kept))
+        out = kept[0] if len(kept) == 1 else tuple(np.concatenate(parts) for parts in zip(*kept))
         n_ok = len(out[0]) if out else 0
         rejected += len(s) - n_ok
         if rejected > 100 * (1 + n_draws):
@@ -567,7 +570,8 @@ def fit(data, prior, config=None, **settings):
     is hit, from start_state at the pooled GLM's beta under the prior on
     beta (0 if that IRLS raises): FitResult.start; FitResult.start_kind is
     the start's kind, and a "laplace" start's first BOOST_STEPS steps take
-    LAPLACE_BOOST times Adam's step size. The settings are `config`, or
+    LAPLACE_BOOST times Adam's step size; no window holding one of them
+    stops the fit (Plateau's hold). The settings are `config`, or
     FitConfig(**settings); FitResult.wall_time times all but the final ELBO.
 
     A converged fit returns Plateau.average, the average of its last
@@ -588,10 +592,10 @@ def fit(data, prior, config=None, **settings):
     adam = AdamState.zeros(state.params.size)
 
     draws, anchor = LaneStream(config.seed, LANE_FIT), None
-    plateau = Plateau(config.window, config.tau)
-    boost = LAPLACE_BOOST if start_kind == "laplace" else 1
+    boosted = BOOST_STEPS if start_kind == "laplace" else 0
+    plateau = Plateau(config.window, config.tau, boosted)
     for it in range(1, config.max_iter + 1):
-        alpha = ADAM_ALPHA * (boost if it <= BOOST_STEPS else 1)
+        alpha = ADAM_ALPHA * (LAPLACE_BOOST if it <= boosted else 1)
         elbo, anchor = step(data, prior, config, state, adam, it, draws, anchor, alpha)
         if plateau.push(elbo, state.params):
             state.params = plateau.average

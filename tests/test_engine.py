@@ -293,6 +293,16 @@ class TestShouldStop:
         assert plateau_stops(means, 3)
         assert not plateau_stops([5.0, 1.0, 2.0, 3.0], 3)
 
+    def test_a_held_window_joins_means_but_does_not_stop(self):
+        plateau = engine.Plateau(2, 3, hold=3)
+        params = np.zeros(2)
+        # the windows of pushes 1-2 and 3-4 each hold one of the first 3
+        fired = [plateau.push(e, params) for e in (4.0, 4.0, 2.0, 2.0, 1.0)]
+        assert fired == [False] * 5 and not plateau.converged
+        assert plateau.means == [4.0, 2.0]
+        assert plateau.push(1.0, params) and plateau.converged
+        assert plateau.means == [4.0, 2.0, 1.0]
+
     def test_window_means_and_average_in_push_order(self):
         plateau = engine.Plateau(2, 3)
         params = [np.array([1.0, 2.0]), np.array([0.1, 0.2]), np.array([3.0, 5.0])]
@@ -463,6 +473,43 @@ class TestBoost:
         assert res.start_kind == "pooled"
         for update, unit in updates:
             np.testing.assert_array_equal(update, unit)
+
+    # fit seeds 1-8 on seeds a1 stopped at 40-160 steps at window 20 and at
+    # 100-250 at window 50 when a boosted window could stop them
+    @pytest.mark.parametrize("window", [20, 50])
+    def test_short_windows_stop_on_an_unboosted_window(self, monkeypatch, window):
+        data = datasets.seeds_dataset()
+        prior = model.default_prior(data)
+        push, pushed = engine.Plateau.push, []
+
+        def record(self, elbo, params):
+            pushed.append(params.copy())
+            return push(self, elbo, params)
+
+        monkeypatch.setattr(engine.Plateau, "push", record)
+        for seed in range(1, 9):
+            pushed.clear()
+            res = engine.fit(data, prior, method="a1", seed=seed, window=window,
+                             final_elbo_draws=0)
+            assert res.start_kind == "laplace" and res.converged
+            assert res.n_iter >= engine.BOOST_STEPS + window
+            total = np.zeros_like(pushed[0])
+            for params in pushed[res.n_iter - window:]:
+                total += params
+            np.testing.assert_array_equal(res.state.params, total / window)
+
+    # windows of 20 inside the boost: seed 1 stopped at step 40 when they could
+    # stop it; now it runs to max_iter and returns its last iterate, as a fit
+    # whose first window is longer than max_iter does
+    def test_boosted_windows_do_not_stop_the_fit(self):
+        data = datasets.seeds_dataset()
+        prior = model.default_prior(data)
+        runs = [engine.fit(data, prior, method="a1", seed=1, window=window,
+                           max_iter=engine.BOOST_STEPS, final_elbo_draws=0)
+                for window in (20, 1000)]
+        assert (runs[0].n_iter, runs[0].converged) == (engine.BOOST_STEPS, False)
+        assert len(runs[0].window_means) == engine.BOOST_STEPS // 20
+        np.testing.assert_array_equal(runs[0].state.params, runs[1].state.params)
 
     def test_fit_shorter_than_the_boost_is_finite_and_reproducible(self):
         data = datasets.seeds_dataset()
@@ -688,15 +735,16 @@ def _hand_steps(data, prior, cfg, start):
     return elbos, iterates
 
 
-def _hand_stop(elbos, window, tau):
-    """(window means, n_iter, converged) of the paper's rule over the steps."""
+def _hand_stop(elbos, window, tau, boosted):
+    """(window means, n_iter, converged) of the paper's rule over the steps,
+    where a window holding one of the first `boosted` steps does not stop."""
     means, acc = [], 0.0
     for it, elbo in enumerate(elbos, 1):
         acc += elbo
         if it % window == 0:
             means.append(acc / window)
             acc = 0.0
-            if len(means) >= 2 and engine.window_slope(means, tau) < 0:
+            if len(means) >= 2 and it - window >= boosted and engine.window_slope(means, tau) < 0:
                 return means, it, True
     return means, len(elbos), False
 
@@ -714,6 +762,9 @@ class TestReturnedState:
     @example(famname="poisson", r=1, method="a1", window=1, max_iter=40, seed=0)
     @example(famname="bernoulli", r=2, method="a2", window=20, max_iter=90, seed=1)
     @example(famname="binomial", r=1, method="a2", window=5, max_iter=9, seed=2)
+    # Laplace starts that stop at the first windows after the boost
+    @example(famname="poisson", r=1, method="a1", window=1, max_iter=140, seed=0)
+    @example(famname="binomial", r=1, method="a2", window=5, max_iter=150, seed=2)
     def test_converged_fits_return_the_window_average(self, famname, r, method, window,
                                                       max_iter, seed):
         rng = np.random.default_rng(seed)
@@ -726,7 +777,8 @@ class TestReturnedState:
             res = engine.fit(data, prior, cfg)
             if elbos is None:
                 elbos, iterates = _hand_steps(data, prior, cfg, res.start)
-            means, n_iter, converged = _hand_stop(elbos, window, tau)
+            boosted = engine.BOOST_STEPS if res.start_kind == "laplace" else 0
+            means, n_iter, converged = _hand_stop(elbos, window, tau, boosted)
             assert (res.n_iter, res.converged) == (n_iter, converged)
             np.testing.assert_array_equal(res.window_means, means)
             if converged:
@@ -767,6 +819,52 @@ class TestAcceptedDraws:
         np.testing.assert_array_equal(second, 2.0 * kept)
         assert len(first) == 90 and wanted == 0
         assert chunks[-1][1] == len(drawn) - 90 > 0  # rejected so far, at the end
+
+    def test_a_one_block_chunk_is_its_block(self):
+        state = engine.VariationalState.initial(2, 1, 1)
+        parts = []
+
+        def evaluate(s):
+            parts.append((s[:, 0], 2.0 * s))
+            return parts[-1]
+
+        chunks = list(engine.accepted_draws(state, 30, 5, engine.LANE_SIM, 40, 40, evaluate))
+        assert len(chunks) == len(parts) == 1 and chunks[0][0] is parts[0]
+
+    # test_reparam's seed-508 Bernoulli search, which fails from `far` at
+    # NR_MAX_HALVINGS = 0, as the draws with s_0 > 1; the others start near
+    # the mode and finish first, so each failing draw is a block's straggler
+    def test_failing_straggler_rejects_the_draws_that_fail_alone(self, monkeypatch):
+        rng = np.random.default_rng(508)
+        data = random_dataset(rng, families.BERNOULLI, r=1, n=3, p=2)
+        gp = model.GlobalParams(0.5 * rng.standard_normal(2), 0.5 * rng.standard_normal(1), 1)
+        far = 4.0 * rng.standard_normal((data.n, 1))
+        mode = reparam.transform_a2(data, gp).lam
+        monkeypatch.setattr(reparam, "NR_MAX_HALVINGS", 0)
+
+        def evaluate(s):
+            start = np.where(s[:, :1, None] > 1.0, far, mode + 0.1 * s[:, 1:2, None])
+            block = model.GlobalParams(np.broadcast_to(gp.beta, (len(s), 2)),
+                                       np.broadcast_to(gp.omega, (len(s), 1)), 1)
+            t = reparam.transform_a2(data, block, start)
+            return s, t.lam, t.L, t.base_eta, t.weight
+
+        state = engine.VariationalState.initial(2, 1, 1)
+        with pytest.warns(RuntimeWarning, match="rejected"):
+            chunks = list(engine.accepted_draws(state, 40, 5, engine.LANE_SIM, 40, 8, evaluate))
+        drawn, done = [], 0  # chunk k: the draws still wanted, from stream k
+        for k, (out, _) in enumerate(chunks):
+            drawn.append(engine.stream(5, engine.LANE_SIM, k).standard_normal((40 - done, 3)))
+            done += len(out[0])
+        drawn, want = np.concatenate(drawn), []
+        for i in range(len(drawn)):
+            try:
+                want.append(evaluate(drawn[i:i + 1]))
+            except ModeSearchFailedError:
+                pass
+        assert 0 < chunks[-1][1] == len(drawn) - len(want) and len(want) == 40
+        for got, one in zip(zip(*(out for out, _ in chunks)), zip(*want)):
+            np.testing.assert_array_equal(np.concatenate(got), np.concatenate(one))
 
     @pytest.mark.parametrize("n_draws", [0, 1])
     def test_needs_two_draws(self, n_draws):

@@ -20,7 +20,7 @@ import oracles
 from conftest import random_dataset, random_gp, random_spd, random_wishart_prior
 
 from test_engine import micro_model
-from test_reparam import REFERENCE_TOL
+from test_reparam import REFERENCE_TOL, rows_searched
 
 
 def tiny_global_state(data, mu_global, local_scale=0.4, rng=None):
@@ -273,6 +273,20 @@ class TestDrawBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 12 * 2 ** 20
+
+    def test_epilepsy_a2_block_drops_its_finished_draws(self, monkeypatch):
+        # one 250-draw block of the final ELBO at the default fit's state:
+        # searched row by row to the end, its mode search evaluates 5 points
+        # of each draw (1,250 rows); once at most half the draws have an
+        # active subject it goes on with those alone (19 here: 1,019 rows)
+        data = datasets.epilepsy_dataset("II")
+        prior = model.default_prior(data)
+        state = engine.fit(data, prior, method="a2", seed=1, final_elbo_draws=0).state
+        anchor = engine.mean_anchor(data, prior, state, "a2")
+        s = engine.stream(1, engine.LANE_FINAL, 0).standard_normal((250, state.d))
+        rows = rows_searched(monkeypatch)
+        engine.draw(data, prior, state, "a2", s, anchor)
+        assert sum(rows) <= 4.2 * 250
 
 
 class TestMeanAnchor:

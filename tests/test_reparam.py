@@ -16,7 +16,7 @@ from glmmvb.exceptions import (
 )
 
 import oracles
-from conftest import ALL_FAMILIES, random_dataset, random_gp, random_wishart_prior
+from conftest import ALL_FAMILIES, case_seed, random_dataset, random_gp, random_wishart_prior
 
 import scipy.special as sc
 
@@ -194,6 +194,19 @@ def _outcome(transform, data, gp, start):
         return type(err)
 
 
+def rows_searched(monkeypatch):
+    """The draws (rows) of each point the a2 search evaluates, recorded as
+    it runs: 1 for a single draw."""
+    rows, objective = [], reparam._conditional_objective
+
+    def record(obs, b, eta, h, Om_b):
+        rows.append(b.shape[0] if b.ndim == 3 else 1)
+        return objective(obs, b, eta, h, Om_b)
+
+    monkeypatch.setattr(reparam, "_conditional_objective", record)
+    return rows
+
+
 class TestModeSearchAgainstReference:
     @pytest.mark.parametrize("halvings", [reparam.NR_MAX_HALVINGS, 1, 0])
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -248,6 +261,63 @@ class TestModeSearchAgainstReference:
             assert (_outcome(reparam.transform_a2, data, gp, start)
                     == _outcome(oracles.transform_a2, data, gp, start)
                     == ModeSearchFailedError)
+
+    # a block of 16 draws at 0.05 to 2 sds of 0.3 from an anchor, searched
+    # from the modes predicted there as draw blocks are: near rows finish
+    # passes before far ones, so the search goes on with the far rows alone
+    @pytest.mark.parametrize("famname", ["poisson", "binomial", "bernoulli"])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_block_whose_rows_finish_apart(self, monkeypatch, famname, r):
+        rng = np.random.default_rng(case_seed("block", famname, r))
+        data = random_dataset(rng, families.by_name(famname), r=r, n=6, p=2)
+        at = random_gp(rng, 2, r)
+        dirs = rng.standard_normal((16, 2 + matcalc.half_len(r)))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        x = np.concatenate([at.beta, at.omega]) + 0.3 * np.geomspace(0.05, 2.0, 16)[:, None] * dirs
+        gp = model.GlobalParams(x[:, :2], x[:, 2:], r)
+        start = reparam.predict_modes(data, reparam.transform_a2(data, at), gp)
+        rows = rows_searched(monkeypatch)
+        got = reparam.transform_a2(data, gp, start)
+        assert 0 < min(rows) < 16  # the far rows went on alone
+        want = oracles.transform_a2(data, gp, start)
+        for field in ("lam", "L", "Lambda", "base_eta"):
+            np.testing.assert_allclose(getattr(got, field), getattr(want, field),
+                                       rtol=REFERENCE_TOL, atol=REFERENCE_TOL)
+        for k in range(len(x)):
+            one = reparam.transform_a2(data, model.GlobalParams(x[k, :2], x[k, 2:], r), start[k])
+            for field in ("lam", "L", "Lambda", "base_eta", "weight"):
+                np.testing.assert_array_equal(getattr(got, field)[k], getattr(one, field))
+
+    # test_frozen_subjects_are_evaluated_where_they_stay's seed-508 search as
+    # one row of a block whose other rows start at their modes, so they leave
+    # the search at its first pass: with halving the row reaches its mode
+    # (and the search writes nothing into start), without it the row fails
+    # after the others have left, and so fails the block
+    def test_straggler_searched_alone(self, monkeypatch):
+        rng = np.random.default_rng(508)
+        data = random_dataset(rng, families.BERNOULLI, r=1, n=3, p=2)
+        gp = model.GlobalParams(0.5 * rng.standard_normal(2), 0.5 * rng.standard_normal(1), 1)
+        far = 4.0 * rng.standard_normal((data.n, 1))
+        start = np.repeat(reparam.transform_a2(data, gp).lam[None], 8, axis=0)
+        start[5] = far
+        block = model.GlobalParams(np.broadcast_to(gp.beta, (8, 2)),
+                                   np.broadcast_to(gp.omega, (8, 1)), 1)
+        rows = rows_searched(monkeypatch)
+        before = start.copy()
+        got = reparam.transform_a2(data, block, start)
+        assert rows[:2] == [8, 1]
+        np.testing.assert_array_equal(start, before)
+        for k, one_start in ((0, start[0]), (5, far)):
+            one = reparam.transform_a2(data, gp, one_start)
+            for field in ("lam", "L", "Lambda", "base_eta", "weight"):
+                np.testing.assert_array_equal(getattr(got, field)[k], getattr(one, field))
+        with mock.patch.object(reparam, "NR_MAX_HALVINGS", 0):
+            with pytest.raises(ModeSearchFailedError):
+                reparam.transform_a2(data, gp, far)
+            rows.clear()
+            with pytest.raises(ModeSearchFailedError):
+                reparam.transform_a2(data, block, start)
+        assert rows[0] == 8 and rows[-1] == 1
 
 
 def _shifted(gp, h, d_beta, d_omega):
