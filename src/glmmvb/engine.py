@@ -10,11 +10,13 @@ fit is reproducible bit for bit regardless of how per-subject work inside an
 iteration is scheduled.
 """
 
+import collections
 import math
 import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,6 +105,30 @@ class FitConfig:
             raise ConfigError("final_elbo_draws must be 0 (no final ELBO) or >= 2")
 
 
+CstarLayout = collections.namedtuple("CstarLayout", "rows cols offsets diag")
+
+
+@lru_cache(maxsize=None)
+def cstar_layout(n, r, g):
+    """The position map of C*'s layout for n local blocks of order r and a
+    global block of order g, as read-only int arrays: for each C* entry, in
+    params order, its row and column in theta~ and its offset in one flat
+    buffer that holds the n local r x r blocks, then the g x g global block;
+    and the positions of the log-diagonal entries, the local ones column by
+    column (every block's (0, 0), then every (1, 1), ...), as log|C|'s sum
+    has always taken them, then the global ones."""
+    (lr, lc), (gr, gc) = matcalc.tri_indices(r), matcalc.tri_indices(g)
+    start, nr, h = np.arange(n)[:, None] * r, n * r, matcalc.half_len(r)
+    diag = matcalc.diag_positions(r)[:, None] + h * np.arange(n)
+    layout = CstarLayout(np.concatenate([(start + lr).ravel(), nr + gr]),
+                         np.concatenate([(start + lc).ravel(), nr + gc]),
+                         np.concatenate([(start * r + lr * r + lc).ravel(), nr * r + gr * g + gc]),
+                         np.concatenate([diag.ravel(), n * h + matcalc.diag_positions(g)]))
+    for a in layout:
+        a.setflags(write=False)
+    return layout
+
+
 class VariationalState:
     """Mean vector and packed Cholesky blocks of the variational Gaussian.
 
@@ -144,33 +170,34 @@ class VariationalState:
 
     def views(self, vec):
         """(mu, C* local, C* global) views of a (..., P) params-layout vector."""
-        d, k = self.d, self.n * matcalc.half_len(self.r)
-        return (vec[..., :d], vec[..., d:d + k].reshape(vec.shape[:-1] + (self.n, -1)),
-                vec[..., d + k:])
+        d, h = self.d, matcalc.half_len(self.r)
+        k = d + self.n * h
+        return vec[..., :d], vec[..., d:k].reshape(vec.shape[:-1] + (self.n, h)), vec[..., k:]
 
     def __reduce__(self):
         # deepcopy and pickle copy params alone and rebuild the views on the copy
         return VariationalState, (self.n, self.r, self.g, self.params)
 
     # -- C blocks ----------------------------------------------------------
-    @staticmethod
-    def _materialize(cstar, r):
-        return matcalc.unpack_log_diag(cstar, r)
-
-    def c_local(self):
-        return self._materialize(self.cstar_local, self.r)
-
-    def c_global(self):
-        return self._materialize(self.cstar_global, self.g)
+    def _materialize(self):
+        """C's blocks (local (n, r, r), global (g, g)): views of one buffer
+        that C* is scattered into by cstar_layout, exp taken at its diagonal."""
+        layout, k = cstar_layout(self.n, self.r, self.g), self.n * self.r * self.r
+        flat = np.zeros(k + self.g * self.g)
+        flat[layout.offsets] = self.params[self.d:]
+        diag = layout.offsets[layout.diag]
+        flat[diag] = np.exp(flat[diag])
+        return flat[:k].reshape(self.n, self.r, self.r), flat[k:].reshape(self.g, self.g)
 
     def blocks(self):
         """(local C blocks, global C block) at the current parameters; the
         methods below take them to save rebuilding within one step."""
-        return self.c_local(), self.c_global()
+        return self._materialize()
 
     def log_det_c(self):
-        return (self.cstar_local[..., matcalc.diag_positions(self.r)].sum()
-                + self.cstar_global[matcalc.diag_positions(self.g)].sum())
+        """The sum of C*'s log diagonal: the local blocks', then the global's."""
+        logs, nr = self.params[self.d:][cstar_layout(self.n, self.r, self.g).diag], self.n * self.r
+        return logs[:nr].sum() + logs[nr:].sum()
 
     # -- vector <-> blocks ---------------------------------------------------
     def split(self, vec):
@@ -247,21 +274,15 @@ def estimator(state, s, grad_vec, blocks):
     the C blocks. g_mu = grad_vec + C^{-T} s uses the same draw for the
     entropy term, so its noise vanishes at convergence (Roeder, Wu &
     Duvenaud, 2017); the C blocks' part is v(g_mu s') on the block-diagonal
-    support, its diagonal positions times C's diagonal for C*'s log scale.
+    support, one gather through cstar_layout, its diagonal positions times
+    C's diagonal for C*'s log scale.
     """
-    lead = s.shape[:-1]
-    g_mu, g_c = [], []  # the local block, then the global one
-    for grad_part, s_part, cinv_t_s, c in zip(state.split(grad_vec), state.split(s),
-                                              state.cinv_t(s, blocks), blocks):
-        g = grad_part + cinv_t_s
-        outer = g[..., :, None] * s_part[..., None, :]
-        # its diagonal times C's, in place through a strided view: cheaper
-        # per step than matcalc.dweight's product
-        r = c.shape[-1]
-        outer.reshape(outer.shape[:-2] + (r * r,))[..., ::r + 1] *= c.diagonal(0, -2, -1)
-        g_mu.append(g.reshape(lead + (-1,)))
-        g_c.append(matcalc.halfvec(outer).reshape(lead + (-1,)))
-    return np.concatenate(g_mu + g_c, axis=-1)
+    layout, (c_loc, c_glob) = cstar_layout(state.n, state.r, state.g), blocks
+    g = grad_vec + state._join(*state.cinv_t(s, blocks))
+    g_c = g[..., layout.rows] * s[..., layout.cols]
+    g_c[..., layout.diag] *= np.concatenate([c_loc.diagonal(0, -2, -1).T.reshape(-1),
+                                             c_glob.diagonal()])
+    return np.concatenate([g, g_c], axis=-1)
 
 
 class Plateau:
@@ -359,7 +380,7 @@ def step(data, prior, config, state, adam, t, draws, anchor=None, alpha=ADAM_ALP
 def draw_block(data):
     """Draws evaluate takes at once: as many as keep a (block, n, J) float64
     array within DRAW_BLOCK_BYTES, and at least one."""
-    return max(1, DRAW_BLOCK_BYTES // (8 * data.n * data.J))
+    return max(1, DRAW_BLOCK_BYTES // (8 * max(1, data.n * data.J)))
 
 
 def accepted_draws(state, n_draws, seed, lane, chunk, block, evaluate):

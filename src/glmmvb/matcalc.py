@@ -197,12 +197,13 @@ def spd_inv_cholesky(s):
     For r = 2 the factor follows from the entries [[a, b], [b, d]] of S
     without factoring the inverse: l11 = sqrt(d / det), the inverse's first
     pivot, l21 = -b l11 / d = -b / sqrt(d det) and l22 = 1 / sqrt(d), where
-    the inverse's checks hold for S. cholesky(S^{-1}) otherwise.
+    the inverse's checks hold for S. For r = 1 the factor is sqrt(1 / x),
+    which spd_inv's checks keep positive and finite; cholesky(S^{-1}) above.
     """
     s = np.ascontiguousarray(s, dtype=float)
     if s.shape[-1] != 2:
         inv = spd_inv(s)
-        return inv, cholesky(inv)
+        return inv, np.sqrt(inv) if s.shape[-1] == 1 else cholesky(inv)
     inv, b, d = _inv2(s)
     out = np.zeros_like(inv)
     l11 = out[..., 0, 0] = np.sqrt(inv[..., 0, 0])

@@ -52,7 +52,7 @@ def partition(n, V, seed):
 def global_factor(state):
     """Gaussian factor of the global block of a fitted state."""
     _, mu = state.split(state.mu)
-    C = state.c_global()
+    C = state.blocks()[1]
     return GaussianFactor(mu, C @ C.T)
 
 

@@ -6,8 +6,10 @@ exactness oracles); matrix-calculus operators (applied through index
 maps, not materialized matrices), the Cholesky directional derivative, a
 domain-checked digamma, per-subject and per-observation quantities the
 fitted path never forms separately, the variational log density, the
-forward transform b~ = L^{-1}(b - lambda), the L1 and L3 gradient
-estimators that the fit's L2 is compared against, the straightforward a2
+forward transform b~ = L^{-1}(b - lambda), the C blocks, log|C| and L2
+estimator built block by block, as references for the fit's position map
+(engine.cstar_layout), the L1 and L3 gradient estimators that the fit's L2
+is compared against, the straightforward a2
 mode search, the tally of a2 searches from far-off predicted starts, the
 pooled-GLM IRLS under a flat prior, written without the ridge terms, and
 the exact log p(y, theta_G) of the unit-variance Gaussian model.
@@ -223,6 +225,38 @@ def log_q(state, theta):
     u_glob = matcalc.solve_lower(c_glob, z_glob)
     quad = (u_loc * u_loc).sum(axis=(-1, -2)) + (u_glob * u_glob).sum(axis=-1)
     return -state.log_det_c() - 0.5 * quad
+
+
+def c_blocks(state):
+    """(local C blocks, global C block) built block by block: each C*
+    section unpacked by matcalc.unpack_log_diag, the reference for
+    VariationalState.blocks."""
+    return (matcalc.unpack_log_diag(state.cstar_local, state.r),
+            matcalc.unpack_log_diag(state.cstar_global, state.g))
+
+
+def log_det_c(state):
+    """log|C| block by block: the local blocks' log diagonal summed, then
+    the global block's, the reference for VariationalState.log_det_c."""
+    return (state.cstar_local[..., matcalc.diag_positions(state.r)].sum()
+            + state.cstar_global[matcalc.diag_positions(state.g)].sum())
+
+
+def estimator_blockwise(state, s, grad_vec, blocks):
+    """engine.estimator block by block, its reference: per block, g_mu =
+    grad_vec + C^{-T} s, the outer product g_mu s' with its diagonal scaled
+    by C's in place, and its half-vec."""
+    lead = s.shape[:-1]
+    g_mu, g_c = [], []  # the local block, then the global one
+    for grad_part, s_part, cinv_t_s, c in zip(state.split(grad_vec), state.split(s),
+                                              state.cinv_t(s, blocks), blocks):
+        g = grad_part + cinv_t_s
+        outer = g[..., :, None] * s_part[..., None, :]
+        r = c.shape[-1]
+        outer.reshape(outer.shape[:-2] + (r * r,))[..., ::r + 1] *= c.diagonal(0, -2, -1)
+        g_mu.append(g.reshape(lead + (-1,)))
+        g_c.append(matcalc.halfvec(outer).reshape(lead + (-1,)))
+    return np.concatenate(g_mu + g_c, axis=-1)
 
 
 def estimator_l1(state, s, grad_vec, blocks):

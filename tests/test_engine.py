@@ -111,6 +111,41 @@ class TestParamsLayout:
         np.testing.assert_array_equal(state.params, before + updates[0])
 
 
+class TestCstarLayout:
+    """C*'s position map gives the C blocks, log|C| and the estimator with
+    the bytes of the block-by-block references in tests/oracles.py."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(n=st.integers(0, 5), r=st.sampled_from([1, 2, 3]), g=st.integers(1, 9),
+           lead=st.sampled_from([(), (4,)]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_the_blockwise_references(self, n, r, g, lead, seed):
+        rng = np.random.default_rng(seed)
+        state = engine.VariationalState(n, r, g)
+        state.params = rng.standard_normal(state.params.size)
+        blocks = state.blocks()
+        for got, want in zip(blocks, oracles.c_blocks(state)):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(state.log_det_c(), oracles.log_det_c(state))
+        s = rng.standard_normal(lead + (state.d,))
+        grad_vec = rng.standard_normal(lead + (state.d,))
+        np.testing.assert_array_equal(engine.estimator(state, s, grad_vec, blocks),
+                                      oracles.estimator_blockwise(state, s, grad_vec, blocks))
+
+    def test_small_map_by_hand(self):
+        layout = engine.cstar_layout(2, 2, 3)
+        assert engine.cstar_layout(2, 2, 3) is layout
+        # n = 2, r = 2, g = 3: two local half-vecs (0,0), (1,0), (1,1) at
+        # theta~ rows 0-1 and 2-3, then the global half-vec at rows 4-6
+        np.testing.assert_array_equal(layout.rows, [0, 1, 1, 2, 3, 3, 4, 5, 6, 5, 6, 6])
+        np.testing.assert_array_equal(layout.cols, [0, 0, 1, 2, 2, 3, 4, 4, 4, 5, 5, 6])
+        np.testing.assert_array_equal(layout.offsets, [0, 2, 3, 4, 6, 7, 8, 11, 14, 12, 15, 16])
+        # the local diagonals column by column: (0, 0) of both blocks, then (1, 1)
+        np.testing.assert_array_equal(layout.diag, [0, 3, 2, 5, 6, 9, 11])
+        for a in layout:
+            assert not a.flags.writeable
+        assert engine.cstar_layout(0, 2, 1).rows.tolist() == [0]
+
+
 class TestFitConfig:
     @pytest.mark.parametrize("setting", [
         {"final_elbo_draws": -5}, {"final_elbo_draws": 1},
@@ -156,13 +191,13 @@ class TestDrawSample:
         s = rng.standard_normal((N, state.d))
         draws = state.affine(s)
         emp = np.cov(draws.T)
-        C_loc = state.c_local()
+        C_loc, C_glob = state.blocks()
         cov = np.zeros((state.d, state.d))
         nr = state.n * state.r
         for i in range(state.n):
             blk = C_loc[i] @ C_loc[i].T
             cov[i * state.r:(i + 1) * state.r, i * state.r:(i + 1) * state.r] = blk
-        cov[nr:, nr:] = state.c_global() @ state.c_global().T
+        cov[nr:, nr:] = C_glob @ C_glob.T
         var = np.diag(cov)
         se = np.sqrt((np.outer(var, var) + cov ** 2) / N)
         assert np.all(np.abs(emp - cov) < 3 * se + 1e-12)
@@ -185,10 +220,10 @@ class TestLogQ:
         state = small_state(rng)
         nr = state.n * state.r
         C = np.zeros((state.d, state.d))
-        C_loc = state.c_local()
+        C_loc, C_glob = state.blocks()
         for i in range(state.n):
             C[i * state.r:(i + 1) * state.r, i * state.r:(i + 1) * state.r] = C_loc[i]
-        C[nr:, nr:] = state.c_global()
+        C[nr:, nr:] = C_glob
         cov = C @ C.T
         for _ in range(5):
             theta = state.mu + rng.standard_normal(state.d)
@@ -225,10 +260,11 @@ class TestEstimators:
         _, gvl, gvg = state.views(oracles.estimator_l1(state, np.zeros(state.d), g,
                                                        state.blocks()))
         # from C*'s coordinates back to C's
-        gvl, gvg = gvl / matcalc.dweight(state.c_local()), gvg / matcalc.dweight(state.c_global())
-        dl = np.diagonal(state.c_local(), axis1=-2, axis2=-1)
+        c_loc, c_glob = state.blocks()
+        gvl, gvg = gvl / matcalc.dweight(c_loc), gvg / matcalc.dweight(c_glob)
+        dl = np.diagonal(c_loc, axis1=-2, axis2=-1)
         np.testing.assert_allclose(gvl[:, matcalc.diag_positions(state.r)], 1.0 / dl)
-        dg = np.diag(state.c_global())
+        dg = np.diag(c_glob)
         np.testing.assert_allclose(gvg[matcalc.diag_positions(state.g)], 1.0 / dg)
 
     def test_unbiasedness_l1_l2_l3(self, rng):
@@ -350,8 +386,9 @@ class TestStepAndFit:
         draws = engine.LaneStream(cfg.seed, engine.LANE_FIT)
         for t in range(1, 201):
             engine.step(data, prior, cfg, state, adam, t, draws)
-            assert np.all(np.diagonal(state.c_local(), axis1=-2, axis2=-1) > 0)
-            assert np.all(np.diag(state.c_global()) > 0)
+            c_loc, c_glob = state.blocks()
+            assert np.all(np.diagonal(c_loc, axis1=-2, axis2=-1) > 0)
+            assert np.all(np.diag(c_glob) > 0)
 
     def test_micro_model_reaches_exact_elbo(self):
         data, prior = micro_model()
@@ -620,7 +657,7 @@ class TestLaplaceStart:
         hess = np.array([[f(mode + h * (a + b)) - f(mode + h * (a - b))
                           - f(mode - h * (a - b)) + f(mode - h * (a + b)) for b in eye]
                          for a in eye]) / (4 * h * h)
-        c = state.c_global()
+        c = state.blocks()[1]
         np.testing.assert_allclose(np.linalg.inv(c @ c.T), -hess,
                                    atol=1e-4 * np.abs(hess).max())
 
@@ -639,7 +676,7 @@ class TestLaplaceStart:
         a2 = reparam.build_transforms(data, gp, "a2")
         # b = L1 b~ + lambda1 with b~ ~ N(mu_i, C_i C_i') is N(lambda2_i, Lambda2_i)
         mean = np.einsum("nrs,ns->nr", a1.L, state.split(state.mu)[0]) + a1.lam
-        lc = a1.L @ state.c_local()
+        lc = a1.L @ state.blocks()[0]
         for got, want in ((mean, a2.lam), (lc @ np.swapaxes(lc, -1, -2), a2.Lambda)):
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-10 * max(1.0, np.abs(want).max()))

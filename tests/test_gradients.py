@@ -357,7 +357,8 @@ def _count_calls(monkeypatch, owner, name):
 
 class TestEachQuantityOncePerStep:
     """A step computes Omega and dweight(W) once each, for the transforms,
-    the joint, its gradient and the Wishart prior together, and calls no
+    the joint, its gradient and the Wishart prior together, builds the C
+    blocks from C* once (VariationalState._materialize), and calls no
     np.einsum: the step runs on the contraction kernels alone. One warm-up
     step fills the dataset's caches (a1's among them) and gives the a2 step
     its anchor."""
@@ -376,13 +377,14 @@ class TestEachQuantityOncePerStep:
         _, anchor = engine.step(data, prior, cfg, state, adam, 1, draws)
         omega = _count_calls(monkeypatch, model.GlobalParams, "omega_matrix")
         dweight = _count_calls(monkeypatch, matcalc, "dweight")
+        materialize = _count_calls(monkeypatch, engine.VariationalState, "_materialize")
 
         def no_einsum(*args, **kwargs):
             raise AssertionError("np.einsum on the step path")
 
         monkeypatch.setattr(np, "einsum", no_einsum)
         for t in range(2, 5):
-            omega.clear()
-            dweight.clear()
+            for calls in (omega, dweight, materialize):
+                calls.clear()
             _, anchor = engine.step(data, prior, cfg, state, adam, t, draws, anchor)
-            assert (len(omega), len(dweight)) == (1, 1)
+            assert (len(omega), len(dweight), len(materialize)) == (1, 1, 1)

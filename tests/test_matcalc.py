@@ -284,6 +284,20 @@ class TestSmallBlockKernels:
         with pytest.raises(NotPositiveDefiniteError), np.errstate(over="ignore"):
             matcalc.spd_inv(block)
 
+    @pytest.mark.parametrize("x", [0.0, -1.0, 5e-324, np.inf, np.nan],
+                             ids=["zero", "negative", "subnormal", "inf", "nan"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_order_one_inverse_with_factor_checks_once(self, x, batched):
+        # r = 1: spd_inv's checks alone reject every non-positive, non-finite
+        # or overflowing input, and the factor is the inverse's sqrt
+        s = np.array([[[2.0]], [[x]]]) if batched else np.array([[x]])
+        with pytest.raises(NotPositiveDefiniteError, match="^matrix is not positive definite$"), \
+                np.errstate(over="ignore"):
+            matcalc.spd_inv_cholesky(s)
+        good = np.array([[[2.0]], [[1e-300]], [[1e300]]])
+        inv, L = matcalc.spd_inv_cholesky(good)
+        assert L.tobytes() == matcalc.cholesky(inv).tobytes()
+
     def test_symmetric_results(self, rng):
         s = _spd_batch(rng, (6,), 2, 4.0, 0.0)
         s[..., 0, 1] += 1e-13  # symmetric to round-off only

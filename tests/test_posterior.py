@@ -36,6 +36,26 @@ def tiny_global_state(data, mu_global, local_scale=0.4, rng=None):
     return state
 
 
+class TestNoSubjects:
+    """A dataset with no subjects fits on its priors alone, under a1 and a2,
+    and simulates no random effects."""
+
+    @pytest.mark.parametrize("family", [families.POISSON, families.BERNOULLI],
+                             ids=["poisson", "bernoulli"])
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("method", ["a1", "a2"])
+    @pytest.mark.parametrize("wishart", [False, True], ids=["normal_omega", "wishart"])
+    def test_fits_and_simulates(self, family, r, method, wishart):
+        data = model.Dataset(family, np.zeros((0, 1)), np.zeros((0, 1, 2)), np.zeros((0, 1, r)))
+        prior = (random_wishart_prior(np.random.default_rng(r), r) if wishart
+                 else model.normal_omega_prior(r))
+        res = engine.fit(data, prior, method=method, seed=1, max_iter=30, final_elbo_draws=50)
+        assert np.isfinite(res.elbo) and res.n_iter == 30
+        summary = posterior.simulate_b(data, prior, res.state, method, 20, seed=2)
+        assert summary.b_mean.shape == summary.b_sd.shape == (0, r)
+        assert np.all(np.isfinite(summary.global_mean)) and np.all(np.isfinite(summary.scale_mean))
+
+
 class TestSimulateB:
     @pytest.mark.parametrize("n_draws", [0, 1])
     def test_needs_two_draws(self, rng, n_draws):
@@ -93,7 +113,7 @@ class TestSimulateB:
         t = reparam.transform_a1(data, gp)
         mu_loc, _ = state.split(state.mu)
         mean_exact = t.invert(mu_loc)
-        C = state.c_local()
+        C = state.blocks()[0]
         cov_exact = np.einsum("nab,ncb,nxa,nyc->nxy", C, C, t.L, t.L)
         sd_exact = np.sqrt(np.diagonal(cov_exact, axis1=-2, axis2=-1))
         se_mean = sd_exact / np.sqrt(n_draws)
