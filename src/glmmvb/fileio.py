@@ -230,8 +230,8 @@ def read_state(path):
         n, r, g = (int(meta[key]) for key in "nrg")
     except (KeyError, ValueError) as err:
         raise ParseError(i + 1, f"header above needs integer n, r and g ({err})") from None
-    if min(n, r, g) < 1:
-        raise ParseError(i + 1, "n, r and g must be positive")
+    if n < 0 or min(r, g) < 1:
+        raise ParseError(i + 1, "n must be non-negative, r and g positive")
     state = VariationalState(n, r, g)
     for name in STATE_SECTIONS:
         if i >= len(lines) or lines[i] != f"section,{name}":

@@ -239,8 +239,9 @@ class _ObsMajor:
     columns (..., r(r+1)/2, n) (matcalc.sym_blocks). The subjects lie along
     the last axis, so elementwise work and every sum over a subject's
     observations (over axis -2) run inner loops of length n, for one draw
-    and for a block of draws alike. There is no mask: Dataset zeroes the
-    padded cells' y, X and Z.
+    and for a block of draws alike (zt and zwz pick their form by v.ndim,
+    see _contract). There is no mask: Dataset zeroes the padded cells' y,
+    X and Z.
     """
 
     def __init__(self, data):
@@ -272,8 +273,12 @@ class _ObsMajor:
 
     def _contract(self, A, v):
         """sum_j A_kj v_j per subject for each A_k of A (K, J, n), (..., K, n),
-        for v (..., J, n): per k one product into a (..., J, n) temporary,
-        summed over the observations into row k of the output."""
+        for v (..., J, n). One draw: one broadcast product and one sum. A
+        block: per k one product into one (..., J, n) temporary, summed into
+        row k, so it never holds K copies of its draws. Each k slice is
+        summed by the same product, so a draw's row has the same bytes."""
+        if v.ndim == 2:
+            return self.sum_obs(A * v)
         out = np.empty(v.shape[:-2] + (len(A), A.shape[-1]))
         tmp = np.empty(v.shape)
         for k, a in enumerate(A):
@@ -393,6 +398,9 @@ class WishartPrior:
         _check_sigma_beta2(self.sigma_beta2)
         self.S = np.atleast_2d(np.asarray(self.S, dtype=float))
         matcalc.cholesky(self.S)  # must be SPD
+        # spd_inv reads an asymmetric S one way at r = 2 and another at r >= 3
+        if np.abs(self.S - self.S.T).max() > 16 * np.finfo(float).eps * np.abs(self.S).max():
+            raise ConfigError("Wishart scale matrix S must be symmetric")
         self.S_inv = matcalc.spd_inv(self.S)
         r = self.S.shape[0]
         if not (math.isfinite(self.nu) and self.nu > r - 1):

@@ -241,6 +241,18 @@ class TestPriorFile:
                 "--out", str(tmp_path / "o")]
         assert run_cli(args) == 0
 
+    def test_asymmetric_scale_is_a_configuration_error(self, tmp_path):
+        # S positive definite but mistyped below the diagonal
+        p = tmp_path / "w.csv"
+        p.write_text("nu,3\nS,2,0.5\nS,0,2\n")
+        with pytest.raises(ConfigError, match="symmetric"):
+            fileio.read_prior_file(str(p), 2)
+        args = ["--data", datasets.fixture_path("epilepsy.csv"), "--family", "poisson",
+                "--group-col", "subject", "--response-col", "y", "--fixed", "lbase,visit_code",
+                "--random", "visit_code", "--prior", "file", "--prior-file", str(p),
+                "--max-iter", "50", "--out", str(tmp_path / "o")]
+        assert run_cli(args) == 2
+
     @pytest.mark.parametrize("text", ["nu,3\nS,1,0\n",
                                       "type,normal-omega\nmean,0,0\nsd,1\n",
                                       "type,normal-omega\nmean,0\nsd,1,1,1\n"])
@@ -377,16 +389,17 @@ class TestStateFile:
             fileio.read_state(path)
         assert info.value.line == line
 
-    # the header of a valid n = 2, r = 2, g = 3 file with one size set below one
-    @pytest.mark.parametrize("line,value", [(2, "n,0"), (3, "r,0"), (4, "g,-1")],
+    # the header of a valid n = 2, r = 2, g = 3 file with n set below zero or
+    # r or g below one
+    @pytest.mark.parametrize("line,value", [(2, "n,-1"), (3, "r,0"), (4, "g,-1")],
                              ids=["n", "r", "g"])
-    def test_sizes_below_one_are_parse_errors(self, tmp_path, line, value):
+    def test_sizes_out_of_range_are_parse_errors(self, tmp_path, line, value):
         path = tmp_path / "state.txt"
         fileio.write_state(path, engine.VariationalState.initial(2, 2, 3), "a1", "poisson", 3)
         lines = path.read_text().splitlines()
         lines[line - 1] = value
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match="n, r and g must be positive") as info:
+        with pytest.raises(ParseError, match="n must be non-negative, r and g positive") as info:
             fileio.read_state(path)
         assert info.value.line == 8  # the first section line, below the header
 

@@ -62,7 +62,7 @@ def _operands(rng, specs, lead):
 
 class TestKernels:
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(n=st.integers(1, 6), J=st.integers(1, 5), p=st.integers(1, 5),
+    @given(n=st.integers(0, 6), J=st.integers(1, 5), p=st.integers(1, 5),
            r=st.sampled_from([1, 2, 3]), lead=st.sampled_from([(), (3,), (2, 3)]),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_match_einsum_and_do_not_depend_on_the_block(self, n, J, p, r, lead, seed):
@@ -83,6 +83,24 @@ class TestKernels:
             for k in np.ndindex(lead):
                 row = kernel(*[op[k][None] if b else op for op, b in zip(ops, batched)])[0]
                 assert row.tobytes() == np.ascontiguousarray(got[k]).tobytes(), (name, k)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_one_draws_contractions_make_no_temporary_per_component(self, rng, monkeypatch, r):
+        # one draw's zt and zwz are one broadcast product and one sum each;
+        # a block keeps its per-component loop, and the one-draw result is
+        # the bytes of the block's row
+        data = random_dataset(rng, families.POISSON, r=r, n=5, p=2)
+        obs = data._obs_major()
+        v = rng.standard_normal((3, data.J, data.n))
+        want = [obs.zt(v), obs.zwz(v)]
+
+        def no_empty(*args, **kw):
+            raise AssertionError("np.empty called")
+
+        monkeypatch.setattr(np, "empty", no_empty)
+        for k in range(len(v)):
+            assert obs.zt(v[k]).tobytes() == want[0][k].tobytes()
+            assert obs.zwz(v[k]).tobytes() == want[1][k].tobytes()
 
     def test_observation_major_arrays_are_the_datasets(self, rng):
         data = random_dataset(rng, families.BINOMIAL, r=3, n=5, p=2)

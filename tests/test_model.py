@@ -382,6 +382,7 @@ class TestPooledGlmAndDefaultPrior:
         assert abs(rate - 0.0151) < 0.0005
 
     def test_epilepsy_model_ii_prior(self):
+        # its S is asymmetric in the last bit, within WishartPrior's symmetry check
         pr = model.default_prior(datasets.epilepsy_dataset("II"))
         assert pr.nu == 3.0
         assert abs(pr.S[0, 0] - 11.0169) < 0.01
@@ -521,6 +522,18 @@ class TestPriorSettings:
         with pytest.raises(ConfigError, match="omega prior"):
             model.NormalOmegaPrior(1.0, np.array([0.0, mean]), np.array([1.0, sd]))
         model.NormalOmegaPrior(1.0, np.array([0.0, 0.0]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_wishart_scale_must_be_symmetric(self, r):
+        # an asymmetric S was read as inv(sym(S)) at r = 2 but as sym(inv(S))
+        # at r = 3; SPD otherwise, so only the symmetry check rejects it
+        S = 2.0 * np.eye(r)
+        S[0, 1] = 0.5
+        with pytest.raises(ConfigError, match="symmetric"):
+            model.WishartPrior(1.0, float(r + 1), S)
+        # asymmetry within round-off, as default_prior's products leave, is accepted
+        S[1, 0] = np.nextafter(0.5, 1.0)
+        model.WishartPrior(1.0, float(r + 1), S)
 
     def test_normal_omega_sd_squared_must_not_underflow(self):
         smallest = 2.0 ** -511  # its square is the smallest normal number

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glmmvb import (datasets, engine, families, matcalc, model, posterior, recombine, reparam,
-                    simulate)
+from glmmvb import (datasets, engine, families, fileio, matcalc, model, posterior, recombine,
+                    reparam, simulate)
 from glmmvb.exceptions import (
     ConfigError,
     ModeSearchFailedError,
@@ -54,6 +54,23 @@ class TestNoSubjects:
         summary = posterior.simulate_b(data, prior, res.state, method, 20, seed=2)
         assert summary.b_mean.shape == summary.b_sd.shape == (0, r)
         assert np.all(np.isfinite(summary.global_mean)) and np.all(np.isfinite(summary.scale_mean))
+
+    @pytest.mark.parametrize("method", ["a1", "a2"])
+    def test_state_file_round_trips(self, tmp_path, method):
+        # write_state writes n = 0; read_state reads it back bit for bit, and
+        # the state read simulates as the state fitted did
+        data = model.Dataset(families.POISSON, np.zeros((0, 1)), np.zeros((0, 1, 2)),
+                             np.zeros((0, 1, 2)))
+        prior = model.normal_omega_prior(data.r)
+        res = engine.fit(data, prior, method=method, seed=1, max_iter=30, final_elbo_draws=0)
+        path = tmp_path / "state.txt"
+        fileio.write_state(path, res.state, method, "poisson", 1)
+        back, meta = fileio.read_state(path)
+        assert (back.n, back.r, back.g, meta["method"]) == (0, 2, 5, method)
+        assert back.params.tobytes() == res.state.params.tobytes()
+        sims = [posterior.simulate_b(data, prior, s, method, 20, seed=2) for s in (res.state, back)]
+        for name in ("global_mean", "global_sd", "scale_mean", "scale_sd"):
+            assert getattr(sims[0], name).tobytes() == getattr(sims[1], name).tobytes(), name
 
 
 class TestSimulateB:
