@@ -31,8 +31,13 @@ LANE_POSTERIOR = 4  # posterior.simulate_b, one t per chunk
 
 ELBO_CHUNK = 250  # draws per chunk of the final ELBO
 # bytes of one (block, n, J) float64 array, for the blocks of draws that
-# evaluate takes at once (draw_block): 2^16 elements, 512 KB
+# evaluate takes at once (draw_block): 2^16 elements, 512 KB. An a2 block
+# holds at most A2_DRAW_BLOCK draws: its mode search keeps about ten such
+# arrays live, and at 277 draws of epilepsy II (~5 MB) glibc hands their
+# pages back between Newton iterations, to fault them in again. a1 forms
+# none in simulate_b and is dispatch-bound, so it keeps the byte budget alone
 DRAW_BLOCK_BYTES = 2 ** 19
+A2_DRAW_BLOCK = 128
 REJECTION_WARN_FRACTION = 0.01  # warn when more of the draws over q are rejected
 ADAM_ALPHA = 1e-3  # Adam's step size, decay rates and guard (Kingma & Ba, 2015)
 ADAM_BETA1 = 0.9
@@ -371,16 +376,18 @@ def step(data, prior, config, state, adam, t, draws, anchor=None, alpha=ADAM_ALP
 
     # omega's block is last, and d leaves it out when the prior fixes omega
     update = adam.ascent_step(estimator(state, s, grad[:state.d], blocks), alpha)
-    if not np.isfinite(update).all():
+    if np.count_nonzero(np.isfinite(update)) != update.size:
         raise DivergedError(f"iteration {t}: non-finite parameter update")
     state.params += update
     return elbo, transforms
 
 
-def draw_block(data):
+def draw_block(data, method):
     """Draws evaluate takes at once: as many as keep a (block, n, J) float64
-    array within DRAW_BLOCK_BYTES, and at least one."""
-    return max(1, DRAW_BLOCK_BYTES // (8 * max(1, data.n * data.J)))
+    array within DRAW_BLOCK_BYTES, and at least one; under a2 at most
+    A2_DRAW_BLOCK, whose mode search holds about ten such arrays."""
+    block = max(1, DRAW_BLOCK_BYTES // (8 * max(1, data.n * data.J)))
+    return min(block, A2_DRAW_BLOCK) if method == "a2" else block
 
 
 def accepted_draws(state, n_draws, seed, lane, chunk, block, evaluate):
@@ -452,7 +459,7 @@ def elbo_estimate(data, prior, state, method, n_draws, seed):
         return (value + logdet + 0.5 * (s * s).sum(axis=-1),)
 
     chunks = list(accepted_draws(state, n_draws, seed, LANE_FINAL, ELBO_CHUNK,
-                                 draw_block(data), evaluate))
+                                 draw_block(data, method), evaluate))
     vals = np.concatenate([out[0] for out, _ in chunks])
     mean, sd = scaled_moments(vals)
     return float(mean), float(sd / np.sqrt(len(vals))), chunks[-1][1]

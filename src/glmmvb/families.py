@@ -95,7 +95,7 @@ class Poisson(Family):
     eta_max = POISSON_ETA_MAX
 
     def derivs(self, eta, trials, k):
-        if np.greater(eta, self.eta_max).any():
+        if np.count_nonzero(np.greater(eta, self.eta_max)):
             raise OverflowGuardError("poisson linear predictor exceeded guard")
         return (np.exp(eta),) * (k + 1)
 

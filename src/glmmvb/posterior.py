@@ -44,18 +44,19 @@ def _scale_names(r):
     return [f"sigma{k + 1}" for k in range(r)] + (["rho"] if r == 2 else [])
 
 
-def _scales_from_omega(omega, r):
-    """Per-draw derived scale parameters from omega draws (B, g2)."""
-    gp = model.GlobalParams(np.zeros(omega.shape[:-1] + (0,)), omega, r)
-    cov = matcalc.spd_inv(gp.omega_matrix())
+def _scales(gp):
+    """Per-draw derived scale parameters (B, len(_scale_names)) from the
+    cached Omega of gp, GlobalParams of B draws."""
+    r = gp.r
+    cov = matcalc.spd_inv(gp.Omega)
     idx = np.arange(r)
     sig = np.sqrt(cov[..., idx, idx])
     if r == 1:
-        return _scale_names(r), sig
+        return sig
     cols = [sig[..., k] for k in range(r)]
     if r == 2:
         cols.append(cov[..., 0, 1] / (sig[..., 0] * sig[..., 1]))
-    return _scale_names(r), np.stack(cols, axis=-1)
+    return np.stack(cols, axis=-1)
 
 
 def factor_scales(factor, p, r, n_draws, seed):
@@ -67,8 +68,8 @@ def factor_scales(factor, p, r, n_draws, seed):
     rng = engine.stream(seed, engine.LANE_SIM, 1)
     L = matcalc.cholesky(factor.cov)
     draws = factor.mean + rng.standard_normal((n_draws, factor.mean.size)) @ L.T
-    names, scales = _scales_from_omega(draws[:, p:], r)
-    return (names, *engine.scaled_moments(scales))
+    gp = model.GlobalParams(draws[:, :p], draws[:, p:], r)
+    return (_scale_names(r), *engine.scaled_moments(_scales(gp)))
 
 
 def _draw_transforms(data, prior, state, method, s, anchor):
@@ -76,7 +77,7 @@ def _draw_transforms(data, prior, state, method, s, anchor):
     from each drawn theta_G and anchor (engine.draw, engine.mean_anchor),
     and b = L b~ + lambda."""
     b_tilde, transforms = engine.draw(data, prior, state, method, s, anchor)
-    return transforms.invert(b_tilde), _scales_from_omega(transforms.gp.omega, data.r)[1]
+    return transforms.invert(b_tilde), _scales(transforms.gp)
 
 
 def simulate_b(data, prior, state, method, n_draws, seed):
@@ -88,7 +89,7 @@ def simulate_b(data, prior, state, method, n_draws, seed):
     scale_chunks = []
     anchor = engine.mean_anchor(data, prior, state, method)
     chunks = engine.accepted_draws(
-        state, n_draws, seed, engine.LANE_POSTERIOR, SIM_CHUNK, engine.draw_block(data),
+        state, n_draws, seed, engine.LANE_POSTERIOR, SIM_CHUNK, engine.draw_block(data, method),
         lambda s: _draw_transforms(data, prior, state, method, s, anchor))
     for (b, scales), rejected in chunks:
         b_sum += b.sum(axis=0)

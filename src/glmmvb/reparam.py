@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcalc
-from .exceptions import RECOVERABLE, ConfigError, ModeSearchFailedError
+from .exceptions import RECOVERABLE, ConfigError, ModeSearchFailedError, OverflowGuardError
 
 NR_MAX_ITER = 100
 NR_TOL = 1e-11
@@ -147,10 +147,11 @@ def transform_a2(data, gp, start=None):
     next point, with its eta, Omega b, h' and h'' for the next gradient and
     precision; the last point's eta is the expansion point and h'' there
     the weight (Transforms.weight). No step reads the mask: Dataset zeroes
-    padded y, X and Z (_conditional_objective). Where eta_max is finite, a
-    candidate whose linear predictor exceeds it is a failed ascent, halved
-    and evaluated meanwhile at its subject's current eta, so the family
-    never sees it; a start beyond eta_max raises OverflowGuardError.
+    padded y, X and Z (_conditional_objective). A candidate whose linear
+    predictor exceeds the family's eta_max, which the family's one scan
+    reports by raising OverflowGuardError, is a failed ascent: halved, and
+    evaluated meanwhile at its subject's current eta; a start beyond
+    eta_max raises OverflowGuardError.
 
     A block of draws (one leading axis) drops its finished rows: once at
     most NR_GATHER of the rows it searches have an active subject, the
@@ -162,7 +163,6 @@ def transform_a2(data, gp, start=None):
     obs = data._obs_major()
     Omega = gp.Omega
     Om_h = matcalc.halfvec(Omega)[..., None]
-    eta_max = data.family.eta_max
     Xbeta = obs.xbeta(gp.beta)
     b = (transform_a1(data, gp).lam if start is None else start).swapaxes(-1, -2)
     f, h1, h2, eta, Om_b = _evaluate(data, obs, Xbeta, Omega, b)
@@ -179,7 +179,7 @@ def transform_a2(data, gp, start=None):
         if not n_active:
             break
         step = matcalc.spd_solve(P, grad)
-        if not np.isfinite(step).all():
+        if np.count_nonzero(np.isfinite(step)) != step.size:
             raise ModeSearchFailedError("non-finite Newton step")
         if b.ndim == 3:  # a block of draws: its finished rows leave the search
             live = active.any(axis=-1)
@@ -200,10 +200,12 @@ def transform_a2(data, gp, start=None):
             cand = b + t[..., None, :] * step
             eta_new = obs.eta(Xbeta, cand)
             over = None
-            if eta_max < np.inf and np.count_nonzero(eta_new > eta_max):
-                over = (eta_new > eta_max).any(axis=-2)
+            try:
+                f_new, h1, h2, eta_new, Om_new = _evaluate(data, obs, Xbeta, Omega, cand, eta_new)
+            except OverflowGuardError:  # the family's guard: some eta_new > eta_max
+                over = (eta_new > data.family.eta_max).any(axis=-2)
                 eta_new = np.where(over[..., None, :], eta, eta_new)
-            f_new, h1, h2, eta_new, Om_new = _evaluate(data, obs, Xbeta, Omega, cand, eta_new)
+                f_new, h1, h2, eta_new, Om_new = _evaluate(data, obs, Xbeta, Omega, cand, eta_new)
             bad = f_new < floor
             bad &= active
             if over is not None:  # only where active: b itself is within eta_max

@@ -82,6 +82,25 @@ class TestVecOperators:
             oracles.dup_apply(np.zeros(4), 2)
 
 
+class TestRequire:
+    """matcalc._require holds where ok.all() does: empty and 0-d inputs
+    included, and a NaN compared is not ok."""
+
+    @pytest.mark.parametrize("ok", [np.ones(0, bool), np.ones((2, 0), bool), np.bool_(True),
+                                    np.array(True), np.ones((3, 2), bool)],
+                             ids=["empty", "empty-2d", "scalar", "0-d", "2d"])
+    def test_passes_when_ok_holds_everywhere(self, ok):
+        matcalc._require(ok)
+
+    @pytest.mark.parametrize("ok", [np.bool_(False), np.array(False),
+                                    np.array([[True, True], [True, False]]),
+                                    np.array([1.0, np.nan]) > 0, np.isfinite([np.nan])],
+                             ids=["scalar", "0-d", "2d", "nan-compared", "nan-finite"])
+    def test_raises_when_ok_fails_anywhere(self, ok):
+        with pytest.raises(NotPositiveDefiniteError):
+            matcalc._require(ok)
+
+
 class TestDiagonalOperators:
     def test_dg(self):
         np.testing.assert_array_equal(oracles.dg([[1.0, 2.0], [3.0, 4.0]]),

@@ -226,8 +226,10 @@ class TestSimulateB:
 
 
 def _blocks_of(data, block):
-    """engine.DRAW_BLOCK_BYTES patched so that draw_block(data) is block."""
-    return mock.patch.object(engine, "DRAW_BLOCK_BYTES", 8 * data.n * data.J * block)
+    """engine.DRAW_BLOCK_BYTES and A2_DRAW_BLOCK patched so that
+    draw_block(data, method) is block under both methods."""
+    return mock.patch.multiple(engine, DRAW_BLOCK_BYTES=8 * data.n * data.J * block,
+                               A2_DRAW_BLOCK=block)
 
 
 UNBOUNDED = 10 ** 9  # more draws than any chunk
@@ -261,7 +263,7 @@ class TestDrawBlocks:
             want = self._results(data, prior, state, method, n_draws, seed)
         for block in (1, 3, 7):
             with _blocks_of(data, block):
-                assert engine.draw_block(data) == block
+                assert engine.draw_block(data, method) == block
                 got = self._results(data, prior, state, method, n_draws, seed)
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
@@ -297,6 +299,15 @@ class TestDrawBlocks:
                                           getattr(runs[UNBOUNDED], field))
         assert runs[block].n_rejected == 1
 
+    def test_a2_blocks_hold_at_most_A2_DRAW_BLOCK_draws(self):
+        # epilepsy II (n J = 236): 277 draws fill DRAW_BLOCK_BYTES, an a2
+        # block holds 128; an n = 500 design's 18 draws are below the cap
+        epilepsy = datasets.epilepsy_dataset("II")
+        assert engine.draw_block(epilepsy, "a1") == 277
+        assert engine.draw_block(epilepsy, "a2") == engine.A2_DRAW_BLOCK == 128
+        large = simulate.simulate_dataset("bernoulli-i", seed=202)[0]
+        assert engine.draw_block(large, "a2") == engine.draw_block(large, "a1") == 18
+
     def test_epilepsy_a2_simulation_memory(self):
         # 2,000 draws of epilepsy II (n J = 236) under a2: unsplit, the mode
         # search held about 39 MB of (2000, 59, 4) temporaries
@@ -309,10 +320,10 @@ class TestDrawBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * 2 ** 20
+        assert peak <= 10 * 2 ** 20
 
     def test_epilepsy_a2_block_drops_its_finished_draws(self, monkeypatch):
-        # one 250-draw block of the final ELBO at the default fit's state:
+        # the final ELBO's first 250 draws at the default fit's state, as one block:
         # searched row by row to the end, its mode search evaluates 5 points
         # of each draw (1,250 rows); once at most half the draws have an
         # active subject it goes on with those alone (19 here: 1,019 rows)
@@ -370,9 +381,9 @@ class TestMeanAnchor:
 class TestScaleMapping:
     def test_r2_roundtrip(self, rng):
         omega = 0.7 * rng.standard_normal((50, 3))
-        names, scales = posterior._scales_from_omega(omega, 2)
-        assert names == ["sigma1", "sigma2", "rho"]
         gp = model.GlobalParams(np.zeros((50, 0)), omega, 2)
+        scales = posterior._scales(gp)
+        assert posterior._scale_names(2) == ["sigma1", "sigma2", "rho"]
         cov = np.linalg.inv(gp.omega_matrix())
         s1, s2, rho = scales[:, 0], scales[:, 1], scales[:, 2]
         rebuilt = np.empty_like(cov)
@@ -384,7 +395,7 @@ class TestScaleMapping:
 
     def test_r1_is_inverse_cholesky(self, rng):
         omega = rng.standard_normal((20, 1))
-        names, scales = posterior._scales_from_omega(omega, 1)
+        scales = posterior._scales(model.GlobalParams(np.zeros((20, 0)), omega, 1))
         np.testing.assert_allclose(scales[:, 0], np.exp(-omega[:, 0]), rtol=1e-12)
 
 
@@ -395,7 +406,7 @@ class TestFactorScales:
         names, means, sds = posterior.factor_scales(factor, 2, 1, 50, seed=3)
         draws = (factor.mean + engine.stream(3, engine.LANE_SIM, 1).standard_normal((50, 3))
                  @ np.linalg.cholesky(cov).T)
-        want = posterior._scales_from_omega(draws[:, 2:], 1)[1]
+        want = posterior._scales(model.GlobalParams(draws[:, :2], draws[:, 2:], 1))
         np.testing.assert_array_equal(means, want.mean(axis=0))
         np.testing.assert_array_equal(sds, want.std(axis=0, ddof=1))
 

@@ -425,6 +425,33 @@ class TestModePredictor:
             want = reparam.transform_a2(data, gp)
             np.testing.assert_allclose(got.lam, want.lam, rtol=0, atol=REFERENCE_TOL)
 
+    def test_overflowing_candidate_in_a_block_is_halved_in_its_row(self, monkeypatch):
+        # seed 102's draws 2-4 on one dataset, draw 3's candidate overflowing
+        # (CANDIDATE_OVERFLOWS): searched as one block, each row is the search
+        # of its draw alone, byte for byte
+        cases = [oracles.far_prediction(102, draw, 3.0, scale=2.0) for draw in (2, 3, 4)]
+        data = cases[0][0]
+        starts = [reparam.predict_modes(data, anchor, gp) for _, gp, anchor in cases]
+        block = model.GlobalParams(np.stack([gp.beta for _, gp, _ in cases]),
+                                   np.stack([gp.omega for _, gp, _ in cases]), 2)
+        raised, derivs = [], families.Poisson.derivs
+
+        def spy(self, eta, trials, k):
+            try:
+                return derivs(self, eta, trials, k)
+            except OverflowGuardError:
+                raised.append(eta.shape[:-2])
+                raise
+
+        monkeypatch.setattr(families.Poisson, "derivs", spy)
+        with np.errstate(all="ignore"):
+            got = reparam.transform_a2(data, block, np.stack(starts))
+            assert len(raised) == 1 and len(raised[0]) == 1  # a block's candidate
+            for k, ((_, gp, _), start) in enumerate(zip(cases, starts)):
+                want = reparam.transform_a2(data, gp, start)
+                for field in ("lam", "L", "Lambda", "base_eta", "weight"):
+                    np.testing.assert_array_equal(getattr(got, field)[k], getattr(want, field))
+
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "batch"])
     def test_weight_is_h2_at_the_modes_draw_by_draw(self, rng, lead):
         data = random_dataset(rng, families.BINOMIAL, r=2, n=4, p=2)
