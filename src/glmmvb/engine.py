@@ -31,13 +31,17 @@ LANE_POSTERIOR = 4  # posterior.simulate_b, one t per chunk
 
 ELBO_CHUNK = 250  # draws per chunk of the final ELBO
 # bytes of one (block, n, J) float64 array, for the blocks of draws that
-# evaluate takes at once (draw_block): 2^16 elements, 512 KB. An a2 block
-# holds at most A2_DRAW_BLOCK draws: its mode search keeps about ten such
-# arrays live, and at 277 draws of epilepsy II (~5 MB) glibc hands their
-# pages back between Newton iterations, to fault them in again. a1 forms
-# none in simulate_b and is dispatch-bound, so it keeps the byte budget alone
+# evaluate takes at once (draw_block): 2^16 elements, 512 KB. The a2 mode
+# search keeps about ten such arrays live; at 277 draws of epilepsy (~5 MB)
+# glibc hands their pages back between Newton iterations, to fault them in
+# again. So an a2 block holds at most A2_DRAW_BLOCK draws, or as many as fit
+# A2_DRAW_BLOCK_BYTES where that is more: each block pays the Newton loop's
+# numpy calls, which outweigh the faults below 128 draws, and at seeds'
+# n J = 21 128 draws make 21 KB arrays. a1 forms none in simulate_b and
+# keeps the budget alone
 DRAW_BLOCK_BYTES = 2 ** 19
 A2_DRAW_BLOCK = 128
+A2_DRAW_BLOCK_BYTES = 2 ** 17
 REJECTION_WARN_FRACTION = 0.01  # warn when more of the draws over q are rejected
 ADAM_ALPHA = 1e-3  # Adam's step size, decay rates and guard (Kingma & Ba, 2015)
 ADAM_BETA1 = 0.9
@@ -384,10 +388,14 @@ def step(data, prior, config, state, adam, t, draws, anchor=None, alpha=ADAM_ALP
 
 def draw_block(data, method):
     """Draws evaluate takes at once: as many as keep a (block, n, J) float64
-    array within DRAW_BLOCK_BYTES, and at least one; under a2 at most
-    A2_DRAW_BLOCK, whose mode search holds about ten such arrays."""
-    block = max(1, DRAW_BLOCK_BYTES // (8 * max(1, data.n * data.J)))
-    return min(block, A2_DRAW_BLOCK) if method == "a2" else block
+    array within DRAW_BLOCK_BYTES, and at least one; under a2, whose mode
+    search holds about ten such arrays, at most the larger of A2_DRAW_BLOCK
+    and the draws within A2_DRAW_BLOCK_BYTES."""
+    per_draw = 8 * max(1, data.n * data.J)
+    block = max(1, DRAW_BLOCK_BYTES // per_draw)
+    if method == "a2":
+        block = min(block, max(A2_DRAW_BLOCK, A2_DRAW_BLOCK_BYTES // per_draw))
+    return block
 
 
 def accepted_draws(state, n_draws, seed, lane, chunk, block, evaluate):

@@ -226,10 +226,11 @@ class TestSimulateB:
 
 
 def _blocks_of(data, block):
-    """engine.DRAW_BLOCK_BYTES and A2_DRAW_BLOCK patched so that
-    draw_block(data, method) is block under both methods."""
-    return mock.patch.multiple(engine, DRAW_BLOCK_BYTES=8 * data.n * data.J * block,
-                               A2_DRAW_BLOCK=block)
+    """engine.DRAW_BLOCK_BYTES, A2_DRAW_BLOCK and A2_DRAW_BLOCK_BYTES patched
+    so that draw_block(data, method) is block under both methods."""
+    budget = 8 * data.n * data.J * block
+    return mock.patch.multiple(engine, DRAW_BLOCK_BYTES=budget, A2_DRAW_BLOCK=block,
+                               A2_DRAW_BLOCK_BYTES=budget)
 
 
 UNBOUNDED = 10 ** 9  # more draws than any chunk
@@ -299,12 +300,17 @@ class TestDrawBlocks:
                                           getattr(runs[UNBOUNDED], field))
         assert runs[block].n_rejected == 1
 
-    def test_a2_blocks_hold_at_most_A2_DRAW_BLOCK_draws(self):
+    def test_a2_blocks_are_capped_by_draws_or_bytes(self):
         # epilepsy II (n J = 236): 277 draws fill DRAW_BLOCK_BYTES, an a2
-        # block holds 128; an n = 500 design's 18 draws are below the cap
+        # block holds A2_DRAW_BLOCK = 128; seeds (n J = 21): 3,120 draws,
+        # under a2 the 780 that fill A2_DRAW_BLOCK_BYTES; an n = 500
+        # design's 18 draws are below both caps
         epilepsy = datasets.epilepsy_dataset("II")
         assert engine.draw_block(epilepsy, "a1") == 277
         assert engine.draw_block(epilepsy, "a2") == engine.A2_DRAW_BLOCK == 128
+        seeds = datasets.seeds_dataset()
+        assert engine.draw_block(seeds, "a1") == 3120
+        assert engine.draw_block(seeds, "a2") == engine.A2_DRAW_BLOCK_BYTES // (8 * 21) == 780
         large = simulate.simulate_dataset("bernoulli-i", seed=202)[0]
         assert engine.draw_block(large, "a2") == engine.draw_block(large, "a1") == 18
 
