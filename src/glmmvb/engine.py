@@ -27,9 +27,8 @@ LANE_FIT = 0
 LANE_FINAL = 1
 LANE_SIM = 2  # simulate_dataset (t = 0) and posterior.factor_scales (t = 1)
 LANE_PART = 3
-LANE_POSTERIOR = 4  # posterior.simulate_b, one t per chunk
+LANE_POSTERIOR = 4  # posterior.simulate_b (t = 0)
 
-ELBO_CHUNK = 250  # draws per chunk of the final ELBO
 # bytes of one (block, n, J) float64 array, for the blocks of draws that
 # evaluate takes at once (draw_block): 2^16 elements, 512 KB. The a2 mode
 # search keeps about ten such arrays live; at 277 draws of epilepsy (~5 MB)
@@ -40,6 +39,7 @@ ELBO_CHUNK = 250  # draws per chunk of the final ELBO
 # n J = 21 128 draws make 21 KB arrays. a1 forms none in simulate_b and
 # keeps the budget alone
 DRAW_BLOCK_BYTES = 2 ** 19
+MAX_DRAW_BLOCK = 2000  # no block holds more draws: a small design's draws and b stay small
 A2_DRAW_BLOCK = 128
 A2_DRAW_BLOCK_BYTES = 2 ** 17
 REJECTION_WARN_FRACTION = 0.01  # warn when more of the draws over q are rejected
@@ -388,47 +388,48 @@ def step(data, prior, config, state, adam, t, draws, anchor=None, alpha=ADAM_ALP
 
 def draw_block(data, method):
     """Draws evaluate takes at once: as many as keep a (block, n, J) float64
-    array within DRAW_BLOCK_BYTES, and at least one; under a2, whose mode
-    search holds about ten such arrays, at most the larger of A2_DRAW_BLOCK
-    and the draws within A2_DRAW_BLOCK_BYTES."""
+    array within DRAW_BLOCK_BYTES, at least one and at most MAX_DRAW_BLOCK;
+    under a2, whose mode search holds about ten such arrays, at most the
+    larger of A2_DRAW_BLOCK and the draws within A2_DRAW_BLOCK_BYTES."""
     per_draw = 8 * max(1, data.n * data.J)
-    block = max(1, DRAW_BLOCK_BYTES // per_draw)
+    block = min(MAX_DRAW_BLOCK, max(1, DRAW_BLOCK_BYTES // per_draw))
     if method == "a2":
         block = min(block, max(A2_DRAW_BLOCK, A2_DRAW_BLOCK_BYTES // per_draw))
     return block
 
 
-def accepted_draws(state, n_draws, seed, lane, chunk, block, evaluate):
-    """Monte Carlo over q: evaluate(s) on chunks of standard normal draws
-    until n_draws draws are accepted.
+def check_draws(n_draws):
+    """Raise ConfigError unless n_draws is an integer >= 2, which an sd needs."""
+    if not isinstance(n_draws, numbers.Integral) or isinstance(n_draws, bool) or n_draws < 2:
+        raise ConfigError(f"n_draws must be an integer >= 2, got {n_draws!r}")
 
-    Chunk k holds min(chunk, draws still wanted) rows of stream(seed, lane,
-    k). evaluate maps a (B, d) block of at most `block` of a chunk's rows to
-    a tuple of arrays with B leading rows; a chunk's results are its blocks'
-    concatenated. When a block raises a recoverable error, that block is
-    evaluated again one draw at a time and the draws that raise are
-    rejected. Yields (results, draws rejected so far) per chunk with
-    accepted draws. n_draws must be at least 2, which a standard error needs.
-    """
-    if n_draws < 2:
-        raise ConfigError("n_draws must be >= 2")
-    done = rejected = k = 0
+
+def accepted_draws(state, n_draws, seed, lane, block, evaluate):
+    """Monte Carlo over q: evaluate(s) on blocks of the rows of stream(seed,
+    lane, 0), standard normal draws taken in order, until n_draws
+    (check_draws) are accepted.
+
+    A block holds min(block, draws still wanted) rows, which evaluate maps
+    to a tuple of arrays with a leading row per draw; when it raises a
+    recoverable error, the block is evaluated again draw by draw and the
+    draws that raise are rejected, so the accepted draws do not depend on
+    `block`. Yields (results, draws rejected so far) per block that keeps
+    a draw."""
+    check_draws(n_draws)
+    rng, done, rejected = stream(seed, lane, 0), 0, 0
     while done < n_draws:
-        s = stream(seed, lane, k).standard_normal((min(chunk, n_draws - done), state.d))
-        k += 1
-        kept = []
+        s = rng.standard_normal((min(block, n_draws - done), state.d))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for lo in range(0, len(s), block):
-                part = s[lo:lo + block]
-                try:
-                    kept.append(evaluate(part))
-                except RECOVERABLE:
-                    for i in range(len(part)):
-                        try:
-                            kept.append(evaluate(part[i:i + 1]))
-                        except RECOVERABLE:
-                            pass
-        out = kept[0] if len(kept) == 1 else tuple(np.concatenate(parts) for parts in zip(*kept))
+            try:
+                out = evaluate(s)
+            except RECOVERABLE:
+                kept = []
+                for i in range(len(s)):
+                    try:
+                        kept.append(evaluate(s[i:i + 1]))
+                    except RECOVERABLE:
+                        pass
+                out = tuple(np.concatenate(parts) for parts in zip(*kept))
         n_ok = len(out[0]) if out else 0
         rejected += len(s) - n_ok
         if rejected > 100 * (1 + n_draws):
@@ -466,11 +467,11 @@ def elbo_estimate(data, prior, state, method, n_draws, seed):
             raise OverflowGuardError("non-finite log joint")
         return (value + logdet + 0.5 * (s * s).sum(axis=-1),)
 
-    chunks = list(accepted_draws(state, n_draws, seed, LANE_FINAL, ELBO_CHUNK,
-                                 draw_block(data, method), evaluate))
-    vals = np.concatenate([out[0] for out, _ in chunks])
+    results = list(accepted_draws(state, n_draws, seed, LANE_FINAL, draw_block(data, method),
+                                  evaluate))
+    vals = np.concatenate([out[0] for out, _ in results])
     mean, sd = scaled_moments(vals)
-    return float(mean), float(sd / np.sqrt(len(vals))), chunks[-1][1]
+    return float(mean), float(sd / np.sqrt(len(vals))), results[-1][1]
 
 
 def scaled_moments(vals):

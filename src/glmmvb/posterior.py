@@ -16,9 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, matcalc, model
-from .exceptions import ConfigError
-
-SIM_CHUNK = 2000  # draws per chunk
 
 
 @dataclass
@@ -62,9 +59,8 @@ def _scales(gp):
 def factor_scales(factor, p, r, n_draws, seed):
     """Simulated (names, means, sds) of the derived scales under a Gaussian
     factor on theta_G = (beta (p), omega), such as a recombined sharded fit;
-    n_draws must be at least 2, which an sd needs."""
-    if n_draws < 2:
-        raise ConfigError("n_draws must be >= 2")
+    n_draws is checked by engine.check_draws."""
+    engine.check_draws(n_draws)
     rng = engine.stream(seed, engine.LANE_SIM, 1)
     L = matcalc.cholesky(factor.cov)
     draws = factor.mean + rng.standard_normal((n_draws, factor.mean.size)) @ L.T
@@ -73,7 +69,7 @@ def factor_scales(factor, p, r, n_draws, seed):
 
 
 def _draw_transforms(data, prior, state, method, s, anchor):
-    """(b, derived scales) of a chunk of draws s: the transforms rebuilt
+    """(b, derived scales) of a block of draws s: the transforms rebuilt
     from each drawn theta_G and anchor (engine.draw, engine.mean_anchor),
     and b = L b~ + lambda."""
     b_tilde, transforms = engine.draw(data, prior, state, method, s, anchor)
@@ -82,23 +78,25 @@ def _draw_transforms(data, prior, state, method, s, anchor):
 
 def simulate_b(data, prior, state, method, n_draws, seed):
     """Simulation summary (a PosteriorSummary) of the untransformed random
-    effects from n_draws accepted draws; a pathological draw, whose
-    transforms or derived scales fail, is rejected."""
-    b_sum = np.zeros((data.n, data.r))
-    b_sq = np.zeros((data.n, data.r))
-    scale_chunks = []
+    effects from n_draws accepted draws (engine.accepted_draws); a draw
+    whose transforms or derived scales fail is rejected. b and b * b are
+    summed over the draws in order, so the block size changes no result."""
+    sums = np.zeros((2, data.n, data.r))  # of b and b * b
+    scale_blocks = []
     anchor = engine.mean_anchor(data, prior, state, method)
-    chunks = engine.accepted_draws(
-        state, n_draws, seed, engine.LANE_POSTERIOR, SIM_CHUNK, engine.draw_block(data, method),
+    blocks = engine.accepted_draws(
+        state, n_draws, seed, engine.LANE_POSTERIOR, engine.draw_block(data, method),
         lambda s: _draw_transforms(data, prior, state, method, s, anchor))
-    for (b, scales), rejected in chunks:
-        b_sum += b.sum(axis=0)
-        b_sq += (b * b).sum(axis=0)
-        scale_chunks.append(scales)
+    for (b, scales), rejected in blocks:
+        # numpy adds the rows of an array of 2+ columns in order: no sum depends on the blocks
+        moments = np.stack([b, b * b], 1)
+        moments[0] += sums
+        sums = moments.sum(axis=0)
+        scale_blocks.append(scales)
 
-    b_mean = b_sum / n_draws
-    b_var = np.maximum(b_sq / n_draws - b_mean ** 2, 0.0)
-    scale_mean, scale_sd = engine.scaled_moments(np.concatenate(scale_chunks, axis=0))
+    b_mean = sums[0] / n_draws
+    b_var = np.maximum(sums[1] / n_draws - b_mean ** 2, 0.0)
+    scale_mean, scale_sd = engine.scaled_moments(np.concatenate(scale_blocks, axis=0))
 
     mu_loc, mu_glob = state.split(state.mu)
     c_loc, c_glob = state.blocks()

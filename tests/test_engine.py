@@ -840,24 +840,21 @@ class TestAcceptedDraws:
     def test_rejects_only_the_draws_that_raise(self):
         state = engine.VariationalState.initial(2, 1, 1)
         with pytest.warns(RuntimeWarning, match="rejected"):
-            chunks = list(engine.accepted_draws(state, 90, 5, engine.LANE_SIM, 40, 7,
+            blocks = list(engine.accepted_draws(state, 90, 5, engine.LANE_SIM, 7,
                                                 self._first_coordinate_at_most_one))
-        # chunk k is drawn from stream(seed, lane, k), sized by the draws still wanted
-        drawn, wanted = [], 90
-        for k in range(len(chunks)):
-            s = engine.stream(5, engine.LANE_SIM, k).standard_normal((min(40, wanted), 3))
-            drawn.append(s)
-            wanted -= int((s[:, 0] <= 1.0).sum())
-        drawn = np.concatenate(drawn)
+        # the rows of stream(seed, lane, 0) in order, up to the 90th accepted
+        rows = engine.stream(5, engine.LANE_SIM, 0).standard_normal((1000, 3))
+        drawn = rows[:np.flatnonzero(rows[:, 0] <= 1.0)[89] + 1]
         kept = drawn[drawn[:, 0] <= 1.0]
-        first = np.concatenate([out[0] for out, _ in chunks])
-        second = np.concatenate([out[1] for out, _ in chunks])
+        first = np.concatenate([out[0] for out, _ in blocks])
+        second = np.concatenate([out[1] for out, _ in blocks])
         np.testing.assert_array_equal(first, kept[:, 0])
         np.testing.assert_array_equal(second, 2.0 * kept)
-        assert len(first) == 90 and wanted == 0
-        assert chunks[-1][1] == len(drawn) - 90 > 0  # rejected so far, at the end
+        assert len(first) == 90
+        assert blocks[-1][1] == len(drawn) - 90 > 0  # rejected so far, at the end
 
-    def test_a_one_block_chunk_is_its_block(self):
+    def test_each_block_is_yielded_as_evaluated(self):
+        # blocks of min(block, draws still wanted) rows, in the stream's order
         state = engine.VariationalState.initial(2, 1, 1)
         parts = []
 
@@ -865,8 +862,11 @@ class TestAcceptedDraws:
             parts.append((s[:, 0], 2.0 * s))
             return parts[-1]
 
-        chunks = list(engine.accepted_draws(state, 30, 5, engine.LANE_SIM, 40, 40, evaluate))
-        assert len(chunks) == len(parts) == 1 and chunks[0][0] is parts[0]
+        blocks = list(engine.accepted_draws(state, 90, 5, engine.LANE_SIM, 40, evaluate))
+        assert [len(out[0]) for out in parts] == [40, 40, 10]
+        assert len(blocks) == 3 and all(out is part for (out, _), part in zip(blocks, parts))
+        rows = engine.stream(5, engine.LANE_SIM, 0).standard_normal((90, 3))
+        np.testing.assert_array_equal(np.concatenate([out[1] for out in parts]), 2.0 * rows)
 
     # test_reparam's seed-508 Bernoulli search, which fails from `far` at
     # NR_MAX_HALVINGS = 0, as the draws with s_0 > 1; the others start near
@@ -888,29 +888,27 @@ class TestAcceptedDraws:
 
         state = engine.VariationalState.initial(2, 1, 1)
         with pytest.warns(RuntimeWarning, match="rejected"):
-            chunks = list(engine.accepted_draws(state, 40, 5, engine.LANE_SIM, 40, 8, evaluate))
-        drawn, done = [], 0  # chunk k: the draws still wanted, from stream k
-        for k, (out, _) in enumerate(chunks):
-            drawn.append(engine.stream(5, engine.LANE_SIM, k).standard_normal((40 - done, 3)))
-            done += len(out[0])
-        drawn, want = np.concatenate(drawn), []
-        for i in range(len(drawn)):
+            blocks = list(engine.accepted_draws(state, 40, 5, engine.LANE_SIM, 8, evaluate))
+        # the stream's rows one at a time, in order, until 40 are accepted
+        rows, want, drawn = engine.stream(5, engine.LANE_SIM, 0).standard_normal((200, 3)), [], 0
+        while len(want) < 40:
             try:
-                want.append(evaluate(drawn[i:i + 1]))
+                want.append(evaluate(rows[drawn:drawn + 1]))
             except ModeSearchFailedError:
                 pass
-        assert 0 < chunks[-1][1] == len(drawn) - len(want) and len(want) == 40
-        for got, one in zip(zip(*(out for out, _ in chunks)), zip(*want)):
+            drawn += 1
+        assert 0 < blocks[-1][1] == drawn - len(want)
+        for got, one in zip(zip(*(out for out, _ in blocks)), zip(*want)):
             np.testing.assert_array_equal(np.concatenate(got), np.concatenate(one))
 
-    @pytest.mark.parametrize("n_draws", [0, 1])
+    @pytest.mark.parametrize("n_draws", [0, 1, 2.5, True])
     def test_needs_two_draws(self, n_draws):
         # one draw has no standard error: it was NaN, with numpy's ddof warning
         data = model.Dataset.from_lists(families.POISSON, [[2.0, 3.0]],
                                         [[[1.0], [1.0]]], [[[1.0], [1.0]]])
         state = engine.VariationalState.initial(1, 1, 2)
         with pytest.raises(ConfigError, match="n_draws"):
-            list(engine.accepted_draws(state, n_draws, 1, engine.LANE_SIM, 50, 50,
+            list(engine.accepted_draws(state, n_draws, 1, engine.LANE_SIM, 50,
                                        self._first_coordinate_at_most_one))
         with pytest.raises(ConfigError, match="n_draws"):
             engine.elbo_estimate(data, model.default_prior(data), state, "a1", n_draws, seed=1)
@@ -920,7 +918,20 @@ class TestAcceptedDraws:
             raise OverflowGuardError("pathological draw")
         state = engine.VariationalState.initial(1, 1, 1)
         with pytest.raises(OverflowGuardError, match="rejected nearly all"):
-            list(engine.accepted_draws(state, 3, 1, engine.LANE_SIM, 50, 50, reject_all))
+            list(engine.accepted_draws(state, 3, 1, engine.LANE_SIM, 50, reject_all))
+
+    def test_the_callers_error_state_holds_between_blocks(self):
+        # evaluate runs with numpy's floating-point errors ignored; the code
+        # between two blocks runs under the caller's, which warns of overflow
+        def overflowing(s):
+            return (np.exp(1e3 + s[:, 0]),)
+
+        state = engine.VariationalState.initial(1, 1, 1)
+        blocks = engine.accepted_draws(state, 4, 1, engine.LANE_SIM, 2, overflowing)
+        for out, _ in blocks:
+            assert np.all(np.isinf(out[0]))
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                np.exp(np.float64(1e3))
 
     def test_elbo_estimate_rejects_pathological_draws(self):
         # Z = 0 leaves Omega alone in the a1 precision: omega draws below
@@ -958,7 +969,7 @@ class TestAcceptedDraws:
     def test_elbo_estimate_rejects_draws_whose_log_joint_is_not_finite(self, monkeypatch):
         # at the initial state b~ is the draw's local part, and the patched log
         # joint is NaN where the first subject's b~ exceeds 1: exactly those
-        # draws are rejected, chunk k drawn from stream(seed, LANE_FINAL, k)
+        # draws are rejected, the rows of stream(seed, LANE_FINAL, 0) in order
         data, prior = micro_model()
         state = engine.VariationalState.initial(data.n, data.r, data.p)
         log_joint = model.log_joint_reparam
@@ -970,11 +981,8 @@ class TestAcceptedDraws:
         monkeypatch.setattr(model, "log_joint_reparam", nan_above_one)
         with pytest.warns(RuntimeWarning, match="rejected"):
             elbo, se, rejected = engine.elbo_estimate(data, prior, state, "a1", 200, seed=3)
-        drawn, wanted, k = 0, 200, 0
-        while wanted:
-            s = engine.stream(3, engine.LANE_FINAL, k).standard_normal(
-                (min(engine.ELBO_CHUNK, wanted), state.d))
-            drawn, wanted, k = drawn + len(s), wanted - int((s[:, 0] <= 1.0).sum()), k + 1
+        rows = engine.stream(3, engine.LANE_FINAL, 0).standard_normal((1000, state.d))
+        drawn = np.flatnonzero(rows[:, 0] <= 1.0)[199] + 1
         assert rejected == drawn - 200 > 0
         assert np.isfinite(elbo) and np.isfinite(se)
 

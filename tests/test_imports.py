@@ -3,8 +3,8 @@ nothing else outside the standard library, and scipy serves only the tests'
 reference implementations. The demos and the benchmark import only names the
 package has, and call its entry points and the functions of its modules with
 arguments their signatures take. README's FitConfig table lists FitConfig's
-fields with their defaults, and its "Command line" section names every flag
-of the CLI."""
+fields with their defaults, its "Command line" section names every flag
+of the CLI, and every `module.name` it cites exists in the package."""
 
 import ast
 import dataclasses
@@ -13,6 +13,7 @@ import inspect
 import itertools
 import os
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -198,6 +199,20 @@ def _unnamed_flags(parser, text):
             if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", text)]
 
 
+def _missing_names(text):
+    """The backticked `module.name` spans of text, on a module of the
+    package, whose name the module lacks; a span naming one of the package's
+    files, such as `cli.py`, names no attribute."""
+    modules = {m.name for m in pkgutil.iter_modules(glmmvb.__path__)}
+    missing = []
+    for span in re.findall(r"`([^`\n]+)`", text):
+        cited = re.match(r"(\w+)\.(\w+)", span)
+        if (cited and cited[1] in modules and not (PACKAGE / span).is_file()
+                and not hasattr(importlib.import_module(f"glmmvb.{cited[1]}"), cited[2])):
+            missing.append(cited[0])
+    return missing
+
+
 class TestReadme:
     def test_fit_config_table_matches_the_fields(self):
         table = _settings_table((ROOT / "README.md").read_text())
@@ -218,6 +233,14 @@ class TestReadme:
         named = " ".join(opt for action in parser._actions for opt in action.option_strings
                          if opt != "--simulate")
         assert _unnamed_flags(parser, named) == ["--simulate"]
+
+    def test_every_cited_name_exists(self):
+        assert _missing_names((ROOT / "README.md").read_text()) == []
+
+    def test_finds_a_cited_name_the_package_lacks(self):
+        text = ("`engine.DRAW_BLOCK_BYTES`, `engine.NO_SUCH_CONSTANT` and "
+                "`posterior.simulate_b(data, ...)`, in `cli.py` and `np.errstate`")
+        assert _missing_names(text) == ["engine.NO_SUCH_CONSTANT"]
 
     def test_reads_quoted_and_grouped_defaults(self):
         text = ("intro\n\n| setting | default | meaning |\n|---|---|---|\n"

@@ -74,7 +74,7 @@ class TestNoSubjects:
 
 
 class TestSimulateB:
-    @pytest.mark.parametrize("n_draws", [0, 1])
+    @pytest.mark.parametrize("n_draws", [0, 1, 2.5, True])
     def test_needs_two_draws(self, rng, n_draws):
         # one draw gave a NaN scale_sd, with numpy's ddof warning
         data = random_dataset(rng, families.POISSON, r=1, n=3)
@@ -226,14 +226,15 @@ class TestSimulateB:
 
 
 def _blocks_of(data, block):
-    """engine.DRAW_BLOCK_BYTES, A2_DRAW_BLOCK and A2_DRAW_BLOCK_BYTES patched
-    so that draw_block(data, method) is block under both methods."""
+    """engine.DRAW_BLOCK_BYTES, MAX_DRAW_BLOCK, A2_DRAW_BLOCK and
+    A2_DRAW_BLOCK_BYTES patched so that draw_block(data, method) is block
+    under both methods."""
     budget = 8 * data.n * data.J * block
-    return mock.patch.multiple(engine, DRAW_BLOCK_BYTES=budget, A2_DRAW_BLOCK=block,
-                               A2_DRAW_BLOCK_BYTES=budget)
+    return mock.patch.multiple(engine, DRAW_BLOCK_BYTES=budget, MAX_DRAW_BLOCK=block,
+                               A2_DRAW_BLOCK=block, A2_DRAW_BLOCK_BYTES=budget)
 
 
-UNBOUNDED = 10 ** 9  # more draws than any chunk
+UNBOUNDED = 10 ** 9  # more draws than any call asks for
 
 
 class TestDrawBlocks:
@@ -279,7 +280,7 @@ class TestDrawBlocks:
         calls, draw_transforms = [], posterior._draw_transforms
 
         def evaluate(data, prior, state, method, s, anchor):
-            calls.append(np.isin(s[:, 0], chunk[:, 0]).all())  # a block of chunk 0
+            calls.append(np.isin(s[:, 0], chunk[:, 0]).all())  # within the first 24 rows
             if np.any(s[:, 0] == failing):
                 raise OverflowGuardError("injected")
             return draw_transforms(data, prior, state, method, s, anchor)
@@ -292,7 +293,7 @@ class TestDrawBlocks:
                 runs[size] = posterior.simulate_b(data, prior, state, "a2", n_draws, seed)
             runs[size, "calls"] = sum(calls)
         # 4 blocks, and the failing one again draw by draw; unsplit, the
-        # whole chunk again draw by draw
+        # whole first block again draw by draw
         assert runs[block, "calls"] <= -(-n_draws // block) + block
         assert runs[UNBOUNDED, "calls"] == 1 + n_draws
         for field in ("b_mean", "b_sd", "scale_mean", "scale_sd", "n_rejected"):
@@ -302,31 +303,43 @@ class TestDrawBlocks:
 
     def test_a2_blocks_are_capped_by_draws_or_bytes(self):
         # epilepsy II (n J = 236): 277 draws fill DRAW_BLOCK_BYTES, an a2
-        # block holds A2_DRAW_BLOCK = 128; seeds (n J = 21): 3,120 draws,
-        # under a2 the 780 that fill A2_DRAW_BLOCK_BYTES; an n = 500
-        # design's 18 draws are below both caps
+        # block holds A2_DRAW_BLOCK = 128; seeds (n J = 21): the 3,120 draws
+        # that fill DRAW_BLOCK_BYTES are capped at MAX_DRAW_BLOCK = 2,000,
+        # under a2 at the 780 that fill A2_DRAW_BLOCK_BYTES; an n = 500
+        # design's 18 draws are below every cap
         epilepsy = datasets.epilepsy_dataset("II")
         assert engine.draw_block(epilepsy, "a1") == 277
         assert engine.draw_block(epilepsy, "a2") == engine.A2_DRAW_BLOCK == 128
         seeds = datasets.seeds_dataset()
-        assert engine.draw_block(seeds, "a1") == 3120
+        assert engine.draw_block(seeds, "a1") == engine.MAX_DRAW_BLOCK == 2000
         assert engine.draw_block(seeds, "a2") == engine.A2_DRAW_BLOCK_BYTES // (8 * 21) == 780
         large = simulate.simulate_dataset("bernoulli-i", seed=202)[0]
         assert engine.draw_block(large, "a2") == engine.draw_block(large, "a1") == 18
 
-    def test_epilepsy_a2_simulation_memory(self):
-        # 2,000 draws of epilepsy II (n J = 236) under a2: unsplit, the mode
-        # search held about 39 MB of (2000, 59, 4) temporaries
-        data = datasets.epilepsy_dataset("II")
-        prior = model.default_prior(data)
+    @staticmethod
+    def _simulation_peak(data, prior, method, n_draws):
+        """tracemalloc's peak over simulate_b at the initial state."""
         state = engine.VariationalState.initial(data.n, data.r, data.g)
         tracemalloc.start()
         try:
-            posterior.simulate_b(data, prior, state, "a2", 2000, seed=7)
-            peak = tracemalloc.get_traced_memory()[1]
+            posterior.simulate_b(data, prior, state, method, n_draws, seed=7)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * 2 ** 20
+
+    def test_epilepsy_a2_simulation_memory(self):
+        # 2,000 draws of epilepsy II (n J = 236) under a2: unsplit, the mode
+        # search held about 39 MB of (2000, 59, 4) temporaries; in 128-draw
+        # blocks of a 2,000-draw chunk 8.2 MB, and 4.3 MB without the chunk
+        data = datasets.epilepsy_dataset("II")
+        assert self._simulation_peak(data, model.default_prior(data), "a2", 2000) <= 6 * 2 ** 20
+
+    def test_bernoulli_a1_simulation_memory(self):
+        # 2,000 draws of a bernoulli-i design of 100 subjects under a1: a
+        # 2,000-draw chunk's draws and results peaked at 6.3 MB, its blocks
+        # alone at 0.8 MB
+        data = simulate.simulate_dataset("bernoulli-i", seed=77, n=100)[0]
+        assert self._simulation_peak(data, model.normal_omega_prior(1), "a1", 2000) <= 2 * 2 ** 20
 
     def test_epilepsy_a2_block_drops_its_finished_draws(self, monkeypatch):
         # the final ELBO's first 250 draws at the default fit's state, as one block:
@@ -416,7 +429,7 @@ class TestFactorScales:
         np.testing.assert_array_equal(means, want.mean(axis=0))
         np.testing.assert_array_equal(sds, want.std(axis=0, ddof=1))
 
-    @pytest.mark.parametrize("n_draws", [0, 1])
+    @pytest.mark.parametrize("n_draws", [0, 1, 2.5, True])
     def test_needs_two_draws(self, n_draws):
         factor = recombine.GaussianFactor(np.zeros(2), np.eye(2))
         with pytest.raises(ConfigError, match="n_draws"):
