@@ -25,9 +25,9 @@ from .exceptions import RECOVERABLE, ConfigError, DivergedError, GlmmVbError, Ov
 
 LANE_FIT = 0
 LANE_FINAL = 1
-LANE_SIM = 2  # simulate_dataset (t = 0) and posterior.factor_scales (t = 1)
+LANE_SIM = 2  # simulate_dataset (t = 0) and the scales' draws, posterior._scale_moments (t = 1)
 LANE_PART = 3
-LANE_POSTERIOR = 4  # posterior.simulate_b (t = 0)
+LANE_POSTERIOR = 4  # posterior.simulate_b's Monte Carlo fallback (t = 0)
 
 # bytes of one (block, n, J) float64 array, for the blocks of draws that
 # evaluate takes at once (draw_block): 2^16 elements, 512 KB. The a2 mode
@@ -404,10 +404,10 @@ def check_draws(n_draws):
         raise ConfigError(f"n_draws must be an integer >= 2, got {n_draws!r}")
 
 
-def accepted_draws(state, n_draws, seed, lane, block, evaluate):
+def accepted_draws(state, n_draws, seed, lane, block, evaluate, columns=None, t=0):
     """Monte Carlo over q: evaluate(s) on blocks of the rows of stream(seed,
-    lane, 0), standard normal draws taken in order, until n_draws
-    (check_draws) are accepted.
+    lane, t), standard normal draws of `columns` values (state.d unless
+    given) taken in order, until n_draws (check_draws) are accepted.
 
     A block holds min(block, draws still wanted) rows, which evaluate maps
     to a tuple of arrays with a leading row per draw; when it raises a
@@ -416,9 +416,9 @@ def accepted_draws(state, n_draws, seed, lane, block, evaluate):
     `block`. Yields (results, draws rejected so far) per block that keeps
     a draw."""
     check_draws(n_draws)
-    rng, done, rejected = stream(seed, lane, 0), 0, 0
+    rng, done, rejected = stream(seed, lane, t), 0, 0
     while done < n_draws:
-        s = rng.standard_normal((min(block, n_draws - done), state.d))
+        s = rng.standard_normal((min(block, n_draws - done), state.d if columns is None else columns))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
                 out = evaluate(s)

@@ -1,21 +1,22 @@
 """Posterior summaries after fitting.
 
-The variational posterior is Gaussian in the transformed coordinates, so
-the untransformed random effects b_i = L_i b~_i + lambda_i are summarized
-by simulation: draw theta_G and b~_i from q, rebuild the transforms from
-the drawn theta_G (with the same method used in fitting) and map back.
-The resulting b_i marginals are not constrained to be Gaussian.
-
-Scale parameters are transformed per draw and then summarized: for r = 1,
-sigma = sqrt((Omega^{-1})_11); for r = 2 additionally (sigma_1, sigma_2, rho)
-from the 2x2 covariance.
+q's C has no block between b~_i and theta_G, so given theta_G the
+untransformed random effects b_i = L_i b~_i + lambda_i are Gaussian, with
+the transforms rebuilt at theta_G by the fit's method. b's mean and sd are
+taken over theta_G by a degree-5 cubature rule; its marginals are mixtures,
+not constrained to be Gaussian. The derived scales are summarized over
+Monte Carlo draws of theta_G, for a single fit as for a recombined sharded
+one: for r = 1, sigma = sqrt((Omega^{-1})_11); for r = 2 additionally
+(sigma_1, sigma_2, rho) from the 2x2 covariance.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import engine, matcalc, model
+from .exceptions import RECOVERABLE, OverflowGuardError
 
 
 @dataclass
@@ -24,14 +25,14 @@ class PosteriorSummary:
     global_mean: np.ndarray      # (g,)  q-exact moments of (beta, omega)
     global_sd: np.ndarray
     scale_names: list
-    scale_mean: np.ndarray       # simulated moments of derived scales
+    scale_mean: np.ndarray       # Monte Carlo moments of derived scales over theta_G
     scale_sd: np.ndarray
-    b_mean: np.ndarray           # (n, r) simulated
+    b_mean: np.ndarray           # (n, r) by the cubature rule over theta_G
     b_sd: np.ndarray
     btilde_mean: np.ndarray      # (n, r) exact under q
     btilde_sd: np.ndarray
-    n_draws: int
-    n_rejected: int
+    n_draws: int                 # of the scales, and of b's Monte Carlo fallback
+    n_rejected: int              # draws the scales and the fallback rejected
 
 
 def _scale_names(r):
@@ -56,57 +57,95 @@ def _scales(gp):
     return np.stack(cols, axis=-1)
 
 
+def _scale_moments(global_params, mean, factor, n_draws, seed):
+    """(means, sds, draws rejected) of the derived scales over n_draws
+    accepted draws theta_G = factor z + mean, z g normals of stream(seed,
+    LANE_SIM, 1) (engine.accepted_draws); global_params makes GlobalParams."""
+    def evaluate(z):
+        return (_scales(global_params(matcalc.matvec_fixed(factor, z) + mean)),)
+
+    blocks = list(engine.accepted_draws(None, n_draws, seed, engine.LANE_SIM,
+                                        engine.MAX_DRAW_BLOCK, evaluate, columns=mean.size, t=1))
+    return (*engine.scaled_moments(np.concatenate([out[0] for out, _ in blocks])), blocks[-1][1])
+
+
 def factor_scales(factor, p, r, n_draws, seed):
     """Simulated (names, means, sds) of the derived scales under a Gaussian
-    factor on theta_G = (beta (p), omega), such as a recombined sharded fit;
-    n_draws is checked by engine.check_draws."""
+    factor on theta_G = (beta (p), omega), such as a recombined sharded fit."""
     engine.check_draws(n_draws)
-    rng = engine.stream(seed, engine.LANE_SIM, 1)
-    L = matcalc.cholesky(factor.cov)
-    draws = factor.mean + rng.standard_normal((n_draws, factor.mean.size)) @ L.T
-    gp = model.GlobalParams(draws[:, :p], draws[:, p:], r)
-    return (_scale_names(r), *engine.scaled_moments(_scales(gp)))
+    means, sds, _ = _scale_moments(lambda x: model.GlobalParams(x[:, :p], x[:, p:], r),
+                                   factor.mean, matcalc.cholesky(factor.cov), n_draws, seed)
+    return _scale_names(r), means, sds
 
 
-def _draw_transforms(data, prior, state, method, s, anchor):
-    """(b, derived scales) of a block of draws s: the transforms rebuilt
-    from each drawn theta_G and anchor (engine.draw, engine.mean_anchor),
-    and b = L b~ + lambda."""
-    b_tilde, transforms = engine.draw(data, prior, state, method, s, anchor)
-    return transforms.invert(b_tilde), _scales(transforms.gp)
+def _cubature_rule(g):
+    """(points (2 g^2 + 1, g), weights) of Stroud's degree-5 rule for N(0, I_g):
+    the centre, +-sqrt(g + 2) e_i and sqrt((g + 2) / 2)(+-e_i +- e_j), i < j."""
+    eye, (i, j) = np.eye(g), np.triu_indices(g, 1)
+    axis = np.sqrt(g + 2.0) * eye
+    pair = np.sqrt((g + 2.0) / 2.0) * np.concatenate([eye[i] + eye[j], eye[i] - eye[j]])
+    weights = np.concatenate([[2.0 / (g + 2)], np.full(2 * g, (4.0 - g) / (2 * (g + 2) ** 2)),
+                              np.full(2 * len(pair), 1.0 / (g + 2) ** 2)])
+    return np.concatenate([np.zeros((1, g)), axis, -axis, pair, -pair]), weights
+
+
+def _draw_transforms(data, prior, state, method, z, anchor, blocks):
+    """(means, variances) (k, n, r) of b_i | theta_G ~ N(L_i mu_i + lambda_i,
+    L_i C_i C_i' L_i') at theta_G = C_G z + mu_G, k rows z: engine.draw from
+    anchor, s's local part 0. Raises OverflowGuardError if one is not finite."""
+    s = np.zeros((len(z), state.d))
+    s[:, state.d - state.g:] = z
+    b_tilde, transforms = engine.draw(data, prior, state, method, s, anchor, blocks)
+    lc = matcalc.matvec(transforms.L[..., None, :, :], np.swapaxes(blocks[0], -1, -2))
+    mean, var = transforms.invert(b_tilde), (lc * lc).sum(axis=-2)
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
+        raise OverflowGuardError("non-finite moments of b")
+    return mean, var
+
+
+def _mixture_moments(shape, blocks):
+    """(mean, sd, draws rejected) of a weighted mixture of Gaussians from blocks of
+    ((means, variances, weights), rejected so far); the variance is clipped at 0."""
+    sums, rejected = np.zeros((2,) + shape), 0
+    for (mean, var, w), rejected in blocks:
+        moments = w[:, None, None, None] * np.stack([mean, var + mean * mean], 1)
+        # numpy adds the rows of an array of 2+ columns in order: no sum depends on the blocks
+        moments[0] += sums
+        sums = moments.sum(axis=0)
+    return sums[0], np.sqrt(np.maximum(sums[1] - sums[0] ** 2, 0.0)), rejected
 
 
 def simulate_b(data, prior, state, method, n_draws, seed):
-    """Simulation summary (a PosteriorSummary) of the untransformed random
-    effects from n_draws accepted draws (engine.accepted_draws); a draw
-    whose transforms or derived scales fail is rejected. b and b * b are
-    summed over the draws in order, so the block size changes no result."""
-    sums = np.zeros((2, data.n, data.r))  # of b and b * b
-    scale_blocks = []
-    anchor = engine.mean_anchor(data, prior, state, method)
-    blocks = engine.accepted_draws(
-        state, n_draws, seed, engine.LANE_POSTERIOR, engine.draw_block(data, method),
-        lambda s: _draw_transforms(data, prior, state, method, s, anchor))
-    for (b, scales), rejected in blocks:
-        # numpy adds the rows of an array of 2+ columns in order: no sum depends on the blocks
-        moments = np.stack([b, b * b], 1)
-        moments[0] += sums
-        sums = moments.sum(axis=0)
-        scale_blocks.append(scales)
+    """PosteriorSummary: b's moments by _cubature_rule over theta_G ~ N(mu_G,
+    C_G C_G'), in blocks of engine.draw_block points, or, with a RuntimeWarning
+    if a point's build fails recoverably, by n_draws accepted draws of theta_G
+    (LANE_POSTERIOR); the scales by factor_scales' path (_scale_moments)."""
+    engine.check_draws(n_draws)
+    (mu_loc, mu_glob), (c_loc, c_glob) = state.split(state.mu), state.blocks()
+    anchor, size = engine.mean_anchor(data, prior, state, method), engine.draw_block(data, method)
 
-    b_mean = sums[0] / n_draws
-    b_var = np.maximum(sums[1] / n_draws - b_mean ** 2, 0.0)
-    scale_mean, scale_sd = engine.scaled_moments(np.concatenate(scale_blocks, axis=0))
+    def evaluate(z):
+        return _draw_transforms(data, prior, state, method, z, anchor, (c_loc, c_glob))
 
-    mu_loc, mu_glob = state.split(state.mu)
-    c_loc, c_glob = state.blocks()
-    btilde_sd = np.sqrt((c_loc * c_loc).sum(axis=-1))
+    points, weights = _cubature_rule(state.g)
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            b_mean, b_sd, rejected = _mixture_moments((data.n, data.r), (
+                ((*evaluate(points[i:i + size]), weights[i:i + size]), 0)
+                for i in range(0, len(points), size)))
+    except RECOVERABLE as err:
+        b_mean, b_sd, rejected = _mixture_moments((data.n, data.r), engine.accepted_draws(
+            state, n_draws, seed, engine.LANE_POSTERIOR, size,
+            lambda z: (*evaluate(z), np.full(len(z), 1.0 / n_draws)), columns=state.g))
+        warnings.warn(f"the cubature rule over theta_G rejected a point ({err}); b's moments "
+                      f"are from {n_draws} Monte Carlo draws", RuntimeWarning, stacklevel=2)
+    scale_mean, scale_sd, scale_rejected = _scale_moments(
+        lambda x: engine._global_params(data, prior, x), mu_glob, c_glob, n_draws, seed)
+
     return PosteriorSummary(
         global_names=model.global_names(data, prior), global_mean=mu_glob.copy(),
-        global_sd=np.sqrt(np.diag(c_glob @ c_glob.T)),
-        scale_names=_scale_names(data.r),
-        scale_mean=scale_mean, scale_sd=scale_sd,
-        b_mean=b_mean, b_sd=np.sqrt(b_var),
-        btilde_mean=mu_loc.copy(), btilde_sd=btilde_sd,
-        n_draws=n_draws, n_rejected=rejected)
+        global_sd=np.sqrt(np.diag(c_glob @ c_glob.T)), scale_names=_scale_names(data.r),
+        scale_mean=scale_mean, scale_sd=scale_sd, b_mean=b_mean, b_sd=b_sd,
+        btilde_mean=mu_loc.copy(), btilde_sd=np.sqrt((c_loc * c_loc).sum(axis=-1)),
+        n_draws=n_draws, n_rejected=rejected + scale_rejected)
 

@@ -11,8 +11,9 @@ estimator built block by block, as references for the fit's position map
 (engine.cstar_layout), the L1 and L3 gradient estimators that the fit's L2
 is compared against, the straightforward a2
 mode search, the tally of a2 searches from far-off predicted starts, the
-pooled-GLM IRLS under a flat prior, written without the ridge terms, and
-the exact log p(y, theta_G) of the unit-variance Gaussian model.
+pooled-GLM IRLS under a flat prior, written without the ridge terms, the
+exact log p(y, theta_G) of the unit-variance Gaussian model, and the Monte
+Carlo moments of b that posterior.simulate_b's cubature rule replaced.
 """
 
 import collections
@@ -450,3 +451,25 @@ def gaussian_unit_log_marginal(data, gp, prior):
                                                         np.eye(k) + Z @ cov_b @ Z.T)
         total += 0.5 * (y @ y) + 0.5 * k * math.log(2.0 * math.pi)
     return total
+
+
+def simulate_b_monte_carlo(data, prior, state, method, n_draws, seed):
+    """(b_mean, b_sd) by the Monte Carlo that posterior.simulate_b ran before
+    its cubature rule: n_draws accepted draws of theta~ from q, the rows of
+    stream(seed, LANE_POSTERIOR, 0), with b = L b~ + lambda of the
+    transforms rebuilt at each drawn theta_G; a draw whose build fails is
+    rejected. b and b * b are summed over the draws in order."""
+    sums = np.zeros((2, data.n, data.r))
+    anchor = engine.mean_anchor(data, prior, state, method)
+
+    def evaluate(s):
+        b_tilde, transforms = engine.draw(data, prior, state, method, s, anchor)
+        return (transforms.invert(b_tilde),)
+
+    for (b,), _ in engine.accepted_draws(state, n_draws, seed, engine.LANE_POSTERIOR,
+                                         engine.draw_block(data, method), evaluate):
+        moments = np.stack([b, b * b], 1)
+        moments[0] += sums
+        sums = moments.sum(axis=0)
+    b_mean = sums[0] / n_draws
+    return b_mean, np.sqrt(np.maximum(sums[1] / n_draws - b_mean ** 2, 0.0))

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 from unittest import mock
@@ -91,19 +92,33 @@ class TestSimulateB:
 
     def test_draws_do_not_repeat_the_simulated_effects(self, monkeypatch):
         # the command line's --seed seeds both a simulated dataset and the
-        # posterior draws of its fit; the draws must come from another stream
+        # posterior summary of its fit; the scales' draws of theta_G, and
+        # those of the Monte Carlo fallback (here forced by a failing rule
+        # point), must come from other streams than the simulated effects
         data, truth = simulate.simulate_dataset("poisson-ii", 11, n=50)
         state = engine.VariationalState.initial(data.n, data.r, data.g)
-        draws, draw_transforms = [], posterior._draw_transforms
+        draws, accepted, draw_transforms = [], engine.accepted_draws, posterior._draw_transforms
 
-        def recording(data, prior, state, method, s, anchor):
-            draws.append(s.copy())
-            return draw_transforms(data, prior, state, method, s, anchor)
+        def recording(state, n_draws, seed, lane, block, evaluate, **kwargs):
+            def evaluate_recorded(z):
+                draws.append(z.copy())
+                return evaluate(z)
+            return accepted(state, n_draws, seed, lane, block, evaluate_recorded, **kwargs)
 
-        monkeypatch.setattr(posterior, "_draw_transforms", recording)
-        posterior.simulate_b(data, model.default_prior(data), state, "a1", 2, seed=11)
-        local = draws[0][0, :data.n * data.r] * simulate.SIGMA
-        assert not np.any(np.isclose(local, truth["random_effects"]))
+        def failing_at_the_centre(data, prior, state, method, z, anchor, blocks):
+            if not np.any(z[0]):  # the rule's first point is its centre, 0
+                raise OverflowGuardError("injected")
+            return draw_transforms(data, prior, state, method, z, anchor, blocks)
+
+        monkeypatch.setattr(engine, "accepted_draws", recording)
+        monkeypatch.setattr(posterior, "_draw_transforms", failing_at_the_centre)
+        with pytest.warns(RuntimeWarning, match="rejected a point"):
+            posterior.simulate_b(data, model.default_prior(data), state, "a1", 2, seed=11)
+        # the simulated effects are SIGMA times the first normals of their stream
+        effects = truth["random_effects"] / simulate.SIGMA
+        assert [z.shape for z in draws] == [(2, data.g)] * 2  # the fallback's, the scales'
+        for z in draws:
+            assert not np.any(np.isclose(z.ravel(), effects[:z.size]))
 
     def test_degenerate_q_is_transform_of_mean(self, rng):
         data = random_dataset(rng, families.POISSON, r=1, n=4)
@@ -270,36 +285,39 @@ class TestDrawBlocks:
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
 
-    def test_a_failing_draw_is_evaluated_again_in_its_block_only(self, rng, monkeypatch):
+    def test_a_failing_rule_point_falls_back_to_monte_carlo(self, rng, monkeypatch):
+        # an OverflowGuardError at the rule's 21st point, in its third block
+        # of 7: b's moments come instead from 24 accepted Monte Carlo draws
+        # of theta_G, evaluated in blocks of 7 by the same evaluator, with a
+        # warning
         data = random_dataset(rng, families.POISSON, r=2, n=4, p=2)
         prior = random_wishart_prior(rng, 2)
         state = engine.VariationalState.initial(data.n, 2, data.g)
-        n_draws, block, seed = 24, 7, 5
-        chunk = engine.stream(seed, engine.LANE_POSTERIOR, 0).standard_normal((n_draws, state.d))
-        failing = chunk[10, 0]
+        state.params += 0.2 * rng.standard_normal(state.params.size)
+        failing = posterior._cubature_rule(state.g)[0][20]
         calls, draw_transforms = [], posterior._draw_transforms
 
-        def evaluate(data, prior, state, method, s, anchor):
-            calls.append(np.isin(s[:, 0], chunk[:, 0]).all())  # within the first 24 rows
-            if np.any(s[:, 0] == failing):
+        def evaluate(data, prior, state, method, z, anchor, blocks):
+            calls.append(len(z))
+            if np.any(np.all(z == failing, axis=1)):
                 raise OverflowGuardError("injected")
-            return draw_transforms(data, prior, state, method, s, anchor)
+            return draw_transforms(data, prior, state, method, z, anchor, blocks)
 
         monkeypatch.setattr(posterior, "_draw_transforms", evaluate)
-        runs = {}
-        for size in (block, UNBOUNDED):
-            calls.clear()
-            with _blocks_of(data, size), pytest.warns(RuntimeWarning, match="rejected 1 "):
-                runs[size] = posterior.simulate_b(data, prior, state, "a2", n_draws, seed)
-            runs[size, "calls"] = sum(calls)
-        # 4 blocks, and the failing one again draw by draw; unsplit, the
-        # whole first block again draw by draw
-        assert runs[block, "calls"] <= -(-n_draws // block) + block
-        assert runs[UNBOUNDED, "calls"] == 1 + n_draws
-        for field in ("b_mean", "b_sd", "scale_mean", "scale_sd", "n_rejected"):
-            np.testing.assert_array_equal(getattr(runs[block], field),
-                                          getattr(runs[UNBOUNDED], field))
-        assert runs[block].n_rejected == 1
+        n_draws, seed = 24, 5
+        with _blocks_of(data, 7), pytest.warns(RuntimeWarning, match="rule over theta_G rejected"):
+            summary = posterior.simulate_b(data, prior, state, "a2", n_draws, seed)
+        assert calls == [7] * 3 + [7, 7, 7, 3]
+        assert np.all(np.isfinite(summary.b_mean)) and np.all(np.isfinite(summary.b_sd))
+        assert summary.n_rejected == 0
+        # the equal-weighted mixture of the draws of theta_G from LANE_POSTERIOR
+        z = engine.stream(seed, engine.LANE_POSTERIOR, 0).standard_normal((n_draws, state.g))
+        mean, var = draw_transforms(data, prior, state, "a2", z, engine.mean_anchor(
+            data, prior, state, "a2"), state.blocks())
+        b_mean = mean.mean(axis=0)
+        np.testing.assert_allclose(summary.b_mean, b_mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(summary.b_sd, np.sqrt((var + mean * mean).mean(axis=0)
+                                                         - b_mean ** 2), rtol=1e-10)
 
     def test_a2_blocks_are_capped_by_draws_or_bytes(self):
         # epilepsy II (n J = 236): 277 draws fill DRAW_BLOCK_BYTES, an a2
@@ -397,6 +415,46 @@ class TestMeanAnchor:
         np.testing.assert_allclose(got_elbo, want_elbo, rtol=REFERENCE_TOL, atol=REFERENCE_TOL)
 
 
+class TestCubatureRule:
+    @settings(max_examples=300, deadline=None)
+    @given(g=st.integers(1, 10), factors=st.lists(st.integers(0, 9), max_size=5))
+    def test_integrates_every_monomial_of_degree_five_exactly(self, g, factors):
+        # E prod_k x_{i_k} under N(0, I_g) for up to 5 indices i_k: the
+        # product over distinct indices of E x^a, (a - 1)!! for even a, 0
+        # for odd a; no index gives the weights' sum, 1
+        points, weights = posterior._cubature_rule(g)
+        assert points.shape == (2 * g * g + 1, g) and weights.shape == (2 * g * g + 1,)
+        idx = [k % g for k in factors]
+        powers = np.bincount(idx, minlength=g)
+        exact = np.prod([0 if a % 2 else math.prod(range(a - 1, 0, -2)) for a in powers])
+        got = weights @ np.prod(points[:, idx], axis=1)
+        assert abs(got - exact) <= 1e-12 * max(1, exact)
+
+    @pytest.mark.parametrize("design, method, n_oracle", [("seeds", "a1", 50_000),
+                                                          ("epilepsy II", "a2", 20_000)])
+    def test_b_moments_match_the_monte_carlo_oracle(self, design, method, n_oracle):
+        # seeds (r = 1, g = 4) and epilepsy II (r = 2, g = 9, negative axis
+        # weights) at their default fits: the rule's b moments lie within 4
+        # standard errors of n_oracle draws of the Monte Carlo it replaced
+        data = (datasets.seeds_dataset() if design == "seeds"
+                else datasets.epilepsy_dataset("II"))
+        prior = model.default_prior(data)
+        state = engine.fit(data, prior, method=method, seed=0, final_elbo_draws=0).state
+        summary = posterior.simulate_b(data, prior, state, method, 100, seed=1)
+        mean, sd = oracles.simulate_b_monte_carlo(data, prior, state, method, n_oracle, seed=1)
+        assert np.all(np.abs(summary.b_mean - mean) < 4 * sd / np.sqrt(n_oracle))
+        assert np.all(np.abs(summary.b_sd - sd) < 4 * sd / np.sqrt(2 * (n_oracle - 1)))
+
+    def test_scales_of_a_fixed_omega_are_constant(self):
+        # a prior that fixes omega leaves no omega in q: every draw's sigma
+        # is Omega^{-1/2} = e^{-omega}
+        data, prior = micro_model()
+        state = engine.VariationalState.initial(data.n, data.r, data.p)
+        summary = posterior.simulate_b(data, prior, state, "a1", 50, seed=1)
+        np.testing.assert_allclose(summary.scale_mean, np.exp(-prior.omega), rtol=1e-14)
+        assert np.all(summary.scale_sd < 1e-14)
+
+
 class TestScaleMapping:
     def test_r2_roundtrip(self, rng):
         omega = 0.7 * rng.standard_normal((50, 3))
@@ -434,6 +492,18 @@ class TestFactorScales:
         factor = recombine.GaussianFactor(np.zeros(2), np.eye(2))
         with pytest.raises(ConfigError, match="n_draws"):
             posterior.factor_scales(factor, 1, 1, n_draws, seed=0)
+
+    @pytest.mark.parametrize("mean, var", [(-350.0, 100.0), (355.0, 0.09)],
+                             ids=["underflow", "overflow"])
+    def test_draws_whose_scales_fail_are_rejected(self, mean, var):
+        # omega draws below about -354.9 underflow Omega = e^{2 omega} and
+        # those above about 354.9 overflow it: such draws are rejected, and
+        # warned of, where one of them raised NotPositiveDefiniteError and
+        # lost a converged sharded fit; the overflow warns of nothing else
+        factor = recombine.GaussianFactor(np.array([0.0, mean]), np.diag([1e-4, var]))
+        with pytest.warns(RuntimeWarning, match="rejected"):
+            names, means, sds = posterior.factor_scales(factor, 1, 1, 200, seed=0)
+        assert names == ["sigma"] and np.all(np.isfinite(means)) and np.all(np.isfinite(sds))
 
     @pytest.mark.parametrize("cov", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]],
                              ids=["indefinite", "nan"])
