@@ -30,18 +30,11 @@ LANE_PART = 3
 LANE_POSTERIOR = 4  # posterior.simulate_b's Monte Carlo fallback (t = 0)
 
 # bytes of one (block, n, J) float64 array, for the blocks of draws that
-# evaluate takes at once (draw_block): 2^16 elements, 512 KB. The a2 mode
-# search keeps about ten such arrays live; at 277 draws of epilepsy (~5 MB)
-# glibc hands their pages back between Newton iterations, to fault them in
-# again. So an a2 block holds at most A2_DRAW_BLOCK draws, or as many as fit
-# A2_DRAW_BLOCK_BYTES where that is more: each block pays the Newton loop's
-# numpy calls, which outweigh the faults below 128 draws, and at seeds'
-# n J = 21 128 draws make 21 KB arrays. a1 forms none in simulate_b and
-# keeps the budget alone
-DRAW_BLOCK_BYTES = 2 ** 19
+# evaluate takes at once (draw_block): 2^15 elements, 256 KB. At 512 KB an
+# epilepsy II block held 277 draws, and the a2 mode search's arrays for it
+# raised epilepsy2-a2's peak RSS by 9.6% (47.9 to 52.5 MB)
+DRAW_BLOCK_BYTES = 2 ** 18
 MAX_DRAW_BLOCK = 2000  # no block holds more draws: a small design's draws and b stay small
-A2_DRAW_BLOCK = 128
-A2_DRAW_BLOCK_BYTES = 2 ** 17
 REJECTION_WARN_FRACTION = 0.01  # warn when more of the draws over q are rejected
 ADAM_ALPHA = 1e-3  # Adam's step size, decay rates and guard (Kingma & Ba, 2015)
 ADAM_BETA1 = 0.9
@@ -386,16 +379,11 @@ def step(data, prior, config, state, adam, t, draws, anchor=None, alpha=ADAM_ALP
     return elbo, transforms
 
 
-def draw_block(data, method):
-    """Draws evaluate takes at once: as many as keep a (block, n, J) float64
-    array within DRAW_BLOCK_BYTES, at least one and at most MAX_DRAW_BLOCK;
-    under a2, whose mode search holds about ten such arrays, at most the
-    larger of A2_DRAW_BLOCK and the draws within A2_DRAW_BLOCK_BYTES."""
-    per_draw = 8 * max(1, data.n * data.J)
-    block = min(MAX_DRAW_BLOCK, max(1, DRAW_BLOCK_BYTES // per_draw))
-    if method == "a2":
-        block = min(block, max(A2_DRAW_BLOCK, A2_DRAW_BLOCK_BYTES // per_draw))
-    return block
+def draw_block(data):
+    """Draws evaluate takes at once, under either method: as many as keep a
+    (block, n, J) float64 array within DRAW_BLOCK_BYTES, at least one and
+    at most MAX_DRAW_BLOCK."""
+    return min(MAX_DRAW_BLOCK, max(1, DRAW_BLOCK_BYTES // (8 * max(1, data.n * data.J))))
 
 
 def check_draws(n_draws):
@@ -467,8 +455,7 @@ def elbo_estimate(data, prior, state, method, n_draws, seed):
             raise OverflowGuardError("non-finite log joint")
         return (value + logdet + 0.5 * (s * s).sum(axis=-1),)
 
-    results = list(accepted_draws(state, n_draws, seed, LANE_FINAL, draw_block(data, method),
-                                  evaluate))
+    results = list(accepted_draws(state, n_draws, seed, LANE_FINAL, draw_block(data), evaluate))
     vals = np.concatenate([out[0] for out, _ in results])
     mean, sd = scaled_moments(vals)
     return float(mean), float(sd / np.sqrt(len(vals))), results[-1][1]

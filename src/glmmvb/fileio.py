@@ -5,8 +5,9 @@ All outputs are plain structured text (key-value header plus CSV payload)
 so that shard results can be recombined offline and traces plotted with
 anything. Summary numbers use 9 significant digits; the state file uses
 17 significant digits, which round-trips IEEE doubles exactly. Every
-file is written by one function, _write_lines: UTF-8, each line ending in
-a line feed; load_csv reads line feeds and CR LF alike.
+file is written by one function, _write_lines: UTF-8 CSV rows, a field
+quoted only when it holds a comma, a quote or a line break, each row
+ending in a line feed; load_csv reads line feeds and CR LF alike.
 """
 
 import csv
@@ -146,16 +147,17 @@ def read_prior_file(path, r):
 # result files
 
 
-def _write_lines(path, lines):
-    """Write lines to path in UTF-8, each ending in a line feed: the package's one file writer."""
+def _write_lines(path, rows):
+    """Write rows, each a sequence of fields, to path as UTF-8 CSV lines
+    ending in a line feed: the package's one file writer."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(line + "\n" for line in lines)
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _write_summary(path, meta, rows):
     """key,value metadata, then one parameter,mean,sd line per row."""
-    _write_lines(path, ["key,value", *(f"{key},{val}" for key, val in meta), "parameter,mean,sd",
-                        *(f"{name},{SUMMARY_FMT % m},{SUMMARY_FMT % s}" for name, m, s in rows)])
+    _write_lines(path, [("key", "value"), *meta, ("parameter", "mean", "sd"),
+                        *((name, SUMMARY_FMT % m, SUMMARY_FMT % s) for name, m, s in rows)])
 
 
 def write_summary(path, summary, method, n_iter, wall_time, elbo, converged=None,
@@ -182,29 +184,28 @@ def write_sharded_summary(path, sharded, method, scales):
 
 
 def write_trace(path, window_means, window):
-    _write_lines(path, ["window,iteration,mean_elbo", *(
-        f"{k},{k * window},{SUMMARY_FMT % m}" for k, m in enumerate(window_means, start=1))])
+    _write_lines(path, [("window", "iteration", "mean_elbo"), *(
+        (k, k * window, SUMMARY_FMT % m) for k, m in enumerate(window_means, start=1))])
 
 
 def write_subject_diagnostics(path, data, summary):
     header = ["subject"] + [f"{c}_{k}_{s}" for c in ("btilde", "b") for s in ("mean", "sd")
                             for k in range(data.r)]
     rows = np.hstack([summary.btilde_mean, summary.btilde_sd, summary.b_mean, summary.b_sd])
-    _write_lines(path, [",".join(header), *(",".join([label, *(SUMMARY_FMT % v for v in row)])
-                                            for label, row in zip(data.group_labels, rows))])
+    _write_lines(path, [header, *([label, *(SUMMARY_FMT % v for v in row)]
+                                  for label, row in zip(data.group_labels, rows))])
 
 
 def write_state(path, state, method, family_name, seed, converged=None):
     """Serialize (mu, C*) with a dimension header, which ends with the
     fit's `converged` when given; round-trips bit-exactly."""
-    lines = ["format,glmmvb-state,1", f"n,{state.n}", f"r,{state.r}", f"g,{state.g}",
-             f"method,{method}", f"family,{family_name}", f"seed,{seed}"]
-    lines += [f"converged,{converged}"] * (converged is not None)
+    rows = [("format", "glmmvb-state", 1), ("n", state.n), ("r", state.r), ("g", state.g),
+            ("method", method), ("family", family_name), ("seed", seed)]
+    rows += [("converged", converged)] * (converged is not None)
     for name in STATE_SECTIONS:
-        lines.append(f"section,{name}")
-        lines += [",".join(STATE_FMT % v for v in row)
-                  for row in np.atleast_2d(getattr(state, name))]
-    _write_lines(path, lines)
+        rows.append(("section", name))
+        rows += [[STATE_FMT % v for v in row] for row in np.atleast_2d(getattr(state, name))]
+    _write_lines(path, rows)
 
 
 def read_state(path):
@@ -262,10 +263,9 @@ def write_simulation(directory, scenario, seed, data, truth):
     path = os.path.join(directory, "dataset.csv")
     binomial = bool(truth["trials"])
     cols = [data.y, data.X[..., 1]] + [data.trials] * binomial
-    _write_lines(path, [",".join(["group", "y", "x"] + ["m"] * binomial), *(
-        ",".join([str(i + 1)] + [SUMMARY_FMT % c[i, j] for c in cols])
-        for i, j in zip(*np.nonzero(data.mask)))])
+    _write_lines(path, [["group", "y", "x"] + ["m"] * binomial, *(
+        [i + 1] + [SUMMARY_FMT % c[i, j] for c in cols] for i, j in zip(*np.nonzero(data.mask)))])
     _write_lines(os.path.join(directory, "truth.csv"), [
-        "key,value", f"scenario,{scenario}", f"seed,{seed}", f"beta0,{truth['beta'][0]}",
-        f"beta1,{truth['beta'][1]}", f"sigma,{truth['sigma']}", f"family,{truth['family']}"])
+        ("key", "value"), ("scenario", scenario), ("seed", seed), ("beta0", truth["beta"][0]),
+        ("beta1", truth["beta"][1]), ("sigma", truth["sigma"]), ("family", truth["family"])])
     return path

@@ -239,9 +239,8 @@ class _ObsMajor:
     columns (..., r(r+1)/2, n) (matcalc.sym_blocks). The subjects lie along
     the last axis, so elementwise work and every sum over a subject's
     observations (over axis -2) run inner loops of length n, for one draw
-    and for a block of draws alike (zt and zwz pick their form by v.ndim,
-    see _contract). There is no mask: Dataset zeroes the padded cells' y,
-    X and Z.
+    and for a block of draws alike. There is no mask: Dataset zeroes the
+    padded cells' y, X and Z.
     """
 
     def __init__(self, data):
@@ -266,24 +265,16 @@ class _ObsMajor:
             out += np.multiply(self.Z[k], b[..., None, k, :], out=tmp)
         return out
 
-    def sum_obs(self, v, out=None):
+    def sum_obs(self, v):
         """sum_j v_ij per subject, (..., n), for v (..., J, n): one product
         of a vector of ones with each draw's (J, n) array."""
-        return np.matmul(self.ones, v, out=out)
+        return np.matmul(self.ones, v)
 
     def _contract(self, A, v):
         """sum_j A_kj v_j per subject for each A_k of A (K, J, n), (..., K, n),
-        for v (..., J, n). One draw: one broadcast product and one sum. A
-        block: per k one product into one (..., J, n) temporary, summed into
-        row k, so it never holds K copies of its draws. Each k slice is
-        summed by the same product, so a draw's row has the same bytes."""
-        if v.ndim == 2:
-            return self.sum_obs(A * v)
-        out = np.empty(v.shape[:-2] + (len(A), A.shape[-1]))
-        tmp = np.empty(v.shape)
-        for k, a in enumerate(A):
-            self.sum_obs(np.multiply(a, v, out=tmp), out=out[..., k, :])
-        return out
+        for v (..., J, n): one broadcast product and one sum, for one draw
+        and for a block alike, so a draw's row has the same bytes."""
+        return self.sum_obs(A * v[..., None, :, :])
 
     def zt(self, v):
         """Z_i' v_i per subject, (..., r, n), for v (..., J, n)."""

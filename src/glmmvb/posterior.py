@@ -122,7 +122,7 @@ def simulate_b(data, prior, state, method, n_draws, seed):
     (LANE_POSTERIOR); the scales by factor_scales' path (_scale_moments)."""
     engine.check_draws(n_draws)
     (mu_loc, mu_glob), (c_loc, c_glob) = state.split(state.mu), state.blocks()
-    anchor, size = engine.mean_anchor(data, prior, state, method), engine.draw_block(data, method)
+    anchor, size = engine.mean_anchor(data, prior, state, method), engine.draw_block(data)
 
     def evaluate(z):
         return _draw_transforms(data, prior, state, method, z, anchor, (c_loc, c_glob))

@@ -34,11 +34,6 @@ NR_MAX_ITER = 100
 NR_TOL = 1e-11
 NR_TOL_ACCEPT = 1e-8  # guaranteed stationarity level
 NR_MAX_HALVINGS = 20
-# a block of draws searches on its rows with an active subject alone once
-# at most this share of its rows have one: on epilepsy II's 2,000-draw
-# simulate_b, shares of 0.25 to 0.75 evaluated the same 8,199 rows (10,006
-# without gathering), and a share of 1, a gather at every pass, ran 20% slower
-NR_GATHER = 0.5
 
 METHODS = ("a1", "a2")
 
@@ -119,13 +114,6 @@ def _evaluate(data, obs, Xbeta, Omega, b, eta=None):
     return _conditional_objective(obs, b, eta, h, Om_b), h1, h2, eta, Om_b
 
 
-def _put_rows(kept, rows, arrays):
-    """Write arrays, the rows of a block still searched, into kept, the
-    block's outputs, at their block rows `rows`."""
-    for out, a in zip(kept, arrays):
-        out[rows] = a
-
-
 def transform_a2(data, gp, start=None):
     """Transforms from the expansion about the conditional posterior mode.
 
@@ -153,12 +141,10 @@ def transform_a2(data, gp, start=None):
     evaluated meanwhile at its subject's current eta; a start beyond
     eta_max raises OverflowGuardError.
 
-    A block of draws (one leading axis) drops its finished rows: once at
-    most NR_GATHER of the rows it searches have an active subject, the
-    search goes on with those rows' state gathered, and the others' point,
-    weight, precision and stationarity figures wait in the outputs. Every
-    kernel computes a row from that row's entries alone, so the result is
-    the whole block's, byte for byte.
+    A block of draws (one leading axis) searches every row until no row has
+    an active subject. A finished row's subjects stay where they are, and
+    every kernel computes a row from that row's entries alone, so each row
+    has the bytes of its search alone.
     """
     obs = data._obs_major()
     Omega = gp.Omega
@@ -166,7 +152,6 @@ def transform_a2(data, gp, start=None):
     Xbeta = obs.xbeta(gp.beta)
     b = (transform_a1(data, gp).lam if start is None else start).swapaxes(-1, -2)
     f, h1, h2, eta, Om_b = _evaluate(data, obs, Xbeta, Omega, b)
-    kept = rows = None  # a block's outputs and its rows still searched, once gathered
     for it in range(NR_MAX_ITER + 1):
         grad = obs.zt(obs.y - h1) - Om_b
         P = obs.zwz(h2)
@@ -181,19 +166,6 @@ def transform_a2(data, gp, start=None):
         step = matcalc.spd_solve(P, grad)
         if np.count_nonzero(np.isfinite(step)) != step.size:
             raise ModeSearchFailedError("non-finite Newton step")
-        if b.ndim == 3:  # a block of draws: its finished rows leave the search
-            live = active.any(axis=-1)
-            if np.count_nonzero(live) <= NR_GATHER * len(live):
-                if rows is None:  # the outputs; b may be start, and w is the family's
-                    kept, rows = [b.copy(), eta, w.copy(), P, gnorm, scale], np.arange(len(live))
-                else:
-                    _put_rows(kept, rows, (b, eta, w, P, gnorm, scale))
-                rows = rows[live]
-                Xbeta, Omega, Om_h = (np.broadcast_to(a, live.shape + a.shape[-2:])
-                                      for a in (Xbeta, Omega, Om_h))
-                b, f, w, eta, P, gnorm, scale, active, step, Xbeta, Omega, Om_h = (
-                    a[live] for a in (b, f, w, eta, P, gnorm, scale, active, step,
-                                      Xbeta, Omega, Om_h))
         floor = f - 1e-10 * (np.abs(f) + 1.0)  # a candidate below it is no ascent
         t = active.astype(float)  # inactive subjects stay where they are
         for _ in range(NR_MAX_HALVINGS + 1):
@@ -223,9 +195,6 @@ def transform_a2(data, gp, start=None):
             _, h1, h2, eta, Om_b = _evaluate(data, obs, Xbeta, Omega, b)
         else:  # an inactive subject's candidate is its point, with its value
             f, b, eta, Om_b = f_new, cand, eta_new, Om_new
-    if rows is not None:
-        _put_rows(kept, rows, (b, eta, w, P, gnorm, scale))
-        b, eta, w, P, gnorm, scale = kept
     if np.count_nonzero(gnorm > NR_TOL_ACCEPT * scale):
         raise ModeSearchFailedError("Newton-Raphson mode search did not reach stationarity")
     Lam, L = matcalc.spd_inv_cholesky(matcalc.sym_blocks(P))

@@ -4,10 +4,17 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from glmmvb import families, matcalc, model, reparam
 
 import oracles
+
+# hypothesis's defaults without its explain phase: a failing property test
+# still prints its falsifying example, in seconds where explaining it took
+# about half a minute per case
+settings.register_profile("no-explain", phases=[p for p in Phase if p is not Phase.explain])
+settings.load_profile("no-explain")
 
 
 def random_spd(rng, r, scale=1.0):

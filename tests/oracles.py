@@ -467,7 +467,7 @@ def simulate_b_monte_carlo(data, prior, state, method, n_draws, seed):
         return (transforms.invert(b_tilde),)
 
     for (b,), _ in engine.accepted_draws(state, n_draws, seed, engine.LANE_POSTERIOR,
-                                         engine.draw_block(data, method), evaluate):
+                                         engine.draw_block(data), evaluate):
         moments = np.stack([b, b * b], 1)
         moments[0] += sums
         sums = moments.sum(axis=0)

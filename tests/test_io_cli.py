@@ -1,4 +1,5 @@
 import ast
+import csv
 import os
 import pathlib
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from glmmvb import cli, datasets, engine, families, fileio, model, simulate
+from glmmvb import cli, datasets, engine, families, fileio, model, posterior, recombine, simulate
 from glmmvb.exceptions import (
     ConfigError,
     DataError,
@@ -594,6 +595,49 @@ class TestCliFormats:
         for v in range(2):
             _, meta = fileio.read_state(os.path.join(out, f"state_shard{v}.txt"))
             assert meta["converged"] == "False"
+
+    def test_labels_holding_commas_keep_their_fields(self, tmp_path):
+        # seeds with group keys "clinic k, ward A" and a copy of `extract`
+        # named "dose, mg", both quoted in the input
+        with open(datasets.fixture_path("seeds.csv"), newline="") as fh:
+            rows = list(csv.reader(fh))
+        labels = [f"clinic {row[0]}, ward A" for row in rows[1:]]
+        path = tmp_path / "seeds.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([rows[0] + ["dose, mg"], *(
+                [label, *row[1:], row[-1]] for label, row in zip(labels, rows[1:]))])
+
+        def read(name):
+            with open(name, newline="") as fh:
+                return list(csv.reader(fh))
+
+        out = tmp_path / "run"
+        assert run_cli(["--data", str(path), "--family", "binomial", "--group-col", "plate",
+                        "--response-col", "germinated", "--trials-col", "total",
+                        "--fixed", "seed,extract", "--method", "a1", "--max-iter", "150",
+                        "--draws", "200", "--out", str(out)]) == 0
+        subjects = read(out / "subjects.csv")
+        assert all(len(row) == len(subjects[0]) == 5 for row in subjects)
+        assert [row[0] for row in subjects[1:]] == labels
+
+        data = fileio.load_csv(path, "binomial", "plate", ["seed", "dose, mg"], [],
+                               response_col="germinated", trials_col="total")
+        config = engine.FitConfig(method="a1", seed=1, max_iter=150, final_elbo_draws=10)
+        res = engine.fit(data, model.default_prior(data), config)
+        summary = posterior.simulate_b(data, model.default_prior(data), res.state, "a1", 50, 1)
+        fileio.write_summary(tmp_path / "summary.csv", summary, "a1", res.n_iter,
+                             res.wall_time, res.elbo)
+        prior = model.normal_omega_prior(1)
+        sharded = recombine.fit_sharded(data, prior, config, 2)
+        fileio.write_sharded_summary(tmp_path / "sharded.csv", sharded, "a1",
+                                     posterior.factor_scales(sharded.combined, 3, 1, 50, 1))
+        for name in ("summary.csv", "sharded.csv"):
+            lines = read(tmp_path / name)
+            body = lines[lines.index(["parameter", "mean", "sd"]) + 1:]
+            assert all(len(row) == 2 for row in lines[:len(lines) - len(body) - 1]), name
+            assert all(len(row) == 3 for row in body), name
+            assert [row[0] for row in body[:3]] == ["beta.intercept", "beta.seed",
+                                                    "beta.dose, mg"], name
 
 
 class TestCliExitCodes:

@@ -86,18 +86,18 @@ class TestKernels:
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_one_draws_contractions_make_no_temporary_per_component(self, rng, monkeypatch, r):
-        # one draw's zt and zwz are one broadcast product and one sum each;
-        # a block keeps its per-component loop, and the one-draw result is
-        # the bytes of the block's row
+        # zt and zwz are one broadcast product and one sum each, for one
+        # draw and for a block alike, and the one-draw result is the bytes
+        # of the block's row
         data = random_dataset(rng, families.POISSON, r=r, n=5, p=2)
         obs = data._obs_major()
         v = rng.standard_normal((3, data.J, data.n))
-        want = [obs.zt(v), obs.zwz(v)]
 
         def no_empty(*args, **kw):
             raise AssertionError("np.empty called")
 
         monkeypatch.setattr(np, "empty", no_empty)
+        want = [obs.zt(v), obs.zwz(v)]
         for k in range(len(v)):
             assert obs.zt(v[k]).tobytes() == want[0][k].tobytes()
             assert obs.zwz(v[k]).tobytes() == want[1][k].tobytes()

@@ -1,6 +1,8 @@
+import inspect
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -21,7 +23,7 @@ import oracles
 from conftest import random_dataset, random_gp, random_spd, random_wishart_prior
 
 from test_engine import micro_model
-from test_reparam import REFERENCE_TOL, rows_searched
+from test_reparam import REFERENCE_TOL
 
 
 def tiny_global_state(data, mu_global, local_scale=0.4, rng=None):
@@ -241,12 +243,10 @@ class TestSimulateB:
 
 
 def _blocks_of(data, block):
-    """engine.DRAW_BLOCK_BYTES, MAX_DRAW_BLOCK, A2_DRAW_BLOCK and
-    A2_DRAW_BLOCK_BYTES patched so that draw_block(data, method) is block
-    under both methods."""
-    budget = 8 * data.n * data.J * block
-    return mock.patch.multiple(engine, DRAW_BLOCK_BYTES=budget, MAX_DRAW_BLOCK=block,
-                               A2_DRAW_BLOCK=block, A2_DRAW_BLOCK_BYTES=budget)
+    """engine.DRAW_BLOCK_BYTES and MAX_DRAW_BLOCK patched so that
+    draw_block(data) is block."""
+    return mock.patch.multiple(engine, DRAW_BLOCK_BYTES=8 * data.n * data.J * block,
+                               MAX_DRAW_BLOCK=block)
 
 
 UNBOUNDED = 10 ** 9  # more draws than any call asks for
@@ -280,7 +280,7 @@ class TestDrawBlocks:
             want = self._results(data, prior, state, method, n_draws, seed)
         for block in (1, 3, 7):
             with _blocks_of(data, block):
-                assert engine.draw_block(data, method) == block
+                assert engine.draw_block(data) == block
                 got = self._results(data, prior, state, method, n_draws, seed)
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
@@ -319,20 +319,24 @@ class TestDrawBlocks:
         np.testing.assert_allclose(summary.b_sd, np.sqrt((var + mean * mean).mean(axis=0)
                                                          - b_mean ** 2), rtol=1e-10)
 
-    def test_a2_blocks_are_capped_by_draws_or_bytes(self):
-        # epilepsy II (n J = 236): 277 draws fill DRAW_BLOCK_BYTES, an a2
-        # block holds A2_DRAW_BLOCK = 128; seeds (n J = 21): the 3,120 draws
-        # that fill DRAW_BLOCK_BYTES are capped at MAX_DRAW_BLOCK = 2,000,
-        # under a2 at the 780 that fill A2_DRAW_BLOCK_BYTES; an n = 500
-        # design's 18 draws are below every cap
-        epilepsy = datasets.epilepsy_dataset("II")
-        assert engine.draw_block(epilepsy, "a1") == 277
-        assert engine.draw_block(epilepsy, "a2") == engine.A2_DRAW_BLOCK == 128
-        seeds = datasets.seeds_dataset()
-        assert engine.draw_block(seeds, "a1") == engine.MAX_DRAW_BLOCK == 2000
-        assert engine.draw_block(seeds, "a2") == engine.A2_DRAW_BLOCK_BYTES // (8 * 21) == 780
-        large = simulate.simulate_dataset("bernoulli-i", seed=202)[0]
-        assert engine.draw_block(large, "a2") == engine.draw_block(large, "a1") == 18
+    def test_one_block_rule_for_both_methods(self):
+        # draws within DRAW_BLOCK_BYTES = 256 KB of (block, n, J) float64,
+        # at most MAX_DRAW_BLOCK: epilepsy II (n J = 236) 138, seeds (n J =
+        # 21) 1,560, a bernoulli-shard shard (n J = 700) 46 and an n = 500
+        # bernoulli-i design (n J = 3,500) 9
+        assert list(inspect.signature(engine.draw_block).parameters) == ["data"]
+        assert engine.draw_block(datasets.epilepsy_dataset("II")) == 138
+        assert engine.draw_block(datasets.seeds_dataset()) == 1560
+        shard = simulate.simulate_dataset("bernoulli-i", seed=77, n=100)[0]
+        assert shard.n * shard.J == 700 and engine.draw_block(shard) == 46
+        assert engine.draw_block(simulate.simulate_dataset("bernoulli-i", seed=202)[0]) == 9
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 10 ** 6), J=st.integers(1, 10 ** 4))
+    def test_block_is_bounded_and_fits_the_budget(self, n, J):
+        block = engine.draw_block(SimpleNamespace(n=n, J=J))
+        assert 1 <= block <= engine.MAX_DRAW_BLOCK
+        assert block == 1 or 8 * max(1, n * J) * block <= engine.DRAW_BLOCK_BYTES
 
     @staticmethod
     def _simulation_peak(data, prior, method, n_draws):
@@ -358,20 +362,6 @@ class TestDrawBlocks:
         # alone at 0.8 MB
         data = simulate.simulate_dataset("bernoulli-i", seed=77, n=100)[0]
         assert self._simulation_peak(data, model.normal_omega_prior(1), "a1", 2000) <= 2 * 2 ** 20
-
-    def test_epilepsy_a2_block_drops_its_finished_draws(self, monkeypatch):
-        # the final ELBO's first 250 draws at the default fit's state, as one block:
-        # searched row by row to the end, its mode search evaluates 5 points
-        # of each draw (1,250 rows); once at most half the draws have an
-        # active subject it goes on with those alone (19 here: 1,019 rows)
-        data = datasets.epilepsy_dataset("II")
-        prior = model.default_prior(data)
-        state = engine.fit(data, prior, method="a2", seed=1, final_elbo_draws=0).state
-        anchor = engine.mean_anchor(data, prior, state, "a2")
-        s = engine.stream(1, engine.LANE_FINAL, 0).standard_normal((250, state.d))
-        rows = rows_searched(monkeypatch)
-        engine.draw(data, prior, state, "a2", s, anchor)
-        assert sum(rows) <= 4.2 * 250
 
 
 class TestMeanAnchor:

@@ -194,19 +194,6 @@ def _outcome(transform, data, gp, start):
         return type(err)
 
 
-def rows_searched(monkeypatch):
-    """The draws (rows) of each point the a2 search evaluates, recorded as
-    it runs: 1 for a single draw."""
-    rows, objective = [], reparam._conditional_objective
-
-    def record(obs, b, eta, h, Om_b):
-        rows.append(b.shape[0] if b.ndim == 3 else 1)
-        return objective(obs, b, eta, h, Om_b)
-
-    monkeypatch.setattr(reparam, "_conditional_objective", record)
-    return rows
-
-
 class TestModeSearchAgainstReference:
     @pytest.mark.parametrize("halvings", [reparam.NR_MAX_HALVINGS, 1, 0])
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -264,10 +251,11 @@ class TestModeSearchAgainstReference:
 
     # a block of 16 draws at 0.05 to 2 sds of 0.3 from an anchor, searched
     # from the modes predicted there as draw blocks are: near rows finish
-    # passes before far ones, so the search goes on with the far rows alone
+    # passes before far ones, and stay where they finished while the far
+    # rows search on
     @pytest.mark.parametrize("famname", ["poisson", "binomial", "bernoulli"])
     @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_block_whose_rows_finish_apart(self, monkeypatch, famname, r):
+    def test_block_whose_rows_finish_apart(self, famname, r):
         rng = np.random.default_rng(case_seed("block", famname, r))
         data = random_dataset(rng, families.by_name(famname), r=r, n=6, p=2)
         at = random_gp(rng, 2, r)
@@ -276,9 +264,7 @@ class TestModeSearchAgainstReference:
         x = np.concatenate([at.beta, at.omega]) + 0.3 * np.geomspace(0.05, 2.0, 16)[:, None] * dirs
         gp = model.GlobalParams(x[:, :2], x[:, 2:], r)
         start = reparam.predict_modes(data, reparam.transform_a2(data, at), gp)
-        rows = rows_searched(monkeypatch)
         got = reparam.transform_a2(data, gp, start)
-        assert 0 < min(rows) < 16  # the far rows went on alone
         want = oracles.transform_a2(data, gp, start)
         for field in ("lam", "L", "Lambda", "base_eta"):
             np.testing.assert_allclose(getattr(got, field), getattr(want, field),
@@ -289,11 +275,11 @@ class TestModeSearchAgainstReference:
                 np.testing.assert_array_equal(getattr(got, field)[k], getattr(one, field))
 
     # test_frozen_subjects_are_evaluated_where_they_stay's seed-508 search as
-    # one row of a block whose other rows start at their modes, so they leave
-    # the search at its first pass: with halving the row reaches its mode
-    # (and the search writes nothing into start), without it the row fails
-    # after the others have left, and so fails the block
-    def test_straggler_searched_alone(self, monkeypatch):
+    # one row of a block whose other rows start at their modes, so they
+    # finish at its first pass: with halving the row reaches its mode (and
+    # the search writes nothing into start), without it the row fails, and
+    # so fails the block
+    def test_straggler_searched_alone(self):
         rng = np.random.default_rng(508)
         data = random_dataset(rng, families.BERNOULLI, r=1, n=3, p=2)
         gp = model.GlobalParams(0.5 * rng.standard_normal(2), 0.5 * rng.standard_normal(1), 1)
@@ -302,10 +288,8 @@ class TestModeSearchAgainstReference:
         start[5] = far
         block = model.GlobalParams(np.broadcast_to(gp.beta, (8, 2)),
                                    np.broadcast_to(gp.omega, (8, 1)), 1)
-        rows = rows_searched(monkeypatch)
         before = start.copy()
         got = reparam.transform_a2(data, block, start)
-        assert rows[:2] == [8, 1]
         np.testing.assert_array_equal(start, before)
         for k, one_start in ((0, start[0]), (5, far)):
             one = reparam.transform_a2(data, gp, one_start)
@@ -314,10 +298,8 @@ class TestModeSearchAgainstReference:
         with mock.patch.object(reparam, "NR_MAX_HALVINGS", 0):
             with pytest.raises(ModeSearchFailedError):
                 reparam.transform_a2(data, gp, far)
-            rows.clear()
             with pytest.raises(ModeSearchFailedError):
                 reparam.transform_a2(data, block, start)
-        assert rows[0] == 8 and rows[-1] == 1
 
 
 def _shifted(gp, h, d_beta, d_omega):
