@@ -40,7 +40,7 @@ def build_parser():
     p.add_argument("--shards", type=int, default=1, help="V for divide and recombine")
     p.add_argument("--max-iter", type=int, default=200_000)
     p.add_argument("--draws", type=int, default=50_000,
-                   help="posterior simulation draws for reporting (at least 2)")
+                   help="draws of omega for the scales (and theta_G for b's fallback; >= 2)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--simulate", default=None, metavar="SCENARIO",
                    choices=sorted(simulate.SCENARIOS),

@@ -25,7 +25,7 @@ from .exceptions import RECOVERABLE, ConfigError, DivergedError, GlmmVbError, Ov
 
 LANE_FIT = 0
 LANE_FINAL = 1
-LANE_SIM = 2  # simulate_dataset (t = 0) and the scales' draws, posterior._scale_moments (t = 1)
+LANE_SIM = 2  # simulate_dataset (t = 0) and posterior._scale_moments' draws of omega (t = 1)
 LANE_PART = 3
 LANE_POSTERIOR = 4  # posterior.simulate_b's Monte Carlo fallback (t = 0)
 
@@ -462,13 +462,14 @@ def elbo_estimate(data, prior, state, method, n_draws, seed):
 
 
 def scaled_moments(vals):
-    """(mean, sd with ddof 1) of each column of vals, taken of the column
-    scaled by a power of two above its largest magnitude: that changes no
-    rounding, and the sums stay finite also when the values lie near the
-    largest float."""
-    _, e = np.frexp(np.abs(vals).max(axis=0))
-    z = np.ldexp(vals, -e)
-    return np.ldexp(z.mean(axis=0), e), np.ldexp(z.std(axis=0, ddof=1), e)
+    """(mean, sd with ddof 1) of each column of vals (N, ...), taken of the
+    column scaled by a power of two above its largest magnitude: that
+    changes no rounding, and the sums stay finite also when the values lie
+    near the largest float. The columns are reduced as contiguous rows."""
+    vals = np.ascontiguousarray(np.moveaxis(vals, 0, -1))
+    _, e = np.frexp(np.abs(vals).max(axis=-1))
+    z = np.ldexp(vals, -e[..., None])
+    return np.ldexp(z.mean(axis=-1), e), np.ldexp(z.std(axis=-1, ddof=1), e)
 
 
 def laplace_objective(data, prior, x, anchor=None):

@@ -4,10 +4,10 @@ q's C has no block between b~_i and theta_G, so given theta_G the
 untransformed random effects b_i = L_i b~_i + lambda_i are Gaussian, with
 the transforms rebuilt at theta_G by the fit's method. b's mean and sd are
 taken over theta_G by a degree-5 cubature rule; its marginals are mixtures,
-not constrained to be Gaussian. The derived scales are summarized over
-Monte Carlo draws of theta_G, for a single fit as for a recombined sharded
-one: for r = 1, sigma = sqrt((Omega^{-1})_11); for r = 2 additionally
-(sigma_1, sigma_2, rho) from the 2x2 covariance.
+not constrained to be Gaussian. The derived scales, functions of omega
+alone, are summarized over Monte Carlo draws of omega, for a single fit as
+for a recombined sharded one: for r = 1, sigma = sqrt((Omega^{-1})_11);
+for r = 2 additionally (sigma_1, sigma_2, rho) from the 2x2 covariance.
 """
 
 import warnings
@@ -25,7 +25,7 @@ class PosteriorSummary:
     global_mean: np.ndarray      # (g,)  q-exact moments of (beta, omega)
     global_sd: np.ndarray
     scale_names: list
-    scale_mean: np.ndarray       # Monte Carlo moments of derived scales over theta_G
+    scale_mean: np.ndarray       # Monte Carlo moments of derived scales over omega
     scale_sd: np.ndarray
     b_mean: np.ndarray           # (n, r) by the cubature rule over theta_G
     b_sd: np.ndarray
@@ -44,7 +44,7 @@ def _scale_names(r):
 
 def _scales(gp):
     """Per-draw derived scale parameters (B, len(_scale_names)) from the
-    cached Omega of gp, GlobalParams of B draws."""
+    cached Omega of gp, GlobalParams of B draws (only omega is read)."""
     r = gp.r
     cov = matcalc.spd_inv(gp.Omega)
     idx = np.arange(r)
@@ -57,12 +57,13 @@ def _scales(gp):
     return np.stack(cols, axis=-1)
 
 
-def _scale_moments(global_params, mean, factor, n_draws, seed):
+def _scale_moments(r, mean, factor, n_draws, seed):
     """(means, sds, draws rejected) of the derived scales over n_draws
-    accepted draws theta_G = factor z + mean, z g normals of stream(seed,
-    LANE_SIM, 1) (engine.accepted_draws); global_params makes GlobalParams."""
+    accepted draws omega = factor z + mean, factor lower (g2, g2) and z g2
+    normals of stream(seed, LANE_SIM, 1) (engine.accepted_draws)."""
     def evaluate(z):
-        return (_scales(global_params(matcalc.matvec_fixed(factor, z) + mean)),)
+        omega = matcalc.matvec(factor, z) + mean
+        return (_scales(model.GlobalParams(omega[:, :0], omega, r)),)
 
     blocks = list(engine.accepted_draws(None, n_draws, seed, engine.LANE_SIM,
                                         engine.MAX_DRAW_BLOCK, evaluate, columns=mean.size, t=1))
@@ -71,10 +72,12 @@ def _scale_moments(global_params, mean, factor, n_draws, seed):
 
 def factor_scales(factor, p, r, n_draws, seed):
     """Simulated (names, means, sds) of the derived scales under a Gaussian
-    factor on theta_G = (beta (p), omega), such as a recombined sharded fit."""
+    factor on theta_G = (beta (p), omega), such as a recombined sharded fit,
+    SPD as a whole: omega is drawn from its marginal N(mean[p:], cov[p:, p:])."""
     engine.check_draws(n_draws)
-    means, sds, _ = _scale_moments(lambda x: model.GlobalParams(x[:, :p], x[:, p:], r),
-                                   factor.mean, matcalc.cholesky(factor.cov), n_draws, seed)
+    matcalc.cholesky(factor.cov)
+    means, sds, _ = _scale_moments(r, factor.mean[p:], matcalc.cholesky(factor.cov[p:, p:]),
+                                   n_draws, seed)
     return _scale_names(r), means, sds
 
 
@@ -119,7 +122,8 @@ def simulate_b(data, prior, state, method, n_draws, seed):
     """PosteriorSummary: b's moments by _cubature_rule over theta_G ~ N(mu_G,
     C_G C_G'), in blocks of engine.draw_block points, or, with a RuntimeWarning
     if a point's build fails recoverably, by n_draws accepted draws of theta_G
-    (LANE_POSTERIOR); the scales by factor_scales' path (_scale_moments)."""
+    (LANE_POSTERIOR); the scales by factor_scales' path (_scale_moments) over
+    omega ~ N(mu_G[p:], C_omega C_omega'), C_omega = C_G[p:], or a fixed omega."""
     engine.check_draws(n_draws)
     (mu_loc, mu_glob), (c_loc, c_glob) = state.split(state.mu), state.blocks()
     anchor, size = engine.mean_anchor(data, prior, state, method), engine.draw_block(data)
@@ -139,8 +143,12 @@ def simulate_b(data, prior, state, method, n_draws, seed):
             lambda z: (*evaluate(z), np.full(len(z), 1.0 / n_draws)), columns=state.g))
         warnings.warn(f"the cubature rule over theta_G rejected a point ({err}); b's moments "
                       f"are from {n_draws} Monte Carlo draws", RuntimeWarning, stacklevel=2)
-    scale_mean, scale_sd, scale_rejected = _scale_moments(
-        lambda x: engine._global_params(data, prior, x), mu_glob, c_glob, n_draws, seed)
+    if prior.learns_omega:
+        c_omega = c_glob[data.p:]
+        omega, factor = mu_glob[data.p:], matcalc.cholesky(c_omega @ c_omega.T)
+    else:
+        omega, factor = np.broadcast_to(prior.omega, (data.g2,)), np.zeros((data.g2, data.g2))
+    scale_mean, scale_sd, scale_rejected = _scale_moments(data.r, omega, factor, n_draws, seed)
 
     return PosteriorSummary(
         global_names=model.global_names(data, prior), global_mean=mu_glob.copy(),

@@ -1013,6 +1013,39 @@ class TestAcceptedDraws:
         assert elbo < -1e300
 
 
+class TestScaledMoments:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 300), st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+           st.integers(-150, 150))
+    def test_each_column_has_numpys_moments(self, n, k, seed, exponent):
+        # a column's mean and ddof-1 sd are numpy's of the column alone, byte
+        # for byte, and match numpy's column-wise reduction of the array
+        vals = np.random.default_rng(seed).standard_normal((n, k)) * 10.0 ** exponent
+        mean, sd = engine.scaled_moments(vals)
+        assert mean.shape == sd.shape == (k,)
+        for j in range(k):
+            column = vals[:, j].copy()
+            assert (mean[j], sd[j]) == (np.mean(column), np.std(column, ddof=1))
+            assert engine.scaled_moments(column) == (mean[j], sd[j])
+        scale = 1e-12 * np.abs(vals).max()
+        np.testing.assert_allclose(mean, np.mean(vals, axis=0), rtol=1e-12, atol=scale)
+        np.testing.assert_allclose(sd, np.std(vals, axis=0, ddof=1), rtol=1e-12, atol=scale)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 300), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+    def test_finite_near_the_largest_float(self, n, k, seed):
+        # columns of one sign within a factor 2 of 1.7e308: their plain sums
+        # overflow, their moments do not
+        rng = np.random.default_rng(seed)
+        vals = 1.7e308 * rng.choice([-1.0, 1.0], k) * rng.uniform(0.5, 1.0, (n, k))
+        mean, sd = engine.scaled_moments(vals)
+        assert np.all(np.isfinite(mean)) and np.all(np.isfinite(sd))
+        small = np.ldexp(vals, -1000)
+        np.testing.assert_allclose(mean, np.ldexp(np.mean(small, axis=0), 1000),
+                                   rtol=1e-12, atol=1e-12 * 1.7e308)
+        np.testing.assert_allclose(sd, np.ldexp(np.std(small, axis=0, ddof=1), 1000), rtol=1e-12)
+
+
 def _a2_fit(data, seed=5, max_iter=300):
     cfg = engine.FitConfig(method="a2", seed=seed, max_iter=max_iter, window=100,
                            final_elbo_draws=50)

@@ -94,9 +94,10 @@ class TestSimulateB:
 
     def test_draws_do_not_repeat_the_simulated_effects(self, monkeypatch):
         # the command line's --seed seeds both a simulated dataset and the
-        # posterior summary of its fit; the scales' draws of theta_G, and
-        # those of the Monte Carlo fallback (here forced by a failing rule
-        # point), must come from other streams than the simulated effects
+        # posterior summary of its fit; the scales' draws of omega, and
+        # those of theta_G by the Monte Carlo fallback (here forced by a
+        # failing rule point), must come from other streams than the
+        # simulated effects
         data, truth = simulate.simulate_dataset("poisson-ii", 11, n=50)
         state = engine.VariationalState.initial(data.n, data.r, data.g)
         draws, accepted, draw_transforms = [], engine.accepted_draws, posterior._draw_transforms
@@ -118,7 +119,8 @@ class TestSimulateB:
             posterior.simulate_b(data, model.default_prior(data), state, "a1", 2, seed=11)
         # the simulated effects are SIGMA times the first normals of their stream
         effects = truth["random_effects"] / simulate.SIGMA
-        assert [z.shape for z in draws] == [(2, data.g)] * 2  # the fallback's, the scales'
+        # the fallback's draws of theta_G, then the scales' of omega
+        assert [z.shape for z in draws] == [(2, data.g), (2, data.g2)]
         for z in draws:
             assert not np.any(np.isclose(z.ravel(), effects[:z.size]))
 
@@ -466,16 +468,58 @@ class TestScaleMapping:
         np.testing.assert_allclose(scales[:, 0], np.exp(-omega[:, 0]), rtol=1e-12)
 
 
+def _lognormal_scale(m, s2):
+    """(mean, sd, kurtosis) of sigma = e^{-omega}, omega ~ N(m, s2): r = 1's scale."""
+    mean = np.exp(-m + s2 / 2)
+    kurtosis = np.exp(4 * s2) + 2 * np.exp(3 * s2) + 3 * np.exp(2 * s2) - 3
+    return mean, mean * np.sqrt(np.expm1(s2)), kurtosis
+
+
+def _assert_within_4_se(names, means, sds, m, s2, n_draws):
+    """means and sds of n_draws draws of sigma lie within 4 standard errors of
+    the lognormal's moments; the sd's standard error is sd sqrt((kurtosis - 1) / 4 N)."""
+    mean, sd, kurtosis = _lognormal_scale(m, s2)
+    assert names == ["sigma"]
+    assert abs(means[0] - mean) < 4 * sd / np.sqrt(n_draws)
+    assert abs(sds[0] - sd) < 4 * sd * np.sqrt((kurtosis - 1) / (4 * n_draws))
+
+
+class TestLognormalScaleOracle:
+    """For r = 1, sigma = e^{-omega} is lognormal under omega's Gaussian marginal."""
+
+    @pytest.mark.parametrize("coupling", [None, 0.3], ids=["fitted", "coupled"])
+    def test_simulate_b_on_a_fitted_seeds_state(self, coupling):
+        # "coupled" sets omega's row of C_G off its diagonal to 0.3: omega's
+        # marginal sd, 0.60, is then about twice its sd given beta, 0.31
+        data = datasets.seeds_dataset()
+        prior = model.default_prior(data)
+        state = engine.fit(data, prior, method="a1", seed=0, final_elbo_draws=0).state
+        if coupling is not None:
+            rows, cols = matcalc.tri_indices(state.g)
+            state.cstar_global[(rows == data.p) & (cols < data.p)] = coupling
+        summary = posterior.simulate_b(data, prior, state, "a1", 50_000, seed=1)
+        (_, mu_glob), (_, c_glob) = state.split(state.mu), state.blocks()
+        _assert_within_4_se(summary.scale_names, summary.scale_mean, summary.scale_sd,
+                            mu_glob[data.p], c_glob[data.p] @ c_glob[data.p], 50_000)
+
+    def test_factor_scales_on_a_known_factor(self):
+        chol = np.array([[0.7, 0.0, 0.0], [0.1, 0.6, 0.0], [0.2, -0.1, 0.2]])
+        factor = recombine.GaussianFactor(np.array([0.3, -1.0, 1.2]), chol @ chol.T)
+        names, means, sds = posterior.factor_scales(factor, 2, 1, 50_000, seed=5)
+        _assert_within_4_se(names, means, sds, 1.2, 0.09, 50_000)  # cov[2, 2] = 0.09
+
+
 class TestFactorScales:
     def test_draws_from_the_factors_cholesky(self, rng):
         cov = random_spd(rng, 3)
         factor = recombine.GaussianFactor(rng.standard_normal(3), cov)
+        # omega alone is drawn, from its marginal N(mean[2:], cov[2:, 2:])
         names, means, sds = posterior.factor_scales(factor, 2, 1, 50, seed=3)
-        draws = (factor.mean + engine.stream(3, engine.LANE_SIM, 1).standard_normal((50, 3))
-                 @ np.linalg.cholesky(cov).T)
-        want = posterior._scales(model.GlobalParams(draws[:, :2], draws[:, 2:], 1))
-        np.testing.assert_array_equal(means, want.mean(axis=0))
-        np.testing.assert_array_equal(sds, want.std(axis=0, ddof=1))
+        omega = (factor.mean[2:] + engine.stream(3, engine.LANE_SIM, 1).standard_normal((50, 1))
+                 @ np.linalg.cholesky(cov[2:, 2:]).T)
+        want = posterior._scales(model.GlobalParams(omega[:, :0], omega, 1)).T.copy()
+        np.testing.assert_array_equal(means, want.mean(axis=1))
+        np.testing.assert_array_equal(sds, want.std(axis=1, ddof=1))
 
     @pytest.mark.parametrize("n_draws", [0, 1, 2.5, True])
     def test_needs_two_draws(self, n_draws):
