@@ -21,7 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import gradients, matcalc, model, reparam
-from .exceptions import RECOVERABLE, ConfigError, DivergedError, GlmmVbError, OverflowGuardError
+from .exceptions import (RECOVERABLE, ConfigError, DivergedError, GlmmVbError,
+                         NotPositiveDefiniteError, OverflowGuardError)
 
 LANE_FIT = 0
 LANE_FINAL = 1
@@ -108,6 +109,7 @@ class FitConfig:
 
 
 CstarLayout = collections.namedtuple("CstarLayout", "rows cols offsets diag")
+Sample = collections.namedtuple("Sample", "t value beta omega log_diag l_diag s")
 
 
 @lru_cache(maxsize=None)
@@ -196,10 +198,13 @@ class VariationalState:
         methods below take them to save rebuilding within one step."""
         return self._materialize()
 
+    def log_diag(self):
+        """C*'s log diagonal, gathered by cstar_layout: the local blocks', then the global's."""
+        return self.params[self.d:][cstar_layout(self.n, self.r, self.g).diag]
+
     def log_det_c(self):
-        """The sum of C*'s log diagonal: the local blocks', then the global's."""
-        logs, nr = self.params[self.d:][cstar_layout(self.n, self.r, self.g).diag], self.n * self.r
-        return logs[:nr].sum() + logs[nr:].sum()
+        """log|C|, the sum of log_diag() (_log_det_c)."""
+        return _log_det_c(self.log_diag(), self.n * self.r)
 
     # -- vector <-> blocks ---------------------------------------------------
     def split(self, vec):
@@ -222,13 +227,12 @@ class VariationalState:
         return self._join(loc, glob)
 
     def cinv_t(self, s, blocks):
-        """C^{-T} s from blocks(), as (local (..., n, r), global (..., g))
-        blocks: blockwise triangular solves (LAPACK for the global block,
-        where substitution would take g Python-level sweeps)."""
+        """C^{-T} s from blocks() as (local (..., n, r), global (..., g)) blocks; LAPACK
+        solves the global one (NotPositiveDefiniteError if singular), not g sweeps."""
         c_loc, c_glob = blocks
         s_loc, s_glob = self.split(s)
         return (matcalc.solve_lower(c_loc, s_loc, trans=True),
-                np.linalg.solve(c_glob.T, s_glob[..., None])[..., 0])
+                matcalc._lapack(np.linalg.solve, c_glob.T, s_glob[..., None])[..., 0])
 
 
 @dataclass
@@ -288,32 +292,45 @@ def estimator(state, s, grad_vec, blocks):
 
 
 class Plateau:
-    """The stopping rule. push(elbo, params) sums a step's ELBO sample and
-    the params after it; at the end of each `window` pushes the mean ELBO
-    joins `means`, the mean params (summed in push order) become `average`
-    and push returns `converged`: whether the least-squares slope of the
-    last min(tau, len(means)) means is negative (never on one mean, nor on
-    a window holding one of the first `hold` pushes). The ELBO is then on
-    its plateau, where constant-step Adam's iterates scatter about the
-    optimum: fit returns `average` (Polyak & Juditsky, 1992), which is why
-    a window of boosted steps, whose iterates scatter wider, never fires."""
+    """The stopping rule. push(params) sums the params after a step and says if
+    it fills a `window`; add(elbos) sums ELBO samples in step order; close()
+    ends a full window: its mean ELBO joins `means`, the mean params become
+    `average`, and close returns `converged`: whether the least-squares slope
+    of the last min(tau, len(means)) means is negative (never on one mean, nor
+    on a window holding one of the first `hold` pushes). The ELBO is then on its
+    plateau, where constant-step Adam's iterates scatter about the optimum: fit
+    returns `average` (Polyak & Juditsky, 1992); no window of boosted steps fires."""
 
     def __init__(self, window, tau, hold=0):
         self.window, self.tau, self.hold, self.means, self.average = window, tau, hold, [], None
         self.converged, self._count, self._elbo, self._params = False, 0, 0.0, 0.0
 
-    def push(self, elbo, params):
+    def push(self, params):
         self._count += 1
-        self._elbo += elbo
         self._params += params
-        if self._count < self.window:
-            return False
+        return self._count == self.window
+
+    def add(self, elbos):
+        for elbo in elbos:
+            self._elbo += float(elbo)
+
+    def close(self):
         self.means.append(self._elbo / self.window)
         self.average = self._params / self.window
         self._count, self._elbo, self._params = 0, 0.0, 0.0
         self.converged = (len(self.means) >= 2 and (len(self.means) - 1) * self.window >= self.hold
                           and window_slope(self.means, self.tau) < 0.0)
         return self.converged
+
+
+def _log_det_c(log_diag, nr):
+    """log|C| from rows (..., d) of VariationalState.log_diag, nr of them local."""
+    return log_diag[..., :nr].sum(axis=-1) + log_diag[..., nr:].sum(axis=-1)
+
+
+def _elbo_sample(value, log_det_c, s):
+    """The ELBO sample at draws s (..., d): the log joint value, then log|C| and |s|^2/2."""
+    return value + log_det_c + 0.5 * (s * s).sum(axis=-1)
 
 
 def window_slope(window_means, tau):
@@ -343,16 +360,17 @@ def draw(data, prior, state, method, s, anchor=None, blocks=None):
 
 
 def step(data, prior, config, state, adam, t, draws, anchor=None, alpha=ADAM_ALPHA):
-    """One stochastic gradient step, Adam's at step size alpha; returns the
-    pre-update ELBO sample and the step's transforms, the next step's anchor.
+    """One stochastic gradient step, Adam's at step size alpha; returns the pre-update
+    ELBO's Sample for finish_samples (t, the data term, the draw's beta and omega,
+    C*'s log diagonal, L's diagonal and s) and the transforms, the next anchor.
 
     The draws are those of stream(config.seed, LANE_FIT, t), taken from
     `draws`, the fit's LaneStream of that stream; the transforms are built
     from `anchor` (draw). A recoverable numeric
     failure (overflow guard, failed factorization, failed mode search)
     retries once with a fresh draw from the same iteration stream and the
-    same anchor; a second failure, a non-finite ELBO sample or a
-    non-finite update raises DivergedError.
+    same anchor; a second failure, a non-finite data term, a singular C or
+    a non-finite update raises DivergedError before the update.
     """
     rng = draws.at(t)
     blocks = state.blocks()
@@ -367,16 +385,30 @@ def step(data, prior, config, state, adam, t, draws, anchor=None, alpha=ADAM_ALP
             last_err = err
     else:
         raise DivergedError(f"iteration {t}: {last_err}") from last_err
-    elbo = float(value + state.log_det_c() + 0.5 * (s * s).sum())
-    if not math.isfinite(elbo):
-        raise DivergedError(f"iteration {t}: non-finite ELBO sample {elbo}")
-
-    # omega's block is last, and d leaves it out when the prior fixes omega
-    update = adam.ascent_step(estimator(state, s, grad[:state.d], blocks), alpha)
+    if not math.isfinite(value):
+        raise DivergedError(f"iteration {t}: non-finite ELBO data term {value}")
+    sample = Sample(t, float(value), transforms.gp.beta, transforms.gp.omega,
+                    state.log_diag(), transforms.L.diagonal(0, -2, -1).copy(), s)
+    try:  # omega's block is last, and d leaves it out when the prior fixes omega
+        update = adam.ascent_step(estimator(state, s, grad[:state.d], blocks), alpha)
+    except NotPositiveDefiniteError as err:  # C's global block is singular
+        raise DivergedError(f"iteration {t}: {err}") from err
     if np.count_nonzero(np.isfinite(update)) != update.size:
         raise DivergedError(f"iteration {t}: non-finite parameter update")
     state.params += update
-    return elbo, transforms
+    return sample, transforms
+
+
+def finish_samples(data, prior, samples):
+    """Steps' ELBO samples, batched: model.global_terms, log|L|, log|C|, |s|^2/2 added
+    as elbo_estimate adds them; DivergedError names the first non-finite sample's step."""
+    t, value, beta, omega, log_diag, l_diag, s = map(np.array, zip(*samples))
+    value = model.global_terms(data, model.GlobalParams(beta, omega, data.r), prior, value)
+    elbo = _elbo_sample(value + reparam.sum_log_diag(l_diag),
+                        _log_det_c(log_diag, data.n * data.r), s)
+    for k in np.flatnonzero(~np.isfinite(elbo))[:1]:
+        raise DivergedError(f"iteration {t[k]}: non-finite ELBO sample {elbo[k]}")
+    return elbo
 
 
 def draw_block(data):
@@ -453,7 +485,7 @@ def elbo_estimate(data, prior, state, method, n_draws, seed):
         value = model.log_joint_reparam(data, b_tilde, transforms, prior)
         if not np.all(np.isfinite(value)):
             raise OverflowGuardError("non-finite log joint")
-        return (value + logdet + 0.5 * (s * s).sum(axis=-1),)
+        return (_elbo_sample(value, logdet, s),)
 
     results = list(accepted_draws(state, n_draws, seed, LANE_FINAL, draw_block(data), evaluate))
     vals = np.concatenate([out[0] for out, _ in results])
@@ -486,6 +518,7 @@ def laplace_objective(data, prior, x, anchor=None):
     """
     transforms = reparam.build_transforms(data, _global_params(data, prior, x), "a2", anchor)
     value, grad = gradients.value_and_grad(data, np.zeros((data.n, data.r)), transforms, prior)
+    value = model.global_terms(data, transforms.gp, prior, value) + transforms.log_det_l()
     nr = data.n * data.r
     grad = grad[..., nr:nr + x.shape[-1]]
     if not (np.all(np.isfinite(value)) and np.all(np.isfinite(grad))):
@@ -601,7 +634,8 @@ def fit(data, prior, config=None, **settings):
 
     A converged fit returns Plateau.average, the average of its last
     window's iterates; a fit that reaches max_iter returns its last iterate.
-    FitResult.window_means and converged are the Plateau's."""
+    FitResult.window_means and converged are the Plateau's; it adds steps'
+    finish_samples at a window's end, at DRAW_BLOCK_BYTES and at max_iter."""
     if config is None:
         config = FitConfig(**settings)
     elif settings:
@@ -616,13 +650,19 @@ def fit(data, prior, config=None, **settings):
     state, start_kind = start_state(data, prior, config.method, start)
     adam = AdamState.zeros(state.params.size)
 
-    draws, anchor = LaneStream(config.seed, LANE_FIT), None
+    draws, anchor, samples = LaneStream(config.seed, LANE_FIT), None, []
     boosted = BOOST_STEPS if start_kind == "laplace" else 0
     plateau = Plateau(config.window, config.tau, boosted)
+    held = max(1, DRAW_BLOCK_BYTES // (8 * (3 * state.d + 1)))  # a Sample: about 3 d + 1 floats
     for it in range(1, config.max_iter + 1):
         alpha = ADAM_ALPHA * (LAPLACE_BOOST if it <= boosted else 1)
-        elbo, anchor = step(data, prior, config, state, adam, it, draws, anchor, alpha)
-        if plateau.push(elbo, state.params):
+        sample, anchor = step(data, prior, config, state, adam, it, draws, anchor, alpha)
+        samples.append(sample)
+        full = plateau.push(state.params)
+        if full or len(samples) == held or it == config.max_iter:
+            plateau.add(finish_samples(data, prior, samples))
+            samples = []
+        if full and plateau.close():
             state.params = plateau.average
             break
     wall = time.perf_counter() - t_start

@@ -3,8 +3,8 @@
 The parameter vector is theta~ = [b~_1, ..., b~_n, beta, omega]. Because
 (lambda_i, L_i) are functions of theta_G, the beta/omega blocks carry extra
 terms from differentiating the transforms; the omega block additionally
-carries the log-diagonal chain rule (dweight scaling applied last, so the
-raw half-vec gradient in v(W) coordinates is available for checks).
+carries the log-diagonal chain rule (dweight(W) times the half-vec gradient
+in v(W); n sum_i log W_ii is linear in omega). The value is the data term.
 
 Both transform methods share one routine: a1 is a2 with the expansion point
 fixed at the regularized estimates instead of the conditional mode, which
@@ -12,7 +12,7 @@ does not move with theta_G, so a1 has no third-derivative correction
 alpha_i. The family is evaluated once: derivs gives h and h' at
 eta = X beta + Z b for the value and the residuals. Under a2, h''' at the
 modes comes from the transforms' weight, h'' there (h3_from_h2). Only the
-value (model.log_joint) reads the mask: Dataset zeroes X and Z on padding.
+value (model.data_term) reads the mask: Dataset zeroes X and Z on padding.
 All functions broadcast over leading batch dimensions of theta_G and b~.
 """
 
@@ -49,19 +49,17 @@ def _sym_lower(B):
 
 
 def value_and_grad(data, b_tilde, transforms, prior):
-    """Reparametrized log joint (equal to model.log_joint_reparam) and its
-    full gradient at (b~, theta_G), theta_G being transforms.gp, from one
-    pass: b, eta and the residuals are computed once and shared. The
-    gradient is one (..., n*r + p + g2) vector in theta~ order: b~ (n, r)
-    flattened, beta, omega.
-    """
+    """The log joint's data term (model.data_term, which model.global_terms and
+    transforms.log_det_l() complete) and its full gradient at (b~, theta_G),
+    theta_G being transforms.gp, from one pass: b, eta and the residuals are
+    computed once and shared. The gradient is one (..., n*r + p + g2) vector
+    in theta~ order: b~ (n, r) flattened, beta, omega."""
     gp, L, lam, Lam = transforms.gp, transforms.L, transforms.lam, transforms.Lambda
     b = transforms.invert(b_tilde)
     eta = data.eta(gp.beta, b)
     h, h1 = data.family.derivs(eta, data.trials, 1)
     resid, a, omega_b = _score(data, gp, b, h1)
-    value = (model.log_joint(data, gp, b, prior, eta=eta, h=h, omega_b=omega_b)
-             + transforms.log_det_l())
+    value = model.data_term(data, b, eta, h, omega_b)
 
     local = grad_local(transforms, a)
     LBL = L @ _sym_lower(local[..., :, None] * b_tilde[..., None, :]) @ L.swapaxes(-1, -2)
@@ -82,8 +80,8 @@ def value_and_grad(data, b_tilde, transforms, prior):
     t1_lam = t1.swapaxes(-1, -2) @ lam
     M = (b.swapaxes(-1, -2) @ b + t1_lam + t1_lam.swapaxes(-1, -2)
          + Lam_LBL.sum(axis=-3))
-    raw = data.n * gp.W_inv_t - M @ gp.W
-    omega_grad = gp.W_dweight * matcalc.halfvec(raw) + prior.grad_omega(gp)
+    omega_grad = prior.grad_omega(gp) - gp.W_dweight * matcalc.halfvec(M @ gp.W)
+    omega_grad.T[matcalc.diag_positions(data.r)] += data.n  # that of n sum_i log W_ii, via .T
     flat_local = local.reshape(local.shape[:-2] + (-1,))
     return value, np.concatenate([flat_local, beta_grad, omega_grad], axis=-1)
 

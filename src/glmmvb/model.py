@@ -338,11 +338,6 @@ class GlobalParams:
         return self.omega_matrix()
 
     @_cached
-    def W_inv_t(self):
-        """W^{-T}: row k solves W x = e_k."""
-        return matcalc.solve_lower(self.W[..., None, :, :], matcalc.eye(self.r))
-
-    @_cached
     def W_dweight(self):
         """matcalc.dweight(W): the log-diagonal chain rule of omega's gradients."""
         return matcalc.dweight(self.W)
@@ -400,6 +395,7 @@ class WishartPrior:
         # u_i = r - i + 2 at omega's diagonal positions (log W_ii), 0 elsewhere
         self.u = np.zeros(self.g2)
         self.u[matcalc.diag_positions(r)] = np.arange(r + 1, 1, -1)
+        self.grad_linear = self.u + (self.nu - r - 1) * (self.u > 0)  # see grad_omega
 
     def log_omega(self, gp):
         r = gp.r
@@ -409,8 +405,9 @@ class WishartPrior:
                 + r * math.log(2.0) + (self.u * gp.omega).sum(axis=-1))
 
     def grad_omega(self, gp):
-        raw = (self.nu - gp.r - 1) * gp.W_inv_t - self.S_inv @ gp.W
-        return gp.W_dweight * matcalc.halfvec(raw) + self.u
+        """(nu - r - 1) sum_i log W_ii + u'omega is linear in omega, with gradient
+        grad_linear; -tr(S^{-1} Omega)/2 has D^W v(-S^{-1} W): no W^{-T}."""
+        return self.grad_linear - gp.W_dweight * matcalc.halfvec(self.S_inv @ gp.W)
 
 
 @dataclass
@@ -458,25 +455,25 @@ def normal_omega_prior(r, sigma_beta2=DEFAULT_SIGMA_BETA2, sd=10.0):
 # log joints
 
 
-def log_joint(data, gp, b, prior, eta=None, h=None, omega_b=None):
-    """Log joint density of data, random effects and global parameters.
-
-    sum_i [ sum_j {y eta - h(eta)} - b_i' Omega b_i / 2 ] + (n/2) log|Omega|
-    - beta'beta/(2 sigma_beta^2) + log p(omega); broadcasts over leading
-    dims of gp.beta / gp.omega / b. eta = X beta + Z b, h(eta) and
-    gp.omega_b(b), if already known.
-    """
-    if eta is None:
-        eta = data.eta(gp.beta, b)
-    if h is None:
-        h = data.family.derivs(eta, data.trials, 0)[0]
-    if omega_b is None:
-        omega_b = gp.omega_b(b)
+def data_term(data, b, eta, h, omega_b):
+    """The log joint's terms in b, sum_ij {y eta - h(eta)} - sum_i b_i' (Omega b_i) / 2."""
     ll = (data.mask * (data.y * eta - h)).sum(axis=(-1, -2))
     quad = (b * omega_b).sum(axis=(-1, -2))
+    return ll - 0.5 * quad
+
+
+def global_terms(data, gp, prior, value):
+    """value (a data_term) + (n/2) log|Omega| - beta'beta/(2 sigma_beta^2) + log p(omega),
+    the terms in theta_G alone added in that order; broadcasts over leading dims."""
     pen = (gp.beta * gp.beta).sum(axis=-1) / (2.0 * prior.sigma_beta2)
-    return (ll - 0.5 * quad + data.n * gp.log_diag_sum - pen
-            + prior.log_omega(gp))
+    return value + data.n * gp.log_diag_sum - pen + prior.log_omega(gp)
+
+
+def log_joint(data, gp, b, prior):
+    """Log joint density of data, b and theta_G; broadcasts over leading dims of gp and b."""
+    eta = data.eta(gp.beta, b)
+    h = data.family.derivs(eta, data.trials, 0)[0]
+    return global_terms(data, gp, prior, data_term(data, b, eta, h, gp.omega_b(b)))
 
 
 def log_joint_reparam(data, b_tilde, transforms, prior):

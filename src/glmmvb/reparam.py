@@ -55,8 +55,13 @@ class Transforms:
         return matcalc.matvec(self.L, b_tilde) + self.lam
 
     def log_det_l(self):
-        """sum_i log|L_i| = sum of log diagonal entries."""
-        return np.log(self.L.diagonal(0, -2, -1)).sum(axis=(-1, -2))
+        """sum_i log|L_i| = sum of log diagonal entries (sum_log_diag)."""
+        return sum_log_diag(self.L.diagonal(0, -2, -1))
+
+
+def sum_log_diag(diag):
+    """sum_i log|L_i| from the diagonals (..., n, r) of the L_i."""
+    return np.log(diag).sum(axis=(-1, -2))
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,7 @@ def eta_hat_ml(family, y, trials=None):
 def subject_grad_omega(gp, b):
     """Per-subject d/d omega of log p(y_i, b_i | theta_G): D^W v(W^{-T} - b b^T W)."""
     bb = b[..., :, None] * b[..., None, :]  # (..., n, r, r)
-    raw = gp.W_inv_t[..., None, :, :] - bb @ gp.W[..., None, :, :]
+    raw = np.linalg.inv(gp.W).swapaxes(-1, -2)[..., None, :, :] - bb @ gp.W[..., None, :, :]
     return matcalc.dweight(gp.W)[..., None, :] * matcalc.halfvec(raw)
 
 

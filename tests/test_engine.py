@@ -304,11 +304,20 @@ class TestEstimators:
             assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) < 4 * se + 1e-10)
 
 
+def plateau_step(plateau, elbo, params):
+    """One step of fit's use of a Plateau: push the params after the step,
+    add its ELBO sample, and close a window the step fills; whether the
+    window closed and fired."""
+    full = plateau.push(params)
+    plateau.add(np.array([elbo]))
+    return full and plateau.close()
+
+
 def plateau_stops(means, tau):
     """Whether a Plateau of one-step windows fires at the last of `means`,
     pushed in order as ELBO samples."""
     plateau = engine.Plateau(1, tau)
-    return [plateau.push(m, np.zeros(2)) for m in means][-1]
+    return [plateau_step(plateau, m, np.zeros(2)) for m in means][-1]
 
 
 class TestShouldStop:
@@ -333,19 +342,19 @@ class TestShouldStop:
         plateau = engine.Plateau(2, 3, hold=3)
         params = np.zeros(2)
         # the windows of pushes 1-2 and 3-4 each hold one of the first 3
-        fired = [plateau.push(e, params) for e in (4.0, 4.0, 2.0, 2.0, 1.0)]
+        fired = [plateau_step(plateau, e, params) for e in (4.0, 4.0, 2.0, 2.0, 1.0)]
         assert fired == [False] * 5 and not plateau.converged
         assert plateau.means == [4.0, 2.0]
-        assert plateau.push(1.0, params) and plateau.converged
+        assert plateau_step(plateau, 1.0, params) and plateau.converged
         assert plateau.means == [4.0, 2.0, 1.0]
 
     def test_window_means_and_average_in_push_order(self):
         plateau = engine.Plateau(2, 3)
         params = [np.array([1.0, 2.0]), np.array([0.1, 0.2]), np.array([3.0, 5.0])]
-        fired = [plateau.push(e, p) for e, p in zip([4.0, 2.0, 1.0], params)]
+        fired = [plateau_step(plateau, e, p) for e, p in zip([4.0, 2.0, 1.0], params)]
         assert fired == [False, False, False] and plateau.means == [3.0]
         np.testing.assert_array_equal(plateau.average, (params[0] + params[1]) / 2)
-        assert plateau.push(0.0, params[2]) and plateau.converged
+        assert plateau_step(plateau, 0.0, params[2]) and plateau.converged
         assert plateau.means == [3.0, 0.5]
         np.testing.assert_array_equal(plateau.average, (params[2] + params[2]) / 2)
 
@@ -519,9 +528,9 @@ class TestBoost:
         prior = model.default_prior(data)
         push, pushed = engine.Plateau.push, []
 
-        def record(self, elbo, params):
+        def record(self, params):
             pushed.append(params.copy())
-            return push(self, elbo, params)
+            return push(self, params)
 
         monkeypatch.setattr(engine.Plateau, "push", record)
         for seed in range(1, 9):
@@ -765,9 +774,9 @@ def _hand_steps(data, prior, cfg, start):
     draws, anchor = engine.LaneStream(cfg.seed, engine.LANE_FIT), None
     elbos, iterates = [], []
     for t in range(1, cfg.max_iter + 1):
-        elbo, anchor = engine.step(data, prior, cfg, state, adam, t, draws, anchor,
-                                   _fit_alpha(kind, t))
-        elbos.append(elbo)
+        sample, anchor = engine.step(data, prior, cfg, state, adam, t, draws, anchor,
+                                     _fit_alpha(kind, t))
+        elbos.append(float(engine.finish_samples(data, prior, [sample])[0]))
         iterates.append(state.params.copy())
     return elbos, iterates
 
@@ -1189,10 +1198,10 @@ class TestLaneStream:
         for shared in (None, engine.LaneStream(cfg.seed, engine.LANE_FIT)):
             state = engine.VariationalState.initial(data.n, data.r, data.g)
             adam = engine.AdamState.zeros(state.params.size)
-            elbos = [engine.step(data, prior, cfg, state, adam, t,
-                                 shared or engine.LaneStream(cfg.seed, engine.LANE_FIT))[0]
-                     for t in range(1, 30)]
-            states.append((elbos, state.params))
+            samples = [engine.step(data, prior, cfg, state, adam, t,
+                                   shared or engine.LaneStream(cfg.seed, engine.LANE_FIT))[0]
+                       for t in range(1, 30)]
+            states.append((engine.finish_samples(data, prior, samples).tolist(), state.params))
         assert states[0][0] == states[1][0]
         np.testing.assert_array_equal(states[0][1], states[1][1])
 
@@ -1243,3 +1252,129 @@ class TestFailFast:
                                final_elbo_draws=0)
         with pytest.raises(DivergedError, match="iteration 1:"):
             engine.fit(data, prior, cfg)
+
+    def test_singular_global_c_diverges_before_the_update(self):
+        # exp(-800) underflows to 0: C's global block is singular, and the
+        # estimator's solve of C^{-T} s fails
+        data = datasets.seeds_dataset()
+        prior = model.default_prior(data)
+        state = engine.VariationalState.initial(data.n, data.r, data.g)
+        state.cstar_global[0] = -800.0
+        before = state.params.copy()
+        adam = engine.AdamState.zeros(state.params.size)
+        with pytest.raises(DivergedError, match="^iteration 1: "):
+            engine.step(data, prior, engine.FitConfig(method="a1", seed=1), state, adam, 1,
+                        engine.LaneStream(1, engine.LANE_FIT))
+        assert state.params.tobytes() == before.tobytes()
+
+    def test_nan_data_term_diverges_before_its_update(self, monkeypatch):
+        value_and_grad, calls = gradients.value_and_grad, []
+
+        def nan_at_third_call(*args):
+            value, grad = value_and_grad(*args)
+            calls.append(value)
+            return (np.nan if len(calls) == 3 else value), grad
+
+        monkeypatch.setattr(gradients, "value_and_grad", nan_at_third_call)
+        data, prior = micro_model()
+        cfg = engine.FitConfig(method="a1", seed=1)
+        state = engine.VariationalState.initial(data.n, data.r, data.p)
+        adam = engine.AdamState.zeros(state.params.size)
+        draws = engine.LaneStream(1, engine.LANE_FIT)
+        for t in (1, 2):
+            engine.step(data, prior, cfg, state, adam, t, draws)
+        before = state.params.copy()
+        with pytest.raises(DivergedError, match="^iteration 3: non-finite ELBO data term nan$"):
+            engine.step(data, prior, cfg, state, adam, 3, draws)
+        assert state.params.tobytes() == before.tobytes() and adam.t == 2
+
+    # windows of 10: a step of a full window, of the partial last window, and
+    # of a full window whose samples are finished 3 at a time
+    @pytest.mark.parametrize("max_iter, bad, held, last", [(30, 17, None, 20), (27, 23, None, 27),
+                                                           (30, 17, 3, 19)])
+    def test_non_finite_deferred_term_names_its_step(self, monkeypatch, max_iter, bad, held,
+                                                     last):
+        data = datasets.seeds_dataset()
+        prior = model.default_prior(data)
+        step, log_omega, betas = engine.step, prior.log_omega, {}
+
+        def record(*args, **kwargs):
+            sample, anchor = step(*args, **kwargs)
+            betas[sample.t] = sample.beta.copy()
+            return sample, anchor
+
+        def nan_at_bad(gp):  # NaN at the row of step `bad`'s draw
+            hit = np.all(gp.beta == betas.get(bad, np.nan), axis=-1)
+            return np.where(hit, np.nan, log_omega(gp))
+
+        monkeypatch.setattr(engine, "step", record)
+        monkeypatch.setattr(prior, "log_omega", nan_at_bad)
+        if held:
+            d = data.n * data.r + data.g
+            monkeypatch.setattr(engine, "DRAW_BLOCK_BYTES", held * 8 * (3 * d + 1))
+        cfg = engine.FitConfig(method="a1", seed=1, max_iter=max_iter, window=10,
+                               final_elbo_draws=0)
+        with pytest.raises(DivergedError, match=f"^iteration {bad}: non-finite ELBO sample nan$"):
+            engine.fit(data, prior, cfg)
+        assert max(betas) == last
+
+
+class TestWindowPass:
+    """fit finishes its steps' ELBO samples in batches (finish_samples); each
+    sample has the bytes of the whole sample taken at its step, before the
+    update: the reparametrized log joint plus log|C| and |s|^2/2."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(famname=st.sampled_from(["poisson", "binomial", "bernoulli"]),
+           r=st.sampled_from([1, 2, 3]), method=st.sampled_from(["a1", "a2"]),
+           prior_kind=st.sampled_from(["wishart", "normal-omega", "known-omega"]),
+           window=st.sampled_from([1, 4, 7]), max_iter=st.integers(1, 30),
+           held=st.sampled_from([None, 1, 2, 5]), seed=st.integers(0, 2 ** 16))
+    @example(famname="poisson", r=3, method="a2", prior_kind="wishart", window=7,
+             max_iter=30, held=2, seed=0)
+    @example(famname="bernoulli", r=2, method="a1", prior_kind="known-omega", window=4,
+             max_iter=23, held=5, seed=1)
+    def test_samples_equal_each_steps_whole_sample(self, famname, r, method, prior_kind,
+                                                   window, max_iter, held, seed):
+        rng = np.random.default_rng(seed)
+        data = random_dataset(rng, families.by_name(famname), r=r, n=3)
+        prior = {"wishart": lambda: model.default_prior(data),
+                 "normal-omega": lambda: model.normal_omega_prior(r),
+                 "known-omega": lambda: oracles.KnownOmega(
+                     100.0, 0.3 * rng.standard_normal(matcalc.half_len(r)))}[prior_kind]()
+        value_and_grad, estimator, finish = (gradients.value_and_grad, engine.estimator,
+                                             engine.finish_samples)
+        drawn, whole, finished = [], [], []
+
+        def vg(data, b_tilde, transforms, prior):
+            drawn.append((b_tilde, transforms))
+            return value_and_grad(data, b_tilde, transforms, prior)
+
+        def est(state, s, grad_vec, blocks):  # the pre-update state and the step's draw
+            b_tilde, transforms = drawn[-1]
+            whole.append(float(model.log_joint_reparam(data, b_tilde, transforms, prior)
+                               + state.log_det_c() + 0.5 * (s * s).sum()))
+            return estimator(state, s, grad_vec, blocks)
+
+        def recorded(data, prior, samples):
+            finished.append(finish(data, prior, samples))
+            return finished[-1]
+
+        cfg = engine.FitConfig(method=method, seed=seed, max_iter=max_iter, window=window,
+                               final_elbo_draws=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gradients, "value_and_grad", vg)
+            mp.setattr(engine, "estimator", est)
+            mp.setattr(engine, "finish_samples", recorded)
+            if held:
+                g = data.g if prior.learns_omega else data.p
+                row = 8 * (3 * (data.n * data.r + g) + 1)
+                mp.setattr(engine, "DRAW_BLOCK_BYTES", held * row)
+            res = engine.fit(data, prior, cfg)
+        assert len(whole) == res.n_iter
+        assert max(len(f) for f in finished) <= min(window, held or window)
+        assert np.concatenate(finished).tobytes() == np.array(whole).tobytes()
+        boosted = engine.BOOST_STEPS if res.start_kind == "laplace" else 0
+        means, n_iter, converged = _hand_stop(whole, window, cfg.tau, boosted)
+        assert (res.n_iter, res.converged) == (n_iter, converged)
+        assert np.asarray(res.window_means).tobytes() == np.asarray(means).tobytes()

@@ -258,6 +258,7 @@ class TestValueAndGradProperties:
         data, gp, pr, bt = random_case(famname, r, prior_kind, seed)
         t = reparam.build_transforms(data, gp, method)
         value, _ = gradients.value_and_grad(data, bt, t, pr)
+        value = model.global_terms(data, t.gp, pr, value) + t.log_det_l()
         assert value == model.log_joint_reparam(data, bt, t, pr)
 
 

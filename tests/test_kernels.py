@@ -167,11 +167,11 @@ class TestSolveAndColumnReductions:
 EINSUM_SITES = set()
 
 # the functions that read the padding mask (a name or attribute "mask"):
-# Dataset builds it, and the log joint's value sum, the pooled GLM's row
+# Dataset builds it, and the log joint's data term, the pooled GLM's row
 # selection and the simulation writer need it. Every other sum runs over
 # Dataset's zeroed padding, so the gradient, the transform builds and the
 # a2 mode search's objective never see it.
-MASK_SITES = {("model", "Dataset.__init__"), ("model", "log_joint"),
+MASK_SITES = {("model", "Dataset.__init__"), ("model", "data_term"),
               ("model", "fit_pooled_glm"), ("fileio", "write_simulation")}
 
 
@@ -216,11 +216,16 @@ def _package_uses(names, numpy_only=False):
 # cheaper call (np.any/np.all: .any()/.all() or np.count_nonzero; the views
 # of np.swapaxes/np.diagonal: ndarray.swapaxes/diagonal; np.eye: the cached
 # matcalc.eye), and the step path they stay off: every function of matcalc,
-# reparam and gradients, and the step's functions in engine and model
+# reparam and gradients, and the functions in engine and model of the step
+# and of fit's window pass, which finishes the steps' ELBO samples
 WRAPPERS = {"any", "all", "swapaxes", "diagonal", "eye"}
 STEP_PATH = {"matcalc": ("",), "reparam": ("",), "gradients": ("",),
-             "engine": ("step", "estimator", "draw", "_global_params", "VariationalState"),
-             "model": ("GlobalParams", "log_joint", "Dataset.xbeta", "Dataset.zb",
+             "engine": ("step", "estimator", "draw", "_global_params", "VariationalState",
+                        "finish_samples", "_log_det_c", "_elbo_sample", "Plateau"),
+             "model": ("GlobalParams", "log_joint", "data_term", "global_terms",
+                       "WishartPrior.log_omega", "WishartPrior.grad_omega",
+                       "NormalOmegaPrior.log_omega", "NormalOmegaPrior.grad_omega",
+                       "Dataset.xbeta", "Dataset.zb",
                        "Dataset.zt", "Dataset.xt", "Dataset.eta", "Dataset.zwx",
                        "Dataset.zmz", "Dataset._z_outer", "Dataset._obs_major",
                        "_ObsMajor.xbeta", "_ObsMajor.eta", "_ObsMajor.sum_obs",
@@ -317,6 +322,6 @@ class TestNumpyWrappersStayOffTheStepPath:
         assert _uses(source, WRAPPERS, numpy_only=True) == [("", 1), ("f", 4), ("f", 4),
                                                             ("g", 6)]
         assert _on_step_path("engine", "step") and _on_step_path("matcalc", "spd_solve")
-        assert _on_step_path("model", "GlobalParams.W_inv_t")
+        assert _on_step_path("model", "GlobalParams.W_dweight")
         assert not _on_step_path("engine", "start_state")
         assert not _on_step_path("model", "Dataset.__init__")
